@@ -18,13 +18,14 @@ from .convolution import (ConvolutionInput, irreducibility_criterion,
                           is_convolution_sheaf, mc_lambda, middle_convolution,
                           predict_infinity_jordan, predict_local_jordan,
                           rank_formula, rank_formula_applicable, sl_demo)
-from .errors import DomainError, InputError, ParseError
+from .errors import DomainError, InputError
 from .k3count import (count_record, frobenius_eigenvalues, intersection_matrix_det,
-                      legendre, trace_frobenius)
+                      trace_frobenius)
 from .linalg import jordan_data
-from .modgroup import (absolutely_irreducible, group_closure, o3_recognition,
-                       primitivity_bound, reduce_mod)
-from .scalars import parse_scalar
+from .modgroup import (GroupReport, absolutely_irreducible, group_closure,
+                       invariant_symmetric_form, o3_recognition, primitivity_bound,
+                       reduce_mod)
+from .scalars import FINITE, parse_scalar
 from .tuples import braid_act, cohomology_spaces, parabolic_rank_formula, \
     parse_braid_word, tuples_equivalent
 from .tupleio import load_tuple_file, save_tuple, save_tuple_file
@@ -47,10 +48,6 @@ def _emit(args, payload: dict, human: list[str]) -> None:
     else:
         for line in human:
             print(line)
-
-
-def _jordan_text(jd) -> str:
-    return str(jd)
 
 
 def _maybe_save(args, T) -> None:
@@ -112,7 +109,7 @@ def _cmd_irred(args):
     lams = [parse_scalar(tok.strip(), T.field) for tok in args.lambdas.split(",")]
     verdict = irreducibility_criterion(T, lams)
     _emit(args, {"verdict": verdict}, [verdict])
-    return 0 if verdict else 1
+    return 0
 
 
 def _cmd_jordan(args):
@@ -125,6 +122,12 @@ def _cmd_jordan(args):
 
 
 def _cmd_predict(args):
+    needed = ({"tuple": "--tuple", "lam": "--lambda"} if args.infinity
+              else {"left": "--left", "right": "--right"})
+    missing = [opt for dest, opt in needed.items() if getattr(args, dest) is None]
+    if missing:
+        mode = "predict --infinity" if args.infinity else "predict"
+        raise InputError(f"{mode} needs {' and '.join(missing)}")
     if args.infinity:
         T = _load(args.tuple)
         lam = parse_scalar(args.lam, T.field)
@@ -188,10 +191,9 @@ def _cmd_group(args):
     if args.mod:
         T = reduce_mod(T, args.mod)
     gens = list(T.entries)
-    if T.dim == 3 and T.field.k == 1:
+    if T.dim == 3 and T.field.kind == FINITE and T.field.k == 1:
         report = o3_recognition(gens, T.field.p, cap=args.cap)
     else:
-        from .modgroup import GroupReport, invariant_symmetric_form
         report = GroupReport(order=group_closure(gens, cap=args.cap),
                              absolutely_irreducible=absolutely_irreducible(gens),
                              invariant_gram=invariant_symmetric_form(gens))
@@ -303,9 +305,6 @@ def _cmd_fixtures(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized helpers (reserved; all "
-                             "subcommands are deterministic)")
     ap = argparse.ArgumentParser(
         prog="midconv",
         description="Exact middle convolution of monodromy tuples, "

@@ -26,6 +26,7 @@ from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
 from .linalg import (JordanData, Matrix, char_poly, field_roots,
                      intersect_row_spaces, jordan_data, kernel_basis, kronecker,
                      rank, row_space_basis, solve_coords, vec_mat)
+from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, cohomology_spaces,
                      induced_quotient_matrix, invariants_dim, phi_transport,
@@ -173,11 +174,8 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
         # colliding points that were not adjacent: bubble together, then merge
         pairs = _merge_adjacent(_braid_sort_pairs(pairs))
     pairs = _braid_sort_pairs(pairs)
-    prod = Matrix.identity(field, len(quot))
-    for _, D in pairs:
-        prod = prod @ D
-    entries = [D for _, D in pairs] + [prod.inverse()]
-    return MonodromyTuple.make(field, entries, [pt for pt, _ in pairs])
+    return MonodromyTuple.from_finite_entries(field, [D for _, D in pairs],
+                                              [pt for pt, _ in pairs])
 
 
 # -- rank formula -----------------------------------------------------------------
@@ -283,11 +281,7 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
                     "(L^perp spanned by the block rows of B_k - 1)")
             rows.append(tuple(coords))
         entries.append(Matrix(field, tuple(rows)))
-    out_prod = Matrix.identity(field, len(w_basis))
-    for D in entries:
-        out_prod = out_prod @ D
-    entries.append(out_prod.inverse())
-    return MonodromyTuple.make(field, entries, T.points)
+    return MonodromyTuple.from_finite_entries(field, entries, T.points)
 
 
 def kummer_tuple(field: FieldDescriptor, lam: Scalar, point=0) -> MonodromyTuple:
@@ -364,24 +358,6 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
     return ConvolutionSheafCheck(True)
 
 
-def _centralizer_dim(entries) -> int:
-    field = entries[0].field
-    d = entries[0].nrows
-    zero = field.zero()
-    eqs = []
-    for M in entries:
-        for a in range(d):
-            for b in range(d):
-                coef = [zero] * (d * d)
-                for c in range(d):
-                    coef[a * d + c] = coef[a * d + c] + M.rows[c][b]
-                    coef[c * d + b] = coef[c * d + b] - M.rows[a][c]
-                eqs.append(tuple(coef))
-    m = len(eqs)
-    Mt = Matrix(field, tuple(tuple(eqs[r][c] for r in range(m)) for c in range(d * d)))
-    return len(kernel_basis(Mt))
-
-
 def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) -> str:
     """Sufficient criterion: "irreducible" when (p-2) n exceeds the kernel sum.
 
@@ -402,7 +378,7 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
             raise PreconditionError("right-hand scalars must avoid {0, 1}")
     if not is_convolution_sheaf(left).ok:
         raise PreconditionError("left factor is not a convolution sheaf")
-    if _centralizer_dim(list(left.entries)) != 1:
+    if not absolutely_irreducible(list(left.entries)):
         raise PreconditionError("left factor is not absolutely irreducible")
     margin = (p - 2) * n - sum(n - rank(A.minus_identity())
                                for A in left.finite_entries())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
-from .scalars import CYCLOTOMIC, FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
+from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
 
 Row = tuple
 
@@ -572,43 +572,36 @@ def kronecker_jordan(alpha: Scalar, n1: int, beta: Scalar, n2: int) -> JordanDat
     return JordanData.of([(prod, n1 + n2 - 1 - 2 * i) for i in range(n1)], n1 * n2)
 
 
-def conjugacy_solve(TA: list[Matrix], TB: list[Matrix]) -> Matrix | None:
-    """Invertible S with S^-1 TA_i S = TB_i for all i, or None.
+def commutant_basis(As: list[Matrix], Bs: list[Matrix]) -> list[Row]:
+    """Basis of {X : A_i X = X B_i for all i}, each X flattened row by row.
 
-    Solves the linear system TA_i X = X TB_i and scans the solution space in
-    a deterministic order for an invertible element.  For absolutely
-    irreducible tuples the space has dimension <= 1, so the first basis
-    vector decides.
+    Each entry (A_i X - X B_i)_{ab} = 0 is one linear equation in the d*d
+    entries of X; the solutions are the left kernel of the transposed system.
     """
-    if len(TA) != len(TB):
-        return None
-    if not TA:
-        return None
-    field = TA[0].field
-    d = TA[0].nrows
-    if any(M.nrows != d or M.ncols != d for M in list(TA) + list(TB)):
-        return None
+    field = As[0].field
+    d = As[0].nrows
     zero = field.zero()
     eqs = []
-    for A, B in zip(TA, TB):
+    for A, B in zip(As, Bs):
         for a in range(d):
             for b in range(d):
                 coef = [zero] * (d * d)
                 for c in range(d):
                     coef[c * d + b] = coef[c * d + b] + A.rows[a][c]
                     coef[a * d + c] = coef[a * d + c] - B.rows[c][b]
-                eqs.append(tuple(coef))
-    # right kernel of the equation matrix = left kernel of its transpose
-    m = len(eqs)
-    Mt = Matrix(field, tuple(tuple(eqs[r][c] for r in range(m)) for c in range(d * d)))
-    K = kernel_basis(Mt)
+                eqs.append(coef)
+    return kernel_basis(Matrix(field, tuple(zip(*eqs))))
 
-    def as_matrix(v):
-        return Matrix(field, tuple(tuple(v[a * d + b] for b in range(d)) for a in range(d)))
 
-    candidates = list(K)
+def find_invertible(basis, as_matrix) -> Matrix | None:
+    """First invertible as_matrix(v) over the basis vectors, then their prefix sums.
+
+    The scan order is fixed, so the answer is deterministic; it is not a
+    complete search of the span.
+    """
+    candidates = list(basis)
     acc = None
-    for v in K:
+    for v in basis:
         acc = v if acc is None else tuple(x + y for x, y in zip(acc, v))
         candidates.append(acc)
     seen = set()
@@ -620,3 +613,24 @@ def conjugacy_solve(TA: list[Matrix], TB: list[Matrix]) -> Matrix | None:
         if S.is_invertible():
             return S
     return None
+
+
+def conjugacy_solve(TA: list[Matrix], TB: list[Matrix]) -> Matrix | None:
+    """Invertible S with S^-1 TA_i S = TB_i for all i, or None.
+
+    Solves the linear system TA_i X = X TB_i and scans the solution space in
+    a deterministic order for an invertible element.  For absolutely
+    irreducible tuples the space has dimension <= 1, so the first basis
+    vector decides.
+    """
+    if not TA or len(TA) != len(TB):
+        return None
+    field = TA[0].field
+    d = TA[0].nrows
+    if any(M.nrows != d or M.ncols != d for M in list(TA) + list(TB)):
+        return None
+
+    def as_matrix(v):
+        return Matrix(field, tuple(v[a * d: (a + 1) * d] for a in range(d)))
+
+    return find_invertible(commutant_basis(TA, TB), as_matrix)

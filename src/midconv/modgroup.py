@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
-from .linalg import Matrix, jordan_data, kernel_basis, rank
-from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, is_prime
+from .linalg import (Matrix, commutant_basis, find_invertible, jordan_data,
+                     kernel_basis, rank)
+from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
+                      is_prime)
 from .tuples import MonodromyTuple
 
 
@@ -36,7 +38,6 @@ def _reduce_fraction(fr: Fraction, ell: int) -> int:
 
 def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
     """Smallest root of Phi_n in F_ell if any, else in F_{ell^2}."""
-    from .scalars import cyclotomic_polynomial
     phi = cyclotomic_polynomial(n)
     f1 = FieldDescriptor.finite(ell)
     for a in range(ell):
@@ -96,12 +97,15 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     return MonodromyTuple.make(target, entries, T.points)
 
 
-def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
-    """Breadth-first closure under multiplication; None when past the cap."""
-    if not gens:
-        return 1
+def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
+    """Breadth-first closure under right multiplication by the generators.
+
+    Returns the elements' row tuples as the keys of an insertion-ordered
+    dict, or None when the closure passes the cap.  Only the frontier holds
+    Matrix objects.
+    """
     ident = Matrix.identity(gens[0].field, gens[0].nrows)
-    seen = {ident.rows}
+    seen = {ident.rows: None}
     frontier = [ident]
     while frontier:
         new = []
@@ -109,52 +113,33 @@ def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
             for A in gens:
                 C = B @ A
                 if C.rows not in seen:
-                    seen.add(C.rows)
+                    seen[C.rows] = None
                     if len(seen) > cap:
                         return None
                     new.append(C)
         frontier = new
-    return len(seen)
+    return seen
+
+
+def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
+    """Order of the generated group; None when past the cap."""
+    if not gens:
+        return 1
+    seen = _closure_rows(gens, cap)
+    return None if seen is None else len(seen)
 
 
 def group_elements(gens: list[Matrix], cap: int = 100000):
     """The closure itself (insertion order); None when past the cap."""
     if not gens:
         return []
-    ident = Matrix.identity(gens[0].field, gens[0].nrows)
-    seen = {ident.rows: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for B in frontier:
-            for A in gens:
-                C = B @ A
-                if C.rows not in seen:
-                    seen[C.rows] = C
-                    if len(seen) > cap:
-                        return None
-                    new.append(C)
-        frontier = new
-    return list(seen.values())
+    seen = _closure_rows(gens, cap)
+    return None if seen is None else [Matrix(gens[0].field, rows) for rows in seen]
 
 
 def absolutely_irreducible(gens: list[Matrix]) -> bool:
     """True iff the commutant of the generated algebra is the scalars."""
-    field = gens[0].field
-    d = gens[0].nrows
-    zero = field.zero()
-    eqs = []
-    for M in gens:
-        for a in range(d):
-            for b in range(d):
-                coef = [zero] * (d * d)
-                for c in range(d):
-                    coef[a * d + c] = coef[a * d + c] + M.rows[c][b]
-                    coef[c * d + b] = coef[c * d + b] - M.rows[a][c]
-                eqs.append(tuple(coef))
-    m = len(eqs)
-    Mt = Matrix(field, tuple(tuple(eqs[r][c] for r in range(m)) for c in range(d * d)))
-    return len(kernel_basis(Mt)) == 1
+    return len(commutant_basis(gens, gens)) == 1
 
 
 def invariant_symmetric_form(gens: list[Matrix]) -> Matrix | None:
@@ -181,24 +166,13 @@ def invariant_symmetric_form(gens: list[Matrix]) -> Matrix | None:
                     for v in range(d):
                         coef[pos(u, v)] = coef[pos(u, v)] + M.rows[a][u] * M.rows[b][v]
                 coef[pos(a, b)] = coef[pos(a, b)] - field.one()
-                eqs.append(tuple(coef))
-    m = len(eqs)
-    Mt = Matrix(field, tuple(tuple(eqs[r][c] for r in range(m)) for c in range(len(idx))))
-    sols = kernel_basis(Mt)
+                eqs.append(coef)
+    sols = kernel_basis(Matrix(field, tuple(zip(*eqs))))
 
     def build(v):
         return Matrix(field, tuple(tuple(v[pos(a, b)] for b in range(d)) for a in range(d)))
 
-    candidates = list(sols)
-    acc = None
-    for v in sols:
-        acc = v if acc is None else tuple(x + y for x, y in zip(acc, v))
-        candidates.append(acc)
-    for v in candidates:
-        G = build(v)
-        if G.is_invertible():
-            return G
-    return None
+    return find_invertible(sols, build)
 
 
 def primitivity_bound(T: MonodromyTuple) -> tuple[Fraction, bool]:

@@ -413,64 +413,23 @@ class Scalar:
 
 
 def _cyc_inverse(s: Scalar) -> Scalar:
-    """Extended Euclid in Q[x] modulo Phi_n."""
+    """s^-1 = prod_{k != 1} sigma_k(s) / N(s), sigma_k: zeta -> zeta^k, k prime to n."""
     field = s.field
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(field.n)]
+    n = field.n
+    phi, _, powers = _cyc_tables(n)
     nums, den = s.payload
-    a = [Fraction(x, den) for x in nums]
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def polymod(p, q):
-        p = list(p)
-        dq = deg(q)
-        while deg(p) >= dq:
-            dp = deg(p)
-            f = p[dp] / q[dq]
-            for i in range(dq + 1):
-                p[dp - dq + i] -= f * q[i]
-        return p
-
-    # invariant: r0 = t0 * a (mod Phi), r1 = t1 * a (mod Phi)
-    r0, r1 = phi_poly, a + [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        dp, dq = deg(r0), deg(r1)
-        q = [Fraction(0)] * (dp - dq + 1)
-        rem = list(r0)
-        while deg(rem) >= dq:
-            dr = deg(rem)
-            f = rem[dr] / r1[dq]
-            q[dr - dq] += f
-            for i in range(dq + 1):
-                rem[dr - dq + i] -= f * r1[i]
-        # t_next = t0 - q*t1
-        prod = [Fraction(0)] * (len(q) + len(t1))
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(t1):
-                    prod[i + j] += x * y
-        tn = [Fraction(0)] * max(len(t0), len(prod))
-        for i, x in enumerate(t0):
-            tn[i] += x
-        for i, x in enumerate(prod):
-            tn[i] -= x
-        r0, r1, t0, t1 = r1, rem, t1, tn
-    c = r1[0]
-    if c == 0:
-        raise DivisionByZero("inverse of zero")
-    inv_coeffs = [x / c for x in polymod(t1, phi_poly)]
-    phi = field.degree
-    inv_coeffs += [Fraction(0)] * (phi - len(inv_coeffs))
-    den_l = 1
-    for x in inv_coeffs[:phi]:
-        den_l = den_l * x.denominator // math.gcd(den_l, x.denominator)
-    nums_out = tuple(int(x * den_l) for x in inv_coeffs[:phi])
-    return Scalar(field, _cyc_normalize(nums_out, den_l))
+    conj = field.one()
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            vec = [0] * phi
+            for j, a in enumerate(nums):
+                if a:
+                    for i, c in enumerate(powers[j * k % n]):
+                        vec[i] += a * c
+            conj = conj * Scalar(field, _cyc_normalize(tuple(vec), den))
+    (norm, *_), norm_den = (s * conj).payload     # N(s) is rational
+    c_nums, c_den = conj.payload
+    return Scalar(field, _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm))
 
 
 def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:

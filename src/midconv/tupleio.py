@@ -16,12 +16,12 @@ at infinity.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .linalg import Matrix
-from .scalars import (CYCLOTOMIC, FINITE, RATIONAL, FieldDescriptor,
-                      format_scalar, parse_scalar)
+from .scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor, format_scalar, parse_scalar
 from .tuples import MonodromyTuple
 
 
@@ -72,7 +72,6 @@ def parse_field(text: str) -> FieldDescriptor:
 
 def _parse_int_poly(text: str) -> tuple[int, int, int]:
     """Monic degree-2 integer polynomial in t, e.g. 't^2-2' or 't^2+3*t+1'."""
-    import re
     coeffs = [0, 0, 0]
     for m in re.finditer(r"([+-]?\d*)\*?(t(?:\^(\d+))?)?", text.replace(" ", "")):
         if not m.group(0):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, in_span, intersect_row_spaces, kernel_basis, rank,
-                     row_space_basis, solve_coords, vec_mat)
+from .linalg import (Matrix, conjugacy_solve, in_span, intersect_row_spaces,
+                     kernel_basis, rank, row_space_basis, solve_coords, vec_mat)
 from .scalars import FieldDescriptor
 
 
@@ -352,7 +352,6 @@ def induced_quotient_matrix(ext, quot, big: Matrix, field) -> Matrix:
 
 def tuples_equivalent(A: MonodromyTuple, B: MonodromyTuple):
     """Simultaneous conjugator between the two tuples, or None."""
-    from .linalg import conjugacy_solve
     if A.field != B.field or A.dim != B.dim or A.r != B.r:
         return None
     if A.points is not None and B.points is not None and A.points != B.points:

@@ -1,0 +1,66 @@
+"""The command line: --json documents and exit codes (0 ok, 1 domain, 2 input)."""
+
+import json
+
+import pytest
+
+from midconv import cli
+
+
+def _run(capsys, *argv):
+    code = cli.run(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _run_json(capsys, *argv):
+    code, out, _err = _run(capsys, *argv, "--json")
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("mod, spec, order, recognized, gram", [
+    (13, "fixture:V", "4368", "O3(F_13)", "1, 12, 0\n12, 8, 1\n0, 1, 1"),
+    (7, "fixture:V", "336", None, "1, 6, 0\n6, 5, 1\n0, 1, 1"),
+    (11, "fixture:LstarL", "1320", None, None),
+    (5, "fixture:L", "2", None, "1"),
+])
+def test_group_documents(capsys, mod, spec, order, recognized, gram):
+    code, doc = _run_json(capsys, "group", "--mod", str(mod), "--tuple", spec)
+    assert code == 0
+    assert doc == {"order": order, "absolutely_irreducible": True,
+                   "recognized": recognized, "invariant_gram": gram}
+
+
+def test_group_over_q_takes_the_generic_branch(capsys):
+    code, doc = _run_json(capsys, "group", "--cap", "50", "--tuple", "fixture:V")
+    assert code == 0
+    assert doc["order"] == "exceeds cap"
+    assert doc["recognized"] is None
+
+
+@pytest.mark.parametrize("a, b, equivalent, code", [
+    ("fixture:V", "fixture:V", True, 0),
+    ("fixture:L", "fixture:LstarL", False, 1),
+])
+def test_equiv_exit_codes(capsys, a, b, equivalent, code):
+    assert _run_json(capsys, "equiv", a, b) == (code, {"equivalent": equivalent})
+
+
+def test_irred_inconclusive_exits_zero(capsys):
+    code, doc = _run_json(capsys, "irred", "--tuple", "fixture:L", "--lambdas", "-1")
+    assert (code, doc) == (0, {"verdict": "inconclusive"})
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["predict", "--left", "fixture:L"], "--right"),
+    (["predict", "--infinity"], "--tuple and --lambda"),
+])
+def test_predict_missing_options_is_an_input_error(capsys, argv, missing):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("InputError:") and missing in err
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _out, _err = _run(capsys, "--seed", "3", "fixtures", "list")
+    assert code == 2

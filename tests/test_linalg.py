@@ -4,9 +4,9 @@ import pytest
 
 from midconv.errors import DoesNotSplit, FieldMismatch
 from midconv.fixtures import m_tuple
-from midconv.linalg import (JordanData, Matrix, char_poly, conjugacy_solve,
-                            field_roots, jordan_block, jordan_data, kernel_basis,
-                            kronecker, kronecker_jordan, rank)
+from midconv.linalg import (JordanData, Matrix, char_poly, commutant_basis,
+                            conjugacy_solve, field_roots, find_invertible, jordan_block,
+                            jordan_data, kernel_basis, kronecker, kronecker_jordan, rank)
 from midconv.scalars import FieldDescriptor
 
 from conftest import Q, random_invertible
@@ -181,3 +181,28 @@ def test_conjugacy_solve_distinguishes_spectra():
 def test_matrix_field_mismatch():
     with pytest.raises(FieldMismatch):
         Matrix.identity(Q, 2) @ Matrix.identity(Z4, 2)
+
+
+def test_commutant_basis_solves_the_equations(rng):
+    for field in (Q, Z4, FieldDescriptor.finite(5)):
+        for _ in range(4):
+            As = [random_invertible(field, 3, rng) for _ in range(2)]
+            S = random_invertible(field, 3, rng)
+            Bs = [S.inverse() @ A @ S for A in As]
+            basis = commutant_basis(As, Bs)
+            assert basis
+            for v in basis:
+                X = Matrix(field, tuple(v[a * 3: (a + 1) * 3] for a in range(3)))
+                assert all(A @ X == X @ B for A, B in zip(As, Bs))
+
+
+def test_find_invertible_falls_back_to_prefix_sums():
+    one, zero = Q.one(), Q.zero()
+    basis = [(one, zero, zero, zero), (zero, zero, zero, one)]
+
+    def as_matrix(v):
+        return Matrix(Q, (v[:2], v[2:]))
+
+    assert not any(as_matrix(v).is_invertible() for v in basis)
+    assert find_invertible(basis, as_matrix) == Matrix.identity(Q, 2)
+    assert find_invertible(basis[:1], as_matrix) is None

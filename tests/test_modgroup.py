@@ -57,6 +57,7 @@ def test_reduce_mod_is_a_homomorphism(rng):
 
 def test_group_closure_identity():
     assert group_closure([Matrix.identity(FieldDescriptor.finite(5), 2)]) == 1
+    assert group_closure([]) == 1
 
 
 def test_group_closure_cap():
@@ -86,6 +87,8 @@ def test_group_closure_against_pairwise_oracle():
     Vb = reduce_mod(m_tuple(), 5)
     gens = list(Vb.entries)
     assert group_closure(gens) == _pairwise_closure_order(gens) == 240
+    elements = group_elements(gens)
+    assert len(elements) == len({g.rows for g in elements}) == 240
 
 
 def test_closure_order_divides_gl_order():

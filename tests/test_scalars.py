@@ -112,7 +112,14 @@ def _scalars(draw, field):
     return s
 
 
-@pytest.mark.parametrize("field", [Q, Z12, F25], ids=str)
+# Q(zeta_n) inverts through its phi(n) - 1 nontrivial Galois conjugates; these
+# orders cover phi(n) = 1, prime and prime-power n, and a non-cyclic (Z/n)^*
+CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 20)
+
+
+@pytest.mark.parametrize(
+    "field", [Q, Z12, F25] + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS],
+    ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_field_axioms(field, data):
