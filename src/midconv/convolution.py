@@ -25,7 +25,7 @@ from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError)
 from .linalg import (JordanData, Matrix, char_poly, field_roots,
                      intersect_row_spaces, jordan_data, kernel_basis, kronecker,
-                     rank, row_space_basis, solve_coords, vec_mat)
+                     rank, row_space_basis, vec_mat)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, cohomology_spaces,
@@ -160,12 +160,12 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     for j in range(q, 0, -1):
         for i in range(1, p + 1):
             word = _delta_word(i, j, p, strands)
-            big, transported = phi_transport(C, word)
+            images, transported = phi_transport(C, word, quot)
             if transported.entries != C.entries:
                 raise DimensionInconsistency(
                     f"the loop braid for ({i},{j}) moves the tensor tuple")
             try:
-                D = induced_quotient_matrix(ext, quot, big, field)
+                D = induced_quotient_matrix(ext, images, field)
             except PreconditionError as exc:
                 raise DimensionInconsistency(str(exc)) from exc
             pairs.append((left.points[i - 1] + right.points[j - 1], D))
@@ -272,15 +272,13 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
 
     entries = []
     for big in bigs:
-        rows = []
-        for u in w_basis:
-            coords = solve_coords(w_basis, vec_mat(u, big))
-            if coords is None:
-                raise DimensionInconsistency(
-                    "Pochhammer matrix does not preserve K^perp cap L^perp "
-                    "(L^perp spanned by the block rows of B_k - 1)")
-            rows.append(tuple(coords))
-        entries.append(Matrix(field, tuple(rows)))
+        try:
+            entries.append(induced_quotient_matrix(
+                w_basis, [vec_mat(u, big) for u in w_basis], field))
+        except PreconditionError as exc:
+            raise DimensionInconsistency(
+                "Pochhammer matrix does not preserve K^perp cap L^perp "
+                "(L^perp spanned by the block rows of B_k - 1)") from exc
     return MonodromyTuple.from_finite_entries(field, entries, T.points)
 
 

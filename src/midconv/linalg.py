@@ -2,8 +2,10 @@
 
 Matrices act on row vectors from the right: the image of v under M is v*M.
 Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
-image of M is its row space.  Gaussian elimination picks the first nonzero
-pivot, so every computed basis is deterministic.
+image of M is its row space.  `_echelon` is the one Gaussian elimination:
+Matrix.inverse, rank, row_space_basis, kernel_basis, solve_coords and
+in_span all read it.  It picks the first nonzero pivot, so every computed
+basis is deterministic.
 """
 
 from __future__ import annotations
@@ -130,21 +132,11 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         one, zero = self.field.one(), self.field.zero()
-        aug = [list(r) + [one if i == j else zero for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        for c in range(n):
-            pr = next((r for r in range(c, n) if aug[r][c]), None)
-            if pr is None:
-                raise PreconditionError("matrix is singular")
-            aug[c], aug[pr] = aug[pr], aug[c]
-            pv = aug[c][c].inverse()
-            aug[c] = [x * pv for x in aug[c]]
-            prow = aug[c]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-        return Matrix(self.field, tuple(tuple(r[n:]) for r in aug))
+        E, piv = _echelon([r + tuple(one if i == j else zero for j in range(n))
+                           for i, r in enumerate(self.rows)])
+        if piv != list(range(n)):
+            raise PreconditionError("matrix is singular")
+        return Matrix(self.field, tuple(r[n:] for r in E))
 
     def is_invertible(self) -> bool:
         return self.is_square() and rank(self) == self.nrows
@@ -210,29 +202,8 @@ def _echelon(rows, reduced=True):
 
 
 def rank(M: Matrix) -> int:
-    """Rank, by fraction-free elimination (no field inversions)."""
-    rows = [list(r) for r in M.rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r0 = 0
-    for c in range(ncols):
-        pr = next((r for r in range(r0, len(rows)) if rows[r][c]), None)
-        if pr is None:
-            continue
-        rows[r0], rows[pr] = rows[pr], rows[r0]
-        pv = rows[r0][c]
-        prow = rows[r0]
-        for r in range(r0 + 1, len(rows)):
-            f = rows[r][c]
-            if f:
-                rows[r] = [pv * x - f * y if (x or y) else x
-                           for x, y in zip(rows[r], prow)]
-        rows = rows[:r0 + 1] + [r for r in rows[r0 + 1:] if any(r)]
-        r0 += 1
-        if r0 == len(rows):
-            break
-    return r0
+    """Rank: the pivot count of an unreduced echelon form."""
+    return len(_echelon(M.rows, reduced=False)[1])
 
 
 def row_space_basis(rows) -> list[Row]:
@@ -261,26 +232,29 @@ def kernel_basis(M: Matrix) -> list[Row]:
 
 
 def in_span(basis, v) -> bool:
-    before, _ = _echelon(basis)
-    after, _ = _echelon(list(before) + [list(v)])
-    return len(after) == len(before)
+    return solve_coords(basis, [v]) is not None
 
 
-def solve_coords(basis, v):
-    """Coefficients x with sum x_k basis_k = v, or None if v is outside."""
+def solve_coords(basis, vectors):
+    """Coefficients x with sum_k x_k basis_k = v for each v, or None if any v is outside.
+
+    All vectors are solved by one elimination of [basis^T | vectors^T].
+    """
     m = len(basis)
     if m == 0:
-        return [] if not any(v) else None
-    n = len(v)
-    aug = [[basis[k][c] for k in range(m)] + [v[c]] for c in range(n)]
+        return None if any(any(v) for v in vectors) else [[] for _ in vectors]
+    aug = [[b[c] for b in basis] + [v[c] for v in vectors] for c in range(len(basis[0]))]
     E, piv = _echelon(aug)
-    x = [None] * m
-    for r, pc in enumerate(piv):
-        if pc == m:
-            return None
-        x[pc] = E[r][m]
-    fld = basis[0][0].field
-    return [c if c is not None else fld.zero() for c in x]
+    if piv and piv[-1] >= m:
+        return None
+    zero = basis[0][0].field.zero()
+    out = []
+    for t in range(m, m + len(vectors)):
+        x = [zero] * m
+        for r, pc in enumerate(piv):
+            x[pc] = E[r][t]
+        out.append(x)
+    return out
 
 
 def intersect_row_spaces(B1, B2) -> list[Row]:

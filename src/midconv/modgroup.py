@@ -130,9 +130,13 @@ def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
 
 
 def group_elements(gens: list[Matrix], cap: int = 100000):
-    """The closure itself (insertion order); None when past the cap."""
+    """The closure itself (insertion order); None when past the cap.
+
+    Needs at least one generator: without one there is no dimension to
+    build the identity in.
+    """
     if not gens:
-        return []
+        raise PreconditionError("group_elements needs at least one generator")
     seen = _closure_rows(gens, cap)
     return None if seen is None else [Matrix(gens[0].field, rows) for rows in seen]
 

@@ -495,8 +495,11 @@ def _parse_term(term: str, pos: int):
         raise ParseError(f"malformed term {term!r}", pos)
     if m.group("exp") is not None and m.group("sym") is None:
         raise ParseError(f"exponent without symbol in {term!r}", pos)
-    coef = Fraction(m.group("coef")) if m.group("coef") not in (None, "-", "+") \
-        else Fraction(-1 if m.group("coef") == "-" else 1)
+    try:
+        coef = Fraction(m.group("coef")) if m.group("coef") not in (None, "-", "+") \
+            else Fraction(-1 if m.group("coef") == "-" else 1)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {term!r}", pos) from None
     exp = int(m.group("exp")) if m.group("exp") is not None else (1 if m.group("sym") else 0)
     return coef, m.group("sym"), exp
 

@@ -51,22 +51,25 @@ def parse_field(text: str) -> FieldDescriptor:
     toks = text.split()
     if not toks:
         raise ParseError("empty field description")
-    if toks[0] == "rational":
-        return FieldDescriptor.rational()
-    if toks[0] == "cyclotomic":
-        if len(toks) != 2 or not toks[1].isdigit():
-            raise ParseError(f"bad cyclotomic field {text!r}")
-        return FieldDescriptor.cyclotomic(int(toks[1]))
-    if toks[0] == "finite":
-        if len(toks) < 3:
-            raise ParseError(f"bad finite field {text!r}")
-        p, k = int(toks[1]), int(toks[2])
-        if k == 1:
-            return FieldDescriptor.finite(p)
-        if len(toks) != 4:
-            raise ParseError("degree-2 finite field needs its defining polynomial")
-        coeffs = _parse_int_poly(toks[3])
-        return FieldDescriptor.finite(p, 2, coeffs)
+    try:
+        if toks[0] == "rational":
+            return FieldDescriptor.rational()
+        if toks[0] == "cyclotomic":
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise ParseError(f"bad cyclotomic field {text!r}")
+            return FieldDescriptor.cyclotomic(int(toks[1]))
+        if toks[0] == "finite":
+            if len(toks) < 3:
+                raise ParseError(f"bad finite field {text!r}")
+            p, k = int(toks[1]), int(toks[2])
+            if k == 1:
+                return FieldDescriptor.finite(p)
+            if len(toks) != 4:
+                raise ParseError("degree-2 finite field needs its defining polynomial")
+            coeffs = _parse_int_poly(toks[3])
+            return FieldDescriptor.finite(p, 2, coeffs)
+    except ValueError as exc:
+        raise ParseError(f"bad field {text!r}: {exc}") from exc
     raise ParseError(f"unknown field kind {toks[0]!r}")
 
 
@@ -108,11 +111,16 @@ def load_tuple(text: str) -> MonodromyTuple:
             continue
         if line.startswith("field:"):
             field = parse_field(line[len("field:"):].strip())
-        elif line.startswith("dim:"):
-            dim = int(line[len("dim:"):].strip())
-        elif line.startswith("points:"):
-            body = line[len("points:"):].strip()
-            points = [Fraction(tok.strip()) for tok in body.split(",")] if body else []
+        elif line.startswith(("dim:", "points:")):
+            key, body = line.split(":", 1)
+            try:
+                if key == "dim":
+                    dim = int(body)
+                else:
+                    points = [Fraction(tok.strip()) for tok in body.split(",")] \
+                        if body.strip() else []
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad {key} at line {lineno}: {raw!r}") from exc
         elif line.startswith("matrix:"):
             current = []
             matrices.append(current)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, conjugacy_solve, in_span, intersect_row_spaces,
+from .linalg import (Matrix, _echelon, conjugacy_solve, intersect_row_spaces,
                      kernel_basis, rank, row_space_basis, solve_coords, vec_mat)
 from .scalars import FieldDescriptor
 
@@ -180,52 +180,46 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
 
-def _phi_gen_blocks(T: MonodromyTuple, i: int) -> Matrix:
-    """Phi(T, beta_i) as a block automorphism of V^{r+1} (row action)."""
-    r1 = len(T.entries)
-    d = T.dim
-    field = T.field
-    ident = Matrix.identity(field, d)
-    Ti, Ti1 = T.entries[i - 1], T.entries[i]
-    mixed = ident - (Ti1.inverse() @ Ti @ Ti1)
-    zero = field.zero()
-    rows = []
-    for bi in range(r1):
-        for rr in range(d):
-            row = [zero] * (r1 * d)
-            if bi == i - 1:
-                # v_i lands in slot i+1 with factor T_{i+1}
-                row[i * d: (i + 1) * d] = Ti1.rows[rr]
-            elif bi == i:
-                # v_{i+1} lands in slot i and in slot i+1 with 1 - T_{i+1}^-1 T_i T_{i+1}
-                row[(i - 1) * d: i * d] = ident.rows[rr]
-                row[i * d: (i + 1) * d] = mixed.rows[rr]
-            else:
-                row[bi * d: (bi + 1) * d] = ident.rows[rr]
-            rows.append(tuple(row))
-    return Matrix(field, tuple(rows))
+def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, MonodromyTuple]:
+    """([v Phi(T, w) for v in rows], T^w), one braid letter at a time.
 
-
-def phi_transport(T: MonodromyTuple, w: BraidWord) -> tuple[Matrix, MonodromyTuple]:
-    """(Phi(T, w), T^w); Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b')."""
+    Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
+    touches only the slots i and i+1 of a row v in V^{r+1}: with
+    (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends (v_i, v_{i+1})
+    to (v_{i+1}, v_i b + v_{i+1} (1 - b^-1 a b)) and beta_i^-1 sends it to
+    ((v_{i+1} - v_i + v_i b) a^-1, v_i).
+    """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
-    big = Matrix.identity(T.field, len(T.entries) * T.dim)
+    d = T.dim
+    rows = [tuple(v) for v in rows]
     cur = T
     for i, e in w.letters:
+        a, b = cur.entries[i - 1], cur.entries[i]
+        nxt = braid_act(cur, BraidWord(w.r, ((i, e),)))
+        lo, mid, hi = (i - 1) * d, i * d, (i + 1) * d
+        out = []
         if e > 0:
-            big = big @ _phi_gen_blocks(cur, i)
-            cur = braid_act(cur, BraidWord(w.r, ((i, 1),)))
+            conj = nxt.entries[i]          # b^-1 a b
+            for v in rows:
+                x, y = v[lo:mid], v[mid:hi]
+                new = tuple(s + t - u for s, t, u
+                            in zip(vec_mat(x, b), y, vec_mat(y, conj)))
+                out.append(v[:lo] + y + new + v[hi:])
         else:
-            prev = braid_act(cur, BraidWord(w.r, ((i, -1),)))
-            big = big @ _phi_gen_blocks(prev, i).inverse()
-            cur = prev
-    return big, cur
+            a_inv = a.inverse()
+            for v in rows:
+                x, y = v[lo:mid], v[mid:hi]
+                new = tuple(t - s + u for s, t, u in zip(x, y, vec_mat(x, b)))
+                out.append(v[:lo] + vec_mat(new, a_inv) + x + v[hi:])
+        rows, cur = out, nxt
+    return rows, cur
 
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
-    """The linear automorphism Phi(T, w) of V^{r+1}."""
-    return phi_transport(T, w)[0]
+    """The linear automorphism Phi(T, w) of V^{r+1}: its rows are the images of the e_k."""
+    ident = Matrix.identity(T.field, len(T.entries) * T.dim)
+    return Matrix(T.field, tuple(phi_transport(T, w, ident.rows)[0]))
 
 
 # -- cohomology spaces -----------------------------------------------------------
@@ -323,31 +317,32 @@ def parabolic_rank_formula(T: MonodromyTuple) -> int:
 # -- quotient machinery shared with the convolution -------------------------------
 
 def quotient_basis(u_basis, e_basis):
-    """Extend echelon(E) to U; the complement rows represent U/E."""
-    ext = list(row_space_basis(list(e_basis)))
-    quot = []
-    for u in u_basis:
-        if not in_span(ext, u):
-            ext.append(u)
-            quot.append(u)
-    return ext, quot
+    """Extend echelon(E) to U; the complement rows represent U/E.
 
-
-def induced_quotient_matrix(ext, quot, big: Matrix, field) -> Matrix:
-    """Matrix of the action of `big` on U/E in the quotient_basis coordinates.
-
-    Raises PreconditionError if the images leave span(ext): the caller treats
-    that as a degeneracy signal.
+    The complement holds each u outside the span of echelon(E) and the
+    earlier u: with these vectors as columns, the pivot columns past
+    echelon(E) of one elimination.
     """
-    ne = len(ext) - len(quot)
-    rows = []
-    for u in quot:
-        img = vec_mat(u, big)
-        coords = solve_coords(ext, img)
-        if coords is None:
-            raise PreconditionError("quotient space is not preserved")
-        rows.append(tuple(coords[ne:]))
-    return Matrix(field, tuple(rows))
+    ext = row_space_basis(list(e_basis))
+    cols = ext + [tuple(u) for u in u_basis]
+    piv = _echelon(list(zip(*cols)))[1]
+    quot = [cols[c] for c in piv[len(ext):]]
+    return ext + quot, quot
+
+
+def induced_quotient_matrix(ext, images, field) -> Matrix:
+    """Matrix of a map on U/E, given the images of the quotient rows of `ext`.
+
+    quotient_basis puts the quotient rows last in `ext`, so each image's
+    coordinates on them are the tail of its coordinates in `ext`.  Raises
+    PreconditionError if an image leaves span(ext): the caller treats that
+    as a degeneracy signal.
+    """
+    coords = solve_coords(ext, images)
+    if coords is None:
+        raise PreconditionError("quotient space is not preserved")
+    ne = len(ext) - len(images)
+    return Matrix(field, tuple(tuple(x[ne:]) for x in coords))
 
 
 def tuples_equivalent(A: MonodromyTuple, B: MonodromyTuple):

@@ -64,3 +64,35 @@ def test_predict_missing_options_is_an_input_error(capsys, argv, missing):
 def test_seed_flag_is_gone(capsys):
     code, _out, _err = _run(capsys, "--seed", "3", "fixtures", "list")
     assert code == 2
+
+
+_GOOD_TUPLE = "field: rational\ndim: 1\npoints: 0, 1\nmatrix:\n-1\nmatrix:\n-1\nmatrix:\n1\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("dim: 1", "dim: x"),
+    ("points: 0, 1", "points: a"),
+    ("points: 0, 1", "points: 0, 1/0"),
+    ("matrix:\n-1\n", "matrix:\n1/0\n"),
+    ("field: rational", "field: finite 4 1"),
+    ("field: rational", "field: finite 7 x"),
+    ("field: rational", "field: cyclotomic 0"),
+])
+def test_malformed_tuple_file_is_a_parse_error(capsys, tmp_path, old, new):
+    path = tmp_path / "bad.txt"
+    path.write_text(_GOOD_TUPLE.replace(old, new, 1))
+    code, _out, err = _run(capsys, "check-conv", "--tuple", str(path))
+    assert code == 2
+    assert err.startswith("ParseError:") and "Traceback" not in err
+
+
+def test_failed_product_relation_stays_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(_GOOD_TUPLE.replace("matrix:\n1\n", "matrix:\n2\n"))
+    code, _out, err = _run(capsys, "check-conv", "--tuple", str(path))
+    assert code == 1 and err.startswith("PreconditionError:")
+
+
+def test_zero_denominator_lambda_is_a_parse_error(capsys):
+    code, _out, err = _run(capsys, "mcl", "--tuple", "fixture:L", "--lambda", "1/0")
+    assert code == 2 and err.startswith("ParseError:")

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from midconv.errors import DoesNotSplit, FieldMismatch
+from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, char_poly, commutant_basis,
                             conjugacy_solve, field_roots, find_invertible, jordan_block,
-                            jordan_data, kernel_basis, kronecker, kronecker_jordan, rank)
+                            in_span, jordan_data, kernel_basis, kronecker, kronecker_jordan,
+                            rank, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
-from conftest import Q, random_invertible
+from conftest import F7, Q, random_invertible, random_scalar
 
 Z4 = FieldDescriptor.cyclotomic(4)
 Z12 = FieldDescriptor.cyclotomic(12)
@@ -154,6 +155,48 @@ def test_rank_nullity(rng):
     for _ in range(10):
         M = Matrix.from_rows(Q, [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)])
         assert rank(M) + len(kernel_basis(M)) == M.nrows
+
+
+def _random_matrix(field, m, n, rng):
+    return Matrix(field, tuple(tuple(random_scalar(field, rng) for _ in range(n))
+                               for _ in range(m)))
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z12], ids=str)
+def test_rank_is_the_row_space_dimension(field, rng):
+    for k in range(5):
+        M = _random_matrix(field, 4, k, rng) @ _random_matrix(field, k, 5, rng) \
+            if k else Matrix.zero(field, 4, 5)
+        assert rank(M) == len(row_space_basis(M.rows)) <= k
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def test_inverse_and_singular_matrix(field, rng):
+    S = random_invertible(field, 3, rng)
+    assert S @ S.inverse() == Matrix.identity(field, 3)
+    singular = Matrix(field, S.rows[:2] + (tuple(a + b for a, b in zip(*S.rows[:2])),))
+    with pytest.raises(PreconditionError, match="singular"):
+        singular.inverse()
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def test_solve_coords_solves_many_vectors_at_once(field, rng):
+    basis = row_space_basis(_random_matrix(field, 3, 5, rng).rows)
+    zero = field.zero()
+    coeffs = [[random_scalar(field, rng) for _ in basis] for _ in range(4)]
+    vectors = [tuple(sum((c * b[j] for c, b in zip(cs, basis)), zero) for j in range(5))
+               for cs in coeffs]
+    assert solve_coords(basis, vectors) == coeffs
+    assert solve_coords(basis, []) == []
+    # a unit vector at a non-pivot column of the reduced basis lies outside the span
+    j = next(j for j in range(5) if all(next(c for c, x in enumerate(b) if x) != j
+                                        for b in basis))
+    outside = tuple(field.one() if c == j else zero for c in range(5))
+    assert solve_coords(basis, vectors + [outside]) is None
+    assert solve_coords(basis, [outside] + vectors) is None
+    assert all(in_span(basis, v) for v in vectors) and not in_span(basis, outside)
+    assert solve_coords([], [(zero,) * 5, (zero,) * 5]) == [[], []]
+    assert solve_coords([], [outside]) is None
 
 
 def test_conjugacy_solve_identity_case():

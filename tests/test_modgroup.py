@@ -60,6 +60,13 @@ def test_group_closure_identity():
     assert group_closure([]) == 1
 
 
+def test_group_elements_needs_a_generator():
+    with pytest.raises(PreconditionError, match="generator"):
+        group_elements([])
+    F5 = FieldDescriptor.finite(5)
+    assert group_elements([Matrix.identity(F5, 2)]) == [Matrix.identity(F5, 2)]
+
+
 def test_group_closure_cap():
     Vb = reduce_mod(m_tuple(), 11)
     assert group_closure(list(Vb.entries), cap=100) is None

@@ -5,14 +5,17 @@ import pytest
 from midconv.convolution import ConvolutionInput, circ_tuple
 from midconv.errors import ParseError, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, quadratic_tuple
-from midconv.linalg import Matrix, rank, row_space_basis, vec_mat
+from midconv.linalg import Matrix, in_span, rank, row_space_basis, vec_mat
+from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
-                            cohomology_spaces, in_span, parabolic_rank_formula,
+                            cohomology_spaces, parabolic_rank_formula,
                             parse_braid_word, phi_matrix, phi_transport,
-                            pure_braid, sort_points)
+                            pure_braid, quotient_basis, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
-from conftest import F7, Q, random_invertible, random_tuple
+from conftest import F7, Q, random_invertible, random_scalar, random_tuple
+
+Z4 = FieldDescriptor.cyclotomic(4)
 
 
 def scalar_tuple(*values, points=None):
@@ -104,10 +107,62 @@ def test_phi_cocycle_rule(rng):
     for _ in range(3):
         T = random_tuple(Q, 2, 3, rng)
         w = BraidWord(3, ((1, 1),))
-        P1, T1 = phi_transport(T, w)
-        P2, _ = phi_transport(T1, w)
-        P12, _ = phi_transport(T, w * w)
+        P1, T1 = phi_matrix(T, w), braid_act(T, w)
+        P2 = phi_matrix(T1, w)
+        P12 = phi_matrix(T, w * w)
         assert P1 @ P2 == P12
+
+
+def _phi_gen_blocks(T, i):
+    """Reference oracle: Phi(T, beta_i) as a dense block matrix on V^{r+1}."""
+    r1, d, field = len(T.entries), T.dim, T.field
+    ident = Matrix.identity(field, d)
+    Ti, Ti1 = T.entries[i - 1], T.entries[i]
+    mixed = ident - (Ti1.inverse() @ Ti @ Ti1)
+    zero = field.zero()
+    rows = []
+    for bi in range(r1):
+        for rr in range(d):
+            row = [zero] * (r1 * d)
+            if bi == i - 1:
+                row[i * d: (i + 1) * d] = Ti1.rows[rr]
+            elif bi == i:
+                row[(i - 1) * d: i * d] = ident.rows[rr]
+                row[i * d: (i + 1) * d] = mixed.rows[rr]
+            else:
+                row[bi * d: (bi + 1) * d] = ident.rows[rr]
+            rows.append(tuple(row))
+    return Matrix(field, tuple(rows))
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def test_phi_generators_match_block_oracle(field, rng):
+    for _ in range(2):
+        T = random_tuple(field, 2, 3, rng)
+        for i in (1, 2):
+            b = BraidWord(3, ((i, 1),))
+            assert phi_matrix(T, b) == _phi_gen_blocks(T, i)
+            prev = braid_act(T, b.inverse())
+            assert phi_matrix(T, b.inverse()) == _phi_gen_blocks(prev, i).inverse()
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def test_phi_of_inverse_word_is_inverse(field, rng):
+    T = random_tuple(field, 2, 4, rng)
+    ident = Matrix.identity(field, 5 * 2)
+    for text in ("b1^-1", "b2 b1^-1 b3", "b3^-1 b2^-1 b1 b2^-1"):
+        w = parse_braid_word(text, 4)
+        assert phi_matrix(T, w) @ phi_matrix(braid_act(T, w), w.inverse()) == ident
+
+
+def test_phi_transport_applies_phi_to_rows(rng):
+    T = random_tuple(F7, 2, 3, rng)
+    w = parse_braid_word("b2 b1^-1 b2", 3)
+    rows = [tuple(random_scalar(F7, rng) for _ in range(8)) for _ in range(3)]
+    images, TW = phi_transport(T, w, rows)
+    big = phi_matrix(T, w)
+    assert images == [vec_mat(v, big) for v in rows]
+    assert TW == braid_act(T, w)
 
 
 def test_phi_empty_word_is_identity(rng):
@@ -119,8 +174,7 @@ def test_phi_transports_u_and_e(rng):
     for _ in range(3):
         T = random_tuple(F7, 2, 3, rng)
         w = parse_braid_word("b1 b2^-1 b1", 3)
-        big, TW = phi_transport(T, w)
-        assert TW.entries == braid_act(T, w).entries
+        big, TW = phi_matrix(T, w), braid_act(T, w)
         s1 = cohomology_spaces(T)
         s2 = cohomology_spaces(TW)
         img_u = [vec_mat(u, big) for u in s1.u_basis]
@@ -128,6 +182,20 @@ def test_phi_transports_u_and_e(rng):
         assert len(row_space_basis(img_u)) == len(s2.u_basis)
         assert all(in_span(list(s2.u_basis), v) for v in img_u)
         assert all(in_span(list(s2.e_basis), v) for v in img_e)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_quotient_basis_is_the_greedy_extension(field, rng):
+    for _ in range(4):
+        sp = cohomology_spaces(random_tuple(field, 2, 3, rng))
+        u_basis = list(sp.u_basis) + [tuple(x + y for x, y in zip(*sp.u_basis[:2]))] \
+            if len(sp.u_basis) > 1 else list(sp.u_basis)
+        ext, quot = row_space_basis(list(sp.e_basis)), []
+        for u in u_basis:
+            if not in_span(ext, u):
+                ext.append(u)
+                quot.append(u)
+        assert quotient_basis(u_basis, sp.e_basis) == (ext, quot)
 
 
 def test_cohomology_minus_ones():
