@@ -10,7 +10,7 @@ Submodules:
   cli          the command-line front end
 """
 
-from .scalars import FieldDescriptor, Scalar, coerce, field_ops, format_scalar, parse_scalar
+from .scalars import FieldDescriptor, Scalar, coerce, format_scalar, parse_scalar
 from .linalg import (JordanData, Matrix, char_poly, conjugacy_solve, jordan_block,
                      jordan_data, kernel_basis, kronecker, kronecker_jordan, rank)
 from .tuples import (BraidWord, CohomologySpaces, MonodromyTuple, braid_act,

@@ -25,10 +25,10 @@ from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError)
 from .linalg import (JordanData, Matrix, char_poly, field_roots,
                      intersect_row_spaces, jordan_data, kernel_basis, kronecker,
-                     rank, row_space_basis, vec_mat)
+                     rank, row_space_basis)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
-from .tuples import (BraidWord, MonodromyTuple, cohomology_spaces,
+from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
                      induced_quotient_matrix, invariants_dim, phi_transport,
                      pure_braid, quotient_basis, sort_points)
 
@@ -128,17 +128,10 @@ def _merge_adjacent(pairs):
 
 def _braid_sort_pairs(pairs):
     """Bubble (point, matrix) pairs into ascending point order by Hurwitz moves."""
-    pairs = list(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(pairs) - 1):
-            if pairs[k][0] > pairs[k + 1][0]:
-                (pa, Da), (pb, Db) = pairs[k], pairs[k + 1]
-                pairs[k] = (pb, Db)
-                pairs[k + 1] = (pa, Db.inverse() @ Da @ Db)
-                changed = True
-    return pairs
+    points = [pt for pt, _ in pairs]
+    entries = [D for _, D in pairs]
+    _braid_sort(entries, points)
+    return list(zip(points, entries))
 
 
 def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
@@ -270,11 +263,11 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     if not w_basis:
         raise PreconditionError("MC_lambda output has rank 0")
 
+    W = Matrix(field, tuple(w_basis))
     entries = []
     for big in bigs:
         try:
-            entries.append(induced_quotient_matrix(
-                w_basis, [vec_mat(u, big) for u in w_basis], field))
+            entries.append(induced_quotient_matrix(w_basis, (W @ big).rows, field))
         except PreconditionError as exc:
             raise DimensionInconsistency(
                 "Pochhammer matrix does not preserve K^perp cap L^perp "

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SmallPrime, VerificationFailed
+from .linalg import Matrix
 from .scalars import FieldDescriptor, is_prime
 
 
@@ -187,35 +188,15 @@ def intersection_matrix(x) -> list[list]:
     return M
 
 
-def _int_det_bareiss(M: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    A = [row[:] for row in M]
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def intersection_matrix_det() -> tuple[int, int, int]:
     """det of the intersection matrix as a polynomial (c0, c1, c2) in x.
 
     x enters the matrix in exactly two entries, so the determinant is a
     quadratic; three integer evaluations determine it exactly.
     """
-    d0 = _int_det_bareiss(intersection_matrix(0))
-    d1 = _int_det_bareiss(intersection_matrix(1))
-    dm1 = _int_det_bareiss(intersection_matrix(-1))
+    Q = FieldDescriptor.rational()
+    d0, d1, dm1 = (int(Matrix.from_rows(Q, intersection_matrix(x)).det().payload)
+                   for x in (0, 1, -1))
     c0 = d0
     c2, rem = divmod(d1 + dm1 - 2 * d0, 2)
     assert rem == 0

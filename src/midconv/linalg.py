@@ -3,9 +3,15 @@
 Matrices act on row vectors from the right: the image of v under M is v*M.
 Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
 image of M is its row space.  `_echelon` is the one Gaussian elimination:
-Matrix.inverse, rank, row_space_basis, kernel_basis, solve_coords and
-in_span all read it.  It picks the first nonzero pivot, so every computed
-basis is deterministic.
+Matrix.inverse, Matrix.det, rank, row_space_basis, kernel_basis,
+solve_coords and in_span all read it.  It picks the first nonzero pivot, so
+every computed basis is deterministic.
+
+The elimination and the matrix products (`_echelon`, `_mul_rows`, hence
+Matrix.__matmul__ and vec_mat) run on raw payloads through the field's ops
+table.  `_unbox` is their boundary: it raises TypeError for an entry that is
+not a Scalar and FieldMismatch for an entry of another field, as Scalar
+arithmetic does; results are boxed back into Scalars on the way out.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
 from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
@@ -83,25 +90,14 @@ class Matrix:
         return Matrix(self.field, tuple(tuple(-a for a in r) for r in self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        field = self.field
+        if other.field is not field and other.field != field:
             raise FieldMismatch("matrix product across fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        zero = self.field.zero()
-        brows = other.rows
-        ncols = other.ncols
-        out = []
-        for row in self.rows:
-            acc = [zero] * ncols
-            for t, a in enumerate(row):
-                if a:
-                    br = brows[t]
-                    for j in range(ncols):
-                        b = br[j]
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return Matrix(self.field, tuple(out))
+        prod = _mul_rows(field.ops, _unbox(field, self.rows), _unbox(field, other.rows),
+                         other.ncols)
+        return Matrix(field, tuple(_box_row(field, r) for r in prod))
 
     def scale(self, c: Scalar) -> "Matrix":
         return Matrix(self.field, tuple(tuple(c * a for a in r) for r in self.rows))
@@ -131,20 +127,25 @@ class Matrix:
         n = self.nrows
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        one, zero = self.field.one(), self.field.zero()
-        E, piv = _echelon([r + tuple(one if i == j else zero for j in range(n))
-                           for i, r in enumerate(self.rows)])
-        if piv != list(range(n)):
+        field = self.field
+        one, zero = field.one(), field.zero()
+        ech = _echelon([r + tuple(one if i == j else zero for j in range(n))
+                        for i, r in enumerate(self.rows)], field)
+        if ech.pivots != list(range(n)):
             raise PreconditionError("matrix is singular")
-        return Matrix(self.field, tuple(r[n:] for r in E))
+        return Matrix(field, tuple(_box_row(field, r[n:]) for r in ech.rows))
 
     def is_invertible(self) -> bool:
         return self.is_square() and rank(self) == self.nrows
 
     def det(self) -> Scalar:
-        cp = char_poly(self)
-        d = cp[0]
-        return d if self.nrows % 2 == 0 else -d
+        """(-1)^swaps times the pivot product of an unreduced echelon form."""
+        if not self.is_square():
+            raise PreconditionError("determinant of a non-square matrix")
+        ech = _echelon(self.rows, self.field, reduced=False)
+        if len(ech.pivots) < self.nrows:
+            return self.field.zero()
+        return Scalar(self.field, ech.det)
 
     def trace(self) -> Scalar:
         t = self.field.zero()
@@ -158,57 +159,114 @@ class Matrix:
 
 def vec_mat(v: Row, M: Matrix) -> Row:
     """Image of the row vector v under M (v acts from the left: v*M)."""
-    zero = M.field.zero()
-    ncols = M.ncols
-    acc = [zero] * ncols
-    for t, a in enumerate(v):
-        if a:
-            br = M.rows[t]
-            for j in range(ncols):
-                b = br[j]
-                if b:
-                    acc[j] = acc[j] + a * b
-    return tuple(acc)
+    if len(v) != M.nrows:
+        raise ValueError("dimension mismatch in vector-matrix product")
+    field = M.field
+    [row] = _mul_rows(field.ops, _unbox(field, [v]), _unbox(field, M.rows), M.ncols)
+    return _box_row(field, row)
 
 
-# -- elimination ---------------------------------------------------------------
+# -- the payload loops -----------------------------------------------------------
 
-def _echelon(rows, reduced=True):
-    """Row echelon form (in place on copies); returns (rows, pivot columns)."""
-    M = [list(r) for r in rows if any(r)]
-    if not M:
-        return [], []
-    ncols = len(M[0])
+def _field_of(rows) -> FieldDescriptor | None:
+    """The field of the first entry, or None when there is no entry."""
+    for r in rows:
+        for x in r:
+            if not isinstance(x, Scalar):
+                raise TypeError(f"expected Scalar, got {type(x).__name__}")
+            return x.field
+    return None
+
+
+def _unbox(field: FieldDescriptor, rows) -> list[list]:
+    """Payload rows of Scalar rows, every entry checked to be a Scalar of `field`."""
+    out = []
+    for r in rows:
+        row = []
+        for x in r:
+            if not isinstance(x, Scalar):
+                raise TypeError(f"expected Scalar, got {type(x).__name__}")
+            if x.field is not field and x.field != field:
+                raise FieldMismatch(f"{x.field} vs {field}")
+            row.append(x.payload)
+        out.append(row)
+    return out
+
+
+def _box_row(field: FieldDescriptor, payloads) -> Row:
+    return tuple(Scalar(field, x) for x in payloads)
+
+
+def _mul_rows(ops, A, B, ncols: int) -> list[tuple]:
+    """Payload rows of the product A B of payload rows; B has ncols columns."""
+    zero, nonzero, add, mul = ops.zero, ops.nonzero, ops.add, ops.mul
+    out = []
+    for row in A:
+        acc = [zero] * ncols
+        for a, brow in zip(row, B):
+            if nonzero(a):
+                for j, b in enumerate(brow):
+                    if nonzero(b):
+                        acc[j] = add(acc[j], mul(a, b))
+        out.append(tuple(acc))
+    return out
+
+
+class _Echelon(NamedTuple):
+    field: FieldDescriptor | None     # None when the input has no entry
+    rows: list[list]                  # payload rows of the echelon form, pivot rows only
+    pivots: list[int]
+    det: Any                          # payload of (-1)^swaps * (product of the pivots)
+
+
+def _echelon(rows, field: FieldDescriptor | None = None, reduced: bool = True) -> _Echelon:
+    """Row echelon form of Scalar rows, computed on payloads.
+
+    Zero rows are dropped first.  `det` is the determinant of a square input
+    whose pivots are 0..n-1; `field` defaults to that of the first entry.
+    """
+    rows = list(rows)
+    if field is None:
+        field = _field_of(rows)
+        if field is None:
+            return _Echelon(None, [], [], None)
+    ops = field.ops
+    nonzero, neg, sub, mul = ops.nonzero, ops.neg, ops.sub, ops.mul
+    M = [r for r in _unbox(field, rows) if any(map(nonzero, r))]
+    det = ops.one
     piv = []
     r0 = 0
-    for c in range(ncols):
-        pr = next((r for r in range(r0, len(M)) if M[r][c]), None)
+    for c in range(len(M[0]) if M else 0):
+        pr = next((r for r in range(r0, len(M)) if nonzero(M[r][c])), None)
         if pr is None:
             continue
-        M[r0], M[pr] = M[pr], M[r0]
-        pv = M[r0][c].inverse()
-        M[r0] = [x * pv if x else x for x in M[r0]]
-        prow = M[r0]
-        rng = range(len(M)) if reduced else range(r0 + 1, len(M))
-        for r in rng:
-            if r != r0 and M[r][c]:
+        if pr != r0:
+            M[r0], M[pr] = M[pr], M[r0]
+            det = neg(det)
+        pivot = M[r0][c]
+        det = mul(det, pivot)
+        pv = ops.inv(pivot)
+        prow = M[r0] = [mul(x, pv) if nonzero(x) else x for x in M[r0]]
+        for r in range(len(M)) if reduced else range(r0 + 1, len(M)):
+            if r != r0 and nonzero(M[r][c]):
                 f = M[r][c]
-                M[r] = [x - f * y if y else x for x, y in zip(M[r], prow)]
+                M[r] = [sub(x, mul(f, y)) if nonzero(y) else x for x, y in zip(M[r], prow)]
         piv.append(c)
         r0 += 1
         if r0 == len(M):
             break
-    return [tuple(r) for r in M[:r0]], piv
+    return _Echelon(field, M[:r0], piv, det)
 
 
 def rank(M: Matrix) -> int:
     """Rank: the pivot count of an unreduced echelon form."""
-    return len(_echelon(M.rows, reduced=False)[1])
+    return len(_echelon(M.rows, M.field, reduced=False).pivots)
 
 
 def row_space_basis(rows) -> list[Row]:
     """Reduced-echelon basis of the span of the given row vectors."""
-    return _echelon(rows)[0]
+    ech = _echelon(rows)
+    return [_box_row(ech.field, r) for r in ech.rows]
 
 
 def kernel_basis(M: Matrix) -> list[Row]:
@@ -216,17 +274,19 @@ def kernel_basis(M: Matrix) -> list[Row]:
     m, n = M.nrows, M.ncols
     if m == 0:
         return []
-    cols = [[M.rows[i][j] for i in range(m)] for j in range(n)]
-    E, piv = _echelon(cols)
-    zero, one = M.field.zero(), M.field.one()
+    field = M.field
+    ech = _echelon([[M.rows[i][j] for i in range(m)] for j in range(n)], field)
+    neg = field.ops.neg
+    zero, one = field.zero(), field.one()
+    pivots = set(ech.pivots)
     basis = []
     for fc in range(m):
-        if fc in piv:
+        if fc in pivots:
             continue
         v = [zero] * m
         v[fc] = one
-        for r, pc in enumerate(piv):
-            v[pc] = -E[r][fc]
+        for row, pc in zip(ech.rows, ech.pivots):
+            v[pc] = Scalar(field, neg(row[fc]))
         basis.append(tuple(v))
     return basis
 
@@ -244,15 +304,16 @@ def solve_coords(basis, vectors):
     if m == 0:
         return None if any(any(v) for v in vectors) else [[] for _ in vectors]
     aug = [[b[c] for b in basis] + [v[c] for v in vectors] for c in range(len(basis[0]))]
-    E, piv = _echelon(aug)
-    if piv and piv[-1] >= m:
+    ech = _echelon(aug)
+    if ech.pivots and ech.pivots[-1] >= m:
         return None
-    zero = basis[0][0].field.zero()
+    field = basis[0][0].field
+    zero = field.zero()
     out = []
     for t in range(m, m + len(vectors)):
         x = [zero] * m
-        for r, pc in enumerate(piv):
-            x[pc] = E[r][t]
+        for row, pc in zip(ech.rows, ech.pivots):
+            x[pc] = Scalar(field, row[t])
         out.append(x)
     return out
 
@@ -261,19 +322,13 @@ def intersect_row_spaces(B1, B2) -> list[Row]:
     """Basis of the intersection of two row spaces."""
     if not B1 or not B2:
         return []
-    n = len(B1[0])
     fld = B1[0][0].field
     stacked = Matrix(fld, tuple(tuple(r) for r in list(B1) + list(B2)))
-    out = []
-    for coef in kernel_basis(stacked):
-        v = [fld.zero()] * n
-        for i in range(len(B1)):
-            c = coef[i]
-            if c:
-                for j in range(n):
-                    v[j] = v[j] + c * B1[i][j]
-        out.append(tuple(v))
-    return row_space_basis(out)
+    coefs = kernel_basis(stacked)
+    if not coefs:
+        return []
+    C = Matrix(fld, tuple(c[:len(B1)] for c in coefs))
+    return row_space_basis((C @ Matrix(fld, tuple(tuple(r) for r in B1))).rows)
 
 
 # -- characteristic polynomial and Jordan data ---------------------------------

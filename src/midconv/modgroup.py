@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
-from .linalg import (Matrix, commutant_basis, find_invertible, jordan_data,
-                     kernel_basis, rank)
+from .errors import (BadPrime, FieldMismatch, NoInvariantForm, NoRootInQuadratic,
+                     PreconditionError)
+from .linalg import (Matrix, _box_row, _mul_rows, _unbox, commutant_basis,
+                     find_invertible, jordan_data, kernel_basis, rank)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
 from .tuples import MonodromyTuple
@@ -100,20 +101,30 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
 def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     """Breadth-first closure under right multiplication by the generators.
 
-    Returns the elements' row tuples as the keys of an insertion-ordered
-    dict, or None when the closure passes the cap.  Only the frontier holds
-    Matrix objects.
+    Returns the elements as the keys of an insertion-ordered dict, or None
+    when the closure passes the cap.  A key is the tuple of payload rows of
+    an element: the generators are unboxed once (with the field checks of
+    linalg._unbox) and the products run on payloads, so no Scalar or Matrix
+    is built inside the loop.
     """
-    ident = Matrix.identity(gens[0].field, gens[0].nrows)
-    seen = {ident.rows: None}
+    field = gens[0].field
+    n = gens[0].nrows
+    if any(A.dim != (n, n) for A in gens):
+        raise ValueError("dimension mismatch in matrix product")
+    if any(A.field is not field and A.field != field for A in gens):
+        raise FieldMismatch("matrix product across fields")
+    ops = field.ops
+    payload_gens = [_unbox(field, A.rows) for A in gens]
+    ident = tuple(tuple(ops.one if i == j else ops.zero for j in range(n)) for i in range(n))
+    seen = {ident: None}
     frontier = [ident]
     while frontier:
         new = []
         for B in frontier:
-            for A in gens:
-                C = B @ A
-                if C.rows not in seen:
-                    seen[C.rows] = None
+            for A in payload_gens:
+                C = tuple(_mul_rows(ops, B, A, n))
+                if C not in seen:
+                    seen[C] = None
                     if len(seen) > cap:
                         return None
                     new.append(C)
@@ -137,8 +148,10 @@ def group_elements(gens: list[Matrix], cap: int = 100000):
     """
     if not gens:
         raise PreconditionError("group_elements needs at least one generator")
+    field = gens[0].field
     seen = _closure_rows(gens, cap)
-    return None if seen is None else [Matrix(gens[0].field, rows) for rows in seen]
+    return None if seen is None else [
+        Matrix(field, tuple(_box_row(field, r) for r in rows)) for rows in seen]
 
 
 def absolutely_irreducible(gens: list[Matrix]) -> bool:

@@ -11,15 +11,25 @@ are plain coefficient-vector comparisons:
 
 Cyclotomic reduction tables and power tables are cached per n.  Integer
 coefficients are arbitrary precision throughout.
+
+Field descriptors are interned: the constructors return one object per field,
+so a field check is an identity test (`a is b`), with `==` as the fallback
+for a descriptor built some other way.  Each descriptor carries its ops table
+(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, inv on payloads), chosen
+once from the field's kind, and cached zero() and one() elements.  Scalar
+arithmetic calls the table; the hot loops of linalg and modgroup unbox to
+payloads once and call it directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Any, Callable, NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -100,6 +110,31 @@ def _least_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic non-residue mod {p}")
 
 
+class FieldOps(NamedTuple):
+    """Arithmetic on the payloads of one field; see the module docstring."""
+
+    zero: Any
+    one: Any
+    nonzero: Callable
+    add: Callable
+    sub: Callable
+    neg: Callable
+    mul: Callable
+    inv: Callable          # the argument must be nonzero
+
+
+_FIELDS: dict[tuple, "FieldDescriptor"] = {}
+
+
+def _interned(kind: str, n: int = 0, p: int = 0, k: int = 1,
+              poly: tuple[int, ...] = ()) -> "FieldDescriptor":
+    key = (kind, n, p, k, poly)
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = FieldDescriptor(*key)
+    return field
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     """Tag describing one of the three supported exact fields."""
@@ -110,17 +145,33 @@ class FieldDescriptor:
     k: int = 1                      # finite extension degree (1 or 2)
     poly: tuple[int, ...] = ()      # monic defining polynomial, ascending
 
+    def __post_init__(self):
+        if self.kind == RATIONAL:
+            ops = _RATIONAL_OPS
+        elif self.kind == CYCLOTOMIC:
+            ops = _cyclotomic_ops(self.n)
+        elif self.k == 1:
+            ops = _prime_field_ops(self.p)
+        else:
+            ops = _quadratic_field_ops(self.p, self.poly[0], self.poly[1])
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "_zero", Scalar(self, ops.zero))
+        object.__setattr__(self, "_one", Scalar(self, ops.one))
+
+    def __reduce__(self):
+        return (_interned, (self.kind, self.n, self.p, self.k, self.poly))
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def rational() -> "FieldDescriptor":
-        return FieldDescriptor(RATIONAL)
+        return _interned(RATIONAL)
 
     @staticmethod
     def cyclotomic(n: int) -> "FieldDescriptor":
         if n < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        return FieldDescriptor(CYCLOTOMIC, n=n)
+        return _interned(CYCLOTOMIC, n=n)
 
     @staticmethod
     def finite(p: int, k: int = 1, poly: tuple[int, ...] | None = None) -> "FieldDescriptor":
@@ -129,7 +180,7 @@ class FieldDescriptor:
         if k not in (1, 2):
             raise ValueError("only degrees 1 and 2 are supported")
         if k == 1:
-            return FieldDescriptor(FINITE, p=p, k=1, poly=(0, 1))
+            return _interned(FINITE, p=p, k=1, poly=(0, 1))
         if poly is None:
             poly = (-_least_nonresidue(p) % p, 0, 1)
         poly = tuple(c % p for c in poly)
@@ -137,7 +188,7 @@ class FieldDescriptor:
             raise ValueError("defining polynomial must be monic of degree 2")
         if any((a * a + poly[1] * a + poly[0]) % p == 0 for a in range(p)):
             raise ValueError("defining polynomial is reducible mod p")
-        return FieldDescriptor(FINITE, p=p, k=2, poly=poly)
+        return _interned(FINITE, p=p, k=2, poly=poly)
 
     # -- basic structure ---------------------------------------------------
 
@@ -155,10 +206,10 @@ class FieldDescriptor:
         return self.k
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, c: int) -> "Scalar":
         return self.from_fraction(Fraction(c))
@@ -244,6 +295,117 @@ def _cyc_normalize(nums: tuple[int, ...], den: int):
     return (nums, den)
 
 
+_RATIONAL_OPS = FieldOps(Fraction(0), Fraction(1), bool, operator.add, operator.sub,
+                         operator.neg, operator.mul, lambda a: 1 / a)
+
+
+def _prime_field_ops(p: int) -> FieldOps:
+    """F_p: payloads (c,) with 0 <= c < p."""
+    def add(a, b):
+        return ((a[0] + b[0]) % p,)
+
+    def sub(a, b):
+        return ((a[0] - b[0]) % p,)
+
+    def neg(a):
+        return (-a[0] % p,)
+
+    def mul(a, b):
+        return (a[0] * b[0] % p,)
+
+    def inv(a):
+        return (pow(a[0], -1, p),)
+
+    return FieldOps((0,), (1,), any, add, sub, neg, mul, inv)
+
+
+def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
+    """F_p[t] / (t^2 + c1 t + c0): payloads (a0, a1) for a0 + a1 t."""
+    def add(a, b):
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def sub(a, b):
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def neg(a):
+        return (-a[0] % p, -a[1] % p)
+
+    def mul(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        hi = a1 * b1
+        # t^2 = -c1*t - c0
+        return ((a0 * b0 - hi * c0) % p, (a0 * b1 + a1 * b0 - hi * c1) % p)
+
+    def inv(a):
+        a0, a1 = a
+        # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm is their product
+        ninv = pow((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p, -1, p)
+        return ((a0 - a1 * c1) * ninv % p, (-a1) * ninv % p)
+
+    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, inv)
+
+
+def _cyclotomic_ops(n: int) -> FieldOps:
+    """Q(zeta_n): payloads (nums, den), see _cyc_normalize."""
+    phi, red, powers = _cyc_tables(n)
+    zero = ((0,) * phi, 1)
+    one = ((1,) + (0,) * (phi - 1), 1)
+
+    def nonzero(a):
+        return any(a[0])
+
+    def add(a, b):
+        (x, dx), (y, dy) = a, b
+        return _cyc_normalize(tuple(s * dy + t * dx for s, t in zip(x, y)), dx * dy)
+
+    def sub(a, b):
+        (x, dx), (y, dy) = a, b
+        return _cyc_normalize(tuple(s * dy - t * dx for s, t in zip(x, y)), dx * dy)
+
+    def neg(a):
+        nums, den = a
+        return (tuple(-c for c in nums), den)
+
+    def mul(a, b):
+        (x, dx), (y, dy) = a, b
+        if not any(x) or not any(y):
+            return zero
+        conv = [0] * (2 * phi - 1)
+        for i, s in enumerate(x):
+            if s:
+                for j, t in enumerate(y):
+                    if t:
+                        conv[i + j] += s * t
+        nums = conv[:phi]
+        for m in range(phi, 2 * phi - 1):
+            c = conv[m]
+            if c:
+                row = red[m - phi]
+                for j in range(phi):
+                    if row[j]:
+                        nums[j] += c * row[j]
+        return _cyc_normalize(tuple(nums), dx * dy)
+
+    def inv(a):
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n."""
+        nums, den = a
+        conj = one
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                vec = [0] * phi
+                for j, c in enumerate(nums):
+                    if c:
+                        for i, e in enumerate(powers[j * k % n]):
+                            vec[i] += c * e
+                conj = mul(conj, _cyc_normalize(tuple(vec), den))
+        (norm, *_), norm_den = mul(a, conj)     # N(a) is rational
+        c_nums, c_den = conj
+        return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
+
+    return FieldOps(zero, one, nonzero, add, sub, neg, mul, inv)
+
+
 class Scalar:
     """Immutable element of a FieldDescriptor in canonical form."""
 
@@ -259,12 +421,7 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        k = self.field.kind
-        if k == RATIONAL:
-            return self.payload != 0
-        if k == CYCLOTOMIC:
-            return any(self.payload[0])
-        return any(self.payload)
+        return self.field.ops.nonzero(self.payload)
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -272,89 +429,30 @@ class Scalar:
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, self.payload + other.payload)
-        if k == CYCLOTOMIC:
-            (a, da), (b, db) = self.payload, other.payload
-            nums = tuple(x * db + y * da for x, y in zip(a, b))
-            return Scalar(self.field, _cyc_normalize(nums, da * db))
-        p = self.field.p
-        return Scalar(self.field, tuple((x + y) % p for x, y in zip(self.payload, other.payload)))
+        return Scalar(self.field, self.field.ops.add(self.payload, other.payload))
 
     def __neg__(self) -> "Scalar":
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, -self.payload)
-        if k == CYCLOTOMIC:
-            nums, den = self.payload
-            return Scalar(self.field, (tuple(-a for a in nums), den))
-        p = self.field.p
-        return Scalar(self.field, tuple((-x) % p for x in self.payload))
+        return Scalar(self.field, self.field.ops.neg(self.payload))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        self._check(other)
+        return Scalar(self.field, self.field.ops.sub(self.payload, other.payload))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, self.payload * other.payload)
-        if k == CYCLOTOMIC:
-            (a, da), (b, db) = self.payload, other.payload
-            if not any(a) or not any(b):
-                return self.field.zero()
-            phi, red, _ = _cyc_tables(self.field.n)
-            conv = [0] * (2 * phi - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            conv[i + j] += x * y
-            nums = conv[:phi]
-            for m in range(phi, 2 * phi - 1):
-                c = conv[m]
-                if c:
-                    row = red[m - phi]
-                    for j in range(phi):
-                        if row[j]:
-                            nums[j] += c * row[j]
-            return Scalar(self.field, _cyc_normalize(tuple(nums), da * db))
-        p = self.field.p
-        if self.field.k == 1:
-            return Scalar(self.field, ((self.payload[0] * other.payload[0]) % p,))
-        a0, a1 = self.payload
-        b0, b1 = other.payload
-        c0, c1 = self.field.poly[0], self.field.poly[1]
-        hi = a1 * b1
-        # t^2 = -c1*t - c0
-        return Scalar(self.field, ((a0 * b0 - hi * c0) % p,
-                                   (a0 * b1 + a1 * b0 - hi * c1) % p))
+        return Scalar(self.field, self.field.ops.mul(self.payload, other.payload))
 
     def inverse(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inverse of zero")
-        k = self.field.kind
-        if k == RATIONAL:
-            return Scalar(self.field, 1 / self.payload)
-        if k == CYCLOTOMIC:
-            return _cyc_inverse(self)
-        p = self.field.p
-        if self.field.k == 1:
-            return Scalar(self.field, (pow(self.payload[0], -1, p),))
-        a0, a1 = self.payload
-        c0, c1 = self.field.poly[0], self.field.poly[1]
-        # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm is their product
-        n = (a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p
-        ninv = pow(n, -1, p)
-        return Scalar(self.field, ((a0 - a1 * c1) * ninv % p, (-a1) * ninv % p))
+        return Scalar(self.field, self.field.ops.inv(self.payload))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -375,7 +473,8 @@ class Scalar:
     # -- comparisons and hashing -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Scalar) and self.field == other.field
+        return (isinstance(other, Scalar)
+                and (self.field is other.field or self.field == other.field)
                 and self.payload == other.payload)
 
     def __hash__(self):
@@ -393,43 +492,11 @@ class Scalar:
 
     # -- conversions ---------------------------------------------------------
 
-    def as_fraction(self) -> Fraction:
-        """The rational value, if the element lies in the prime field Q."""
-        k = self.field.kind
-        if k == RATIONAL:
-            return self.payload
-        if k == CYCLOTOMIC:
-            nums, den = self.payload
-            if any(nums[1:]):
-                raise ValueError("element is not rational")
-            return Fraction(nums[0], den)
-        raise ValueError("finite-field element has no rational value")
-
     def __repr__(self):
         return f"Scalar({self.field}, {format_scalar(self)!r})"
 
     def __str__(self):
         return format_scalar(self)
-
-
-def _cyc_inverse(s: Scalar) -> Scalar:
-    """s^-1 = prod_{k != 1} sigma_k(s) / N(s), sigma_k: zeta -> zeta^k, k prime to n."""
-    field = s.field
-    n = field.n
-    phi, _, powers = _cyc_tables(n)
-    nums, den = s.payload
-    conj = field.one()
-    for k in range(2, n):
-        if math.gcd(k, n) == 1:
-            vec = [0] * phi
-            for j, a in enumerate(nums):
-                if a:
-                    for i, c in enumerate(powers[j * k % n]):
-                        vec[i] += a * c
-            conj = conj * Scalar(field, _cyc_normalize(tuple(vec), den))
-    (norm, *_), norm_den = (s * conj).payload     # N(s) is rational
-    c_nums, c_den = conj.payload
-    return Scalar(field, _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm))
 
 
 def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:
@@ -448,21 +515,6 @@ def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:
                 out = out + target.from_fraction(Fraction(a, den)) * target.zeta(step * j)
         return out
     raise FieldMismatch(f"no embedding {s.field} -> {target}")
-
-
-def field_ops(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Named field operation, per the module contract."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- text grammar -------------------------------------------------------------

@@ -128,15 +128,33 @@ class MonodromyTuple:
         return self.entries[-1]
 
 
-def _act_gen(entries, points, i, inverse):
-    """One braid generator on (list of entries, list of points); 1-based i."""
+def _act_gen(entries, points, i, inverse) -> Matrix:
+    """One braid generator on (list of entries, list of points or None); 1-based i.
+
+    The Hurwitz move (a, b) -> (b, b^-1 a b), or (a, b) -> (a b a^-1, a) for
+    the inverse generator.  Returns the inverse it used: b^-1, or a^-1.
+    """
     a, b = entries[i - 1], entries[i]
     if not inverse:
-        entries[i - 1], entries[i] = b, b.inverse() @ a @ b
+        inv = b.inverse()
+        entries[i - 1], entries[i] = b, inv @ a @ b
     else:
-        entries[i - 1], entries[i] = a @ b @ a.inverse(), a
+        inv = a.inverse()
+        entries[i - 1], entries[i] = a @ b @ inv, a
     if points is not None:
         points[i - 1], points[i] = points[i], points[i - 1]
+    return inv
+
+
+def _braid_sort(entries, points, descending=False) -> None:
+    """Bubble the points into monotone order in place, each swap a braid generator."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(points)):
+            if (points[i - 1] < points[i]) if descending else (points[i - 1] > points[i]):
+                _act_gen(entries, points, i, inverse=False)
+                changed = True
 
 
 def braid_act(T: MonodromyTuple, w: BraidWord) -> MonodromyTuple:
@@ -165,16 +183,7 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
         raise PreconditionError("sort_points needs a tuple with points")
     entries = list(T.entries)
     points = list(T.points)
-    r = T.r
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, r):
-            out_of_order = (points[i - 1] > points[i]) if not descending \
-                else (points[i - 1] < points[i])
-            if out_of_order:
-                _act_gen(entries, points, i, inverse=False)
-                changed = True
+    _braid_sort(entries, points, descending)
     return MonodromyTuple.make(T.field, entries, points)
 
 
@@ -187,33 +196,34 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     touches only the slots i and i+1 of a row v in V^{r+1}: with
     (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends (v_i, v_{i+1})
     to (v_{i+1}, v_i b + v_{i+1} (1 - b^-1 a b)) and beta_i^-1 sends it to
-    ((v_{i+1} - v_i + v_i b) a^-1, v_i).
+    ((v_{i+1} - v_i + v_i b) a^-1, v_i).  The letters act on a plain list of
+    entries; T^w is built, and its product relation checked, once per word.
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
     d = T.dim
     rows = [tuple(v) for v in rows]
-    cur = T
+    entries = list(T.entries)
+    points = list(T.points) if T.points is not None else None
     for i, e in w.letters:
-        a, b = cur.entries[i - 1], cur.entries[i]
-        nxt = braid_act(cur, BraidWord(w.r, ((i, e),)))
+        b = entries[i]
+        inv = _act_gen(entries, points, i, inverse=(e < 0))
         lo, mid, hi = (i - 1) * d, i * d, (i + 1) * d
         out = []
         if e > 0:
-            conj = nxt.entries[i]          # b^-1 a b
+            conj = entries[i]              # b^-1 a b
             for v in rows:
                 x, y = v[lo:mid], v[mid:hi]
                 new = tuple(s + t - u for s, t, u
                             in zip(vec_mat(x, b), y, vec_mat(y, conj)))
                 out.append(v[:lo] + y + new + v[hi:])
-        else:
-            a_inv = a.inverse()
+        else:                              # inv = a^-1
             for v in rows:
                 x, y = v[lo:mid], v[mid:hi]
                 new = tuple(t - s + u for s, t, u in zip(x, y, vec_mat(x, b)))
-                out.append(v[:lo] + vec_mat(new, a_inv) + x + v[hi:])
-        rows, cur = out, nxt
-    return rows, cur
+                out.append(v[:lo] + vec_mat(new, inv) + x + v[hi:])
+        rows = out
+    return rows, MonodromyTuple.make(T.field, entries, points)
 
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
@@ -325,7 +335,7 @@ def quotient_basis(u_basis, e_basis):
     """
     ext = row_space_basis(list(e_basis))
     cols = ext + [tuple(u) for u in u_basis]
-    piv = _echelon(list(zip(*cols)))[1]
+    piv = _echelon(zip(*cols)).pivots
     quot = [cols[c] for c in piv[len(ext):]]
     return ext + quot, quot
 
