@@ -18,7 +18,7 @@ from .convolution import (ConvolutionInput, irreducibility_criterion,
                           is_convolution_sheaf, mc_lambda, middle_convolution,
                           predict_infinity_jordan, predict_local_jordan,
                           rank_formula, rank_formula_applicable, sl_demo)
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ParseError
 from .k3count import (count_record, frobenius_eigenvalues, intersection_matrix_det,
                       trace_frobenius)
 from .linalg import jordan_data
@@ -219,9 +219,16 @@ def _cmd_primitivity(args):
     return 0
 
 
+def _parse_fibre(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad fibre --z {text!r}") from None
+
+
 def _cmd_k3(args):
-    z = Fraction(args.z)
     if args.k3cmd == "count":
+        z = _parse_fibre(args.z)
         rec = count_record(args.q, z)
         default_fibre = z == 1
         payload = {"q": rec.q, "N": rec.N, "z": str(z)}
@@ -231,6 +238,7 @@ def _cmd_k3(args):
             human.append(f"t_{rec.q} = {rec.trace}")
         _emit(args, payload, human)
     elif args.k3cmd == "trace":
+        z = _parse_fibre(args.z)
         if z != 1:
             rec = count_record(args.q, z)
             _emit(args, {"q": args.q, "N": rec.N, "z": str(z),
@@ -384,11 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=_cmd_k3)
     sp = k3sub.add_parser("frob", parents=[common])
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--z", default="1")
     sp.set_defaults(fn=_cmd_k3)
     sp = k3sub.add_parser("nsdet", parents=[common])
     sp.add_argument("--x", type=int)
-    sp.add_argument("--z", default="1")
     sp.set_defaults(fn=_cmd_k3)
 
     p = add("demo", _cmd_demo, help="the SL-realization pipeline")

@@ -1,14 +1,16 @@
 """Point counting on the K3 fibre, Frobenius traces and eigenvalues.
 
-The affine model is w^2 = f(x, y) with f = (x^2-1)((y-x)^2-1)(y-z) at the
-fibre z = 1, counted over F_q for q = p or p^2 via the quadratic character:
-N(q) = q^2 + sum chi(f).  The inner loop runs on raw integer coordinates;
-the F_{p^2} model (t^2 = least non-residue) matches exact-scalars' default
-descriptor and evaluates chi through the norm map.
+The affine model is w^2 = f(x, y) with f = (x^2-1)((y-x)^2-1)(y-z), by
+default at the fibre z = 1, counted over F_q for q = p or p^2 via the
+quadratic character: N(q) = q^2 + sum chi(f).  Both fields come from
+FieldDescriptor.finite and its payload ops table; chi is read off the set
+of squares, and since chi(f) factors as chi(x^2-1) chi((y-x)^2-1) chi(y-z),
+the sum over y is a correlation of two character tables.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,59 +53,38 @@ def _split_q(q: int) -> tuple[int, int]:
 
 
 def count_affine(q: int, z: Fraction = Fraction(1)) -> int:
-    """N(q) = #{(w,x,y) : w^2 = (x^2-1)((y-x)^2-1)(y-z)} over F_q.
+    """N(q) = #{(w,x,y) : w^2 = (x^2-1)((y-x)^2-1)(y-z)} over F_q, q = p or p^2.
 
-    Computed as q^2 + sum over (x, y) of chi(f(x, y)); the x-slices are
-    accumulated independently, so partial sums combine associatively.
+    With g(s) = chi(s^2 - 1) and s = y - x, N(q) - q^2 is the sum over x of
+    g(x) * sum_s g(s) chi(x - z + s).  Elements u + v p are indexed in
+    FieldDescriptor.elements() order; addition acts on u and v separately,
+    so for t = x - z = u_t + v_t p the inner sum is, for each v, the
+    correlation of row v of g against row (v_t + v) mod (q/p) of chi at
+    offset u_t, read from chi rows doubled to length 2p.
     """
     p, e = _split_q(q)
     if z.denominator % p == 0:
         raise PreconditionError(f"fibre z = {z} is not p-integral")
-    chi_p = [0] * p
-    for a in range(1, p):
-        chi_p[a] = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-    zres = z.numerator * pow(z.denominator, -1, p) % p
+    field = FieldDescriptor.finite(p, e)
+    ops = field.ops
+    elems = [x.payload for x in field.elements()]
+    index = {x: i for i, x in enumerate(elems)}
+    chi = [-1] * q
+    for x in elems:
+        chi[index[ops.mul(x, x)]] = 1
+    chi[index[ops.zero]] = 0
+    g = [chi[index[ops.sub(ops.mul(s, s), ops.one)]] for s in elems]
+    rows = q // p                   # g and chi as rows of p entries, one per v
+    g_rows = [g[v * p:(v + 1) * p] for v in range(rows)]
+    chi_rows = [2 * chi[v * p:(v + 1) * p] for v in range(rows)]
+    zel = field.from_fraction(z).payload
     total = 0
-    if e == 1:
-        for x in range(p):
-            a = (x * x - 1) % p
-            if a == 0:
-                continue
-            sub = 0
-            for y in range(p):
-                d = y - x
-                v = a * (d * d - 1) % p * (y - zres) % p
-                sub += chi_p[v]
-            total += sub
-        return q * q + total
-    # F_{p^2} as pairs (u, v) = u + v t, t^2 = c with c the least non-residue
-    c = -FieldDescriptor.finite(p, 2).poly[0] % p
-    one = (1, 0)
-    pairs = [(u, v) for v in range(p) for u in range(p)]
-
-    def sub_one(a):
-        return ((a[0] - 1) % p, a[1])
-
-    def mul2(a, b):
-        return ((a[0] * b[0] + c * a[1] * b[1]) % p,
-                (a[0] * b[1] + a[1] * b[0]) % p)
-
-    def chi2(a):
-        # chi(a) = chi_p(Norm(a)); Norm(u + vt) = u^2 - c v^2
-        return chi_p[(a[0] * a[0] - c * a[1] * a[1]) % p]
-
-    zel = (zres, 0)
-    for x in pairs:
-        a = sub_one(mul2(x, x))
-        if a == (0, 0):
-            continue
-        sub = 0
-        for y in pairs:
-            d = ((y[0] - x[0]) % p, (y[1] - x[1]) % p)
-            g = mul2(a, sub_one(mul2(d, d)))
-            h = ((y[0] - zel[0]) % p, y[1])
-            sub += chi2(mul2(g, h))
-        total += sub
+    for x, gx in zip(elems, g):
+        if gx:
+            vt, ut = divmod(index[ops.sub(x, zel)], p)
+            total += gx * sum(
+                sum(map(operator.mul, g_rows[v], chi_rows[(vt + v) % rows][ut:ut + p]))
+                for v in range(rows))
     return q * q + total
 
 

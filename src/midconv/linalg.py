@@ -558,12 +558,11 @@ def jordan_data(M: Matrix) -> JordanData:
             blocks.append((alpha, 1))
             continue
         N = M - Matrix.identity(field, n).scale(alpha)
-        ranks = [n]
+        ranks = [n, rank(N)]
         P = N
-        while n - rank(P) < mult:
-            ranks.append(rank(P))
+        while n - ranks[-1] < mult:
             P = P @ N
-        ranks.append(rank(P))
+            ranks.append(rank(P))
         ge = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
         for size in range(len(ge), 0, -1):
             cnt = ge[size - 1] - (ge[size] if size < len(ge) else 0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import (BadPrime, FieldMismatch, NoInvariantForm, NoRootInQuadratic,
                      PreconditionError)
 from .linalg import (Matrix, _box_row, _mul_rows, _unbox, commutant_basis,
-                     find_invertible, jordan_data, kernel_basis, rank)
+                     find_invertible, jordan_data, kernel_basis, poly_eval, rank)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
 from .tuples import MonodromyTuple
@@ -39,20 +39,12 @@ def _reduce_fraction(fr: Fraction, ell: int) -> int:
 
 def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
     """Smallest root of Phi_n in F_ell if any, else in F_{ell^2}."""
-    phi = cyclotomic_polynomial(n)
-    f1 = FieldDescriptor.finite(ell)
-    for a in range(ell):
-        if sum(c * pow(a, e, ell) for e, c in enumerate(phi)) % ell == 0:
-            return f1, Scalar(f1, (a,))
-    f2 = FieldDescriptor.finite(ell, 2)
-    for root in f2.elements():
-        acc = f2.zero()
-        power = f2.one()
-        for c in phi:
-            acc = acc + f2.from_int(c) * power
-            power = power * root
-        if not acc:
-            return f2, root
+    for degree in (1, 2):
+        field = FieldDescriptor.finite(ell, degree)
+        phi = [field.from_int(c) for c in cyclotomic_polynomial(n)]
+        for root in field.elements():
+            if not poly_eval(phi, root):
+                return field, root
     # required degree = multiplicative order of ell mod n
     k = 1
     acc = ell % n

@@ -96,3 +96,26 @@ def test_failed_product_relation_stays_a_domain_error(capsys, tmp_path):
 def test_zero_denominator_lambda_is_a_parse_error(capsys):
     code, _out, err = _run(capsys, "mcl", "--tuple", "fixture:L", "--lambda", "1/0")
     assert code == 2 and err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["k3", "count", "--q", "25", "--z", "3"], {"q": 25, "N": 700, "z": "3"}),
+    (["k3", "frob", "--p", "29"],
+     {"p": 29, "u": "25", "d": "-216", "s3": -1, "s_minus1": 1,
+      "alpha": "(25+sqrt(-216))/29", "verified": True}),
+    (["k3", "trace", "--q", "49"], {"q": 49, "trace": "51"}),
+])
+def test_k3_documents(capsys, argv, doc):
+    assert _run_json(capsys, *argv) == (0, doc)
+
+
+@pytest.mark.parametrize("z", ["abc", "1/0"])
+def test_k3_malformed_fibre_is_a_parse_error(capsys, z):
+    code, _out, err = _run(capsys, "k3", "count", "--q", "5", "--z", z)
+    assert code == 2 and err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize("argv", [["k3", "frob", "--p", "5"], ["k3", "nsdet"]])
+def test_k3_z_flag_is_gone_where_unused(capsys, argv):
+    code, _out, _err = _run(capsys, *argv, "--z", "1")
+    assert code == 2

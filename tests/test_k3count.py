@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from midconv.errors import SmallPrime, VerificationFailed
+from midconv.errors import PreconditionError, SmallPrime, VerificationFailed
 from midconv.fixtures import ALPHA_TABLE, N_TABLE, T2_TABLE, T_TABLE
 from midconv.k3count import (count_affine, count_record, frobenius_eigenvalues,
                              intersection_matrix, intersection_matrix_det,
                              legendre, trace_frobenius)
+from midconv.scalars import FieldDescriptor
 
 
 def test_legendre_examples():
@@ -45,6 +47,29 @@ def _naive_count(q):
 @pytest.mark.parametrize("q", [5, 7])
 def test_count_matches_naive_oracle(q):
     assert count_affine(q) == _naive_count(q)
+
+
+def _scalar_count(p, e, z):
+    """#{(w, x, y) : w^2 = (x^2-1)((y-x)^2-1)(y-z)} by Scalar arithmetic over F_{p^e}."""
+    field = FieldDescriptor.finite(p, e)
+    elems = list(field.elements())
+    square_roots = Counter(w * w for w in elems)      # a -> #{w : w^2 = a}
+    one, zz = field.one(), field.from_fraction(z)
+    return sum(square_roots[(x * x - one) * ((y - x) * (y - x) - one) * (y - zz)]
+               for x in elems for y in elems)
+
+
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(3), Fraction(-2, 3)])
+@pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)])
+def test_count_matches_scalar_oracle(p, e, z):
+    assert count_affine(p ** e, z) == _scalar_count(p, e, z)
+
+
+@pytest.mark.parametrize("q, z", [(5, Fraction(1, 5)), (25, Fraction(2, 5)),
+                                  (7, Fraction(3, 14))])
+def test_count_rejects_fibre_not_p_integral(q, z):
+    with pytest.raises(PreconditionError):
+        count_affine(q, z)
 
 
 def test_count_table():
@@ -89,6 +114,21 @@ def test_frobenius_eigenvalues_table():
         assert data.verified
         assert data.s3 == legendre(3, p)
         assert data.u ** 2 - data.d == p * p
+
+
+# (u, d) with alpha_p = (u + sqrt(d))/p beyond ALPHA_TABLE
+_PINNED_ALPHA = {31: (29, -120), 37: (-19, -1008), 41: (25, -1056),
+                 43: (41, -168), 47: (17, -1920), 53: (17, -2520)}
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+def test_frobenius_laws(p):
+    data = frobenius_eigenvalues(p)
+    assert data.verified
+    assert data.s3 == legendre(3, p)
+    assert data.u ** 2 - data.d == p * p
+    if p in _PINNED_ALPHA:
+        assert (data.u, data.d) == _PINNED_ALPHA[p]
 
 
 def test_frobenius_sign_candidates_are_exclusive():
