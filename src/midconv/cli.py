@@ -310,6 +310,11 @@ def _cmd_fixtures(args):
 
 # -- parser ---------------------------------------------------------------------
 
+def _attached(what: str, example: str) -> str:
+    """Help text of a scalar option: argparse reads a separate "-2/3" as an option."""
+    return f"{what}; a negative value must be attached with '=', for example {example}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -332,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mcl", _cmd_mcl, help="Katz MC_lambda via Pochhammer matrices")
     p.add_argument("--tuple", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", required=True,
+                   help=_attached("the scalar lambda", "--lambda=-1/2"))
     p.add_argument("--out")
 
     p = add("rank", _cmd_rank, help="rank formula for a convolution")
@@ -345,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("irred", _cmd_irred, help="irreducibility criterion")
     p.add_argument("--tuple", required=True)
     p.add_argument("--lambdas", required=True,
-                   help="comma-separated scalars of the rank-one factor")
+                   help=_attached("comma-separated scalars of the rank-one factor",
+                                  "--lambdas=-1,2"))
 
     p = add("jordan", _cmd_jordan, help="Jordan data of every entry")
     p.add_argument("--tuple", required=True)
@@ -355,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right")
     p.add_argument("--infinity", action="store_true")
     p.add_argument("--tuple")
-    p.add_argument("--lambda", dest="lam")
+    p.add_argument("--lambda", dest="lam",
+                   help=_attached("the scalar lambda", "--lambda=-1/2"))
 
     p = add("braid", _cmd_braid, help="act by a braid word")
     p.add_argument("--tuple", required=True)
@@ -388,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("count", "trace"):
         sp = k3sub.add_parser(name, parents=[common])
         sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--z", default="1")
+        sp.add_argument("--z", default="1",
+                        help=_attached("the fibre, a rational", "--z=-2/3"))
         sp.set_defaults(fn=_cmd_k3)
     sp = k3sub.add_parser("frob", parents=[common])
     sp.add_argument("--p", type=int, required=True)

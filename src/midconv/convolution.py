@@ -30,7 +30,7 @@ from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
                      induced_quotient_matrix, invariants_dim, phi_transport,
-                     pure_braid, quotient_basis, sort_points)
+                     pure_braid, quotient_basis, slot_images, sort_points)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
     strands = p + q
-    pairs = []
+    points, image_blocks = [], []
     for j in range(q, 0, -1):
         for i in range(1, p + 1):
             word = _delta_word(i, j, p, strands)
@@ -157,12 +157,13 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
             if transported.entries != C.entries:
                 raise DimensionInconsistency(
                     f"the loop braid for ({i},{j}) moves the tensor tuple")
-            try:
-                D = induced_quotient_matrix(ext, images, field)
-            except PreconditionError as exc:
-                raise DimensionInconsistency(str(exc)) from exc
-            pairs.append((left.points[i - 1] + right.points[j - 1], D))
-    pairs = _merge_adjacent(pairs)
+            points.append(left.points[i - 1] + right.points[j - 1])
+            image_blocks.append(images)
+    try:
+        Ds = induced_quotient_matrix(ext, image_blocks, field)
+    except PreconditionError as exc:
+        raise DimensionInconsistency(str(exc)) from exc
+    pairs = _merge_adjacent(zip(points, Ds))
     if len({pt for pt, _ in pairs}) != len(pairs):
         # colliding points that were not adjacent: bubble together, then merge
         pairs = _merge_adjacent(_braid_sort_pairs(pairs))
@@ -197,40 +198,17 @@ def rank_formula_applicable(inp: ConvolutionInput) -> bool:
 
 # -- Pochhammer realization of MC_lambda -------------------------------------------
 
-def _pochhammer_matrix(A: list[Matrix], lam: Scalar, i: int, field) -> Matrix:
-    """Block matrix on V^p: identity outside block row i (1-based)."""
-    p = len(A)
-    d = A[0].nrows
-    ident = Matrix.identity(field, d)
-    zero = field.zero()
-    rows = []
-    for bi in range(p):
-        for rr in range(d):
-            row = [zero] * (p * d)
-            if bi != i - 1:
-                row[bi * d: (bi + 1) * d] = ident.rows[rr]
-            else:
-                for bj in range(p):
-                    if bj < i - 1:
-                        blk = (A[bj] - ident).scale(lam)
-                    elif bj == i - 1:
-                        blk = A[bj].scale(lam)
-                    else:
-                        blk = A[bj] - ident
-                    row[bj * d: (bj + 1) * d] = blk.rows[rr]
-            rows.append(tuple(row))
-    return Matrix(field, tuple(rows))
-
-
 def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     """Katz's MC_lambda: the Pochhammer matrices B_k acting on W = K^perp cap L^perp.
 
     Vectors are rows acting on the right, so the Dettweiler-Reiter quotient
     V^p / (K + L) appears as the annihilator W inside V^p, where
     K = (+)_k ker(A_k - 1) and L = cap_k ker(B_k - 1).  K^perp confines the
-    k-th slot to the row space of A_k - 1; L^perp is spanned by the rows of
-    B_k - 1, which vanish outside block row k.  The induced tuple lives on
-    the same points.
+    k-th slot to the row space of A_k - 1.  B_k - 1 vanishes outside block
+    row k, whose blocks R_k are lambda (A_j - 1) for j < k, lambda A_k - 1
+    and A_j - 1 for j > k; so L^perp is spanned by the rows of the R_k, and
+    v B_k = v + v_k R_k with v_k the k-th slot of v.  The induced tuple lives
+    on the same points.
     """
     if lam.field != T.field:
         raise FieldMismatch("lambda must live in the tuple's field")
@@ -239,39 +217,29 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     if not lam:
         raise PreconditionError("MC_lambda needs lambda != 0")
     field = T.field
-    p = T.r
     d = T.dim
     A = list(T.finite_entries())
-    ident = Matrix.identity(field, d)
-    zero = field.zero()
-
-    k_rows = []
-    for k, M in enumerate(A):
-        for b in row_space_basis((M - ident).rows):
-            row = [zero] * (p * d)
-            row[k * d: (k + 1) * d] = b
-            k_rows.append(tuple(row))
-    k_basis = row_space_basis(k_rows)
-
-    bigs = [_pochhammer_matrix(A, lam, k, field) for k in range(1, p + 1)]
-    l_rows = []
-    for k, big in enumerate(bigs):
-        l_rows.extend(big.minus_identity().rows[k * d: (k + 1) * d])
-    l_basis = row_space_basis(l_rows)
-
-    w_basis = intersect_row_spaces(k_basis, l_basis)
+    A1 = [M.minus_identity() for M in A]
+    R = []
+    for k in range(len(A)):
+        blocks = ([M.scale(lam) for M in A1[:k]] + [A[k].scale(lam).minus_identity()]
+                  + A1[k + 1:])
+        R.append(Matrix(field, tuple(sum(rows, ()) for rows in
+                                     zip(*(blk.rows for blk in blocks)))))
+    l_basis = row_space_basis([row for Rk in R for row in Rk.rows])
+    w_basis = intersect_row_spaces(slot_images(A), l_basis)
     if not w_basis:
         raise PreconditionError("MC_lambda output has rank 0")
 
     W = Matrix(field, tuple(w_basis))
-    entries = []
-    for big in bigs:
-        try:
-            entries.append(induced_quotient_matrix(w_basis, (W @ big).rows, field))
-        except PreconditionError as exc:
-            raise DimensionInconsistency(
-                "Pochhammer matrix does not preserve K^perp cap L^perp "
-                "(L^perp spanned by the block rows of B_k - 1)") from exc
+    images = [(W + Matrix(field, tuple(w[k * d:(k + 1) * d] for w in w_basis)) @ Rk).rows
+              for k, Rk in enumerate(R)]
+    try:
+        entries = induced_quotient_matrix(w_basis, images, field)
+    except PreconditionError as exc:
+        raise DimensionInconsistency(
+            "Pochhammer matrix does not preserve K^perp cap L^perp "
+            "(L^perp spanned by the block rows of B_k - 1)") from exc
     return MonodromyTuple.from_finite_entries(field, entries, T.points)
 
 

@@ -8,7 +8,7 @@ solve_coords and in_span all read it.  It picks the first nonzero pivot, so
 every computed basis is deterministic.
 
 The elimination and the matrix products (`_echelon`, `_mul_rows`, hence
-Matrix.__matmul__ and vec_mat) run on raw payloads through the field's ops
+Matrix.__matmul__) run on raw payloads through the field's ops
 table.  `_unbox` is their boundary: it raises TypeError for an entry that is
 not a Scalar and FieldMismatch for an entry of another field, as Scalar
 arithmetic does; results are boxed back into Scalars on the way out.
@@ -155,15 +155,6 @@ class Matrix:
 
     def __str__(self):
         return "\n".join(", ".join(str(a) for a in r) for r in self.rows)
-
-
-def vec_mat(v: Row, M: Matrix) -> Row:
-    """Image of the row vector v under M (v acts from the left: v*M)."""
-    if len(v) != M.nrows:
-        raise ValueError("dimension mismatch in vector-matrix product")
-    field = M.field
-    [row] = _mul_rows(field.ops, _unbox(field, [v]), _unbox(field, M.rows), M.ncols)
-    return _box_row(field, row)
 
 
 # -- the payload loops -----------------------------------------------------------

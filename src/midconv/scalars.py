@@ -181,8 +181,8 @@ class FieldDescriptor:
             raise ValueError("only degrees 1 and 2 are supported")
         if k == 1:
             return _interned(FINITE, p=p, k=1, poly=(0, 1))
-        if poly is None:
-            poly = (-_least_nonresidue(p) % p, 0, 1)
+        if poly is None:   # t^2 - a for the least non-residue a; t^2 + t + 1 over F_2
+            poly = (1, 1, 1) if p == 2 else (-_least_nonresidue(p) % p, 0, 1)
         poly = tuple(c % p for c in poly)
         if len(poly) != 3 or poly[2] != 1:
             raise ValueError("defining polynomial must be monic of degree 2")

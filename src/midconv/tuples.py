@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
 from .linalg import (Matrix, _echelon, conjugacy_solve, intersect_row_spaces,
-                     kernel_basis, rank, row_space_basis, solve_coords, vec_mat)
+                     kernel_basis, rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -193,11 +193,13 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     """([v Phi(T, w) for v in rows], T^w), one braid letter at a time.
 
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
-    touches only the slots i and i+1 of a row v in V^{r+1}: with
-    (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends (v_i, v_{i+1})
-    to (v_{i+1}, v_i b + v_{i+1} (1 - b^-1 a b)) and beta_i^-1 sends it to
-    ((v_{i+1} - v_i + v_i b) a^-1, v_i).  The letters act on a plain list of
-    entries; T^w is built, and its product relation checked, once per word.
+    touches only the slots i and i+1 of V^{r+1}.  The rows are held as r+1
+    slot blocks, block k being the columns of slot k of all the rows.  With
+    (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
+    (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b) and beta_i^-1 sends
+    them to ((Y - X + X b) a^-1, X): two Matrix products per letter.  The
+    letters act on a plain list of entries; T^w is built, and its product
+    relation checked, once per word.
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
@@ -205,25 +207,20 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     rows = [tuple(v) for v in rows]
     entries = list(T.entries)
     points = list(T.points) if T.points is not None else None
+    blocks = [Matrix(T.field, tuple(v[k * d:(k + 1) * d] for v in rows))
+              for k in range(len(entries))] if rows else []
     for i, e in w.letters:
         b = entries[i]
         inv = _act_gen(entries, points, i, inverse=(e < 0))
-        lo, mid, hi = (i - 1) * d, i * d, (i + 1) * d
-        out = []
-        if e > 0:
-            conj = entries[i]              # b^-1 a b
-            for v in rows:
-                x, y = v[lo:mid], v[mid:hi]
-                new = tuple(s + t - u for s, t, u
-                            in zip(vec_mat(x, b), y, vec_mat(y, conj)))
-                out.append(v[:lo] + y + new + v[hi:])
+        if not blocks:
+            continue
+        X, Y = blocks[i - 1], blocks[i]
+        if e > 0:                          # entries[i] is now b^-1 a b
+            blocks[i - 1], blocks[i] = Y, X @ b + Y - Y @ entries[i]
         else:                              # inv = a^-1
-            for v in rows:
-                x, y = v[lo:mid], v[mid:hi]
-                new = tuple(t - s + u for s, t, u in zip(x, y, vec_mat(x, b)))
-                out.append(v[:lo] + vec_mat(new, inv) + x + v[hi:])
-        rows = out
-    return rows, MonodromyTuple.make(T.field, entries, points)
+            blocks[i - 1], blocks[i] = (Y - X + X @ b) @ inv, X
+    images = [sum(parts, ()) for parts in zip(*(blk.rows for blk in blocks))]
+    return images, MonodromyTuple.make(T.field, entries, points)
 
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
@@ -275,7 +272,6 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
     stacked = Matrix(field, tuple(row for k in range(r1) for row in suffix[k].rows))
     h_basis = kernel_basis(stacked)
 
-    zero = field.zero()
     e_rows = []
     for b in range(d):
         row = []
@@ -285,14 +281,24 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
         e_rows.append(tuple(row))
     e_basis = row_space_basis(e_rows)
 
-    im_rows = []
-    for k, M in enumerate(entries):
-        for b in row_space_basis((M.minus_identity()).rows):
-            row = [zero] * (r1 * d)
-            row[k * d: (k + 1) * d] = b
-            im_rows.append(tuple(row))
-    u_basis = intersect_row_spaces(h_basis, im_rows)
+    u_basis = intersect_row_spaces(h_basis, slot_images(entries))
     return CohomologySpaces(tuple(h_basis), tuple(e_basis), tuple(u_basis))
+
+
+def slot_images(entries) -> list:
+    """Reduced-echelon basis of (+)_k im(M_k - 1) inside V^n, n = len(entries).
+
+    Slot k of V^n holds im(M_k - 1).  The slots are disjoint column ranges
+    taken in order, so stacking the reduced-echelon bases of the images
+    gives a reduced echelon form of the sum.
+    """
+    n, d = len(entries), entries[0].nrows
+    zero = (entries[0].field.zero(),)
+    rows = []
+    for k, M in enumerate(entries):
+        rows.extend(zero * (k * d) + b + zero * ((n - k - 1) * d)
+                    for b in row_space_basis(M.minus_identity().rows))
+    return rows
 
 
 def invariants_dim(T: MonodromyTuple) -> int:
@@ -340,19 +346,22 @@ def quotient_basis(u_basis, e_basis):
     return ext + quot, quot
 
 
-def induced_quotient_matrix(ext, images, field) -> Matrix:
-    """Matrix of a map on U/E, given the images of the quotient rows of `ext`.
+def induced_quotient_matrix(ext, image_blocks, field) -> list[Matrix]:
+    """One matrix on U/E per block of images of the quotient rows of `ext`.
 
     quotient_basis puts the quotient rows last in `ext`, so each image's
-    coordinates on them are the tail of its coordinates in `ext`.  Raises
+    coordinates on them are the tail of its coordinates in `ext`.  The
+    images of all the blocks are solved by one elimination.  Raises
     PreconditionError if an image leaves span(ext): the caller treats that
     as a degeneracy signal.
     """
-    coords = solve_coords(ext, images)
+    coords = solve_coords(ext, [v for block in image_blocks for v in block])
     if coords is None:
         raise PreconditionError("quotient space is not preserved")
-    ne = len(ext) - len(images)
-    return Matrix(field, tuple(tuple(x[ne:]) for x in coords))
+    coords = iter(coords)
+    return [Matrix(field, tuple(tuple(next(coords)[len(ext) - len(block):])
+                                for _ in block))
+            for block in image_blocks]
 
 
 def tuples_equivalent(A: MonodromyTuple, B: MonodromyTuple):

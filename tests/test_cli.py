@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from midconv import cli
+from midconv import cli, convolution
 
 
 def _run(capsys, *argv):
@@ -100,6 +100,7 @@ def test_zero_denominator_lambda_is_a_parse_error(capsys):
 
 @pytest.mark.parametrize("argv, doc", [
     (["k3", "count", "--q", "25", "--z", "3"], {"q": 25, "N": 700, "z": "3"}),
+    (["k3", "count", "--q", "5", "--z=-2/3"], {"q": 5, "N": 27, "z": "-2/3"}),
     (["k3", "frob", "--p", "29"],
      {"p": 29, "u": "25", "d": "-216", "s3": -1, "s_minus1": 1,
       "alpha": "(25+sqrt(-216))/29", "verified": True}),
@@ -115,7 +116,69 @@ def test_k3_malformed_fibre_is_a_parse_error(capsys, z):
     assert code == 2 and err.startswith("ParseError:")
 
 
+def test_reduce_mod_two_goes_to_f4(capsys, tmp_path):
+    path = tmp_path / "z3.txt"
+    path.write_text("field: cyclotomic 3\ndim: 1\nmatrix:\nz\nmatrix:\nz\nmatrix:\nz\n")
+    code, doc = _run_json(capsys, "reduce", "--mod", "2", "--tuple", str(path))
+    assert code == 0 and doc["field"] == "F_2^2"
+
+
 @pytest.mark.parametrize("argv", [["k3", "frob", "--p", "5"], ["k3", "nsdet"]])
 def test_k3_z_flag_is_gone_where_unused(capsys, argv):
     code, _out, _err = _run(capsys, *argv, "--z", "1")
     assert code == 2
+
+
+_LSTARL_KUMMER = ("field: rational\ndim: 3\npoints: -2, 0, 2\n"
+                  "matrix:\n-1, -4, 4\n0, 1, 0\n0, 0, 1\n"
+                  "matrix:\n1, 0, 0\n-2, -1, 2\n0, 0, 1\n"
+                  "matrix:\n1, 0, 0\n0, 1, 0\n4, 4, -1\n"
+                  "matrix:\n-1, -4, 4\n2, 7, -6\n4, 12, -9\n")
+_V_L = ("field: rational\ndim: 6\npoints: -3, -1, 1, 3\n"
+        "matrix:\n-3, -12, -24, -2, -4, 4\n0, 1, 0, 0, 0, 0\n0, 0, 1, 0, 0, 0\n"
+        "8, 24, 48, 5, 8, -8\n0, 0, 0, 0, 1, 0\n0, 0, 0, 0, 0, 1\n"
+        "matrix:\n-1, -8, -16, -2, -4, 4\n-2, -3, -12, -2, -2, 2\n0, 0, 1, 0, 0, 0\n"
+        "2, 8, 16, 3, 4, -4\n4, 8, 24, 4, 5, -4\n0, 0, 0, 0, 0, 1\n"
+        "matrix:\n1, 0, 0, 0, 0, 0\n0, -1, -8, -2, -2, 2\n-2, -2, -3, -2, -2, 1\n"
+        "0, 0, 0, 1, 0, 0\n0, 2, 8, 2, 3, -2\n-8, -8, -16, -8, -8, 5\n"
+        "matrix:\n1, 0, 0, 0, 0, 0\n0, 1, 0, 0, 0, 0\n0, 0, -1, -2, -2, 1\n"
+        "0, 0, 0, 1, 0, 0\n0, 0, 0, 0, 1, 0\n0, 0, -4, -4, -4, 3\n"
+        "matrix:\n-1, -4, -8, 0, 0, 0\n2, 7, 12, 0, 0, 0\n-2, -6, -9, 0, 0, 0\n"
+        "-2, -8, -16, -1, -4, 4\n4, 14, 24, 2, 7, -6\n8, 24, 36, 4, 12, -9\n")
+_MCL_V = ("field: rational\ndim: 2\npoints: -2, 0, 2\n"
+          "matrix:\n1, -4\n0, 1\nmatrix:\n1, 0\n2, 1\n"
+          "matrix:\n-3, -4\n4, 5\nmatrix:\n-3, -8\n2, 5\n")
+_MCL_LSTARL = ("field: rational\ndim: 3\npoints: -2, 0, 2\n"
+               "matrix:\n2, -4, 4\n0, 1, 0\n0, 0, 1\n"
+               "matrix:\n1, 0, 0\n4, 2, 2\n0, 0, 1\n"
+               "matrix:\n1, 0, 0\n0, 1, 0\n-8, -8, 2\n"
+               "matrix:\n1/2, 2, -2\n-1, -7/2, 3\n-2, -6, 9/2\n")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["convolve", "--left", "fixture:LstarL", "--right", "fixture:Kummer-1"],
+     {"dim": 3, "points": ["-2", "0", "2"], "generic": True, "tuple": _LSTARL_KUMMER}),
+    (["convolve", "--left", "fixture:V", "--right", "fixture:L"],
+     {"dim": 6, "points": ["-3", "-1", "1", "3"], "generic": False, "tuple": _V_L}),
+    (["mcl", "--tuple", "fixture:V", "--lambda", "-1"],
+     {"dim": 2, "points": ["-2", "0", "2"], "tuple": _MCL_V}),
+    (["mcl", "--tuple", "fixture:LstarL", "--lambda", "2"],
+     {"dim": 3, "points": ["-2", "0", "2"], "tuple": _MCL_LSTARL}),
+])
+def test_convolution_documents(capsys, argv, doc):
+    assert _run_json(capsys, *argv) == (0, doc)
+
+
+def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
+    real = convolution.phi_transport
+
+    def leaky(T, w, rows):
+        # v + e_1 is never in U: e_1 alone breaks the equation that cuts out H
+        images, TW = real(T, w, rows)
+        return [(v[0] + v[0].field.one(),) + v[1:] for v in images], TW
+
+    monkeypatch.setattr(convolution, "phi_transport", leaky)
+    code, _out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",
+                           "--right", "fixture:Kummer-1")
+    assert code == 1
+    assert err == "DimensionInconsistency: quotient space is not preserved\n"

@@ -10,11 +10,12 @@ from midconv.convolution import (ConvolutionInput, PairingInfo, circ_tuple,
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import LambdaIsOne, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
-from midconv.linalg import JordanData, Matrix, jordan_data
+from midconv.linalg import (JordanData, Matrix, intersect_row_spaces, jordan_data,
+                            row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple, tuples_equivalent
 
-from conftest import F7, Q, random_invertible
+from conftest import F7, Q, random_invertible, random_tuple
 
 Z4 = FieldDescriptor.cyclotomic(4)
 
@@ -112,6 +113,68 @@ def test_mc_lambda_finite_field_regression():
     twice = mc_lambda(once, minus)
     assert [M.rows[0][0] for M in twice.entries] \
         == [F7.from_int(v) for v in (2, 3, 6)]
+
+
+def _pochhammer_matrix(A, lam, k):
+    """Reference oracle: the dense B_k on V^p, identity outside block row k (0-based)."""
+    field, p, d = lam.field, len(A), A[0].nrows
+    ident = Matrix.identity(field, d)
+    zero = field.zero()
+    rows = []
+    for bi in range(p):
+        for rr in range(d):
+            row = [zero] * (p * d)
+            if bi != k:
+                row[bi * d: (bi + 1) * d] = ident.rows[rr]
+            else:
+                for bj in range(p):
+                    if bj < k:
+                        blk = (A[bj] - ident).scale(lam)
+                    elif bj == k:
+                        blk = A[bj].scale(lam)
+                    else:
+                        blk = A[bj] - ident
+                    row[bj * d: (bj + 1) * d] = blk.rows[rr]
+            rows.append(tuple(row))
+    return Matrix(field, tuple(rows))
+
+
+def _dense_mc_lambda(T, lam):
+    """MC_lambda from the dense B_k: W @ B_k, then one coordinate solve per B_k."""
+    field, d, p = T.field, T.dim, T.r
+    A = list(T.finite_entries())
+    zero = (field.zero(),)
+    k_rows = [zero * (k * d) + b + zero * ((p - k - 1) * d)
+              for k, M in enumerate(A) for b in row_space_basis(M.minus_identity().rows)]
+    bigs = [_pochhammer_matrix(A, lam, k) for k in range(p)]
+    l_rows = [row for k, big in enumerate(bigs)
+              for row in big.minus_identity().rows[k * d:(k + 1) * d]]
+    w = intersect_row_spaces(row_space_basis(k_rows), row_space_basis(l_rows))
+    if not w:
+        return None
+    entries = []
+    for big in bigs:
+        coords = solve_coords(w, (Matrix(field, tuple(w)) @ big).rows)
+        assert coords is not None, "B_k does not preserve K^perp cap L^perp"
+        entries.append(Matrix(field, tuple(tuple(x) for x in coords)))
+    return MonodromyTuple.from_finite_entries(field, entries, T.points)
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def test_mc_lambda_matches_dense_pochhammer_oracle(field, rng):
+    compared = 0
+    for dim, r in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        for lam in (-1, 2, 3):
+            T = random_tuple(field, dim, r, rng, with_points=True)
+            lam = field.from_int(lam)
+            expected = _dense_mc_lambda(T, lam)
+            if expected is None:
+                with pytest.raises(PreconditionError):
+                    mc_lambda(T, lam)
+                continue
+            assert mc_lambda(T, lam) == expected
+            compared += 1
+    assert compared >= 8
 
 
 def test_mc_lambda_errors():

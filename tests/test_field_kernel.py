@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from midconv.errors import FieldMismatch
-from midconv.linalg import Matrix, _echelon, char_poly, rank, solve_coords, vec_mat
+from midconv.linalg import Matrix, _echelon, char_poly, rank, solve_coords
 from midconv.modgroup import group_closure
 from midconv.scalars import FieldDescriptor, Scalar
 
@@ -67,9 +67,9 @@ def test_payload_loops_reject_foreign_entries(field):
         with pytest.raises(exc):
             good @ bad
         with pytest.raises(exc):
-            vec_mat(good.rows[0], bad)
+            Matrix(field, good.rows[:1]) @ bad
         with pytest.raises(exc):
-            vec_mat(bad.rows[0], good)
+            Matrix(field, bad.rows[:1]) @ good
         with pytest.raises(exc):
             _echelon(bad.rows)
         with pytest.raises(exc):

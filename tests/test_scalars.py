@@ -13,6 +13,7 @@ Z4 = FieldDescriptor.cyclotomic(4)
 Z8 = FieldDescriptor.cyclotomic(8)
 Z12 = FieldDescriptor.cyclotomic(12)
 F25 = FieldDescriptor.finite(5, 2)
+F4 = FieldDescriptor.finite(2, 2)
 
 
 def test_rational_add():
@@ -31,6 +32,12 @@ def test_f25_generator_squares_to_two():
     assert F25.poly == (3, 0, 1)
     t = F25.gen()
     assert t * t == F25.from_int(2)
+
+
+def test_f4_generator_is_a_root_of_t2_plus_t_plus_1():
+    # 2 has no quadratic non-residue, so the default polynomial is t^2 + t + 1
+    t = F4.gen()
+    assert t * t == t + F4.one()
 
 
 def test_division_by_zero():
@@ -118,7 +125,8 @@ CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 20)
 
 
 @pytest.mark.parametrize(
-    "field", [Q, Z12, F25] + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS],
+    "field",
+    [Q, Z12, F25, F4] + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS],
     ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

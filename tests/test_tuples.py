@@ -5,7 +5,7 @@ import pytest
 from midconv.convolution import ConvolutionInput, circ_tuple
 from midconv.errors import ParseError, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, quadratic_tuple
-from midconv.linalg import Matrix, in_span, rank, row_space_basis, vec_mat
+from midconv.linalg import Matrix, in_span, rank, row_space_basis
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             cohomology_spaces, parabolic_rank_formula,
@@ -21,6 +21,11 @@ Z4 = FieldDescriptor.cyclotomic(4)
 def scalar_tuple(*values, points=None):
     return MonodromyTuple.from_finite_entries(
         Q, [Matrix.from_rows(Q, [[v]]) for v in values], points)
+
+
+def _row_times(v, M):
+    """The row vector v M, as a one-row Matrix product."""
+    return (Matrix(M.field, (tuple(v),)) @ M).rows[0]
 
 
 def test_product_relation_enforced():
@@ -96,7 +101,7 @@ def test_phi_rank_one_formula(rng):
     T = scalar_tuple(a, b, c)
     big = phi_matrix(T, BraidWord(3, ((1, 1),)))
     v = (Q.from_int(7), Q.from_int(11), Q.from_int(13), Q.from_int(17))
-    img = vec_mat(v, big)
+    img = _row_times(v, big)
     # (v1, v2, v3, v4) -> (v2, v2 (1 - a) + v1 b, v3, v4)
     assert img[0].payload == 11
     assert img[1].payload == 11 * (1 - a) + 7 * b
@@ -161,13 +166,19 @@ def test_phi_transport_applies_phi_to_rows(rng):
     rows = [tuple(random_scalar(F7, rng) for _ in range(8)) for _ in range(3)]
     images, TW = phi_transport(T, w, rows)
     big = phi_matrix(T, w)
-    assert images == [vec_mat(v, big) for v in rows]
+    assert images == [_row_times(v, big) for v in rows]
     assert TW == braid_act(T, w)
 
 
 def test_phi_empty_word_is_identity(rng):
     T = random_tuple(Q, 2, 3, rng)
     assert phi_matrix(T, BraidWord(3, ())) == Matrix.identity(Q, 4 * 2)
+
+
+def test_phi_transport_of_no_rows_still_moves_the_tuple(rng):
+    T = random_tuple(F7, 2, 3, rng, with_points=True)
+    w = parse_braid_word("b2 b1^-1 b2", 3)
+    assert phi_transport(T, w, []) == ([], braid_act(T, w))
 
 
 def test_phi_transports_u_and_e(rng):
@@ -177,8 +188,8 @@ def test_phi_transports_u_and_e(rng):
         big, TW = phi_matrix(T, w), braid_act(T, w)
         s1 = cohomology_spaces(T)
         s2 = cohomology_spaces(TW)
-        img_u = [vec_mat(u, big) for u in s1.u_basis]
-        img_e = [vec_mat(u, big) for u in s1.e_basis]
+        img_u = [_row_times(u, big) for u in s1.u_basis]
+        img_e = [_row_times(u, big) for u in s1.e_basis]
         assert len(row_space_basis(img_u)) == len(s2.u_basis)
         assert all(in_span(list(s2.u_basis), v) for v in img_u)
         assert all(in_span(list(s2.e_basis), v) for v in img_e)
@@ -256,6 +267,7 @@ def test_tuple_io_round_trip(rng):
     cases.append(random_tuple(Z12, 2, 2, rng, with_points=True))
     F49 = FieldDescriptor.finite(7, 2)
     cases.append(random_tuple(F49, 2, 2, rng, with_points=True))
+    cases.append(random_tuple(FieldDescriptor.finite(2, 2), 2, 2, rng, with_points=True))
     for T in cases:
         back = load_tuple(save_tuple(T))
         assert back.field == T.field
