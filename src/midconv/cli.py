@@ -41,6 +41,17 @@ def _load(spec: str):
     return load_tuple_file(spec)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
         json.dump(payload, sys.stdout, indent=2, default=str)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("group", _cmd_group, help="closure order and invariant form")
     p.add_argument("--tuple", required=True)
     p.add_argument("--mod", type=int)
-    p.add_argument("--cap", type=int, default=100000)
+    p.add_argument("--cap", type=_positive_int, default=100000)
 
     p = add("primitivity", _cmd_primitivity, help="primitivity bound")
     p.add_argument("--tuple", required=True)

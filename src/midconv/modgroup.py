@@ -2,7 +2,9 @@
 
 Group recognition is by exact order (breadth-first closure under the
 generators), not by classification theorems; at desk scale the relevant
-closures stay below a few tens of thousands of elements.
+closures stay below a few tens of thousands of elements.  The closure acts
+on rows: row i of B A is (row i of B) A, so it multiplies each distinct row
+by each generator once and builds every element from cached row images.
 """
 
 from __future__ import annotations
@@ -90,6 +92,18 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     return MonodromyTuple.make(target, entries, T.points)
 
 
+class _RowImages(dict):
+    """Payload row -> that row times A, for one generator A; filled on first lookup."""
+
+    def __init__(self, ops, A, n: int):
+        super().__init__()
+        self.ops, self.A, self.n = ops, A, n
+
+    def __missing__(self, row):
+        image = self[row] = _mul_rows(self.ops, (row,), self.A, self.n)[0]
+        return image
+
+
 def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     """Breadth-first closure under right multiplication by the generators.
 
@@ -98,6 +112,14 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     an element: the generators are unboxed once (with the field checks of
     linalg._unbox) and the products run on payloads, so no Scalar or Matrix
     is built inside the loop.
+
+    Row i of B A is (row i of B) A, so each generator A keeps a table from
+    a payload row to that row times A, filled on first use; a product is then
+    n table lookups.  A table holds one entry per distinct row of the
+    elements seen so far (at most n * cap rows, and |F|^n - 1 over a finite
+    field F), so the BFS does one vector-times-matrix product per distinct
+    (row, generator) pair instead of one n x n product per (element,
+    generator) pair, and the elements share their row tuples.
     """
     field = gens[0].field
     n = gens[0].nrows
@@ -108,13 +130,14 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     ops = field.ops
     payload_gens = [_unbox(field, A.rows) for A in gens]
     ident = tuple(tuple(ops.one if i == j else ops.zero for j in range(n)) for i in range(n))
+    images = [_RowImages(ops, A, n).__getitem__ for A in payload_gens]
     seen = {ident: None}
     frontier = [ident]
     while frontier:
         new = []
         for B in frontier:
-            for A in payload_gens:
-                C = tuple(_mul_rows(ops, B, A, n))
+            for image in images:
+                C = tuple(map(image, B))
                 if C not in seen:
                     seen[C] = None
                     if len(seen) > cap:
@@ -124,8 +147,14 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     return seen
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise PreconditionError(f"cap must be at least 1, got {cap}")
+
+
 def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
-    """Order of the generated group; None when past the cap."""
+    """Order of the generated group; None when past the cap (an int >= 1)."""
+    _check_cap(cap)
     if not gens:
         return 1
     seen = _closure_rows(gens, cap)
@@ -133,11 +162,12 @@ def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
 
 
 def group_elements(gens: list[Matrix], cap: int = 100000):
-    """The closure itself (insertion order); None when past the cap.
+    """The closure itself (insertion order); None when past the cap (an int >= 1).
 
     Needs at least one generator: without one there is no dimension to
     build the identity in.
     """
+    _check_cap(cap)
     if not gens:
         raise PreconditionError("group_elements needs at least one generator")
     field = gens[0].field

@@ -82,16 +82,20 @@ class MonodromyTuple:
     points: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if len(self.entries) < 1:
-            raise PreconditionError("a tuple needs at least one entry")
-        for M in self.entries:
-            if M.field != self.field or M.dim != (self.dim, self.dim):
-                raise PreconditionError("entries must be square over the declared field")
+        self._check_shape()
         prod = Matrix.identity(self.field, self.dim)
         for M in self.entries:
             prod = prod @ M
         if prod != Matrix.identity(self.field, self.dim):
             raise PreconditionError("product relation T_1 ... T_{r+1} = 1 fails")
+
+    def _check_shape(self) -> None:
+        """Every check of __post_init__ except the product relation."""
+        if len(self.entries) < 1:
+            raise PreconditionError("a tuple needs at least one entry")
+        for M in self.entries:
+            if M.field != self.field or M.dim != (self.dim, self.dim):
+                raise PreconditionError("entries must be square over the declared field")
         if self.points is not None:
             if len(self.points) != self.r:
                 raise PreconditionError("need one point per finite entry")
@@ -111,12 +115,24 @@ class MonodromyTuple:
 
     @staticmethod
     def from_finite_entries(field: FieldDescriptor, finite, points=None) -> "MonodromyTuple":
-        """Append the inverse of the product as the entry at infinity."""
+        """Append the inverse of the product as the entry at infinity.
+
+        The product relation is checked as prod @ inf == 1 on the product
+        already formed, so the r+1 entries are not multiplied a second time.
+        """
         finite = list(finite)
-        prod = Matrix.identity(field, finite[0].nrows)
+        dim = finite[0].nrows
+        prod = Matrix.identity(field, dim)
         for M in finite:
             prod = prod @ M
-        return MonodromyTuple.make(field, finite + [prod.inverse()], points)
+        inf = prod.inverse()
+        if prod @ inf != Matrix.identity(field, dim):
+            raise PreconditionError("product relation T_1 ... T_{r+1} = 1 fails")
+        T = object.__new__(MonodromyTuple)
+        T.__dict__.update(field=field, dim=dim, entries=tuple(finite) + (inf,),
+                          points=None if points is None else tuple(Fraction(p) for p in points))
+        T._check_shape()
+        return T
 
     def with_points(self, points) -> "MonodromyTuple":
         return MonodromyTuple.make(self.field, self.entries, points)

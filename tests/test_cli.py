@@ -38,6 +38,13 @@ def test_group_over_q_takes_the_generic_branch(capsys):
     assert doc["recognized"] is None
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "x"])
+def test_group_cap_below_one_is_a_usage_error(capsys, cap):
+    code, out, err = _run(capsys, "group", "--cap", cap, "--tuple", "fixture:V", "--mod", "5")
+    assert code == 2 and out == ""
+    assert "--cap" in err
+
+
 @pytest.mark.parametrize("a, b, equivalent, code", [
     ("fixture:V", "fixture:V", True, 0),
     ("fixture:L", "fixture:LstarL", False, 1),

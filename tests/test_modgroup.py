@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from midconv.errors import BadPrime, PreconditionError
@@ -72,6 +74,58 @@ def test_group_closure_cap():
     assert group_closure(list(Vb.entries), cap=100) is None
 
 
+def test_group_closure_cap_boundary():
+    gens = list(reduce_mod(m_tuple(), 5).entries)       # order 240
+    assert group_closure(gens, cap=239) is None
+    assert group_elements(gens, cap=239) is None
+    assert group_closure(gens, cap=240) == 240
+    assert len(group_elements(gens, cap=240)) == 240
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_group_closure_cap_must_be_positive(cap):
+    ident = Matrix.identity(FieldDescriptor.finite(5), 2)
+    with pytest.raises(PreconditionError, match="cap"):
+        group_closure([ident], cap=cap)
+    with pytest.raises(PreconditionError, match="cap"):
+        group_closure([], cap=cap)
+    with pytest.raises(PreconditionError, match="cap"):
+        group_elements([ident], cap=cap)
+    assert group_closure([ident], cap=1) == 1
+
+
+def _elements_digest(elements):
+    payloads = [[[x.payload for x in row] for row in g.rows] for g in elements]
+    return hashlib.sha256(repr(payloads).encode()).hexdigest()
+
+
+def _monomial_f49():
+    """<diag(t, 1), swap> over F_49, t of order 12: the monomial group of order 288."""
+    F49 = FieldDescriptor.finite(7, 2)
+    t, one, zero = F49.gen(), F49.one(), F49.zero()
+    return [Matrix(F49, ((t, zero), (zero, one))), Matrix(F49, ((zero, one), (one, zero)))]
+
+
+# the closure order of group_elements is part of its contract (insertion order of
+# the BFS); these digests pin it, element by element
+@pytest.mark.parametrize("gens, order, digest", [
+    (lambda: list(reduce_mod(m_tuple(), 3).entries), 48,
+     "87301835287435811fc51fbd378ea817b1e2266ccf4009703967828eeef79721"),
+    (lambda: list(reduce_mod(m_tuple(), 5).entries), 240,
+     "61fb8462f20f71fda1c97120c7ccd86658a816ada414497c399fd8b2b7149be6"),
+    (lambda: list(reduce_mod(m_tuple(), 7).entries), 336,
+     "5d6a107a729c80cfe48d26296c759a23279c670b71e6a74126d31750280399f5"),
+    (lambda: list(reduce_mod(m_tuple(), 11).entries), 2640,
+     "749919579c7228139f201b585c334163e413a1910b0373a64d006cfc5930148e"),
+    (_monomial_f49, 288,
+     "bbbefa343ee1ff4039c61a2d9a11e86a16e9aab46a5202d46ae367415b3dccbd"),
+], ids=["V mod 3", "V mod 5", "V mod 7", "V mod 11", "monomial F_49"])
+def test_group_elements_order_is_pinned(gens, order, digest):
+    elements = group_elements(gens())
+    assert len(elements) == order
+    assert _elements_digest(elements) == digest
+
+
 def _pairwise_closure_order(gens, cap=10000):
     """Independent oracle: saturate the set under pairwise products."""
     elems = {Matrix.identity(gens[0].field, gens[0].nrows).rows}
@@ -96,6 +150,29 @@ def test_group_closure_against_pairwise_oracle():
     assert group_closure(gens) == _pairwise_closure_order(gens) == 240
     elements = group_elements(gens)
     assert len(elements) == len({g.rows for g in elements}) == 240
+
+
+def _signed_permutations():
+    """Signed 3 x 3 permutation matrices over Q: order 2^3 * 3! = 48."""
+    cycle = Matrix.from_rows(Q, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    swap = Matrix.from_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    sign = Matrix.from_rows(Q, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return [cycle, swap, sign]
+
+
+def _monomial_z4():
+    """<diag(zeta_4, 1), swap> over Q(zeta_4): order 2 * 4^2 = 32."""
+    return [Matrix.from_rows(Z4, [["z", 0], [0, 1]]), Matrix.from_rows(Z4, [[0, 1], [1, 0]])]
+
+
+@pytest.mark.parametrize("gens, order", [(_signed_permutations, 48), (_monomial_z4, 32)],
+                         ids=["signed permutations over Q", "monomial over Q(zeta_4)"])
+def test_group_closure_over_characteristic_zero_against_oracle(gens, order):
+    gens = gens()
+    assert group_closure(gens) == _pairwise_closure_order(gens) == order
+    elements = group_elements(gens)
+    assert len({g.rows for g in elements}) == order
+    assert elements[0] == Matrix.identity(gens[0].field, gens[0].nrows)
 
 
 def test_closure_order_divides_gl_order():

@@ -33,6 +33,16 @@ def test_product_relation_enforced():
         MonodromyTuple.make(Q, [Matrix.from_rows(Q, [[2]]), Matrix.from_rows(Q, [[1]])])
 
 
+def test_from_finite_entries_checks_the_product_it_formed(rng, monkeypatch):
+    finite = [random_invertible(Q, 2, rng) for _ in range(3)]
+    T = MonodromyTuple.from_finite_entries(Q, finite, [0, 1, 2])
+    assert T == MonodromyTuple.make(Q, T.entries, [0, 1, 2])
+    # a wrong entry at infinity is caught by the prod @ inf == 1 check
+    monkeypatch.setattr(Matrix, "inverse", lambda self: self)
+    with pytest.raises(PreconditionError, match="product relation"):
+        MonodromyTuple.from_finite_entries(Q, finite)
+
+
 def test_points_validated():
     with pytest.raises(PreconditionError):
         scalar_tuple(-1, -1, points=[1, 1])
