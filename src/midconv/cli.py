@@ -147,11 +147,11 @@ def _cmd_predict(args):
         return 0
     inp = ConvolutionInput(_load(args.left), _load(args.right))
     table = predict_local_jordan(inp)
-    left, right = inp.normalized()
+    left_points, right_points = inp.normalized_points()
     payload = {}
     human = []
     for (i, j), jd in sorted(table.items()):
-        pt = left.points[i - 1] + right.points[j - 1]
+        pt = left_points[i - 1] + right_points[j - 1]
         payload[f"{i},{j}"] = {"point": str(pt), "jordan": str(jd)}
         human.append(f"({i},{j}) at {pt}: {jd}")
     _emit(args, payload, human)
@@ -199,7 +199,7 @@ def _cmd_reduce(args):
 
 def _cmd_group(args):
     T = _load(args.tuple)
-    if args.mod:
+    if args.mod is not None:
         T = reduce_mod(T, args.mod)
     gens = list(T.entries)
     if T.dim == 3 and T.field.kind == FINITE and T.field.k == 1:
@@ -222,7 +222,7 @@ def _cmd_group(args):
 
 def _cmd_primitivity(args):
     T = _load(args.tuple)
-    if args.mod:
+    if args.mod is not None:
         T = reduce_mod(T, args.mod)
     bound, primitive = primitivity_bound(T)
     _emit(args, {"bound": str(bound), "primitive": primitive},

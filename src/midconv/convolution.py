@@ -58,6 +58,10 @@ class ConvolutionInput:
         """Left divisor ascending, right divisor descending (braid re-marking)."""
         return sort_points(self.left), sort_points(self.right, descending=True)
 
+    def normalized_points(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The point lists of normalized(), without its braid sorts."""
+        return sorted(self.left.points), sorted(self.right.points, reverse=True)
+
     def sums(self) -> list[Fraction]:
         return sorted({x + y for x in self.left.points for y in self.right.points})
 
@@ -83,9 +87,7 @@ def pairing_convolve(p1: PairingInfo, p2: PairingInfo) -> PairingInfo:
 
 
 def _pick_basepoint(inp: ConvolutionInput) -> Fraction:
-    avoid = {x + y for x in inp.left.points for y in inp.right.points}
-    y0 = max(avoid) + 1
-    return Fraction(y0)
+    return Fraction(inp.sums()[-1] + 1)
 
 
 def circ_tuple(inp: ConvolutionInput) -> MonodromyTuple:
@@ -140,9 +142,9 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     Raises DimensionInconsistency when the braid transport fails to preserve
     the U/E spaces of the tensor tuple (degenerate right factor).
     """
-    left, right = inp.normalized()
+    left_points, right_points = inp.normalized_points()
     p, q = inp.p, inp.q
-    field = left.field
+    field = inp.left.field
     C = circ_tuple(inp)
     spaces = cohomology_spaces(C)
     ext, quot = quotient_basis(spaces.u_basis, spaces.e_basis)
@@ -157,7 +159,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
             if transported.entries != C.entries:
                 raise DimensionInconsistency(
                     f"the loop braid for ({i},{j}) moves the tensor tuple")
-            points.append(left.points[i - 1] + right.points[j - 1])
+            points.append(left_points[i - 1] + right_points[j - 1])
             image_blocks.append(images)
     try:
         Ds = induced_quotient_matrix(ext, image_blocks, field)

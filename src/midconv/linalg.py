@@ -12,6 +12,14 @@ Matrix.__matmul__) run on raw payloads through the field's ops
 table.  `_unbox` is their boundary: it raises TypeError for an entry that is
 not a Scalar and FieldMismatch for an entry of another field, as Scalar
 arithmetic does; results are boxed back into Scalars on the way out.
+
+`solve_matrix_equations` is the one solver for linear equations in an
+unknown matrix X: L X R = L' X R' for each given pair, with the caller
+numbering the unknowns (row-major for the commutant A X = X B behind
+conjugacy_solve, one unknown per a <= b for an invariant symmetric form).
+It returns a basis of the solutions as matrices, and `find_invertible`
+scans such a list of matrices, then its prefix sums, for the first
+invertible one.  char_poly is the Berkowitz algorithm for every matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
@@ -79,10 +88,14 @@ class Matrix:
         return self.rows[i][j]
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch in matrix sum")
         return Matrix(self.field, tuple(tuple(a + b for a, b in zip(ra, rb))
                                         for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch in matrix difference")
         return Matrix(self.field, tuple(tuple(a - b for a, b in zip(ra, rb))
                                         for ra, rb in zip(self.rows, other.rows)))
 
@@ -335,8 +348,7 @@ def _is_triangular(M: Matrix) -> bool:
 def char_poly(M: Matrix) -> list[Scalar]:
     """Monic characteristic polynomial det(x - M), ascending coefficients.
 
-    Triangular matrices short-circuit to prod (x - d_i); the general case
-    uses the division-free Berkowitz algorithm.
+    One algorithm for every matrix: the division-free Berkowitz algorithm.
     """
     if not M.is_square():
         raise PreconditionError("characteristic polynomial of a non-square matrix")
@@ -345,14 +357,6 @@ def char_poly(M: Matrix) -> list[Scalar]:
     one, zero = field.one(), field.zero()
     if n == 0:
         return [one]
-    if _is_triangular(M):
-        poly = [one]
-        for i in range(n):
-            d = M.rows[i][i]
-            poly = [zero] + poly
-            for j in range(len(poly) - 1):
-                poly[j] = poly[j] - d * poly[j + 1]
-        return poly
     A = M.rows
     # Berkowitz: iterate over leading principal minors; vectors are descending.
     vec = [one, -A[0][0]]
@@ -528,6 +532,8 @@ def jordan_data(M: Matrix) -> JordanData:
     n = M.nrows
     field = M.field
     if _is_triangular(M):
+        # read the diagonal: it holds eigenvalues that field_roots cannot find,
+        # such as 1 + zeta_4, which is neither rational nor a root of unity
         eigs: dict = {}
         for i in range(n):
             d = M.rows[i][i]
@@ -591,46 +597,61 @@ def kronecker_jordan(alpha: Scalar, n1: int, beta: Scalar, n2: int) -> JordanDat
     return JordanData.of([(prod, n1 + n2 - 1 - 2 * i) for i in range(n1)], n1 * n2)
 
 
-def commutant_basis(As: list[Matrix], Bs: list[Matrix]) -> list[Row]:
-    """Basis of {X : A_i X = X B_i for all i}, each X flattened row by row.
+def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
+    """Basis of {X : L X R = L' X R' for each ((L, R), (L', R')) in pairs}.
 
-    Each entry (A_i X - X B_i)_{ab} = 0 is one linear equation in the d*d
-    entries of X; the solutions are the left kernel of the transposed system.
+    unknowns[a][b] numbers the unknown at entry (a, b) of X, and entries may
+    share one: row-major numbering for a general X, one unknown per a <= b
+    for a symmetric X.  Entry (i, j) of L X R - L' X R' is one equation,
+    in which the unknown at (u, v) has the coefficient L_iu R_vj - L'_iu R'_vj.
+    The solutions are the kernel_basis of the coefficients (one row per
+    unknown, built on payloads), read back into matrices through `unknowns`.
     """
-    field = As[0].field
+    field = pairs[0][0][0].field
+    ops = field.ops
+    nonzero, mul = ops.nonzero, ops.mul
+    coefs = [[] for _ in range(1 + max(map(max, unknowns)))]
+    for pair in pairs:
+        (L0, R0), _ = pair
+        width = R0.ncols
+        block = [[ops.zero] * (L0.nrows * width) for _ in coefs]
+        for (L, R), acc in zip(pair, (ops.add, ops.sub)):
+            rrows = _unbox(field, R.rows)
+            for i, lrow in enumerate(_unbox(field, L.rows)):
+                for u, a in enumerate(lrow):
+                    if nonzero(a):
+                        for v, rrow in enumerate(rrows):
+                            c = block[unknowns[u][v]]
+                            for j, b in enumerate(rrow):
+                                if nonzero(b):
+                                    c[i * width + j] = acc(c[i * width + j], mul(a, b))
+        for row, part in zip(coefs, block):
+            row.extend(part)
+    system = Matrix(field, tuple(_box_row(field, row) for row in coefs))
+    return [Matrix(field, tuple(tuple(v[k] for k in row) for row in unknowns))
+            for v in kernel_basis(system)]
+
+
+def commutant_basis(As: list[Matrix], Bs: list[Matrix]) -> list[Matrix]:
+    """Basis of {X : A_i X = X B_i for all i}, unknowns numbered row by row."""
     d = As[0].nrows
-    zero = field.zero()
-    eqs = []
-    for A, B in zip(As, Bs):
-        for a in range(d):
-            for b in range(d):
-                coef = [zero] * (d * d)
-                for c in range(d):
-                    coef[c * d + b] = coef[c * d + b] + A.rows[a][c]
-                    coef[a * d + c] = coef[a * d + c] - B.rows[c][b]
-                eqs.append(coef)
-    return kernel_basis(Matrix(field, tuple(zip(*eqs))))
+    ident = Matrix.identity(As[0].field, d)
+    return solve_matrix_equations([((A, ident), (ident, B)) for A, B in zip(As, Bs)],
+                                  [range(a * d, (a + 1) * d) for a in range(d)])
 
 
-def find_invertible(basis, as_matrix) -> Matrix | None:
-    """First invertible as_matrix(v) over the basis vectors, then their prefix sums.
+def find_invertible(basis: list[Matrix]) -> Matrix | None:
+    """First invertible matrix among the basis, then among its prefix sums.
 
     The scan order is fixed, so the answer is deterministic; it is not a
     complete search of the span.
     """
-    candidates = list(basis)
-    acc = None
-    for v in basis:
-        acc = v if acc is None else tuple(x + y for x, y in zip(acc, v))
-        candidates.append(acc)
     seen = set()
-    for v in candidates:
-        if v in seen:
-            continue
-        seen.add(v)
-        S = as_matrix(v)
-        if S.is_invertible():
-            return S
+    for S in list(basis) + list(accumulate(basis)):
+        if S not in seen:
+            seen.add(S)
+            if S.is_invertible():
+                return S
     return None
 
 
@@ -640,16 +661,11 @@ def conjugacy_solve(TA: list[Matrix], TB: list[Matrix]) -> Matrix | None:
     Solves the linear system TA_i X = X TB_i and scans the solution space in
     a deterministic order for an invertible element.  For absolutely
     irreducible tuples the space has dimension <= 1, so the first basis
-    vector decides.
+    matrix decides.
     """
     if not TA or len(TA) != len(TB):
         return None
-    field = TA[0].field
     d = TA[0].nrows
     if any(M.nrows != d or M.ncols != d for M in list(TA) + list(TB)):
         return None
-
-    def as_matrix(v):
-        return Matrix(field, tuple(v[a * d: (a + 1) * d] for a in range(d)))
-
-    return find_invertible(commutant_basis(TA, TB), as_matrix)
+    return find_invertible(commutant_basis(TA, TB))

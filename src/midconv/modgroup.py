@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (BadPrime, FieldMismatch, NoInvariantForm, NoRootInQuadratic,
                      PreconditionError)
 from .linalg import (Matrix, _box_row, _mul_rows, _unbox, commutant_basis,
-                     find_invertible, jordan_data, kernel_basis, poly_eval, rank)
+                     find_invertible, jordan_data, poly_eval, rank, solve_matrix_equations)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
 from .tuples import MonodromyTuple
@@ -81,7 +81,7 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
             nums, den = s.payload
             acc = target.zero()
             power = target.one()
-            dinv = target.from_fraction(Fraction(1, den))
+            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell))
             for a in nums:
                 if a:
                     acc = acc + target.from_int(a) * power
@@ -183,35 +183,15 @@ def absolutely_irreducible(gens: list[Matrix]) -> bool:
 
 def invariant_symmetric_form(gens: list[Matrix]) -> Matrix | None:
     """Nondegenerate symmetric G with g G g^T = G for all generators, if any."""
-    field = gens[0].field
     d = gens[0].nrows
-    zero = field.zero()
-    # unknowns: G_{ab} for a <= b
-    idx = {}
+    upper = {}                             # one unknown G_ab per a <= b
     for a in range(d):
         for b in range(a, d):
-            idx[(a, b)] = len(idx)
-
-    def pos(a, b):
-        return idx[(a, b)] if a <= b else idx[(b, a)]
-
-    eqs = []
-    for M in gens:
-        for a in range(d):
-            for b in range(a, d):
-                coef = [zero] * len(idx)
-                # (M G M^T)_{ab} - G_{ab} = 0
-                for u in range(d):
-                    for v in range(d):
-                        coef[pos(u, v)] = coef[pos(u, v)] + M.rows[a][u] * M.rows[b][v]
-                coef[pos(a, b)] = coef[pos(a, b)] - field.one()
-                eqs.append(coef)
-    sols = kernel_basis(Matrix(field, tuple(zip(*eqs))))
-
-    def build(v):
-        return Matrix(field, tuple(tuple(v[pos(a, b)] for b in range(d)) for a in range(d)))
-
-    return find_invertible(sols, build)
+            upper[a, b] = len(upper)
+    unknowns = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
+    ident = Matrix.identity(gens[0].field, d)
+    return find_invertible(solve_matrix_equations(
+        [((g, g.transpose()), (ident, ident)) for g in gens], unknowns))
 
 
 def primitivity_bound(T: MonodromyTuple) -> tuple[Fraction, bool]:

@@ -109,7 +109,7 @@ class MonodromyTuple:
     @staticmethod
     def make(field: FieldDescriptor, entries, points=None) -> "MonodromyTuple":
         entries = tuple(entries)
-        dim = entries[0].nrows
+        dim = entries[0].nrows if entries else 0      # no entry: _check_shape raises
         pts = None if points is None else tuple(Fraction(p) for p in points)
         return MonodromyTuple(field, dim, entries, pts)
 
@@ -121,6 +121,8 @@ class MonodromyTuple:
         already formed, so the r+1 entries are not multiplied a second time.
         """
         finite = list(finite)
+        if not finite:
+            raise PreconditionError("a tuple needs at least one entry")
         dim = finite[0].nrows
         prod = Matrix.identity(field, dim)
         for M in finite:
@@ -178,15 +180,10 @@ def braid_act(T: MonodromyTuple, w: BraidWord) -> MonodromyTuple:
 
     beta_i sends (..., g_i, g_{i+1}, ...) to (..., g_{i+1}, g_{i+1}^-1 g_i
     g_{i+1}, ...); points travel with their loops, the infinity entry is
-    untouched (the action preserves the product).
+    untouched (the action preserves the product).  It is phi_transport with
+    no rows to carry, so the letters are applied by that one loop.
     """
-    if w.r != T.r:
-        raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
-    entries = list(T.entries)
-    points = list(T.points) if T.points is not None else None
-    for i, e in w.letters:
-        _act_gen(entries, points, i, inverse=(e < 0))
-    return MonodromyTuple.make(T.field, entries, points)
+    return phi_transport(T, w, [])[1]
 
 
 def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:

@@ -130,6 +130,21 @@ def test_reduce_mod_two_goes_to_f4(capsys, tmp_path):
     assert code == 0 and doc["field"] == "F_2^2"
 
 
+def test_reduce_with_a_denominator_divisible_by_ell_is_a_bad_prime(capsys, tmp_path):
+    path = tmp_path / "z3.txt"
+    path.write_text("field: cyclotomic 3\ndim: 1\nmatrix:\n1/7\nmatrix:\n7\n")
+    code, out, err = _run(capsys, "reduce", "--mod", "7", "--tuple", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("BadPrime:")
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["group", "--cap", "50"], ["primitivity"]])
+def test_mod_zero_is_reduced_not_ignored(capsys, command):
+    code, out, err = _run(capsys, *command, "--mod", "0", "--tuple", "fixture:V")
+    assert code == 1 and out == ""
+    assert err.startswith("BadPrime:")
+
+
 @pytest.mark.parametrize("argv", [["k3", "frob", "--p", "5"], ["k3", "nsdet"]])
 def test_k3_z_flag_is_gone_where_unused(capsys, argv):
     code, _out, _err = _run(capsys, *argv, "--z", "1")

@@ -259,6 +259,14 @@ def test_predict_local_jordan_on_m_fixture():
         assert jd == actual
 
 
+def test_normalized_points_skip_the_braid_sorts(rng):
+    for _ in range(4):
+        inp = ConvolutionInput(random_tuple(Q, 1, 3, rng, with_points=True),
+                               random_tuple(Q, 1, 2, rng, with_points=True))
+        left, right = inp.normalized()
+        assert inp.normalized_points() == (list(left.points), list(right.points))
+
+
 def test_predict_infinity_examples():
     minus = Q.from_int(-1)
     # A_inf = J(1,1) and lambda = -1 gives J(-1,2) (and nothing else, rank 2)

@@ -48,10 +48,33 @@ def test_char_poly_companion():
 
 
 def test_char_poly_matches_berkowitz_on_triangular(rng):
-    # the triangular fast path must agree with the generic algorithm
+    # char_poly is invariant under conjugation, triangular or not
     M = Matrix.from_rows(Q, [[1, 2, 3], [0, 4, 5], [0, 0, 6]])
     S = random_invertible(Q, 3, rng)
     assert char_poly(M) == char_poly(S.inverse() @ M @ S)
+
+
+@pytest.mark.parametrize("field", [Q, Z4, F7, FieldDescriptor.finite(2, 2)])
+def test_char_poly_of_triangular_is_the_product_over_the_diagonal(field, rng):
+    zero = field.zero()
+    for lower in (False, True):
+        for n in (1, 2, 4):
+            rows = [[random_scalar(field, rng) if (j <= i if lower else j >= i) else zero
+                     for j in range(n)] for i in range(n)]
+            expected = [field.one()]
+            for i in range(n):             # multiply by (x - d_i)
+                shifted = [zero] + expected
+                expected = [c - rows[i][i] * s for c, s in zip(shifted, expected + [zero])]
+            assert char_poly(Matrix(field, tuple(map(tuple, rows)))) == expected
+
+
+def test_jordan_reads_the_diagonal_of_a_triangular_matrix():
+    # 1 + zeta_4 is neither rational nor a root of unity, so field_roots
+    # cannot find it; jordan_data reads it off the diagonal
+    one, z = Z4.one(), Z4.zeta(1)
+    M = Matrix(Z4, ((one + z, one), (Z4.zero(), one)))
+    assert len(field_roots(char_poly(M), Z4)[1]) == 2
+    assert jordan_data(M) == JordanData.of([(one, 1), (one + z, 1)])
 
 
 def test_jordan_of_fixture_entry():
@@ -221,6 +244,14 @@ def test_conjugacy_solve_distinguishes_spectra():
     assert conjugacy_solve(TA, TB) is None
 
 
+@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+def test_sum_and_difference_check_the_shapes(op):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        getattr(Matrix.identity(Q, 2), op)(Matrix.identity(Q, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        getattr(Matrix.zero(Q, 2, 3), op)(Matrix.zero(Q, 3, 2))
+
+
 def test_matrix_field_mismatch():
     with pytest.raises(FieldMismatch):
         Matrix.identity(Q, 2) @ Matrix.identity(Z4, 2)
@@ -234,18 +265,12 @@ def test_commutant_basis_solves_the_equations(rng):
             Bs = [S.inverse() @ A @ S for A in As]
             basis = commutant_basis(As, Bs)
             assert basis
-            for v in basis:
-                X = Matrix(field, tuple(v[a * 3: (a + 1) * 3] for a in range(3)))
+            for X in basis:
                 assert all(A @ X == X @ B for A, B in zip(As, Bs))
 
 
 def test_find_invertible_falls_back_to_prefix_sums():
-    one, zero = Q.one(), Q.zero()
-    basis = [(one, zero, zero, zero), (zero, zero, zero, one)]
-
-    def as_matrix(v):
-        return Matrix(Q, (v[:2], v[2:]))
-
-    assert not any(as_matrix(v).is_invertible() for v in basis)
-    assert find_invertible(basis, as_matrix) == Matrix.identity(Q, 2)
-    assert find_invertible(basis[:1], as_matrix) is None
+    basis = [Matrix.from_rows(Q, [[1, 0], [0, 0]]), Matrix.from_rows(Q, [[0, 0], [0, 1]])]
+    assert not any(S.is_invertible() for S in basis)
+    assert find_invertible(basis) == Matrix.identity(Q, 2)
+    assert find_invertible(basis[:1]) is None

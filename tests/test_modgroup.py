@@ -46,6 +46,14 @@ def test_reduce_mod_bad_prime():
         reduce_mod(T, 2)
 
 
+def test_reduce_mod_bad_prime_over_a_cyclotomic_field():
+    # a vanishing denominator is the same BadPrime as over Q
+    Z3 = FieldDescriptor.cyclotomic(3)
+    T = MonodromyTuple.from_finite_entries(Z3, [Matrix.from_rows(Z3, [["1/7"]])])
+    with pytest.raises(BadPrime, match="denominator 7 vanishes mod 7"):
+        reduce_mod(T, 7)
+
+
 def test_reduce_mod_is_a_homomorphism(rng):
     for _ in range(5):
         A = random_invertible(Q, 2, rng)

@@ -43,6 +43,13 @@ def test_from_finite_entries_checks_the_product_it_formed(rng, monkeypatch):
         MonodromyTuple.from_finite_entries(Q, finite)
 
 
+def test_a_tuple_without_entries_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="at least one entry"):
+        MonodromyTuple.make(Q, [])
+    with pytest.raises(PreconditionError, match="at least one entry"):
+        MonodromyTuple.from_finite_entries(Q, [])
+
+
 def test_points_validated():
     with pytest.raises(PreconditionError):
         scalar_tuple(-1, -1, points=[1, 1])
@@ -58,6 +65,14 @@ def test_braid_act_formula(rng):
     assert out.entries[1] == b.inverse() @ a @ b
     assert out.entries[2] == c
     assert out.entries[3] == T.entries[3]
+
+
+def test_braid_act_moves_points_and_checks_r(rng):
+    T = random_tuple(Q, 2, 3, rng, with_points=True)
+    out = braid_act(T, BraidWord(3, ((2, -1),)))
+    assert out.points == (T.points[0], T.points[2], T.points[1])
+    with pytest.raises(PreconditionError, match="braid word has r=2"):
+        braid_act(T, BraidWord(2, ((1, 1),)))
 
 
 def test_braid_act_inverse_undoes(rng):
