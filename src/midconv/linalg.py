@@ -14,12 +14,9 @@ not a Scalar and FieldMismatch for an entry of another field, as Scalar
 arithmetic does; results are boxed back into Scalars on the way out.
 
 `solve_matrix_equations` is the one solver for linear equations in an
-unknown matrix X: L X R = L' X R' for each given pair, with the caller
-numbering the unknowns (row-major for the commutant A X = X B behind
-conjugacy_solve, one unknown per a <= b for an invariant symmetric form).
-It returns a basis of the solutions as matrices, and `find_invertible`
-scans such a list of matrices, then its prefix sums, for the first
-invertible one.  char_poly is the Berkowitz algorithm for every matrix.
+unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
+It returns the solutions as matrices; `find_invertible` scans such a list,
+then its prefix sums, for an invertible one.  char_poly is Berkowitz alone.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ def _text(M):
 
 
 def _gens(name):
+    if name.startswith("V mod "):
+        return list(reduce_mod(m_tuple(), int(name.split()[-1])).entries)
     t = F4.gen()
     return {
         "diag(1,-1,1)": [Matrix.from_rows(Q, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])],
@@ -39,7 +41,7 @@ def _gens(name):
         "F2 3-cycle": [Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])],
         "F4 diag(t, t^2)": [Matrix(F4, ((t, F4.zero()), (F4.zero(), t * t)))],
         "F4 unipotent": [Matrix(F4, ((F4.one(), t), (F4.zero(), F4.one())))],
-    }.get(name) or list(reduce_mod(m_tuple(), int(name.split()[-1])).entries)
+    }[name]
 
 
 @pytest.mark.parametrize("name, gram", [
