@@ -3,7 +3,9 @@
 Every subcommand delegates to the library modules and renders either a
 human-readable report or, with --json, a machine-readable document with the
 same numbers.  Exit codes: 0 success, 1 domain error (module error name on
-stderr), 2 usage or parse error.
+stderr) or a proved negative answer, 2 usage or parse error, 3 inconclusive
+(`equiv` found no conjugator and no invariant that tells the tuples apart;
+its --json document then has "equivalent": null).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .modgroup import (GroupReport, absolutely_irreducible, group_closure,
                        invariant_symmetric_form, o3_recognition, primitivity_bound,
                        reduce_mod)
 from .scalars import FINITE, parse_scalar
-from .tuples import braid_act, cohomology_spaces, parabolic_rank_formula, \
-    parse_braid_word, tuples_equivalent
+from .tuples import braid_act, cohomology_spaces, inequivalence_proof, \
+    parabolic_rank_formula, parse_braid_word, tuples_equivalent
 from .tupleio import load_tuple_file, save_tuple, save_tuple_file
 
 
@@ -183,10 +185,16 @@ def _cmd_cohomology(args):
 def _cmd_equiv(args):
     A = _load(args.a)
     B = _load(args.b)
-    S = tuples_equivalent(A, B)
-    _emit(args, {"equivalent": S is not None},
-          ["equivalent" if S is not None else "not equivalent"])
-    return 0 if S is not None else 1
+    proof = inequivalence_proof(A, B)
+    if proof is not None:
+        _emit(args, {"equivalent": False}, [f"not equivalent: {proof}"])
+        return 1
+    if tuples_equivalent(A, B) is not None:
+        _emit(args, {"equivalent": True}, ["equivalent"])
+        return 0
+    _emit(args, {"equivalent": None},
+          ["inconclusive: the invariants agree, but no conjugator was found"])
+    return 3
 
 
 def _cmd_reduce(args):
@@ -311,7 +319,7 @@ def _cmd_fixtures(args):
         _emit(args, {k: v for k, v in table.items()},
               [f"{k}: {v}" for k, v in table.items()])
         return 0
-    T = fixtures.get_tuple_fixture(name)
+    T = _load(f"fixture:{name}")
     text = save_tuple(T)
     if getattr(args, "out", None):
         save_tuple_file(T, args.out)

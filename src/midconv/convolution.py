@@ -23,14 +23,13 @@ from fractions import Fraction
 
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError)
-from .linalg import (JordanData, Matrix, char_poly, field_roots,
-                     intersect_row_spaces, jordan_data, kernel_basis, kronecker,
-                     rank, row_space_basis)
+from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces,
+                     jordan_data, kernel_basis, kronecker, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
-                     induced_quotient_matrix, invariants_dim, phi_transport,
-                     pure_braid, quotient_basis, slot_images, sort_points)
+                     induced_quotient_matrix, invariants_dim, join_slots, phi_transport,
+                     pure_braid, quotient_basis, slot_blocks, slot_images, sort_points)
 
 
 @dataclass(frozen=True)
@@ -118,24 +117,6 @@ def _delta_word(i: int, j: int, p: int, strands: int) -> BraidWord:
     return w.conjugate_by(conj)
 
 
-def _merge_adjacent(pairs):
-    out = []
-    for pt, D in pairs:
-        if out and out[-1][0] == pt:
-            out[-1] = (pt, out[-1][1] @ D)
-        else:
-            out.append((pt, D))
-    return out
-
-
-def _braid_sort_pairs(pairs):
-    """Bubble (point, matrix) pairs into ascending point order by Hurwitz moves."""
-    points = [pt for pt, _ in pairs]
-    entries = [D for _, D in pairs]
-    _braid_sort(entries, points)
-    return list(zip(points, entries))
-
-
 def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     """The tuple of V_1 * V_2 on the points of u*v, sorted ascending.
 
@@ -165,13 +146,19 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
         Ds = induced_quotient_matrix(ext, image_blocks, field)
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
-    pairs = _merge_adjacent(zip(points, Ds))
-    if len({pt for pt, _ in pairs}) != len(pairs):
-        # colliding points that were not adjacent: bubble together, then merge
-        pairs = _merge_adjacent(_braid_sort_pairs(pairs))
-    pairs = _braid_sort_pairs(pairs)
-    return MonodromyTuple.from_finite_entries(field, [D for _, D in pairs],
-                                              [pt for pt, _ in pairs])
+    # the bubble sort never swaps equal points, so colliding entries end up
+    # adjacent in loop order; a Hurwitz move past a run of them conjugates
+    # their product as it conjugates each one, so merging after sorting is
+    # merging before it
+    _braid_sort(Ds, points)
+    merged, entries = [], []
+    for pt, D in zip(points, Ds):
+        if merged and merged[-1] == pt:
+            entries[-1] = entries[-1] @ D
+        else:
+            merged.append(pt)
+            entries.append(D)
+    return MonodromyTuple.from_finite_entries(field, entries, merged)
 
 
 # -- rank formula -----------------------------------------------------------------
@@ -219,23 +206,18 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     if not lam:
         raise PreconditionError("MC_lambda needs lambda != 0")
     field = T.field
-    d = T.dim
     A = list(T.finite_entries())
     A1 = [M.minus_identity() for M in A]
-    R = []
-    for k in range(len(A)):
-        blocks = ([M.scale(lam) for M in A1[:k]] + [A[k].scale(lam).minus_identity()]
-                  + A1[k + 1:])
-        R.append(Matrix(field, tuple(sum(rows, ()) for rows in
-                                     zip(*(blk.rows for blk in blocks)))))
+    R = [Matrix(field, tuple(join_slots([M.scale(lam) for M in A1[:k]]
+                                        + [A[k].scale(lam).minus_identity()] + A1[k + 1:])))
+         for k in range(len(A))]
     l_basis = row_space_basis([row for Rk in R for row in Rk.rows])
     w_basis = intersect_row_spaces(slot_images(A), l_basis)
     if not w_basis:
         raise PreconditionError("MC_lambda output has rank 0")
 
     W = Matrix(field, tuple(w_basis))
-    images = [(W + Matrix(field, tuple(w[k * d:(k + 1) * d] for w in w_basis)) @ Rk).rows
-              for k, Rk in enumerate(R)]
+    images = [(W + Wk @ Rk).rows for Wk, Rk in zip(slot_blocks(W, len(A)), R)]
     try:
         entries = induced_quotient_matrix(w_basis, images, field)
     except PreconditionError as exc:
@@ -265,17 +247,13 @@ class ConvolutionSheafCheck:
 
 def _tau_candidates(T: MonodromyTuple, i: int) -> list[Scalar]:
     """tau with ker(tau T_i - 1) possibly nonzero: inverses of eigenvalues."""
-    field = T.field
-    roots, _ = field_roots(char_poly(T.entries[i]), field)
-    out = [field.one()]
-    seen = {out[0].payload}
-    for root, _m in roots:
+    one = T.field.one()
+    taus = {one.payload: one}
+    for root, _m in eigenvalues(T.entries[i])[0]:
         if root:
-            t = root.inverse()
-            if t.payload not in seen:
-                seen.add(t.payload)
-                out.append(t)
-    return out
+            tau = root.inverse()
+            taus.setdefault(tau.payload, tau)
+    return list(taus.values())
 
 
 def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
@@ -285,7 +263,8 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
          trivially, and
     (**) the corresponding image sum fills V,
     for every finite index i and every tau that could violate (the inverses
-    of in-field eigenvalues of T_i; any other tau passes vacuously).
+    of the eigenvalues of T_i; any other tau passes vacuously).  Over
+    Q(zeta_n) the eigenvalues are those linalg.eigenvalues finds.
 
     The witness is the first failing (i, tau), with i ascending and tau = 1
     first; at that pair (*) is reported before (**), so a pair failing both
@@ -364,6 +343,19 @@ def convolved_block(alpha: Scalar, length: int, beta: Scalar) -> tuple[Scalar, i
     return (alpha * beta, new_len)
 
 
+def _padded(blocks, filler: Scalar, total: int, where: str) -> JordanData:
+    """The blocks plus J(filler, 1) blocks up to the predicted rank `total`.
+
+    Outside the hypotheses of the formulas the blocks can outgrow the rank;
+    that raises PreconditionError naming `where`.
+    """
+    used = sum(n for _, n in blocks)
+    if used > total:
+        raise PreconditionError(f"{where}: the predicted blocks fill dimension {used}, "
+                                f"more than the predicted rank {total}")
+    return JordanData.of(blocks + [(filler, 1)] * (total - used), total)
+
+
 def predict_local_jordan(inp: ConvolutionInput) -> dict[tuple[int, int], JordanData]:
     """Jordan data of each D_{i,j} of the convolution, without computing it.
 
@@ -391,9 +383,8 @@ def predict_local_jordan(inp: ConvolutionInput) -> dict[tuple[int, int], JordanD
                     nb = convolved_block(alpha, length, beta)
                     if nb is not None:
                         blocks.append(nb)
-            used = sum(n for _, n in blocks)
-            blocks.extend([(one, 1)] * (total - used))
-            out[(i, j)] = JordanData.of(blocks, total)
+            out[(i, j)] = _padded(blocks, one, total,
+                                  f"local prediction at entry ({i},{j})")
     return out
 
 
@@ -420,9 +411,7 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
     total = T.r * T.dim
     total -= sum(T.dim - rank(A.minus_identity()) for A in T.finite_entries())
     total -= T.dim - rank(T.infinity_entry().scale(lam_inv).minus_identity())
-    used = sum(n for _, n in blocks)
-    blocks.extend([(lam_inv, 1)] * (total - used))
-    return JordanData.of(blocks, total)
+    return _padded(blocks, lam_inv, total, "infinity prediction")
 
 
 # -- the SL-realization demo ----------------------------------------------------------

@@ -31,6 +31,9 @@ def legendre(a: int, p: int) -> int:
 
 
 def _prime_square_root(q: int) -> int | None:
+    """The prime p with p^2 = q, or None (also for q < 2)."""
+    if q < 2:
+        return None
     r = int(round(q ** 0.5))
     for cand in (r - 1, r, r + 1):
         if cand > 1 and cand * cand == q and is_prime(cand):

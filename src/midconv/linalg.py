@@ -17,6 +17,10 @@ arithmetic does; results are boxed back into Scalars on the way out.
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
 It returns the solutions as matrices; `find_invertible` scans such a list,
 then its prefix sums, for an invertible one.  char_poly is Berkowitz alone.
+
+`eigenvalues` is the one eigenvalue search: field_roots of char_poly, with
+the diagonal entries among the candidates.  jordan_data and the
+convolution-sheaf check both read it.
 """
 
 from __future__ import annotations
@@ -334,14 +338,6 @@ def intersect_row_spaces(B1, B2) -> list[Row]:
 
 # -- characteristic polynomial and Jordan data ---------------------------------
 
-def _is_triangular(M: Matrix) -> bool:
-    n = M.nrows
-    upper = all(not M.rows[i][j] for i in range(n) for j in range(i))
-    if upper:
-        return True
-    return all(not M.rows[i][j] for i in range(n) for j in range(i + 1, n))
-
-
 def char_poly(M: Matrix) -> list[Scalar]:
     """Monic characteristic polynomial det(x - M), ascending coefficients.
 
@@ -397,8 +393,10 @@ def _deflate(coeffs, root: Scalar):
     return out
 
 
-def _rational_candidates(int_coeffs: list[int]):
-    """+- p/q with p | a_0, q | a_lead, for an integer polynomial."""
+def _rational_candidates(coeffs: list[Fraction], field: FieldDescriptor):
+    """0 and +- p/q with p | a_0, q | a_lead, a_i the coefficients made integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    int_coeffs = [int(c * den) for c in coeffs]
     lo = next((c for c in int_coeffs if c), None)
     if lo is None:
         return []
@@ -420,38 +418,31 @@ def _rational_candidates(int_coeffs: list[int]):
         for qd in divisors(hi):
             cands.add(Fraction(pn, qd))
             cands.add(Fraction(-pn, qd))
-    return sorted(cands)
+    return [field.from_fraction(f) for f in sorted(cands)]
 
 
-def field_roots(coeffs, field: FieldDescriptor):
+def field_roots(coeffs, field: FieldDescriptor, extra=()):
     """All roots of the polynomial that lie in the field, with multiplicity.
 
     Returns (list of (root, multiplicity), remaining factor).  The search is
     exact and complete over Q and over finite fields; over Q(zeta_n) it tries
-    rationals and the roots of unity of the field (which covers every
-    eigenvalue appearing in this artifact), leaving anything else in the
-    remainder.
+    rationals, the roots of unity of the field and the `extra` candidates,
+    leaving anything else in the remainder.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    candidates: list[Scalar] = []
     if field.kind == FINITE:
         candidates = list(field.elements())
     elif field.kind == RATIONAL:
-        den = 1
-        for c in coeffs:
-            den = den * c.payload.denominator // math.gcd(den, c.payload.denominator)
-        ints = [int(c.payload * den) for c in coeffs]
-        candidates = [field.from_fraction(f) for f in _rational_candidates(ints)]
+        candidates = _rational_candidates([c.payload for c in coeffs], field)
     else:
-        candidates = list(field.roots_of_unity()) + [field.zero()]
-        rat = _cyclotomic_rational_candidates(coeffs, field)
-        seen = {c.payload for c in candidates}
-        for c in rat:
-            if c.payload not in seen:
-                seen.add(c.payload)
-                candidates.append(c)
+        # a rational root is a root of each coordinate polynomial in 1, z, z^2, ...
+        coords = ([Fraction(c.payload[0][j], c.payload[1]) for c in coeffs]
+                  for j in range(field.degree))
+        candidates = (list(field.roots_of_unity()) + [field.zero()]
+                      + _rational_candidates(next((x for x in coords if any(x)), []), field))
+    candidates = list({c.payload: c for c in candidates + list(extra)}.values())
     candidates.sort(key=lambda s: s.sort_key())
     roots = []
     for cand in candidates:
@@ -462,22 +453,6 @@ def field_roots(coeffs, field: FieldDescriptor):
         if mult:
             roots.append((cand, mult))
     return roots, coeffs
-
-
-def _cyclotomic_rational_candidates(coeffs, field):
-    phi = field.degree
-    for j in range(phi):
-        comp = []
-        for c in coeffs:
-            nums, den = c.payload
-            comp.append(Fraction(nums[j], den))
-        if any(comp):
-            den = 1
-            for f in comp:
-                den = den * f.denominator // math.gcd(den, f.denominator)
-            ints = [int(f * den) for f in comp]
-            return [field.from_fraction(f) for f in _rational_candidates(ints)]
-    return []
 
 
 @dataclass(frozen=True)
@@ -517,6 +492,17 @@ def jordan_block(field: FieldDescriptor, alpha: Scalar, n: int) -> Matrix:
                                      for j in range(n)) for i in range(n)))
 
 
+def eigenvalues(M: Matrix):
+    """The eigenvalues of M in its field: field_roots of char_poly(M).
+
+    The diagonal entries join the candidates, so the eigenvalues of a
+    triangular matrix are all found, even those (such as 1 + zeta_4 over
+    Q(zeta_4)) that are neither rational nor a root of unity.  Returns
+    (list of (eigenvalue, multiplicity), remaining factor).
+    """
+    return field_roots(char_poly(M), M.field, [M.rows[i][i] for i in range(M.nrows)])
+
+
 def jordan_data(M: Matrix) -> JordanData:
     """Jordan block multiset of an invertible matrix that splits over its field.
 
@@ -528,24 +514,11 @@ def jordan_data(M: Matrix) -> JordanData:
         raise PreconditionError("jordan_data needs a square matrix")
     n = M.nrows
     field = M.field
-    if _is_triangular(M):
-        # read the diagonal: it holds eigenvalues that field_roots cannot find,
-        # such as 1 + zeta_4, which is neither rational nor a root of unity
-        eigs: dict = {}
-        for i in range(n):
-            d = M.rows[i][i]
-            eigs[d.payload] = (d, eigs.get(d.payload, (d, 0))[1] + 1)
-        if any(not ev for ev, _ in eigs.values()):
-            raise PreconditionError("jordan_data needs an invertible matrix")
-        roots = sorted(eigs.values(), key=lambda t: t[0].sort_key())
-    else:
-        cp = char_poly(M)
-        if not cp[0]:
-            raise PreconditionError("jordan_data needs an invertible matrix")
-        found, rem = field_roots(cp, field)
-        if len(rem) > 1:
-            raise DoesNotSplit(rem)
-        roots = found
+    roots, rem = eigenvalues(M)
+    if any(not alpha for alpha, _ in roots):
+        raise PreconditionError("jordan_data needs an invertible matrix")
+    if len(rem) > 1:
+        raise DoesNotSplit(rem)
     blocks = []
     for alpha, mult in roots:
         if mult == 1:

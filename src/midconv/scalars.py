@@ -525,47 +525,38 @@ _TERM_RE = re.compile(r"""
     """, re.VERBOSE)
 
 
-def _split_terms(text: str):
-    """Split a whitespace-free sum into (position, signed term) pieces."""
-    terms = []
-    i = 0
-    start = 0
-    while i < len(text):
-        c = text[i]
-        if c in "+-" and i > start:
-            terms.append((start, text[start:i]))
-            start = i
-        i += 1
-    terms.append((start, text[start:]))
-    return terms
+def parse_terms(text: str):
+    """Yield the terms of a sum in the scalar grammar, whitespace ignored.
 
-
-def _parse_term(term: str, pos: int):
-    """Return (coefficient Fraction, symbol or None, exponent int)."""
-    m = _TERM_RE.fullmatch(term.lstrip("+"))
-    if not m or (m.group("coef") is None and m.group("sym") is None):
-        raise ParseError(f"malformed term {term!r}", pos)
-    if m.group("exp") is not None and m.group("sym") is None:
-        raise ParseError(f"exponent without symbol in {term!r}", pos)
-    try:
-        coef = Fraction(m.group("coef")) if m.group("coef") not in (None, "-", "+") \
-            else Fraction(-1 if m.group("coef") == "-" else 1)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {term!r}", pos) from None
-    exp = int(m.group("exp")) if m.group("exp") is not None else (1 if m.group("sym") else 0)
-    return coef, m.group("sym"), exp
+    Each term is (position, coefficient Fraction, symbol or None, exponent):
+    "3/2*z^2-t+1" gives (0, 3/2, 'z', 2), (7, -1, 't', 1), (9, 1, None, 0).
+    A term starts at each sign.  Raises ParseError for an empty text, a
+    dangling sign or a malformed term, when the iteration reaches it.
+    """
+    compact = "".join(text.split())
+    if not compact:
+        raise ParseError("empty scalar", 0)
+    for piece in re.finditer(r"[+-]?[^+-]+|[+-]", compact):
+        pos, term = piece.start(), piece.group()
+        if term in "+-":
+            raise ParseError("dangling sign", pos)
+        m = _TERM_RE.fullmatch(term.lstrip("+"))
+        coef, sym, exp = m.group("coef", "sym", "exp") if m else (None, None, None)
+        if coef is None and sym is None:
+            raise ParseError(f"malformed term {term!r}", pos)
+        if exp is not None and sym is None:
+            raise ParseError(f"exponent without symbol in {term!r}", pos)
+        try:
+            c = Fraction({None: 1, "+": 1, "-": -1}.get(coef, coef))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {term!r}", pos) from None
+        yield pos, c, sym, int(exp) if exp is not None else int(sym is not None)
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
     """Parse the bit-exact scalar grammar; inverse of format_scalar."""
-    compact = "".join(text.split())
-    if not compact:
-        raise ParseError("empty scalar", 0)
     out = field.zero()
-    for pos, term in _split_terms(compact):
-        if not term or term in "+-":
-            raise ParseError("dangling sign", pos)
-        coef, sym, exp = _parse_term(term, pos)
+    for pos, coef, sym, exp in parse_terms(text):
         if sym == "z":
             if field.kind != CYCLOTOMIC:
                 raise FieldMismatch(f"symbol 'z' not available in {field}")
@@ -574,24 +565,29 @@ def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
             if field.kind != FINITE or field.k < 2:
                 raise FieldMismatch(f"symbol 't' not available in {field}")
             if coef.denominator != 1:
-                raise ParseError(f"non-integer coefficient {term!r} in finite field", pos)
+                raise ParseError(f"non-integer coefficient {coef} in finite field", pos)
             out = out + field.from_fraction(coef) * field.gen() ** exp
         else:
             if field.kind == FINITE and coef.denominator != 1:
-                raise ParseError(f"non-integer coefficient {term!r} in finite field", pos)
+                raise ParseError(f"non-integer coefficient {coef} in finite field", pos)
             out = out + field.from_fraction(coef)
     return out
 
 
-def _fmt_coef_symbol(c: Fraction, sym: str, e: int, lead: bool) -> str:
-    if e == 0:
-        body = str(abs(c))
-    else:
-        s = sym if e == 1 else f"{sym}^{e}"
-        body = s if abs(c) == 1 else f"{abs(c)}*{s}"
-    if c < 0:
-        return "-" + body
-    return body if lead else "+" + body
+def format_poly(coeffs, sym: str, den: int = 1) -> str:
+    """Canonical text of sum_e (coeffs[e] / den) sym^e; inverse of parse_terms.
+
+    Descending powers, '-' bound to its term, "0" for the zero polynomial.
+    """
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        if coeffs[e]:
+            c = Fraction(coeffs[e], den)
+            body = str(abs(c)) if e == 0 else sym if e == 1 else f"{sym}^{e}"
+            if e and abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+            parts.append("-" + body if c < 0 else "+" + body if parts else body)
+    return "".join(parts) or "0"
 
 
 def format_scalar(s: Scalar) -> str:
@@ -601,13 +597,5 @@ def format_scalar(s: Scalar) -> str:
         return str(s.payload)
     if k == CYCLOTOMIC:
         nums, den = s.payload
-        parts = []
-        for e in range(len(nums) - 1, -1, -1):
-            if nums[e]:
-                parts.append(_fmt_coef_symbol(Fraction(nums[e], den), "z", e, not parts))
-        return "".join(parts) if parts else "0"
-    parts = []
-    for e in range(len(s.payload) - 1, -1, -1):
-        if s.payload[e]:
-            parts.append(_fmt_coef_symbol(Fraction(s.payload[e]), "t", e, not parts))
-    return "".join(parts) if parts else "0"
+        return format_poly(nums, "z", den)
+    return format_poly(s.payload, "t")

@@ -10,18 +10,20 @@
     ...
 
 Scalar entries use the exact text grammar of the scalars module; '#' starts
-a comment line.  The points line is optional; the last matrix is the entry
+a comment line.  The defining polynomial of F_{p^2} ("finite 7 2 t^2+4")
+uses the same term grammar: scalars.parse_terms reads it and
+scalars.format_poly writes it.  The points line is optional; the last matrix is the entry
 at infinity.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .linalg import Matrix
-from .scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor, format_scalar, parse_scalar
+from .scalars import (CYCLOTOMIC, RATIONAL, FieldDescriptor, format_poly, format_scalar,
+                      parse_scalar, parse_terms)
 from .tuples import MonodromyTuple
 
 
@@ -32,19 +34,7 @@ def format_field(field: FieldDescriptor) -> str:
         return f"cyclotomic {field.n}"
     if field.k == 1:
         return f"finite {field.p} 1"
-    poly = []
-    names = {0: "", 1: "t", 2: "t^2"}
-    for e in range(2, -1, -1):
-        c = field.poly[e]
-        if c:
-            sym = names[e]
-            if not sym:
-                poly.append(f"+{c}" if poly else f"{c}")
-            elif c == 1:
-                poly.append(f"+{sym}" if poly else sym)
-            else:
-                poly.append(f"+{c}*{sym}" if poly else f"{c}*{sym}")
-    return f"finite {field.p} 2 {''.join(poly)}"
+    return f"finite {field.p} 2 {format_poly(field.poly, 't')}"
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -66,26 +56,16 @@ def parse_field(text: str) -> FieldDescriptor:
                 return FieldDescriptor.finite(p)
             if len(toks) != 4:
                 raise ParseError("degree-2 finite field needs its defining polynomial")
-            coeffs = _parse_int_poly(toks[3])
-            return FieldDescriptor.finite(p, 2, coeffs)
+            coeffs = [0, 0, 0]
+            for pos, coef, sym, exp in parse_terms(toks[3]):
+                if sym == "z" or coef.denominator != 1 or exp > 2:
+                    raise ParseError("defining polynomial needs integer coefficients "
+                                     f"and degree <= 2 in t: {toks[3]!r}", pos)
+                coeffs[exp] += int(coef)
+            return FieldDescriptor.finite(p, 2, tuple(coeffs))
     except ValueError as exc:
         raise ParseError(f"bad field {text!r}: {exc}") from exc
     raise ParseError(f"unknown field kind {toks[0]!r}")
-
-
-def _parse_int_poly(text: str) -> tuple[int, int, int]:
-    """Monic degree-2 integer polynomial in t, e.g. 't^2-2' or 't^2+3*t+1'."""
-    coeffs = [0, 0, 0]
-    for m in re.finditer(r"([+-]?\d*)\*?(t(?:\^(\d+))?)?", text.replace(" ", "")):
-        if not m.group(0):
-            continue
-        c = m.group(1)
-        coeff = int(c) if c not in ("", "+", "-") else (-1 if c == "-" else 1)
-        e = 0 if m.group(2) is None else (1 if m.group(3) is None else int(m.group(3)))
-        if e > 2:
-            raise ParseError(f"defining polynomial degree too large in {text!r}")
-        coeffs[e] += coeff
-    return tuple(coeffs)
 
 
 def save_tuple(T: MonodromyTuple) -> str:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, _echelon, conjugacy_solve, intersect_row_spaces,
-                     kernel_basis, rank, row_space_basis, solve_coords)
+from .linalg import (Matrix, _echelon, char_poly, commutant_basis, conjugacy_solve,
+                     intersect_row_spaces, kernel_basis, rank, row_space_basis,
+                     solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -207,7 +208,7 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
 
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
     touches only the slots i and i+1 of V^{r+1}.  The rows are held as r+1
-    slot blocks, block k being the columns of slot k of all the rows.  With
+    slot blocks of slot_blocks.  With
     (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
     (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b) and beta_i^-1 sends
     them to ((Y - X + X b) a^-1, X): two Matrix products per letter.  The
@@ -216,12 +217,10 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
-    d = T.dim
-    rows = [tuple(v) for v in rows]
     entries = list(T.entries)
     points = list(T.points) if T.points is not None else None
-    blocks = [Matrix(T.field, tuple(v[k * d:(k + 1) * d] for v in rows))
-              for k in range(len(entries))] if rows else []
+    rows = tuple(tuple(v) for v in rows)
+    blocks = slot_blocks(Matrix(T.field, rows), len(entries)) if rows else []
     for i, e in w.letters:
         b = entries[i]
         inv = _act_gen(entries, points, i, inverse=(e < 0))
@@ -232,8 +231,7 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
             blocks[i - 1], blocks[i] = Y, X @ b + Y - Y @ entries[i]
         else:                              # inv = a^-1
             blocks[i - 1], blocks[i] = (Y - X + X @ b) @ inv, X
-    images = [sum(parts, ()) for parts in zip(*(blk.rows for blk in blocks))]
-    return images, MonodromyTuple.make(T.field, entries, points)
+    return join_slots(blocks), MonodromyTuple.make(T.field, entries, points)
 
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
@@ -284,18 +282,20 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
         P = entries[k] @ P
     stacked = Matrix(field, tuple(row for k in range(r1) for row in suffix[k].rows))
     h_basis = kernel_basis(stacked)
-
-    e_rows = []
-    for b in range(d):
-        row = []
-        for M in entries:
-            mrow = M.rows[b]
-            row.extend(mrow[j] - field.one() if j == b else mrow[j] for j in range(d))
-        e_rows.append(tuple(row))
-    e_basis = row_space_basis(e_rows)
-
+    e_basis = row_space_basis(join_slots([M.minus_identity() for M in entries]))
     u_basis = intersect_row_spaces(h_basis, slot_images(entries))
     return CohomologySpaces(tuple(h_basis), tuple(e_basis), tuple(u_basis))
+
+
+def slot_blocks(M: Matrix, n: int) -> list[Matrix]:
+    """Split rows of V^n into n slot blocks: block k is slot k of every row of M."""
+    d = M.ncols // n
+    return [Matrix(M.field, tuple(v[k * d:(k + 1) * d] for v in M.rows)) for k in range(n)]
+
+
+def join_slots(blocks) -> list[tuple]:
+    """Rows of V^n from n slot blocks with equal row counts; undoes slot_blocks."""
+    return [sum(parts, ()) for parts in zip(*(blk.rows for blk in blocks))]
 
 
 def slot_images(entries) -> list:
@@ -384,3 +384,26 @@ def tuples_equivalent(A: MonodromyTuple, B: MonodromyTuple):
     if A.points is not None and B.points is not None and A.points != B.points:
         return None
     return conjugacy_solve(list(A.entries), list(B.entries))
+
+
+def inequivalence_proof(A: MonodromyTuple, B: MonodromyTuple) -> str | None:
+    """An invariant of simultaneous conjugacy that tells A from B, or None.
+
+    The invariants: the field, dim, r and (when both tuples carry them) the
+    points; the characteristic polynomial of each entry; and the dimensions
+    of Hom(A, B), End(A) and End(B), which a conjugator S makes equal
+    (X -> S^-1 X and X -> X S^-1 map Hom(A, B) onto End(B) and End(A)).
+    None proves nothing: the tuples may still be inequivalent.
+    """
+    if A.field != B.field or A.dim != B.dim or A.r != B.r:
+        return "field, dim or r differ"
+    if A.points is not None and B.points is not None and A.points != B.points:
+        return "points differ"
+    for k, (MA, MB) in enumerate(zip(A.entries, B.entries), start=1):
+        if char_poly(MA) != char_poly(MB):
+            return f"characteristic polynomials of entry {k} differ"
+    dims = [len(commutant_basis(list(X.entries), list(Y.entries)))
+            for X, Y in ((A, B), (A, A), (B, B))]
+    if len(set(dims)) > 1:
+        return "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims)
+    return None

@@ -204,3 +204,77 @@ def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
                            "--right", "fixture:Kummer-1")
     assert code == 1
     assert err == "DimensionInconsistency: quotient space is not preserved\n"
+
+
+def _write(tmp_path, name, field, dim, matrices, points=None):
+    lines = [f"field: {field}", f"dim: {dim}"]
+    if points is not None:
+        lines.append("points: " + ", ".join(points))
+    for rows in matrices:
+        lines.append("matrix:")
+        lines.extend(rows)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_predict_local_outside_the_hypotheses_is_a_precondition_error(capsys, tmp_path):
+    # rank prints -1 for this pair, and the predicted blocks outgrow it
+    left = _write(tmp_path, "pl.txt", "rational", 2, [["1, 0", "1, 1"], ["1, 0", "-1, 1"]],
+                  ["-2"])
+    right = _write(tmp_path, "pr.txt", "rational", 2,
+                   [["-2, -2", "0, 1"], ["-1/2, -1", "0, 1"]], ["-1"])
+    code, out, err = _run(capsys, "predict", "--left", left, "--right", right)
+    assert code == 1 and out == ""
+    assert err.startswith("PreconditionError: local prediction at entry (1,1)")
+    assert "Traceback" not in err
+
+
+def test_predict_infinity_outside_the_hypotheses_is_a_precondition_error(capsys, tmp_path):
+    path = _write(tmp_path, "t.txt", "rational", 2, [["-1, 1", "0, 1"]] * 2)
+    code, out, err = _run(capsys, "predict", "--infinity", "--tuple", path, "--lambda=-1")
+    assert code == 1 and out == ""
+    assert err.startswith("PreconditionError: infinity prediction")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["k3", "count", "--q=-5"], 1, "PreconditionError:"),
+    (["k3", "trace", "--q=-7"], 1, "PreconditionError:"),
+    (["fixtures", "dump", "--name", "nope"], 2, "InputError:"),
+])
+def test_bad_input_exits_without_a_traceback(capsys, argv, code, error):
+    got, out, err = _run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith(error) and "Traceback" not in err
+
+
+def test_equiv_without_a_conjugator_or_a_proof_is_inconclusive(capsys, tmp_path):
+    # every commutant basis matrix and prefix sum is singular, so the scan
+    # finds no conjugator, yet the tuple is equivalent to itself
+    path = _write(tmp_path, "a.txt", "rational", 3,
+                  [["1, 0, 0", "0, 1, 0", "0, 0, 2"], ["1, 0, 0", "0, 1, 0", "0, 0, 1/2"]])
+    assert _run_json(capsys, "equiv", path, path) == (3, {"equivalent": None})
+    code, out, _err = _run(capsys, "equiv", path, path)
+    assert code == 3 and out.startswith("inconclusive")
+
+
+def test_equiv_not_equivalent_is_proved_by_commutant_dimensions(capsys, tmp_path):
+    # equal characteristic polynomials; dim End is 2 for A and 4 for B
+    a = _write(tmp_path, "a.txt", "rational", 2, [["1, 1", "0, 1"], ["1, -1", "0, 1"]])
+    b = _write(tmp_path, "b.txt", "rational", 2, [["1, 0", "0, 1"]] * 2)
+    assert _run_json(capsys, "equiv", a, b) == (1, {"equivalent": False})
+    code, out, _err = _run(capsys, "equiv", a, b)
+    assert code == 1
+    assert out == "not equivalent: dim Hom(A, B), dim End(A), dim End(B) = 2, 2, 4\n"
+
+
+def test_check_conv_sees_an_eigenvalue_off_the_roots_of_unity(capsys, tmp_path):
+    # the eigenvalue z+1 of both entries is neither rational nor a root of
+    # unity; it lies on the diagonal
+    path = _write(tmp_path, "t.txt", "cyclotomic 4", 2,
+                  [["1, 0", "0, z+1"], ["z+1, 0", "1, 1"],
+                   ["-1/2*z+1/2, 0", "1/2*z-1/2, -1/2*z+1/2"]], ["0", "1"])
+    code, out, _err = _run(capsys, "check-conv", "--tuple", path)
+    assert code == 0
+    assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"

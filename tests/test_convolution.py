@@ -365,3 +365,18 @@ def test_kummer_tuple_shape():
     K = kummer_tuple(Q, Q.from_int(-1))
     assert K.points == (Fraction(0),)
     assert K.entries == kummer_minus_one().entries
+
+
+def test_adjacent_colliding_points_are_merged_as_pinned():
+    # the sums 0+3 and 2+1 collide, and their loops are adjacent in loop
+    # order; the hash was recorded before the output sort was one bubble sort
+    import hashlib
+    from midconv.tupleio import save_tuple
+    left = scalar_tuple(-1, -1, points=[0, 2])
+    right = MonodromyTuple.from_finite_entries(
+        Q, [Matrix.from_rows(Q, [[1, 1], [0, 1]]), Matrix.from_rows(Q, [[-1, 0], [1, -1]])],
+        [1, 3])
+    out = middle_convolution(ConvolutionInput(left, right))
+    assert out.points == (1, 3, 5)
+    assert hashlib.sha256(save_tuple(out).encode()).hexdigest() == \
+        "6902b49a69657e66fe090ace8122ab87a4fe6511b30a9a6099bae0ef18433fec"

@@ -298,3 +298,27 @@ def test_tuple_io_round_trip(rng):
         assert back.field == T.field
         assert back.entries == T.entries
         assert back.points == T.points
+
+
+@pytest.mark.parametrize("text", ["finite 7 2 t^2+x+1", "finite 5 2 t^2+1/2",
+                                  "finite 13 2 t^2+1.5"])
+def test_defining_polynomial_is_read_by_the_scalar_term_grammar(text):
+    from midconv.tupleio import parse_field
+    with pytest.raises(ParseError):
+        parse_field(text)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_quadratic_field_text_round_trip(p):
+    from midconv.tupleio import format_field, parse_field
+    F = FieldDescriptor.finite(p, 2)
+    assert parse_field(format_field(F)) is F
+
+
+def test_slot_blocks_and_join_slots_undo_each_other(rng):
+    from midconv.tuples import join_slots, slot_blocks
+    rows = random_invertible(Q, 6, rng)
+    blocks = slot_blocks(rows, 3)
+    assert [B.dim for B in blocks] == [(6, 2)] * 3
+    assert blocks[1].rows[0] == rows.rows[0][2:4]
+    assert tuple(join_slots(blocks)) == rows.rows
