@@ -55,7 +55,7 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
+    if getattr(args, "json", False):
         json.dump(payload, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
     else:
@@ -336,7 +336,9 @@ def _attached(what: str, example: str) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    # no default: a subcommand's own --json must not reset one given before it
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="machine-readable output")
     ap = argparse.ArgumentParser(
         prog="midconv",
         description="Exact middle convolution of monodromy tuples, "

@@ -5,7 +5,8 @@ Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
 image of M is its row space.  `_echelon` is the one Gaussian elimination:
 Matrix.inverse, Matrix.det, rank, row_space_basis, kernel_basis,
 solve_coords and in_span all read it.  It picks the first nonzero pivot, so
-every computed basis is deterministic.
+every computed basis is deterministic.  solve_coords eliminates only its
+basis (independent, beside an identity block); the vectors enter products.
 
 The elimination and the matrix products (`_echelon`, `_mul_rows`, hence
 Matrix.__matmul__) run on raw payloads through the field's ops
@@ -297,30 +298,35 @@ def kernel_basis(M: Matrix) -> list[Row]:
 
 
 def in_span(basis, v) -> bool:
+    """v in the span of a linearly independent basis (see solve_coords)."""
     return solve_coords(basis, [v]) is not None
 
 
 def solve_coords(basis, vectors):
     """Coefficients x with sum_k x_k basis_k = v for each v, or None if any v is outside.
 
-    All vectors are solved by one elimination of [basis^T | vectors^T].
+    The basis must be linearly independent; a dependent one raises
+    PreconditionError.  One reduced elimination of [basis | 1_m] gives rows
+    R = M basis with pivot columns P.  v lies in the span exactly when
+    v = v|_P R, checked on the other columns, and then x = v|_P M: the
+    vectors enter two products, not the elimination.
     """
     m = len(basis)
     if m == 0:
         return None if any(any(v) for v in vectors) else [[] for _ in vectors]
-    aug = [[b[c] for b in basis] + [v[c] for v in vectors] for c in range(len(basis[0]))]
-    ech = _echelon(aug)
-    if ech.pivots and ech.pivots[-1] >= m:
+    field, n = _field_of(basis), len(basis[0])
+    one, zero = field.one(), field.zero()
+    ech = _echelon([tuple(b) + tuple(one if k == i else zero for k in range(m))
+                    for i, b in enumerate(basis)], field)
+    if ech.pivots[-1] >= n:
+        raise PreconditionError("solve_coords needs a linearly independent basis")
+    rest = sorted(set(range(n)) - set(ech.pivots))
+    V = _unbox(field, vectors)
+    VP = [[v[c] for c in ech.pivots] for v in V]
+    R, M = [[r[c] for c in rest] for r in ech.rows], [r[n:] for r in ech.rows]
+    if _mul_rows(field.ops, VP, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
         return None
-    field = basis[0][0].field
-    zero = field.zero()
-    out = []
-    for t in range(m, m + len(vectors)):
-        x = [zero] * m
-        for row, pc in zip(ech.rows, ech.pivots):
-            x[pc] = Scalar(field, row[t])
-        out.append(x)
-    return out
+    return [list(_box_row(field, x)) for x in _mul_rows(field.ops, VP, M, m)]
 
 
 def intersect_row_spaces(B1, B2) -> list[Row]:
@@ -427,7 +433,8 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     Returns (list of (root, multiplicity), remaining factor).  The search is
     exact and complete over Q and over finite fields; over Q(zeta_n) it tries
     rationals, the roots of unity of the field and the `extra` candidates,
-    leaving anything else in the remainder.
+    then solves a linear remainder, leaving anything else in the remainder.
+    The roots come in sort_key order.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and not coeffs[-1]:
@@ -452,6 +459,10 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
             mult += 1
         if mult:
             roots.append((cand, mult))
+    if len(coeffs) == 2:                # a linear factor always has its root
+        root = -coeffs[0] / coeffs[1]
+        coeffs = _deflate(coeffs, root)
+        roots = sorted(roots + [(root, 1)], key=lambda rm: rm[0].sort_key())
     return roots, coeffs
 
 

@@ -548,9 +548,12 @@ def parse_terms(text: str):
             raise ParseError(f"exponent without symbol in {term!r}", pos)
         try:
             c = Fraction({None: 1, "+": 1, "-": -1}.get(coef, coef))
+            e = int(exp) if exp is not None else int(sym is not None)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {term!r}", pos) from None
-        yield pos, c, sym, int(exp) if exp is not None else int(sym is not None)
+        except ValueError:              # more digits than int() converts
+            raise ParseError("too many digits in a number", pos) from None
+        yield pos, c, sym, e
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:

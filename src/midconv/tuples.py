@@ -59,10 +59,10 @@ def parse_braid_word(text: str, r: int) -> BraidWord:
         m = _LETTER_RE.match(tok)
         if not m:
             raise ParseError(f"bad braid letter {tok!r}", pos)
-        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
+        letters.append((m.group(1), -1 if m.group(2) else 1))
     try:
-        return BraidWord(r, tuple(letters))
-    except PreconditionError as exc:
+        return BraidWord(r, tuple((int(i), e) for i, e in letters))
+    except (PreconditionError, ValueError) as exc:  # out of range, or too long for int()
         raise ParseError(str(exc)) from exc
 
 
@@ -283,7 +283,10 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
     stacked = Matrix(field, tuple(row for k in range(r1) for row in suffix[k].rows))
     h_basis = kernel_basis(stacked)
     e_basis = row_space_basis(join_slots([M.minus_identity() for M in entries]))
-    u_basis = intersect_row_spaces(h_basis, slot_images(entries))
+    # the slot images S are independent, so U = {c S : c S stacked = 0}
+    S = Matrix(field, tuple(slot_images(entries)))
+    coefs = kernel_basis(S @ stacked) if S.rows else []
+    u_basis = row_space_basis((Matrix(field, tuple(coefs)) @ S).rows) if coefs else []
     return CohomologySpaces(tuple(h_basis), tuple(e_basis), tuple(u_basis))
 
 
@@ -364,7 +367,7 @@ def induced_quotient_matrix(ext, image_blocks, field) -> list[Matrix]:
 
     quotient_basis puts the quotient rows last in `ext`, so each image's
     coordinates on them are the tail of its coordinates in `ext`.  The
-    images of all the blocks are solved by one elimination.  Raises
+    images of all the blocks are solved by one solve_coords call.  Raises
     PreconditionError if an image leaves span(ext): the caller treats that
     as a degeneracy signal.
     """

@@ -278,3 +278,28 @@ def test_check_conv_sees_an_eigenvalue_off_the_roots_of_unity(capsys, tmp_path):
     code, out, _err = _run(capsys, "check-conv", "--tuple", path)
     assert code == 0
     assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"
+
+
+def test_check_conv_finds_an_eigenvalue_from_a_linear_remainder(capsys, tmp_path):
+    # the tuple above conjugated by [[1,1],[0,1]] [[1,0],[1,1]]: z+1 is off
+    # the diagonal now, and field_roots finds it as the root of a linear factor
+    path = _write(tmp_path, "t.txt", "cyclotomic 4", 2,
+                  [["-z+1, 2*z", "-z, 2*z+1"], ["2*z+2, -2*z-1", "z+1, -z"],
+                   ["0, -1/2*z+1/2", "1/2*z-1/2, -z+1"]], ["0", "1"])
+    code, out, _err = _run(capsys, "check-conv", "--tuple", path)
+    assert code == 0
+    assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["k3", "trace", "--q", "5"],
+    ["cohomology", "--tuple", "fixture:V"],
+    ["fixtures", "list"],
+])
+def test_json_before_and_after_the_subcommand_print_the_same_document(capsys, argv):
+    before = _run(capsys, "--json", *argv)
+    nested = _run(capsys, *argv[:1], "--json", *argv[1:])
+    after = _run(capsys, *argv, "--json")
+    assert before == nested == after
+    assert before[0] == 0 and isinstance(json.loads(before[1]), dict)
+    assert _run(capsys, *argv)[1] != before[1]

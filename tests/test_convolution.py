@@ -354,6 +354,20 @@ def test_sl_demo_m1_uses_triangle_group():
     assert rep.rank == 9 and rep.checks_passed
 
 
+@pytest.mark.parametrize("m, r, digest", [
+    (3, 6, "d74c0bd0aca48fbc0837b324c820dc45174303e2c207ce49ee0283fad3daa529"),
+    (5, 6, "9ddf89eeb03a85bcb8c4c89c328d06f025454b68e57e4fe5c2f4adb84c2b4a45"),
+], ids=["3-6", "5-6"])
+def test_larger_sl_demo_outputs_are_pinned(m, r, digest):
+    # recorded before the coordinate solve read the pivot block and U was
+    # cut out of the slot images directly
+    import hashlib
+    from midconv.tupleio import save_tuple
+    rep = sl_demo(m, r)
+    assert rep.checks_passed
+    assert hashlib.sha256(save_tuple(rep.result).encode()).hexdigest() == digest
+
+
 def test_sl_demo_preconditions():
     with pytest.raises(PreconditionError):
         sl_demo(4, 10)

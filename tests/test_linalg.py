@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
-from midconv.linalg import (JordanData, Matrix, char_poly, commutant_basis,
+from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
                             conjugacy_solve, field_roots, find_invertible, jordan_block,
                             in_span, jordan_data, kernel_basis, kronecker, kronecker_jordan,
                             rank, row_space_basis, solve_coords)
-from midconv.scalars import FieldDescriptor
+from midconv.scalars import FieldDescriptor, Scalar
 
 from conftest import F7, Q, random_invertible, random_scalar
 
 Z4 = FieldDescriptor.cyclotomic(4)
 Z12 = FieldDescriptor.cyclotomic(12)
+F49 = FieldDescriptor.finite(7, 2)
 
 A1 = Matrix.from_rows(Q, [[-3, -8], [2, 5]])
 
@@ -69,12 +73,13 @@ def test_char_poly_of_triangular_is_the_product_over_the_diagonal(field, rng):
 
 
 def test_jordan_reads_the_diagonal_of_a_triangular_matrix():
-    # 1 + zeta_4 is neither rational nor a root of unity, so field_roots
-    # cannot find it; jordan_data reads it off the diagonal
+    # 1 +- zeta_4 are neither rational nor roots of unity, and x^2 - 2x + 2
+    # is not linear, so field_roots cannot find them; jordan_data reads them
+    # off the diagonal
     one, z = Z4.one(), Z4.zeta(1)
-    M = Matrix(Z4, ((one + z, one), (Z4.zero(), one)))
-    assert len(field_roots(char_poly(M), Z4)[1]) == 2
-    assert jordan_data(M) == JordanData.of([(one, 1), (one + z, 1)])
+    M = Matrix(Z4, ((one + z, one), (Z4.zero(), one - z)))
+    assert len(field_roots(char_poly(M), Z4)[1]) == 3
+    assert jordan_data(M) == JordanData.of([(one - z, 1), (one + z, 1)])
 
 
 def test_jordan_of_fixture_entry():
@@ -122,6 +127,17 @@ def test_field_roots_rational():
     roots, rem = field_roots(poly, Q)
     assert len(rem) == 1
     assert {r.payload for r, _ in roots} == {2, Fraction(-1, 3)}
+
+
+def test_field_roots_solves_a_linear_remainder():
+    # 1 + zeta_4 is neither rational nor a root of unity, and this conjugate
+    # of diag(1, 1 + zeta_4) does not carry it on its diagonal
+    one, z = Z4.one(), Z4.zeta(1)
+    M = Matrix(Z4, ((one - z, z + z), (-z, z + z + one)))
+    assert field_roots(char_poly(M), Z4) == ([(one, 1), (one + z, 1)], [one])
+    assert jordan_data(M) == JordanData.of([(one, 1), (one + z, 1)])
+    two = one + one
+    assert field_roots([-two * (one + z), two], Z4) == ([(one + z, 1)], [two])
 
 
 def test_kronecker_factors_commute(rng):
@@ -220,6 +236,50 @@ def test_solve_coords_solves_many_vectors_at_once(field, rng):
     assert all(in_span(basis, v) for v in vectors) and not in_span(basis, outside)
     assert solve_coords([], [(zero,) * 5, (zero,) * 5]) == [[], []]
     assert solve_coords([], [outside]) is None
+
+
+def _oracle_coords(basis, vectors):
+    """Coordinates from one reduced elimination of [basis^T | vectors^T]."""
+    m = len(basis)
+    ech = _echelon([[b[c] for b in basis] + [v[c] for v in vectors]
+                    for c in range(len(basis[0]))])
+    if ech.pivots and ech.pivots[-1] >= m:
+        return None
+    field = basis[0][0].field
+    out = []
+    for t in range(m, m + len(vectors)):
+        x = [field.zero()] * m
+        for row, pc in zip(ech.rows, ech.pivots):
+            x[pc] = Scalar(field, row[t])
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z4], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 4), extra=st.integers(0, 3),
+       echelon=st.booleans())
+def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, extra, echelon):
+    rng = random.Random(seed)
+    n = m + extra
+    basis = _random_matrix(field, m, n, rng)
+    while rank(basis) < m:
+        basis = _random_matrix(field, m, n, rng)
+    basis = row_space_basis(basis.rows) if echelon else list(basis.rows)
+    combos = (_random_matrix(field, 3, m, rng) @ Matrix(field, tuple(basis))).rows
+    assert solve_coords(basis, combos) == _oracle_coords(basis, combos)
+    for v in _random_matrix(field, 3, n, rng).rows:
+        assert solve_coords(basis, [v]) == _oracle_coords(basis, [v])
+    # a unit vector outside the span exists when m < n
+    units = Matrix.identity(field, n).rows
+    outside = [u for u in units if _oracle_coords(basis, [u]) is None]
+    assert len(outside) >= extra
+    for u in outside:
+        assert solve_coords(basis, list(combos) + [u]) is None
+    dependent = list(basis)
+    dependent.insert(rng.randint(0, m), combos[0])
+    with pytest.raises(PreconditionError, match="independent"):
+        solve_coords(dependent, combos)
 
 
 def test_conjugacy_solve_identity_case():

@@ -1,21 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from midconv.convolution import ConvolutionInput, circ_tuple
 from midconv.errors import ParseError, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, quadratic_tuple
-from midconv.linalg import Matrix, in_span, rank, row_space_basis
+from midconv.linalg import Matrix, in_span, intersect_row_spaces, rank, row_space_basis
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             cohomology_spaces, parabolic_rank_formula,
                             parse_braid_word, phi_matrix, phi_transport,
-                            pure_braid, quotient_basis, sort_points)
+                            pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
 from conftest import F7, Q, random_invertible, random_scalar, random_tuple
 
 Z4 = FieldDescriptor.cyclotomic(4)
+F49 = FieldDescriptor.finite(7, 2)
 
 
 def scalar_tuple(*values, points=None):
@@ -232,6 +236,21 @@ def test_quotient_basis_is_the_greedy_extension(field, rng):
                 ext.append(u)
                 quot.append(u)
         assert quotient_basis(u_basis, sp.e_basis) == (ext, quot)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z4], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(1, 3), r=st.integers(1, 3),
+       trivial=st.lists(st.booleans(), min_size=3, max_size=3))
+@example(seed=0, dim=2, r=2, trivial=[True] * 3)
+def test_u_basis_is_h_meet_the_slot_images(field, seed, dim, r, trivial):
+    # some finite entries are the identity, all of them in the trivial tuple
+    rng = random.Random(seed)
+    finite = [Matrix.identity(field, dim) if flag else random_invertible(field, dim, rng)
+              for flag in trivial[:r]]
+    T = MonodromyTuple.from_finite_entries(field, finite)
+    sp = cohomology_spaces(T)
+    assert list(sp.u_basis) == intersect_row_spaces(list(sp.h_basis), slot_images(T.entries))
 
 
 def test_cohomology_minus_ones():
