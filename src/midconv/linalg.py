@@ -433,7 +433,8 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     Returns (list of (root, multiplicity), remaining factor).  The search is
     exact and complete over Q and over finite fields; over Q(zeta_n) it tries
     rationals, the roots of unity of the field and the `extra` candidates,
-    then solves a linear remainder, leaving anything else in the remainder.
+    then the mean of the remainder's roots, which solves a remainder
+    (x - alpha)^k (k = 1 included), leaving anything else in the remainder.
     The roots come in sort_key order.
     """
     coeffs = list(coeffs)
@@ -452,17 +453,20 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     candidates = list({c.payload: c for c in candidates + list(extra)}.values())
     candidates.sort(key=lambda s: s.sort_key())
     roots = []
-    for cand in candidates:
+    for cand in candidates + [None]:
+        if cand is None:
+            # the mean -c_{k-1} / (k c_k) of the remainder's roots: the root of
+            # any (x - alpha)^k, a linear remainder among them
+            if field.kind == FINITE or len(coeffs) < 2:
+                break
+            cand = -coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1])
         mult = 0
         while len(coeffs) > 1 and not poly_eval(coeffs, cand):
             coeffs = _deflate(coeffs, cand)
             mult += 1
         if mult:
             roots.append((cand, mult))
-    if len(coeffs) == 2:                # a linear factor always has its root
-        root = -coeffs[0] / coeffs[1]
-        coeffs = _deflate(coeffs, root)
-        roots = sorted(roots + [(root, 1)], key=lambda rm: rm[0].sort_key())
+    roots.sort(key=lambda rm: rm[0].sort_key())
     return roots, coeffs
 
 

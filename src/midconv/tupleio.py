@@ -12,8 +12,9 @@
 Scalar entries use the exact text grammar of the scalars module; '#' starts
 a comment line.  The defining polynomial of F_{p^2} ("finite 7 2 t^2+4")
 uses the same term grammar: scalars.parse_terms reads it and
-scalars.format_poly writes it.  The points line is optional; the last matrix is the entry
-at infinity.
+scalars.format_poly writes it.  A cyclotomic order above
+MAX_CYCLOTOMIC_ORDER is a ParseError.  The points line is optional; the
+last matrix is the entry at infinity.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .linalg import Matrix
 from .scalars import (CYCLOTOMIC, RATIONAL, FieldDescriptor, format_poly, format_scalar,
                       parse_scalar, parse_terms)
 from .tuples import MonodromyTuple
+
+
+# tabulating Q(zeta_n) grows faster than linearly in n: n = 1000 takes well
+# under a second, n = 10^4 about 10 s, so one line of a file could stall a load
+MAX_CYCLOTOMIC_ORDER = 1000
 
 
 def format_field(field: FieldDescriptor) -> str:
@@ -47,7 +53,11 @@ def parse_field(text: str) -> FieldDescriptor:
         if toks[0] == "cyclotomic":
             if len(toks) != 2 or not toks[1].isdigit():
                 raise ParseError(f"bad cyclotomic field {text!r}")
-            return FieldDescriptor.cyclotomic(int(toks[1]))
+            n = int(toks[1])
+            if n > MAX_CYCLOTOMIC_ORDER:
+                raise ParseError(f"cyclotomic order {n} is above the limit "
+                                 f"{MAX_CYCLOTOMIC_ORDER}")
+            return FieldDescriptor.cyclotomic(n)
         if toks[0] == "finite":
             if len(toks) < 3:
                 raise ParseError(f"bad finite field {text!r}")

@@ -11,11 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, _echelon, char_poly, commutant_basis, conjugacy_solve,
-                     intersect_row_spaces, kernel_basis, rank, row_space_basis,
-                     solve_coords)
+from .linalg import (Matrix, _box_row, _echelon, _mul_rows, _unbox, char_poly,
+                     commutant_basis, conjugacy_solve, intersect_row_spaces, kernel_basis,
+                     rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -147,32 +148,59 @@ class MonodromyTuple:
         return self.entries[-1]
 
 
-def _act_gen(entries, points, i, inverse) -> Matrix:
+class _Entries(dict):
+    """id(M) -> [M, payload rows, whether M is c*1, M^-1 or None] for one word.
+
+    `_unbox` (the one checked boundary), the c*1 test and the inverse run at
+    most once per entry per word; holding M keeps its id from being reused.
+    """
+
+    def look(self, M: Matrix) -> list:
+        rec = self.get(id(M))
+        if rec is None:
+            P = _unbox(M.field, M.rows)
+            c, nonzero = P[0][0] if P else None, M.field.ops.nonzero
+            rec = self[id(M)] = [M, P, all(x == c if j == k else not nonzero(x)
+                                           for k, row in enumerate(P)
+                                           for j, x in enumerate(row)), None]
+        return rec
+
+    def inverse(self, M: Matrix) -> Matrix:
+        rec = self.look(M)
+        if rec[3] is None:
+            rec[3] = M.inverse()
+        return rec[3]
+
+
+def _act_gen(entries, points, i, inverse, seen: _Entries) -> None:
     """One braid generator on (list of entries, list of points or None); 1-based i.
 
     The Hurwitz move (a, b) -> (b, b^-1 a b), or (a, b) -> (a b a^-1, a) for
-    the inverse generator.  Returns the inverse it used: b^-1, or a^-1.
+    the inverse generator.  When a or b is a scalar matrix c*1 the pair
+    commutes, b^-1 a b = a and a b a^-1 = b exactly, and the move is a swap
+    of the two entry objects: no inverse and no product.  Any other pair
+    takes the general move, with the inverse from `seen`.
     """
     a, b = entries[i - 1], entries[i]
-    if not inverse:
-        inv = b.inverse()
-        entries[i - 1], entries[i] = b, inv @ a @ b
+    if seen.look(a)[2] or seen.look(b)[2]:
+        entries[i - 1], entries[i] = b, a
+    elif not inverse:
+        entries[i - 1], entries[i] = b, seen.inverse(b) @ a @ b
     else:
-        inv = a.inverse()
-        entries[i - 1], entries[i] = a @ b @ inv, a
+        entries[i - 1], entries[i] = a @ b @ seen.inverse(a), a
     if points is not None:
         points[i - 1], points[i] = points[i], points[i - 1]
-    return inv
 
 
 def _braid_sort(entries, points, descending=False) -> None:
     """Bubble the points into monotone order in place, each swap a braid generator."""
+    seen = _Entries()
     changed = True
     while changed:
         changed = False
         for i in range(1, len(points)):
             if (points[i - 1] < points[i]) if descending else (points[i - 1] > points[i]):
-                _act_gen(entries, points, i, inverse=False)
+                _act_gen(entries, points, i, False, seen)
                 changed = True
 
 
@@ -207,31 +235,42 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     """([v Phi(T, w) for v in rows], T^w), one braid letter at a time.
 
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
-    touches only the slots i and i+1 of V^{r+1}.  The rows are held as r+1
-    slot blocks of slot_blocks.  With
+    touches only the slots i and i+1 of V^{r+1}.  The rows are unboxed once,
+    held as r+1 slot blocks of payload rows and boxed on return.  With
     (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
-    (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b) and beta_i^-1 sends
-    them to ((Y - X + X b) a^-1, X): two Matrix products per letter.  The
-    letters act on a plain list of entries; T^w is built, and its product
-    relation checked, once per word.
+    (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), with no inverse, and
+    beta_i^-1 sends them to ((Y - X + X b) a^-1, X), a^-1 formed once per
+    entry per word.  The entries move by _act_gen, so b^-1 a b is a itself
+    when a or b is c*1.  If every entry ends as the same object in its slot,
+    with the same points, T itself is returned (its product relation is
+    already checked); otherwise T^w is built, and checked, once per word.
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
+    field, d, seen, ops = T.field, T.dim, _Entries(), T.field.ops
     entries = list(T.entries)
     points = list(T.points) if T.points is not None else None
-    rows = tuple(tuple(v) for v in rows)
-    blocks = slot_blocks(Matrix(T.field, rows), len(entries)) if rows else []
+    rows = _unbox(field, rows)
+    blocks = [[v[k * d:(k + 1) * d] for v in rows] for k in range(len(entries))]
     for i, e in w.letters:
-        b = entries[i]
-        inv = _act_gen(entries, points, i, inverse=(e < 0))
-        if not blocks:
-            continue
+        a, b = entries[i - 1], entries[i]
+        _act_gen(entries, points, i, e < 0, seen)
         X, Y = blocks[i - 1], blocks[i]
+        if not X:
+            continue
+        Xb = _mul_rows(ops, X, seen.look(b)[1], d)
         if e > 0:                          # entries[i] is now b^-1 a b
-            blocks[i - 1], blocks[i] = Y, X @ b + Y - Y @ entries[i]
-        else:                              # inv = a^-1
-            blocks[i - 1], blocks[i] = (Y - X + X @ b) @ inv, X
-    return join_slots(blocks), MonodromyTuple.make(T.field, entries, points)
+            Ya = _mul_rows(ops, Y, seen.look(entries[i])[1], d)
+            blocks[i - 1], blocks[i] = Y, [tuple(map(ops.sub, map(ops.add, xb, y), ya))
+                                           for xb, y, ya in zip(Xb, Y, Ya)]
+        else:
+            Z = [tuple(map(ops.add, map(ops.sub, y, x), xb)) for x, y, xb in zip(X, Y, Xb)]
+            blocks[i - 1], blocks[i] = _mul_rows(ops, Z, seen.look(seen.inverse(a))[1], d), X
+    images = [_box_row(field, chain(*parts)) for parts in zip(*blocks)]
+    if all(M is N for M, N in zip(entries, T.entries)) and (
+            points is None or tuple(points) == T.points):
+        return images, T
+    return images, MonodromyTuple.make(field, entries, points)
 
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:

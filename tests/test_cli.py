@@ -249,6 +249,14 @@ def test_bad_input_exits_without_a_traceback(capsys, argv, code, error):
     assert err.startswith(error) and "Traceback" not in err
 
 
+def test_cyclotomic_order_above_the_limit_exits_2(capsys, tmp_path):
+    path = _write(tmp_path, "t.txt", "cyclotomic 10000", 1, [["1"]])
+    code, out, err = _run(capsys, "cohomology", "--tuple", path)
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError: cyclotomic order 10000 is above the limit 1000")
+    assert "Traceback" not in err
+
+
 def test_equiv_without_a_conjugator_or_a_proof_is_inconclusive(capsys, tmp_path):
     # every commutant basis matrix and prefix sum is singular, so the scan
     # finds no conjugator, yet the tuple is equivalent to itself
@@ -303,3 +311,16 @@ def test_json_before_and_after_the_subcommand_print_the_same_document(capsys, ar
     assert before == nested == after
     assert before[0] == 0 and isinstance(json.loads(before[1]), dict)
     assert _run(capsys, *argv)[1] != before[1]
+
+
+def test_python_dash_m_midconv_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "midconv", "demo", "sl", "--m", "3", "--r", "4",
+                           "--json"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks_passed"] is True

@@ -140,6 +140,18 @@ def test_field_roots_solves_a_linear_remainder():
     assert field_roots([-two * (one + z), two], Z4) == ([(one + z, 1)], [two])
 
 
+def test_field_roots_solves_a_repeated_root_off_the_candidates():
+    # the infinity entry of the conjugated check-conv tuple has characteristic
+    # polynomial (x - (1 - zeta_4)/2)^2; its root is the mean of the roots
+    one, z = Z4.one(), Z4.zeta(1)
+    alpha = (one - z) * Z4.from_fraction(Fraction(1, 2))
+    M = Matrix.from_rows(Z4, [["0", "-1/2*z+1/2"], ["1/2*z-1/2", "-z+1"]])
+    assert field_roots(char_poly(M), Z4) == ([(alpha, 2)], [one])
+    assert jordan_data(M) == JordanData.of([(alpha, 2)])
+    # over Q the candidates are complete, so the mean of x^2 - 2 is no root
+    assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
+
+
 def test_kronecker_factors_commute(rng):
     A = random_invertible(Q, 2, rng)
     B = random_invertible(Q, 2, rng)

@@ -169,15 +169,91 @@ def _phi_gen_blocks(T, i):
     return Matrix(field, tuple(rows))
 
 
-@pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
+def _phi_word_oracle(T, w):
+    """(Phi(T, w), entries of T^w): a product of _phi_gen_blocks, moves by hand."""
+    entries = list(T.entries)
+    big = Matrix.identity(T.field, len(entries) * T.dim)
+    for i, e in w.letters:
+        a, b = entries[i - 1], entries[i]
+        if e > 0:
+            step = _phi_gen_blocks(MonodromyTuple.make(T.field, entries), i)
+            entries[i - 1], entries[i] = b, b.inverse() @ a @ b
+        else:
+            entries[i - 1], entries[i] = a @ b @ a.inverse(), a
+            step = _phi_gen_blocks(MonodromyTuple.make(T.field, entries), i).inverse()
+        big = big @ step
+    return big, tuple(entries)
+
+
+def _pair_cases(field, rng, i):
+    """r = 3 tuples whose slots i, i+1 hold: a random pair, a scalar c*1 in
+    slot i, one in slot i+1, a commuting pair without one, and a
+    non-commuting pair with constant diagonals."""
+    one, zero = field.one(), field.zero()
+    c = next(x for x in iter(lambda: random_scalar(field, rng), None) if x)
+    scalar = Matrix.identity(field, 2).scale(c)
+    unipotent = Matrix(field, ((one, one), (zero, one)))
+    for pair in (None, "scalar i", "scalar i+1", "commuting", "unipotents"):
+        finite = [random_invertible(field, 2, rng) for _ in range(3)]
+        if pair == "scalar i":
+            finite[i - 1] = scalar
+        elif pair == "scalar i+1":
+            finite[i] = scalar
+        elif pair == "commuting":
+            finite[i - 1], finite[i] = unipotent, unipotent @ unipotent
+        elif pair == "unipotents":
+            finite[i - 1], finite[i] = unipotent, unipotent.transpose()
+        yield pair, MonodromyTuple.from_finite_entries(field, finite)
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z4, F49], ids=str)
 def test_phi_generators_match_block_oracle(field, rng):
-    for _ in range(2):
-        T = random_tuple(field, 2, 3, rng)
-        for i in (1, 2):
+    # a scalar entry in slot i or i+1 makes the letter a swap of the entries;
+    # any other pair, commuting or not, takes the general Hurwitz move
+    for i in (1, 2):
+        for pair, T in _pair_cases(field, rng, i):
             b = BraidWord(3, ((i, 1),))
             assert phi_matrix(T, b) == _phi_gen_blocks(T, i)
             prev = braid_act(T, b.inverse())
             assert phi_matrix(T, b.inverse()) == _phi_gen_blocks(prev, i).inverse()
+            for w in (b, b.inverse()):
+                moved = braid_act(T, w).entries
+                assert moved == _phi_word_oracle(T, w)[1]
+                if pair in ("scalar i", "scalar i+1", "commuting"):
+                    assert moved[i - 1:i + 1] == (T.entries[i], T.entries[i - 1])
+                if pair in ("scalar i", "scalar i+1"):
+                    assert moved[i - 1] is T.entries[i] and moved[i] is T.entries[i - 1]
+
+
+def test_loop_words_of_a_kummer_convolution_give_back_the_tensor_tuple(rng):
+    # the right tuple has rank one, so each of its entries in C is c*1 and
+    # every letter of a loop word delta_{i,j} acts on a commuting pair
+    from midconv.convolution import _delta_word
+    left = random_tuple(Q, 2, 3, rng, with_points=True)
+    C = circ_tuple(ConvolutionInput(left, scalar_tuple(-1, 2, points=[20, 30])))
+    spaces = cohomology_spaces(C)
+    _ext, quot = quotient_basis(spaces.u_basis, spaces.e_basis)
+    assert quot
+    for j in (1, 2):
+        for i in (1, 2, 3):
+            w = _delta_word(i, j, 3, 5)
+            images, TW = phi_transport(C, w, quot)
+            assert TW is C
+            big, entries = _phi_word_oracle(C, w)
+            assert entries == C.entries
+            assert images == [_row_times(v, big) for v in quot]
+
+
+def test_phi_transport_returns_a_new_checked_tuple_when_the_entries_move(rng):
+    T = random_tuple(Q, 2, 3, rng, with_points=True)
+    w = parse_braid_word("b1 b2^-1", 3)
+    images, TW = phi_transport(T, w, [])
+    assert TW is not T and TW.entries == _phi_word_oracle(T, w)[1]
+    # the same entry objects in another order of points is not T either
+    two = Matrix.from_rows(Q, [[2]])
+    S = MonodromyTuple.make(Q, [two, two, Matrix.from_rows(Q, [[Fraction(1, 4)]])], [0, 1])
+    SW = phi_transport(S, BraidWord(2, ((1, 1),)), [])[1]
+    assert SW is not S and SW.entries == S.entries and SW.points == (1, 0)
 
 
 @pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
@@ -325,6 +401,14 @@ def test_defining_polynomial_is_read_by_the_scalar_term_grammar(text):
     from midconv.tupleio import parse_field
     with pytest.raises(ParseError):
         parse_field(text)
+
+
+def test_cyclotomic_order_above_the_limit_is_a_parse_error():
+    from midconv.tupleio import MAX_CYCLOTOMIC_ORDER, parse_field
+    assert MAX_CYCLOTOMIC_ORDER == 1000
+    assert parse_field("cyclotomic 1000") is FieldDescriptor.cyclotomic(1000)
+    with pytest.raises(ParseError, match="above the limit 1000"):
+        load_tuple("field: cyclotomic 1001\ndim: 1\nmatrix:\n1\n")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
