@@ -8,11 +8,17 @@ solve_coords and in_span all read it.  It picks the first nonzero pivot, so
 every computed basis is deterministic.  solve_coords eliminates only its
 basis (independent, beside an identity block); the vectors enter products.
 
-The elimination and the matrix products (`_echelon`, `_mul_rows`, hence
-Matrix.__matmul__) run on raw payloads through the field's ops
+The payload loops -- the elimination, the matrix products (`_echelon`,
+`_mul_rows`, hence Matrix.__matmul__), char_poly and the coefficient rows of
+solve_matrix_equations -- run on raw payloads through the field's ops
 table.  `_unbox` is their boundary: it raises TypeError for an entry that is
 not a Scalar and FieldMismatch for an entry of another field, as Scalar
-arithmetic does; results are boxed back into Scalars on the way out.
+arithmetic does; results are boxed back into Scalars on the way out.  Each
+loop touches only nonzero entries: the right factor of a product is read as
+`_sparse_rows` ((j, b) for the nonzero b of each row, built once by a caller
+that reuses it), the elimination runs along the nonzero entries of the pivot
+row, and every term is one `ops.addmul(acc, a, b)` = acc + a*b, normalized
+once, instead of a mul and an add.
 
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
@@ -33,7 +39,7 @@ from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
-from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
+from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, divisors, parse_scalar
 
 Row = tuple
 
@@ -110,8 +116,8 @@ class Matrix:
             raise FieldMismatch("matrix product across fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        prod = _mul_rows(field.ops, _unbox(field, self.rows), _unbox(field, other.rows),
-                         other.ncols)
+        prod = _mul_rows(field.ops, _unbox(field, self.rows),
+                         _sparse_rows(field.ops, _unbox(field, other.rows)), other.ncols)
         return Matrix(field, tuple(_box_row(field, r) for r in prod))
 
     def scale(self, c: Scalar) -> "Matrix":
@@ -203,17 +209,27 @@ def _box_row(field: FieldDescriptor, payloads) -> Row:
     return tuple(Scalar(field, x) for x in payloads)
 
 
-def _mul_rows(ops, A, B, ncols: int) -> list[tuple]:
-    """Payload rows of the product A B of payload rows; B has ncols columns."""
-    zero, nonzero, add, mul = ops.zero, ops.nonzero, ops.add, ops.mul
+def _sparse_rows(ops, B) -> list[list]:
+    """The (j, b) pairs of the nonzero entries b of each payload row of B."""
+    nonzero = ops.nonzero
+    return [[(j, b) for j, b in enumerate(row) if nonzero(b)] for row in B]
+
+
+def _mul_rows(ops, A, SB, ncols: int) -> list[tuple]:
+    """Payload rows of the product A B; SB = _sparse_rows(ops, B), B has ncols columns.
+
+    Each nonzero a in column k of a row of A adds a*b into column j for the
+    nonzero (j, b) of row k of B, one addmul per term.  A caller that
+    multiplies by one B many times builds SB once.
+    """
+    zero, nonzero, addmul = ops.zero, ops.nonzero, ops.addmul
     out = []
     for row in A:
         acc = [zero] * ncols
-        for a, brow in zip(row, B):
-            if nonzero(a):
-                for j, b in enumerate(brow):
-                    if nonzero(b):
-                        acc[j] = add(acc[j], mul(a, b))
+        for a, brow in zip(row, SB):
+            if brow and nonzero(a):
+                for j, b in brow:
+                    acc[j] = addmul(acc[j], a, b)
         out.append(tuple(acc))
     return out
 
@@ -237,7 +253,7 @@ def _echelon(rows, field: FieldDescriptor | None = None, reduced: bool = True) -
         if field is None:
             return _Echelon(None, [], [], None)
     ops = field.ops
-    nonzero, neg, sub, mul = ops.nonzero, ops.neg, ops.sub, ops.mul
+    nonzero, neg, mul, addmul = ops.nonzero, ops.neg, ops.mul, ops.addmul
     M = [r for r in _unbox(field, rows) if any(map(nonzero, r))]
     det = ops.one
     piv = []
@@ -253,10 +269,13 @@ def _echelon(rows, field: FieldDescriptor | None = None, reduced: bool = True) -
         det = mul(det, pivot)
         pv = ops.inv(pivot)
         prow = M[r0] = [mul(x, pv) if nonzero(x) else x for x in M[r0]]
+        pairs = [(j, y) for j, y in enumerate(prow) if nonzero(y)]
         for r in range(len(M)) if reduced else range(r0 + 1, len(M)):
-            if r != r0 and nonzero(M[r][c]):
-                f = M[r][c]
-                M[r] = [sub(x, mul(f, y)) if nonzero(y) else x for x, y in zip(M[r], prow)]
+            row = M[r]
+            if r != r0 and nonzero(row[c]):
+                f = neg(row[c])
+                for j, y in pairs:
+                    row[j] = addmul(row[j], f, y)
         piv.append(c)
         r0 += 1
         if r0 == len(M):
@@ -323,10 +342,12 @@ def solve_coords(basis, vectors):
     rest = sorted(set(range(n)) - set(ech.pivots))
     V = _unbox(field, vectors)
     VP = [[v[c] for c in ech.pivots] for v in V]
-    R, M = [[r[c] for c in rest] for r in ech.rows], [r[n:] for r in ech.rows]
-    if _mul_rows(field.ops, VP, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
+    ops = field.ops
+    R = _sparse_rows(ops, [[r[c] for c in rest] for r in ech.rows])
+    if _mul_rows(ops, VP, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
         return None
-    return [list(_box_row(field, x)) for x in _mul_rows(field.ops, VP, M, m)]
+    M = _sparse_rows(ops, [r[n:] for r in ech.rows])
+    return [list(_box_row(field, x)) for x in _mul_rows(ops, VP, M, m)]
 
 
 def intersect_row_spaces(B1, B2) -> list[Row]:
@@ -347,38 +368,43 @@ def intersect_row_spaces(B1, B2) -> list[Row]:
 def char_poly(M: Matrix) -> list[Scalar]:
     """Monic characteristic polynomial det(x - M), ascending coefficients.
 
-    One algorithm for every matrix: the division-free Berkowitz algorithm.
+    One algorithm for every matrix: the division-free Berkowitz algorithm, on
+    payloads.  Every sum of products is one addmul per term with both factors
+    nonzero; the coefficients are boxed on return.
     """
     if not M.is_square():
         raise PreconditionError("characteristic polynomial of a non-square matrix")
-    n = M.nrows
     field = M.field
-    one, zero = field.one(), field.zero()
-    if n == 0:
-        return [one]
-    A = M.rows
-    # Berkowitz: iterate over leading principal minors; vectors are descending.
-    vec = [one, -A[0][0]]
-    for i in range(1, n):
-        R = A[i][:i]
-        C = [A[j][i] for j in range(i)]
-        q = [A[i][i]]
-        w = C
+    ops = field.ops
+    zero, nonzero, neg, addmul = ops.zero, ops.nonzero, ops.neg, ops.addmul
+    A = _unbox(field, M.rows)
+
+    def dot(row, pairs):
+        acc = zero
+        for j, y in pairs:
+            if nonzero(row[j]):
+                acc = addmul(acc, row[j], y)
+        return acc
+
+    # Berkowitz: the leading principal minors one by one; vec is descending.
+    vec = [ops.one]
+    for i, row in enumerate(A):
+        # q = (A_ii, R C, R A' C, ..., R A'^(i-1) C), A' the leading i x i minor
+        q, w = [row[i]], [A[j][i] for j in range(i)]
         for _ in range(i):
-            q.append(sum((rv * wv for rv, wv in zip(R, w)), zero))
-            w = [sum((A[r][j] * wv for j, wv in enumerate(w) if wv), zero)
-                 for r in range(i)]
-        new = [zero] * (i + 2)
+            pairs = [(j, y) for j, y in enumerate(w) if nonzero(y)]
+            q.append(dot(row, pairs))
+            w = [dot(A[r], pairs) for r in range(i)]
+        negq = [neg(x) if nonzero(x) else x for x in q]
+        new = []
         for r in range(i + 2):
-            acc = zero
-            for c in range(min(r, i) + 1):
-                if r == c:
-                    acc = acc + vec[c]
-                else:
-                    acc = acc - q[r - c - 1] * vec[c]
-            new[r] = acc
+            acc = vec[r] if r <= i else zero
+            for c in range(min(r, i + 1)):
+                if nonzero(vec[c]) and nonzero(negq[r - c - 1]):
+                    acc = addmul(acc, negq[r - c - 1], vec[c])
+            new.append(acc)
         vec = new
-    return list(reversed(vec))
+    return [Scalar(field, x) for x in reversed(vec)]
 
 
 def poly_eval(coeffs, x: Scalar) -> Scalar:
@@ -407,18 +433,6 @@ def _rational_candidates(coeffs: list[Fraction], field: FieldDescriptor):
     if lo is None:
         return []
     hi = int_coeffs[-1]
-
-    def divisors(m):
-        m = abs(m)
-        out = []
-        f = 1
-        while f * f <= m:
-            if m % f == 0:
-                out.append(f)
-                out.append(m // f)
-            f += 1
-        return sorted(set(out))
-
     cands = {Fraction(0)}
     for pn in divisors(lo):
         for qd in divisors(hi):
@@ -594,22 +608,22 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
     """
     field = pairs[0][0][0].field
     ops = field.ops
-    nonzero, mul = ops.nonzero, ops.mul
+    nonzero, addmul = ops.nonzero, ops.addmul
     coefs = [[] for _ in range(1 + max(map(max, unknowns)))]
     for pair in pairs:
         (L0, R0), _ = pair
         width = R0.ncols
         block = [[ops.zero] * (L0.nrows * width) for _ in coefs]
-        for (L, R), acc in zip(pair, (ops.add, ops.sub)):
-            rrows = _unbox(field, R.rows)
+        for (L, R), negate in zip(pair, (False, True)):
+            rrows = _sparse_rows(ops, _unbox(field, R.rows))
             for i, lrow in enumerate(_unbox(field, L.rows)):
                 for u, a in enumerate(lrow):
                     if nonzero(a):
+                        a = ops.neg(a) if negate else a
                         for v, rrow in enumerate(rrows):
                             c = block[unknowns[u][v]]
-                            for j, b in enumerate(rrow):
-                                if nonzero(b):
-                                    c[i * width + j] = acc(c[i * width + j], mul(a, b))
+                            for j, b in rrow:
+                                c[i * width + j] = addmul(c[i * width + j], a, b)
         for row, part in zip(coefs, block):
             row.extend(part)
     system = Matrix(field, tuple(_box_row(field, row) for row in coefs))

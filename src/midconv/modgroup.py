@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (BadPrime, FieldMismatch, NoInvariantForm, NoRootInQuadratic,
                      PreconditionError)
-from .linalg import (Matrix, _box_row, _mul_rows, _unbox, commutant_basis,
+from .linalg import (Matrix, _box_row, _mul_rows, _sparse_rows, _unbox, commutant_basis,
                      find_invertible, jordan_data, poly_eval, rank, solve_matrix_equations)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
@@ -93,14 +93,17 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
 
 
 class _RowImages(dict):
-    """Payload row -> that row times A, for one generator A; filled on first lookup."""
+    """Payload row -> that row times A, for one generator A; filled on first lookup.
+
+    A is held as its _sparse_rows, built once per generator.
+    """
 
     def __init__(self, ops, A, n: int):
         super().__init__()
-        self.ops, self.A, self.n = ops, A, n
+        self.ops, self.SA, self.n = ops, _sparse_rows(ops, A), n
 
     def __missing__(self, row):
-        image = self[row] = _mul_rows(self.ops, (row,), self.A, self.n)[0]
+        image = self[row] = _mul_rows(self.ops, (row,), self.SA, self.n)[0]
         return image
 
 

@@ -15,10 +15,13 @@ coefficients are arbitrary precision throughout.
 Field descriptors are interned: the constructors return one object per field,
 so a field check is an identity test (`a is b`), with `==` as the fallback
 for a descriptor built some other way.  Each descriptor carries its ops table
-(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, inv on payloads), chosen
-once from the field's kind, and cached zero() and one() elements.  Scalar
-arithmetic calls the table; the hot loops of linalg and modgroup unbox to
-payloads once and call it directly.
+(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, inv on
+payloads), chosen once from the field's kind, and cached zero() and one()
+elements.  Scalar arithmetic calls the table; the hot loops of linalg and
+modgroup unbox to payloads once and call it directly.  `addmul(c, a, b)` is
+their multiply-accumulate c + a*b: one reduction (F_p, F_{p^2}) or one
+normalization (Q(zeta_n)) per term instead of one for the product and one for
+the sum.
 """
 
 from __future__ import annotations
@@ -38,17 +41,110 @@ CYCLOTOMIC = "cyclotomic"
 FINITE = "finite"
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly for
+# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _SMALL_PRIMES: exact below 3.3e24, a strong
+    probable-prime test to 13 bases above."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _SMALL_PRIMES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle
+    search and gcds batched over 128 steps; deterministic (x0 = 2, c = 1, 2, ...)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:                      # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"no factor of {n} found")
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root floor(n^(1/k)) of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def divisors(m: int) -> list[int]:
+    """The positive divisors of |m| in increasing order ([] for 0).
+
+    Trial division by 2 and the odd numbers below 1000, while they do not
+    pass the square root of the cofactor; is_prime and _pollard_brent split
+    what is left.
+    """
+    m = abs(m)
+    if m == 0:
+        return []
+    primes: dict[int, int] = {}
+    f = 2
+    while f < 1000 and f * f <= m:
+        while m % f == 0:
+            primes[f] = primes.get(f, 0) + 1
+            m //= f
+        f += 1 if f == 2 else 2
+    rest = [m] if m > 1 else []
+    while rest:
+        n = rest.pop()
+        if is_prime(n):
+            primes[n] = primes.get(n, 0) + 1
+            continue
+        # rho needs ~sqrt(p) steps to split p^k, so take perfect powers apart first;
+        # n has no prime factor below 1000 > 2^9, so r^k = n needs k <= bits / 9
+        for k in range(2, n.bit_length() // 9 + 1):
+            r = _iroot(n, k)
+            if r ** k == n:
+                rest += [r] * k
+                break
+        else:
+            g = _pollard_brent(n)
+            rest += [g, n // g]
+    divs = [1]
+    for p, e in primes.items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -120,6 +216,7 @@ class FieldOps(NamedTuple):
     sub: Callable
     neg: Callable
     mul: Callable
+    addmul: Callable       # addmul(c, a, b) = c + a*b, normalized once
     inv: Callable          # the argument must be nonzero
 
 
@@ -296,7 +393,8 @@ def _cyc_normalize(nums: tuple[int, ...], den: int):
 
 
 _RATIONAL_OPS = FieldOps(Fraction(0), Fraction(1), bool, operator.add, operator.sub,
-                         operator.neg, operator.mul, lambda a: 1 / a)
+                         operator.neg, operator.mul, lambda c, a, b: c + a * b,
+                         lambda a: 1 / a)
 
 
 def _prime_field_ops(p: int) -> FieldOps:
@@ -313,10 +411,13 @@ def _prime_field_ops(p: int) -> FieldOps:
     def mul(a, b):
         return (a[0] * b[0] % p,)
 
+    def addmul(c, a, b):
+        return ((c[0] + a[0] * b[0]) % p,)
+
     def inv(a):
         return (pow(a[0], -1, p),)
 
-    return FieldOps((0,), (1,), any, add, sub, neg, mul, inv)
+    return FieldOps((0,), (1,), any, add, sub, neg, mul, addmul, inv)
 
 
 def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
@@ -337,13 +438,19 @@ def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
         # t^2 = -c1*t - c0
         return ((a0 * b0 - hi * c0) % p, (a0 * b1 + a1 * b0 - hi * c1) % p)
 
+    def addmul(c, a, b):
+        a0, a1 = a
+        b0, b1 = b
+        hi = a1 * b1
+        return ((c[0] + a0 * b0 - hi * c0) % p, (c[1] + a0 * b1 + a1 * b0 - hi * c1) % p)
+
     def inv(a):
         a0, a1 = a
         # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm is their product
         ninv = pow((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p, -1, p)
         return ((a0 - a1 * c1) * ninv % p, (-a1) * ninv % p)
 
-    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, inv)
+    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, inv)
 
 
 def _cyclotomic_ops(n: int) -> FieldOps:
@@ -367,25 +474,35 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         nums, den = a
         return (tuple(-c for c in nums), den)
 
-    def mul(a, b):
-        (x, dx), (y, dy) = a, b
-        if not any(x) or not any(y):
-            return zero
-        conv = [0] * (2 * phi - 1)
+    # the nonzero (j, c) of each reduction row: zeta^(phi+m) = sum_j c zeta^j, m < phi-1
+    sparse_red = [[(j, c) for j, c in enumerate(row) if c] for row in red[:phi - 1]]
+    tail = [0] * (phi - 1)
+
+    def addmul(c, a, b):
+        (z, dz), (x, dx), (y, dy) = c, a, b
+        d = dx * dy
+        if d == dz:
+            conv = [*z, *tail]
+        else:                           # c + a*b = (z d + x y dz) / (dz d)
+            conv = [s * d for s in z] + tail
+            if dz != 1:
+                x = [s * dz for s in x]
+            d *= dz
         for i, s in enumerate(x):
             if s:
-                for j, t in enumerate(y):
+                for k, t in enumerate(y, i):
                     if t:
-                        conv[i + j] += s * t
-        nums = conv[:phi]
-        for m in range(phi, 2 * phi - 1):
-            c = conv[m]
-            if c:
-                row = red[m - phi]
-                for j in range(phi):
-                    if row[j]:
-                        nums[j] += c * row[j]
-        return _cyc_normalize(tuple(nums), dx * dy)
+                        conv[k] += s * t
+        for m, row in enumerate(sparse_red, phi):
+            if conv[m]:
+                for j, r in row:
+                    conv[j] += conv[m] * r
+        return _cyc_normalize(tuple(conv[:phi]), d)
+
+    def mul(a, b):
+        if not any(a[0]) or not any(b[0]):
+            return zero
+        return addmul(zero, a, b)
 
     def inv(a):
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n."""
@@ -403,7 +520,7 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         c_nums, c_den = conj
         return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
 
-    return FieldOps(zero, one, nonzero, add, sub, neg, mul, inv)
+    return FieldOps(zero, one, nonzero, add, sub, neg, mul, addmul, inv)
 
 
 class Scalar:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, _box_row, _echelon, _mul_rows, _unbox, char_poly,
-                     commutant_basis, conjugacy_solve, intersect_row_spaces, kernel_basis,
-                     rank, row_space_basis, solve_coords)
+from .linalg import (Matrix, _box_row, _echelon, _mul_rows, _sparse_rows, _unbox,
+                     char_poly, commutant_basis, conjugacy_solve, intersect_row_spaces,
+                     kernel_basis, rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -149,7 +149,7 @@ class MonodromyTuple:
 
 
 class _Entries(dict):
-    """id(M) -> [M, payload rows, whether M is c*1, M^-1 or None] for one word.
+    """id(M) -> [M, _sparse_rows of M, whether M is c*1, M^-1 or None] for one word.
 
     `_unbox` (the one checked boundary), the c*1 test and the inverse run at
     most once per entry per word; holding M keeps its id from being reused.
@@ -158,11 +158,9 @@ class _Entries(dict):
     def look(self, M: Matrix) -> list:
         rec = self.get(id(M))
         if rec is None:
-            P = _unbox(M.field, M.rows)
-            c, nonzero = P[0][0] if P else None, M.field.ops.nonzero
-            rec = self[id(M)] = [M, P, all(x == c if j == k else not nonzero(x)
-                                           for k, row in enumerate(P)
-                                           for j, x in enumerate(row)), None]
+            S = _sparse_rows(M.field.ops, _unbox(M.field, M.rows))
+            c = S[0][0][1] if S and S[0] else None      # an entry is invertible
+            rec = self[id(M)] = [M, S, all(row == [(k, c)] for k, row in enumerate(S)), None]
         return rec
 
     def inverse(self, M: Matrix) -> Matrix:

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from midconv.linalg import Matrix
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
 
 SEED = 20260810
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, ten times
+# the default number of them, and no per-example deadline
+settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
 
 Q = FieldDescriptor.rational()
 F7 = FieldDescriptor.finite(7)

@@ -1,19 +1,30 @@
 """The field kernel: interned descriptors, the field-checked boundary of the
-payload loops, and det by elimination."""
+payload loops, det by elimination, addmul against add and mul, the sparse
+payload loops, and char_poly against det(x 1 - M)."""
 
+import hashlib
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midconv.errors import FieldMismatch
-from midconv.linalg import Matrix, _echelon, char_poly, rank, solve_coords
-from midconv.modgroup import group_closure
-from midconv.scalars import FieldDescriptor, Scalar
+from midconv.fixtures import TUPLE_FIXTURES
+from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly, poly_eval,
+                            rank, solve_coords)
+from midconv.modgroup import _RowImages, group_closure
+from midconv.scalars import FieldDescriptor, Scalar, _cyc_normalize, cyclotomic_polynomial
 
-from conftest import F7, Q, random_scalar
+from conftest import F7, Q, SEED, random_scalar
 
 Z12 = FieldDescriptor.cyclotomic(12)
 F25 = FieldDescriptor.finite(5, 2)
+F4 = FieldDescriptor.finite(2, 2)
+F49 = FieldDescriptor.finite(7, 2)
+ECHELON_PIN = "5cec17a8bbf1096fdc0efa1faa3dae6bca722777ab7fd76fe49b78ddb90a4898"
 
 
 # -- interning --------------------------------------------------------------------
@@ -107,3 +118,204 @@ def test_det_sign_of_a_permutation_and_singular_matrices():
     assert Matrix.from_rows(Q, [[1, 2], [2, 4]]).det() == Q.zero()
     assert Matrix.zero(F7, 3, 3).det() == F7.zero()
     assert Matrix.identity(Q, 0).det() == Q.one()
+
+
+# -- addmul: one multiply-accumulate per term ------------------------------------------
+
+# F_49 twice: as F_7[t]/(t^2 - 3) and as F_7[t]/(t^2 + t + 3), so that the t coefficient
+# of the defining polynomial is nonzero in odd characteristic too
+KERNEL_FIELDS = ([Q, F7, F4, F49, FieldDescriptor.finite(7, 2, (3, 1, 1))]
+                 + [FieldDescriptor.cyclotomic(n) for n in (3, 12, 15, 28)])
+
+
+def test_the_kernel_fields_reduce_by_sparse_and_dense_cyclotomic_polynomials():
+    assert [sum(map(bool, cyclotomic_polynomial(n))) for n in (3, 12, 15, 28)] == [3, 3, 7, 7]
+
+
+def payloads(field):
+    """Canonical payloads of `field`: zero often, sparse numerators, non-unit denominators."""
+    coef = st.one_of(st.just(0), st.integers(-30, 30))
+    if field.kind == "rational":
+        nonzero = st.builds(Fraction, coef, st.integers(1, 12))
+    elif field.kind == "finite":
+        nonzero = st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+    else:
+        nonzero = st.builds(lambda nums, den: _cyc_normalize(tuple(nums), den),
+                            st.lists(coef, min_size=field.degree, max_size=field.degree),
+                            st.integers(1, 12))
+    return st.one_of(st.just(field.ops.zero), nonzero, nonzero, nonzero)
+
+
+def is_canonical(field, x) -> bool:
+    if field.kind == "rational":
+        return isinstance(x, Fraction)
+    if field.kind == "finite":
+        return (isinstance(x, tuple) and len(x) == field.k
+                and all(isinstance(c, int) and 0 <= c < field.p for c in x))
+    nums, den = x
+    return (isinstance(nums, tuple) and len(nums) == field.degree and den > 0
+            and _cyc_normalize(nums, den) == x)
+
+
+def _cyclotomic_product(field, a, b):
+    """a*b in Q(zeta_n) by schoolbook multiplication and long division by Phi_n."""
+    (x, dx), (y, dy) = a, b
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            prod[i + j] += s * t
+    phi = cyclotomic_polynomial(field.n)           # monic, so the division stays integral
+    for top in range(len(prod) - 1, len(phi) - 2, -1):
+        q = prod[top]
+        for k, c in enumerate(phi):
+            prod[top - len(phi) + 1 + k] -= q * c
+    return _cyc_normalize(tuple(prod[:field.degree]), dx * dy)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field), *[payloads(field)] * 3)))
+def test_addmul_is_add_of_mul(args):
+    field, c, a, b = args
+    ops = field.ops
+    out = ops.addmul(c, a, b)
+    if field.kind == "cyclotomic":                 # mul is addmul onto zero there
+        assert ops.mul(a, b) == _cyclotomic_product(field, a, b)
+    assert out == ops.add(c, ops.mul(a, b))
+    assert is_canonical(field, out)
+    assert ops.addmul(ops.zero, a, b) == ops.mul(a, b)
+    assert ops.addmul(c, ops.zero, b) == c == ops.addmul(c, a, ops.zero)
+
+
+# -- the sparse payload loops -----------------------------------------------------------
+
+def _naive_product(ops, A, B, ncols):
+    """A B by the dense formula, one add and one mul per term."""
+    out = []
+    for row in A:
+        acc = [ops.zero] * ncols
+        for a, brow in zip(row, B):
+            for j, b in enumerate(brow):
+                acc[j] = ops.add(acc[j], ops.mul(a, b))
+        out.append(tuple(acc))
+    return out
+
+
+def _random_payload_rows(field, m, n, rng, zero_rows=()):
+    zero = field.ops.zero
+    return [[zero if i in zero_rows or rng.random() < 0.4
+             else random_scalar(field, rng).payload for _ in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize("field", [Q, F7, F25, Z12], ids=str)
+def test_mul_rows_keeps_zero_rows_and_empty_inner_dimensions(field, rng):
+    ops = field.ops
+    # B with no row: every row of A (which has no column) is ncols zeros
+    assert _mul_rows(ops, [(), ()], _sparse_rows(ops, []), 3) == [(ops.zero,) * 3] * 2
+    assert _mul_rows(ops, [], _sparse_rows(ops, []), 3) == []
+    for _ in range(5):
+        A = _random_payload_rows(field, 4, 3, rng, zero_rows=(1,))
+        B = _random_payload_rows(field, 3, 5, rng, zero_rows=(rng.randrange(3),))
+        expected = _naive_product(ops, A, B, 5)
+        assert _mul_rows(ops, A, _sparse_rows(ops, B), 5) == expected
+        assert expected[1] == (ops.zero,) * 5
+    assert _sparse_rows(ops, [[ops.zero, ops.one], [ops.zero] * 2]) == [[(1, ops.one)], []]
+
+
+@pytest.mark.parametrize("field", [F7, F25, Z12], ids=str)
+def test_row_images_with_prebuilt_sparse_rows_equal_the_product(field, rng):
+    ops = field.ops
+    A = _random_payload_rows(field, 4, 4, rng, zero_rows=(2,))
+    images = _RowImages(ops, A, 4)
+    assert images.SA == _sparse_rows(ops, A)
+    MA = Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in A))
+    for _ in range(6):
+        B = [tuple(r) for r in _random_payload_rows(field, 3, 4, rng, zero_rows=(0,))]
+        MB = Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in B))
+        assert [images[row] for row in B] == [tuple(x.payload for x in r)
+                                              for r in (MB @ MA).rows]
+    assert images[(ops.zero,) * 4] == (ops.zero,) * 4
+
+
+def _echelon_text(M):
+    out = []
+    for reduced in (False, True):
+        ech = _echelon(M.rows, M.field, reduced=reduced)
+        out.append(f"{ech.pivots} {Scalar(M.field, ech.det)} "
+                   + ";".join(",".join(str(Scalar(M.field, x)) for x in r) for r in ech.rows))
+    out.append(str(rank(M)))
+    if M.is_square():
+        out.append(str(M.det()))
+    return "|".join(out)
+
+
+def test_echelon_det_rank_and_pivots_on_the_fixtures_are_pinned():
+    # the pin was taken with the dense elimination (one sub of a mul per entry)
+    mats = []
+    for name in sorted(TUPLE_FIXTURES):
+        T = TUPLE_FIXTURES[name]()
+        for M in T.entries:
+            mats += [M, M.minus_identity()]
+        stacked = tuple(r for M in T.entries for r in M.minus_identity().rows)
+        mats.append(Matrix(T.field, stacked))
+    rng = random.Random(SEED)
+    for field in (Q, F7, F49, Z12):
+        for m, n in ((2, 3), (3, 4), (3, 5), (5, 3)):
+            rows = [[random_scalar(field, rng) if rng.random() < 0.6 else field.zero()
+                     for _ in range(n)] for _ in range(m)]
+            rows[rng.randrange(m)] = [field.zero()] * n
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+            mats.append(Matrix(field, tuple(map(tuple, rows))))
+    text = "\n".join(_echelon_text(M) for M in mats)
+    assert hashlib.sha256(text.encode()).hexdigest() == ECHELON_PIN
+
+
+# -- char_poly against det(x 1 - M) --------------------------------------------------------
+
+@st.composite
+def square_matrices(draw, field, max_dim=5):
+    """Square matrices over `field`, some with a zero row or a zero column."""
+    n = draw(st.integers(0, max_dim))
+    entries = draw(st.lists(payloads(field), min_size=n * n, max_size=n * n))
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [field.ops.zero] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = field.ops.zero
+    return Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in rows))
+
+
+def _generator(field):
+    """zeta_n, the residue of t in F_{p^2}, or p - 1 in F_p."""
+    if field.kind == "cyclotomic":
+        return field.zeta()
+    return field.gen() if field.k == 2 else field.from_int(field.p - 1)
+
+
+def _assert_char_poly_is_det(M):
+    field, n = M.field, M.nrows
+    cp = char_poly(M)
+    assert len(cp) == n + 1 and cp[-1] == field.one()
+    # two polynomials of degree n that agree at n + 1 points are equal
+    for x in [field.from_int(k) for k in range(n + 1)] + [_generator(field)]:
+        assert poly_eval(cp, x) == (Matrix.identity(field, n).scale(x) - M).det()
+
+
+@settings(deadline=None)
+@given(st.sampled_from([F7, F49, Z12]).flatmap(square_matrices))
+def test_char_poly_is_det_of_x_minus_m(M):
+    _assert_char_poly_is_det(M)
+
+
+@pytest.mark.parametrize("field", [F7, F49, Z12], ids=str)
+def test_char_poly_of_empty_single_and_zero_matrices(field):
+    one, zero = field.one(), field.zero()
+    assert char_poly(Matrix(field, ())) == [one]
+    assert char_poly(Matrix.from_rows(field, [[3]])) == [-field.from_int(3), one]
+    assert char_poly(Matrix.zero(field, 3, 3)) == [zero, zero, zero, one]
+    for rows in ([[1, 0, 2], [0, 0, 0], [4, 0, 5]], [[0, 0], [_generator(field), 0]]):
+        M = Matrix(field, tuple(tuple(x if isinstance(x, Scalar) else field.from_int(x)
+                                      for x in r) for r in rows))
+        _assert_char_poly_is_det(M)

@@ -152,6 +152,28 @@ def test_field_roots_solves_a_repeated_root_off_the_candidates():
     assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
 
 
+@pytest.mark.parametrize("c", [2 ** 64, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)],
+                         ids=["2^64", "2^61-1", "(2^31-1)(2^61-1)"])
+def test_rational_roots_with_a_large_constant_term_are_fast(c):
+    # the candidates p/q come from the divisors of c: by trial division up to
+    # sqrt(c) this took minutes; by factorization it takes milliseconds
+    import time
+    one = Q.one()
+    start = time.perf_counter()
+    roots, rem = field_roots([Q.from_int(-c), Q.zero(), one], Q)          # x^2 - c
+    square = c == 2 ** 64
+    assert roots == ([(Q.from_int(-2 ** 32), 1), (Q.from_int(2 ** 32), 1)] if square else [])
+    assert len(rem) == (1 if square else 3)
+    assert field_roots([Q.from_int(-c), one], Q) == ([(Q.from_int(c), 1)], [one])
+    M = Matrix.from_rows(Q, [[0, c], [1, 0]])
+    if square:
+        assert str(jordan_data(M)) == f"J({-2 ** 32},1) + J({2 ** 32},1)"
+    else:
+        with pytest.raises(DoesNotSplit):
+            jordan_data(M)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_kronecker_factors_commute(rng):
     A = random_invertible(Q, 2, rng)
     B = random_invertible(Q, 2, rng)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midconv.errors import DivisionByZero, FieldMismatch, ParseError
-from midconv.scalars import (FieldDescriptor, coerce, cyclotomic_polynomial,
-                             format_scalar, parse_scalar)
+from midconv.scalars import (FieldDescriptor, coerce, cyclotomic_polynomial, divisors,
+                             format_scalar, is_prime, parse_scalar)
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -166,3 +166,42 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.payload = 4
     assert len({Z12.zeta(), Z12.zeta(), Z12.zeta(2)}) == 2
+
+
+# -- integer helpers: primality and divisors ---------------------------------------------
+
+def _trial_divisors(m):
+    """The divisors of |m| by trial division up to its square root."""
+    m, out, f = abs(m), set(), 1
+    while f * f <= m:
+        if m % f == 0:
+            out |= {f, m // f}
+        f += 1
+    return sorted(out)
+
+
+def test_divisors_match_trial_division_below_a_million():
+    import random
+    rng = random.Random(20260810)
+    numbers = list(range(-50, 1200)) + [rng.randrange(1, 10 ** 6) for _ in range(400)]
+    numbers += [997 * 997, 991 * 997, 2 ** 19, 3 ** 12, 720720, 999983]
+    for m in numbers:
+        assert divisors(m) == _trial_divisors(m)
+
+
+def test_divisors_of_large_numbers_by_rho_and_perfect_powers():
+    p, q, r = 2 ** 31 - 1, 2 ** 61 - 1, 1000003
+    assert divisors(p * q) == [1, p, q, p * q]
+    assert divisors(q ** 2) == [1, q, q * q]
+    assert divisors(r ** 3 * 1009) == sorted(r ** a * 1009 ** b
+                                             for a in range(4) for b in range(2))
+    assert divisors(2 ** 64) == [2 ** k for k in range(65)]
+
+
+def test_is_prime_matches_trial_division_and_knows_large_primes():
+    def trial(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    numbers = range(-5, 5000)
+    assert [n for n in numbers if is_prime(n)] == [n for n in numbers if trial(n)]
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1)) and not is_prime(3215031751)

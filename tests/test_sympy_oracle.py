@@ -1,4 +1,5 @@
-"""Rank and det of the one elimination routine against sympy, an independent oracle.
+"""Rank and det of the one elimination routine, and char_poly, against sympy,
+an independent oracle.
 
 Runs only where sympy is installed; the program itself does not depend on it.
 """
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midconv.linalg import Matrix, rank
+from midconv.linalg import Matrix, char_poly, rank
 
 from conftest import F7, Q
 
 sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 _entries = st.integers(-4, 4)
@@ -37,7 +39,7 @@ def _int_matrices(draw, max_dim=5):
     return rows
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(rows=_int_matrices(), dens=st.lists(st.integers(1, 5), min_size=5, max_size=5))
 def test_rank_and_det_over_q_match_sympy(rows, dens):
     fracs = [[Fraction(x, dens[j % 5]) for j, x in enumerate(r)] for r in rows]
@@ -49,7 +51,7 @@ def test_rank_and_det_over_q_match_sympy(rows, dens):
         assert M.det() == Q.from_fraction(Fraction(int(d.p), int(d.q)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(rows=_int_matrices())
 def test_rank_and_det_over_f7_match_sympy(rows):
     K = sympy.GF(7)
@@ -58,3 +60,27 @@ def test_rank_and_det_over_f7_match_sympy(rows):
     assert rank(M) == D.rank()
     if M.is_square():
         assert M.det() == F7.from_int(int(D.det()) % 7)
+
+
+@st.composite
+def _square_fraction_rows(draw, max_dim=5):
+    """Square rows of Fractions (0 x 0 included), some with a zero row or column."""
+    n = draw(st.integers(0, max_dim))
+    rows = [[Fraction(draw(_entries), draw(st.integers(1, 5))) for _ in range(n)]
+            for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+@settings(deadline=None)
+@given(rows=_square_fraction_rows())
+def test_char_poly_over_q_matches_sympy(rows):
+    n = len(rows)
+    D = DomainMatrix([[QQ(f.numerator, f.denominator) for f in r] for r in rows], (n, n), QQ)
+    expected = [Fraction(int(c.numerator), int(c.denominator)) for c in D.charpoly()]
+    assert [c.payload for c in char_poly(Matrix.from_rows(Q, rows))] == expected[::-1]
