@@ -20,8 +20,21 @@ payloads), chosen once from the field's kind, and cached zero() and one()
 elements.  Scalar arithmetic calls the table; the hot loops of linalg and
 modgroup unbox to payloads once and call it directly.  `addmul(c, a, b)` is
 their multiply-accumulate c + a*b: one reduction (F_p, F_{p^2}) or one
-normalization (Q(zeta_n)) per term instead of one for the product and one for
-the sum.
+normalization (Q, Q(zeta_n)) per term instead of one for the product and one
+for the sum.
+
+The Q ops do their own integer arithmetic on numerators and denominators
+(Knuth, TAOCP 2, 4.5.1), with one gcd per op, of the result, where Henrici's
+scheme takes gcds of the operands' parts first: add and sub skip the cross
+products when the denominators agree, and addmul when the product's
+denominator is c's.  Every result goes through `_fraction(n, d)`,
+which divides by gcd(n, d) and fills the two slots of a bare Fraction, so no
+op pays for Fraction's operator dispatch, its constructor's type checks or a
+second gcd.  It is the only code that knows the slot layout; a test pins it.
+
+A Scalar is built by the two slot setters, bound once at module level, so
+construction is two C calls; `__setattr__` raises, so Scalars stay
+immutable.
 """
 
 from __future__ import annotations
@@ -244,7 +257,7 @@ class FieldDescriptor:
 
     def __post_init__(self):
         if self.kind == RATIONAL:
-            ops = _RATIONAL_OPS
+            ops = _rational_ops()
         elif self.kind == CYCLOTOMIC:
             ops = _cyclotomic_ops(self.n)
         elif self.k == 1:
@@ -313,7 +326,7 @@ class FieldDescriptor:
 
     def from_fraction(self, fr: Fraction) -> "Scalar":
         if self.kind == RATIONAL:
-            return Scalar(self, fr)
+            return Scalar(self, Fraction(fr))
         if self.kind == CYCLOTOMIC:
             phi = self.degree
             nums = [fr.numerator] + [0] * (phi - 1)
@@ -392,9 +405,49 @@ def _cyc_normalize(nums: tuple[int, ...], den: int):
     return (nums, den)
 
 
-_RATIONAL_OPS = FieldOps(Fraction(0), Fraction(1), bool, operator.add, operator.sub,
-                         operator.neg, operator.mul, lambda c, a, b: c + a * b,
-                         lambda a: 1 / a)
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d in lowest terms, for d > 0, past Fraction.__new__: fills the two slots of a
+    bare Fraction, as CPython's own Fraction._from_coprime_ints does.  The one place
+    that knows the slot layout."""
+    g = math.gcd(n, d)
+    x = object.__new__(Fraction)
+    x._numerator = n // g
+    x._denominator = d // g
+    return x
+
+
+def _rational_ops() -> FieldOps:
+    """Q: payloads are Fractions in lowest terms; see the module docstring."""
+    def add(a, b):
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        if da == db:
+            return _fraction(na + nb, da)
+        return _fraction(na * db + nb * da, da * db)
+
+    def sub(a, b):
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        if da == db:
+            return _fraction(na - nb, da)
+        return _fraction(na * db - nb * da, da * db)
+
+    def mul(a, b):
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        return _fraction(na * nb, da * db)
+
+    def addmul(c, a, b):
+        (nc, dc), (na, da), (nb, db) = (c.as_integer_ratio(), a.as_integer_ratio(),
+                                        b.as_integer_ratio())
+        d = da * db
+        if d == dc:
+            return _fraction(nc + na * nb, dc)
+        # c + a*b = (nc d + na nb dc) / (dc d)
+        return _fraction(nc * d + na * nb * dc, dc * d)
+
+    def inv(a):
+        n, d = a.as_integer_ratio()
+        return Fraction(d, n)           # the constructor moves n's sign to the numerator
+
+    return FieldOps(Fraction(0), Fraction(1), bool, add, sub, operator.neg, mul, addmul, inv)
 
 
 def _prime_field_ops(p: int) -> FieldOps:
@@ -529,8 +582,8 @@ class Scalar:
     __slots__ = ("field", "payload")
 
     def __init__(self, field: FieldDescriptor, payload):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "payload", payload)
+        _set_field(self, field)
+        _set_payload(self, payload)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -614,6 +667,10 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+# the slot setters, bound once: Scalar.__setattr__ raises, and these bypass it
+_set_field, _set_payload = Scalar.field.__set__, Scalar.payload.__set__
 
 
 def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:

@@ -1,10 +1,12 @@
 """The command line: --json documents and exit codes (0 ok, 1 domain, 2 input)."""
 
 import json
+import time
 
 import pytest
 
 from midconv import cli, convolution
+from midconv.k3count import MAX_Q
 
 
 def _run(capsys, *argv):
@@ -242,11 +244,23 @@ def test_predict_infinity_outside_the_hypotheses_is_a_precondition_error(capsys,
     (["k3", "count", "--q=-5"], 1, "PreconditionError:"),
     (["k3", "trace", "--q=-7"], 1, "PreconditionError:"),
     (["fixtures", "dump", "--name", "nope"], 2, "InputError:"),
+    (["k3", "count", f"--q={10 ** 400}"], 1, "PreconditionError:"),   # no float square root
 ])
 def test_bad_input_exits_without_a_traceback(capsys, argv, code, error):
     got, out, err = _run(capsys, *argv)
     assert got == code and out == ""
     assert err.startswith(error) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, q", [(["k3", "count", "--q", "1000003"], 1000003),
+                                     (["k3", "frob", "--p", "211"], 211 ** 2),
+                                     (["k3", "frob", "--p", "10007"], 10007 ** 2)])
+def test_k3_above_the_size_limit_exits_1_at_once(capsys, argv, q):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith(f"PreconditionError: q = {q} is above the limit MAX_Q = {MAX_Q}")
 
 
 def test_cyclotomic_order_above_the_limit_exits_2(capsys, tmp_path):

@@ -1,8 +1,10 @@
 """The field kernel: interned descriptors, the field-checked boundary of the
-payload loops, det by elimination, addmul against add and mul, the sparse
-payload loops, and char_poly against det(x 1 - M)."""
+payload loops, det by elimination, addmul against add and mul, the Q ops
+against the fractions module, the sparse payload loops, and char_poly
+against det(x 1 - M)."""
 
 import hashlib
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -148,7 +150,11 @@ def payloads(field):
 
 def is_canonical(field, x) -> bool:
     if field.kind == "rational":
-        return isinstance(x, Fraction)
+        if type(x) is not Fraction:
+            return False
+        n, d = x.numerator, x.denominator
+        ref = Fraction(n, d)
+        return d > 0 and math.gcd(n, d) == 1 and x == ref and hash(x) == hash(ref)
     if field.kind == "finite":
         return (isinstance(x, tuple) and len(x) == field.k
                 and all(isinstance(c, int) and 0 <= c < field.p for c in x))
@@ -185,6 +191,42 @@ def test_addmul_is_add_of_mul(args):
     assert is_canonical(field, out)
     assert ops.addmul(ops.zero, a, b) == ops.mul(a, b)
     assert ops.addmul(c, ops.zero, b) == c == ops.addmul(c, a, ops.zero)
+
+
+# -- the Q kernel against the fractions module --------------------------------------------
+
+def test_fraction_slot_layout_is_the_one_the_q_kernel_fills():
+    # scalars._fraction builds Fractions by filling these two slots
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@st.composite
+def rational_operands(draw):
+    """(c, a, b): numerators up to +-2^80, denominators up to 2^40, zero often; b shares
+    a's denominator and c has a's times b's, each half of the time."""
+    def fraction():
+        num = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-2 ** 80, 2 ** 80))
+        return draw(st.builds(Fraction, num, st.one_of(st.integers(1, 12),
+                                                         st.integers(1, 2 ** 40))))
+    a = fraction()
+    b = a + draw(st.integers(-2 ** 80, 2 ** 80)) if draw(st.booleans()) else fraction()
+    if draw(st.booleans()):
+        c = draw(st.integers(-2 ** 80, 2 ** 80)) + Fraction(1, a.denominator * b.denominator)
+    else:
+        c = fraction()
+    return c, a, b
+
+
+@settings(deadline=None)
+@given(rational_operands())
+def test_rational_ops_agree_with_fractions(args):
+    c, a, b = args
+    ops = Q.ops
+    for got, want in ((ops.add(a, b), a + b), (ops.sub(a, b), a - b), (ops.neg(a), -a),
+                      (ops.mul(a, b), a * b), (ops.addmul(c, a, b), c + a * b)):
+        assert got == want and is_canonical(Q, got)
+    if a:
+        assert ops.inv(a) == 1 / a and is_canonical(Q, ops.inv(a))
 
 
 # -- the sparse payload loops -----------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 
 from midconv.errors import PreconditionError, SmallPrime, VerificationFailed
 from midconv.fixtures import ALPHA_TABLE, N_TABLE, T2_TABLE, T_TABLE
-from midconv.k3count import (count_affine, count_record, frobenius_eigenvalues,
-                             intersection_matrix, intersection_matrix_det,
+from midconv.k3count import (_prime_square_root, count_affine, count_record,
+                             frobenius_eigenvalues, intersection_matrix, intersection_matrix_det,
                              legendre, trace_frobenius)
 from midconv.scalars import FieldDescriptor
 
@@ -139,6 +139,14 @@ def test_frobenius_sign_candidates_are_exclusive():
         s3 = legendre(3, p)
         wrong_u = Fraction(t_p + s3 * p, 2)
         assert 4 * wrong_u ** 2 - p * p != t_p2
+
+
+def test_prime_square_root_of_a_large_prime_square():
+    # an 80-bit prime: the float square root of p^2 misses p by more than 1
+    p = 151563013271669255324009
+    assert _prime_square_root(p * p) == p
+    assert _prime_square_root(p * p + 1) is None and _prime_square_root(p * (p + 2)) is None
+    assert _prime_square_root(49) == 7 and _prime_square_root(36) is None
 
 
 def test_nonsquare_q_rejected():

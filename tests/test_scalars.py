@@ -161,10 +161,23 @@ def test_embeddings():
         coerce(z8_in_z8, Z12)     # 8 does not divide 12
 
 
+def test_rational_payloads_are_fractions():
+    # an int payload would reach the Q ops table, which builds Fractions only
+    three, also_three = Q.from_fraction(3), Q.from_int(3)
+    assert three.payload == also_three.payload
+    assert type(three.payload) is Fraction and type(also_three.payload) is Fraction
+    for x in (three * three, three + also_three, three - three.inverse(), -three):
+        assert type(x.payload) is Fraction
+    assert three * three == Q.from_int(9)
+    assert three - three.inverse() == Q.from_fraction(Fraction(8, 3))
+
+
 def test_immutability_and_hash():
     a = Q.from_int(3)
     with pytest.raises(AttributeError):
         a.payload = 4
+    with pytest.raises(AttributeError):
+        a.field = Z4
     assert len({Z12.zeta(), Z12.zeta(), Z12.zeta(2)}) == 2
 
 
