@@ -87,8 +87,8 @@ def _cmd_mcl(args):
     lam = parse_scalar(args.lam, T.field)
     out = mc_lambda(T, lam)
     _maybe_save(args, out)
-    payload = {"dim": out.dim, "points": [str(p) for p in out.points],
-               "tuple": save_tuple(out)}
+    points = None if out.points is None else [str(p) for p in out.points]
+    payload = {"dim": out.dim, "points": points, "tuple": save_tuple(out)}
     _emit(args, payload, [f"dim {out.dim}", save_tuple(out).rstrip()])
     return 0
 

@@ -143,7 +143,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
             points.append(left_points[i - 1] + right_points[j - 1])
             image_blocks.append(images)
     try:
-        Ds = induced_quotient_matrix(ext, image_blocks, field)
+        Ds = induced_quotient_matrix(ext, image_blocks)
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
     # the bubble sort never swaps equal points, so colliding entries end up
@@ -205,21 +205,22 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
         raise LambdaIsOne("MC_lambda needs lambda != 1")
     if not lam:
         raise PreconditionError("MC_lambda needs lambda != 0")
+    if not T.r:
+        raise PreconditionError("MC_lambda needs a finite entry")
     field = T.field
     A = list(T.finite_entries())
     A1 = [M.minus_identity() for M in A]
-    R = [Matrix(field, tuple(join_slots([M.scale(lam) for M in A1[:k]]
-                                        + [A[k].scale(lam).minus_identity()] + A1[k + 1:])))
+    R = [join_slots([M.scale(lam) for M in A1[:k]] + [A[k].scale(lam).minus_identity()]
+                    + A1[k + 1:])
          for k in range(len(A))]
-    l_basis = row_space_basis([row for Rk in R for row in Rk.rows])
-    w_basis = intersect_row_spaces(slot_images(A), l_basis)
-    if not w_basis:
+    l_basis = row_space_basis(Matrix(field, tuple(row for Rk in R for row in Rk.payload)))
+    W = intersect_row_spaces(slot_images(A), l_basis)
+    if not W:
         raise PreconditionError("MC_lambda output has rank 0")
 
-    W = Matrix(field, tuple(w_basis))
-    images = [(W + Wk @ Rk).rows for Wk, Rk in zip(slot_blocks(W, len(A)), R)]
+    images = [W + Wk @ Rk for Wk, Rk in zip(slot_blocks(W, len(A)), R)]
     try:
-        entries = induced_quotient_matrix(w_basis, images, field)
+        entries = induced_quotient_matrix(W, images)
     except PreconditionError as exc:
         raise DimensionInconsistency(
             "Pochhammer matrix does not preserve K^perp cap L^perp "
@@ -233,7 +234,7 @@ def kummer_tuple(field: FieldDescriptor, lam: Scalar, point=0) -> MonodromyTuple
         raise PreconditionError("Kummer sheaf needs lambda outside {0, 1}")
     return MonodromyTuple.make(
         field,
-        [Matrix(field, ((lam,),)), Matrix(field, ((lam.inverse(),),))],
+        [Matrix.from_rows(field, [[lam]]), Matrix.from_rows(field, [[lam.inverse()]])],
         [Fraction(point)])
 
 
@@ -275,7 +276,7 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
     r = T.r
     ident = Matrix.identity(field, d)
     kers = [kernel_basis(M - ident) for M in T.finite_entries()]
-    ims = [row_space_basis((M - ident).rows) for M in T.finite_entries()]
+    ims = [row_space_basis(M - ident) for M in T.finite_entries()]
     for i in range(r):
         other_ker = None
         for j in range(r):
@@ -285,15 +286,14 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
                 else intersect_row_spaces(other_ker, kers[j])
             if not other_ker:
                 break
-        other_im_rows = [row for j in range(r) if j != i for row in ims[j]]
+        other_im_rows = tuple(row for j in range(r) if j != i for row in ims[j].payload)
         for tau in _tau_candidates(T, i):
             scaled = T.entries[i].scale(tau) - ident
             if other_ker:
                 meet = intersect_row_spaces(other_ker, kernel_basis(scaled))
                 if meet:
                     return ConvolutionSheafCheck(False, ("*", i + 1, tau))
-            w = row_space_basis(other_im_rows + list(scaled.rows))
-            if len(w) != d:
+            if rank(Matrix(field, other_im_rows + scaled.payload)) != d:
                 return ConvolutionSheafCheck(False, ("**", i + 1, tau))
     return ConvolutionSheafCheck(True)
 
@@ -416,6 +416,10 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 
 # -- the SL-realization demo ----------------------------------------------------------
 
+# the largest r that sl_demo accepts: its cost grows faster than r^3, and (3,12) and
+# (7,10) take about 4 s each on a 2-vCPU host under CPython 3.11
+SL_DEMO_MAX_R = 12
+
 @dataclass
 class SlDemoReport:
     m: int
@@ -439,6 +443,8 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     announced local data.  m = 1 runs the same pipeline through the
     dihedral group of order six.
     """
+    if r > SL_DEMO_MAX_R:
+        raise PreconditionError(f"r is above the limit SL_DEMO_MAX_R = {SL_DEMO_MAX_R}")
     if m < 1 or m % 2 == 0:
         raise PreconditionError("m must be odd and >= 1")
     m_eff = 3 if m == 1 else m
@@ -450,13 +456,13 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     field = FieldDescriptor.cyclotomic(lcm4)
     zeta_m = field.zeta(lcm4 // m_eff)
     zeta4 = field.zeta(lcm4 // 4)
-    one, zero = field.one(), field.zero()
+    one = field.one()
     minus_one = -one
 
     def diag(a, b):
-        return Matrix(field, ((a, zero), (zero, b)))
+        return Matrix.from_rows(field, [[a, 0], [0, b]])
 
-    refl = Matrix(field, ((zero, one), (one, zero)))
+    refl = Matrix.from_rows(field, [[0, 1], [1, 0]])
     fillers = r - 1 - phi
     sign = one if fillers % 2 == 0 else minus_one
     finite = [refl, refl.scale(sign)]
@@ -480,8 +486,8 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     offset = Fraction(10007)
     f3 = MonodromyTuple.make(
         field,
-        [Matrix(field, ((zeta4,),)), Matrix(field, ((-zeta4,),)),
-         Matrix(field, ((one,),))],
+        [Matrix.from_rows(field, [[zeta4]]), Matrix.from_rows(field, [[-zeta4]]),
+         Matrix.identity(field, 1)],
         [offset, 2 * offset])
 
     result = middle_convolution(ConvolutionInput(twisted, f3))

@@ -50,7 +50,7 @@ def _split_q(q: int) -> tuple[int, int]:
     else:
         p = _prime_square_root(q)
         if p is None:
-            raise PreconditionError(f"q = {q} must be p or p^2")
+            raise PreconditionError(f"q (of {len(str(abs(q)))} digits) must be p or p^2")
         e = 2
     if p <= 3:
         raise SmallPrime(f"the trace formula needs p > 3, got p = {p}")
@@ -69,7 +69,7 @@ def count_affine(q: int, z: Fraction = Fraction(1)) -> int:
     """
     p, e = _split_q(q)
     if q > MAX_Q:
-        raise PreconditionError(f"q = {q} is above the limit MAX_Q = {MAX_Q}")
+        raise PreconditionError(f"q (of {len(str(q))} digits) is above the limit MAX_Q = {MAX_Q}")
     if z.denominator % p == 0:
         raise PreconditionError(f"fibre z = {z} is not p-integral")
     field = FieldDescriptor.finite(p, e)

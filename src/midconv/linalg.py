@@ -2,19 +2,25 @@
 
 Matrices act on row vectors from the right: the image of v under M is v*M.
 Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
-image of M is its row space.  `_echelon` is the one Gaussian elimination:
-Matrix.inverse, Matrix.det, rank, row_space_basis, kernel_basis,
-solve_coords and in_span all read it.  It picks the first nonzero pivot, so
-every computed basis is deterministic.  solve_coords eliminates only its
-basis (independent, beside an identity block); the vectors enter products.
+image of M is its row space.  A list of vectors is a Matrix, its rows:
+kernel_basis, row_space_basis, intersect_row_spaces and solve_coords take
+and return Matrices.  `_echelon` is the one Gaussian elimination:
+Matrix.inverse, Matrix.det, rank, row_space_basis, kernel_basis and
+solve_coords all read it.  It picks the first nonzero pivot, so every
+computed basis is deterministic.  solve_coords eliminates only its basis
+(independent, beside an identity block); the vectors enter products.
 
-The payload loops -- the elimination, the matrix products (`_echelon`,
-`_mul_rows`, hence Matrix.__matmul__), char_poly and the coefficient rows of
-solve_matrix_equations -- run on raw payloads through the field's ops
-table.  `_unbox` is their boundary: it raises TypeError for an entry that is
-not a Scalar and FieldMismatch for an entry of another field, as Scalar
-arithmetic does; results are boxed back into Scalars on the way out.  Each
-loop touches only nonzero entries: the right factor of a product is read as
+A Matrix holds its field and a tuple of payload rows, the canonical payloads
+of the scalars module, so equality and hashing compare payloads.
+`Matrix.from_rows` is the one checked boundary: it takes Scalars, ints,
+Fractions and scalar text, and raises FieldMismatch for a Scalar of another
+field and TypeError for any other entry.  `Matrix.rows` and `M[i, j]` box
+Scalars on demand, for output.  Everything in between passes payload rows
+along and runs the field's ops table: the elimination, the products
+(`_mul_rows`, hence Matrix.__matmul__), kronecker, char_poly and the
+coefficient rows of solve_matrix_equations build no Scalar.  A function
+that takes two matrices checks that their fields agree.  Each loop touches
+only nonzero entries: the right factor of a product is read as
 `_sparse_rows` ((j, b) for the nonzero b of each row, built once by a caller
 that reuses it), the elimination runs along the nonzero entries of the pivot
 row, and every term is one `ops.addmul(acc, a, b)` = acc + a*b, normalized
@@ -41,48 +47,66 @@ from typing import Any, NamedTuple
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
 from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, divisors, parse_scalar
 
-Row = tuple
 
-
-def _to_scalar(field: FieldDescriptor, x) -> Scalar:
+def _entry_payload(field: FieldDescriptor, x):
+    """The payload of one entry given to Matrix.from_rows or Matrix.scale."""
     if isinstance(x, Scalar):
-        if x.field != field:
+        if x.field is not field and x.field != field:
             raise FieldMismatch(f"{x.field} vs {field}")
-        return x
+        return x.payload
     if isinstance(x, str):
-        return parse_scalar(x, field)
-    if isinstance(x, Fraction):
-        return field.from_fraction(x)
-    return field.from_int(x)
+        return parse_scalar(x, field).payload
+    if isinstance(x, (int, Fraction)):
+        return field.from_fraction(Fraction(x)).payload
+    raise TypeError(f"expected a Scalar, int, Fraction or str, got {type(x).__name__}")
+
+
+def _check_fields(a, b, what: str) -> None:
+    """FieldMismatch unless the two objects (matrices, tuples) share a field."""
+    if a.field is not b.field and a.field != b.field:
+        raise FieldMismatch(f"{what} across fields")
 
 
 @dataclass(frozen=True)
 class Matrix:
+    """A matrix over `field` as a tuple of payload rows; len(M) is its row count.
+
+    A matrix without rows (an empty basis) has no column count to check, so
+    its product with any matrix is the matrix without rows.
+    """
+
     field: FieldDescriptor
-    rows: tuple[tuple[Scalar, ...], ...]
+    payload: tuple[tuple, ...]
 
     @staticmethod
     def from_rows(field: FieldDescriptor, rows) -> "Matrix":
-        return Matrix(field, tuple(tuple(_to_scalar(field, x) for x in r) for r in rows))
+        """The one checked way in: rows of Scalars, ints, Fractions or scalar text."""
+        return Matrix(field, tuple(tuple(_entry_payload(field, x) for x in r) for r in rows))
 
     @staticmethod
     def identity(field: FieldDescriptor, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
+        one, zero = field.ops.one, field.ops.zero
         return Matrix(field, tuple(tuple(one if i == j else zero for j in range(n))
                                    for i in range(n)))
 
     @staticmethod
     def zero(field: FieldDescriptor, m: int, n: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, tuple((z,) * n for _ in range(m)))
+        return Matrix(field, ((field.ops.zero,) * n,) * m)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as Scalars, boxed on every call."""
+        field = self.field
+        return tuple(tuple(Scalar(field, x) for x in r) for r in self.payload)
+
+    def __len__(self) -> int:
+        return len(self.payload)
+
+    nrows = property(__len__)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.payload[0]) if self.payload else 0
 
     @property
     def dim(self) -> tuple[int, int]:
@@ -91,46 +115,49 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.rows[i][j]
+        return Scalar(self.field, self.payload[i][j])
+
+    def _entrywise(self, other: "Matrix", op, what: str) -> "Matrix":
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch in matrix {what}")
+        _check_fields(self, other, f"matrix {what}")
+        return Matrix(self.field, tuple(tuple(map(op, ra, rb))
+                                        for ra, rb in zip(self.payload, other.payload)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in matrix sum")
-        return Matrix(self.field, tuple(tuple(a + b for a, b in zip(ra, rb))
-                                        for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(other, self.field.ops.add, "sum")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in matrix difference")
-        return Matrix(self.field, tuple(tuple(a - b for a, b in zip(ra, rb))
-                                        for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(other, self.field.ops.sub, "difference")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, tuple(tuple(-a for a in r) for r in self.rows))
+        neg = self.field.ops.neg
+        return Matrix(self.field, tuple(tuple(map(neg, r)) for r in self.payload))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        field = self.field
-        if other.field is not field and other.field != field:
-            raise FieldMismatch("matrix product across fields")
-        if self.ncols != other.nrows:
+        _check_fields(self, other, "matrix product")
+        if self and self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        prod = _mul_rows(field.ops, _unbox(field, self.rows),
-                         _sparse_rows(field.ops, _unbox(field, other.rows)), other.ncols)
-        return Matrix(field, tuple(_box_row(field, r) for r in prod))
+        ops = self.field.ops
+        return Matrix(self.field, tuple(_mul_rows(ops, self.payload,
+                                                  _sparse_rows(ops, other.payload),
+                                                  other.ncols)))
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, tuple(tuple(c * a for a in r) for r in self.rows))
+    def scale(self, c) -> "Matrix":
+        """c M for a Scalar (or int, Fraction, text) c of the field."""
+        mul, c = self.field.ops.mul, _entry_payload(self.field, c)
+        return Matrix(self.field, tuple(tuple(mul(c, a) for a in r) for r in self.payload))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)))
+        return Matrix(self.field, tuple(zip(*self.payload)))
 
     def minus_identity(self) -> "Matrix":
-        one = self.field.one()
-        return Matrix(self.field, tuple(tuple(a - one if i == j else a
+        sub, one = self.field.ops.sub, self.field.ops.one
+        return Matrix(self.field, tuple(tuple(sub(a, one) if i == j else a
                                               for j, a in enumerate(r))
-                                        for i, r in enumerate(self.rows)))
+                                        for i, r in enumerate(self.payload)))
 
     def pow(self, e: int) -> "Matrix":
         if e < 0:
@@ -148,13 +175,13 @@ class Matrix:
         n = self.nrows
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        field = self.field
-        one, zero = field.one(), field.zero()
-        ech = _echelon([r + tuple(one if i == j else zero for j in range(n))
-                        for i, r in enumerate(self.rows)], field)
+        ops = self.field.ops
+        one, zero = ops.one, ops.zero
+        ech = _echelon(ops, [r + tuple(one if i == j else zero for j in range(n))
+                             for i, r in enumerate(self.payload)])
         if ech.pivots != list(range(n)):
             raise PreconditionError("matrix is singular")
-        return Matrix(field, tuple(_box_row(field, r[n:]) for r in ech.rows))
+        return Matrix(self.field, tuple(tuple(r[n:]) for r in ech.rows))
 
     def is_invertible(self) -> bool:
         return self.is_square() and rank(self) == self.nrows
@@ -163,51 +190,22 @@ class Matrix:
         """(-1)^swaps times the pivot product of an unreduced echelon form."""
         if not self.is_square():
             raise PreconditionError("determinant of a non-square matrix")
-        ech = _echelon(self.rows, self.field, reduced=False)
+        ech = _echelon(self.field.ops, self.payload, reduced=False)
         if len(ech.pivots) < self.nrows:
             return self.field.zero()
         return Scalar(self.field, ech.det)
 
     def trace(self) -> Scalar:
-        t = self.field.zero()
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        add, t = self.field.ops.add, self.field.ops.zero
+        for i, r in enumerate(self.payload):
+            t = add(t, r[i])
+        return Scalar(self.field, t)
 
     def __str__(self):
         return "\n".join(", ".join(str(a) for a in r) for r in self.rows)
 
 
 # -- the payload loops -----------------------------------------------------------
-
-def _field_of(rows) -> FieldDescriptor | None:
-    """The field of the first entry, or None when there is no entry."""
-    for r in rows:
-        for x in r:
-            if not isinstance(x, Scalar):
-                raise TypeError(f"expected Scalar, got {type(x).__name__}")
-            return x.field
-    return None
-
-
-def _unbox(field: FieldDescriptor, rows) -> list[list]:
-    """Payload rows of Scalar rows, every entry checked to be a Scalar of `field`."""
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            if not isinstance(x, Scalar):
-                raise TypeError(f"expected Scalar, got {type(x).__name__}")
-            if x.field is not field and x.field != field:
-                raise FieldMismatch(f"{x.field} vs {field}")
-            row.append(x.payload)
-        out.append(row)
-    return out
-
-
-def _box_row(field: FieldDescriptor, payloads) -> Row:
-    return tuple(Scalar(field, x) for x in payloads)
-
 
 def _sparse_rows(ops, B) -> list[list]:
     """The (j, b) pairs of the nonzero entries b of each payload row of B."""
@@ -235,26 +233,19 @@ def _mul_rows(ops, A, SB, ncols: int) -> list[tuple]:
 
 
 class _Echelon(NamedTuple):
-    field: FieldDescriptor | None     # None when the input has no entry
     rows: list[list]                  # payload rows of the echelon form, pivot rows only
     pivots: list[int]
     det: Any                          # payload of (-1)^swaps * (product of the pivots)
 
 
-def _echelon(rows, field: FieldDescriptor | None = None, reduced: bool = True) -> _Echelon:
-    """Row echelon form of Scalar rows, computed on payloads.
+def _echelon(ops, rows, reduced: bool = True) -> _Echelon:
+    """Row echelon form of payload rows, by the field's ops table.
 
     Zero rows are dropped first.  `det` is the determinant of a square input
-    whose pivots are 0..n-1; `field` defaults to that of the first entry.
+    whose pivots are 0..n-1.
     """
-    rows = list(rows)
-    if field is None:
-        field = _field_of(rows)
-        if field is None:
-            return _Echelon(None, [], [], None)
-    ops = field.ops
     nonzero, neg, mul, addmul = ops.nonzero, ops.neg, ops.mul, ops.addmul
-    M = [r for r in _unbox(field, rows) if any(map(nonzero, r))]
+    M = [list(r) for r in rows if any(map(nonzero, r))]
     det = ops.one
     piv = []
     r0 = 0
@@ -280,49 +271,40 @@ def _echelon(rows, field: FieldDescriptor | None = None, reduced: bool = True) -
         r0 += 1
         if r0 == len(M):
             break
-    return _Echelon(field, M[:r0], piv, det)
+    return _Echelon(M[:r0], piv, det)
 
 
 def rank(M: Matrix) -> int:
     """Rank: the pivot count of an unreduced echelon form."""
-    return len(_echelon(M.rows, M.field, reduced=False).pivots)
+    return len(_echelon(M.field.ops, M.payload, reduced=False).pivots)
 
 
-def row_space_basis(rows) -> list[Row]:
-    """Reduced-echelon basis of the span of the given row vectors."""
-    ech = _echelon(rows)
-    return [_box_row(ech.field, r) for r in ech.rows]
+def row_space_basis(M: Matrix) -> Matrix:
+    """Reduced-echelon basis of the row space of M (or of a nonempty list of Scalar rows)."""
+    if not isinstance(M, Matrix):
+        M = Matrix.from_rows(M[0][0].field, M)
+    return Matrix(M.field, tuple(map(tuple, _echelon(M.field.ops, M.payload).rows)))
 
 
-def kernel_basis(M: Matrix) -> list[Row]:
+def kernel_basis(M: Matrix) -> Matrix:
     """Exact basis of the left kernel {v : v M = 0}."""
-    m, n = M.nrows, M.ncols
-    if m == 0:
-        return []
-    field = M.field
-    ech = _echelon([[M.rows[i][j] for i in range(m)] for j in range(n)], field)
-    neg = field.ops.neg
-    zero, one = field.zero(), field.one()
+    m, ops = M.nrows, M.field.ops
+    ech = _echelon(ops, zip(*M.payload))
     pivots = set(ech.pivots)
     basis = []
     for fc in range(m):
         if fc in pivots:
             continue
-        v = [zero] * m
-        v[fc] = one
+        v = [ops.zero] * m
+        v[fc] = ops.one
         for row, pc in zip(ech.rows, ech.pivots):
-            v[pc] = Scalar(field, neg(row[fc]))
+            v[pc] = ops.neg(row[fc])
         basis.append(tuple(v))
-    return basis
+    return Matrix(M.field, tuple(basis))
 
 
-def in_span(basis, v) -> bool:
-    """v in the span of a linearly independent basis (see solve_coords)."""
-    return solve_coords(basis, [v]) is not None
-
-
-def solve_coords(basis, vectors):
-    """Coefficients x with sum_k x_k basis_k = v for each v, or None if any v is outside.
+def solve_coords(basis: Matrix, vectors: Matrix) -> Matrix | None:
+    """Coefficient rows x with sum_k x_k basis_k = v for each row v, or None if any v is outside.
 
     The basis must be linearly independent; a dependent one raises
     PreconditionError.  One reduced elimination of [basis | 1_m] gives rows
@@ -330,37 +312,31 @@ def solve_coords(basis, vectors):
     v = v|_P R, checked on the other columns, and then x = v|_P M: the
     vectors enter two products, not the elimination.
     """
-    m = len(basis)
+    _check_fields(basis, vectors, "solve_coords")
+    field, ops, m, n = basis.field, basis.field.ops, basis.nrows, basis.ncols
+    V = vectors.payload
     if m == 0:
-        return None if any(any(v) for v in vectors) else [[] for _ in vectors]
-    field, n = _field_of(basis), len(basis[0])
-    one, zero = field.one(), field.zero()
-    ech = _echelon([tuple(b) + tuple(one if k == i else zero for k in range(m))
-                    for i, b in enumerate(basis)], field)
+        outside = any(any(map(ops.nonzero, v)) for v in V)
+        return None if outside else Matrix(field, ((),) * len(V))
+    one, zero = ops.one, ops.zero
+    ech = _echelon(ops, [b + tuple(one if k == i else zero for k in range(m))
+                         for i, b in enumerate(basis.payload)])
     if ech.pivots[-1] >= n:
         raise PreconditionError("solve_coords needs a linearly independent basis")
     rest = sorted(set(range(n)) - set(ech.pivots))
-    V = _unbox(field, vectors)
     VP = [[v[c] for c in ech.pivots] for v in V]
-    ops = field.ops
     R = _sparse_rows(ops, [[r[c] for c in rest] for r in ech.rows])
     if _mul_rows(ops, VP, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
         return None
     M = _sparse_rows(ops, [r[n:] for r in ech.rows])
-    return [list(_box_row(field, x)) for x in _mul_rows(ops, VP, M, m)]
+    return Matrix(field, tuple(_mul_rows(ops, VP, M, m)))
 
 
-def intersect_row_spaces(B1, B2) -> list[Row]:
+def intersect_row_spaces(B1: Matrix, B2: Matrix) -> Matrix:
     """Basis of the intersection of two row spaces."""
-    if not B1 or not B2:
-        return []
-    fld = B1[0][0].field
-    stacked = Matrix(fld, tuple(tuple(r) for r in list(B1) + list(B2)))
-    coefs = kernel_basis(stacked)
-    if not coefs:
-        return []
-    C = Matrix(fld, tuple(c[:len(B1)] for c in coefs))
-    return row_space_basis((C @ Matrix(fld, tuple(tuple(r) for r in B1))).rows)
+    _check_fields(B1, B2, "intersect_row_spaces")
+    coefs = kernel_basis(Matrix(B1.field, B1.payload + B2.payload))
+    return row_space_basis(Matrix(B1.field, tuple(c[:len(B1)] for c in coefs.payload)) @ B1)
 
 
 # -- characteristic polynomial and Jordan data ---------------------------------
@@ -377,7 +353,7 @@ def char_poly(M: Matrix) -> list[Scalar]:
     field = M.field
     ops = field.ops
     zero, nonzero, neg, addmul = ops.zero, ops.nonzero, ops.neg, ops.addmul
-    A = _unbox(field, M.rows)
+    A = M.payload
 
     def dot(row, pairs):
         acc = zero
@@ -516,9 +492,8 @@ class JordanData:
 
 def jordan_block(field: FieldDescriptor, alpha: Scalar, n: int) -> Matrix:
     """Explicit Jordan block: alpha on the diagonal, ones above it."""
-    one, zero = field.one(), field.zero()
-    return Matrix(field, tuple(tuple(alpha if i == j else one if j == i + 1 else zero
-                                     for j in range(n)) for i in range(n)))
+    return Matrix.from_rows(field, [[alpha if i == j else int(j == i + 1) for j in range(n)]
+                                    for i in range(n)])
 
 
 def eigenvalues(M: Matrix):
@@ -529,7 +504,7 @@ def eigenvalues(M: Matrix):
     Q(zeta_4)) that are neither rational nor a root of unity.  Returns
     (list of (eigenvalue, multiplicity), remaining factor).
     """
-    return field_roots(char_poly(M), M.field, [M.rows[i][i] for i in range(M.nrows)])
+    return field_roots(char_poly(M), M.field, [M[i, i] for i in range(M.nrows)])
 
 
 def jordan_data(M: Matrix) -> JordanData:
@@ -568,18 +543,10 @@ def jordan_data(M: Matrix) -> JordanData:
 
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product on the basis e_i (x) f_j, lexicographic in (i, j)."""
-    if A.field != B.field:
-        raise FieldMismatch("kronecker across fields")
-    na, nb = A.nrows, B.nrows
-    out = []
-    for i in range(na):
-        for k in range(nb):
-            row = []
-            for j in range(A.ncols):
-                a = A.rows[i][j]
-                row.extend(a * b for b in B.rows[k])
-            out.append(tuple(row))
-    return Matrix(A.field, tuple(out))
+    _check_fields(A, B, "kronecker")
+    mul = A.field.ops.mul
+    return Matrix(A.field, tuple(tuple(mul(a, b) for a in ra for b in rb)
+                                 for ra in A.payload for rb in B.payload))
 
 
 def kronecker_jordan(alpha: Scalar, n1: int, beta: Scalar, n2: int) -> JordanData:
@@ -604,9 +571,11 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
     for a symmetric X.  Entry (i, j) of L X R - L' X R' is one equation,
     in which the unknown at (u, v) has the coefficient L_iu R_vj - L'_iu R'_vj.
     The solutions are the kernel_basis of the coefficients (one row per
-    unknown, built on payloads), read back into matrices through `unknowns`.
+    unknown), read back into matrices through `unknowns`.
     """
     field = pairs[0][0][0].field
+    if any(M.field != field for pair in pairs for side in pair for M in side):
+        raise FieldMismatch("solve_matrix_equations across fields")
     ops = field.ops
     nonzero, addmul = ops.nonzero, ops.addmul
     coefs = [[] for _ in range(1 + max(map(max, unknowns)))]
@@ -615,8 +584,8 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
         width = R0.ncols
         block = [[ops.zero] * (L0.nrows * width) for _ in coefs]
         for (L, R), negate in zip(pair, (False, True)):
-            rrows = _sparse_rows(ops, _unbox(field, R.rows))
-            for i, lrow in enumerate(_unbox(field, L.rows)):
+            rrows = _sparse_rows(ops, R.payload)
+            for i, lrow in enumerate(L.payload):
                 for u, a in enumerate(lrow):
                     if nonzero(a):
                         a = ops.neg(a) if negate else a
@@ -626,9 +595,8 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
                                 c[i * width + j] = addmul(c[i * width + j], a, b)
         for row, part in zip(coefs, block):
             row.extend(part)
-    system = Matrix(field, tuple(_box_row(field, row) for row in coefs))
     return [Matrix(field, tuple(tuple(v[k] for k in row) for row in unknowns))
-            for v in kernel_basis(system)]
+            for v in kernel_basis(Matrix(field, tuple(map(tuple, coefs)))).payload]
 
 
 def commutant_basis(As: list[Matrix], Bs: list[Matrix]) -> list[Matrix]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BadPrime, FieldMismatch, NoInvariantForm, NoRootInQuadratic,
-                     PreconditionError)
-from .linalg import (Matrix, _box_row, _mul_rows, _sparse_rows, _unbox, commutant_basis,
+from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
+from .linalg import (Matrix, _check_fields, _mul_rows, _sparse_rows, commutant_basis,
                      find_invertible, jordan_data, poly_eval, rank, solve_matrix_equations)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
@@ -70,24 +69,24 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     if src.kind == RATIONAL:
         target = FieldDescriptor.finite(ell)
 
-        def conv(s: Scalar) -> Scalar:
-            return Scalar(target, (_reduce_fraction(s.payload, ell),))
+        def conv(x):
+            return (_reduce_fraction(x, ell),)
     else:
         if src.n % ell == 0:
             raise BadPrime(f"{ell} divides the cyclotomic order {src.n}")
         target, root = _cyclotomic_root_mod(src.n, ell)
+        ops, root = target.ops, root.payload
 
-        def conv(s: Scalar) -> Scalar:
-            nums, den = s.payload
-            acc = target.zero()
-            power = target.one()
-            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell))
+        def conv(x):
+            nums, den = x
+            acc, power = ops.zero, ops.one
             for a in nums:
                 if a:
-                    acc = acc + target.from_int(a) * power
-                power = power * root
-            return acc * dinv
-    entries = [Matrix(target, tuple(tuple(conv(x) for x in row) for row in M.rows))
+                    acc = ops.addmul(acc, target.from_int(a).payload, power)
+                power = ops.mul(power, root)
+            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell)).payload
+            return ops.mul(acc, dinv)
+    entries = [Matrix(target, tuple(tuple(map(conv, row)) for row in M.payload))
                for M in T.entries]
     return MonodromyTuple.make(target, entries, T.points)
 
@@ -111,10 +110,10 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     """Breadth-first closure under right multiplication by the generators.
 
     Returns the elements as the keys of an insertion-ordered dict, or None
-    when the closure passes the cap.  A key is the tuple of payload rows of
-    an element: the generators are unboxed once (with the field checks of
-    linalg._unbox) and the products run on payloads, so no Scalar or Matrix
-    is built inside the loop.
+    when the closure passes the cap.  A key is the payload rows of an
+    element, as a Matrix holds them: the generators enter by their payload
+    rows, the products run on payloads, no Scalar or Matrix is built inside
+    the loop, and group_elements wraps each key in a Matrix as it is.
 
     Row i of B A is (row i of B) A, so each generator A keeps a table from
     a payload row to that row times A, filled on first use; a product is then
@@ -128,12 +127,11 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     n = gens[0].nrows
     if any(A.dim != (n, n) for A in gens):
         raise ValueError("dimension mismatch in matrix product")
-    if any(A.field is not field and A.field != field for A in gens):
-        raise FieldMismatch("matrix product across fields")
+    for A in gens:
+        _check_fields(A, gens[0], "matrix product")
     ops = field.ops
-    payload_gens = [_unbox(field, A.rows) for A in gens]
-    ident = tuple(tuple(ops.one if i == j else ops.zero for j in range(n)) for i in range(n))
-    images = [_RowImages(ops, A, n).__getitem__ for A in payload_gens]
+    ident = Matrix.identity(field, n).payload
+    images = [_RowImages(ops, A.payload, n).__getitem__ for A in gens]
     seen = {ident: None}
     frontier = [ident]
     while frontier:
@@ -173,10 +171,8 @@ def group_elements(gens: list[Matrix], cap: int = 100000):
     _check_cap(cap)
     if not gens:
         raise PreconditionError("group_elements needs at least one generator")
-    field = gens[0].field
     seen = _closure_rows(gens, cap)
-    return None if seen is None else [
-        Matrix(field, tuple(_box_row(field, r) for r in rows)) for rows in seen]
+    return None if seen is None else [Matrix(gens[0].field, rows) for rows in seen]
 
 
 def absolutely_irreducible(gens: list[Matrix]) -> bool:

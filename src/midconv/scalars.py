@@ -17,8 +17,10 @@ so a field check is an identity test (`a is b`), with `==` as the fallback
 for a descriptor built some other way.  Each descriptor carries its ops table
 (`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, inv on
 payloads), chosen once from the field's kind, and cached zero() and one()
-elements.  Scalar arithmetic calls the table; the hot loops of linalg and
-modgroup unbox to payloads once and call it directly.  `addmul(c, a, b)` is
+elements.  Scalar arithmetic calls the table.  A linalg.Matrix holds payloads,
+not Scalars, so the loops of linalg, tuples and modgroup call the table
+directly: Scalars appear only where entries enter a matrix (Matrix.from_rows)
+and where they leave it (Matrix.rows, M[i, j]).  `addmul(c, a, b)` is
 their multiply-accumulate c + a*b: one reduction (F_p, F_{p^2}) or one
 normalization (Q, Q(zeta_n)) per term instead of one for the product and one
 for the sum.

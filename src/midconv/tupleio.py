@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .linalg import Matrix
 from .scalars import (CYCLOTOMIC, RATIONAL, FieldDescriptor, format_poly, format_scalar,
-                      parse_scalar, parse_terms)
+                      parse_terms)
 from .tuples import MonodromyTuple
 
 
@@ -93,8 +93,8 @@ def load_tuple(text: str) -> MonodromyTuple:
     field = None
     dim = None
     points = None
-    matrices: list[list[list]] = []
-    current: list[list] | None = None
+    matrices: list[list[list[str]]] = []
+    current: list[list[str]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,14 +117,14 @@ def load_tuple(text: str) -> MonodromyTuple:
         else:
             if current is None or field is None:
                 raise ParseError(f"unexpected content at line {lineno}: {raw!r}")
-            current.append([parse_scalar(tok.strip(), field) for tok in line.split(",")])
+            current.append(line.split(","))
     if field is None or dim is None or not matrices:
         raise ParseError("tuple file needs field, dim and at least one matrix")
     entries = []
     for rows in matrices:
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ParseError(f"matrix is not {dim}x{dim}")
-        entries.append(Matrix(field, tuple(tuple(r) for r in rows)))
+        entries.append(Matrix.from_rows(field, rows))
     return MonodromyTuple.make(field, entries, points)
 
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, _box_row, _echelon, _mul_rows, _sparse_rows, _unbox,
-                     char_poly, commutant_basis, conjugacy_solve, intersect_row_spaces,
-                     kernel_basis, rank, row_space_basis, solve_coords)
+from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, _sparse_rows, char_poly,
+                     commutant_basis, conjugacy_solve, intersect_row_spaces, kernel_basis,
+                     rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -95,6 +95,8 @@ class MonodromyTuple:
         """Every check of __post_init__ except the product relation."""
         if len(self.entries) < 1:
             raise PreconditionError("a tuple needs at least one entry")
+        if self.dim < 1:
+            raise PreconditionError("a tuple needs dim >= 1")
         for M in self.entries:
             if M.field != self.field or M.dim != (self.dim, self.dim):
                 raise PreconditionError("entries must be square over the declared field")
@@ -151,14 +153,15 @@ class MonodromyTuple:
 class _Entries(dict):
     """id(M) -> [M, _sparse_rows of M, whether M is c*1, M^-1 or None] for one word.
 
-    `_unbox` (the one checked boundary), the c*1 test and the inverse run at
-    most once per entry per word; holding M keeps its id from being reused.
+    The sparse rows are read off M's payload rows, and they, the c*1 test and
+    the inverse are built at most once per entry per word; holding M keeps
+    its id from being reused.
     """
 
     def look(self, M: Matrix) -> list:
         rec = self.get(id(M))
         if rec is None:
-            S = _sparse_rows(M.field.ops, _unbox(M.field, M.rows))
+            S = _sparse_rows(M.field.ops, M.payload)
             c = S[0][0][1] if S and S[0] else None      # an entry is invertible
             rec = self[id(M)] = [M, S, all(row == [(k, c)] for k, row in enumerate(S)), None]
         return rec
@@ -210,7 +213,7 @@ def braid_act(T: MonodromyTuple, w: BraidWord) -> MonodromyTuple:
     untouched (the action preserves the product).  It is phi_transport with
     no rows to carry, so the letters are applied by that one loop.
     """
-    return phi_transport(T, w, [])[1]
+    return phi_transport(T, w, Matrix(T.field, ()))[1]
 
 
 def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
@@ -229,12 +232,14 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
 
-def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, MonodromyTuple]:
-    """([v Phi(T, w) for v in rows], T^w), one braid letter at a time.
+def phi_transport(T: MonodromyTuple, w: BraidWord,
+                  rows: Matrix) -> tuple[Matrix, MonodromyTuple]:
+    """(rows Phi(T, w), T^w), one braid letter at a time.
 
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
-    touches only the slots i and i+1 of V^{r+1}.  The rows are unboxed once,
-    held as r+1 slot blocks of payload rows and boxed on return.  With
+    touches only the slots i and i+1 of V^{r+1}.  The payload rows of `rows`
+    are cut into r+1 slot blocks, carried letter by letter on payloads and
+    joined again into the returned Matrix; no Scalar is built.  With
     (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
     (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), with no inverse, and
     beta_i^-1 sends them to ((Y - X + X b) a^-1, X), a^-1 formed once per
@@ -245,11 +250,11 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
+    _check_fields(T, rows, "phi_transport")
     field, d, seen, ops = T.field, T.dim, _Entries(), T.field.ops
     entries = list(T.entries)
     points = list(T.points) if T.points is not None else None
-    rows = _unbox(field, rows)
-    blocks = [[v[k * d:(k + 1) * d] for v in rows] for k in range(len(entries))]
+    blocks = [[v[k * d:(k + 1) * d] for v in rows.payload] for k in range(len(entries))]
     for i, e in w.letters:
         a, b = entries[i - 1], entries[i]
         _act_gen(entries, points, i, e < 0, seen)
@@ -264,7 +269,7 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
         else:
             Z = [tuple(map(ops.add, map(ops.sub, y, x), xb)) for x, y, xb in zip(X, Y, Xb)]
             blocks[i - 1], blocks[i] = _mul_rows(ops, Z, seen.look(seen.inverse(a))[1], d), X
-    images = [_box_row(field, chain(*parts)) for parts in zip(*blocks)]
+    images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
     if all(M is N for M, N in zip(entries, T.entries)) and (
             points is None or tuple(points) == T.points):
         return images, T
@@ -273,19 +278,18 @@ def phi_transport(T: MonodromyTuple, w: BraidWord, rows) -> tuple[list, Monodrom
 
 def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
     """The linear automorphism Phi(T, w) of V^{r+1}: its rows are the images of the e_k."""
-    ident = Matrix.identity(T.field, len(T.entries) * T.dim)
-    return Matrix(T.field, tuple(phi_transport(T, w, ident.rows)[0]))
+    return phi_transport(T, w, Matrix.identity(T.field, len(T.entries) * T.dim))[0]
 
 
 # -- cohomology spaces -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CohomologySpaces:
-    """Echelonized bases of E_T <= U_T <= H_T inside V^{r+1}."""
+    """Echelonized bases of E_T <= U_T <= H_T inside V^{r+1}, as Matrices."""
 
-    h_basis: tuple
-    e_basis: tuple
-    u_basis: tuple
+    h_basis: Matrix
+    e_basis: Matrix
+    u_basis: Matrix
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -317,41 +321,38 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
     for k in range(r1 - 1, -1, -1):
         suffix[k] = P
         P = entries[k] @ P
-    stacked = Matrix(field, tuple(row for k in range(r1) for row in suffix[k].rows))
-    h_basis = kernel_basis(stacked)
+    stacked = Matrix(field, tuple(row for P in suffix for row in P.payload))
     e_basis = row_space_basis(join_slots([M.minus_identity() for M in entries]))
     # the slot images S are independent, so U = {c S : c S stacked = 0}
-    S = Matrix(field, tuple(slot_images(entries)))
-    coefs = kernel_basis(S @ stacked) if S.rows else []
-    u_basis = row_space_basis((Matrix(field, tuple(coefs)) @ S).rows) if coefs else []
-    return CohomologySpaces(tuple(h_basis), tuple(e_basis), tuple(u_basis))
+    S = slot_images(entries)
+    u_basis = row_space_basis(kernel_basis(S @ stacked) @ S)
+    return CohomologySpaces(kernel_basis(stacked), e_basis, u_basis)
 
 
 def slot_blocks(M: Matrix, n: int) -> list[Matrix]:
     """Split rows of V^n into n slot blocks: block k is slot k of every row of M."""
     d = M.ncols // n
-    return [Matrix(M.field, tuple(v[k * d:(k + 1) * d] for v in M.rows)) for k in range(n)]
+    return [Matrix(M.field, tuple(v[k * d:(k + 1) * d] for v in M.payload)) for k in range(n)]
 
 
-def join_slots(blocks) -> list[tuple]:
-    """Rows of V^n from n slot blocks with equal row counts; undoes slot_blocks."""
-    return [sum(parts, ()) for parts in zip(*(blk.rows for blk in blocks))]
+def join_slots(blocks) -> Matrix:
+    """Rows of V^n from n >= 1 slot blocks with equal row counts; undoes slot_blocks."""
+    return Matrix(blocks[0].field,
+                  tuple(sum(parts, ()) for parts in zip(*(blk.payload for blk in blocks))))
 
 
-def slot_images(entries) -> list:
+def slot_images(entries) -> Matrix:
     """Reduced-echelon basis of (+)_k im(M_k - 1) inside V^n, n = len(entries).
 
     Slot k of V^n holds im(M_k - 1).  The slots are disjoint column ranges
     taken in order, so stacking the reduced-echelon bases of the images
     gives a reduced echelon form of the sum.
     """
-    n, d = len(entries), entries[0].nrows
-    zero = (entries[0].field.zero(),)
-    rows = []
-    for k, M in enumerate(entries):
-        rows.extend(zero * (k * d) + b + zero * ((n - k - 1) * d)
-                    for b in row_space_basis(M.minus_identity().rows))
-    return rows
+    n, d, field = len(entries), entries[0].nrows, entries[0].field
+    zero = (field.ops.zero,)
+    return Matrix(field, tuple(zero * (k * d) + b + zero * ((n - k - 1) * d)
+                               for k, M in enumerate(entries)
+                               for b in row_space_basis(M.minus_identity()).payload))
 
 
 def invariants_dim(T: MonodromyTuple) -> int:
@@ -367,10 +368,8 @@ def invariants_dim(T: MonodromyTuple) -> int:
 
 def coinvariants_dim(T: MonodromyTuple) -> int:
     """dim of V / sum_i im(T_i - 1)."""
-    rows = []
-    for M in T.entries:
-        rows.extend(M.minus_identity().rows)
-    return T.dim - len(row_space_basis(rows))
+    return T.dim - rank(Matrix(T.field, tuple(row for M in T.entries
+                                              for row in M.minus_identity().payload)))
 
 
 def parabolic_rank_formula(T: MonodromyTuple) -> int:
@@ -385,22 +384,22 @@ def parabolic_rank_formula(T: MonodromyTuple) -> int:
 
 # -- quotient machinery shared with the convolution -------------------------------
 
-def quotient_basis(u_basis, e_basis):
-    """Extend echelon(E) to U; the complement rows represent U/E.
+def quotient_basis(u_basis: Matrix, e_basis: Matrix) -> tuple[Matrix, Matrix]:
+    """(ext, quot): echelon(E) extended to U by the rows quot, which represent U/E.
 
-    The complement holds each u outside the span of echelon(E) and the
-    earlier u: with these vectors as columns, the pivot columns past
-    echelon(E) of one elimination.
+    quot holds each u outside the span of echelon(E) and the earlier u: with
+    these vectors as columns, the pivot columns past echelon(E) of one
+    elimination.
     """
-    ext = row_space_basis(list(e_basis))
-    cols = ext + [tuple(u) for u in u_basis]
-    piv = _echelon(zip(*cols)).pivots
-    quot = [cols[c] for c in piv[len(ext):]]
-    return ext + quot, quot
+    field, ext = e_basis.field, row_space_basis(e_basis)
+    cols = ext.payload + u_basis.payload
+    piv = _echelon(field.ops, zip(*cols)).pivots
+    quot = tuple(cols[c] for c in piv[len(ext):])
+    return Matrix(field, ext.payload + quot), Matrix(field, quot)
 
 
-def induced_quotient_matrix(ext, image_blocks, field) -> list[Matrix]:
-    """One matrix on U/E per block of images of the quotient rows of `ext`.
+def induced_quotient_matrix(ext: Matrix, image_blocks) -> list[Matrix]:
+    """One matrix on U/E per block (a Matrix) of images of the quotient rows of `ext`.
 
     quotient_basis puts the quotient rows last in `ext`, so each image's
     coordinates on them are the tail of its coordinates in `ext`.  The
@@ -408,12 +407,13 @@ def induced_quotient_matrix(ext, image_blocks, field) -> list[Matrix]:
     PreconditionError if an image leaves span(ext): the caller treats that
     as a degeneracy signal.
     """
-    coords = solve_coords(ext, [v for block in image_blocks for v in block])
+    field = ext.field
+    coords = solve_coords(ext, Matrix(field, tuple(chain.from_iterable(
+        block.payload for block in image_blocks))))
     if coords is None:
         raise PreconditionError("quotient space is not preserved")
-    coords = iter(coords)
-    return [Matrix(field, tuple(tuple(next(coords)[len(ext) - len(block):])
-                                for _ in block))
+    coords = iter(coords.payload)
+    return [Matrix(field, tuple(next(coords)[len(ext) - len(block):] for _ in block.payload))
             for block in image_blocks]
 
 

@@ -36,10 +36,9 @@ def random_scalar(field, rng, span=4):
 
 def random_invertible(field, dim, rng, span=3):
     while True:
-        M = Matrix.from_rows(field, [[rng.randint(-span, span) for _ in range(dim)]
-                                     for _ in range(dim)]) if field.kind == "rational" \
-            else Matrix(field, tuple(tuple(random_scalar(field, rng) for _ in range(dim))
-                                     for _ in range(dim)))
+        M = Matrix.from_rows(field, [[rng.randint(-span, span) if field.kind == "rational"
+                                      else random_scalar(field, rng) for _ in range(dim)]
+                                     for _ in range(dim)])
         if M.is_invertible():
             return M
 

@@ -1,12 +1,18 @@
 """The command line: --json documents and exit codes (0 ok, 1 domain, 2 input)."""
 
 import json
+import random
 import time
 
 import pytest
 
 from midconv import cli, convolution
 from midconv.k3count import MAX_Q
+from midconv.linalg import Matrix
+from midconv.scalars import FieldDescriptor
+from midconv.tupleio import save_tuple_file
+
+from conftest import SEED, random_tuple
 
 
 def _run(capsys, *argv):
@@ -199,7 +205,8 @@ def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
     def leaky(T, w, rows):
         # v + e_1 is never in U: e_1 alone breaks the equation that cuts out H
         images, TW = real(T, w, rows)
-        return [(v[0] + v[0].field.one(),) + v[1:] for v in images], TW
+        e1 = Matrix.from_rows(T.field, [[int(k == 0) for k in range(images.ncols)]] * len(images))
+        return images + e1, TW
 
     monkeypatch.setattr(convolution, "phi_transport", leaky)
     code, _out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",
@@ -260,7 +267,14 @@ def test_k3_above_the_size_limit_exits_1_at_once(capsys, argv, q):
     code, out, err = _run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
-    assert err.startswith(f"PreconditionError: q = {q} is above the limit MAX_Q = {MAX_Q}")
+    assert err.startswith(f"PreconditionError: q (of {len(str(q))} digits) is above the limit "
+                          f"MAX_Q = {MAX_Q}")
+
+
+def test_k3_error_line_gives_the_size_of_a_huge_q_not_its_digits(capsys):
+    code, out, err = _run(capsys, "k3", "count", f"--q={10 ** 400 + 1}")
+    assert code == 1 and out == ""
+    assert err == "PreconditionError: q (of 401 digits) must be p or p^2\n"
 
 
 def test_cyclotomic_order_above_the_limit_exits_2(capsys, tmp_path):
@@ -338,3 +352,53 @@ def test_python_dash_m_midconv_runs_the_command_line():
                            "--json"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["checks_passed"] is True
+
+
+def test_mcl_on_a_tuple_without_points_keeps_it_without_points(capsys, tmp_path):
+    path = _write(tmp_path, "t.txt", "rational", 1, [["2"], ["3"], ["1/6"]])
+    code, out, err = _run(capsys, "mcl", "--tuple", path, "--lambda=-1")
+    assert code == 0 and err == "" and "points:" not in out
+    code, doc = _run_json(capsys, "mcl", "--tuple", path, "--lambda=-1")
+    assert code == 0 and doc["points"] is None and doc["dim"] == 2
+
+
+CONTRACT_FIELDS = [FieldDescriptor.rational(), FieldDescriptor.finite(7),
+                   FieldDescriptor.finite(2), FieldDescriptor.finite(5, 2),
+                   FieldDescriptor.cyclotomic(3), FieldDescriptor.cyclotomic(4)]
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=str)
+def test_every_tuple_subcommand_keeps_the_exit_code_contract(capsys, tmp_path, field):
+    # random small tuples t (with points), n (without) and k (rank one, with points)
+    rng = random.Random(SEED)
+    t, n, k = (tmp_path / name for name in ("t.txt", "n.txt", "k.txt"))
+    save_tuple_file(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng, True), t)
+    save_tuple_file(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng), n)
+    save_tuple_file(random_tuple(field, 1, rng.randint(1, 2), rng, True), k)
+    t, n, k = map(str, (t, n, k))
+    for argv in (["convolve", "--left", t, "--right", k], ["convolve", "--left", n, "--right", k],
+                 ["mcl", "--tuple", t, "--lambda=-1"], ["mcl", "--tuple", n, "--lambda=-1"],
+                 ["rank", "--left", t, "--right", k], ["check-conv", "--tuple", t],
+                 ["irred", "--tuple", t, "--lambdas=-1,2"], ["jordan", "--tuple", n],
+                 ["predict", "--left", t, "--right", k],
+                 ["predict", "--infinity", "--tuple", n, "--lambda=-1"],
+                 ["braid", "--tuple", n, "--word", "b1"], ["cohomology", "--tuple", n],
+                 ["equiv", t, n], ["equiv", t, t], ["reduce", "--tuple", t, "--mod", "5"],
+                 ["group", "--tuple", n, "--cap", "30"], ["primitivity", "--tuple", t],
+                 ["primitivity", "--tuple", n, "--mod", "5"]):
+        for extra in ([], ["--json"]):
+            code, out, err = _run(capsys, *argv, *extra)
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert "Traceback" not in err
+            if extra and (out or code == 0):
+                json.loads(out)                    # one document and nothing else
+
+
+def test_tuples_without_a_finite_entry_or_a_dimension_exit_1(capsys, tmp_path):
+    r0 = _write(tmp_path, "r0.txt", "rational", 1, [["1"]])
+    d0 = _write(tmp_path, "d0.txt", "rational", 0, [[]])
+    code, out, err = _run(capsys, "mcl", "--tuple", r0, "--lambda=-1")
+    assert (code, out, err) == (1, "", "PreconditionError: MC_lambda needs a finite entry\n")
+    for argv in (["group", "--tuple", d0], ["equiv", d0, d0], ["cohomology", "--tuple", d0]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (1, "", "PreconditionError: a tuple needs dim >= 1\n")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from midconv.convolution import (ConvolutionInput, PairingInfo, circ_tuple,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, PairingInfo, circ_tuple,
                                  convolved_block, irreducibility_criterion,
                                  is_convolution_sheaf, kummer_tuple, mc_lambda,
                                  middle_convolution, pairing_convolve,
@@ -135,8 +135,8 @@ def _pochhammer_matrix(A, lam, k):
                     else:
                         blk = A[bj] - ident
                     row[bj * d: (bj + 1) * d] = blk.rows[rr]
-            rows.append(tuple(row))
-    return Matrix(field, tuple(rows))
+            rows.append(row)
+    return Matrix.from_rows(field, rows)
 
 
 def _dense_mc_lambda(T, lam):
@@ -145,18 +145,19 @@ def _dense_mc_lambda(T, lam):
     A = list(T.finite_entries())
     zero = (field.zero(),)
     k_rows = [zero * (k * d) + b + zero * ((p - k - 1) * d)
-              for k, M in enumerate(A) for b in row_space_basis(M.minus_identity().rows)]
+              for k, M in enumerate(A) for b in row_space_basis(M.minus_identity()).rows]
     bigs = [_pochhammer_matrix(A, lam, k) for k in range(p)]
     l_rows = [row for k, big in enumerate(bigs)
               for row in big.minus_identity().rows[k * d:(k + 1) * d]]
-    w = intersect_row_spaces(row_space_basis(k_rows), row_space_basis(l_rows))
+    w = intersect_row_spaces(row_space_basis(Matrix.from_rows(field, k_rows)),
+                             row_space_basis(Matrix.from_rows(field, l_rows)))
     if not w:
         return None
     entries = []
     for big in bigs:
-        coords = solve_coords(w, (Matrix(field, tuple(w)) @ big).rows)
+        coords = solve_coords(w, w @ big)
         assert coords is not None, "B_k does not preserve K^perp cap L^perp"
-        entries.append(Matrix(field, tuple(tuple(x) for x in coords)))
+        entries.append(coords)
     return MonodromyTuple.from_finite_entries(field, entries, T.points)
 
 
@@ -307,7 +308,7 @@ def test_additivity_of_convolution_rank():
     blocks = []
     for M1, M2 in zip(A.entries, A2.entries):
         z = Q.zero()
-        blocks.append(Matrix(Q, ((M1.rows[0][0], z), (z, M2.rows[0][0]))))
+        blocks.append(Matrix.from_rows(Q, [[M1[0, 0], z], [z, M2[0, 0]]]))
     direct_sum = MonodromyTuple.make(Q, blocks, A.points)
     r_sum = middle_convolution(ConvolutionInput(direct_sum, B)).dim
     r1 = middle_convolution(ConvolutionInput(A, B)).dim
@@ -357,7 +358,8 @@ def test_sl_demo_m1_uses_triangle_group():
 @pytest.mark.parametrize("m, r, digest", [
     (3, 6, "d74c0bd0aca48fbc0837b324c820dc45174303e2c207ce49ee0283fad3daa529"),
     (5, 6, "9ddf89eeb03a85bcb8c4c89c328d06f025454b68e57e4fe5c2f4adb84c2b4a45"),
-], ids=["3-6", "5-6"])
+    (3, 8, "b365b8436a563f9c2bca40a9edc19b97f425375588286aacb5a803cd0db8f428"),
+], ids=["3-6", "5-6", "3-8"])
 def test_larger_sl_demo_outputs_are_pinned(m, r, digest):
     # recorded before the coordinate solve read the pivot block and U was
     # cut out of the slot images directly
@@ -373,6 +375,17 @@ def test_sl_demo_preconditions():
         sl_demo(4, 10)
     with pytest.raises(PreconditionError):
         sl_demo(3, 3)
+
+
+def test_sl_demo_r_above_the_limit_is_refused_at_once():
+    # (3,12) and (7,10) take seconds and stay allowed; r = SL_DEMO_MAX_R + 1
+    # is refused before the dihedral tuple is built
+    import time
+    assert SL_DEMO_MAX_R >= 12
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="SL_DEMO_MAX_R"):
+        sl_demo(3, SL_DEMO_MAX_R + 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_kummer_tuple_shape():

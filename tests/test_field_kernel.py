@@ -1,5 +1,5 @@
-"""The field kernel: interned descriptors, the field-checked boundary of the
-payload loops, det by elimination, addmul against add and mul, the Q ops
+"""The field kernel: interned descriptors, the checked boundary of the
+payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, the Q ops
 against the fractions module, the sparse payload loops, and char_poly
 against det(x 1 - M)."""
 
@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from midconv.errors import FieldMismatch
 from midconv.fixtures import TUPLE_FIXTURES
-from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly, poly_eval,
-                            rank, solve_coords)
+from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly,
+                            commutant_basis, intersect_row_spaces, kronecker, poly_eval, rank,
+                            solve_coords)
 from midconv.modgroup import _RowImages, group_closure
 from midconv.scalars import FieldDescriptor, Scalar, _cyc_normalize, cyclotomic_polynomial
+from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
 from conftest import F7, Q, SEED, random_scalar
 
@@ -59,40 +61,33 @@ def test_zero_and_one_are_cached_and_canonical(field):
     assert not field.zero() and field.one()
 
 
-# -- the field-checked boundary of the payload loops --------------------------------
-
-def _bad_matrices(field):
-    """(mixed-field matrix, matrix with an int entry), both 2x2 over `field`."""
-    other = Q if field is not Q else F7
-    one = field.one()
-    mixed = Matrix(field, ((one, other.one()), (one, one)))
-    with_int = Matrix(field, ((one, 1), (one, one)))
-    return mixed, with_int
-
+# -- the checked boundary of the payload loops: Matrix.from_rows ----------------------
 
 @pytest.mark.parametrize("field", [Q, F7], ids=str)
 def test_payload_loops_reject_foreign_entries(field):
-    good = Matrix.identity(field, 2)
-    mixed, with_int = _bad_matrices(field)
-    for bad, exc in ((mixed, FieldMismatch), (with_int, TypeError)):
+    # an entry of another field, or one that is no scalar, is rejected when the
+    # matrix is built, so no payload loop ever sees it
+    other = Q if field is not Q else F7
+    one = field.one()
+    for bad, exc in ((other.one(), FieldMismatch), (1.5, TypeError), (None, TypeError)):
         with pytest.raises(exc):
-            bad @ good
+            Matrix.from_rows(field, [[one, bad], [one, one]])
         with pytest.raises(exc):
-            good @ bad
+            Matrix.from_rows(field, [[bad]])
         with pytest.raises(exc):
-            Matrix(field, good.rows[:1]) @ bad
-        with pytest.raises(exc):
-            Matrix(field, bad.rows[:1]) @ good
-        with pytest.raises(exc):
-            _echelon(bad.rows)
-        with pytest.raises(exc):
-            rank(bad)
-        with pytest.raises(exc):
-            solve_coords(good.rows, [bad.rows[0]])
-        with pytest.raises(exc):
-            solve_coords(bad.rows, [good.rows[0]])
-        with pytest.raises(exc):
-            group_closure([good, bad])
+            Matrix.identity(field, 2).scale(bad)
+    # a matrix of another field is rejected by each function that meets it
+    good, foreign = Matrix.identity(field, 2), Matrix.identity(other, 2)
+    T = MonodromyTuple.from_finite_entries(field, [good])
+    for call in (lambda: good @ foreign, lambda: foreign @ good, lambda: good + foreign,
+                 lambda: good - foreign, lambda: kronecker(good, foreign),
+                 lambda: solve_coords(good, foreign), lambda: solve_coords(foreign, good),
+                 lambda: intersect_row_spaces(good, foreign),
+                 lambda: commutant_basis([good], [foreign]),
+                 lambda: group_closure([good, foreign]),
+                 lambda: phi_transport(T, BraidWord(1, ()), Matrix.identity(other, 4))):
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 def test_products_across_declared_fields_raise():
@@ -107,8 +102,8 @@ def test_products_across_declared_fields_raise():
 @pytest.mark.parametrize("field", [Q, Z12, F7, F25], ids=str)
 def test_det_agrees_with_the_characteristic_polynomial(field, rng):
     for n in range(0, 6):
-        M = Matrix(field, tuple(tuple(random_scalar(field, rng) for _ in range(n))
-                                for _ in range(n)))
+        M = Matrix.from_rows(field, [[random_scalar(field, rng) for _ in range(n)]
+                                     for _ in range(n)])
         cp0 = char_poly(M)[0]
         assert M.det() == (cp0 if n % 2 == 0 else -cp0)
 
@@ -270,19 +265,17 @@ def test_row_images_with_prebuilt_sparse_rows_equal_the_product(field, rng):
     A = _random_payload_rows(field, 4, 4, rng, zero_rows=(2,))
     images = _RowImages(ops, A, 4)
     assert images.SA == _sparse_rows(ops, A)
-    MA = Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in A))
+    MA = Matrix(field, tuple(map(tuple, A)))
     for _ in range(6):
-        B = [tuple(r) for r in _random_payload_rows(field, 3, 4, rng, zero_rows=(0,))]
-        MB = Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in B))
-        assert [images[row] for row in B] == [tuple(x.payload for x in r)
-                                              for r in (MB @ MA).rows]
+        B = tuple(map(tuple, _random_payload_rows(field, 3, 4, rng, zero_rows=(0,))))
+        assert tuple(images[row] for row in B) == (Matrix(field, B) @ MA).payload
     assert images[(ops.zero,) * 4] == (ops.zero,) * 4
 
 
 def _echelon_text(M):
     out = []
     for reduced in (False, True):
-        ech = _echelon(M.rows, M.field, reduced=reduced)
+        ech = _echelon(M.field.ops, M.payload, reduced=reduced)
         out.append(f"{ech.pivots} {Scalar(M.field, ech.det)} "
                    + ";".join(",".join(str(Scalar(M.field, x)) for x in r) for r in ech.rows))
     out.append(str(rank(M)))
@@ -298,7 +291,7 @@ def test_echelon_det_rank_and_pivots_on_the_fixtures_are_pinned():
         T = TUPLE_FIXTURES[name]()
         for M in T.entries:
             mats += [M, M.minus_identity()]
-        stacked = tuple(r for M in T.entries for r in M.minus_identity().rows)
+        stacked = tuple(r for M in T.entries for r in M.minus_identity().payload)
         mats.append(Matrix(T.field, stacked))
     rng = random.Random(SEED)
     for field in (Q, F7, F49, Z12):
@@ -307,7 +300,7 @@ def test_echelon_det_rank_and_pivots_on_the_fixtures_are_pinned():
                      for _ in range(n)] for _ in range(m)]
             rows[rng.randrange(m)] = [field.zero()] * n
             rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-            mats.append(Matrix(field, tuple(map(tuple, rows))))
+            mats.append(Matrix.from_rows(field, rows))
     text = "\n".join(_echelon_text(M) for M in mats)
     assert hashlib.sha256(text.encode()).hexdigest() == ECHELON_PIN
 
@@ -326,7 +319,7 @@ def square_matrices(draw, field, max_dim=5):
         j = draw(st.integers(0, n - 1))
         for row in rows:
             row[j] = field.ops.zero
-    return Matrix(field, tuple(tuple(Scalar(field, x) for x in r) for r in rows))
+    return Matrix(field, tuple(map(tuple, rows)))
 
 
 def _generator(field):
@@ -358,6 +351,5 @@ def test_char_poly_of_empty_single_and_zero_matrices(field):
     assert char_poly(Matrix.from_rows(field, [[3]])) == [-field.from_int(3), one]
     assert char_poly(Matrix.zero(field, 3, 3)) == [zero, zero, zero, one]
     for rows in ([[1, 0, 2], [0, 0, 0], [4, 0, 5]], [[0, 0], [_generator(field), 0]]):
-        M = Matrix(field, tuple(tuple(x if isinstance(x, Scalar) else field.from_int(x)
-                                      for x in r) for r in rows))
+        M = Matrix.from_rows(field, rows)
         _assert_char_poly_is_det(M)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
-                            conjugacy_solve, field_roots, find_invertible, jordan_block,
-                            in_span, jordan_data, kernel_basis, kronecker, kronecker_jordan,
+                            conjugacy_solve, field_roots, find_invertible, intersect_row_spaces,
+                            jordan_block, jordan_data, kernel_basis, kronecker, kronecker_jordan,
                             rank, row_space_basis, solve_coords)
-from midconv.scalars import FieldDescriptor, Scalar
+from midconv.scalars import FieldDescriptor
 
 from conftest import F7, Q, random_invertible, random_scalar
 
@@ -31,7 +31,7 @@ def test_kernel_of_unipotent_fixture():
 
 
 def test_kernel_of_identity():
-    assert kernel_basis(Matrix.identity(Q, 3)) == []
+    assert kernel_basis(Matrix.identity(Q, 3)) == Matrix(Q, ())
 
 
 def test_char_poly_of_m1_m2():
@@ -69,7 +69,7 @@ def test_char_poly_of_triangular_is_the_product_over_the_diagonal(field, rng):
             for i in range(n):             # multiply by (x - d_i)
                 shifted = [zero] + expected
                 expected = [c - rows[i][i] * s for c, s in zip(shifted, expected + [zero])]
-            assert char_poly(Matrix(field, tuple(map(tuple, rows)))) == expected
+            assert char_poly(Matrix.from_rows(field, rows)) == expected
 
 
 def test_jordan_reads_the_diagonal_of_a_triangular_matrix():
@@ -77,7 +77,7 @@ def test_jordan_reads_the_diagonal_of_a_triangular_matrix():
     # is not linear, so field_roots cannot find them; jordan_data reads them
     # off the diagonal
     one, z = Z4.one(), Z4.zeta(1)
-    M = Matrix(Z4, ((one + z, one), (Z4.zero(), one - z)))
+    M = Matrix.from_rows(Z4, [[one + z, one], [0, one - z]])
     assert len(field_roots(char_poly(M), Z4)[1]) == 3
     assert jordan_data(M) == JordanData.of([(one - z, 1), (one + z, 1)])
 
@@ -91,7 +91,7 @@ def test_jordan_of_fixture_entry():
 
 def test_jordan_diag_over_z4():
     i = Z4.zeta()
-    M = Matrix(Z4, ((i, Z4.zero()), (Z4.zero(), -i)))
+    M = Matrix.from_rows(Z4, [[i, 0], [0, -i]])
     assert jordan_data(M) == JordanData.of([(i, 1), (-i, 1)])
 
 
@@ -133,7 +133,7 @@ def test_field_roots_solves_a_linear_remainder():
     # 1 + zeta_4 is neither rational nor a root of unity, and this conjugate
     # of diag(1, 1 + zeta_4) does not carry it on its diagonal
     one, z = Z4.one(), Z4.zeta(1)
-    M = Matrix(Z4, ((one - z, z + z), (-z, z + z + one)))
+    M = Matrix.from_rows(Z4, [[one - z, z + z], [-z, z + z + one]])
     assert field_roots(char_poly(M), Z4) == ([(one, 1), (one + z, 1)], [one])
     assert jordan_data(M) == JordanData.of([(one, 1), (one + z, 1)])
     two = one + one
@@ -231,8 +231,8 @@ def test_rank_nullity(rng):
 
 
 def _random_matrix(field, m, n, rng):
-    return Matrix(field, tuple(tuple(random_scalar(field, rng) for _ in range(n))
-                               for _ in range(m)))
+    return Matrix.from_rows(field, [[random_scalar(field, rng) for _ in range(n)]
+                                    for _ in range(m)])
 
 
 @pytest.mark.parametrize("field", [Q, F7, Z12], ids=str)
@@ -240,53 +240,51 @@ def test_rank_is_the_row_space_dimension(field, rng):
     for k in range(5):
         M = _random_matrix(field, 4, k, rng) @ _random_matrix(field, k, 5, rng) \
             if k else Matrix.zero(field, 4, 5)
-        assert rank(M) == len(row_space_basis(M.rows)) <= k
+        assert rank(M) == len(row_space_basis(M)) <= k
 
 
 @pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
 def test_inverse_and_singular_matrix(field, rng):
     S = random_invertible(field, 3, rng)
     assert S @ S.inverse() == Matrix.identity(field, 3)
-    singular = Matrix(field, S.rows[:2] + (tuple(a + b for a, b in zip(*S.rows[:2])),))
+    singular = Matrix.from_rows(field, S.rows[:2] + (tuple(a + b for a, b in zip(*S.rows[:2])),))
     with pytest.raises(PreconditionError, match="singular"):
         singular.inverse()
 
 
 @pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
 def test_solve_coords_solves_many_vectors_at_once(field, rng):
-    basis = row_space_basis(_random_matrix(field, 3, 5, rng).rows)
-    zero = field.zero()
-    coeffs = [[random_scalar(field, rng) for _ in basis] for _ in range(4)]
-    vectors = [tuple(sum((c * b[j] for c, b in zip(cs, basis)), zero) for j in range(5))
-               for cs in coeffs]
+    basis = row_space_basis(_random_matrix(field, 3, 5, rng))
+    coeffs = _random_matrix(field, 4, len(basis), rng)
+    vectors = coeffs @ basis
     assert solve_coords(basis, vectors) == coeffs
-    assert solve_coords(basis, []) == []
+    empty = Matrix(field, ())
+    assert solve_coords(basis, empty) == empty
     # a unit vector at a non-pivot column of the reduced basis lies outside the span
     j = next(j for j in range(5) if all(next(c for c, x in enumerate(b) if x) != j
-                                        for b in basis))
-    outside = tuple(field.one() if c == j else zero for c in range(5))
-    assert solve_coords(basis, vectors + [outside]) is None
-    assert solve_coords(basis, [outside] + vectors) is None
-    assert all(in_span(basis, v) for v in vectors) and not in_span(basis, outside)
-    assert solve_coords([], [(zero,) * 5, (zero,) * 5]) == [[], []]
-    assert solve_coords([], [outside]) is None
+                                        for b in basis.rows))
+    outside = Matrix.from_rows(field, [[int(c == j) for c in range(5)]])
+    assert solve_coords(basis, Matrix(field, vectors.payload + outside.payload)) is None
+    assert solve_coords(basis, Matrix(field, outside.payload + vectors.payload)) is None
+    assert all(solve_coords(basis, Matrix(field, (v,))) is not None for v in vectors.payload)
+    assert solve_coords(basis, outside) is None
+    assert solve_coords(empty, Matrix.zero(field, 2, 5)) == Matrix(field, ((), ()))
+    assert solve_coords(empty, outside) is None
 
 
 def _oracle_coords(basis, vectors):
     """Coordinates from one reduced elimination of [basis^T | vectors^T]."""
-    m = len(basis)
-    ech = _echelon([[b[c] for b in basis] + [v[c] for v in vectors]
-                    for c in range(len(basis[0]))])
+    m, ops = len(basis), basis.field.ops
+    ech = _echelon(ops, zip(*(basis.payload + vectors.payload)))
     if ech.pivots and ech.pivots[-1] >= m:
         return None
-    field = basis[0][0].field
     out = []
     for t in range(m, m + len(vectors)):
-        x = [field.zero()] * m
+        x = [ops.zero] * m
         for row, pc in zip(ech.rows, ech.pivots):
-            x[pc] = Scalar(field, row[t])
-        out.append(x)
-    return out
+            x[pc] = row[t]
+        out.append(tuple(x))
+    return Matrix(basis.field, tuple(out))
 
 
 @pytest.mark.parametrize("field", [Q, F7, F49, Z4], ids=str)
@@ -299,21 +297,22 @@ def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, ext
     basis = _random_matrix(field, m, n, rng)
     while rank(basis) < m:
         basis = _random_matrix(field, m, n, rng)
-    basis = row_space_basis(basis.rows) if echelon else list(basis.rows)
-    combos = (_random_matrix(field, 3, m, rng) @ Matrix(field, tuple(basis))).rows
+    basis = row_space_basis(basis) if echelon else basis
+    combos = _random_matrix(field, 3, m, rng) @ basis
     assert solve_coords(basis, combos) == _oracle_coords(basis, combos)
-    for v in _random_matrix(field, 3, n, rng).rows:
-        assert solve_coords(basis, [v]) == _oracle_coords(basis, [v])
+    for v in _random_matrix(field, 3, n, rng).payload:
+        v = Matrix(field, (v,))
+        assert solve_coords(basis, v) == _oracle_coords(basis, v)
     # a unit vector outside the span exists when m < n
-    units = Matrix.identity(field, n).rows
-    outside = [u for u in units if _oracle_coords(basis, [u]) is None]
+    units = [Matrix(field, (u,)) for u in Matrix.identity(field, n).payload]
+    outside = [u for u in units if _oracle_coords(basis, u) is None]
     assert len(outside) >= extra
     for u in outside:
-        assert solve_coords(basis, list(combos) + [u]) is None
-    dependent = list(basis)
-    dependent.insert(rng.randint(0, m), combos[0])
+        assert solve_coords(basis, Matrix(field, combos.payload + u.payload)) is None
+    dependent = list(basis.payload)
+    dependent.insert(rng.randint(0, m), combos.payload[0])
     with pytest.raises(PreconditionError, match="independent"):
-        solve_coords(dependent, combos)
+        solve_coords(Matrix(field, tuple(dependent)), combos)
 
 
 def test_conjugacy_solve_identity_case():
@@ -344,6 +343,14 @@ def test_sum_and_difference_check_the_shapes(op):
         getattr(Matrix.identity(Q, 2), op)(Matrix.identity(Q, 3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         getattr(Matrix.zero(Q, 2, 3), op)(Matrix.zero(Q, 3, 2))
+
+
+def test_product_checks_the_shapes_unless_the_left_factor_has_no_rows():
+    with pytest.raises(ValueError, match="dimension mismatch in matrix product"):
+        Matrix.zero(Q, 2, 3) @ Matrix.identity(Q, 2)
+    # an empty basis has no column count: its product with anything is empty
+    assert Matrix(Q, ()) @ Matrix.identity(Q, 3) == Matrix(Q, ())
+    assert intersect_row_spaces(Matrix(Q, ()), Matrix.identity(Q, 2)) == Matrix(Q, ())
 
 
 def test_matrix_field_mismatch():

@@ -111,7 +111,8 @@ def _monomial_f49():
     """<diag(t, 1), swap> over F_49, t of order 12: the monomial group of order 288."""
     F49 = FieldDescriptor.finite(7, 2)
     t, one, zero = F49.gen(), F49.one(), F49.zero()
-    return [Matrix(F49, ((t, zero), (zero, one))), Matrix(F49, ((zero, one), (one, zero)))]
+    return [Matrix.from_rows(F49, [[t, zero], [zero, one]]),
+            Matrix.from_rows(F49, [[zero, one], [one, zero]])]
 
 
 # the closure order of group_elements is part of its contract (insertion order of
@@ -140,7 +141,7 @@ def _pairwise_closure_order(gens, cap=10000):
     elems.update(g.rows for g in gens)
     field = gens[0].field
     while True:
-        current = [Matrix(field, r) for r in elems]
+        current = [Matrix.from_rows(field, r) for r in elems]
         new = set(elems)
         for a in current:
             for b in current:

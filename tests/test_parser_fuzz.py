@@ -60,7 +60,7 @@ def test_parse_field_fuzz(tokens):
 def _documents():
     Z4, F49 = FieldDescriptor.cyclotomic(4), FieldDescriptor.finite(7, 2)
     z, t = Z4.zeta(1), F49.gen()
-    diag = [Matrix(fld, ((a, fld.zero()), (fld.zero(), a.inverse())))
+    diag = [Matrix.from_rows(fld, [[a, 0], [0, a.inverse()]])
             for fld, a in ((Z4, z), (F49, t))]
     tuples = [m_tuple(),
               MonodromyTuple.make(Z4, [diag[0], diag[0].inverse()], [0]),

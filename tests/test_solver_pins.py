@@ -39,8 +39,8 @@ def _gens(name):
         "antidiagonal": [Matrix.from_rows(Q, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])],
         "F2 swap": [Matrix.from_rows(F2, [[0, 1], [1, 0]])],
         "F2 3-cycle": [Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])],
-        "F4 diag(t, t^2)": [Matrix(F4, ((t, F4.zero()), (F4.zero(), t * t)))],
-        "F4 unipotent": [Matrix(F4, ((F4.one(), t), (F4.zero(), F4.one())))],
+        "F4 diag(t, t^2)": [Matrix.from_rows(F4, [[t, 0], [0, t * t]])],
+        "F4 unipotent": [Matrix.from_rows(F4, [[1, t], [0, 1]])],
     }[name]
 
 
