@@ -26,7 +26,7 @@ from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces,
                      jordan_data, kernel_basis, kronecker, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
-from .scalars import FieldDescriptor, Scalar
+from .scalars import FieldDescriptor, Scalar, prime_factors
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
                      induced_quotient_matrix, invariants_dim, join_slots, phi_transport,
                      pure_braid, quotient_basis, slot_blocks, slot_images, sort_points)
@@ -448,10 +448,12 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     if m < 1 or m % 2 == 0:
         raise PreconditionError("m must be odd and >= 1")
     m_eff = 3 if m == 1 else m
-    units = [k for k in range(1, m_eff + 1) if math.gcd(k, m_eff) == 1]
-    phi = len(units)
+    phi = m_eff
+    for p in prime_factors(m_eff):
+        phi -= phi // p
     if r < 2 + phi:
         raise PreconditionError(f"need r >= {2 + phi}")
+    units = [k for k in range(1, m_eff + 1) if math.gcd(k, m_eff) == 1]
     lcm4 = 4 * m_eff // math.gcd(4, m_eff)
     field = FieldDescriptor.cyclotomic(lcm4)
     zeta_m = field.zeta(lcm4 // m_eff)

@@ -124,15 +124,23 @@ def _iroot(n: int, k: int) -> int:
 
 
 def divisors(m: int) -> list[int]:
-    """The positive divisors of |m| in increasing order ([] for 0).
+    """The positive divisors of |m| in increasing order ([] for 0)."""
+    if m == 0:
+        return []
+    divs = [1]
+    for p, e in prime_factors(m).items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def prime_factors(m: int) -> dict[int, int]:
+    """{prime: exponent} for |m| >= 1.
 
     Trial division by 2 and the odd numbers below 1000, while they do not
     pass the square root of the cofactor; is_prime and _pollard_brent split
     what is left.
     """
     m = abs(m)
-    if m == 0:
-        return []
     primes: dict[int, int] = {}
     f = 2
     while f < 1000 and f * f <= m:
@@ -156,10 +164,7 @@ def divisors(m: int) -> list[int]:
         else:
             g = _pollard_brent(n)
             rest += [g, n // g]
-    divs = [1]
-    for p, e in primes.items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return primes
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:

@@ -271,6 +271,15 @@ def test_k3_above_the_size_limit_exits_1_at_once(capsys, argv, q):
                           f"MAX_Q = {MAX_Q}")
 
 
+def test_sl_demo_with_too_few_points_for_a_large_m_exits_1_at_once(capsys):
+    # phi(10000001) = 9090900 comes from the prime factors 11 * 909091
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "demo", "sl", "--m", "10000001", "--r", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "PreconditionError: need r >= 9090902\n"
+
+
 def test_k3_error_line_gives_the_size_of_a_huge_q_not_its_digits(capsys):
     code, out, err = _run(capsys, "k3", "count", f"--q={10 ** 400 + 1}")
     assert code == 1 and out == ""

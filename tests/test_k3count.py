@@ -1,7 +1,10 @@
+import operator
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import SEED
 
 from midconv.errors import PreconditionError, SmallPrime, VerificationFailed
 from midconv.fixtures import ALPHA_TABLE, N_TABLE, T2_TABLE, T_TABLE
@@ -65,6 +68,55 @@ def test_count_matches_scalar_oracle(p, e, z):
     assert count_affine(p ** e, z) == _scalar_count(p, e, z)
 
 
+def _correlation_count(p, e, z):
+    """N(p^e) by the row correlation: for each x, sum_s g(s) chi(x - z + s), one row of
+    g against one shifted row of chi per v, read from chi rows doubled to length 2p."""
+    q = p ** e
+    field = FieldDescriptor.finite(p, e)
+    ops = field.ops
+    elems = [x.payload for x in field.elements()]
+    index = {x: i for i, x in enumerate(elems)}
+    chi = [-1] * q
+    for x in elems:
+        chi[index[ops.mul(x, x)]] = 1
+    chi[index[ops.zero]] = 0
+    g = [chi[index[ops.sub(ops.mul(s, s), ops.one)]] for s in elems]
+    rows = q // p
+    g_rows = [g[v * p:(v + 1) * p] for v in range(rows)]
+    chi_rows = [2 * chi[v * p:(v + 1) * p] for v in range(rows)]
+    zel = field.from_fraction(z).payload
+    total = 0
+    for x, gx in zip(elems, g):
+        if gx:
+            vt, ut = divmod(index[ops.sub(x, zel)], p)
+            total += gx * sum(
+                sum(map(operator.mul, g_rows[v], chi_rows[(vt + v) % rows][ut:ut + p]))
+                for v in range(rows))
+    return q * q + total
+
+
+def _seeded_fibres(p):
+    """z = 1, z = -1 and four seeded z with denominators prime to p.
+
+    z = -1 has u index p - 1, the largest rotation of the chi rows.  A rational z
+    has v index 0; for e = 2 the v wrap comes from folding the square's upper rows.
+    """
+    rng = random.Random(SEED + p)
+    zs = [Fraction(1), Fraction(-1)]
+    while len(zs) < 6:
+        den = rng.randint(1, 3 * p)
+        if den % p:
+            zs.append(Fraction(rng.randint(-5 * p, 5 * p), den))
+    return zs
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_count_matches_correlation_oracle(p, e):
+    for z in _seeded_fibres(p):
+        assert count_affine(p ** e, z) == _correlation_count(p, e, z), z
+
+
 @pytest.mark.parametrize("q, z", [(5, Fraction(1, 5)), (25, Fraction(2, 5)),
                                   (7, Fraction(3, 14))])
 def test_count_rejects_fibre_not_p_integral(q, z):
@@ -118,10 +170,14 @@ def test_frobenius_eigenvalues_table():
 
 # (u, d) with alpha_p = (u + sqrt(d))/p beyond ALPHA_TABLE
 _PINNED_ALPHA = {31: (29, -120), 37: (-19, -1008), 41: (25, -1056),
-                 43: (41, -168), 47: (17, -1920), 53: (17, -2520)}
+                 43: (41, -168), 47: (17, -1920), 53: (17, -2520),
+                 59: (-55, -456), 101: (97, -792), 103: (5, -10584)}
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+# p = 59, 101 and 103 reach the largest q: 103^2 = 10,609 is the largest prime square
+# under MAX_Q, where the packed square's coefficients come closest to their slot width
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                               59, 101, 103])
 def test_frobenius_laws(p):
     data = frobenius_eigenvalues(p)
     assert data.verified
