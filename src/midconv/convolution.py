@@ -23,13 +23,14 @@ from fractions import Fraction
 
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError)
-from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces,
-                     jordan_data, kernel_basis, kronecker, rank, row_space_basis)
+from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
+                     kronecker, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar, prime_factors
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
-                     induced_quotient_matrix, invariants_dim, join_slots, phi_transport,
-                     pure_braid, quotient_basis, slot_blocks, slot_images, sort_points)
+                     coinvariants_dim, induced_quotient_matrix, invariants_dim, join_slots,
+                     phi_transport, pure_braid, quotient_basis, slot_blocks, slot_images,
+                     sort_points)
 
 
 @dataclass(frozen=True)
@@ -163,26 +164,21 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
 
 # -- rank formula -----------------------------------------------------------------
 
-def _nullity_minus_one(M: Matrix) -> int:
-    return M.nrows - rank(M.minus_identity())
-
-
 def rank_formula(inp: ConvolutionInput) -> int:
     """(p+q-1) n1 n2 minus the fixed-space corrections of all local monodromies."""
     n1, n2 = inp.left.dim, inp.right.dim
     total = (inp.p + inp.q - 1) * n1 * n2
     for A in inp.left.finite_entries():
-        total -= n2 * _nullity_minus_one(A)
+        total -= n2 * invariants_dim([A])
     for B in inp.right.finite_entries():
-        total -= n1 * _nullity_minus_one(B)
-    total -= _nullity_minus_one(kronecker(inp.left.infinity_entry(),
-                                          inp.right.infinity_entry()))
+        total -= n1 * invariants_dim([B])
+    total -= invariants_dim([kronecker(inp.left.infinity_entry(), inp.right.infinity_entry())])
     return total
 
 
 def rank_formula_applicable(inp: ConvolutionInput) -> bool:
     """The formula assumes one of the two stalk stabilizers vanishes."""
-    return invariants_dim(inp.left) == 0 or invariants_dim(inp.right) == 0
+    return invariants_dim(inp.left.entries) == 0 or invariants_dim(inp.right.entries) == 0
 
 
 # -- Pochhammer realization of MC_lambda -------------------------------------------
@@ -258,42 +254,30 @@ def _tau_candidates(T: MonodromyTuple, i: int) -> list[Scalar]:
 
 
 def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
-    """Check conditions (*) and (**) over the finite entries.
+    """Check the Dettweiler-Reiter conditions (*) and (**) over the finite entries.
 
-    (*)  the joint 1-eigenvectors of {T_j : j != i} meet ker(tau T_i - 1)
-         trivially, and
-    (**) the corresponding image sum fills V,
-    for every finite index i and every tau that could violate (the inverses
-    of the eigenvalues of T_i; any other tau passes vacuously).  Over
-    Q(zeta_n) the eigenvalues are those linalg.eigenvalues finds.
+    With T_i replaced by tau T_i in the finite entries (the twisted tuple),
+    (*) says the twisted tuple has no invariants and (**) that it has no
+    coinvariants.  Both are checked for every finite i and every tau that
+    could violate them (the inverses of the eigenvalues of T_i, as
+    linalg.eigenvalues finds them; any other tau passes vacuously).  If the
+    entries other than T_i have no invariants, (*) holds at i for every tau.
 
     The witness is the first failing (i, tau), with i ascending and tau = 1
-    first; at that pair (*) is reported before (**), so a pair failing both
-    is reported as (*).
+    first; at that pair (*) is tested before (**).  With r = 1 there is no
+    other entry and (*) is not tested: it would read ker(tau T_1 - 1) = 0,
+    which for a square matrix is (**), so a failure at r = 1 is reported
+    as (**).
     """
-    field = T.field
-    d = T.dim
-    r = T.r
-    ident = Matrix.identity(field, d)
-    kers = [kernel_basis(M - ident) for M in T.finite_entries()]
-    ims = [row_space_basis(M - ident) for M in T.finite_entries()]
-    for i in range(r):
-        other_ker = None
-        for j in range(r):
-            if j == i:
-                continue
-            other_ker = kers[j] if other_ker is None \
-                else intersect_row_spaces(other_ker, kers[j])
-            if not other_ker:
-                break
-        other_im_rows = tuple(row for j in range(r) if j != i for row in ims[j].payload)
+    finite = T.finite_entries()
+    for i, Ti in enumerate(finite):
+        others = finite[:i] + finite[i + 1:]
+        fixed = others and invariants_dim(others)
         for tau in _tau_candidates(T, i):
-            scaled = T.entries[i].scale(tau) - ident
-            if other_ker:
-                meet = intersect_row_spaces(other_ker, kernel_basis(scaled))
-                if meet:
-                    return ConvolutionSheafCheck(False, ("*", i + 1, tau))
-            if rank(Matrix(field, other_im_rows + scaled.payload)) != d:
+            twisted = others + (Ti.scale(tau),)
+            if fixed and invariants_dim(twisted):
+                return ConvolutionSheafCheck(False, ("*", i + 1, tau))
+            if coinvariants_dim(twisted):
                 return ConvolutionSheafCheck(False, ("**", i + 1, tau))
     return ConvolutionSheafCheck(True)
 
@@ -320,8 +304,7 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
         raise PreconditionError("left factor is not a convolution sheaf")
     if not absolutely_irreducible(list(left.entries)):
         raise PreconditionError("left factor is not absolutely irreducible")
-    margin = (p - 2) * n - sum(n - rank(A.minus_identity())
-                               for A in left.finite_entries())
+    margin = (p - 2) * n - sum(invariants_dim([A]) for A in left.finite_entries())
     return "irreducible" if margin > 0 else "inconclusive"
 
 
@@ -408,9 +391,8 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
             new_len = length
         if new_len > 0:
             blocks.append((alpha * lam_inv, new_len))
-    total = T.r * T.dim
-    total -= sum(T.dim - rank(A.minus_identity()) for A in T.finite_entries())
-    total -= T.dim - rank(T.infinity_entry().scale(lam_inv).minus_identity())
+    total = T.r * T.dim - sum(invariants_dim([A]) for A in T.finite_entries())
+    total -= invariants_dim([T.infinity_entry().scale(lam_inv)])
     return _padded(blocks, lam_inv, total, "infinity prediction")
 
 
@@ -419,6 +401,9 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 # the largest r that sl_demo accepts: its cost grows faster than r^3, and (3,12) and
 # (7,10) take about 4 s each on a 2-vCPU host under CPython 3.11
 SL_DEMO_MAX_R = 12
+# phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
+# sl_demo refuses it before factoring m
+SL_DEMO_MAX_M = 2 * (SL_DEMO_MAX_R - 2) ** 2
 
 @dataclass
 class SlDemoReport:
@@ -447,6 +432,9 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
         raise PreconditionError(f"r is above the limit SL_DEMO_MAX_R = {SL_DEMO_MAX_R}")
     if m < 1 or m % 2 == 0:
         raise PreconditionError("m must be odd and >= 1")
+    if m > SL_DEMO_MAX_M:
+        raise PreconditionError(f"m is above the limit SL_DEMO_MAX_M = {SL_DEMO_MAX_M}: "
+                                "it needs r >= 2 + phi(m) > SL_DEMO_MAX_R")
     m_eff = 3 if m == 1 else m
     phi = m_eff
     for p in prime_factors(m_eff):

@@ -4,19 +4,25 @@ A monodromy tuple is (T_1, ..., T_{r+1}) with T_1 ... T_{r+1} = 1; entry i
 (i <= r) is the monodromy around the i-th finite point, the last entry the
 monodromy at infinity.  Braid words act left-to-right on the first r entries
 and conjugation is x^y = y^-1 x y throughout.
+
+Fixed spaces are measured one way: invariants_dim and coinvariants_dim, one
+rank each, over any sequence of matrices (a tuple's entries, one entry, or
+the entries with one of them scaled).
 """
 
 from __future__ import annotations
 
 import re
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
 from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, _sparse_rows, char_poly,
-                     commutant_basis, conjugacy_solve, intersect_row_spaces, kernel_basis,
-                     rank, row_space_basis, solve_coords)
+                     commutant_basis, conjugacy_solve, kernel_basis, rank, row_space_basis,
+                     solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -85,10 +91,7 @@ class MonodromyTuple:
 
     def __post_init__(self):
         self._check_shape()
-        prod = Matrix.identity(self.field, self.dim)
-        for M in self.entries:
-            prod = prod @ M
-        if prod != Matrix.identity(self.field, self.dim):
+        if reduce(operator.matmul, self.entries) != Matrix.identity(self.field, self.dim):
             raise PreconditionError("product relation T_1 ... T_{r+1} = 1 fails")
 
     def _check_shape(self) -> None:
@@ -128,9 +131,7 @@ class MonodromyTuple:
         if not finite:
             raise PreconditionError("a tuple needs at least one entry")
         dim = finite[0].nrows
-        prod = Matrix.identity(field, dim)
-        for M in finite:
-            prod = prod @ M
+        prod = reduce(operator.matmul, finite)
         inf = prod.inverse()
         if prod @ inf != Matrix.identity(field, dim):
             raise PreconditionError("product relation T_1 ... T_{r+1} = 1 fails")
@@ -355,21 +356,19 @@ def slot_images(entries) -> Matrix:
                                for b in row_space_basis(M.minus_identity()).payload))
 
 
-def invariants_dim(T: MonodromyTuple) -> int:
-    """dim of the joint fixed space {v : v T_i = v for all i}."""
-    basis = None
-    for M in T.entries:
-        k = kernel_basis(M.minus_identity())
-        basis = k if basis is None else intersect_row_spaces(basis, k)
-        if not basis:
-            return 0
-    return len(basis)
+def invariants_dim(matrices) -> int:
+    """dim of the joint fixed space {v : v M = v for every M} of a nonempty sequence.
+
+    It is d - rank of the d x nd matrix (M_1 - 1 | ... | M_n - 1): one
+    unreduced elimination, no kernel and no intersection.
+    """
+    return matrices[0].nrows - rank(join_slots([M.minus_identity() for M in matrices]))
 
 
-def coinvariants_dim(T: MonodromyTuple) -> int:
-    """dim of V / sum_i im(T_i - 1)."""
-    return T.dim - rank(Matrix(T.field, tuple(row for M in T.entries
-                                              for row in M.minus_identity().payload)))
+def coinvariants_dim(matrices) -> int:
+    """dim of V / sum_M im(M - 1) for a nonempty sequence: d - rank of the M - 1 stacked."""
+    return matrices[0].nrows - rank(Matrix(matrices[0].field, tuple(
+        row for M in matrices for row in M.minus_identity().payload)))
 
 
 def parabolic_rank_formula(T: MonodromyTuple) -> int:
@@ -379,7 +378,7 @@ def parabolic_rank_formula(T: MonodromyTuple) -> int:
     infinity term.
     """
     total = sum(rank(M.minus_identity()) for M in T.entries)
-    return total - 2 * T.dim + invariants_dim(T) + coinvariants_dim(T)
+    return total - 2 * T.dim + invariants_dim(T.entries) + coinvariants_dim(T.entries)
 
 
 # -- quotient machinery shared with the convolution -------------------------------

@@ -271,13 +271,39 @@ def test_k3_above_the_size_limit_exits_1_at_once(capsys, argv, q):
                           f"MAX_Q = {MAX_Q}")
 
 
+_M_ABOVE_THE_LIMIT = ("PreconditionError: m is above the limit SL_DEMO_MAX_M = 200: "
+                      "it needs r >= 2 + phi(m) > SL_DEMO_MAX_R\n")
+
+
 def test_sl_demo_with_too_few_points_for_a_large_m_exits_1_at_once(capsys):
-    # phi(10000001) = 9090900 comes from the prime factors 11 * 909091
+    # an m above 200 is refused before it is factored
     start = time.perf_counter()
     code, out, err = _run(capsys, "demo", "sl", "--m", "10000001", "--r", "5")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
-    assert err == "PreconditionError: need r >= 9090902\n"
+    assert err == _M_ABOVE_THE_LIMIT
+
+
+def test_sl_demo_never_factors_a_300_digit_m(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "demo", "sl", "--m", str(10 ** 300 + 1), "--r", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == _M_ABOVE_THE_LIMIT
+
+
+@pytest.mark.parametrize("m, need", [(199, 200), (15, 10)])
+def test_sl_demo_with_m_up_to_the_limit_names_the_points_it_needs(capsys, m, need):
+    # phi(199) = 198 and phi(15) = 8 come from the prime factors of m
+    code, out, err = _run(capsys, "demo", "sl", "--m", str(m), "--r", "5")
+    assert code == 1 and out == ""
+    assert err == f"PreconditionError: need r >= {need}\n"
+
+
+def test_check_conv_of_the_kummer_fixture_reports_a_failure_at_r_1_as_double_star(capsys):
+    # with r = 1 there is no other entry, and ker(tau T_1 - 1) != 0 is (**)
+    code, out, err = _run(capsys, "check-conv", "--tuple", "fixture:Kummer-1")
+    assert (code, out, err) == (0, "fail\nviolated (**) at entry 1 with tau = -1\n", "")
 
 
 def test_k3_error_line_gives_the_size_of_a_huge_q_not_its_digits(capsys):

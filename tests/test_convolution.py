@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,12 @@ from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, PairingInfo, c
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import LambdaIsOne, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
-from midconv.linalg import (JordanData, Matrix, intersect_row_spaces, jordan_data,
-                            row_space_basis, solve_coords)
+from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
+                            kernel_basis, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
-from midconv.tuples import MonodromyTuple, tuples_equivalent
+from midconv.tuples import MonodromyTuple, coinvariants_dim, invariants_dim, tuples_equivalent
 
-from conftest import F7, Q, random_invertible, random_tuple
+from conftest import F7, Q, SEED, random_invertible, random_tuple
 
 Z4 = FieldDescriptor.cyclotomic(4)
 
@@ -211,6 +212,73 @@ def test_convolution_sheaf_conditions():
         Q, [u, Matrix.from_rows(Q, [[1, 0], [0, -1]])]))
     assert not res.ok and res.witness == ("**", 1, Q.one())
     assert is_convolution_sheaf(l_star_l()).ok
+
+
+def _fixed_dim_oracle(matrices):
+    """dim of the joint kernel of the M - 1, by pairwise kernel intersections."""
+    basis = None
+    for M in matrices:
+        k = kernel_basis(M.minus_identity())
+        basis = k if basis is None else intersect_row_spaces(basis, k)
+    return len(basis)
+
+
+def _cofixed_dim_oracle(matrices):
+    # sum im(M - 1) has codimension dim of its annihilator, the joint kernel
+    # of the (M - 1)^T = M^T - 1
+    return _fixed_dim_oracle([M.transpose() for M in matrices])
+
+
+def _sheaf_witness_oracle(T):
+    """The first failing (condition, i, tau), written with kernels and intersections."""
+    finite, one = T.finite_entries(), T.field.one()
+    for i, Ti in enumerate(finite):
+        others = finite[:i] + finite[i + 1:]
+        taus = {one.payload: one}
+        for root, _m in eigenvalues(Ti)[0]:
+            taus.setdefault(root.inverse().payload, root.inverse())
+        for tau in taus.values():
+            twisted = others + (Ti.scale(tau),)
+            if others and _fixed_dim_oracle(twisted):
+                return ("*", i + 1, tau)
+            if _cofixed_dim_oracle(twisted):
+                return ("**", i + 1, tau)
+    return None
+
+
+def _entry_with_fixed_vectors(field, d, rng):
+    """A random conjugate of an upper-triangular matrix with diagonal in {1, -1, u}.
+
+    Eigenvalue 1 is frequent, so both conditions fail on many tuples built
+    from these; u is zeta over Q(zeta_n) and 2 otherwise.
+    """
+    one = field.one()
+    u = field.zeta() if field.kind == "cyclotomic" else field.from_int(2)
+    diag = [rng.choice([one, one, -one, u]) for _ in range(d)]
+    U = Matrix.from_rows(field, [[diag[i] if i == j else rng.randint(0, 1) * (j > i)
+                                  for j in range(d)] for i in range(d)])
+    P = random_invertible(field, d, rng)
+    return P.inverse() @ U @ P
+
+
+@pytest.mark.parametrize("field", [Q, F7, FieldDescriptor.finite(5, 2),
+                                   FieldDescriptor.cyclotomic(3), Z4], ids=str)
+def test_convolution_sheaf_check_matches_the_kernel_oracle(field):
+    rng = random.Random(SEED)
+    seen = set()
+    for r in range(1, 5):
+        for d in range(1, 4):
+            for _ in range(4):
+                finite = [random_invertible(field, d, rng) if rng.random() < 0.3
+                          else _entry_with_fixed_vectors(field, d, rng) for _ in range(r)]
+                T = MonodromyTuple.from_finite_entries(field, finite)
+                expected = _sheaf_witness_oracle(T)
+                res = is_convolution_sheaf(T)
+                assert (res.ok, res.witness) == (expected is None, expected)
+                assert invariants_dim(T.entries) == _fixed_dim_oracle(T.entries)
+                assert coinvariants_dim(T.entries) == _cofixed_dim_oracle(T.entries)
+                seen.add(expected[0] if expected else "ok")
+    assert seen == {"ok", "*", "**"}
 
 
 def dihedral_tuple():
