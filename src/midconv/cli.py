@@ -68,17 +68,21 @@ def _maybe_save(args, T) -> None:
         save_tuple_file(T, args.out)
 
 
+def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
+    """Save T to --out if given, then emit the report with T's save_tuple text last."""
+    _maybe_save(args, T)
+    text = save_tuple(T)
+    _emit(args, {**payload, "tuple": text}, human + [text.rstrip()])
+
+
 # -- subcommand implementations -----------------------------------------------
 
 def _cmd_convolve(args):
     inp = ConvolutionInput(_load(args.left), _load(args.right))
     out = middle_convolution(inp)
-    _maybe_save(args, out)
-    payload = {"dim": out.dim, "points": [str(p) for p in out.points],
-               "generic": inp.is_generic(), "tuple": save_tuple(out)}
-    _emit(args, payload, [f"dim {out.dim} on points "
-                          + ", ".join(str(p) for p in out.points),
-                          save_tuple(out).rstrip()])
+    points = [str(p) for p in out.points]
+    _emit_tuple(args, out, {"dim": out.dim, "points": points, "generic": inp.is_generic()},
+                [f"dim {out.dim} on points " + ", ".join(points)])
     return 0
 
 
@@ -86,10 +90,8 @@ def _cmd_mcl(args):
     T = _load(args.tuple)
     lam = parse_scalar(args.lam, T.field)
     out = mc_lambda(T, lam)
-    _maybe_save(args, out)
     points = None if out.points is None else [str(p) for p in out.points]
-    payload = {"dim": out.dim, "points": points, "tuple": save_tuple(out)}
-    _emit(args, payload, [f"dim {out.dim}", save_tuple(out).rstrip()])
+    _emit_tuple(args, out, {"dim": out.dim, "points": points}, [f"dim {out.dim}"])
     return 0
 
 
@@ -163,9 +165,7 @@ def _cmd_predict(args):
 def _cmd_braid(args):
     T = _load(args.tuple)
     word = parse_braid_word(args.word, T.r)
-    out = braid_act(T, word)
-    _maybe_save(args, out)
-    _emit(args, {"tuple": save_tuple(out)}, [save_tuple(out).rstrip()])
+    _emit_tuple(args, braid_act(T, word), {}, [])
     return 0
 
 
@@ -199,9 +199,7 @@ def _cmd_equiv(args):
 
 def _cmd_reduce(args):
     out = reduce_mod(_load(args.tuple), args.mod)
-    _maybe_save(args, out)
-    _emit(args, {"field": str(out.field), "tuple": save_tuple(out)},
-          [save_tuple(out).rstrip()])
+    _emit_tuple(args, out, {"field": str(out.field)}, [])
     return 0
 
 
@@ -302,8 +300,7 @@ def _cmd_demo(args):
              f"second entry is a homology of order {report.second_entry_homology_order}",
              f"finite determinants lie in <zeta_4>: {report.determinants_in_zeta4}",
              "all checks passed" if report.checks_passed else "CHECKS FAILED"]
-    if getattr(args, "out", None):
-        save_tuple_file(report.result, args.out)
+    _maybe_save(args, report.result)
     _emit(args, payload, human)
     return 0 if report.checks_passed else 1
 
@@ -319,11 +316,7 @@ def _cmd_fixtures(args):
         _emit(args, {k: v for k, v in table.items()},
               [f"{k}: {v}" for k, v in table.items()])
         return 0
-    T = _load(f"fixture:{name}")
-    text = save_tuple(T)
-    if getattr(args, "out", None):
-        save_tuple_file(T, args.out)
-    _emit(args, {"tuple": text}, [text.rstrip()])
+    _emit_tuple(args, _load(f"fixture:{name}"), {}, [])
     return 0
 
 
@@ -455,15 +448,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, DomainError, FileNotFoundError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"FileNotFoundError: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 def main() -> None:

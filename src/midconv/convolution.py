@@ -26,7 +26,7 @@ from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                      kronecker, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
-from .scalars import FieldDescriptor, Scalar, prime_factors
+from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
                      coinvariants_dim, induced_quotient_matrix, invariants_dim, join_slots,
                      phi_transport, pure_braid, quotient_basis, slot_blocks, slot_images,
@@ -402,7 +402,7 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 # (7,10) take about 4 s each on a 2-vCPU host under CPython 3.11
 SL_DEMO_MAX_R = 12
 # phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
-# sl_demo refuses it before factoring m
+# sl_demo refuses it before it lists the units mod m
 SL_DEMO_MAX_M = 2 * (SL_DEMO_MAX_R - 2) ** 2
 
 @dataclass
@@ -436,12 +436,10 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
         raise PreconditionError(f"m is above the limit SL_DEMO_MAX_M = {SL_DEMO_MAX_M}: "
                                 "it needs r >= 2 + phi(m) > SL_DEMO_MAX_R")
     m_eff = 3 if m == 1 else m
-    phi = m_eff
-    for p in prime_factors(m_eff):
-        phi -= phi // p
+    units = [k for k in range(1, m_eff + 1) if math.gcd(k, m_eff) == 1]
+    phi = len(units)
     if r < 2 + phi:
         raise PreconditionError(f"need r >= {2 + phi}")
-    units = [k for k in range(1, m_eff + 1) if math.gcd(k, m_eff) == 1]
     lcm4 = 4 * m_eff // math.gcd(4, m_eff)
     field = FieldDescriptor.cyclotomic(lcm4)
     zeta_m = field.zeta(lcm4 // m_eff)

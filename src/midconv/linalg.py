@@ -20,11 +20,12 @@ along and runs the field's ops table: the elimination, the products
 (`_mul_rows`, hence Matrix.__matmul__), kronecker, char_poly and the
 coefficient rows of solve_matrix_equations build no Scalar.  A function
 that takes two matrices checks that their fields agree.  Each loop touches
-only nonzero entries: the right factor of a product is read as
-`_sparse_rows` ((j, b) for the nonzero b of each row, built once by a caller
-that reuses it), the elimination runs along the nonzero entries of the pivot
-row, and every term is one `ops.addmul(acc, a, b)` = acc + a*b, normalized
-once, instead of a mul and an add.
+only nonzero entries: the right factor M of a product is read as M.sparse
+((j, b) for the nonzero b of each row), the elimination runs along the
+nonzero entries of the pivot row, and every term is one
+`ops.addmul(acc, a, b)` = acc + a*b, normalized once, instead of a mul and
+an add.  A Matrix builds each derived form (sparse, is_scalar, inverse()) at
+most once; equality and hashing read the field and the payload alone.
 
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
@@ -39,8 +40,10 @@ convolution-sheaf check both read it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Any, NamedTuple
 
@@ -140,10 +143,8 @@ class Matrix:
         _check_fields(self, other, "matrix product")
         if self and self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        ops = self.field.ops
-        return Matrix(self.field, tuple(_mul_rows(ops, self.payload,
-                                                  _sparse_rows(ops, other.payload),
-                                                  other.ncols)))
+        return Matrix(self.field, tuple(_mul_rows(self.field.ops, self.payload,
+                                                  other.sparse, other.ncols)))
 
     def scale(self, c) -> "Matrix":
         """c M for a Scalar (or int, Fraction, text) c of the field."""
@@ -171,7 +172,24 @@ class Matrix:
             e >>= 1
         return out
 
+    @cached_property
+    def sparse(self) -> list[list]:
+        """The _sparse_rows of the payload, the right factor's form in a product."""
+        return _sparse_rows(self.field.ops, self.payload)
+
+    @cached_property
+    def is_scalar(self) -> bool:
+        """Whether M is c*1 for some c != 0."""
+        S = self.sparse
+        c = S[0][0][1] if S and S[0] else None
+        return self.is_square() and all(row == [(k, c)] for k, row in enumerate(S))
+
     def inverse(self) -> "Matrix":
+        """M^-1, eliminated at most once per matrix."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Matrix":
         n = self.nrows
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
@@ -217,8 +235,7 @@ def _mul_rows(ops, A, SB, ncols: int) -> list[tuple]:
     """Payload rows of the product A B; SB = _sparse_rows(ops, B), B has ncols columns.
 
     Each nonzero a in column k of a row of A adds a*b into column j for the
-    nonzero (j, b) of row k of B, one addmul per term.  A caller that
-    multiplies by one B many times builds SB once.
+    nonzero (j, b) of row k of B, one addmul per term; Matrix.sparse keeps SB.
     """
     zero, nonzero, addmul = ops.zero, ops.nonzero, ops.addmul
     out = []
@@ -401,17 +418,38 @@ def _deflate(coeffs, root: Scalar):
     return out
 
 
+# the most candidates p/q that the rational root test of field_roots tries
+MAX_RATIONAL_CANDIDATES = 10 ** 5
+
+
+def _digits(n: int) -> int:
+    """The decimal digit count of n != 0, without str() and its 4,300-digit limit."""
+    d = n.bit_length() * 301 // 1000          # 0.301 < log10(2): never too many
+    while abs(n) >= 10 ** d:
+        d += 1
+    return d
+
+
 def _rational_candidates(coeffs: list[Fraction], field: FieldDescriptor):
-    """0 and +- p/q with p | a_0, q | a_lead, a_i the coefficients made integers."""
+    """0 and +- p/q with p | a_0, q | a_lead, a_i the coefficients made integers;
+    PreconditionError past the rho budget of prime_factors or MAX_RATIONAL_CANDIDATES."""
     den = math.lcm(*(c.denominator for c in coeffs))
     int_coeffs = [int(c * den) for c in coeffs]
     lo = next((c for c in int_coeffs if c), None)
     if lo is None:
         return []
     hi = int_coeffs[-1]
+    try:
+        ps, qs = (divisors(c, MAX_RATIONAL_CANDIDATES // 2) for c in (lo, hi))
+        if 2 * len(ps) * len(qs) > MAX_RATIONAL_CANDIDATES:
+            raise PreconditionError(f"more than MAX_RATIONAL_CANDIDATES = "
+                                    f"{MAX_RATIONAL_CANDIDATES} candidates p/q")
+    except PreconditionError as exc:
+        raise PreconditionError(f"eigenvalue search on coefficients a_0, a_lead of "
+                                f"{_digits(lo)} and {_digits(hi)} digits: {exc}") from None
     cands = {Fraction(0)}
-    for pn in divisors(lo):
-        for qd in divisors(hi):
+    for pn in ps:
+        for qd in qs:
             cands.add(Fraction(pn, qd))
             cands.add(Fraction(-pn, qd))
     return [field.from_fraction(f) for f in sorted(cands)]
@@ -475,15 +513,9 @@ class JordanData:
         assert sum(n for _, n in blocks) == ambient_dim
         return JordanData(blocks, ambient_dim)
 
-    def counts(self):
-        out = {}
-        for ev, n in self.blocks:
-            out[(ev, n)] = out.get((ev, n), 0) + 1
-        return out
-
     def __str__(self):
         parts = []
-        for (ev, n), c in sorted(self.counts().items(),
+        for (ev, n), c in sorted(Counter(self.blocks).items(),
                                  key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
             s = f"J({ev},{n})"
             parts.append(s if c == 1 else f"{c}*{s}")
@@ -584,7 +616,7 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
         width = R0.ncols
         block = [[ops.zero] * (L0.nrows * width) for _ in coefs]
         for (L, R), negate in zip(pair, (False, True)):
-            rrows = _sparse_rows(ops, R.payload)
+            rrows = R.sparse
             for i, lrow in enumerate(L.payload):
                 for u, a in enumerate(lrow):
                     if nonzero(a):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
-from .linalg import (Matrix, _check_fields, _mul_rows, _sparse_rows, commutant_basis,
-                     find_invertible, jordan_data, poly_eval, rank, solve_matrix_equations)
+from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, find_invertible,
+                     jordan_data, poly_eval, rank, solve_matrix_equations)
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
 from .tuples import MonodromyTuple
@@ -92,14 +92,14 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
 
 
 class _RowImages(dict):
-    """Payload row -> that row times A, for one generator A; filled on first lookup.
+    """Payload row -> that row times A, for one generator Matrix A; filled on first lookup.
 
-    A is held as its _sparse_rows, built once per generator.
+    Each image is one row times A.sparse, the sparse rows A builds once.
     """
 
-    def __init__(self, ops, A, n: int):
+    def __init__(self, A: Matrix):
         super().__init__()
-        self.ops, self.SA, self.n = ops, _sparse_rows(ops, A), n
+        self.ops, self.SA, self.n = A.field.ops, A.sparse, A.ncols
 
     def __missing__(self, row):
         image = self[row] = _mul_rows(self.ops, (row,), self.SA, self.n)[0]
@@ -123,15 +123,13 @@ def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
     (row, generator) pair instead of one n x n product per (element,
     generator) pair, and the elements share their row tuples.
     """
-    field = gens[0].field
     n = gens[0].nrows
     if any(A.dim != (n, n) for A in gens):
         raise ValueError("dimension mismatch in matrix product")
     for A in gens:
         _check_fields(A, gens[0], "matrix product")
-    ops = field.ops
-    ident = Matrix.identity(field, n).payload
-    images = [_RowImages(ops, A.payload, n).__getitem__ for A in gens]
+    ident = Matrix.identity(gens[0].field, n).payload
+    images = [_RowImages(A).__getitem__ for A in gens]
     seen = {ident: None}
     frontier = [ident]
     while frontier:

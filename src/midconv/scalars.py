@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, ParseError, PreconditionError
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -59,6 +59,8 @@ FINITE = "finite"
 # the first 13 primes: as Miller-Rabin bases they decide primality exactly for
 # n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the rho steps prime_factors takes before it gives up; (2^31-1)(2^61-1) takes 2^16
+RHO_MAX_STEPS = 2 ** 17
 
 
 def is_prime(n: int) -> bool:
@@ -85,12 +87,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle
-    search and gcds batched over 128 steps; deterministic (x0 = 2, c = 1, 2, ...)."""
+def _pollard_brent(n: int, steps: int) -> tuple[int, int]:
+    """(a proper factor of the odd composite n, the steps left): Pollard's rho with
+    Brent's cycle search and gcds batched over 128 steps; deterministic (x0 = 2,
+    c = 1, 2, ...).  PreconditionError when the `steps` run out."""
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps -= 2 * r              # at most r moves of y, then at most r batched
+            if steps < 0:
+                raise PreconditionError(f"no factor in RHO_MAX_STEPS = {RHO_MAX_STEPS} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -109,7 +115,7 @@ def _pollard_brent(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
     raise ValueError(f"no factor of {n} found")
 
 
@@ -123,12 +129,16 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def divisors(m: int) -> list[int]:
-    """The positive divisors of |m| in increasing order ([] for 0)."""
+def divisors(m: int, limit: int | None = None) -> list[int]:
+    """The positive divisors of |m| in increasing order ([] for 0); PreconditionError
+    past `limit` of them (counted before any is listed) or when prime_factors gives up."""
     if m == 0:
         return []
+    primes = prime_factors(m)
+    if limit is not None and math.prod(e + 1 for e in primes.values()) > limit:
+        raise PreconditionError(f"more than {limit} divisors")
     divs = [1]
-    for p, e in prime_factors(m).items():
+    for p, e in primes.items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -138,9 +148,10 @@ def prime_factors(m: int) -> dict[int, int]:
 
     Trial division by 2 and the odd numbers below 1000, while they do not
     pass the square root of the cofactor; is_prime and _pollard_brent split
-    what is left.
+    what is left, within RHO_MAX_STEPS rho steps in all.
     """
     m = abs(m)
+    steps = RHO_MAX_STEPS
     primes: dict[int, int] = {}
     f = 2
     while f < 1000 and f * f <= m:
@@ -162,7 +173,7 @@ def prime_factors(m: int) -> dict[int, int]:
                 rest += [r] * k
                 break
         else:
-            g = _pollard_brent(n)
+            g, steps = _pollard_brent(n, steps)
             rest += [g, n // g]
     return primes
 

@@ -20,9 +20,8 @@ from functools import reduce
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
-from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, _sparse_rows, char_poly,
-                     commutant_basis, conjugacy_solve, kernel_basis, rank, row_space_basis,
-                     solve_coords)
+from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
+                     conjugacy_solve, kernel_basis, rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -141,9 +140,6 @@ class MonodromyTuple:
         T._check_shape()
         return T
 
-    def with_points(self, points) -> "MonodromyTuple":
-        return MonodromyTuple.make(self.field, self.entries, points)
-
     def finite_entries(self) -> tuple[Matrix, ...]:
         return self.entries[:-1]
 
@@ -151,58 +147,34 @@ class MonodromyTuple:
         return self.entries[-1]
 
 
-class _Entries(dict):
-    """id(M) -> [M, _sparse_rows of M, whether M is c*1, M^-1 or None] for one word.
-
-    The sparse rows are read off M's payload rows, and they, the c*1 test and
-    the inverse are built at most once per entry per word; holding M keeps
-    its id from being reused.
-    """
-
-    def look(self, M: Matrix) -> list:
-        rec = self.get(id(M))
-        if rec is None:
-            S = _sparse_rows(M.field.ops, M.payload)
-            c = S[0][0][1] if S and S[0] else None      # an entry is invertible
-            rec = self[id(M)] = [M, S, all(row == [(k, c)] for k, row in enumerate(S)), None]
-        return rec
-
-    def inverse(self, M: Matrix) -> Matrix:
-        rec = self.look(M)
-        if rec[3] is None:
-            rec[3] = M.inverse()
-        return rec[3]
-
-
-def _act_gen(entries, points, i, inverse, seen: _Entries) -> None:
+def _act_gen(entries, points, i, inverse) -> None:
     """One braid generator on (list of entries, list of points or None); 1-based i.
 
     The Hurwitz move (a, b) -> (b, b^-1 a b), or (a, b) -> (a b a^-1, a) for
     the inverse generator.  When a or b is a scalar matrix c*1 the pair
     commutes, b^-1 a b = a and a b a^-1 = b exactly, and the move is a swap
     of the two entry objects: no inverse and no product.  Any other pair
-    takes the general move, with the inverse from `seen`.
+    takes the general move, with the inverse each Matrix memoizes.
     """
     a, b = entries[i - 1], entries[i]
-    if seen.look(a)[2] or seen.look(b)[2]:
+    if a.is_scalar or b.is_scalar:
         entries[i - 1], entries[i] = b, a
     elif not inverse:
-        entries[i - 1], entries[i] = b, seen.inverse(b) @ a @ b
+        entries[i - 1], entries[i] = b, b.inverse() @ a @ b
     else:
-        entries[i - 1], entries[i] = a @ b @ seen.inverse(a), a
+        entries[i - 1], entries[i] = a @ b @ a.inverse(), a
     if points is not None:
         points[i - 1], points[i] = points[i], points[i - 1]
 
 
 def _braid_sort(entries, points, descending=False) -> None:
     """Bubble the points into monotone order in place, each swap a braid generator."""
-    seen = _Entries()
     changed = True
     while changed:
         changed = False
         for i in range(1, len(points)):
             if (points[i - 1] < points[i]) if descending else (points[i - 1] > points[i]):
-                _act_gen(entries, points, i, False, seen)
+                _act_gen(entries, points, i, False)
                 changed = True
 
 
@@ -243,33 +215,34 @@ def phi_transport(T: MonodromyTuple, w: BraidWord,
     joined again into the returned Matrix; no Scalar is built.  With
     (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
     (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), with no inverse, and
-    beta_i^-1 sends them to ((Y - X + X b) a^-1, X), a^-1 formed once per
-    entry per word.  The entries move by _act_gen, so b^-1 a b is a itself
-    when a or b is c*1.  If every entry ends as the same object in its slot,
-    with the same points, T itself is returned (its product relation is
-    already checked); otherwise T^w is built, and checked, once per word.
+    beta_i^-1 sends them to ((Y - X + X b) a^-1, X), a^-1 and the factors'
+    sparse rows built once per Matrix, across words.  The entries move by
+    _act_gen, so b^-1 a b is a itself when a or b is c*1.  If every entry
+    ends as the same object in its slot, with the same points, T itself is
+    returned (its product relation is already checked); otherwise T^w is
+    built, and checked, once per word.
     """
     if w.r != T.r:
         raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
     _check_fields(T, rows, "phi_transport")
-    field, d, seen, ops = T.field, T.dim, _Entries(), T.field.ops
+    field, d, ops = T.field, T.dim, T.field.ops
     entries = list(T.entries)
     points = list(T.points) if T.points is not None else None
     blocks = [[v[k * d:(k + 1) * d] for v in rows.payload] for k in range(len(entries))]
     for i, e in w.letters:
         a, b = entries[i - 1], entries[i]
-        _act_gen(entries, points, i, e < 0, seen)
+        _act_gen(entries, points, i, e < 0)
         X, Y = blocks[i - 1], blocks[i]
         if not X:
             continue
-        Xb = _mul_rows(ops, X, seen.look(b)[1], d)
+        Xb = _mul_rows(ops, X, b.sparse, d)
         if e > 0:                          # entries[i] is now b^-1 a b
-            Ya = _mul_rows(ops, Y, seen.look(entries[i])[1], d)
+            Ya = _mul_rows(ops, Y, entries[i].sparse, d)
             blocks[i - 1], blocks[i] = Y, [tuple(map(ops.sub, map(ops.add, xb, y), ya))
                                            for xb, y, ya in zip(Xb, Y, Ya)]
         else:
             Z = [tuple(map(ops.add, map(ops.sub, y, x), xb)) for x, y, xb in zip(X, Y, Xb)]
-            blocks[i - 1], blocks[i] = _mul_rows(ops, Z, seen.look(seen.inverse(a))[1], d), X
+            blocks[i - 1], blocks[i] = _mul_rows(ops, Z, a.inverse().sparse, d), X
     images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
     if all(M is N for M, N in zip(entries, T.entries)) and (
             points is None or tuple(points) == T.points):

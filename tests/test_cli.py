@@ -292,9 +292,33 @@ def test_sl_demo_never_factors_a_300_digit_m(capsys):
     assert err == _M_ABOVE_THE_LIMIT
 
 
+_HUGE = 10 ** 300 + 1
+_SMOOTH = 6983776800                    # 2^5 3^3 5^2 7 11 13 17 19: 2,304 divisors
+
+
+@pytest.mark.parametrize("cmd", [("jordan",), ("check-conv",),
+                                 ("predict", "--infinity", "--lambda=-1")])
+@pytest.mark.parametrize("dim, rows, budget", [
+    (1, [[str(_HUGE)], [f"1/{_HUGE}"]], "RHO_MAX_STEPS"),
+    (2, [[f"{_SMOOTH}, 0", f"0, 1/{_SMOOTH}"], [f"1/{_SMOOTH}, 0", f"0, {_SMOOTH}"]],
+     "MAX_RATIONAL_CANDIDATES"),
+], ids=["rho-steps", "candidates"])
+def test_eigenvalue_search_past_its_budget_exits_1_at_once(capsys, tmp_path, cmd, dim,
+                                                           rows, budget):
+    # x - (10^300 + 1) would need 10^300 + 1 factored; a_0 = a_lead = 6983776800
+    # would give 2 * 2304^2 candidates p/q
+    path = _write(tmp_path, "t.txt", "rational", dim, rows)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *cmd, "--tuple", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("PreconditionError: eigenvalue search on coefficients a_0, a_lead")
+    assert budget in err and ("301" if budget == "RHO_MAX_STEPS" else "10 and 10") in err
+
+
 @pytest.mark.parametrize("m, need", [(199, 200), (15, 10)])
 def test_sl_demo_with_m_up_to_the_limit_names_the_points_it_needs(capsys, m, need):
-    # phi(199) = 198 and phi(15) = 8 come from the prime factors of m
+    # phi(199) = 198 and phi(15) = 8 are the counts of the units mod m
     code, out, err = _run(capsys, "demo", "sl", "--m", str(m), "--r", "5")
     assert code == 1 and out == ""
     assert err == f"PreconditionError: need r >= {need}\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from midconv import linalg
 from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, PairingInfo, circ_tuple,
                                  convolved_block, irreducibility_criterion,
                                  is_convolution_sheaf, kummer_tuple, mc_lambda,
@@ -475,3 +476,19 @@ def test_adjacent_colliding_points_are_merged_as_pinned():
     assert out.points == (1, 3, 5)
     assert hashlib.sha256(save_tuple(out).encode()).hexdigest() == \
         "6902b49a69657e66fe090ace8122ab87a4fe6511b30a9a6099bae0ef18433fec"
+
+
+def test_sl_demo_inverts_no_matrix_twice(monkeypatch):
+    calls = []                 # (M, M^-1); holding M keeps its id from being reused
+    inverse = linalg.Matrix.inverse
+
+    def recording(M):
+        calls.append((M, inverse(M)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", recording)
+    assert sl_demo(3, 4).checks_passed
+    first = {}
+    for M, inv in calls:
+        assert first.setdefault(id(M), inv) is inv, "a second elimination of one matrix"
+    assert len(calls) > len(first)          # some matrix was asked twice

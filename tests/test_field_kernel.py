@@ -22,7 +22,7 @@ from midconv.modgroup import _RowImages, group_closure
 from midconv.scalars import FieldDescriptor, Scalar, _cyc_normalize, cyclotomic_polynomial
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
-from conftest import F7, Q, SEED, random_scalar
+from conftest import F7, Q, SEED, random_invertible, random_scalar
 
 Z12 = FieldDescriptor.cyclotomic(12)
 F25 = FieldDescriptor.finite(5, 2)
@@ -259,13 +259,37 @@ def test_mul_rows_keeps_zero_rows_and_empty_inner_dimensions(field, rng):
     assert _sparse_rows(ops, [[ops.zero, ops.one], [ops.zero] * 2]) == [[(1, ops.one)], []]
 
 
+@pytest.mark.parametrize("field", [Q, F7, F25, Z12], ids=str)
+def test_filled_derived_forms_leave_equality_and_hashing_to_the_payload(field, rng):
+    M = random_invertible(field, 3, rng)
+    filled, fresh = Matrix(field, M.payload), Matrix(field, M.payload)
+    assert filled.sparse == _sparse_rows(field.ops, M.payload)
+    assert not filled.is_scalar
+    assert filled.inverse() is filled.inverse()          # eliminated once, then kept
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert {fresh: "fresh"}[filled] == "fresh" and len({filled, fresh}) == 1
+    assert fresh.inverse() == filled.inverse() and fresh.inverse() is not filled.inverse()
+
+
+@pytest.mark.parametrize("field", [Q, F7, F25, Z12], ids=str)
+def test_is_scalar_means_c_times_one_with_c_nonzero(field, rng):
+    c = next(x for x in iter(lambda: random_scalar(field, rng), None) if x)
+    for n in (1, 3):
+        assert Matrix.identity(field, n).is_scalar
+        assert Matrix.identity(field, n).scale(c).is_scalar
+        assert not Matrix.zero(field, n, n).is_scalar
+    assert not Matrix.from_rows(field, [[c, 0], [0, c + c]]).is_scalar    # diagonal, not c*1
+    assert not Matrix.from_rows(field, [[1, 0], [1, 1]]).is_scalar
+    assert not Matrix.from_rows(field, [[c, 0, 0]]).is_scalar              # not square
+
+
 @pytest.mark.parametrize("field", [F7, F25, Z12], ids=str)
 def test_row_images_with_prebuilt_sparse_rows_equal_the_product(field, rng):
     ops = field.ops
     A = _random_payload_rows(field, 4, 4, rng, zero_rows=(2,))
-    images = _RowImages(ops, A, 4)
-    assert images.SA == _sparse_rows(ops, A)
     MA = Matrix(field, tuple(map(tuple, A)))
+    images = _RowImages(MA)
+    assert images.SA == MA.sparse == _sparse_rows(ops, A)
     for _ in range(6):
         B = tuple(map(tuple, _random_payload_rows(field, 3, 4, rng, zero_rows=(0,))))
         assert tuple(images[row] for row in B) == (Matrix(field, B) @ MA).payload

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
-from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
+from midconv.linalg import (JordanData, Matrix, _digits, _echelon, char_poly, commutant_basis,
                             conjugacy_solve, field_roots, find_invertible, intersect_row_spaces,
                             jordan_block, jordan_data, kernel_basis, kronecker, kronecker_jordan,
                             rank, row_space_basis, solve_coords)
@@ -150,6 +150,13 @@ def test_field_roots_solves_a_repeated_root_off_the_candidates():
     assert jordan_data(M) == JordanData.of([(alpha, 2)])
     # over Q the candidates are complete, so the mean of x^2 - 2 is no root
     assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
+
+
+def test_digit_counts_agree_with_str_and_pass_its_limit():
+    for k in (1, 2, 15, 16, 17, 300, 4000):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, -(10 ** k)):
+            assert _digits(n) == len(str(abs(n)))
+    assert _digits(10 ** 9000) == 9001 and _digits(-(10 ** 9000 - 1)) == 9000
 
 
 @pytest.mark.parametrize("c", [2 ** 64, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)],

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midconv.errors import DivisionByZero, FieldMismatch, ParseError
-from midconv.scalars import (FieldDescriptor, coerce, cyclotomic_polynomial, divisors,
-                             format_scalar, is_prime, parse_scalar)
+from midconv.errors import DivisionByZero, FieldMismatch, ParseError, PreconditionError
+from midconv.scalars import (RHO_MAX_STEPS, FieldDescriptor, coerce, cyclotomic_polynomial,
+                             divisors, format_scalar, is_prime, parse_scalar, prime_factors)
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -209,6 +209,19 @@ def test_divisors_of_large_numbers_by_rho_and_perfect_powers():
     assert divisors(r ** 3 * 1009) == sorted(r ** a * 1009 ** b
                                              for a in range(4) for b in range(2))
     assert divisors(2 ** 64) == [2 ** k for k in range(65)]
+
+
+def test_divisors_stop_at_their_budgets():
+    import time
+    smooth = 2 ** 5 * 3 ** 3 * 5 ** 2 * 7 * 11 * 13 * 17 * 19          # 2,304 divisors
+    assert len(divisors(smooth, 2304)) == 2304
+    with pytest.raises(PreconditionError, match="more than 2303 divisors"):
+        divisors(smooth, 2303)
+    # the smaller factor 2^61 - 1 needs about 2^30 rho steps, far past RHO_MAX_STEPS
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match=f"RHO_MAX_STEPS = {RHO_MAX_STEPS} "):
+        prime_factors((2 ** 61 - 1) * (2 ** 89 - 1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_matches_trial_division_and_knows_large_primes():
