@@ -48,7 +48,8 @@ from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
-from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, divisors, parse_scalar
+from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, _digits, divisors,
+                      parse_scalar)
 
 
 def _entry_payload(field: FieldDescriptor, x):
@@ -422,17 +423,10 @@ def _deflate(coeffs, root: Scalar):
 MAX_RATIONAL_CANDIDATES = 10 ** 5
 
 
-def _digits(n: int) -> int:
-    """The decimal digit count of n != 0, without str() and its 4,300-digit limit."""
-    d = n.bit_length() * 301 // 1000          # 0.301 < log10(2): never too many
-    while abs(n) >= 10 ** d:
-        d += 1
-    return d
-
-
 def _rational_candidates(coeffs: list[Fraction], field: FieldDescriptor):
     """0 and +- p/q with p | a_0, q | a_lead, a_i the coefficients made integers;
-    PreconditionError past the rho budget of prime_factors or MAX_RATIONAL_CANDIDATES."""
+    PreconditionError past the size or rho budget of prime_factors or
+    MAX_RATIONAL_CANDIDATES."""
     den = math.lcm(*(c.denominator for c in coeffs))
     int_coeffs = [int(c * den) for c in coeffs]
     lo = next((c for c in int_coeffs if c), None)

@@ -3,14 +3,18 @@
 Group recognition is by exact order (breadth-first closure under the
 generators), not by classification theorems; at desk scale the relevant
 closures stay below a few tens of thousands of elements.  The closure acts
-on rows: row i of B A is (row i of B) A, so it multiplies each distinct row
-by each generator once and builds every element from cached row images.
+on row ids: row i of B A is (row i of B) A, so each distinct payload row
+gets a small int id, each generator keeps a list from row id to the id of
+that row times the generator, filled level by level, and an element is the
+tuple of its n row ids.  A product is one itemgetter over such a list;
+only group_elements turns the ids back into payload rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, find_invertible,
@@ -91,59 +95,64 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     return MonodromyTuple.make(target, entries, T.points)
 
 
-class _RowImages(dict):
-    """Payload row -> that row times A, for one generator Matrix A; filled on first lookup.
+def _extend_tables(gens: list[Matrix], rows: list, ids: dict, tables: list[list]) -> None:
+    """Extend each generator's table over the rows it does not cover yet.
 
-    Each image is one row times A.sparse, the sparse rows A builds once.
+    tables[g][k] is the id of rows[k] times gens[g]; the images of the new
+    rows come from one _mul_rows call per generator, and an image not seen
+    before is interned: appended to rows, with the next id in ids.
     """
+    new_rows = rows[len(tables[0]):]
+    for A, table in zip(gens, tables):
+        for image in _mul_rows(A.field.ops, new_rows, A.sparse, A.ncols):
+            k = ids.setdefault(image, len(rows))
+            if k == len(rows):
+                rows.append(image)
+            table.append(k)
 
-    def __init__(self, A: Matrix):
-        super().__init__()
-        self.ops, self.SA, self.n = A.field.ops, A.sparse, A.ncols
 
-    def __missing__(self, row):
-        image = self[row] = _mul_rows(self.ops, (row,), self.SA, self.n)[0]
-        return image
-
-
-def _closure_rows(gens: list[Matrix], cap: int) -> dict | None:
+def _closure_rows(gens: list[Matrix], cap: int) -> tuple[dict, list] | None:
     """Breadth-first closure under right multiplication by the generators.
 
-    Returns the elements as the keys of an insertion-ordered dict, or None
-    when the closure passes the cap.  A key is the payload rows of an
-    element, as a Matrix holds them: the generators enter by their payload
-    rows, the products run on payloads, no Scalar or Matrix is built inside
-    the loop, and group_elements wraps each key in a Matrix as it is.
+    Returns (seen, rows), or None when the closure passes the cap.  The keys
+    of the insertion-ordered dict seen are the elements, each as the tuple
+    of its n row ids; rows[k] is the payload row with id k, and the
+    identity's rows have ids 0..n-1.
 
-    Row i of B A is (row i of B) A, so each generator A keeps a table from
-    a payload row to that row times A, filled on first use; a product is then
-    n table lookups.  A table holds one entry per distinct row of the
-    elements seen so far (at most n * cap rows, and |F|^n - 1 over a finite
-    field F), so the BFS does one vector-times-matrix product per distinct
-    (row, generator) pair instead of one n x n product per (element,
-    generator) pair, and the elements share their row tuples.
+    Row i of B A is (row i of B) A, so each generator keeps a plain list
+    from a row id to the id of that row times the generator.  At the start
+    of each level _extend_tables fills the lists over the rows found since
+    the last level, one vector-times-matrix product per distinct (row,
+    generator) pair; a product B A is then one itemgetter over A's list,
+    and the key it builds and hashes is a tuple of ints.  No payload row is
+    hashed per product, and no Scalar or Matrix is built inside the loop.
     """
     n = gens[0].nrows
     if any(A.dim != (n, n) for A in gens):
         raise ValueError("dimension mismatch in matrix product")
     for A in gens:
         _check_fields(A, gens[0], "matrix product")
-    ident = Matrix.identity(gens[0].field, n).payload
-    images = [_RowImages(A).__getitem__ for A in gens]
+    rows = list(Matrix.identity(gens[0].field, n).payload)
+    ids = {row: k for k, row in enumerate(rows)}
+    tables: list[list[int]] = [[] for _ in gens]
+    ident = tuple(range(n))
     seen = {ident: None}
     frontier = [ident]
     while frontier:
+        _extend_tables(gens, rows, ids, tables)
         new = []
         for B in frontier:
-            for image in images:
-                C = tuple(map(image, B))
+            # itemgetter of one index returns the entry itself, not a 1-tuple
+            get = itemgetter(*B) if n > 1 else (lambda table, k=B[0]: (table[k],))
+            for table in tables:
+                C = get(table)
                 if C not in seen:
                     seen[C] = None
                     if len(seen) > cap:
                         return None
                     new.append(C)
         frontier = new
-    return seen
+    return seen, rows
 
 
 def _check_cap(cap: int) -> None:
@@ -156,21 +165,26 @@ def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
     _check_cap(cap)
     if not gens:
         return 1
-    seen = _closure_rows(gens, cap)
-    return None if seen is None else len(seen)
+    closure = _closure_rows(gens, cap)
+    return None if closure is None else len(closure[0])
 
 
 def group_elements(gens: list[Matrix], cap: int = 100000):
     """The closure itself (insertion order); None when past the cap (an int >= 1).
 
-    Needs at least one generator: without one there is no dimension to
-    build the identity in.
+    The BFS keeps an element as the tuple of its row ids; this is where the
+    ids turn back into payload rows, each element a Matrix of them.  Needs at
+    least one generator: without one there is no dimension to build the
+    identity in.
     """
     _check_cap(cap)
     if not gens:
         raise PreconditionError("group_elements needs at least one generator")
-    seen = _closure_rows(gens, cap)
-    return None if seen is None else [Matrix(gens[0].field, rows) for rows in seen]
+    closure = _closure_rows(gens, cap)
+    if closure is None:
+        return None
+    seen, rows = closure
+    return [Matrix(gens[0].field, tuple(map(rows.__getitem__, key))) for key in seen]
 
 
 def absolutely_irreducible(gens: list[Matrix]) -> bool:

@@ -61,6 +61,9 @@ FINITE = "finite"
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the rho steps prime_factors takes before it gives up; (2^31-1)(2^61-1) takes 2^16
 RHO_MAX_STEPS = 2 ** 17
+# the largest cofactor, after trial division, that prime_factors tries to split:
+# a rho step, a Miller-Rabin round and a k-th root all grow with its size
+FACTOR_MAX_BITS = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -119,6 +122,14 @@ def _pollard_brent(n: int, steps: int) -> tuple[int, int]:
     raise ValueError(f"no factor of {n} found")
 
 
+def _digits(n: int) -> int:
+    """The decimal digit count of n != 0, without str() and its 4,300-digit limit."""
+    d = n.bit_length() * 301 // 1000          # 0.301 < log10(2): never too many
+    while abs(n) >= 10 ** d:
+        d += 1
+    return d
+
+
 def _iroot(n: int, k: int) -> int:
     """The integer k-th root floor(n^(1/k)) of n >= 1, by Newton's method from above."""
     x = 1 << -(-n.bit_length() // k)
@@ -148,7 +159,8 @@ def prime_factors(m: int) -> dict[int, int]:
 
     Trial division by 2 and the odd numbers below 1000, while they do not
     pass the square root of the cofactor; is_prime and _pollard_brent split
-    what is left, within RHO_MAX_STEPS rho steps in all.
+    what is left, within RHO_MAX_STEPS rho steps in all.  A cofactor past
+    FACTOR_MAX_BITS is refused before any of them runs, prime or not.
     """
     m = abs(m)
     steps = RHO_MAX_STEPS
@@ -159,6 +171,9 @@ def prime_factors(m: int) -> dict[int, int]:
             primes[f] = primes.get(f, 0) + 1
             m //= f
         f += 1 if f == 2 else 2
+    if m.bit_length() > FACTOR_MAX_BITS:
+        raise PreconditionError(f"a cofactor of {_digits(m)} digits after trial division, "
+                                f"past FACTOR_MAX_BITS = {FACTOR_MAX_BITS} bits")
     rest = [m] if m > 1 else []
     while rest:
         n = rest.pop()

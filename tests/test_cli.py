@@ -298,22 +298,25 @@ _SMOOTH = 6983776800                    # 2^5 3^3 5^2 7 11 13 17 19: 2,304 divis
 
 @pytest.mark.parametrize("cmd", [("jordan",), ("check-conv",),
                                  ("predict", "--infinity", "--lambda=-1")])
-@pytest.mark.parametrize("dim, rows, budget", [
-    (1, [[str(_HUGE)], [f"1/{_HUGE}"]], "RHO_MAX_STEPS"),
+@pytest.mark.parametrize("dim, rows, budget, digits", [
+    (1, [[str(_HUGE)], [f"1/{_HUGE}"]], "RHO_MAX_STEPS", "301"),
     (2, [[f"{_SMOOTH}, 0", f"0, 1/{_SMOOTH}"], [f"1/{_SMOOTH}, 0", f"0, {_SMOOTH}"]],
-     "MAX_RATIONAL_CANDIDATES"),
-], ids=["rho-steps", "candidates"])
+     "MAX_RATIONAL_CANDIDATES", "10 and 10"),
+    (1, [[str(10 ** 1000 + 1)], [f"1/{10 ** 1000 + 1}"]], "FACTOR_MAX_BITS", "1001"),
+    (1, [[str(10 ** 2000 + 1)], [f"1/{10 ** 2000 + 1}"]], "FACTOR_MAX_BITS", "2001"),
+], ids=["rho-steps", "candidates", "size-1001", "size-2001"])
 def test_eigenvalue_search_past_its_budget_exits_1_at_once(capsys, tmp_path, cmd, dim,
-                                                           rows, budget):
+                                                           rows, budget, digits):
     # x - (10^300 + 1) would need 10^300 + 1 factored; a_0 = a_lead = 6983776800
-    # would give 2 * 2304^2 candidates p/q
+    # would give 2 * 2304^2 candidates p/q; 10^1000 + 1 and 10^2000 + 1 keep a
+    # cofactor past 1024 bits after trial division
     path = _write(tmp_path, "t.txt", "rational", dim, rows)
     start = time.perf_counter()
     code, out, err = _run(capsys, *cmd, "--tuple", path)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("PreconditionError: eigenvalue search on coefficients a_0, a_lead")
-    assert budget in err and ("301" if budget == "RHO_MAX_STEPS" else "10 and 10") in err
+    assert budget in err and digits in err
 
 
 @pytest.mark.parametrize("m, need", [(199, 200), (15, 10)])

@@ -18,7 +18,7 @@ from midconv.fixtures import TUPLE_FIXTURES
 from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly,
                             commutant_basis, intersect_row_spaces, kronecker, poly_eval, rank,
                             solve_coords)
-from midconv.modgroup import _RowImages, group_closure
+from midconv.modgroup import _extend_tables, group_closure
 from midconv.scalars import FieldDescriptor, Scalar, _cyc_normalize, cyclotomic_polynomial
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
@@ -285,15 +285,22 @@ def test_is_scalar_means_c_times_one_with_c_nonzero(field, rng):
 
 @pytest.mark.parametrize("field", [F7, F25, Z12], ids=str)
 def test_row_images_with_prebuilt_sparse_rows_equal_the_product(field, rng):
+    # the closure's row-id tables: rows[table[g][k]] is rows[k] times generator g
     ops = field.ops
-    A = _random_payload_rows(field, 4, 4, rng, zero_rows=(2,))
-    MA = Matrix(field, tuple(map(tuple, A)))
-    images = _RowImages(MA)
-    assert images.SA == MA.sparse == _sparse_rows(ops, A)
-    for _ in range(6):
-        B = tuple(map(tuple, _random_payload_rows(field, 3, 4, rng, zero_rows=(0,))))
-        assert tuple(images[row] for row in B) == (Matrix(field, B) @ MA).payload
-    assert images[(ops.zero,) * 4] == (ops.zero,) * 4
+    gens = [Matrix(field, tuple(map(tuple, _random_payload_rows(field, 4, 4, rng, zero_rows=(2,)))))
+            for _ in range(2)]
+    rows = list(dict.fromkeys(map(tuple, _random_payload_rows(field, 3, 4, rng, zero_rows=(0,)))))
+    ids = {row: k for k, row in enumerate(rows)}
+    tables = [[] for _ in gens]
+    for _ in range(3):                   # each call covers the rows the last one interned
+        covered = len(rows)
+        _extend_tables(gens, rows, ids, tables)
+        assert all(len(table) == covered for table in tables)
+    assert (ops.zero,) * 4 in rows
+    assert len(set(rows)) == len(rows) and all(ids[row] == k for k, row in enumerate(rows))
+    for A, table in zip(gens, tables):
+        for k, image in enumerate(table):
+            assert (rows[image],) == (Matrix(field, (rows[k],)) @ A).payload
 
 
 def _echelon_text(M):

@@ -115,6 +115,19 @@ def _monomial_f49():
             Matrix.from_rows(F49, [[zero, one], [one, zero]])]
 
 
+def _signed_permutations():
+    """Signed 3 x 3 permutation matrices over Q: order 2^3 * 3! = 48."""
+    cycle = Matrix.from_rows(Q, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    swap = Matrix.from_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    sign = Matrix.from_rows(Q, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return [cycle, swap, sign]
+
+
+def _monomial_z4():
+    """<diag(zeta_4, 1), swap> over Q(zeta_4): order 2 * 4^2 = 32."""
+    return [Matrix.from_rows(Z4, [["z", 0], [0, 1]]), Matrix.from_rows(Z4, [[0, 1], [1, 0]])]
+
+
 # the closure order of group_elements is part of its contract (insertion order of
 # the BFS); these digests pin it, element by element
 @pytest.mark.parametrize("gens, order, digest", [
@@ -128,11 +141,37 @@ def _monomial_f49():
      "749919579c7228139f201b585c334163e413a1910b0373a64d006cfc5930148e"),
     (_monomial_f49, 288,
      "bbbefa343ee1ff4039c61a2d9a11e86a16e9aab46a5202d46ae367415b3dccbd"),
-], ids=["V mod 3", "V mod 5", "V mod 7", "V mod 11", "monomial F_49"])
+    (_signed_permutations, 48,
+     "5c06f70e9ccac34ecb5830c860ea048920e28098d79504d3361c94d7f0e8b5ba"),
+    (_monomial_z4, 32,
+     "116c8b5f26295aba220571644b3d490d1c710eaf3d8b173c019fe8e7f55ce06a"),
+], ids=["V mod 3", "V mod 5", "V mod 7", "V mod 11", "monomial F_49",
+        "signed permutations Q", "monomial Q(zeta_4)"])
 def test_group_elements_order_is_pinned(gens, order, digest):
     elements = group_elements(gens())
     assert len(elements) == order
     assert _elements_digest(elements) == digest
+
+
+def _three_in_gl1_f7():
+    """<(3)> in GL_1(F_7): 3 is a generator of F_7^*, order 6."""
+    return [Matrix.from_rows(FieldDescriptor.finite(7), [[3]])]
+
+
+def test_closure_of_a_1x1_generator_lists_its_powers():
+    # one row id per element: the key must stay a 1-tuple, not the bare id
+    F7 = FieldDescriptor.finite(7)
+    elements = group_elements(_three_in_gl1_f7())
+    assert [g.rows[0][0] for g in elements] == [F7.from_int(k) for k in (1, 3, 2, 6, 4, 5)]
+
+
+@pytest.mark.parametrize("gens, order", [(_three_in_gl1_f7, 6), (_monomial_f49, 288)],
+                         ids=["<3> in GL_1(F_7)", "monomial F_49"])
+def test_group_closure_cap_boundary_on_one_row_and_over_f49(gens, order):
+    assert group_closure(gens(), cap=order - 1) is None
+    assert group_elements(gens(), cap=order - 1) is None
+    assert group_closure(gens(), cap=order) == order
+    assert len(group_elements(gens(), cap=order)) == order
 
 
 def _pairwise_closure_order(gens, cap=10000):
@@ -159,19 +198,6 @@ def test_group_closure_against_pairwise_oracle():
     assert group_closure(gens) == _pairwise_closure_order(gens) == 240
     elements = group_elements(gens)
     assert len(elements) == len({g.rows for g in elements}) == 240
-
-
-def _signed_permutations():
-    """Signed 3 x 3 permutation matrices over Q: order 2^3 * 3! = 48."""
-    cycle = Matrix.from_rows(Q, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    swap = Matrix.from_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    sign = Matrix.from_rows(Q, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return [cycle, swap, sign]
-
-
-def _monomial_z4():
-    """<diag(zeta_4, 1), swap> over Q(zeta_4): order 2 * 4^2 = 32."""
-    return [Matrix.from_rows(Z4, [["z", 0], [0, 1]]), Matrix.from_rows(Z4, [[0, 1], [1, 0]])]
 
 
 @pytest.mark.parametrize("gens, order", [(_signed_permutations, 48), (_monomial_z4, 32)],

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midconv.errors import DivisionByZero, FieldMismatch, ParseError, PreconditionError
-from midconv.scalars import (RHO_MAX_STEPS, FieldDescriptor, coerce, cyclotomic_polynomial,
+from midconv.scalars import (FACTOR_MAX_BITS, RHO_MAX_STEPS, FieldDescriptor, coerce, cyclotomic_polynomial,
                              divisors, format_scalar, is_prime, parse_scalar, prime_factors)
 
 Q = FieldDescriptor.rational()
@@ -222,6 +222,15 @@ def test_divisors_stop_at_their_budgets():
     with pytest.raises(PreconditionError, match=f"RHO_MAX_STEPS = {RHO_MAX_STEPS} "):
         prime_factors((2 ** 61 - 1) * (2 ** 89 - 1))
     assert time.perf_counter() - start < 1.0
+
+
+def test_prime_factors_refuse_a_cofactor_past_the_size_bound():
+    # 1009 passes trial division; 1009^102 has 1018 bits, 1009^103 has 1028
+    assert (1009 ** 102).bit_length() <= FACTOR_MAX_BITS < (1009 ** 103).bit_length()
+    assert prime_factors(2 ** 3000 * 1009 ** 102) == {2: 3000, 1009: 102}
+    with pytest.raises(PreconditionError, match="a cofactor of 310 digits after trial "
+                                                f"division, past FACTOR_MAX_BITS = {FACTOR_MAX_BITS}"):
+        prime_factors(2 ** 3000 * 1009 ** 103)
 
 
 def test_is_prime_matches_trial_division_and_knows_large_primes():
