@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, PreconditionError
+from .errors import DivisionByZero, FieldMismatch, ParseError
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -59,11 +59,6 @@ FINITE = "finite"
 # the first 13 primes: as Miller-Rabin bases they decide primality exactly for
 # n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the rho steps prime_factors takes before it gives up; (2^31-1)(2^61-1) takes 2^16
-RHO_MAX_STEPS = 2 ** 17
-# the largest cofactor, after trial division, that prime_factors tries to split:
-# a rho step, a Miller-Rabin round and a k-th root all grow with its size
-FACTOR_MAX_BITS = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -88,109 +83,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _pollard_brent(n: int, steps: int) -> tuple[int, int]:
-    """(a proper factor of the odd composite n, the steps left): Pollard's rho with
-    Brent's cycle search and gcds batched over 128 steps; deterministic (x0 = 2,
-    c = 1, 2, ...).  PreconditionError when the `steps` run out."""
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            steps -= 2 * r              # at most r moves of y, then at most r batched
-            if steps < 0:
-                raise PreconditionError(f"no factor in RHO_MAX_STEPS = {RHO_MAX_STEPS} rho steps")
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:                      # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g, steps
-    raise ValueError(f"no factor of {n} found")
-
-
-def _digits(n: int) -> int:
-    """The decimal digit count of n != 0, without str() and its 4,300-digit limit."""
-    d = n.bit_length() * 301 // 1000          # 0.301 < log10(2): never too many
-    while abs(n) >= 10 ** d:
-        d += 1
-    return d
-
-
-def _iroot(n: int, k: int) -> int:
-    """The integer k-th root floor(n^(1/k)) of n >= 1, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def divisors(m: int, limit: int | None = None) -> list[int]:
-    """The positive divisors of |m| in increasing order ([] for 0); PreconditionError
-    past `limit` of them (counted before any is listed) or when prime_factors gives up."""
-    if m == 0:
-        return []
-    primes = prime_factors(m)
-    if limit is not None and math.prod(e + 1 for e in primes.values()) > limit:
-        raise PreconditionError(f"more than {limit} divisors")
-    divs = [1]
-    for p, e in primes.items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def prime_factors(m: int) -> dict[int, int]:
-    """{prime: exponent} for |m| >= 1.
-
-    Trial division by 2 and the odd numbers below 1000, while they do not
-    pass the square root of the cofactor; is_prime and _pollard_brent split
-    what is left, within RHO_MAX_STEPS rho steps in all.  A cofactor past
-    FACTOR_MAX_BITS is refused before any of them runs, prime or not.
-    """
-    m = abs(m)
-    steps = RHO_MAX_STEPS
-    primes: dict[int, int] = {}
-    f = 2
-    while f < 1000 and f * f <= m:
-        while m % f == 0:
-            primes[f] = primes.get(f, 0) + 1
-            m //= f
-        f += 1 if f == 2 else 2
-    if m.bit_length() > FACTOR_MAX_BITS:
-        raise PreconditionError(f"a cofactor of {_digits(m)} digits after trial division, "
-                                f"past FACTOR_MAX_BITS = {FACTOR_MAX_BITS} bits")
-    rest = [m] if m > 1 else []
-    while rest:
-        n = rest.pop()
-        if is_prime(n):
-            primes[n] = primes.get(n, 0) + 1
-            continue
-        # rho needs ~sqrt(p) steps to split p^k, so take perfect powers apart first;
-        # n has no prime factor below 1000 > 2^9, so r^k = n needs k <= bits / 9
-        for k in range(2, n.bit_length() // 9 + 1):
-            r = _iroot(n, k)
-            if r ** k == n:
-                rest += [r] * k
-                break
-        else:
-            g, steps = _pollard_brent(n, steps)
-            rest += [g, n // g]
-    return primes
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:

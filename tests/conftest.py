@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from midconv.linalg import Matrix
-from midconv.scalars import FieldDescriptor
+from midconv.scalars import FieldDescriptor, is_prime
 from midconv.tuples import MonodromyTuple
 
 SEED = 20260810
@@ -13,6 +14,9 @@ SEED = 20260810
 # `pytest --hypothesis-profile=ci`: the same examples on every run, ten times
 # the default number of them, and no per-example deadline
 settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
+
+# the product of the primes up to 9767, 4,198 digits: below the parser's 4,300
+PRIMORIAL_9767 = math.prod(p for p in range(2, 9768) if is_prime(p))
 
 Q = FieldDescriptor.rational()
 F7 = FieldDescriptor.finite(7)

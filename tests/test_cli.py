@@ -12,7 +12,7 @@ from midconv.linalg import Matrix
 from midconv.scalars import FieldDescriptor
 from midconv.tupleio import save_tuple_file
 
-from conftest import SEED, random_tuple
+from conftest import PRIMORIAL_9767, SEED, random_tuple
 
 
 def _run(capsys, *argv):
@@ -292,31 +292,55 @@ def test_sl_demo_never_factors_a_300_digit_m(capsys):
     assert err == _M_ABOVE_THE_LIMIT
 
 
-_HUGE = 10 ** 300 + 1
 _SMOOTH = 6983776800                    # 2^5 3^3 5^2 7 11 13 17 19: 2,304 divisors
+
+
+def _reciprocal_tuple(c):
+    """The 1x1 tuple (c, 1/c) and the outputs of jordan, check-conv and predict on it."""
+    return (1, [[str(c)], [f"1/{c}"]],
+            {"jordan": f"entry 1: J({c},1)\nentry 2: J(1/{c},1)\n",
+             "check-conv": f"fail\nviolated (**) at entry 1 with tau = 1/{c}\n",
+             "predict": f"infinity: J(-1/{c},1)\n"})
 
 
 @pytest.mark.parametrize("cmd", [("jordan",), ("check-conv",),
                                  ("predict", "--infinity", "--lambda=-1")])
-@pytest.mark.parametrize("dim, rows, budget, digits", [
-    (1, [[str(_HUGE)], [f"1/{_HUGE}"]], "RHO_MAX_STEPS", "301"),
+@pytest.mark.parametrize("dim, rows, outs", [
+    _reciprocal_tuple(10 ** 300 + 1),
     (2, [[f"{_SMOOTH}, 0", f"0, 1/{_SMOOTH}"], [f"1/{_SMOOTH}, 0", f"0, {_SMOOTH}"]],
-     "MAX_RATIONAL_CANDIDATES", "10 and 10"),
-    (1, [[str(10 ** 1000 + 1)], [f"1/{10 ** 1000 + 1}"]], "FACTOR_MAX_BITS", "1001"),
-    (1, [[str(10 ** 2000 + 1)], [f"1/{10 ** 2000 + 1}"]], "FACTOR_MAX_BITS", "2001"),
+     {"jordan": f"entry 1: J(1/{_SMOOTH},1) + J({_SMOOTH},1)\n"
+                f"entry 2: J(1/{_SMOOTH},1) + J({_SMOOTH},1)\n",
+      "check-conv": f"fail\nviolated (**) at entry 1 with tau = {_SMOOTH}\n",
+      "predict": f"infinity: J(-{_SMOOTH},1) + J(-1/{_SMOOTH},1)\n"}),
+    _reciprocal_tuple(10 ** 1000 + 1),
+    _reciprocal_tuple(10 ** 2000 + 1),
 ], ids=["rho-steps", "candidates", "size-1001", "size-2001"])
 def test_eigenvalue_search_past_its_budget_exits_1_at_once(capsys, tmp_path, cmd, dim,
-                                                           rows, budget, digits):
-    # x - (10^300 + 1) would need 10^300 + 1 factored; a_0 = a_lead = 6983776800
-    # would give 2 * 2304^2 candidates p/q; 10^1000 + 1 and 10^2000 + 1 keep a
-    # cofactor past 1024 bits after trial division
+                                                           rows, outs):
+    # The name and the ids keep the budgets of the divisor search that refused
+    # these inputs with exit 1: 10^300 + 1 was not factored within its rho
+    # steps, a_0 = a_lead = 6983776800 gave 2 * 2304^2 candidates p/q, and
+    # 10^1000 + 1 and 10^2000 + 1 kept a cofactor past 1024 bits.  l-adic
+    # lifting answers each.
     path = _write(tmp_path, "t.txt", "rational", dim, rows)
     start = time.perf_counter()
     code, out, err = _run(capsys, *cmd, "--tuple", path)
     assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, outs[cmd[0]], "")
+
+
+def test_jordan_of_x2_minus_a_4198_digit_primorial_exits_1_at_once(capsys, tmp_path):
+    # x^2 - P for P the product of the primes up to 9767: the least prime that
+    # divides neither the leading coefficient nor the discriminant 4P is 9769,
+    # found without a budget
+    path = _write(tmp_path, "t.txt", "rational", 2,
+                  [["0, " + str(PRIMORIAL_9767), "1, 0"],
+                   ["0, 1", f"1/{PRIMORIAL_9767}, 0"]])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "jordan", "--tuple", path)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
-    assert err.startswith("PreconditionError: eigenvalue search on coefficients a_0, a_lead")
-    assert budget in err and digits in err
+    assert err.startswith("DoesNotSplit: ")
 
 
 @pytest.mark.parametrize("m, need", [(199, 200), (15, 10)])

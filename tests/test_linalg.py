@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
-from midconv.linalg import (JordanData, Matrix, _digits, _echelon, char_poly, commutant_basis,
+from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
                             conjugacy_solve, field_roots, find_invertible, intersect_row_spaces,
                             jordan_block, jordan_data, kernel_basis, kronecker, kronecker_jordan,
                             rank, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
-from conftest import F7, Q, random_invertible, random_scalar
+from conftest import F7, PRIMORIAL_9767, Q, random_invertible, random_scalar
 
 Z4 = FieldDescriptor.cyclotomic(4)
 Z12 = FieldDescriptor.cyclotomic(12)
@@ -152,18 +152,11 @@ def test_field_roots_solves_a_repeated_root_off_the_candidates():
     assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
 
 
-def test_digit_counts_agree_with_str_and_pass_its_limit():
-    for k in (1, 2, 15, 16, 17, 300, 4000):
-        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, -(10 ** k)):
-            assert _digits(n) == len(str(abs(n)))
-    assert _digits(10 ** 9000) == 9001 and _digits(-(10 ** 9000 - 1)) == 9000
-
-
 @pytest.mark.parametrize("c", [2 ** 64, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)],
                          ids=["2^64", "2^61-1", "(2^31-1)(2^61-1)"])
 def test_rational_roots_with_a_large_constant_term_are_fast(c):
-    # the candidates p/q come from the divisors of c: by trial division up to
-    # sqrt(c) this took minutes; by factorization it takes milliseconds
+    # by l-adic lifting no divisor of c is needed: trial division up to sqrt(c)
+    # would take minutes, the lifting takes milliseconds
     import time
     one = Q.one()
     start = time.perf_counter()
@@ -179,6 +172,23 @@ def test_rational_roots_with_a_large_constant_term_are_fast(c):
         with pytest.raises(DoesNotSplit):
             jordan_data(M)
     assert time.perf_counter() - start < 1.0
+
+
+def test_rational_roots_of_a_4198_digit_cubic_are_fast():
+    # (x + 1)(x^2 - P): no budget bounds the prime of the lifting, and the
+    # root -1 is found beside the remainder x^2 - P
+    import time
+    P, one = PRIMORIAL_9767, Q.one()
+    start = time.perf_counter()
+    roots, rem = field_roots([Q.from_int(-P), Q.from_int(-P), one, one], Q)
+    assert (roots, rem) == ([(-one, 1)], [Q.from_int(-P), Q.zero(), one])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_field_roots_strip_a_zero_leading_coordinate():
+    # the coordinate polynomial of 1 + z x in 1 is [1, 0]: a constant, no root
+    z = Z4.zeta(1)
+    assert field_roots([Z4.one(), z], Z4) == ([(z, 1)], [z])
 
 
 def test_kronecker_factors_commute(rng):

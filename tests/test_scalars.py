@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midconv.errors import DivisionByZero, FieldMismatch, ParseError, PreconditionError
-from midconv.scalars import (FACTOR_MAX_BITS, RHO_MAX_STEPS, FieldDescriptor, coerce, cyclotomic_polynomial,
-                             divisors, format_scalar, is_prime, parse_scalar, prime_factors)
+from midconv.errors import DivisionByZero, FieldMismatch, ParseError
+from midconv.scalars import (FieldDescriptor, coerce, cyclotomic_polynomial, format_scalar,
+                             is_prime, parse_scalar)
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -181,57 +181,7 @@ def test_immutability_and_hash():
     assert len({Z12.zeta(), Z12.zeta(), Z12.zeta(2)}) == 2
 
 
-# -- integer helpers: primality and divisors ---------------------------------------------
-
-def _trial_divisors(m):
-    """The divisors of |m| by trial division up to its square root."""
-    m, out, f = abs(m), set(), 1
-    while f * f <= m:
-        if m % f == 0:
-            out |= {f, m // f}
-        f += 1
-    return sorted(out)
-
-
-def test_divisors_match_trial_division_below_a_million():
-    import random
-    rng = random.Random(20260810)
-    numbers = list(range(-50, 1200)) + [rng.randrange(1, 10 ** 6) for _ in range(400)]
-    numbers += [997 * 997, 991 * 997, 2 ** 19, 3 ** 12, 720720, 999983]
-    for m in numbers:
-        assert divisors(m) == _trial_divisors(m)
-
-
-def test_divisors_of_large_numbers_by_rho_and_perfect_powers():
-    p, q, r = 2 ** 31 - 1, 2 ** 61 - 1, 1000003
-    assert divisors(p * q) == [1, p, q, p * q]
-    assert divisors(q ** 2) == [1, q, q * q]
-    assert divisors(r ** 3 * 1009) == sorted(r ** a * 1009 ** b
-                                             for a in range(4) for b in range(2))
-    assert divisors(2 ** 64) == [2 ** k for k in range(65)]
-
-
-def test_divisors_stop_at_their_budgets():
-    import time
-    smooth = 2 ** 5 * 3 ** 3 * 5 ** 2 * 7 * 11 * 13 * 17 * 19          # 2,304 divisors
-    assert len(divisors(smooth, 2304)) == 2304
-    with pytest.raises(PreconditionError, match="more than 2303 divisors"):
-        divisors(smooth, 2303)
-    # the smaller factor 2^61 - 1 needs about 2^30 rho steps, far past RHO_MAX_STEPS
-    start = time.perf_counter()
-    with pytest.raises(PreconditionError, match=f"RHO_MAX_STEPS = {RHO_MAX_STEPS} "):
-        prime_factors((2 ** 61 - 1) * (2 ** 89 - 1))
-    assert time.perf_counter() - start < 1.0
-
-
-def test_prime_factors_refuse_a_cofactor_past_the_size_bound():
-    # 1009 passes trial division; 1009^102 has 1018 bits, 1009^103 has 1028
-    assert (1009 ** 102).bit_length() <= FACTOR_MAX_BITS < (1009 ** 103).bit_length()
-    assert prime_factors(2 ** 3000 * 1009 ** 102) == {2: 3000, 1009: 102}
-    with pytest.raises(PreconditionError, match="a cofactor of 310 digits after trial "
-                                                f"division, past FACTOR_MAX_BITS = {FACTOR_MAX_BITS}"):
-        prime_factors(2 ** 3000 * 1009 ** 103)
-
+# -- primality ----------------------------------------------------------------------------
 
 def test_is_prime_matches_trial_division_and_knows_large_primes():
     def trial(n):

@@ -1,5 +1,5 @@
-"""Rank and det of the one elimination routine, and char_poly, against sympy,
-an independent oracle.
+"""Rank and det of the one elimination routine, char_poly, and the rational
+roots of the eigenvalue search, against sympy, an independent oracle.
 
 Runs only where sympy is installed; the program itself does not depend on it.
 """
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midconv.linalg import Matrix, char_poly, rank
+from midconv.linalg import Matrix, char_poly, field_roots, rank
 
 from conftest import F7, Q
 
@@ -84,3 +84,45 @@ def test_char_poly_over_q_matches_sympy(rows):
     D = DomainMatrix([[QQ(f.numerator, f.denominator) for f in r] for r in rows], (n, n), QQ)
     expected = [Fraction(int(c.numerator), int(c.denominator)) for c in D.charpoly()]
     assert [c.payload for c in char_poly(Matrix.from_rows(Q, rows))] == expected[::-1]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction(c):
+    return Fraction(int(c.p), int(c.q))
+
+
+@settings(deadline=None)
+@given(c=st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool),
+       factors=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6), st.integers(1, 3)),
+                        max_size=3),
+       h=st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda h: h[-1]))
+def test_rational_roots_over_q_match_sympy(c, factors, h):
+    # f = c * prod (q x - p)^m * h, with h of degree <= 3
+    f = [c * x for x in h]
+    for p, q, m in factors:
+        for _ in range(m):
+            f = _poly_mul(f, [Fraction(-p), Fraction(q)])
+    roots, rem = field_roots([Q.from_fraction(x) for x in f], Q)
+    x = sympy.Symbol("x")
+    F = sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(f)], x,
+                   domain=QQ)
+    expected = {}
+    for factor, m in F.factor_list()[1]:
+        if factor.degree() == 1:
+            a1, a0 = factor.all_coeffs()
+            expected[-_fraction(a0) / _fraction(a1)] = m
+    assert [(r.payload, m) for r, m in roots] == sorted(expected.items())
+    divisor = sympy.Poly(1, x, domain=QQ)
+    for r, m in expected.items():
+        divisor *= sympy.Poly([1, -sympy.Rational(r.numerator, r.denominator)], x,
+                              domain=QQ) ** m
+    quotient, remainder = sympy.div(F, divisor)
+    assert remainder.is_zero
+    assert [s.payload for s in rem] == [_fraction(a) for a in reversed(quotient.all_coeffs())]
