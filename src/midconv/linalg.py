@@ -491,7 +491,8 @@ def _rational_roots(coeffs) -> list[Fraction]:
     g = _poly_div_exact(f, _primitive(_gcd_res(f, df)[0]))
     dg = [i * c for i, c in enumerate(g)][1:]
     res = int(_gcd_res(g, dg)[1])
-    ell = next(p for p in count(2) if g[-1] % p and res % p and is_prime(p))
+    # primality first: each remainder of a long res costs more than the test
+    ell = next(p for p in count(2) if is_prime(p) and g[-1] % p and res % p)
     bound, g_ell = 2 * abs(g[0] * g[-1]), [c % ell for c in g]
     for x in range(ell):
         if _horner(g_ell, x, ell):

@@ -34,6 +34,21 @@ which divides by gcd(n, d) and fills the two slots of a bare Fraction, so no
 op pays for Fraction's operator dispatch, its constructor's type checks or a
 second gcd.  It is the only code that knows the slot layout; a test pins it.
 
+The Q(zeta_n) ops add, sub, neg, mul and addmul are compiled once per field
+from straight-line source: one statement per coefficient, no loop.
+_straight_line_cyclotomic_ops writes it from phi(n) and the integer
+reduction rows of _cyc_tables(n) alone, never from input text.  The source
+unpacks the numerators into locals, writes each product coefficient as an
+explicit sum, folds the coefficients of zeta^phi .. zeta^(2 phi - 2) in by
+the fixed rows, and normalizes once with gcd(d, o0, ..), skipped when
+d == 1; add and sub skip the cross products when the denominators agree.
+It is compiled under the filename "<Q(zeta_n) kernel>", so profiles and
+tracebacks name the field.  The source grows as phi^2, and the straight
+lines multiply the zero coefficients that loops skip, so the kernel is
+built only for phi(n) <= UNROLL_MAX_PHI; larger fields keep the loops of
+_looped_cyclotomic_ops (Q(zeta_997), phi 996, would take seconds and
+gigabytes to compile).  Both give the same canonical payloads.
+
 A Scalar is built by the two slot setters, bound once at module level, so
 construction is two C calls; `__setattr__` raises, so Scalars stay
 immutable.
@@ -431,15 +446,81 @@ def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
     return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, inv)
 
 
-def _cyclotomic_ops(n: int) -> FieldOps:
-    """Q(zeta_n): payloads (nums, den), see _cyc_normalize."""
-    phi, red, powers = _cyc_tables(n)
-    zero = ((0,) * phi, 1)
-    one = ((1,) + (0,) * (phi - 1), 1)
+# the largest phi(n) whose ops are compiled from straight-line source.  On addmul
+# with 1 to phi/2 nonzero numerators per operand, as in sl_demo, the straight lines
+# were 1.3-3x faster than the loops up to phi = 16, about even at phi = 20 to 32
+# (0.8-1.4x), and slower from phi = 36 on (0.3-0.8x at phi = 40 and 52).  The bound
+# covers every field sl_demo builds (phi <= 20) and keeps compiling near 10 ms.
+UNROLL_MAX_PHI = 24
 
-    def nonzero(a):
-        return any(a[0])
 
+def _straight_line_cyclotomic_ops(n: int):
+    """add, sub, neg, mul, addmul of Q(zeta_n), compiled from straight-line source
+    (see the module docstring).  In the source, x_i, y_i and z_i are the numerators
+    of the operands and of the addend, h_m the product's coefficient of zeta^(phi+m),
+    and o_j the result's numerators over the denominator d."""
+    phi, red, _ = _cyc_tables(n)
+
+    def each(fmt: str) -> list[str]:
+        return [fmt.format(k=k) for k in range(phi)]
+
+    def vec(fmt: str) -> str:           # "x0, x1, ": a valid target and tuple body
+        return "".join(f"{term}, " for term in each(fmt))
+
+    def coefficient(e: int) -> str:     # of zeta^e in the product, 0 <= e <= 2 phi - 2
+        low, high = max(0, e - phi + 1), min(e, phi - 1)
+        return " + ".join(f"x{i}*y{e - i}" for i in range(low, high + 1))
+
+    def fold(j: int) -> str:
+        terms = [coefficient(j)]
+        for m, row in enumerate(red[:phi - 1]):
+            if row[j]:
+                r = abs(row[j])
+                terms.append(f"{'-' if row[j] < 0 else '+'} {f'{r}*' if r != 1 else ''}h{m}")
+        return " ".join(terms)
+
+    normalize = ["if d == 1:",
+                 f"    return (({vec('o{k}')}), 1)",
+                 f"g = gcd(d, {vec('o{k}')})",
+                 "if g == 1:",
+                 f"    return (({vec('o{k}')}), d)",
+                 f"return (({vec('o{k} // g')}), d // g)"]
+    unpack = [f"{vec('x{k}')}= x", f"{vec('y{k}')}= y"]
+    product = (unpack + [f"h{m} = {coefficient(phi + m)}" for m in range(phi - 1)]
+               + [f"o{j} = {fold(j)}" for j in range(phi)])
+
+    def linear(op: str) -> list[str]:   # add, sub: equal denominators skip the cross products
+        return (["(x, dx), (y, dy) = a, b"] + unpack
+                + ["if dx == dy:", "    if dx == 1:",
+                   f"        return (({vec(f'x{{k}} {op} y{{k}}')}), 1)"]
+                + each(f"    o{{k}} = x{{k}} {op} y{{k}}")
+                + ["    d = dx", "else:"]
+                + each(f"    o{{k}} = x{{k}} * dy {op} y{{k}} * dx")
+                + ["    d = dx * dy"] + normalize[2:])
+
+    functions = {
+        "add(a, b)": linear("+"),
+        "sub(a, b)": linear("-"),
+        "neg(a)": ["x, d = a", f"{vec('x{k}')}= x", f"return (({vec('-x{k}')}), d)"],
+        "mul(a, b)": ["(x, dx), (y, dy) = a, b"] + product + ["d = dx * dy"] + normalize,
+        "addmul(c, a, b)": (["(z, dz), (x, dx), (y, dy) = c, a, b"] + product
+                            + [f"{vec('z{k}')}= z", "d = dx * dy", "if d == dz:"]
+                            + each("    o{k} += z{k}")
+                            + ["elif dz == 1:"]             # c + a*b = (z d + x y) / d
+                            + each("    o{k} += z{k} * d")
+                            + ["else:"]                     # (z d + x y dz) / (dz d)
+                            + each("    o{k} = z{k} * d + o{k} * dz")
+                            + ["    d *= dz"] + normalize),
+    }
+    source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
+                     for head, body in functions.items())
+    namespace = {"gcd": math.gcd}
+    exec(compile(source, f"<Q(zeta_{n}) kernel>", "exec"), namespace)
+    return tuple(namespace[head.split("(")[0]] for head in functions)
+
+
+def _looped_cyclotomic_ops(phi: int, red):
+    """add, sub, neg, mul, addmul of Q(zeta_n) as loops over the coefficients."""
     def add(a, b):
         (x, dx), (y, dy) = a, b
         return _cyc_normalize(tuple(s * dy + t * dx for s, t in zip(x, y)), dx * dy)
@@ -455,6 +536,7 @@ def _cyclotomic_ops(n: int) -> FieldOps:
     # the nonzero (j, c) of each reduction row: zeta^(phi+m) = sum_j c zeta^j, m < phi-1
     sparse_red = [[(j, c) for j, c in enumerate(row) if c] for row in red[:phi - 1]]
     tail = [0] * (phi - 1)
+    zero = ((0,) * phi, 1)
 
     def addmul(c, a, b):
         (z, dz), (x, dx), (y, dy) = c, a, b
@@ -481,6 +563,22 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         if not any(a[0]) or not any(b[0]):
             return zero
         return addmul(zero, a, b)
+
+    return add, sub, neg, mul, addmul
+
+
+def _cyclotomic_ops(n: int) -> FieldOps:
+    """Q(zeta_n): payloads (nums, den), see _cyc_normalize."""
+    phi, red, powers = _cyc_tables(n)
+    zero = ((0,) * phi, 1)
+    one = ((1,) + (0,) * (phi - 1), 1)
+    if phi <= UNROLL_MAX_PHI:
+        add, sub, neg, mul, addmul = _straight_line_cyclotomic_ops(n)
+    else:
+        add, sub, neg, mul, addmul = _looped_cyclotomic_ops(phi, red)
+
+    def nonzero(a):
+        return any(a[0])
 
     def inv(a):
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n."""

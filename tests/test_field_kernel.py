@@ -1,6 +1,7 @@
 """The field kernel: interned descriptors, the checked boundary of the
-payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, the Q ops
-against the fractions module, the sparse payload loops, and char_poly
+payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, add and
+sub against per-coordinate fractions, the straight-line Q(zeta_n) kernel on both sides of
+its bound, the Q ops against the fractions module, the sparse payload loops, and char_poly
 against det(x 1 - M)."""
 
 import hashlib
@@ -19,7 +20,9 @@ from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly
                             commutant_basis, intersect_row_spaces, kronecker, poly_eval, rank,
                             solve_coords)
 from midconv.modgroup import _extend_tables, group_closure
-from midconv.scalars import FieldDescriptor, Scalar, _cyc_normalize, cyclotomic_polynomial
+from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
+                             _cyc_tables, _cyclotomic_ops, _looped_cyclotomic_ops,
+                             _straight_line_cyclotomic_ops, cyclotomic_polynomial)
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
 from conftest import F7, Q, SEED, random_invertible, random_scalar
@@ -120,26 +123,42 @@ def test_det_sign_of_a_permutation_and_singular_matrices():
 # -- addmul: one multiply-accumulate per term ------------------------------------------
 
 # F_49 twice: as F_7[t]/(t^2 - 3) and as F_7[t]/(t^2 + t + 3), so that the t coefficient
-# of the defining polynomial is nonzero in odd characteristic too
+# of the defining polynomial is nonzero in odd characteristic too.  Q(zeta_n) for n = 1
+# (phi 1), 35 (phi 24, the largest phi of the straight-line kernel) and 29 (phi 28, the
+# least above it, where the loops run)
+CYCLOTOMIC_ORDERS = (1, 3, 12, 15, 28, 35, 29)
 KERNEL_FIELDS = ([Q, F7, F4, F49, FieldDescriptor.finite(7, 2, (3, 1, 1))]
-                 + [FieldDescriptor.cyclotomic(n) for n in (3, 12, 15, 28)])
+                 + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS])
 
 
 def test_the_kernel_fields_reduce_by_sparse_and_dense_cyclotomic_polynomials():
     assert [sum(map(bool, cyclotomic_polynomial(n))) for n in (3, 12, 15, 28)] == [3, 3, 7, 7]
 
 
+def test_the_kernel_fields_straddle_the_unroll_bound():
+    phis = {n: len(cyclotomic_polynomial(n)) - 1 for n in range(1, 200)}
+    assert phis[35] == max(phi for phi in phis.values() if phi <= UNROLL_MAX_PHI)
+    assert phis[29] == min(phi for phi in phis.values() if phi > UNROLL_MAX_PHI)
+    for n in CYCLOTOMIC_ORDERS:
+        field = FieldDescriptor.cyclotomic(n)
+        unrolled = field.ops.addmul.__code__.co_filename == f"<Q(zeta_{n}) kernel>"
+        assert unrolled == (field.degree <= UNROLL_MAX_PHI), n
+
+
 def payloads(field):
-    """Canonical payloads of `field`: zero often, sparse numerators, non-unit denominators."""
-    coef = st.one_of(st.just(0), st.integers(-30, 30))
+    """Canonical payloads of `field`: zero often, sparse numerators, non-unit denominators,
+    and now and then a numerator or a denominator above 2^64."""
+    coef = st.one_of(st.just(0), st.just(0), st.integers(-30, 30), st.integers(-30, 30),
+                     st.integers(-2 ** 80, 2 ** 80))
+    den = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(1, 2 ** 70))
     if field.kind == "rational":
-        nonzero = st.builds(Fraction, coef, st.integers(1, 12))
+        nonzero = st.builds(Fraction, coef, den)
     elif field.kind == "finite":
         nonzero = st.tuples(*[st.integers(0, field.p - 1)] * field.k)
     else:
         nonzero = st.builds(lambda nums, den: _cyc_normalize(tuple(nums), den),
                             st.lists(coef, min_size=field.degree, max_size=field.degree),
-                            st.integers(1, 12))
+                            den)
     return st.one_of(st.just(field.ops.zero), nonzero, nonzero, nonzero)
 
 
@@ -186,6 +205,67 @@ def test_addmul_is_add_of_mul(args):
     assert is_canonical(field, out)
     assert ops.addmul(ops.zero, a, b) == ops.mul(a, b)
     assert ops.addmul(c, ops.zero, b) == c == ops.addmul(c, a, ops.zero)
+
+
+def _coordinates(field, x) -> list:
+    """The coordinates of a payload over the prime field: Fractions, or ints mod p."""
+    if field.kind == "rational":
+        return [x]
+    if field.kind == "finite":
+        return list(x)
+    nums, den = x
+    return [Fraction(a, den) for a in nums]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field), *[payloads(field)] * 2)))
+def test_add_sub_and_neg_agree_with_per_coordinate_fractions(args):
+    field, a, b = args
+    ops, mod = field.ops, field.p or None
+    xs, ys = _coordinates(field, a), _coordinates(field, b)
+    for got, want in ((ops.add(a, b), [s + t for s, t in zip(xs, ys)]),
+                      (ops.sub(a, b), [s - t for s, t in zip(xs, ys)]),
+                      (ops.sub(a, a), [0] * len(xs)),
+                      (ops.neg(a), [-s for s in xs])):
+        assert _coordinates(field, got) == [w % mod if mod else w for w in want]
+        assert is_canonical(field, got)
+
+
+def _random_cyclotomic_payload(phi, rng):
+    nums = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+            for _ in range(phi)]
+    return _cyc_normalize(tuple(nums), rng.choice((1, 1, 6, rng.randint(1, 2 ** 70))))
+
+
+def test_the_generator_writes_reduction_coefficients_of_magnitude_two():
+    # n = 105 is the least n whose reduction rows hold a coefficient other than 0 and
+    # +-1, so its source holds r*h terms; the generator is called past the bound
+    phi, red, _ = _cyc_tables(105)
+    assert phi == 48 and max(abs(r) for row in red for r in row) == 2
+    field = FieldDescriptor.cyclotomic(105)
+    add, sub, neg, mul, addmul = _straight_line_cyclotomic_ops(105)
+    loops = _looped_cyclotomic_ops(phi, red)
+    assert mul.__code__.co_filename == "<Q(zeta_105) kernel>"
+    rng = random.Random(SEED)
+    for _ in range(30):
+        c, a, b = (_random_cyclotomic_payload(phi, rng) for _ in range(3))
+        assert mul(a, b) == _cyclotomic_product(field, a, b) == loops[3](a, b)
+        assert addmul(c, a, b) == add(c, mul(a, b)) == loops[4](c, a, b)
+        for got, want in ((add(a, b), loops[0](a, b)), (sub(a, b), loops[1](a, b)),
+                          (neg(a), loops[2](a))):
+            assert got == want and is_canonical(field, got)
+
+
+@pytest.mark.parametrize("n", [997, 1000])
+def test_building_a_field_above_the_unroll_bound_is_fast(n):
+    # phi = 996 and 400: the loops run there; a straight-line kernel of phi = 996
+    # would take seconds and gigabytes to compile
+    import time
+    start = time.perf_counter()
+    ops, powers = _cyclotomic_ops(n), _cyc_tables(n)[2]
+    assert ops.mul((powers[1], 1), (powers[1], 1)) == (powers[2], 1)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the Q kernel against the fractions module --------------------------------------------
