@@ -1,6 +1,7 @@
 """Exact-arithmetic middle convolution of monodromy tuples.
 
 Submodules:
+  poly         polynomials: evaluation, division, rational roots, Phi_n
   scalars      exact elements of Q, Q(zeta_n), F_{p^k}
   linalg       exact dense linear algebra, Jordan data, Kronecker products
   tuples       monodromy tuples, braid actions, parabolic cohomology

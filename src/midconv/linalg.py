@@ -34,26 +34,25 @@ then its prefix sums, for an invertible one.  char_poly is Berkowitz alone.
 
 `eigenvalues` is the one eigenvalue search: field_roots of char_poly, with
 the diagonal entries among the candidates.  jordan_data and the
-convolution-sheaf check both read it.  Its rational roots come from
-`_rational_roots` by l-adic lifting: one Euclidean remainder sequence for
-the squarefree part, one for its discriminant, the roots modulo the least
-good prime l, Newton lifting and rational reconstruction.  Nothing is
-factored, so no input is refused for its size.
+convolution-sheaf check both read it.  field_roots does no polynomial
+arithmetic of its own: it tests a candidate by poly.horner, deflates a
+root by poly.divide by x - root, and takes its rational candidates from
+poly.rational_roots, the l-adic lifting.  Nothing is factored, so no input
+is refused for its size; over F_q every element is tried.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
-from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, _poly_div_exact, is_prime,
-                      parse_scalar)
+from .poly import divide, horner, rational_roots
+from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
 
 
 def _entry_payload(field: FieldDescriptor, x):
@@ -405,117 +404,12 @@ def char_poly(M: Matrix) -> list[Scalar]:
     return [Scalar(field, x) for x in reversed(vec)]
 
 
-def poly_eval(coeffs, x: Scalar) -> Scalar:
-    acc = x.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root: Scalar):
-    """Divide a monic-or-not polynomial by (x - root); assumes exact."""
-    out = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + root * carry
-    assert not carry
-    return out
-
-
-def _primitive(coeffs) -> list[int]:
-    """The primitive integer multiple c * coeffs, c > 0, of a nonzero rational polynomial."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _gcd_res(a: list, b: list) -> tuple[list, Fraction]:
-    """(gcd, resultant) of two nonzero polynomials over Q by one Euclidean remainder
-    sequence; the resultant is 0 unless the gcd is constant.
-
-    res(a, b) = (-1)^(deg a deg b) lead(b)^(deg a - deg r) res(b, r) for r = a mod b,
-    and res(a, c) = c^(deg a) for a constant c.
-    """
-    res = Fraction(1)
-    while len(b) > 1:
-        r = list(a)
-        while len(r) >= len(b):
-            q, shift = Fraction(r[-1]) / b[-1], len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] -= q * c
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            return b, Fraction(0)
-        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    return b, res * b[0] ** (len(a) - 1)
-
-
-def _horner(coeffs, x, m: int = 0):
-    """The polynomial's value at x, reduced mod m at each step unless m = 0."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        if m:
-            acc %= m
-    return acc
-
-
-def _rational_roots(coeffs) -> list[Fraction]:
-    """The distinct rational roots of a polynomial over Q, in increasing order.
-
-    By l-adic lifting (Loos, SIAM J. Comput. 12, 1983), without factoring:
-    f is the primitive integer polynomial with x^k (the root 0) split off,
-    and g = f / gcd(f, f') its squarefree part, exact over Z by Gauss's lemma.
-    l is the least prime dividing neither lead(g) nor res(g, g'), so every
-    root of g mod l is simple, and each root p/q in lowest terms (p | g_0,
-    q | lead(g)) reduces to one of them.  Newton's method lifts each root
-    mod l^(2^i) past M > 2 |g_0 lead(g)|, and rational reconstruction gives
-    p/q back: the first remainder r <= |g_0| of Euclid on (M, lift), with
-    its cofactor t, is r/t (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 5.26).  An exact check keeps the roots.  l is O(log |res|), so
-    the search needs no budget.
-    """
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    k = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
-    roots = [Fraction(0)] if k else []
-    if len(coeffs) - k < 2:
-        return roots
-    f = _primitive(coeffs[k:])
-    df = [i * c for i, c in enumerate(f)][1:]
-    g = _poly_div_exact(f, _primitive(_gcd_res(f, df)[0]))
-    dg = [i * c for i, c in enumerate(g)][1:]
-    res = int(_gcd_res(g, dg)[1])
-    # primality first: each remainder of a long res costs more than the test
-    ell = next(p for p in count(2) if is_prime(p) and g[-1] % p and res % p)
-    bound, g_ell = 2 * abs(g[0] * g[-1]), [c % ell for c in g]
-    for x in range(ell):
-        if _horner(g_ell, x, ell):
-            continue
-        m = ell
-        while m <= bound:
-            m *= m
-            x = (x - _horner(g, x, m) * pow(_horner(dg, x, m), -1, m)) % m
-        r0, t0, r1, t1 = m, 0, x, 1
-        while r1 > abs(g[0]):
-            quo = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-        if not _horner(g, Fraction(r1, t1)):
-            roots.append(Fraction(r1, t1))
-    return sorted(roots)
-
-
 def field_roots(coeffs, field: FieldDescriptor, extra=()):
     """All roots of the polynomial that lie in the field, with multiplicity.
 
     Returns (list of (root, multiplicity), remaining factor).  The search is
     exact and complete over finite fields, by trying every element, and over
-    Q, where _rational_roots finds the candidates by l-adic lifting.  Over
+    Q, where poly.rational_roots finds the candidates by l-adic lifting.  Over
     Q(zeta_n) it tries the rational roots of the first nonzero coordinate
     polynomial (in 1, z, z^2, ...), the roots of unity of the field and the
     `extra` candidates, then the mean of the remainder's roots, which solves
@@ -528,16 +422,16 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     if field.kind == FINITE:
         candidates = list(field.elements())
     elif field.kind == RATIONAL:
-        candidates = [field.from_fraction(r) for r in _rational_roots(c.payload for c in coeffs)]
+        candidates = [field.from_fraction(r) for r in rational_roots(c.payload for c in coeffs)]
     else:
         # a rational root is a root of each coordinate polynomial
         coords = ([Fraction(c.payload[0][j], c.payload[1]) for c in coeffs]
                   for j in range(field.degree))
-        rational = _rational_roots(next((x for x in coords if any(x)), []))
+        rational = rational_roots(next((x for x in coords if any(x)), []))
         candidates = list(field.roots_of_unity()) + [field.from_fraction(r) for r in rational]
     candidates = list({c.payload: c for c in candidates + list(extra)}.values())
     candidates.sort(key=lambda s: s.sort_key())
-    roots = []
+    roots, one = [], field.one()
     for cand in candidates + [None]:
         if cand is None:
             # the mean -c_{k-1} / (k c_k) of the remainder's roots: the root of
@@ -546,8 +440,8 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
                 break
             cand = -coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1])
         mult = 0
-        while len(coeffs) > 1 and not poly_eval(coeffs, cand):
-            coeffs = _deflate(coeffs, cand)
+        while len(coeffs) > 1 and not horner(coeffs, cand):
+            coeffs = divide(coeffs, [-cand, one])[0]
             mult += 1
         if mult:
             roots.append((cand, mult))

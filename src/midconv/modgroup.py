@@ -12,13 +12,16 @@ only group_elements turns the ids back into payload rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import itemgetter
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, find_invertible,
-                     jordan_data, poly_eval, rank, solve_matrix_equations)
+                     jordan_data, rank, solve_matrix_equations)
+from .poly import horner
 from .scalars import (FINITE, RATIONAL, FieldDescriptor, Scalar, cyclotomic_polynomial,
                       is_prime)
 from .tuples import MonodromyTuple
@@ -43,20 +46,28 @@ def _reduce_fraction(fr: Fraction, ell: int) -> int:
 
 
 def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
-    """Smallest root of Phi_n in F_ell if any, else in F_{ell^2}."""
+    """The first root of Phi_n, in elements() order, in F_ell if any, else in
+    F_{ell^2}; ell must not divide n.
+
+    Phi_n has a root in F_q exactly when n | q - 1, and then its roots are the
+    w^k, gcd(k, n) = 1, for any root w: the first power w = x^((q-1)/n) that is
+    one.  The x skip 0 and, over F_{ell^2}, F_ell, where Phi_n has no root.
+    """
     for degree in (1, 2):
+        q = ell ** degree
+        if (q - 1) % n:
+            continue
         field = FieldDescriptor.finite(ell, degree)
         phi = [field.from_int(c) for c in cyclotomic_polynomial(n)]
-        for root in field.elements():
-            if not poly_eval(phi, root):
-                return field, root
-    # required degree = multiplicative order of ell mod n
-    k = 1
-    acc = ell % n
-    while acc != 1:
-        acc = acc * ell % n
-        k += 1
-    raise NoRootInQuadratic(k)
+        xs = (((a,) for a in range(1, ell)) if degree == 1
+              else ((a, b) for b in range(1, ell) for a in range(ell)))
+        for x in xs:
+            w = Scalar(field, x) ** ((q - 1) // n)
+            if not horner(phi, w):
+                return field, min((w ** k for k in range(n) if math.gcd(k, n) == 1),
+                                  key=lambda root: root.payload[::-1])
+    # the required degree is the multiplicative order of ell mod n
+    raise NoRootInQuadratic(next(k for k in count(1) if pow(ell, k, n) == 1))
 
 
 def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
@@ -79,17 +90,11 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
         if src.n % ell == 0:
             raise BadPrime(f"{ell} divides the cyclotomic order {src.n}")
         target, root = _cyclotomic_root_mod(src.n, ell)
-        ops, root = target.ops, root.payload
 
         def conv(x):
             nums, den = x
-            acc, power = ops.zero, ops.one
-            for a in nums:
-                if a:
-                    acc = ops.addmul(acc, target.from_int(a).payload, power)
-                power = ops.mul(power, root)
-            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell)).payload
-            return ops.mul(acc, dinv)
+            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell))
+            return (horner([target.from_int(a) for a in nums], root) * dinv).payload
     entries = [Matrix(target, tuple(tuple(map(conv, row)) for row in M.payload))
                for M in T.entries]
     return MonodromyTuple.make(target, entries, T.points)

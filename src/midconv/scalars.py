@@ -9,8 +9,10 @@ are plain coefficient-vector comparisons:
                      denominator, reduced mod the n-th cyclotomic polynomial,
   * finite p,k    -- vector of k integers in [0, p).
 
-Cyclotomic reduction tables and power tables are cached per n.  Integer
-coefficients are arbitrary precision throughout.
+The Q(zeta_n) tables are cached per n: _cyc_tables reduces the powers
+zeta^e, e < n, by poly.cyclotomic_polynomial(n), and reads the reduction
+rows of zeta^phi .. zeta^(2 phi - 2) off those powers, since zeta^n = 1.
+Integer coefficients are arbitrary precision throughout.
 
 Field descriptors are interned: the constructors return one object per field,
 so a field check is an identity test (`a is b`), with `==` as the fallback
@@ -65,98 +67,29 @@ from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
+from .poly import cyclotomic_polynomial, horner, is_prime
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
 FINITE = "finite"
 
 
-# the first 13 primes: as Miller-Rabin bases they decide primality exactly for
-# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _SMALL_PRIMES: exact below 3.3e24, a strong
-    probable-prime test to 13 bases above."""
-    if n < 2:
-        return False
-    for a in _SMALL_PRIMES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    assert all(c == 0 for c in num)
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial Phi_n."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
 @lru_cache(maxsize=None)
 def _cyc_tables(n: int):
-    """(phi, reduction rows for zeta^m with phi <= m <= 2*phi-2, powers zeta^e)."""
+    """(phi, reduction rows, powers): powers[e] holds the coordinates of zeta^e for
+    e < n, and the reduction rows those of zeta^(phi+m) for m < phi - 1, which is
+    powers[(phi + m) % n] because zeta^n = 1."""
     phi_poly = cyclotomic_polynomial(n)
     phi = len(phi_poly) - 1
     # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
-    red = [tuple(-c for c in phi_poly[:phi])]
-    for _ in range(phi - 2):
-        prev = red[-1]
-        shifted = (0,) + prev[:-1]
-        top = prev[-1]
-        red.append(tuple(s + top * r for s, r in zip(shifted, red[0])))
-    powers = []
-    vec = [0] * phi
-    vec[0] = 1
-    for e in range(n):
+    low = [-c for c in phi_poly[:phi]]
+    powers, vec = [], [1] + [0] * (phi - 1)
+    for _ in range(n):
         powers.append(tuple(vec))
-        nxt = [0] + vec[:-1]
-        top = vec[-1]
+        top, vec = vec[-1], [0] + vec[:-1]
         if top:
-            nxt = [a + top * b for a, b in zip(nxt, red[0])]
-        vec = nxt[:phi]
-    return phi, tuple(red), tuple(powers)
-
-
-def _least_nonresidue(p: int) -> int:
-    for a in range(2, p):
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            return a
-    raise ValueError(f"no quadratic non-residue mod {p}")
+            vec = [a + top * b for a, b in zip(vec, low)]
+    return phi, tuple(powers[(phi + m) % n] for m in range(phi - 1)), tuple(powers)
 
 
 class FieldOps(NamedTuple):
@@ -232,11 +165,16 @@ class FieldDescriptor:
         if k == 1:
             return _interned(FINITE, p=p, k=1, poly=(0, 1))
         if poly is None:   # t^2 - a for the least non-residue a; t^2 + t + 1 over F_2
-            poly = (1, 1, 1) if p == 2 else (-_least_nonresidue(p) % p, 0, 1)
+            poly = (1, 1, 1) if p == 2 else (-next(a for a in range(2, p)
+                                                   if pow(a, (p - 1) // 2, p) == p - 1), 0, 1)
         poly = tuple(c % p for c in poly)
         if len(poly) != 3 or poly[2] != 1:
             raise ValueError("defining polynomial must be monic of degree 2")
-        if any((a * a + poly[1] * a + poly[0]) % p == 0 for a in range(p)):
+        if p == 2:
+            reducible = any(not horner(poly, a, 2) for a in (0, 1))
+        else:       # Euler's criterion: the discriminant is a square mod p
+            reducible = pow(poly[1] ** 2 - 4 * poly[0], (p - 1) // 2, p) != p - 1
+        if reducible:
             raise ValueError("defining polynomial is reducible mod p")
         return _interned(FINITE, p=p, k=2, poly=poly)
 
@@ -473,7 +411,7 @@ def _straight_line_cyclotomic_ops(n: int):
 
     def fold(j: int) -> str:
         terms = [coefficient(j)]
-        for m, row in enumerate(red[:phi - 1]):
+        for m, row in enumerate(red):
             if row[j]:
                 r = abs(row[j])
                 terms.append(f"{'-' if row[j] < 0 else '+'} {f'{r}*' if r != 1 else ''}h{m}")
@@ -534,7 +472,7 @@ def _looped_cyclotomic_ops(phi: int, red):
         return (tuple(-c for c in nums), den)
 
     # the nonzero (j, c) of each reduction row: zeta^(phi+m) = sum_j c zeta^j, m < phi-1
-    sparse_red = [[(j, c) for j, c in enumerate(row) if c] for row in red[:phi - 1]]
+    sparse_red = [[(j, c) for j, c in enumerate(row) if c] for row in red]
     tail = [0] * (phi - 1)
     zero = ((0,) * phi, 1)
 
@@ -704,13 +642,9 @@ def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:
         return target.from_fraction(s.payload)
     if (target.kind == CYCLOTOMIC and s.field.kind == CYCLOTOMIC
             and target.n % s.field.n == 0):
-        step = target.n // s.field.n
         nums, den = s.payload
-        out = target.zero()
-        for j, a in enumerate(nums):
-            if a:
-                out = out + target.from_fraction(Fraction(a, den)) * target.zeta(step * j)
-        return out
+        return horner([target.from_fraction(Fraction(a, den)) for a in nums],
+                      target.zeta(target.n // s.field.n))
     raise FieldMismatch(f"no embedding {s.field} -> {target}")
 
 

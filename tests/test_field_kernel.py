@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from midconv.errors import FieldMismatch
 from midconv.fixtures import TUPLE_FIXTURES
 from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly,
-                            commutant_basis, intersect_row_spaces, kronecker, poly_eval, rank,
-                            solve_coords)
+                            commutant_basis, intersect_row_spaces, kronecker, rank, solve_coords)
 from midconv.modgroup import _extend_tables, group_closure
+from midconv.poly import horner
 from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
                              _cyc_tables, _cyclotomic_ops, _looped_cyclotomic_ops,
                              _straight_line_cyclotomic_ops, cyclotomic_polynomial)
@@ -446,7 +446,7 @@ def _assert_char_poly_is_det(M):
     assert len(cp) == n + 1 and cp[-1] == field.one()
     # two polynomials of degree n that agree at n + 1 points are equal
     for x in [field.from_int(k) for k in range(n + 1)] + [_generator(field)]:
-        assert poly_eval(cp, x) == (Matrix.identity(field, n).scale(x) - M).det()
+        assert horner(cp, x) == (Matrix.identity(field, n).scale(x) - M).det()
 
 
 @settings(deadline=None)

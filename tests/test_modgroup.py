@@ -54,6 +54,21 @@ def test_reduce_mod_bad_prime_over_a_cyclotomic_field():
         reduce_mod(T, 7)
 
 
+def test_reduce_mod_a_large_prime_is_fast():
+    # zeta_3 goes to the first root of t^2 + t + 1 in F_{l^2}, (-1 + sqrt(-3)) / 2; a scan
+    # of F_{l^2} for it took 2.3 s at l = 1013 and did not end in 20 s at l = 10007
+    import time
+    Z3, Z12 = FieldDescriptor.cyclotomic(3), FieldDescriptor.cyclotomic(12)
+    T3 = MonodromyTuple.make(Z3, [Matrix.from_rows(Z3, [["z"]]),
+                                  Matrix.from_rows(Z3, [["-z-1"]])])
+    T12 = MonodromyTuple.make(Z12, [Matrix.from_rows(Z12, [["z"]]),
+                                    Matrix.from_rows(Z12, [["z^11"]])])
+    start = time.perf_counter()
+    assert [str(M) for M in reduce_mod(T3, 10007).entries] == ["3194*t+5003", "6813*t+5003"]
+    assert [str(M) for M in reduce_mod(T12, 1000003).entries] == ["250662*t", "455956*t"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reduce_mod_is_a_homomorphism(rng):
     for _ in range(5):
         A = random_invertible(Q, 2, rng)

@@ -190,3 +190,31 @@ def test_is_prime_matches_trial_division_and_knows_large_primes():
     assert [n for n in numbers if is_prime(n)] == [n for n in numbers if trial(n)]
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
     assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1)) and not is_prime(3215031751)
+
+
+# -- the defining polynomial of F_{p^2} ----------------------------------------------------
+
+def test_quadratic_defining_polynomials_are_irreducible_exactly_without_a_root():
+    # the reference: t^2 + c1 t + c0 is reducible iff it is (t - r)(t - s) for r, s in F_p
+    for p in filter(is_prime, range(60)):
+        products = {(r * s % p, -(r + s) % p) for r in range(p) for s in range(p)}
+        for c0 in range(p):
+            for c1 in range(p):
+                try:
+                    FieldDescriptor.finite(p, 2, (c0, c1, 1))
+                    reducible = False
+                except ValueError:
+                    reducible = True
+                assert reducible == ((c0, c1) in products), (p, c0, c1)
+
+
+def test_a_quadratic_field_over_a_large_prime_is_built_at_once():
+    # trying every a in F_p for a root did not end in 15 s at p = 10^9 + 7;
+    # -1 is a non-residue there and -5 a residue
+    import time
+    start = time.perf_counter()
+    field = FieldDescriptor.finite(10 ** 9 + 7, 2, (1, 0, 1))
+    assert field.gen() * field.gen() == -field.one()
+    with pytest.raises(ValueError, match="reducible"):
+        FieldDescriptor.finite(10 ** 9 + 7, 2, (5, 0, 1))
+    assert time.perf_counter() - start < 1.0
