@@ -3,7 +3,7 @@
 Every subcommand delegates to the library modules and renders either a
 human-readable report or, with --json, a machine-readable document with the
 same numbers.  Exit codes: 0 success, 1 domain error (module error name on
-stderr) or a proved negative answer, 2 usage or parse error, 3 inconclusive
+stderr) or a proved negative answer, 2 usage, parse or file error, 3 inconclusive
 (`equiv` found no conjugator and no invariant that tells the tuples apart;
 its --json document then has "equivalent": null).
 """
@@ -448,7 +448,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (InputError, DomainError, FileNotFoundError) as exc:
+    except (InputError, DomainError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SmallPrime, VerificationFailed
 from .linalg import Matrix
-from .scalars import FieldDescriptor, is_prime
+from .poly import is_prime
+from .scalars import FieldDescriptor
 
 # the largest q that count_affine accepts; its cost grows about as q, and
 # q = 10,993 takes about 30 ms, q = 103^2 about 45 ms, on a 2-vCPU host

@@ -33,12 +33,14 @@ It returns the solutions as matrices; `find_invertible` scans such a list,
 then its prefix sums, for an invertible one.  char_poly is Berkowitz alone.
 
 `eigenvalues` is the one eigenvalue search: field_roots of char_poly, with
-the diagonal entries among the candidates.  jordan_data and the
+the diagonal entries as the first candidates.  jordan_data and the
 convolution-sheaf check both read it.  field_roots does no polynomial
 arithmetic of its own: it tests a candidate by poly.horner, deflates a
 root by poly.divide by x - root, and takes its rational candidates from
-poly.rational_roots, the l-adic lifting.  Nothing is factored, so no input
-is refused for its size; over F_q every element is tried.
+poly.rational_roots, the l-adic lifting.  It reads one lazy stream of
+candidates until the remainder is constant: a polynomial that splits over
+F_q costs no pass over the field, a remainder without roots q evaluations.
+Nothing is factored, so no input is refused for its size.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
@@ -404,47 +406,57 @@ def char_poly(M: Matrix) -> list[Scalar]:
     return [Scalar(field, x) for x in reversed(vec)]
 
 
+def _own_candidates(coeffs, field: FieldDescriptor):
+    """The field's own candidate roots of coeffs, lazily, in field_roots' order."""
+    if field.kind == FINITE:
+        yield from field.elements()
+    elif field.kind == RATIONAL:
+        yield from map(field.from_fraction, rational_roots(c.payload for c in coeffs))
+    else:
+        for e in range(field.n):
+            yield from (field.zeta(e), -field.zeta(e))
+        # a rational root is a root of each coordinate polynomial
+        coords = ([Fraction(c.payload[0][j], c.payload[1]) for c in coeffs]
+                  for j in range(field.degree))
+        yield from map(field.from_fraction,
+                       rational_roots(next((x for x in coords if any(x)), [])))
+
+
 def field_roots(coeffs, field: FieldDescriptor, extra=()):
     """All roots of the polynomial that lie in the field, with multiplicity.
 
-    Returns (list of (root, multiplicity), remaining factor).  The search is
-    exact and complete over finite fields, by trying every element, and over
-    Q, where poly.rational_roots finds the candidates by l-adic lifting.  Over
-    Q(zeta_n) it tries the rational roots of the first nonzero coordinate
-    polynomial (in 1, z, z^2, ...), the roots of unity of the field and the
-    `extra` candidates, then the mean of the remainder's roots, which solves
-    a remainder (x - alpha)^k (k = 1 included), leaving anything else in the
-    remainder.  The roots come in sort_key order.
+    Returns (list of (root, multiplicity), remaining factor).  One loop reads
+    one lazy stream of candidates: the `extra` hints, then every element of
+    F_q, the rational roots over Q, or over Q(zeta_n) the roots of unity
+    +-zeta^e and the rational roots of the first nonzero coordinate
+    polynomial (in 1, z, z^2, ...).  A root is deflated as often as it
+    divides, so a repeated candidate is no root, and the loop stops once the
+    remainder is constant.  The search is exact and complete over F_q and Q.
+    In characteristic 0 a last step tries the mean of the remainder's roots,
+    which solves a remainder (x - alpha)^k (k = 1 included); over Q(zeta_n)
+    anything else stays in the remainder.  The roots come in sort_key order.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    if field.kind == FINITE:
-        candidates = list(field.elements())
-    elif field.kind == RATIONAL:
-        candidates = [field.from_fraction(r) for r in rational_roots(c.payload for c in coeffs)]
-    else:
-        # a rational root is a root of each coordinate polynomial
-        coords = ([Fraction(c.payload[0][j], c.payload[1]) for c in coeffs]
-                  for j in range(field.degree))
-        rational = rational_roots(next((x for x in coords if any(x)), []))
-        candidates = list(field.roots_of_unity()) + [field.from_fraction(r) for r in rational]
-    candidates = list({c.payload: c for c in candidates + list(extra)}.values())
-    candidates.sort(key=lambda s: s.sort_key())
     roots, one = [], field.one()
-    for cand in candidates + [None]:
-        if cand is None:
-            # the mean -c_{k-1} / (k c_k) of the remainder's roots: the root of
-            # any (x - alpha)^k, a linear remainder among them
-            if field.kind == FINITE or len(coeffs) < 2:
-                break
-            cand = -coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1])
+
+    def deflate(cand):
+        nonlocal coeffs
         mult = 0
         while len(coeffs) > 1 and not horner(coeffs, cand):
             coeffs = divide(coeffs, [-cand, one])[0]
             mult += 1
         if mult:
             roots.append((cand, mult))
+
+    for cand in chain(extra, _own_candidates(coeffs, field)):
+        if len(coeffs) < 2:
+            break
+        deflate(cand)
+    if field.characteristic == 0 and len(coeffs) > 1:
+        # the mean -c_{k-1} / (k c_k) of the remainder's roots
+        deflate(-coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1]))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots, coeffs
 

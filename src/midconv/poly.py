@@ -12,8 +12,7 @@ of den's leading coefficient, and a zero term costs nothing.  Over a field,
 dividing by `monic(den)` gives the remainder of dividing by den.
 
 The module imports nothing from midconv, because scalars builds its
-Q(zeta_n) tables from `cyclotomic_polynomial`: poly sits below scalars,
-which re-exports `is_prime` and `cyclotomic_polynomial`.
+Q(zeta_n) tables from `cyclotomic_polynomial`: poly sits below scalars.
 """
 
 from __future__ import annotations

@@ -240,26 +240,6 @@ class FieldDescriptor:
                 for a in range(self.p):
                     yield Scalar(self, (a, b))
 
-    def roots_of_unity(self) -> list["Scalar"]:
-        """All roots of unity the descriptor guarantees to contain.
-
-        For F_{p^k} that is every nonzero element; for Q it is +-1; for
-        Q(zeta_n) the group generated by -1 and zeta_n.
-        """
-        if self.kind == RATIONAL:
-            return [self.one(), -self.one()]
-        if self.kind == FINITE:
-            return [x for x in self.elements() if x]
-        out = []
-        seen = set()
-        for e in range(self.n):
-            for sign in (1, -1):
-                s = self.zeta(e) if sign == 1 else -self.zeta(e)
-                if s.payload not in seen:
-                    seen.add(s.payload)
-                    out.append(s)
-        return out
-
     def __str__(self) -> str:
         if self.kind == RATIONAL:
             return "Q"

@@ -135,4 +135,8 @@ def save_tuple_file(T: MonodromyTuple, path: str) -> None:
 
 def load_tuple_file(path: str) -> MonodromyTuple:
     with open(path, encoding="utf-8") as fh:
-        return load_tuple(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return load_tuple(text)

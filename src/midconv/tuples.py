@@ -357,17 +357,17 @@ def parabolic_rank_formula(T: MonodromyTuple) -> int:
 # -- quotient machinery shared with the convolution -------------------------------
 
 def quotient_basis(u_basis: Matrix, e_basis: Matrix) -> tuple[Matrix, Matrix]:
-    """(ext, quot): echelon(E) extended to U by the rows quot, which represent U/E.
+    """(ext, quot): E extended to U by the rows quot, which represent U/E.
 
-    quot holds each u outside the span of echelon(E) and the earlier u: with
-    these vectors as columns, the pivot columns past echelon(E) of one
-    elimination.
+    e_basis must be in reduced echelon form, as cohomology_spaces returns it.
+    quot holds each u outside the span of E and the earlier u: with these
+    vectors as columns, the pivot columns past E of one elimination.
     """
-    field, ext = e_basis.field, row_space_basis(e_basis)
-    cols = ext.payload + u_basis.payload
+    field = e_basis.field
+    cols = e_basis.payload + u_basis.payload
     piv = _echelon(field.ops, zip(*cols)).pivots
-    quot = tuple(cols[c] for c in piv[len(ext):])
-    return Matrix(field, ext.payload + quot), Matrix(field, quot)
+    quot = tuple(cols[c] for c in piv[len(e_basis):])
+    return Matrix(field, e_basis.payload + quot), Matrix(field, quot)
 
 
 def induced_quotient_matrix(ext: Matrix, image_blocks) -> list[Matrix]:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 from midconv.linalg import Matrix
-from midconv.scalars import FieldDescriptor, is_prime
+from midconv.poly import is_prime
+from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
 
 SEED = 20260810

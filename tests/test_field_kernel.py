@@ -19,10 +19,10 @@ from midconv.fixtures import TUPLE_FIXTURES
 from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly,
                             commutant_basis, intersect_row_spaces, kronecker, rank, solve_coords)
 from midconv.modgroup import _extend_tables, group_closure
-from midconv.poly import horner
+from midconv.poly import cyclotomic_polynomial, horner
 from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
                              _cyc_tables, _cyclotomic_ops, _looped_cyclotomic_ops,
-                             _straight_line_cyclotomic_ops, cyclotomic_polynomial)
+                             _straight_line_cyclotomic_ops)
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
 from conftest import F7, Q, SEED, random_invertible, random_scalar

@@ -1,6 +1,7 @@
 """The polynomial module: long division by a monic divisor and Horner evaluation
-over ints, Fractions and Scalars of four fields, and the first root of Phi_n that
-reduce_mod sends zeta_n to, against a scan of F_{l^2}."""
+over ints, Fractions and Scalars of four fields, the first root of Phi_n that
+reduce_mod sends zeta_n to, against a scan of F_{l^2}, and the candidate hints
+of the root search that reads them, linalg.field_roots."""
 
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from midconv.errors import NoRootInQuadratic
+from midconv.linalg import field_roots
 from midconv.modgroup import _cyclotomic_root_mod
 from midconv.poly import cyclotomic_polynomial, divide, horner, is_prime
 from midconv.scalars import FieldDescriptor, Scalar
@@ -139,3 +141,43 @@ def test_the_root_of_phi_n_mod_l_is_the_first_one_a_scan_finds():
                     got = None
                 assert got == _scanned_root(n, ell), (n, ell)
 
+
+# -- the candidate hints of the root search --------------------------------------
+
+HINT_FIELDS = (Q, F7, FieldDescriptor.finite(7, 2), FieldDescriptor.cyclotomic(4), Z12)
+
+
+@st.composite
+def _hinted_polynomials(draw):
+    """(field, f, found, extra): f a nonzero constant times linear factors of
+    multiplicity 1 to 3, and perhaps a quadratic, over one of HINT_FIELDS;
+    found = field_roots(f, field); extra repeats found roots, holds non-roots
+    of f, or both, in any order."""
+    field = draw(st.sampled_from(HINT_FIELDS))
+    zero, one, elements = field.zero(), field.one(), _field_elements(field)
+    roots = elements
+    if field.kind == "cyclotomic":       # roots of unity too, which the search finds
+        roots = st.one_of(elements, st.integers(0, 2 * field.n - 1).map(
+            lambda e: field.zeta(e) if e < field.n else -field.zeta(e)))
+    f = [draw(elements.filter(bool))]
+    for r in draw(st.lists(roots, max_size=4)):
+        for _ in range(draw(st.integers(1, 3))):
+            f = _product(f, [-r, one], zero)
+    if draw(st.booleans()):
+        f = _product(f, draw(st.lists(elements, min_size=2, max_size=2)) + [one], zero)
+    found = field_roots(f, field)
+    kind = draw(st.sampled_from(["repeats", "non-roots", "both"]))
+    extra = []
+    if kind != "non-roots" and found[0]:
+        extra += draw(st.lists(st.sampled_from([r for r, _ in found[0]]), min_size=1, max_size=6))
+    if kind != "repeats":
+        extra += [x for x in draw(st.lists(elements, min_size=1, max_size=4)) if horner(f, x)]
+    return field, f, found, draw(st.permutations(extra))
+
+
+@given(_hinted_polynomials())
+def test_field_roots_read_repeated_roots_and_non_roots_among_the_hints_as_nothing(case):
+    # a hinted root is deflated where it comes first, so its repeats and the
+    # field's own copy of it are no longer roots; a non-root deflates nothing
+    field, f, found, extra = case
+    assert field_roots(f, field, extra) == found

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midconv.errors import DivisionByZero, FieldMismatch, ParseError
-from midconv.scalars import (FieldDescriptor, coerce, cyclotomic_polynomial, format_scalar,
-                             is_prime, parse_scalar)
+from midconv.poly import cyclotomic_polynomial, is_prime
+from midconv.scalars import FieldDescriptor, coerce, format_scalar, parse_scalar
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
