@@ -451,9 +451,9 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
             roots.append((cand, mult))
 
     for cand in chain(extra, _own_candidates(coeffs, field)):
+        deflate(cand)
         if len(coeffs) < 2:
             break
-        deflate(cand)
     if field.characteristic == 0 and len(coeffs) > 1:
         # the mean -c_{k-1} / (k c_k) of the remainder's roots
         deflate(-coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1]))

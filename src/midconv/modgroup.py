@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from operator import itemgetter
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
@@ -50,8 +50,8 @@ def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
 
     Phi_n has a root in F_q exactly when n | q - 1, and then its roots are the
     w^k, gcd(k, n) = 1, for any root w: the first power w = x^((q-1)/n) that is
-    one.  The x run through elements() past its first ell^(degree - 1): 0,
-    and over F_{ell^2} the elements of F_ell, where Phi_n has no root.
+    one.  The x skip 0 and, over F_{ell^2}, F_ell, where Phi_n has no root,
+    without building those skipped elements.
     """
     for degree in (1, 2):
         q = ell ** degree
@@ -59,8 +59,10 @@ def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
             continue
         field = FieldDescriptor.finite(ell, degree)
         phi = [field.from_int(c) for c in cyclotomic_polynomial(n)]
-        for x in islice(field.elements(), ell ** (degree - 1), None):
-            w = x ** ((q - 1) // n)
+        xs = (((a,) for a in range(1, ell)) if degree == 1
+              else ((a, b) for b in range(1, ell) for a in range(ell)))
+        for x in xs:
+            w = Scalar(field, x) ** ((q - 1) // n)
             if not horner(phi, w):
                 return field, min((w ** k for k in range(n) if math.gcd(k, n) == 1),
                                   key=lambda root: root.payload[::-1])

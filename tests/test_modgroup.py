@@ -69,6 +69,19 @@ def test_reduce_mod_a_large_prime_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_reduce_mod_into_a_quadratic_field_skips_the_prime_field_unbuilt():
+    # 1000000007 is 2 mod 3, so zeta_3 needs F_{l^2}; a walk that builds the l elements of
+    # F_l before its first candidate would take minutes here
+    import time
+    Z3 = FieldDescriptor.cyclotomic(3)
+    T3 = MonodromyTuple.make(Z3, [Matrix.from_rows(Z3, [["z"]]),
+                                  Matrix.from_rows(Z3, [["-z-1"]])])
+    start = time.perf_counter()
+    assert [str(M) for M in reduce_mod(T3, 1000000007).entries] == [
+        "370415416*t+500000003", "629584591*t+500000003"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reduce_mod_is_a_homomorphism(rng):
     for _ in range(5):
         A = random_invertible(Q, 2, rng)
