@@ -243,14 +243,11 @@ class ConvolutionSheafCheck:
 
 
 def _tau_candidates(T: MonodromyTuple, i: int) -> list[Scalar]:
-    """tau with ker(tau T_i - 1) possibly nonzero: inverses of eigenvalues."""
+    """tau with ker(tau T_i - 1) possibly nonzero: 1, then the inverses of the
+    other nonzero eigenvalues, which field_roots returns distinct."""
     one = T.field.one()
-    taus = {one.payload: one}
-    for root, _m in eigenvalues(T.entries[i])[0]:
-        if root:
-            tau = root.inverse()
-            taus.setdefault(tau.payload, tau)
-    return list(taus.values())
+    return [one] + [root.inverse() for root, _m in eigenvalues(T.entries[i])[0]
+                    if root and root != one]
 
 
 def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
@@ -497,8 +494,8 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
         power = power @ c2
     c2_rank_one = rank(c2.minus_identity()) == 1
 
-    zeta4_group = {(zeta4 ** k).payload for k in range(4)}
-    dets_ok = all(A.det().payload in zeta4_group for A in result.finite_entries())
+    zeta4_group = {zeta4 ** k for k in range(4)}
+    dets_ok = all(A.det() in zeta4_group for A in result.finite_entries())
 
     passed = (result.dim == expected_rank and c1_ok and order == 4
               and c2_rank_one and dets_ok)

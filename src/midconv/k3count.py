@@ -35,11 +35,11 @@ assert 4 * MAX_Q < 1 << 8 * _SLOT_BYTES, "count_affine's slots are too narrow fo
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion; extended to q = p^2 by squaring."""
-    if is_prime(p):
+    if p != 2 and is_prime(p):
         r = pow(a % p, (p - 1) // 2, p)
         return -1 if r == p - 1 else r
     root = _prime_square_root(p)
-    if root is not None:
+    if root not in (None, 2):
         return legendre(a, root) ** 2
     raise PreconditionError(f"{p} is neither an odd prime nor its square")
 
@@ -106,7 +106,7 @@ def count_affine(q: int, z: Fraction = Fraction(1)) -> int:
         packed[start:start + _SLOT_BYTES * p:_SLOT_BYTES] = bytes(h[v * p:(v + 1) * p])
     n = int.from_bytes(packed, "little")
     square = (n * n).to_bytes(_SLOT_BYTES * width * (2 * rows - 1), "little")
-    uz = field.from_fraction(z).payload[0]     # z lies in F_p, so it shifts u alone
+    uz = field.from_fraction(z).coords()[0]    # z lies in F_p, so it shifts u alone
     folded_chi = []                     # chi(t - z) at every slot of the square
     for v in range(rows):
         row = chi[v * p:(v + 1) * p]
@@ -205,7 +205,7 @@ def intersection_matrix_det() -> tuple[int, int, int]:
     quadratic; three integer evaluations determine it exactly.
     """
     Q = FieldDescriptor.rational()
-    d0, d1, dm1 = (int(Matrix.from_rows(Q, intersection_matrix(x)).det().payload)
+    d0, d1, dm1 = (int(Matrix.from_rows(Q, intersection_matrix(x)).det().coords()[0])
                    for x in (0, 1, -1))
     c0 = d0
     c2, rem = divmod(d1 + dm1 - 2 * d0, 2)

@@ -54,7 +54,7 @@ from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
 from .poly import divide, horner, rational_roots
-from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar, parse_scalar
+from .scalars import CYCLOTOMIC, FINITE, FieldDescriptor, Scalar, parse_scalar
 
 
 def _entry_payload(field: FieldDescriptor, x):
@@ -410,16 +410,14 @@ def _own_candidates(coeffs, field: FieldDescriptor):
     """The field's own candidate roots of coeffs, lazily, in field_roots' order."""
     if field.kind == FINITE:
         yield from field.elements()
-    elif field.kind == RATIONAL:
-        yield from map(field.from_fraction, rational_roots(c.payload for c in coeffs))
-    else:
+        return
+    if field.kind == CYCLOTOMIC:
         for e in range(field.n):
             yield from (field.zeta(e), -field.zeta(e))
-        # a rational root is a root of each coordinate polynomial
-        coords = ([Fraction(c.payload[0][j], c.payload[1]) for c in coeffs]
-                  for j in range(field.degree))
-        yield from map(field.from_fraction,
-                       rational_roots(next((x for x in coords if any(x)), [])))
+    # a rational root is a root of each coordinate polynomial; over Q there is one
+    columns = zip(*(c.coords() for c in coeffs))
+    yield from map(field.from_fraction,
+                   rational_roots(next((col for col in columns if any(col)), ())))
 
 
 def field_roots(coeffs, field: FieldDescriptor, extra=()):
@@ -434,7 +432,7 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     remainder is constant.  The search is exact and complete over F_q and Q.
     In characteristic 0 a last step tries the mean of the remainder's roots,
     which solves a remainder (x - alpha)^k (k = 1 included); over Q(zeta_n)
-    anything else stays in the remainder.  The roots come in sort_key order.
+    anything else stays in the remainder.  The roots come in coords() order.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and not coeffs[-1]:
@@ -457,7 +455,7 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
     if field.characteristic == 0 and len(coeffs) > 1:
         # the mean -c_{k-1} / (k c_k) of the remainder's roots
         deflate(-coeffs[-2] / (field.from_int(len(coeffs) - 1) * coeffs[-1]))
-    roots.sort(key=lambda rm: rm[0].sort_key())
+    roots.sort(key=lambda rm: rm[0].coords())
     return roots, coeffs
 
 
@@ -470,7 +468,7 @@ class JordanData:
 
     @staticmethod
     def of(blocks, ambient_dim=None) -> "JordanData":
-        blocks = tuple(sorted(blocks, key=lambda b: (b[0].sort_key(), b[1])))
+        blocks = tuple(sorted(blocks, key=lambda b: (b[0].coords(), b[1])))
         if ambient_dim is None:
             ambient_dim = sum(n for _, n in blocks)
         assert sum(n for _, n in blocks) == ambient_dim
@@ -479,7 +477,7 @@ class JordanData:
     def __str__(self):
         parts = []
         for (ev, n), c in sorted(Counter(self.blocks).items(),
-                                 key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
+                                 key=lambda kv: (kv[0][0].coords(), kv[0][1])):
             s = f"J({ev},{n})"
             parts.append(s if c == 1 else f"{c}*{s}")
         return " + ".join(parts) if parts else "(empty)"

@@ -38,7 +38,7 @@ class GroupReport:
         return "exceeds cap" if self.order is None else str(self.order)
 
 
-def _reduce_fraction(fr: Fraction, ell: int) -> int:
+def _reduce_fraction(fr: Fraction | int, ell: int) -> int:
     if fr.denominator % ell == 0:
         raise BadPrime(f"denominator {fr.denominator} vanishes mod {ell}")
     return fr.numerator * pow(fr.denominator, -1, ell) % ell
@@ -65,7 +65,7 @@ def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
             w = Scalar(field, x) ** ((q - 1) // n)
             if not horner(phi, w):
                 return field, min((w ** k for k in range(n) if math.gcd(k, n) == 1),
-                                  key=lambda root: root.payload[::-1])
+                                  key=lambda root: root.coords()[::-1])
     # the required degree is the multiplicative order of ell mod n
     raise NoRootInQuadratic(next(k for k in count(1) if pow(ell, k, n) == 1))
 
@@ -74,7 +74,9 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     """Residual tuple mod ell; zeta_n goes to the smallest root of Phi_n.
 
     The target is F_ell when Phi_n has a root there, F_{ell^2} otherwise.
-    BadPrime if ell divides a denominator or the cyclotomic order.
+    An entry maps by Horner over its reduced coordinates at the root; over Q,
+    which is Q(zeta_1), the one coordinate is the entry and the root is
+    never read.  BadPrime if ell divides a denominator or the cyclotomic order.
     """
     if not is_prime(ell):
         raise BadPrime(f"{ell} is not prime")
@@ -82,19 +84,15 @@ def reduce_mod(T: MonodromyTuple, ell: int) -> MonodromyTuple:
     if src.kind == FINITE:
         raise PreconditionError("tuple is already over a finite field")
     if src.kind == RATIONAL:
-        target = FieldDescriptor.finite(ell)
-
-        def conv(x):
-            return (_reduce_fraction(x, ell),)
+        target, root = FieldDescriptor.finite(ell), None
     else:
         if src.n % ell == 0:
             raise BadPrime(f"{ell} divides the cyclotomic order {src.n}")
         target, root = _cyclotomic_root_mod(src.n, ell)
 
-        def conv(x):
-            nums, den = x
-            dinv = target.from_int(_reduce_fraction(Fraction(1, den), ell))
-            return (horner([target.from_int(a) for a in nums], root) * dinv).payload
+    def conv(x):
+        return horner([target.from_int(_reduce_fraction(c, ell)) for c in src.ops.coords(x)],
+                      root).payload
     entries = [Matrix(target, tuple(tuple(map(conv, row)) for row in M.payload))
                for M in T.entries]
     return MonodromyTuple.make(target, entries, T.points)

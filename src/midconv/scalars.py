@@ -2,12 +2,18 @@
 
 Every other module is generic over a FieldDescriptor.  Elements are
 immutable Scalar values in a unique canonical form, so equality and hashing
-are plain coefficient-vector comparisons:
+are plain coefficient-vector comparisons.  The payload layouts are private
+to this module:
 
   * rational      -- a Fraction (coprime pair, positive denominator),
   * cyclotomic n  -- integer vector of length phi(n) over a common positive
                      denominator, reduced mod the n-th cyclotomic polynomial,
   * finite p,k    -- vector of k integers in [0, p).
+
+Elsewhere a payload goes to the ops table or is compared and hashed whole.
+`coords()` is the one read-out: the coordinates in the basis 1, zeta, ..
+of Q(zeta_n), Q being Q(zeta_1), or 1, t of F_{p^k}.  The sort order,
+format_scalar, coerce, modgroup.reduce_mod and the root search all read it.
 
 The Q(zeta_n) tables are cached per n: _cyc_tables reduces the powers
 zeta^e, e < n, by poly.cyclotomic_polynomial(n), and reads the reduction
@@ -17,8 +23,8 @@ Integer coefficients are arbitrary precision throughout.
 Field descriptors are interned: the constructors return one object per field,
 so a field check is an identity test (`a is b`), with `==` as the fallback
 for a descriptor built some other way.  Each descriptor carries its ops table
-(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, inv on
-payloads), chosen once from the field's kind, and cached zero() and one()
+(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, inv and coords
+on payloads), chosen once from the field's kind, and cached zero() and one()
 elements.  Scalar arithmetic calls the table.  A linalg.Matrix holds payloads,
 not Scalars, so the loops of linalg, tuples and modgroup call the table
 directly: Scalars appear only where entries enter a matrix (Matrix.from_rows)
@@ -104,6 +110,7 @@ class FieldOps(NamedTuple):
     mul: Callable
     addmul: Callable       # addmul(c, a, b) = c + a*b, normalized once
     inv: Callable          # the argument must be nonzero
+    coords: Callable       # the coordinates, see the module docstring
 
 
 _FIELDS: dict[tuple, "FieldDescriptor"] = {}
@@ -187,11 +194,7 @@ class FieldDescriptor:
     @property
     def degree(self) -> int:
         """Dimension of the field over its prime field."""
-        if self.kind == RATIONAL:
-            return 1
-        if self.kind == CYCLOTOMIC:
-            return _cyc_tables(self.n)[0]
-        return self.k
+        return len(self.ops.coords(self.ops.one))
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -305,7 +308,11 @@ def _rational_ops() -> FieldOps:
         n, d = a.as_integer_ratio()
         return Fraction(d, n)           # the constructor moves n's sign to the numerator
 
-    return FieldOps(Fraction(0), Fraction(1), bool, add, sub, operator.neg, mul, addmul, inv)
+    def coords(a):
+        return (a,)
+
+    return FieldOps(Fraction(0), Fraction(1), bool, add, sub, operator.neg, mul, addmul, inv,
+                    coords)
 
 
 def _prime_field_ops(p: int) -> FieldOps:
@@ -328,7 +335,8 @@ def _prime_field_ops(p: int) -> FieldOps:
     def inv(a):
         return (pow(a[0], -1, p),)
 
-    return FieldOps((0,), (1,), any, add, sub, neg, mul, addmul, inv)
+    # coords: the payload is the coordinate tuple, and tuple() returns a tuple itself
+    return FieldOps((0,), (1,), any, add, sub, neg, mul, addmul, inv, tuple)
 
 
 def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
@@ -361,7 +369,7 @@ def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
         ninv = pow((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p, -1, p)
         return ((a0 - a1 * c1) * ninv % p, (-a1) * ninv % p)
 
-    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, inv)
+    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, inv, tuple)
 
 
 # the largest phi(n) whose ops are compiled from straight-line source.  On addmul
@@ -514,7 +522,13 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         c_nums, c_den = conj
         return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
 
-    return FieldOps(zero, one, nonzero, add, sub, neg, mul, addmul, inv)
+    def coords(a):
+        # no Fraction for a zero numerator or over den 1: save_tuple reads
+        # mostly-zero entries
+        nums, den = a
+        return nums if den == 1 else tuple(_fraction(c, den) if c else 0 for c in nums)
+
+    return FieldOps(zero, one, nonzero, add, sub, neg, mul, addmul, inv, coords)
 
 
 class Scalar:
@@ -591,15 +605,10 @@ class Scalar:
     def __hash__(self):
         return hash((self.field, self.payload))
 
-    def sort_key(self):
-        """Deterministic total order inside one field (for canonical output)."""
-        k = self.field.kind
-        if k == RATIONAL:
-            return (self.payload,)
-        if k == CYCLOTOMIC:
-            nums, den = self.payload
-            return tuple(Fraction(a, den) for a in nums)
-        return self.payload
+    def coords(self) -> tuple:
+        """The coordinates in the field's basis; sorting by them is the
+        deterministic total order inside one field (for canonical output)."""
+        return self.field.ops.coords(self.payload)
 
     # -- conversions ---------------------------------------------------------
 
@@ -615,16 +624,13 @@ _set_field, _set_payload = Scalar.field.__set__, Scalar.payload.__set__
 
 
 def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:
-    """Explicit embedding Q -> Q(zeta_n) or Q(zeta_m) -> Q(zeta_n), m | n."""
+    """Explicit embedding Q(zeta_m) -> Q(zeta_n), m | n, where Q is Q(zeta_1)."""
     if s.field == target:
         return s
-    if target.kind == CYCLOTOMIC and s.field.kind == RATIONAL:
-        return target.from_fraction(s.payload)
-    if (target.kind == CYCLOTOMIC and s.field.kind == CYCLOTOMIC
-            and target.n % s.field.n == 0):
-        nums, den = s.payload
-        return horner([target.from_fraction(Fraction(a, den)) for a in nums],
-                      target.zeta(target.n // s.field.n))
+    m = s.field.n or 1                  # Q, with n = 0, is Q(zeta_1)
+    if target.kind == CYCLOTOMIC and s.field.kind != FINITE and target.n % m == 0:
+        return horner([target.from_fraction(c) for c in s.coords()],
+                      target.zeta(target.n // m))
     raise FieldMismatch(f"no embedding {s.field} -> {target}")
 
 
@@ -688,15 +694,16 @@ def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
     return out
 
 
-def format_poly(coeffs, sym: str, den: int = 1) -> str:
-    """Canonical text of sum_e (coeffs[e] / den) sym^e; inverse of parse_terms.
+def format_poly(coeffs, sym: str) -> str:
+    """Canonical text of sum_e coeffs[e] sym^e (ints and Fractions); inverse of
+    parse_terms.
 
     Descending powers, '-' bound to its term, "0" for the zero polynomial.
     """
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
-        if coeffs[e]:
-            c = Fraction(coeffs[e], den)
+        c = coeffs[e]
+        if c:
             body = str(abs(c)) if e == 0 else sym if e == 1 else f"{sym}^{e}"
             if e and abs(c) != 1:
                 body = f"{abs(c)}*{body}"
@@ -706,10 +713,4 @@ def format_poly(coeffs, sym: str, den: int = 1) -> str:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form (descending powers, '-' bound to its term)."""
-    k = s.field.kind
-    if k == RATIONAL:
-        return str(s.payload)
-    if k == CYCLOTOMIC:
-        nums, den = s.payload
-        return format_poly(nums, "z", den)
-    return format_poly(s.payload, "t")
+    return format_poly(s.coords(), "t" if s.field.kind == FINITE else "z")

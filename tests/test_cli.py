@@ -120,9 +120,38 @@ def test_zero_denominator_lambda_is_a_parse_error(capsys):
      {"p": 29, "u": "25", "d": "-216", "s3": -1, "s_minus1": 1,
       "alpha": "(25+sqrt(-216))/29", "verified": True}),
     (["k3", "trace", "--q", "49"], {"q": 49, "trace": "51"}),
+    (["k3", "nsdet"], {"det": "8192*x^2+24576*x+16384", "coeffs": [16384, 24576, 8192]}),
+    (["k3", "nsdet", "--x", "2"], {"det": "8192*x^2+24576*x+16384",
+                                   "coeffs": [16384, 24576, 8192], "value_at_x": 98304}),
+    (["k3", "count", "--q", "5"], {"q": 5, "N": 27, "z": "1", "trace": "-3"}),
+    (["k3", "trace", "--q", "7", "--z", "3"],
+     {"q": 7, "N": 55, "z": "3", "note": "trace formula asserted only at z = 1",
+      "trace_if_formula_held": "13"}),
 ])
 def test_k3_documents(capsys, argv, doc):
     assert _run_json(capsys, *argv) == (0, doc)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["primitivity", "--tuple", "fixture:V", "--mod", "11"], {"bound": "3", "primitive": True}),
+    (["fixtures", "dump", "--name", "nq-table"],
+     {"5": 27, "7": 45, "11": 107, "13": 173, "17": 323, "19": 325, "23": 515, "29": 891}),
+])
+def test_primitivity_and_fixture_documents(capsys, argv, doc):
+    assert _run_json(capsys, *argv) == (0, doc)
+
+
+def test_the_s3_monomial_tuple_is_imprimitive(capsys, tmp_path):
+    # it permutes the two coordinate lines of F_7^2
+    path = _write(tmp_path, "s3.txt", "finite 7 1", 2,
+                  [["0, 1", "1, 0"], ["2, 0", "0, 4"], ["0, 4", "2, 0"]])
+    assert _run_json(capsys, "primitivity", "--tuple", path) == (
+        0, {"bound": "1", "primitive": False})
+
+
+def test_fixture_dump_in_text_mode_prints_the_tuple_file(capsys):
+    assert _run(capsys, "fixtures", "dump", "--name", "L") == (
+        0, "field: rational\ndim: 1\npoints: -1, 1\nmatrix:\n-1\nmatrix:\n-1\nmatrix:\n1\n", "")
 
 
 @pytest.mark.parametrize("z", ["abc", "1/0"])

@@ -1,6 +1,7 @@
 """The field kernel: interned descriptors, the checked boundary of the
 payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, add and
-sub against per-coordinate fractions, the straight-line Q(zeta_n) kernel on both sides of
+sub against per-coordinate fractions, the coordinate read-out (rebuild, order and text),
+the straight-line Q(zeta_n) kernel on both sides of
 its bound, the Q ops against the fractions module, the sparse payload loops, and char_poly
 against det(x 1 - M)."""
 
@@ -22,7 +23,7 @@ from midconv.modgroup import _extend_tables, group_closure
 from midconv.poly import cyclotomic_polynomial, horner
 from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
                              _cyc_tables, _cyclotomic_ops, _looped_cyclotomic_ops,
-                             _straight_line_cyclotomic_ops)
+                             _straight_line_cyclotomic_ops, format_scalar, parse_scalar)
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
 from conftest import F7, Q, SEED, random_invertible, random_scalar
@@ -230,6 +231,32 @@ def test_add_sub_and_neg_agree_with_per_coordinate_fractions(args):
                       (ops.neg(a), [-s for s in xs])):
         assert _coordinates(field, got) == [w % mod if mod else w for w in want]
         assert is_canonical(field, got)
+
+
+def _basis(field) -> list:
+    """The basis that coords() refers to: zeta^e over Q(zeta_n), 1 and t over F_{p^2}."""
+    if field.kind == "cyclotomic":
+        return [field.zeta(e) for e in range(field.degree)]
+    return [field.one(), field.gen()] if field.k == 2 else [field.one()]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field), st.lists(payloads(field), min_size=1, max_size=5))))
+def test_the_coordinate_read_out_rebuilds_orders_and_formats_each_scalar(args):
+    field, xs = args
+    scalars = [Scalar(field, x) for x in xs]
+    for s in scalars:
+        coords = s.coords()
+        assert len(coords) == field.degree
+        rebuilt = field.zero()
+        for c, b in zip(coords, _basis(field)):
+            rebuilt = rebuilt + field.from_fraction(Fraction(c)) * b
+        assert rebuilt == s
+        assert parse_scalar(format_scalar(s), field) == s
+    # the reference order: per-coordinate Fractions over Q and Q(zeta_n)
+    assert (sorted(scalars, key=Scalar.coords)
+            == sorted(scalars, key=lambda s: _coordinates(field, s.payload)))
 
 
 def _random_cyclotomic_payload(phi, rng):

@@ -27,6 +27,14 @@ def test_legendre_on_prime_squares():
     assert legendre(3, 49) == 1
 
 
+@pytest.mark.parametrize("a", [0, 1, 3])
+@pytest.mark.parametrize("q", [2, 4])
+def test_legendre_refuses_two_and_four(a, q):
+    # (p - 1) // 2 = 0 at p = 2, so Euler's criterion would give pow(a, 0, 2) = 1 = p - 1
+    with pytest.raises(PreconditionError, match=f"^{q} is neither an odd prime"):
+        legendre(a, q)
+
+
 def test_legendre_multiplicative(rng):
     p = 23
     for _ in range(30):

@@ -22,6 +22,13 @@ F49 = FieldDescriptor.finite(7, 2)
 A1 = Matrix.from_rows(Q, [[-3, -8], [2, 5]])
 
 
+@pytest.mark.parametrize("field", [Q, F7], ids=str)
+def test_negative_matrix_powers_are_powers_of_the_inverse(field, rng):
+    M = random_invertible(field, 3, rng)
+    assert M.pow(-2) == M.inverse() @ M.inverse()
+    assert M.pow(-2) @ M.pow(2) == Matrix.identity(field, 3)
+
+
 def test_kernel_of_zero_matrix():
     assert len(kernel_basis(Matrix.zero(Q, 2, 2))) == 2
 

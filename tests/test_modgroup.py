@@ -3,12 +3,12 @@ import hashlib
 import pytest
 
 from midconv.errors import BadPrime, PreconditionError
-from midconv.fixtures import m_tuple
+from midconv.fixtures import TUPLE_FIXTURES, m_tuple
 from midconv.linalg import Matrix
 from midconv.modgroup import (absolutely_irreducible, group_closure,
                               group_elements, invariant_symmetric_form,
                               o3_recognition, primitivity_bound, reduce_mod)
-from midconv.scalars import FieldDescriptor
+from midconv.scalars import FieldDescriptor, coerce
 from midconv.tuples import MonodromyTuple
 
 from conftest import Q, random_invertible
@@ -52,6 +52,26 @@ def test_reduce_mod_bad_prime_over_a_cyclotomic_field():
     T = MonodromyTuple.from_finite_entries(Z3, [Matrix.from_rows(Z3, [["1/7"]])])
     with pytest.raises(BadPrime, match="denominator 7 vanishes mod 7"):
         reduce_mod(T, 7)
+
+
+@pytest.mark.parametrize("name", ["V", "LstarL"])
+@pytest.mark.parametrize("n, ell", [(3, 7), (3, 13), (4, 13)])
+def test_reducing_an_embedded_tuple_is_reducing_the_tuple(name, n, ell):
+    # Q is Q(zeta_1): one map reads the coordinates of both kinds, and the
+    # embedding Q -> Q(zeta_n) commutes with the reduction
+    T, field = TUPLE_FIXTURES[name](), FieldDescriptor.cyclotomic(n)
+    embedded = MonodromyTuple.make(
+        field, [Matrix.from_rows(field, [[coerce(x, field) for x in row] for row in M.rows])
+                for M in T.entries], T.points)
+    assert reduce_mod(embedded, ell) == reduce_mod(T, ell)
+
+
+def test_reduce_mod_maps_each_coordinate_over_its_denominator():
+    # zeta_3 -> 2, the least root of t^2 + t + 1 in F_7, so (1 + zeta_3) / 2 -> 3 / 2 = 5
+    Z3 = FieldDescriptor.cyclotomic(3)
+    x = Matrix.from_rows(Z3, [["1/2*z+1/2"]])
+    T = MonodromyTuple.from_finite_entries(Z3, [x])
+    assert reduce_mod(T, 7).entries[0] == Matrix.from_rows(FieldDescriptor.finite(7), [[5]])
 
 
 def test_reduce_mod_a_large_prime_is_fast():

@@ -159,6 +159,16 @@ def test_embeddings():
     z8_in_z8 = Z8.zeta()
     with pytest.raises(FieldMismatch):
         coerce(z8_in_z8, Z12)     # 8 does not divide 12
+    for s in (half, z8_in_z8, F25.gen()):
+        assert coerce(s, s.field) is s
+    with pytest.raises(FieldMismatch):
+        coerce(F25.gen(), Z12)
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    assert Q.from_fraction(Fraction(2, 3)) ** -3 == Q.from_fraction(Fraction(27, 8))
+    assert Z12.zeta() ** -3 == Z12.zeta(9)
+    assert F25.gen() ** -3 * F25.gen() ** 3 == F25.one()
 
 
 def test_rational_payloads_are_fractions():
