@@ -35,7 +35,7 @@ def test_circ_of_l_and_kummer():
     inp = ConvolutionInput(quadratic_tuple(), kummer_minus_one())
     C = circ_tuple(inp)
     assert C.dim == 1
-    assert [M.rows[0][0].payload for M in C.entries] == [-1, -1, -1, -1]
+    assert [M[0, 0] for M in C.entries] == [-Q.one()] * 4
 
 
 def test_circ_trivial_inputs():

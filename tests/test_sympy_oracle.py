@@ -83,7 +83,7 @@ def test_char_poly_over_q_matches_sympy(rows):
     n = len(rows)
     D = DomainMatrix([[QQ(f.numerator, f.denominator) for f in r] for r in rows], (n, n), QQ)
     expected = [Fraction(int(c.numerator), int(c.denominator)) for c in D.charpoly()]
-    assert [c.payload for c in char_poly(Matrix.from_rows(Q, rows))] == expected[::-1]
+    assert char_poly(Matrix.from_rows(Q, rows)) == [Q.from_fraction(c) for c in expected[::-1]]
 
 
 def _poly_mul(a, b):
@@ -118,11 +118,11 @@ def test_rational_roots_over_q_match_sympy(c, factors, h):
         if factor.degree() == 1:
             a1, a0 = factor.all_coeffs()
             expected[-_fraction(a0) / _fraction(a1)] = m
-    assert [(r.payload, m) for r, m in roots] == sorted(expected.items())
+    assert roots == [(Q.from_fraction(r), m) for r, m in sorted(expected.items())]
     divisor = sympy.Poly(1, x, domain=QQ)
     for r, m in expected.items():
         divisor *= sympy.Poly([1, -sympy.Rational(r.numerator, r.denominator)], x,
                               domain=QQ) ** m
     quotient, remainder = sympy.div(F, divisor)
     assert remainder.is_zero
-    assert [s.payload for s in rem] == [_fraction(a) for a in reversed(quotient.all_coeffs())]
+    assert rem == [Q.from_fraction(_fraction(a)) for a in reversed(quotient.all_coeffs())]

@@ -132,9 +132,9 @@ def test_phi_rank_one_formula(rng):
     v = (Q.from_int(7), Q.from_int(11), Q.from_int(13), Q.from_int(17))
     img = _row_times(v, big)
     # (v1, v2, v3, v4) -> (v2, v2 (1 - a) + v1 b, v3, v4)
-    assert img[0].payload == 11
-    assert img[1].payload == 11 * (1 - a) + 7 * b
-    assert img[2].payload == 13 and img[3].payload == 17
+    assert img[0] == Q.from_int(11)
+    assert img[1] == Q.from_fraction(11 * (1 - a) + 7 * b)
+    assert img[2] == Q.from_int(13) and img[3] == Q.from_int(17)
 
 
 def test_phi_cocycle_rule(rng):
