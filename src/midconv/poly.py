@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, islice
 
 # the first 13 primes: as Miller-Rabin bases they decide primality exactly for
 # n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015)
@@ -49,6 +49,31 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _primes():
+    """The primes in increasing order, by a sieve of Eratosthenes whose bound doubles."""
+    lo, hi = 0, 1 << 10
+    while True:
+        sieve = bytearray([1]) * hi
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(hi - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+        yield from compress(range(lo, hi), sieve[lo:hi])
+        lo, hi = hi, 2 * hi
+
+
+def _least_prime_not_dividing(n: int) -> int:
+    """The least prime that does not divide n != 0: one remainder of n per block of 64
+    primes, by the block's product, then a remainder of that per prime of the block."""
+    primes = _primes()
+    while True:
+        block = list(islice(primes, 64))
+        r = n % math.prod(block)
+        ell = next((p for p in block if r % p), 0)
+        if ell:
+            return ell
 
 
 def horner(coeffs, x, m: int = 0):
@@ -112,14 +137,15 @@ def rational_roots(coeffs) -> list[Fraction]:
     By l-adic lifting (Loos, SIAM J. Comput. 12, 1983), without factoring:
     f is the primitive integer polynomial with x^k (the root 0) split off,
     and g = f / gcd(f, f') its squarefree part, exact over Z by Gauss's lemma.
-    l is the least prime dividing neither lead(g) nor res(g, g'), so every
-    root of g mod l is simple, and each root p/q in lowest terms (p | g_0,
-    q | lead(g)) reduces to one of them.  Newton's method lifts each root
-    mod l^(2^i) past M > 2 |g_0 lead(g)|, and rational reconstruction gives
-    p/q back: the first remainder r <= |g_0| of Euclid on (M, lift), with
-    its cofactor t, is r/t (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 5.26).  An exact check keeps the roots.  l is O(log |res|), so
-    the search needs no budget.
+    l is the least prime dividing neither lead(g) nor res(g, g'), the least
+    prime not dividing their product, so every root of g mod l is simple,
+    and each root p/q in lowest terms (p | g_0, q | lead(g)) reduces to one
+    of them.  Newton's method lifts each root mod l^(2^i) past
+    M > 2 |g_0 lead(g)|, and rational reconstruction gives p/q back: the
+    first remainder r <= |g_0| of Euclid on (M, lift), with its cofactor t,
+    is r/t (von zur Gathen and Gerhard, Modern Computer Algebra, 5.26).  An
+    exact check keeps the roots.  l is O(log |res|), so the search needs no
+    budget.
     """
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -132,9 +158,7 @@ def rational_roots(coeffs) -> list[Fraction]:
     df = [i * c for i, c in enumerate(f)][1:]
     g = primitive(divide(f, monic(gcd_res(f, df)[0]))[0])
     dg = [i * c for i, c in enumerate(g)][1:]
-    res = int(gcd_res(g, dg)[1])
-    # primality first: each remainder of a long res costs more than the test
-    ell = next(p for p in count(2) if is_prime(p) and g[-1] % p and res % p)
+    ell = _least_prime_not_dividing(g[-1] * int(gcd_res(g, dg)[1]))
     bound, g_ell = 2 * abs(g[0] * g[-1]), [c % ell for c in g]
     for x in range(ell):
         if horner(g_ell, x, ell):

@@ -1,11 +1,13 @@
 """The polynomial module: long division by a monic divisor and Horner evaluation
 over ints, Fractions and Scalars of four fields, the first root of Phi_n that
-reduce_mod sends zeta_n to, against a scan of F_{l^2}, and the candidate hints
-of the root search that reads them, linalg.field_roots."""
+reduce_mod sends zeta_n to, against a scan of F_{l^2}, the candidate hints
+of the root search that reads them, linalg.field_roots, and the least prime
+not dividing an integer, against a scan of the integers."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from midconv.errors import NoRootInQuadratic
 from midconv.linalg import field_roots
 from midconv.modgroup import _cyclotomic_root_mod
-from midconv.poly import cyclotomic_polynomial, divide, horner, is_prime
+from midconv.poly import (_least_prime_not_dividing, cyclotomic_polynomial, divide, horner,
+                          is_prime)
 from midconv.scalars import FieldDescriptor, Scalar
 
 from conftest import F7, Q
@@ -181,3 +184,20 @@ def test_field_roots_read_repeated_roots_and_non_roots_among_the_hints_as_nothin
     # field's own copy of it are no longer roots; a non-root deflates nothing
     field, f, found, extra = case
     assert field_roots(f, field, extra) == found
+
+
+@given(st.lists(st.sampled_from([p for p in range(2, 2000) if is_prime(p)]), max_size=400),
+       st.sampled_from([1, -1]))
+def test_least_prime_not_dividing_is_the_first_prime_left_out(ps, sign):
+    # products of up to 400 of the primes below 2000 reach past several blocks of 64
+    n = sign * math.prod(ps)
+    assert _least_prime_not_dividing(n) == next(p for p in count(2) if is_prime(p) and n % p)
+
+
+def test_least_prime_not_dividing_a_primorial_is_the_next_prime():
+    # 311 is the 64th prime, the last of the first block; 1021 the last below the
+    # sieve's first bound
+    for bound in (2, 311, 313, 1021, 9767):
+        primes = [p for p in range(2, bound + 1) if is_prime(p)]
+        assert (_least_prime_not_dividing(math.prod(primes))
+                == next(p for p in count(bound + 1) if is_prime(p)))

@@ -171,15 +171,18 @@ def test_negative_powers_are_powers_of_the_inverse():
     assert F25.gen() ** -3 * F25.gen() ** 3 == F25.one()
 
 
-def test_rational_payloads_are_fractions():
-    # an int payload would reach the Q ops table, which builds Fractions only
-    three, also_three = Q.from_fraction(3), Q.from_int(3)
-    assert three.payload == also_three.payload
-    assert type(three.payload) is Fraction and type(also_three.payload) is Fraction
-    for x in (three * three, three + also_three, three - three.inverse(), -three):
-        assert type(x.payload) is Fraction
-    assert three * three == Q.from_int(9)
-    assert three - three.inverse() == Q.from_fraction(Fraction(8, 3))
+def test_rational_payloads_are_canonical_in_the_q_zeta_1_layout():
+    # Q runs on the compiled Q(zeta_1) kernel: ((a,), d) with d > 0 and gcd(a, d) = 1,
+    # so zero is ((0,), 1) and equal values have equal payloads
+    assert Q.ops.addmul.__code__.co_filename == "<Q(zeta_1) kernel>"
+    three, half = Q.from_int(3), Q.from_fraction(Fraction(1, 2))
+    assert Q.from_fraction(3).payload == three.payload == ((3,), 1)
+    assert Q.zero().payload == ((0,), 1) and Q.one().payload == ((1,), 1)
+    for x, payload in ((three * three, ((9,), 1)), (three - three.inverse(), ((8,), 3)),
+                       (-three.inverse(), ((-1,), 3)), ((-three).inverse(), ((-1,), 3)),
+                       (Q.from_fraction(Fraction(4, -6)), ((-2,), 3)), (half + half, ((1,), 1)),
+                       (three - three, ((0,), 1)), (half * Q.zero(), ((0,), 1))):
+        assert x.payload == payload
 
 
 def test_immutability_and_hash():
