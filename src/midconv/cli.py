@@ -399,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("group", _cmd_group, help="closure order and invariant form")
     p.add_argument("--tuple", required=True)
     p.add_argument("--mod", type=int)
-    p.add_argument("--cap", type=_positive_int, default=100000)
+    p.add_argument("--cap", type=_positive_int, default=100000,
+                   help="most elements the closure may list (default 100000); it bounds "
+                        "only that enumeration, so an order that O3 recognition "
+                        "proves is printed past it")
 
     p = add("primitivity", _cmd_primitivity, help="primitivity bound")
     p.add_argument("--tuple", required=True)

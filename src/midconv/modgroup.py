@@ -1,7 +1,11 @@
-"""Reduction of tuples mod ell and brute-force matrix-group analysis.
+"""Reduction of tuples mod ell and matrix-group analysis.
 
-Group recognition is by exact order (breadth-first closure under the
-generators), not by classification theorems; at desk scale the relevant
+A 3 x 3 group over F_ell (ell >= 7) that keeps a nondegenerate symmetric
+form is named, when it can be, by Dickson's classification of the
+subgroups of PGL_2(F_ell) = SO_3(F_ell): no invariant line and one element
+of order > 5 prove Omega_3(F_ell) <= G, and det and the spinor norm give
+the index (o3_recognition).  Every other group is measured by exact order,
+a breadth-first closure under the generators; at desk scale the relevant
 closures stay below a few tens of thousands of elements.  The closure acts
 on row ids: row i of B A is (row i of B) A, so each distinct payload row
 gets a small int id, each generator keeps a list from row id to the id of
@@ -19,8 +23,8 @@ from itertools import count
 from operator import itemgetter
 
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
-from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, find_invertible,
-                     jordan_data, rank, solve_matrix_equations)
+from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, eigenvalues,
+                     find_invertible, jordan_data, kernel_basis, rank, solve_matrix_equations)
 from .poly import cyclotomic_polynomial, horner, is_prime
 from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar
 from .tuples import MonodromyTuple
@@ -259,20 +263,83 @@ def primitivity_bound(T: MonodromyTuple) -> tuple[Fraction, bool]:
     return bound_given(n), primitive
 
 
+def _eigenlines(w: Matrix) -> list[tuple] | None:
+    """The eigenlines of w over its field, one row each, or None if an eigenspace
+    has dimension > 1."""
+    spaces = [kernel_basis(w - Matrix.identity(w.field, w.nrows).scale(ev))
+              for ev, _mult in eigenvalues(w)[0]]
+    return None if any(len(E) > 1 for E in spaces) else [E.payload[0] for E in spaces]
+
+
+def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
+    """|G| by Dickson's theorem (see o3_recognition), or None when it does not apply."""
+    if ell < 7:
+        return None
+    field = gens[0].field
+    ident = Matrix.identity(field, 3)
+    dets = [g.det() for g in gens]
+    rots = [g.scale(d) for g, d in zip(gens, dets)]
+    words = rots + [a @ b for a in rots for b in rots]
+
+    def invariant(v):
+        row = Matrix(field, (v,))
+        return all(rank(Matrix(field, row.payload + (row @ g).payload)) == 1 for g in gens)
+
+    lines = next(filter(None, map(_eigenlines, words)), None)
+    if lines is None or any(map(invariant, lines)):
+        return None
+    if not any(all(w.pow(k) != ident for k in range(1, 6)) for w in words):
+        return None
+
+    def spinor_square(r):
+        t = r.trace() + field.one()
+        if not t:                          # r is an involution: its -1 plane decides
+            W = kernel_basis(r + ident)
+            t = (W @ gram @ W.transpose()).det()
+        return pow(t.coords()[0], (ell - 1) // 2, ell) == 1
+    # 0, 1 or more nontrivial classes in Z_2 x Z_2 generate 1, 2 or 4 of them
+    classes = {(d.is_one(), spinor_square(r)) for d, r in zip(dets, rots)} - {(True, True)}
+    return ell * (ell * ell - 1) // 2 * min(4, 2 ** len(classes))
+
+
 def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupReport:
-    """Recognize O_3(F_ell) by invariant form plus exact order 2 ell (ell^2-1)."""
+    """Recognize O_3(F_ell): an invariant form plus the order 2 ell (ell^2 - 1).
+
+    The generators g must lie over F_ell and keep a nondegenerate symmetric
+    form; then G <= O_3(F_ell) = SO_3(F_ell) x {+-1}, and g' = det(g) g lies
+    in SO_3(F_ell) = PGL_2(F_ell).  By Dickson's theorem (Huppert, Endliche
+    Gruppen I, II.8.27; Serre, Invent. Math. 15, 1972, section 2) a subgroup of
+    PGL_2(F_ell), ell prime, lies in a Borel subgroup or a torus normalizer,
+    both of which fix a line, or is A_4, S_4 or A_5, whose elements have
+    order <= 5, or contains PSL_2(F_ell) = Omega_3(F_ell).  So for ell >= 7
+    two facts about the words g'_a and g'_a g'_b prove Omega_3 <= G: the
+    first word whose eigenspaces over F_ell are all lines has no eigenline
+    that every generator keeps (an invariant line of G is one of them), and
+    some word has order > 5.  Then G is absolutely irreducible, and |G| is
+    |Omega_3| = ell (ell^2 - 1) / 2 times the order of the subgroup of
+    Z_2 x Z_2 = O_3 / Omega_3 that the pairs (det g, theta(g')) generate.
+    The spinor norm theta(r) of r in SO_3 is the class of tr r + 1 mod
+    squares (tr Ad(A) + 1 = tr(A)^2 / det(A) for A in GL_2); when tr r = -1,
+    r is an involution and theta(r) is the discriminant of the form on
+    ker(r + 1).
+
+    When the certificate does not conclude (ell < 7, an invariant line, no
+    decisive word, no word of order > 5), the order comes from group_closure,
+    None past the cap, and absolute irreducibility from the commutant.
+    """
     if not is_prime(ell) or ell == 2:
         raise PreconditionError("ell must be an odd prime")
+    if any(g.field.kind != FINITE or g.field.k != 1 or g.field.p != ell for g in gens):
+        raise PreconditionError(f"o3_recognition needs generators over F_{ell}")
     if any(g.nrows != 3 for g in gens):
         raise PreconditionError("o3_recognition needs 3x3 generators")
+    _check_cap(cap)
     gram = invariant_symmetric_form(gens)
     if gram is None:
         raise NoInvariantForm("no nondegenerate invariant symmetric form")
-    order = group_closure(gens, cap=cap)
-    recognized = None
-    if order == 2 * ell * (ell * ell - 1):
-        recognized = f"O3(F_{ell})"
-    return GroupReport(order=order,
-                       absolutely_irreducible=absolutely_irreducible(gens),
-                       invariant_gram=gram,
-                       recognized=recognized)
+    order, irreducible = _certified_order(gens, gram, ell), True
+    if order is None:
+        order, irreducible = group_closure(gens, cap=cap), absolutely_irreducible(gens)
+    recognized = f"O3(F_{ell})" if order == 2 * ell * (ell * ell - 1) else None
+    return GroupReport(order=order, absolutely_irreducible=irreducible,
+                       invariant_gram=gram, recognized=recognized)

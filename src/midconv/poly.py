@@ -141,11 +141,12 @@ def rational_roots(coeffs) -> list[Fraction]:
     prime not dividing their product, so every root of g mod l is simple,
     and each root p/q in lowest terms (p | g_0, q | lead(g)) reduces to one
     of them.  Newton's method lifts each root mod l^(2^i) past
-    M > 2 |g_0 lead(g)|, and rational reconstruction gives p/q back: the
-    first remainder r <= |g_0| of Euclid on (M, lift), with its cofactor t,
-    is r/t (von zur Gathen and Gerhard, Modern Computer Algebra, 5.26).  An
-    exact check keeps the roots.  l is O(log |res|), so the search needs no
-    budget.
+    M > 2 |g_0 lead(g)|, and with it the inverse s of g' at the root, by
+    s <- s (2 - g'(x) s), so only the first step inverts.  Rational
+    reconstruction gives p/q back: the first remainder r <= |g_0| of Euclid
+    on (M, lift), with its cofactor t, is r/t (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 5.26).  An exact check keeps the roots.  l is
+    O(log |res|), so the search needs no budget.
     """
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -163,10 +164,12 @@ def rational_roots(coeffs) -> list[Fraction]:
     for x in range(ell):
         if horner(g_ell, x, ell):
             continue
-        m = ell
+        m, s = ell, pow(horner(dg, x, ell), -1, ell)
         while m <= bound:
+            # s = 1/g'(x) mod the old m is enough for x mod m^2; then s lifts too
             m *= m
-            x = (x - horner(g, x, m) * pow(horner(dg, x, m), -1, m)) % m
+            x = (x - horner(g, x, m) * s) % m
+            s = s * (2 - horner(dg, x, m) * s) % m
         r0, t0, r1, t1 = m, 0, x, 1
         while r1 > abs(g[0]):
             quo = r0 // r1

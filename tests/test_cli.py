@@ -31,6 +31,8 @@ def _run_json(capsys, *argv):
     (7, "fixture:V", "336", None, "1, 6, 0\n6, 5, 1\n0, 1, 1"),
     (11, "fixture:LstarL", "1320", None, None),
     (5, "fixture:L", "2", None, "1"),
+    # past the default cap of the closure; Dickson's theorem proves the order
+    (37, "fixture:V", "101232", "O3(F_37)", "1, 36, 0\n36, 20, 1\n0, 1, 1"),
 ])
 def test_group_documents(capsys, mod, spec, order, recognized, gram):
     code, doc = _run_json(capsys, "group", "--mod", str(mod), "--tuple", spec)

@@ -1,17 +1,19 @@
 import hashlib
+import random
 
 import pytest
 
+from midconv import modgroup
 from midconv.errors import BadPrime, PreconditionError
 from midconv.fixtures import TUPLE_FIXTURES, m_tuple
 from midconv.linalg import Matrix
-from midconv.modgroup import (absolutely_irreducible, group_closure,
+from midconv.modgroup import (_certified_order, absolutely_irreducible, group_closure,
                               group_elements, invariant_symmetric_form,
                               o3_recognition, primitivity_bound, reduce_mod)
 from midconv.scalars import FieldDescriptor, coerce
 from midconv.tuples import MonodromyTuple
 
-from conftest import Q, random_invertible
+from conftest import SEED, Q, random_invertible
 
 Z4 = FieldDescriptor.cyclotomic(4)
 
@@ -163,12 +165,15 @@ def _monomial_f49():
             Matrix.from_rows(F49, [[zero, one], [one, zero]])]
 
 
-def _signed_permutations():
-    """Signed 3 x 3 permutation matrices over Q: order 2^3 * 3! = 48."""
-    cycle = Matrix.from_rows(Q, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    swap = Matrix.from_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    sign = Matrix.from_rows(Q, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return [cycle, swap, sign]
+_CYCLE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+_SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+_SIGN = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_FLIP = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+def _signed_permutations(field=Q):
+    """Signed 3 x 3 permutation matrices: order 2^3 * 3! = 48, S_4 x {+-1}."""
+    return [Matrix.from_rows(field, rows) for rows in (_CYCLE, _SWAP, _SIGN)]
 
 
 def _monomial_z4():
@@ -323,3 +328,106 @@ def test_closure_mod_3_order():
     # ell = 3 is outside the range the torus argument needs; record the outcome
     Vb = reduce_mod(m_tuple(), 3)
     assert group_closure(list(Vb.entries)) == 2 * 3 * (3 * 3 - 1)
+
+
+def _v_mod(ell):
+    return list(reduce_mod(m_tuple(), ell).entries)
+
+
+def _certificate(gens, ell):
+    return _certified_order(gens, invariant_symmetric_form(gens), ell)
+
+
+@pytest.mark.parametrize("ell", [7, 11, 13, 17, 19, 23, 29, 31])
+def test_the_certified_order_of_v_is_the_closure_order(ell):
+    gens = _v_mod(ell)
+    report = o3_recognition(gens, ell)
+    assert _certificate(gens, ell) == report.order == group_closure(gens)
+    assert report.absolutely_irreducible is True
+    index = report.order // (ell * (ell * ell - 1) // 2)
+    assert report.recognized == (f"O3(F_{ell})" if index == 4 else None)
+
+
+def _seeded_words(entries, rng):
+    """Two words of 1 to 4 of the entries, each factor negated with chance 0.3."""
+    words = []
+    for _ in range(2):
+        w = Matrix.identity(entries[0].field, 3)
+        for _ in range(rng.randint(1, 4)):
+            f = rng.choice(entries)
+            w = w @ (-f if rng.random() < 0.3 else f)
+        words.append(w)
+    return words
+
+
+def test_the_certified_order_of_seeded_subgroups_is_the_closure_order():
+    # the squares have det 1 and a square spinor norm, so indices 1, 2 and 4 all occur
+    rng, indices = random.Random(SEED), set()
+    for ell in (7, 11, 13, 17, 19, 23):
+        entries = _v_mod(ell)
+        for _ in range(6):
+            words = _seeded_words(entries, rng)
+            for gens in (words, [w @ w for w in words]):
+                order = _certificate(gens, ell)
+                if order is None:
+                    assert not absolutely_irreducible(gens)
+                    continue
+                assert order == group_closure(gens)
+                indices.add(order // (ell * (ell * ell - 1) // 2))
+    assert indices == {1, 2, 4}
+
+
+def _over(ell, *int_rows):
+    return [Matrix.from_rows(FieldDescriptor.finite(ell), rows) for rows in int_rows]
+
+
+def _icosahedral(ell):
+    """<3-cycle, diag(1,-1,-1), a rotation of order 5> = A_5 in SO_3(F_ell), 5 a square."""
+    half, root5 = pow(2, -1, ell), next(x for x in range(ell) if x * x % ell == 5)
+    phi = (1 + root5) * half
+    five = [[1, -phi, phi - 1], [phi, phi - 1, -1], [phi - 1, 1, phi]]
+    return _over(ell, _CYCLE, _FLIP, [[half * c for c in row] for row in five])
+
+
+@pytest.mark.parametrize("gens, ell, order", [
+    (lambda: [g @ g for g in _v_mod(13)], 13, 13),
+    (lambda: _signed_permutations(FieldDescriptor.finite(13)), 13, 48),
+    (lambda: _over(13, _CYCLE, _FLIP), 13, 12),
+    (lambda: _icosahedral(11), 11, 60),
+    (lambda: _v_mod(3), 3, 48),
+    (lambda: _v_mod(5), 5, 240),
+], ids=["fixed line: squares of V mod 13", "S_4: signed permutations", "A_4",
+        "A_5 mod 11", "V mod 3", "V mod 5"])
+def test_the_certificate_does_not_conclude_and_the_closure_answers(gens, ell, order):
+    gens = gens()
+    assert _certificate(gens, ell) is None
+    report = o3_recognition(gens, ell)
+    assert report.order == group_closure(gens) == order
+    assert report.absolutely_irreducible == absolutely_irreducible(gens)
+
+
+def test_a_certified_report_needs_neither_the_closure_nor_the_commutant(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the certificate should have concluded")
+    monkeypatch.setattr(modgroup, "group_closure", refuse)
+    monkeypatch.setattr(modgroup, "absolutely_irreducible", refuse)
+    for cap in (1, 100000):
+        report = o3_recognition(_v_mod(19), 19, cap=cap)
+        assert (report.order, report.recognized, report.absolutely_irreducible) == (
+            13680, "O3(F_19)", True)
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: _v_mod(13),
+    lambda: [Matrix.identity(FieldDescriptor.finite(19, 2), 3)],
+    lambda: [Matrix.identity(Q, 3)],
+], ids=["F_13", "F_19^2", "Q"])
+def test_o3_recognition_needs_generators_over_f_ell(gens):
+    # the spinor norms are Legendre symbols mod ell: V mod 13 must not pass as ell = 19
+    with pytest.raises(PreconditionError, match="over F_19"):
+        o3_recognition(gens(), 19)
+
+
+def test_o3_recognition_checks_the_cap_before_the_certificate():
+    with pytest.raises(PreconditionError, match="cap"):
+        o3_recognition(_v_mod(19), 19, cap=0)
