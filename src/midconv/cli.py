@@ -3,9 +3,9 @@
 Every subcommand delegates to the library modules and renders either a
 human-readable report or, with --json, a machine-readable document with the
 same numbers.  Exit codes: 0 success, 1 domain error (module error name on
-stderr) or a proved negative answer, 2 usage, parse or file error, 3 inconclusive
-(`equiv` found no conjugator and no invariant that tells the tuples apart;
-its --json document then has "equivalent": null).
+stderr) or a proved negative answer, 2 usage, parse or file error, 3 the
+inconclusive answer of `equiv` (tuples.equivalence found no conjugator and no
+invariant that tells the tuples apart; the --json document has "equivalent": null).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .modgroup import (GroupReport, absolutely_irreducible, group_closure,
                        invariant_symmetric_form, o3_recognition, primitivity_bound,
                        reduce_mod)
 from .scalars import FINITE, parse_scalar
-from .tuples import braid_act, cohomology_spaces, inequivalence_proof, \
-    parabolic_rank_formula, parse_braid_word, tuples_equivalent
+from .tuples import (braid_act, cohomology_spaces, equivalence, parabolic_rank_formula,
+                     parse_braid_word)
 from .tupleio import load_tuple_file, save_tuple, save_tuple_file
 
 
@@ -183,18 +183,12 @@ def _cmd_cohomology(args):
 
 
 def _cmd_equiv(args):
-    A = _load(args.a)
-    B = _load(args.b)
-    proof = inequivalence_proof(A, B)
-    if proof is not None:
-        _emit(args, {"equivalent": False}, [f"not equivalent: {proof}"])
-        return 1
-    if tuples_equivalent(A, B) is not None:
-        _emit(args, {"equivalent": True}, ["equivalent"])
-        return 0
-    _emit(args, {"equivalent": None},
-          ["inconclusive: the invariants agree, but no conjugator was found"])
-    return 3
+    verdict, witness = equivalence(_load(args.a), _load(args.b))
+    text, code = {True: ("equivalent", 0), False: (f"not equivalent: {witness}", 1),
+                  None: ("inconclusive: the invariants agree, but no conjugator was found",
+                         3)}[verdict]
+    _emit(args, {"equivalent": verdict}, [text])
+    return code
 
 
 def _cmd_reduce(args):

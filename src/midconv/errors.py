@@ -4,8 +4,8 @@ Everything that is a *domain* failure (bad prime, non-split polynomial,
 degenerate convolution input, ...) derives from DomainError so the CLI can
 map it to exit code 1.  Malformed input text (scalar grammar, braid words,
 tuple files) derives from InputError and maps to exit code 2.  Exit code 3
-is no error: it is an inconclusive answer (`equiv` with neither a
-conjugator nor an invariant that tells the tuples apart).
+is no error: it is the inconclusive answer of `equiv`, when tuples.equivalence
+finds neither a conjugator nor an invariant that tells the tuples apart.
 """
 
 from __future__ import annotations

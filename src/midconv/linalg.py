@@ -30,7 +30,9 @@ most once; equality and hashing read the field and the payload alone.
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
 It returns the solutions as matrices; `find_invertible` scans such a list,
-then its prefix sums, for an invertible one.  char_poly is Berkowitz alone.
+then its prefix sums, for an invertible one: tuples.equivalence scans
+commutant_basis(As, Bs) = Hom(A, B) for a conjugator.  char_poly is
+Berkowitz alone.
 
 `eigenvalues` is the one eigenvalue search: field_roots of char_poly, with
 the diagonal entries as the first candidates.  jordan_data and the
@@ -614,18 +616,3 @@ def find_invertible(basis: list[Matrix]) -> Matrix | None:
                 return S
     return None
 
-
-def conjugacy_solve(TA: list[Matrix], TB: list[Matrix]) -> Matrix | None:
-    """Invertible S with S^-1 TA_i S = TB_i for all i, or None.
-
-    Solves the linear system TA_i X = X TB_i and scans the solution space in
-    a deterministic order for an invertible element.  For absolutely
-    irreducible tuples the space has dimension <= 1, so the first basis
-    matrix decides.
-    """
-    if not TA or len(TA) != len(TB):
-        return None
-    d = TA[0].nrows
-    if any(M.nrows != d or M.ncols != d for M in list(TA) + list(TB)):
-        return None
-    return find_invertible(commutant_basis(TA, TB))

@@ -8,6 +8,10 @@ and conjugation is x^y = y^-1 x y throughout.
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim, one
 rank each, over any sequence of matrices (a tuple's entries, one entry, or
 the entries with one of them scaled).
+
+Two tuples are compared one way: equivalence, which answers "is A ~ B up to
+simultaneous conjugacy?" with a conjugator, a distinguishing invariant, or
+no conclusion.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import chain
 
 from .errors import ParseError, PreconditionError
 from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
-                     conjugacy_solve, kernel_basis, rank, row_space_basis, solve_coords)
+                     find_invertible, kernel_basis, rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -389,33 +393,30 @@ def induced_quotient_matrix(ext: Matrix, image_blocks) -> list[Matrix]:
             for block in image_blocks]
 
 
-def tuples_equivalent(A: MonodromyTuple, B: MonodromyTuple):
-    """Simultaneous conjugator between the two tuples, or None."""
-    if A.field != B.field or A.dim != B.dim or A.r != B.r:
-        return None
-    if A.points is not None and B.points is not None and A.points != B.points:
-        return None
-    return conjugacy_solve(list(A.entries), list(B.entries))
+def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matrix | str | None]:
+    """Decide A ~ B up to simultaneous conjugacy: (True, S), (False, reason) or (None, None).
 
-
-def inequivalence_proof(A: MonodromyTuple, B: MonodromyTuple) -> str | None:
-    """An invariant of simultaneous conjugacy that tells A from B, or None.
-
-    The invariants: the field, dim, r and (when both tuples carry them) the
-    points; the characteristic polynomial of each entry; and the dimensions
-    of Hom(A, B), End(A) and End(B), which a conjugator S makes equal
-    (X -> S^-1 X and X -> X S^-1 map Hom(A, B) onto End(B) and End(A)).
-    None proves nothing: the tuples may still be inequivalent.
+    S is a conjugator, S^-1 A_i S = B_i for every i; reason names an
+    invariant that tells the tuples apart; (None, None) proves nothing.  The
+    checks run in this order: the field, dim and r, and the points when both
+    tuples carry them; the characteristic polynomial of each entry; then
+    Hom(A, B) = {X : A_i X = X B_i}, solved once, whose basis and prefix sums
+    find_invertible scans for S.  Only without S are End(A) and End(B)
+    solved: a conjugator S makes the three dimensions equal, since X -> S^-1 X
+    and X -> X S^-1 map Hom(A, B) onto End(B) and End(A).
     """
     if A.field != B.field or A.dim != B.dim or A.r != B.r:
-        return "field, dim or r differ"
+        return False, "field, dim or r differ"
     if A.points is not None and B.points is not None and A.points != B.points:
-        return "points differ"
+        return False, "points differ"
     for k, (MA, MB) in enumerate(zip(A.entries, B.entries), start=1):
         if char_poly(MA) != char_poly(MB):
-            return f"characteristic polynomials of entry {k} differ"
-    dims = [len(commutant_basis(list(X.entries), list(Y.entries)))
-            for X, Y in ((A, B), (A, A), (B, B))]
+            return False, f"characteristic polynomials of entry {k} differ"
+    hom = commutant_basis(list(A.entries), list(B.entries))
+    S = find_invertible(hom)
+    if S is not None:
+        return True, S
+    dims = [len(hom)] + [len(commutant_basis(list(X.entries), list(X.entries))) for X in (A, B)]
     if len(set(dims)) > 1:
-        return "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims)
-    return None
+        return False, "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims)
+    return None, None

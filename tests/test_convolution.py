@@ -15,7 +15,7 @@ from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tupl
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
-from midconv.tuples import MonodromyTuple, coinvariants_dim, invariants_dim, tuples_equivalent
+from midconv.tuples import MonodromyTuple, coinvariants_dim, equivalence, invariants_dim
 
 from conftest import F7, Q, SEED, random_invertible, random_tuple
 
@@ -58,7 +58,7 @@ def test_convolution_fixture_one():
     out = middle_convolution(l_input())
     assert out.dim == 2
     assert out.points == (Fraction(-2), Fraction(0), Fraction(2))
-    assert tuples_equivalent(out, l_star_l()) is not None
+    assert equivalence(out, l_star_l())[0] is True
     expected = JordanData.of([(Q.one(), 2)])
     assert all(jordan_data(M) == expected for M in out.finite_entries())
 
@@ -67,7 +67,7 @@ def test_convolution_fixture_two():
     ll = middle_convolution(l_input())
     out = middle_convolution(ConvolutionInput(ll, kummer_minus_one()))
     assert out.dim == 3
-    assert tuples_equivalent(out, m_tuple()) is not None
+    assert equivalence(out, m_tuple())[0] is True
 
 
 def test_convolution_commutativity_invariants():
@@ -87,7 +87,7 @@ def test_mc_lambda_matches_convolution_oracle():
     oracle = middle_convolution(ConvolutionInput(L, kummer_minus_one()))
     assert out.dim == 2
     assert out.points == oracle.points
-    assert tuples_equivalent(out, oracle) is not None
+    assert equivalence(out, oracle)[0] is True
     # the L*L local structure: unipotent J(1,2) at both finite points
     expected = JordanData.of([(Q.one(), 2)])
     assert all(jordan_data(M) == expected for M in out.finite_entries())
@@ -101,7 +101,7 @@ def test_mc_lambda_rank_bookkeeping():
     twice = mc_lambda(once, Q.from_int(-1))
     assert once.dim == 2
     assert twice.dim == L.dim == 1
-    assert tuples_equivalent(twice, L) is not None
+    assert equivalence(twice, L)[0] is True
 
 
 def test_mc_lambda_finite_field_regression():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
-                            conjugacy_solve, field_roots, find_invertible, intersect_row_spaces,
-                            jordan_block, jordan_data, kernel_basis, kronecker, kronecker_jordan,
-                            rank, row_space_basis, solve_coords)
+                            field_roots, find_invertible, intersect_row_spaces, jordan_block,
+                            jordan_data, kernel_basis, kronecker, kronecker_jordan, rank,
+                            row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
 from conftest import F7, PRIMORIAL_9767, Q, random_invertible, random_scalar
@@ -337,28 +337,6 @@ def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, ext
     dependent.insert(rng.randint(0, m), combos.payload[0])
     with pytest.raises(PreconditionError, match="independent"):
         solve_coords(Matrix(field, tuple(dependent)), combos)
-
-
-def test_conjugacy_solve_identity_case():
-    T = [A1, Matrix.from_rows(Q, [[1, -4], [0, 1]])]
-    S = conjugacy_solve(T, T)
-    assert S is not None
-    assert all(S.inverse() @ M @ S == M for M in T)
-
-
-def test_conjugacy_solve_constructed(rng):
-    V = m_tuple()
-    S0 = random_invertible(Q, 3, rng)
-    TB = [S0.inverse() @ M @ S0 for M in V.entries]
-    S = conjugacy_solve(list(V.entries), TB)
-    assert S is not None
-    assert all(S.inverse() @ A @ S == B for A, B in zip(V.entries, TB))
-
-
-def test_conjugacy_solve_distinguishes_spectra():
-    TA = [Matrix.from_rows(Q, [[1, 0], [0, -1]])]
-    TB = [Matrix.from_rows(Q, [[-1, 0], [0, -1]])]
-    assert conjugacy_solve(TA, TB) is None
 
 
 @pytest.mark.parametrize("op", ["__add__", "__sub__"])

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from midconv import tuples
 from midconv.convolution import ConvolutionInput, circ_tuple
 from midconv.errors import ParseError, PreconditionError
-from midconv.fixtures import kummer_minus_one, l_star_l, quadratic_tuple
-from midconv.linalg import Matrix, intersect_row_spaces, rank, row_space_basis, solve_coords
+from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
+from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_row_spaces, rank,
+                            row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
-                            cohomology_spaces, parabolic_rank_formula,
+                            cohomology_spaces, equivalence, parabolic_rank_formula,
                             parse_braid_word, phi_matrix, phi_transport,
                             pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
-from conftest import F7, Q, random_invertible, random_scalar, random_tuple
+from conftest import F7, Q, SEED, random_invertible, random_scalar, random_tuple
 
+Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
 F49 = FieldDescriptor.finite(7, 2)
 
@@ -426,3 +429,103 @@ def test_slot_blocks_and_join_slots_undo_each_other(rng):
     assert [B.dim for B in blocks] == [(6, 2)] * 3
     assert blocks[1].rows[0] == rows.rows[0][2:4]
     assert join_slots(blocks) == rows
+
+
+# -- equivalence up to simultaneous conjugacy --------------------------------------
+
+def test_equivalence_identity_case():
+    T = MonodromyTuple.from_finite_entries(Q, [Matrix.from_rows(Q, [[-3, -8], [2, 5]]),
+                                               Matrix.from_rows(Q, [[1, -4], [0, 1]])])
+    verdict, S = equivalence(T, T)
+    assert verdict is True
+    assert all(S.inverse() @ M @ S == M for M in T.entries)
+
+
+def test_equivalence_constructed(rng):
+    V = m_tuple()
+    S0 = random_invertible(Q, 3, rng)
+    B = MonodromyTuple.make(Q, [S0.inverse() @ M @ S0 for M in V.entries])
+    verdict, S = equivalence(V, B)
+    assert verdict is True
+    assert all(S.inverse() @ M @ S == N for M, N in zip(V.entries, B.entries))
+
+
+def test_equivalence_distinguishes_spectra():
+    TA = [Matrix.from_rows(Q, [[1, 0], [0, -1]])]
+    TB = [Matrix.from_rows(Q, [[-1, 0], [0, -1]])]
+    assert find_invertible(commutant_basis(TA, TB)) is None
+    A, B = (MonodromyTuple.from_finite_entries(Q, T) for T in (TA, TB))
+    assert equivalence(A, B) == (False, "characteristic polynomials of entry 1 differ")
+
+
+def _conjugate_of_v():
+    S0 = random_invertible(Q, 3, random.Random(SEED))
+    return m_tuple(), MonodromyTuple.make(Q, [S0.inverse() @ M @ S0 for M in m_tuple().entries])
+
+
+def _diagonal_pair():
+    T = MonodromyTuple.make(Q, [Matrix.from_rows(Q, [[1, 0, 0], [0, 1, 0], [0, 0, c]])
+                                for c in (2, Fraction(1, 2))])
+    return T, T
+
+
+def _unipotent_and_trivial():
+    A = MonodromyTuple.make(Q, [Matrix.from_rows(Q, [[1, c], [0, 1]]) for c in (1, -1)])
+    return A, MonodromyTuple.make(Q, [Matrix.identity(Q, 2)] * 2)
+
+
+@pytest.mark.parametrize("pair, verdict, solves", [
+    (_conjugate_of_v, True, 1),
+    (lambda: (quadratic_tuple(), l_star_l()), False, 0),
+    # every Hom basis matrix and prefix sum is singular, so no conjugator is found
+    (_diagonal_pair, None, 3),
+    # equal characteristic polynomials; dim Hom, End(A), End(B) = 2, 2, 4
+    (_unipotent_and_trivial, False, 3),
+], ids=["conjugate", "dims differ", "inconclusive", "commutant dims"])
+def test_equivalence_solves_hom_once_and_end_only_without_a_conjugator(
+        monkeypatch, pair, verdict, solves):
+    calls = []
+
+    def counted(As, Bs):
+        calls.append(1)
+        return commutant_basis(As, Bs)
+
+    A, B = pair()
+    monkeypatch.setattr(tuples, "commutant_basis", counted)
+    assert equivalence(A, B)[0] is verdict
+    assert len(calls) == solves
+
+
+def _structured_entry(field, dim, kind, rng):
+    """Kind 0 the identity, 1 diagonal over 1, -1, 2, 2 upper unitriangular, 3 random."""
+    if kind == 3:
+        return random_invertible(field, dim, rng)
+
+    def entry(i, j):
+        if i == j:
+            return rng.choice((1, -1, 2)) if kind == 1 else 1
+        return rng.randint(-1, 1) if kind == 2 and i < j else 0
+    return Matrix.from_rows(field, [[entry(i, j) for j in range(dim)] for i in range(dim)])
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z3], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(1, 3),
+       kinds=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       other=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_equivalence_verdicts_are_sound(field, seed, dim, kinds, other):
+    rng = random.Random(seed)
+    A, C = (MonodromyTuple.from_finite_entries(
+        field, [_structured_entry(field, dim, k, rng) for k in ks]) for ks in (kinds, other))
+    S0 = random_invertible(field, dim, rng)
+    B = MonodromyTuple.from_finite_entries(field, [S0.inverse() @ M @ S0
+                                                   for M in A.finite_entries()])
+    assert equivalence(A, B)[0] is not False
+    for X, Y in ((A, B), (A, C), (C, A)):
+        verdict, witness = equivalence(X, Y)
+        if verdict:
+            assert all(witness.inverse() @ M @ witness == N for M, N in zip(X.entries, Y.entries))
+        elif verdict is False:
+            assert isinstance(witness, str) and witness
+        else:
+            assert witness is None
