@@ -53,8 +53,8 @@ def test_uninterned_descriptor_still_compares_equal():
     # a descriptor built past the constructors falls back to ==
     other = FieldDescriptor("finite", p=7, k=1, poly=(0, 1))
     assert other is not F7 and other == F7
-    assert Scalar(other, (3,)) == F7.from_int(3)
-    assert Scalar(other, (3,)) + F7.from_int(5) == F7.one()
+    assert other.from_int(3) == F7.from_int(3)
+    assert other.from_int(3) + F7.from_int(5) == F7.one()
 
 
 @pytest.mark.parametrize("field", [Q, Z12, F7, F25], ids=str)
@@ -145,6 +145,21 @@ def test_the_kernel_fields_straddle_the_unroll_bound():
         assert unrolled == (field.degree <= UNROLL_MAX_PHI), n
 
 
+def _basis(field) -> list:
+    """The basis that coords() refers to: zeta^e over Q(zeta_n), 1 and t over F_{p^2}."""
+    if field.kind == "cyclotomic":
+        return [field.zeta(e) for e in range(field.degree)]
+    return [field.one(), field.gen()] if field.k == 2 else [field.one()]
+
+
+def _from_coords(field, coords) -> Scalar:
+    """The scalar with these coordinates, built by the field's arithmetic."""
+    out = field.zero()
+    for c, b in zip(coords, _basis(field)):
+        out = out + field.from_fraction(Fraction(c)) * b
+    return out
+
+
 def payloads(field):
     """Canonical payloads of `field`: zero often, sparse numerators, non-unit denominators,
     and now and then a numerator or a denominator above 2^64."""
@@ -152,7 +167,8 @@ def payloads(field):
                      st.integers(-2 ** 80, 2 ** 80))
     den = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(1, 2 ** 70))
     if field.kind == "finite":
-        nonzero = st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+        nonzero = st.tuples(*[st.integers(0, field.p - 1)] * field.k).map(
+            lambda cs: _from_coords(field, cs).payload)
     else:
         nonzero = st.builds(lambda nums, den: _cyc_normalize(tuple(nums), den),
                             st.lists(coef, min_size=field.degree, max_size=field.degree),
@@ -161,11 +177,14 @@ def payloads(field):
 
 
 def is_canonical(field, x) -> bool:
-    """Over Q, which runs as Q(zeta_1), and Q(zeta_n): the numerators over a positive
+    """Over F_{p^k}: k int coordinates in [0, p), and the payload the field builds from
+    them.  Over Q, which runs as Q(zeta_1), and Q(zeta_n): the numerators over a positive
     denominator, with no common factor."""
     if field.kind == "finite":
-        return (isinstance(x, tuple) and len(x) == field.k
-                and all(isinstance(c, int) and 0 <= c < field.p for c in x))
+        coords = Scalar(field, x).coords()
+        return (len(coords) == field.k
+                and all(type(c) is int and 0 <= c < field.p for c in coords)
+                and _from_coords(field, coords).payload == x)
     nums, den = x
     return (isinstance(nums, tuple) and len(nums) == field.degree and den > 0
             and _cyc_normalize(nums, den) == x)
@@ -221,7 +240,7 @@ def test_nonzero_is_inequality_with_the_canonical_zero(args):
 def _coordinates(field, x) -> list:
     """The coordinates of a payload over the prime field: Fractions, or ints mod p."""
     if field.kind == "finite":
-        return list(x)
+        return list(Scalar(field, x).coords())
     nums, den = x
     return [Fraction(a, den) for a in nums]
 
@@ -241,13 +260,6 @@ def test_add_sub_and_neg_agree_with_per_coordinate_fractions(args):
         assert is_canonical(field, got)
 
 
-def _basis(field) -> list:
-    """The basis that coords() refers to: zeta^e over Q(zeta_n), 1 and t over F_{p^2}."""
-    if field.kind == "cyclotomic":
-        return [field.zeta(e) for e in range(field.degree)]
-    return [field.one(), field.gen()] if field.k == 2 else [field.one()]
-
-
 @settings(deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(
     lambda field: st.tuples(st.just(field), st.lists(payloads(field), min_size=1, max_size=5))))
@@ -257,10 +269,7 @@ def test_the_coordinate_read_out_rebuilds_orders_and_formats_each_scalar(args):
     for s in scalars:
         coords = s.coords()
         assert len(coords) == field.degree
-        rebuilt = field.zero()
-        for c, b in zip(coords, _basis(field)):
-            rebuilt = rebuilt + field.from_fraction(Fraction(c)) * b
-        assert rebuilt == s
+        assert _from_coords(field, coords) == s
         assert parse_scalar(format_scalar(s), field) == s
     # the reference order: per-coordinate Fractions over Q and Q(zeta_n)
     assert (sorted(scalars, key=Scalar.coords)

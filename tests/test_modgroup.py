@@ -21,7 +21,7 @@ Z4 = FieldDescriptor.cyclotomic(4)
 def test_reduce_mod_integer_matrices():
     Vb = reduce_mod(m_tuple(), 11)
     assert Vb.field == FieldDescriptor.finite(11)
-    assert Vb.entries[0].rows[0][0].payload == (10,)   # -1 mod 11
+    assert Vb.entries[0][0, 0] == Vb.field.from_int(-1)
 
 
 def test_reduce_mod_zeta4():
@@ -30,7 +30,7 @@ def test_reduce_mod_zeta4():
                                  Matrix.from_rows(Z4, [["-1"]])])
     r5 = reduce_mod(T, 5)
     assert r5.field == FieldDescriptor.finite(5)
-    assert r5.entries[0].rows[0][0].payload == (2,)    # smallest root of x^2+1 mod 5
+    assert r5.entries[0][0, 0] == r5.field.from_int(2)    # smallest root of x^2+1 mod 5
     r7 = reduce_mod(T, 7)
     assert r7.field.k == 2 and r7.field.p == 7
     root = r7.entries[0].rows[0][0]

@@ -28,12 +28,13 @@ Z12 = FieldDescriptor.cyclotomic(12)
 def _field_elements(field):
     """Scalars from small coordinates on the basis 1, zeta, zeta^2, .. or 1, t."""
     if field.kind == "finite":
-        return st.tuples(*[st.integers(0, field.p - 1)] * field.k).map(
-            lambda x: Scalar(field, x))
-    basis = [field.one()] if field.kind == "rational" else [field.zeta(e)
-                                                            for e in range(field.degree)]
-    coords = st.lists(st.fractions(-9, 9, max_denominator=4),
-                      min_size=len(basis), max_size=len(basis))
+        basis = [field.one(), field.gen()] if field.k == 2 else [field.one()]
+        coords = st.lists(st.integers(0, field.p - 1), min_size=field.k, max_size=field.k)
+    else:
+        basis = [field.one()] if field.kind == "rational" else [field.zeta(e)
+                                                                for e in range(field.degree)]
+        coords = st.lists(st.fractions(-9, 9, max_denominator=4),
+                          min_size=len(basis), max_size=len(basis))
     return coords.map(lambda cs: reduce(lambda s, cb: s + field.from_fraction(cb[0]) * cb[1],
                                         zip(cs, basis), field.zero()))
 
@@ -120,7 +121,7 @@ def _discrete_logs(ell):
 
 def _scanned_root(n, ell):
     """The reference: the first unit of F_{l^2}, in elements() order, where Phi_n
-    vanishes, as (degree, payload) of the least field holding it, or None.
+    vanishes, as (degree, coordinates) of the least field holding it, or None.
 
     F_l comes first in that order, so a root in F_l is found before any other.
     Phi_n is evaluated only where x^n = 1, read off the logarithms, since Phi_n
@@ -139,7 +140,7 @@ def test_the_root_of_phi_n_mod_l_is_the_first_one_a_scan_finds():
             if n % ell:
                 try:
                     field, root = _cyclotomic_root_mod(n, ell)
-                    got = (field.k, root.payload)
+                    got = (field.k, root.coords())
                 except NoRootInQuadratic:
                     got = None
                 assert got == _scanned_root(n, ell), (n, ell)
