@@ -257,8 +257,18 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
     (*) says the twisted tuple has no invariants and (**) that it has no
     coinvariants.  Both are checked for every finite i and every tau that
     could violate them (the inverses of the eigenvalues of T_i, as
-    linalg.eigenvalues finds them; any other tau passes vacuously).  If the
-    entries other than T_i have no invariants, (*) holds at i for every tau.
+    linalg.eigenvalues finds them; any other tau passes vacuously).
+
+    The entries other than T_i bound both conditions at i, for every tau.
+    The invariants of the twisted tuple are the joint fixed space of the
+    others with one more entry in it, and adding an entry can only shrink
+    a joint fixed space: if the others have no invariants, (*) holds at i,
+    and it is not tested.  The coinvariants are V modulo the sum of the
+    images of the others with one more image added, and adding rows can
+    only grow that sum: if the others have no coinvariants, (**) holds at
+    i.  When the others have neither, no tau can fail at i, and the
+    eigenvalues of T_i are not searched for.  No failing pair is skipped,
+    so the witness is the one the full search finds.
 
     The witness is the first failing (i, tau), with i ascending and tau = 1
     first; at that pair (*) is tested before (**).  With r = 1 there is no
@@ -270,6 +280,8 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
     for i, Ti in enumerate(finite):
         others = finite[:i] + finite[i + 1:]
         fixed = others and invariants_dim(others)
+        if others and not fixed and not coinvariants_dim(others):
+            continue
         for tau in _tau_candidates(T, i):
             twisted = others + (Ti.scale(tau),)
             if fixed and invariants_dim(twisted):

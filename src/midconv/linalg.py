@@ -21,11 +21,16 @@ along and runs the field's ops table: the elimination, the products
 coefficient rows of solve_matrix_equations build no Scalar.  A function
 that takes two matrices checks that their fields agree.  Each loop touches
 only nonzero entries: the right factor M of a product is read as M.sparse
-((j, b) for the nonzero b of each row), the elimination runs along the
-nonzero entries of the pivot row, and every term is one
-`ops.addmul(acc, a, b)` = acc + a*b, normalized once, instead of a mul and
-an add.  A Matrix builds each derived form (sparse, is_scalar, inverse()) at
-most once; equality and hashing read the field and the payload alone.
+((j, b) for the nonzero b of each row), and the elimination runs along the
+nonzero entries of the pivot row.  A row update is one
+`ops.axpy(row, a, pairs)`, row[j] += a*y for the (j, y) in pairs, in
+place: _echelon calls it once per eliminated row, _mul_rows once per
+nonzero entry of the left factor, and solve_matrix_equations once per
+nonzero entry of L and row of R.  Every term is one multiply-accumulate,
+normalized once, instead of a mul and an add; char_poly sums its terms by
+`ops.addmul(acc, a, b)` = acc + a*b.  A Matrix builds each derived form
+(sparse, is_scalar, inverse()) at most once; equality and hashing read the
+field and the payload alone.
 
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
@@ -243,16 +248,15 @@ def _mul_rows(ops, A, SB, ncols: int) -> list[tuple]:
     """Payload rows of the product A B; SB = _sparse_rows(ops, B), B has ncols columns.
 
     Each nonzero a in column k of a row of A adds a*b into column j for the
-    nonzero (j, b) of row k of B, one addmul per term; Matrix.sparse keeps SB.
+    nonzero (j, b) of row k of B, one axpy per such a; Matrix.sparse keeps SB.
     """
-    zero, nonzero, addmul = ops.zero, ops.nonzero, ops.addmul
+    zero, nonzero, axpy = ops.zero, ops.nonzero, ops.axpy
     out = []
     for row in A:
         acc = [zero] * ncols
         for a, brow in zip(row, SB):
             if brow and nonzero(a):
-                for j, b in brow:
-                    acc[j] = addmul(acc[j], a, b)
+                axpy(acc, a, brow)
         out.append(tuple(acc))
     return out
 
@@ -269,7 +273,7 @@ def _echelon(ops, rows, reduced: bool = True) -> _Echelon:
     Zero rows are dropped first.  `det` is the determinant of a square input
     whose pivots are 0..n-1.
     """
-    nonzero, neg, mul, addmul = ops.nonzero, ops.neg, ops.mul, ops.addmul
+    nonzero, neg, mul, axpy = ops.nonzero, ops.neg, ops.mul, ops.axpy
     M = [list(r) for r in rows if any(map(nonzero, r))]
     det = ops.one
     piv = []
@@ -289,9 +293,7 @@ def _echelon(ops, rows, reduced: bool = True) -> _Echelon:
         for r in range(len(M)) if reduced else range(r0 + 1, len(M)):
             row = M[r]
             if r != r0 and nonzero(row[c]):
-                f = neg(row[c])
-                for j, y in pairs:
-                    row[j] = addmul(row[j], f, y)
+                axpy(row, neg(row[c]), pairs)
         piv.append(c)
         r0 += 1
         if r0 == len(M):
@@ -572,12 +574,12 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
     if any(M.field != field for pair in pairs for side in pair for M in side):
         raise FieldMismatch("solve_matrix_equations across fields")
     ops = field.ops
-    nonzero, addmul = ops.nonzero, ops.addmul
+    nonzero, axpy = ops.nonzero, ops.axpy
     coefs = [[] for _ in range(1 + max(map(max, unknowns)))]
     for pair in pairs:
         (L0, R0), _ = pair
-        width = R0.ncols
-        block = [[ops.zero] * (L0.nrows * width) for _ in coefs]
+        # block[x][i]: the coefficients of unknown x in the equations of row i
+        block = [[[ops.zero] * R0.ncols for _ in range(L0.nrows)] for _ in coefs]
         for (L, R), negate in zip(pair, (False, True)):
             rrows = R.sparse
             for i, lrow in enumerate(L.payload):
@@ -585,11 +587,9 @@ def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
                     if nonzero(a):
                         a = ops.neg(a) if negate else a
                         for v, rrow in enumerate(rrows):
-                            c = block[unknowns[u][v]]
-                            for j, b in rrow:
-                                c[i * width + j] = addmul(c[i * width + j], a, b)
+                            axpy(block[unknowns[u][v]][i], a, rrow)
         for row, part in zip(coefs, block):
-            row.extend(part)
+            row.extend(chain.from_iterable(part))
     return [Matrix(field, tuple(tuple(v[k] for k in row) for row in unknowns))
             for v in kernel_basis(Matrix(field, tuple(map(tuple, coefs)))).payload]
 

@@ -63,7 +63,7 @@ def _cyclotomic_root_mod(n: int, ell: int) -> tuple[FieldDescriptor, Scalar]:
             continue
         field = FieldDescriptor.finite(ell, degree)
         phi = [field.from_int(c) for c in cyclotomic_polynomial(n)]
-        xs = (((a,) for a in range(1, ell)) if degree == 1
+        xs = (range(1, ell) if degree == 1
               else ((a, b) for b in range(1, ell) for a in range(ell)))
         for x in xs:
             w = Scalar(field, x) ** ((q - 1) // n)

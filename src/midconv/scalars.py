@@ -8,7 +8,8 @@ to this module:
   * cyclotomic n  -- integer vector of length phi(n) over a common positive
                      denominator, reduced mod the n-th cyclotomic polynomial;
   * rational      -- the same layout for n = 1, ((a,), d): Q runs as Q(zeta_1);
-  * finite p,k    -- vector of k integers in [0, p).
+  * finite p, 1   -- the bare int c with 0 <= c < p;
+  * finite p, 2   -- the pair (a0, a1) of integers in [0, p), for a0 + a1 t.
 
 Elsewhere a payload goes to the ops table or is compared and hashed whole.
 `coords()` is the one read-out: the coordinates in the basis 1, zeta, ..
@@ -23,21 +24,25 @@ Integer coefficients are arbitrary precision throughout.
 Field descriptors are interned: the constructors return one object per field,
 so a field check is an identity test (`a is b`), with `==` as the fallback
 for a descriptor built some other way.  Each descriptor carries its ops table
-(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, inv and coords
-on payloads), chosen once from the field's kind, and cached zero() and one()
-elements.  There are three kinds of table: Q(zeta_n), which serves Q as
-Q(zeta_1), F_p and F_{p^2}.  Scalar arithmetic calls the table.  A
-linalg.Matrix holds payloads, not Scalars, so the loops of linalg, tuples
+(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, axpy, inv and
+coords on payloads), chosen once from the field's kind, and cached zero()
+and one() elements.  There are three kinds of table: Q(zeta_n), which
+serves Q as Q(zeta_1), F_p and F_{p^2}.  Scalar arithmetic calls the table.
+A linalg.Matrix holds payloads, not Scalars, so the loops of linalg, tuples
 and modgroup call the table directly: Scalars appear only where entries
 enter a matrix (Matrix.from_rows) and where they leave it (Matrix.rows,
 M[i, j]).  `addmul(c, a, b)` is their multiply-accumulate c + a*b: one
 reduction (F_p, F_{p^2}) or one normalization (Q, Q(zeta_n)) per term
-instead of one for the product and one for the sum.  Payloads are
-canonical, so a value has one payload and zero is the table's zero: over
-Q and Q(zeta_n) `nonzero` is the bound `zero.__ne__`, one C call in place
-of a Python frame.  Over F_p and F_{p^2} it stays `any` of the payload,
-also one C call, and faster there than `zero.__ne__` (49 against 61 ns per
-call under CPython 3.11 on x86-64).
+instead of one for the product and one for the sum.  `axpy(row, a, pairs)`
+is the row kernel of the elimination and the products: row[j] += a*y in
+place for each (j, y) in pairs, one call per row update.  Over F_p it is
+one loop with (row[j] + a*y) % p inlined, integer arithmetic alone, as in
+word-size prime-field linear algebra (Dumas, Giorgi and Pernet, ACM TOMS
+35, 2008); every other table runs one shared loop over its own addmul.
+Payloads are canonical, so a value has one payload and zero is the table's
+zero: over Q and Q(zeta_n) `nonzero` is the bound `zero.__ne__`, one C call
+in place of a Python frame.  Over F_p it is `bool` of the int, over
+F_{p^2} `any` of the pair.
 
 The Q(zeta_n) ops add, sub, neg, mul and addmul are compiled once per field
 from straight-line source: one statement per coefficient, no loop.
@@ -112,6 +117,7 @@ class FieldOps(NamedTuple):
     neg: Callable
     mul: Callable
     addmul: Callable       # addmul(c, a, b) = c + a*b, normalized once
+    axpy: Callable         # axpy(row, a, pairs): row[j] = addmul(row[j], a, y) per (j, y)
     inv: Callable          # the argument must be nonzero
     coords: Callable       # the coordinates, see the module docstring
 
@@ -217,7 +223,7 @@ class FieldDescriptor:
         if den == 0:
             raise DivisionByZero("denominator vanishes mod p")
         c = fr.numerator * pow(den, -1, self.p) % self.p
-        return Scalar(self, (c,) + (0,) * (self.k - 1))
+        return Scalar(self, c if self.k == 1 else (c, 0))
 
     def zeta(self, e: int = 1) -> "Scalar":
         """The root of unity zeta_n^e (cyclotomic fields only)."""
@@ -238,7 +244,7 @@ class FieldDescriptor:
             raise FieldMismatch("cannot enumerate an infinite field")
         if self.k == 1:
             for a in range(self.p):
-                yield Scalar(self, (a,))
+                yield Scalar(self, a)
         else:
             for b in range(self.p):
                 for a in range(self.p):
@@ -278,28 +284,42 @@ def _fraction(n: int, d: int) -> Fraction:
     return x
 
 
+def _looped_axpy(addmul) -> Callable:
+    """The row kernel as a loop over the table's own addmul."""
+    def axpy(row, a, pairs):
+        for j, y in pairs:
+            row[j] = addmul(row[j], a, y)
+    return axpy
+
+
 def _prime_field_ops(p: int) -> FieldOps:
-    """F_p: payloads (c,) with 0 <= c < p."""
+    """F_p: payloads the ints c with 0 <= c < p."""
     def add(a, b):
-        return ((a[0] + b[0]) % p,)
+        return (a + b) % p
 
     def sub(a, b):
-        return ((a[0] - b[0]) % p,)
+        return (a - b) % p
 
     def neg(a):
-        return (-a[0] % p,)
+        return -a % p
 
     def mul(a, b):
-        return (a[0] * b[0] % p,)
+        return a * b % p
 
     def addmul(c, a, b):
-        return ((c[0] + a[0] * b[0]) % p,)
+        return (c + a * b) % p
+
+    def axpy(row, a, pairs):
+        for j, y in pairs:
+            row[j] = (row[j] + a * y) % p
 
     def inv(a):
-        return (pow(a[0], -1, p),)
+        return pow(a, -1, p)
 
-    # coords: the payload is the coordinate tuple, and tuple() returns a tuple itself
-    return FieldOps((0,), (1,), any, add, sub, neg, mul, addmul, inv, tuple)
+    def coords(a):
+        return (a,)
+
+    return FieldOps(0, 1, bool, add, sub, neg, mul, addmul, axpy, inv, coords)
 
 
 def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
@@ -332,7 +352,8 @@ def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
         ninv = pow((a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0) % p, -1, p)
         return ((a0 - a1 * c1) * ninv % p, (-a1) * ninv % p)
 
-    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, inv, tuple)
+    return FieldOps((0, 0), (1, 0), any, add, sub, neg, mul, addmul, _looped_axpy(addmul), inv,
+                    tuple)
 
 
 # the largest phi(n) whose ops are compiled from straight-line source.  On addmul
@@ -488,7 +509,8 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         nums, den = a
         return nums if den == 1 else tuple(_fraction(c, den) if c else 0 for c in nums)
 
-    return FieldOps(zero, one, zero.__ne__, add, sub, neg, mul, addmul, inv, coords)
+    return FieldOps(zero, one, zero.__ne__, add, sub, neg, mul, addmul, _looped_axpy(addmul),
+                    inv, coords)
 
 
 class Scalar:

@@ -404,6 +404,13 @@ def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matr
     find_invertible scans for S.  Only without S are End(A) and End(B)
     solved: a conjugator S makes the three dimensions equal, since X -> S^-1 X
     and X -> X S^-1 map Hom(A, B) onto End(B) and End(A).
+
+    Each space is solved over the finite entries alone.  If A_i X = X B_i
+    for i <= r, then the products agree, P_A X = X P_B, and so do their
+    inverses, the entries at infinity: the equations of the last entry follow
+    from the others, and the solution space is the same.  Its basis is read
+    off the reduced echelon form of the equations' row space, which is
+    unique, so the basis is the same too.  At r = 0 the one entry is solved.
     """
     if A.field != B.field or A.dim != B.dim or A.r != B.r:
         return False, "field, dim or r differ"
@@ -412,11 +419,12 @@ def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matr
     for k, (MA, MB) in enumerate(zip(A.entries, B.entries), start=1):
         if char_poly(MA) != char_poly(MB):
             return False, f"characteristic polynomials of entry {k} differ"
-    hom = commutant_basis(list(A.entries), list(B.entries))
+    a, b = (list(X.finite_entries() or X.entries) for X in (A, B))
+    hom = commutant_basis(a, b)
     S = find_invertible(hom)
     if S is not None:
         return True, S
-    dims = [len(hom)] + [len(commutant_basis(list(X.entries), list(X.entries))) for X in (A, B)]
+    dims = [len(hom)] + [len(commutant_basis(x, x)) for x in (a, b)]
     if len(set(dims)) > 1:
         return False, "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims)
     return None, None

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from midconv import linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, PairingInfo, circ_tuple,
-                                 convolved_block, irreducibility_criterion,
-                                 is_convolution_sheaf, kummer_tuple, mc_lambda,
-                                 middle_convolution, pairing_convolve,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, ConvolutionSheafCheck,
+                                 PairingInfo, circ_tuple, convolved_block,
+                                 irreducibility_criterion, is_convolution_sheaf, kummer_tuple,
+                                 mc_lambda, middle_convolution, pairing_convolve,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import LambdaIsOne, PreconditionError
@@ -201,6 +203,12 @@ def test_rank_formula_warning_flag():
     assert not rank_formula_applicable(ConvolutionInput(left, right))
 
 
+# the others of entry 1 have coinvariants and no invariants, so (**) fails at
+# (1, tau = 1) while (*) is not tested there; the transposes swap the two
+ONE_SIDED = [Matrix.from_rows(Q, M) for M in ([[1, 0], [0, 2]], [[1, 1], [0, 1]],
+                                              [[1, 1], [0, -1]])]
+
+
 def test_convolution_sheaf_conditions():
     assert is_convolution_sheaf(quadratic_tuple()).ok
     # the trivial tuple fails (*) and (**) at (1, tau = 1); (*) is reported first
@@ -213,6 +221,10 @@ def test_convolution_sheaf_conditions():
         Q, [u, Matrix.from_rows(Q, [[1, 0], [0, -1]])]))
     assert not res.ok and res.witness == ("**", 1, Q.one())
     assert is_convolution_sheaf(l_star_l()).ok
+    for transpose, condition in ((False, "**"), (True, "*")):
+        T = MonodromyTuple.from_finite_entries(
+            Q, [M.transpose() if transpose else M for M in ONE_SIDED])
+        assert is_convolution_sheaf(T).witness == (condition, 1, Q.one())
 
 
 def _fixed_dim_oracle(matrices):
@@ -247,8 +259,9 @@ def _sheaf_witness_oracle(T):
     return None
 
 
-def _entry_with_fixed_vectors(field, d, rng):
-    """A random conjugate of an upper-triangular matrix with diagonal in {1, -1, u}.
+def _entry_with_fixed_vectors(field, d, rng, P=None):
+    """A conjugate by P (random if None) of an upper-triangular matrix with diagonal
+    in {1, -1, u}.
 
     Eigenvalue 1 is frequent, so both conditions fail on many tuples built
     from these; u is zeta over Q(zeta_n) and 2 otherwise.
@@ -258,7 +271,7 @@ def _entry_with_fixed_vectors(field, d, rng):
     diag = [rng.choice([one, one, -one, u]) for _ in range(d)]
     U = Matrix.from_rows(field, [[diag[i] if i == j else rng.randint(0, 1) * (j > i)
                                   for j in range(d)] for i in range(d)])
-    P = random_invertible(field, d, rng)
+    P = random_invertible(field, d, rng) if P is None else P
     return P.inverse() @ U @ P
 
 
@@ -280,6 +293,48 @@ def test_convolution_sheaf_check_matches_the_kernel_oracle(field):
                 assert coinvariants_dim(T.entries) == _cofixed_dim_oracle(T.entries)
                 seen.add(expected[0] if expected else "ok")
     assert seen == {"ok", "*", "**"}
+
+
+def _full_tau_search(T):
+    """The sheaf check without its shortcut: every entry's eigenvalues are searched and
+    both conditions tested at every tau."""
+    finite, one = T.finite_entries(), T.field.one()
+    for i, Ti in enumerate(finite):
+        others = finite[:i] + finite[i + 1:]
+        fixed = others and invariants_dim(others)
+        taus = [one] + [root.inverse() for root, _m in eigenvalues(Ti)[0]
+                        if root and root != one]
+        for tau in taus:
+            twisted = others + (Ti.scale(tau),)
+            if fixed and invariants_dim(twisted):
+                return ConvolutionSheafCheck(False, ("*", i + 1, tau))
+            if coinvariants_dim(twisted):
+                return ConvolutionSheafCheck(False, ("**", i + 1, tau))
+    return ConvolutionSheafCheck(True)
+
+
+@st.composite
+def sheaf_cases(draw):
+    """Seeded tuples over Q, F_7 or Q(zeta_3), r = 1 to 4.  An entry is random, has
+    fixed vectors, or is triangular in a basis shared with the other such entries,
+    which then often have joint invariants or coinvariants."""
+    field = draw(st.sampled_from([Q, F7, FieldDescriptor.cyclotomic(3)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    d = draw(st.integers(1, 3))
+    shared = random_invertible(field, d, rng)
+    make = {"random": lambda: random_invertible(field, d, rng),
+            "fixed": lambda: _entry_with_fixed_vectors(field, d, rng),
+            "shared": lambda: _entry_with_fixed_vectors(field, d, rng, shared)}
+    kinds = draw(st.lists(st.sampled_from(sorted(make)), min_size=1, max_size=4))
+    return MonodromyTuple.from_finite_entries(field, [make[kind]() for kind in kinds])
+
+
+@settings(deadline=None)
+@given(sheaf_cases())
+@example(MonodromyTuple.from_finite_entries(Q, ONE_SIDED))
+@example(MonodromyTuple.from_finite_entries(Q, [M.transpose() for M in ONE_SIDED]))
+def test_the_sheaf_check_equals_the_full_tau_search(T):
+    assert is_convolution_sheaf(T) == _full_tau_search(T)
 
 
 def dihedral_tuple():

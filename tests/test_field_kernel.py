@@ -1,9 +1,9 @@
 """The field kernel: interned descriptors, the checked boundary of the
-payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, add and
-sub against per-coordinate fractions, the coordinate read-out (rebuild, order and text),
-the straight-line Q(zeta_n) kernel on both sides of
-its bound, the Q ops against the fractions module, the sparse payload loops, and char_poly
-against det(x 1 - M)."""
+payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, the
+axpy row kernel against the addmul loop, add and sub against per-coordinate fractions,
+the coordinate read-out (rebuild, order and text), the straight-line Q(zeta_n) kernel on
+both sides of its bound, the Q ops against the fractions module, the sparse payload
+loops, and char_poly against det(x 1 - M)."""
 
 import hashlib
 import pickle
@@ -190,6 +190,15 @@ def is_canonical(field, x) -> bool:
             and _cyc_normalize(nums, den) == x)
 
 
+def test_is_canonical_accepts_only_ints_in_range_over_f_p():
+    assert all(is_canonical(F7, c) for c in range(7))
+    assert all(is_canonical(F7, x.payload) for x in F7.elements())
+    assert is_canonical(F7, F7.from_fraction(Fraction(-3, 2)).payload)
+    for bad in (-1, 7, 10, (3,), 3.0, Fraction(3), True, None):
+        assert not is_canonical(F7, bad), bad
+    assert all(is_canonical(F49, x.payload) for x in F49.elements())
+
+
 def _cyclotomic_product(field, a, b):
     """a*b in Q(zeta_n) by schoolbook multiplication and long division by Phi_n."""
     (x, dx), (y, dy) = a, b
@@ -235,6 +244,34 @@ def test_nonzero_is_inequality_with_the_canonical_zero(args):
         assert ops.nonzero(x) is (x != ops.zero) is bool(Scalar(field, x))
         assert ops.nonzero(x) is any(Scalar(field, x).coords())
     assert not any(map(ops.nonzero, zeros))
+
+
+# one field of each kind of table: F_p (its own loop), F_{p^2}, the straight-line Q and
+# Q(zeta_12), and the looped Q(zeta_29) (the shared loop over addmul)
+AXPY_FIELDS = [F7, F49, Q, Z12, FieldDescriptor.cyclotomic(29)]
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, row, a, pairs): zero entries often, and pairs that repeat a column."""
+    field = draw(st.sampled_from(AXPY_FIELDS))
+    row = draw(st.lists(payloads(field), min_size=1, max_size=5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(row) - 1), payloads(field)),
+                          max_size=8))
+    return field, row, draw(payloads(field)), pairs
+
+
+@settings(deadline=None)
+@given(axpy_cases())
+def test_axpy_is_the_addmul_loop(case):
+    field, row, a, pairs = case
+    ops = field.ops
+    want = list(row)
+    for j, y in pairs:
+        want[j] = ops.addmul(want[j], a, y)
+    got = list(row)
+    assert ops.axpy(got, a, pairs) is None
+    assert got == want and all(is_canonical(field, x) for x in got)
 
 
 def _coordinates(field, x) -> list:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import tuples
-from midconv.convolution import ConvolutionInput, circ_tuple
+from midconv.convolution import ConvolutionInput, circ_tuple, sl_demo
 from midconv.errors import ParseError, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
 from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_row_spaces, rank,
@@ -494,6 +494,19 @@ def test_equivalence_solves_hom_once_and_end_only_without_a_conjugator(
     monkeypatch.setattr(tuples, "commutant_basis", counted)
     assert equivalence(A, B)[0] is verdict
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (m_tuple(), m_tuple()),
+    lambda: (sl_demo(3, 4).result,) * 2,
+    _conjugate_of_v, _diagonal_pair, _unipotent_and_trivial,
+], ids=["V", "demo34", "V and a conjugate", "diagonal", "unipotent and trivial"])
+def test_the_commutant_over_the_finite_entries_is_the_commutant_over_all(pair):
+    # equivalence solves Hom and End without the entry at infinity: same space, same basis
+    A, B = pair()
+    for X, Y in dict.fromkeys(((A, B), (A, A), (B, B))):     # Hom(A, B), End(A), End(B)
+        assert (commutant_basis(list(X.finite_entries()), list(Y.finite_entries()))
+                == commutant_basis(list(X.entries), list(Y.entries)))
 
 
 def _structured_entry(field, dim, kind, rng):
