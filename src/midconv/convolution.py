@@ -129,7 +129,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     field = inp.left.field
     C = circ_tuple(inp)
     spaces = cohomology_spaces(C)
-    ext, quot = quotient_basis(spaces.u_basis, spaces.e_basis)
+    proj, quot = quotient_basis(spaces.u_basis, spaces.e_basis)
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
     strands = p + q
@@ -144,7 +144,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
             points.append(left_points[i - 1] + right_points[j - 1])
             image_blocks.append(images)
     try:
-        Ds = induced_quotient_matrix(ext, image_blocks)
+        Ds = induced_quotient_matrix(spaces.u_basis, image_blocks, proj)
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
     # the bubble sort never swaps equal points, so colliding entries end up
@@ -192,8 +192,9 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     k-th slot to the row space of A_k - 1.  B_k - 1 vanishes outside block
     row k, whose blocks R_k are lambda (A_j - 1) for j < k, lambda A_k - 1
     and A_j - 1 for j > k; so L^perp is spanned by the rows of the R_k, and
-    v B_k = v + v_k R_k with v_k the k-th slot of v.  The induced tuple lives
-    on the same points.
+    v B_k = v + v_k R_k with v_k the k-th slot of v.  The tuple induced on W,
+    read at its pivots, lives on the same points; it is equivalent to T *
+    kummer_tuple(lambda) when they ascend, as sort_points leaves them.
     """
     if lam.field != T.field:
         raise FieldMismatch("lambda must live in the tuple's field")

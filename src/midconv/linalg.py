@@ -5,10 +5,10 @@ Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
 image of M is its row space.  A list of vectors is a Matrix, its rows:
 kernel_basis, row_space_basis, intersect_row_spaces and solve_coords take
 and return Matrices.  `_echelon` is the one Gaussian elimination:
-Matrix.inverse, Matrix.det, rank, row_space_basis, kernel_basis and
-solve_coords all read it.  It picks the first nonzero pivot, so every
-computed basis is deterministic.  solve_coords eliminates only its basis
-(independent, beside an identity block); the vectors enter products.
+Matrix.inverse, Matrix.det, rank, row_space_basis and kernel_basis all
+read it.  It picks the first nonzero pivot, so every computed basis is
+deterministic.  solve_coords eliminates nothing: it reads coordinates at
+the pivot columns of a reduced echelon basis and checks them by a product.
 
 A Matrix holds its field and a tuple of payload rows, the canonical payloads
 of the scalars module, so equality and hashing compare payloads.
@@ -333,30 +333,24 @@ def kernel_basis(M: Matrix) -> Matrix:
 def solve_coords(basis: Matrix, vectors: Matrix) -> Matrix | None:
     """Coefficient rows x with sum_k x_k basis_k = v for each row v, or None if any v is outside.
 
-    The basis must be linearly independent; a dependent one raises
-    PreconditionError.  One reduced elimination of [basis | 1_m] gives rows
-    R = M basis with pivot columns P.  v lies in the span exactly when
-    v = v|_P R, checked on the other columns, and then x = v|_P M: the
-    vectors enter two products, not the elimination.
+    The basis must be in reduced echelon form, as row_space_basis returns
+    it, or PreconditionError is raised: row k is 1 at its pivot column p_k,
+    where every other row is 0.  So x = v|_P is read at the pivot columns P,
+    and v lies in the span exactly when v = x basis on the other columns.
     """
     _check_fields(basis, vectors, "solve_coords")
-    field, ops, m, n = basis.field, basis.field.ops, basis.nrows, basis.ncols
-    V = vectors.payload
-    if m == 0:
-        outside = any(any(map(ops.nonzero, v)) for v in V)
-        return None if outside else Matrix(field, ((),) * len(V))
-    one, zero = ops.one, ops.zero
-    ech = _echelon(ops, [b + tuple(one if k == i else zero for k in range(m))
-                         for i, b in enumerate(basis.payload)])
-    if ech.pivots[-1] >= n:
-        raise PreconditionError("solve_coords needs a linearly independent basis")
-    rest = sorted(set(range(n)) - set(ech.pivots))
-    VP = [[v[c] for c in ech.pivots] for v in V]
-    R = _sparse_rows(ops, [[r[c] for c in rest] for r in ech.rows])
-    if _mul_rows(ops, VP, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
+    field, ops, B, V = basis.field, basis.field.ops, basis.payload, vectors.payload
+    n, nonzero = basis.ncols or vectors.ncols, ops.nonzero      # no row, no column count
+    P = [next((c for c, x in enumerate(b) if nonzero(x)), n) for b in B]
+    if P != sorted(set(P)) or n in P or any(b[p] != (ops.one if i == k else ops.zero)
+                                            for k, b in enumerate(B) for i, p in enumerate(P)):
+        raise PreconditionError("solve_coords needs a basis in reduced echelon form")
+    rest = sorted(set(range(n)) - set(P))
+    X = [tuple(v[c] for c in P) for v in V]
+    R = _sparse_rows(ops, [[b[c] for c in rest] for b in B])
+    if _mul_rows(ops, X, R, len(rest)) != [tuple(v[c] for c in rest) for v in V]:
         return None
-    M = _sparse_rows(ops, [r[n:] for r in ech.rows])
-    return Matrix(field, tuple(_mul_rows(ops, VP, M, m)))
+    return Matrix(field, tuple(X))
 
 
 def intersect_row_spaces(B1: Matrix, B2: Matrix) -> Matrix:

@@ -197,14 +197,14 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
     """Braid-bubble-sort the tuple so its points are monotone.
 
     Adjacent transpositions are realized by braid generators, so the result
-    presents the same local system with a re-ordered marking.
+    presents the same local system with a re-ordered marking, or is T itself
+    when no generator acts (only then do the distinct points keep their order).
     """
     if T.points is None:
         raise PreconditionError("sort_points needs a tuple with points")
-    entries = list(T.entries)
-    points = list(T.points)
+    entries, points = list(T.entries), list(T.points)
     _braid_sort(entries, points, descending)
-    return MonodromyTuple.make(T.field, entries, points)
+    return T if tuple(points) == T.points else MonodromyTuple.make(T.field, entries, points)
 
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
@@ -361,36 +361,41 @@ def parabolic_rank_formula(T: MonodromyTuple) -> int:
 # -- quotient machinery shared with the convolution -------------------------------
 
 def quotient_basis(u_basis: Matrix, e_basis: Matrix) -> tuple[Matrix, Matrix]:
-    """(ext, quot): E extended to U by the rows quot, which represent U/E.
+    """(proj, quot): the rows of u_basis that span U/E, and the map onto them.
 
-    e_basis must be in reduced echelon form, as cohomology_spaces returns it.
-    quot holds each u outside the span of E and the earlier u: with these
-    vectors as columns, the pivot columns past E of one elimination.
+    quot holds each u of the reduced echelon u_basis outside span(E, earlier
+    u).  u_j is left out exactly when a row of span(C), C the U-coordinates
+    of E (PreconditionError if E is not in U), ends at j: a pivot of C's
+    elimination with reversed columns.  That row is u_j plus rows of quot, so
+    proj (U- to quot-coordinates modulo E) holds its negation there, else 1_j.
     """
-    field = e_basis.field
-    cols = e_basis.payload + u_basis.payload
-    piv = _echelon(field.ops, zip(*cols)).pivots
-    quot = tuple(cols[c] for c in piv[len(e_basis):])
-    return Matrix(field, e_basis.payload + quot), Matrix(field, quot)
+    field, ops, m = u_basis.field, u_basis.field.ops, len(u_basis)
+    C = solve_coords(u_basis, e_basis)
+    if C is None:
+        raise PreconditionError("E is not inside U")
+    ech = _echelon(ops, [c[::-1] for c in C.payload])
+    skipped = {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}
+    kept = [j for j in range(m) if j not in skipped]
+    proj = tuple(tuple(ops.neg(skipped[j][c]) if j in skipped else
+                       (ops.one if c == j else ops.zero) for c in kept) for j in range(m))
+    return Matrix(field, proj), Matrix(field, tuple(u_basis.payload[j] for j in kept))
 
 
-def induced_quotient_matrix(ext: Matrix, image_blocks) -> list[Matrix]:
-    """One matrix on U/E per block (a Matrix) of images of the quotient rows of `ext`.
+def induced_quotient_matrix(basis: Matrix, image_blocks, proj=None) -> list[Matrix]:
+    """One matrix per block (a Matrix) of images of the quotient rows.
 
-    quotient_basis puts the quotient rows last in `ext`, so each image's
-    coordinates on them are the tail of its coordinates in `ext`.  The
-    images of all the blocks are solved by one solve_coords call.  Raises
-    PreconditionError if an image leaves span(ext): the caller treats that
-    as a degeneracy signal.
+    One solve_coords call reads the images' coordinates on the reduced
+    echelon `basis`; proj, from quotient_basis, maps them onto the quotient
+    rows, which are basis itself without it.  Raises PreconditionError if an
+    image leaves span(basis): the caller treats that as a degeneracy signal.
     """
-    field = ext.field
-    coords = solve_coords(ext, Matrix(field, tuple(chain.from_iterable(
+    field = basis.field
+    coords = solve_coords(basis, Matrix(field, tuple(chain.from_iterable(
         block.payload for block in image_blocks))))
     if coords is None:
         raise PreconditionError("quotient space is not preserved")
-    coords = iter(coords.payload)
-    return [Matrix(field, tuple(next(coords)[len(ext) - len(block):] for _ in block.payload))
-            for block in image_blocks]
+    coords = iter((coords if proj is None else coords @ proj).payload)
+    return [Matrix(field, tuple(next(coords) for _ in block.payload)) for block in image_blocks]
 
 
 def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matrix | str | None]:

@@ -17,11 +17,13 @@ from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tupl
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
-from midconv.tuples import MonodromyTuple, coinvariants_dim, equivalence, invariants_dim
+from midconv.tuples import (MonodromyTuple, coinvariants_dim, equivalence, invariants_dim,
+                            sort_points)
 
 from conftest import F7, Q, SEED, random_invertible, random_tuple
 
 Z4 = FieldDescriptor.cyclotomic(4)
+F11 = FieldDescriptor.finite(11)
 
 
 def scalar_tuple(*values, points=None):
@@ -93,6 +95,28 @@ def test_mc_lambda_matches_convolution_oracle():
     # the L*L local structure: unipotent J(1,2) at both finite points
     expected = JordanData.of([(Q.one(), 2)])
     assert all(jordan_data(M) == expected for M in out.finite_entries())
+
+
+def _corpus_like_sheaves(field, rng, shapes):
+    """One convolution sheaf per (dim, r): random entries, distinct points in -9..9."""
+    for dim, r in shapes:
+        while True:
+            T = random_tuple(field, dim, r, rng)
+            T = MonodromyTuple.make(field, T.entries, rng.sample(range(-9, 10), r))
+            if is_convolution_sheaf(T).ok:
+                yield T
+                break
+
+
+@pytest.mark.parametrize("field", [Q, F7, F11], ids=str)
+def test_mc_lambda_is_the_convolution_with_the_kummer_sheaf(field, rng):
+    # MC_lambda(T) ~ T * Kummer_lambda once the points of T ascend; both stages
+    # read their U/E or W coordinates at the pivots of a reduced echelon basis
+    lam = -field.one()
+    kummer = kummer_tuple(field, lam)
+    for T in _corpus_like_sheaves(field, rng, ((1, 3), (2, 2), (2, 4), (3, 4))):
+        conv = middle_convolution(ConvolutionInput(T, kummer))
+        assert equivalence(mc_lambda(sort_points(T), lam), conv)[0] is True
 
 
 def test_mc_lambda_rank_bookkeeping():

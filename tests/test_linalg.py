@@ -318,11 +318,15 @@ def _oracle_coords(basis, vectors):
 def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, extra, echelon):
     rng = random.Random(seed)
     n = m + extra
-    basis = _random_matrix(field, m, n, rng)
-    while rank(basis) < m:
-        basis = _random_matrix(field, m, n, rng)
-    basis = row_space_basis(basis) if echelon else basis
+    drawn = _random_matrix(field, m, n, rng)
+    while rank(drawn) < m:
+        drawn = _random_matrix(field, m, n, rng)
+    basis = row_space_basis(drawn)
     combos = _random_matrix(field, 3, m, rng) @ basis
+    if not echelon and drawn != basis:
+        # a basis that is not in reduced echelon form is refused
+        with pytest.raises(PreconditionError, match="reduced echelon form"):
+            solve_coords(drawn, combos)
     assert solve_coords(basis, combos) == _oracle_coords(basis, combos)
     for v in _random_matrix(field, 3, n, rng).payload:
         v = Matrix(field, (v,))
@@ -335,8 +339,26 @@ def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, ext
         assert solve_coords(basis, Matrix(field, combos.payload + u.payload)) is None
     dependent = list(basis.payload)
     dependent.insert(rng.randint(0, m), combos.payload[0])
-    with pytest.raises(PreconditionError, match="independent"):
+    with pytest.raises(PreconditionError, match="reduced echelon form"):
         solve_coords(Matrix(field, tuple(dependent)), combos)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49], ids=str)
+def test_solve_coords_refuses_a_basis_not_in_reduced_echelon_form(field):
+    rref = Matrix.from_rows(field, [[1, 0, 2, 0, 3], [0, 1, 4, 0, 5], [0, 0, 0, 1, 6]])
+    v = Matrix.from_rows(field, [[2, 3, 16, 1, 27]])
+    assert solve_coords(rref, v) == Matrix.from_rows(field, [[2, 3, 1]])
+    a, b, c = rref.payload
+    two = field.from_int(2).payload
+    bad = {
+        "unsorted pivots": (b, a, c),
+        "a pivot other than 1": (tuple(field.ops.mul(two, x) for x in a), b, c),
+        "a pivot column not clear": (tuple(map(field.ops.add, a, b)), b, c),
+        "a zero row": (a, b, c, (field.ops.zero,) * 5),
+    }
+    for rows in bad.values():
+        with pytest.raises(PreconditionError, match="reduced echelon form"):
+            solve_coords(Matrix(field, rows), v)
 
 
 @pytest.mark.parametrize("op", ["__add__", "__sub__"])

@@ -19,6 +19,7 @@ from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
 from midconv.tupleio import load_tuple, save_tuple
 
 from conftest import F7, Q, SEED, random_invertible, random_scalar, random_tuple
+from test_linalg import _oracle_coords
 
 Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -301,20 +302,54 @@ def test_phi_transports_u_and_e(rng):
         assert solve_coords(s2.e_basis, img_e) is not None
 
 
+def _greedy_quotient(sp):
+    """The rows of u_basis outside the span of E and the earlier rows, by rank."""
+    ext, quot = list(sp.e_basis.payload), []
+    for u in sp.u_basis.payload:
+        if rank(Matrix(sp.u_basis.field, tuple(ext) + (u,))) > len(ext):
+            ext.append(u)
+            quot.append(u)
+    return Matrix(sp.u_basis.field, tuple(quot))
+
+
 @pytest.mark.parametrize("field", [Q, F7], ids=str)
 def test_quotient_basis_is_the_greedy_extension(field, rng):
     for _ in range(4):
         sp = cohomology_spaces(random_tuple(field, 2, 3, rng))
-        rows = list(sp.u_basis.rows)
-        u_basis = Matrix.from_rows(field, rows + [tuple(x + y for x, y in zip(*rows[:2]))]
-                                   if len(rows) > 1 else rows)
-        ext, quot = list(row_space_basis(sp.e_basis).payload), []
-        for u in u_basis.payload:
-            if solve_coords(Matrix(field, tuple(ext)), Matrix(field, (u,))) is None:
-                ext.append(u)
-                quot.append(u)
-        assert quotient_basis(u_basis, sp.e_basis) == (Matrix(field, tuple(ext)),
-                                                       Matrix(field, tuple(quot)))
+        proj, quot = quotient_basis(sp.u_basis, sp.e_basis)
+        assert quot == _greedy_quotient(sp)
+        assert proj.dim == (len(sp.u_basis), len(quot))
+        # row j of proj writes u_j on the quotient rows, modulo E
+        for u, p in zip(sp.u_basis.payload, proj.payload):
+            rest = Matrix(field, (u,)) - Matrix(field, (p,)) @ quot
+            assert solve_coords(sp.e_basis, rest) is not None
+
+
+@settings(deadline=None)
+@given(field=st.sampled_from([Q, F7, Z3]), seed=st.integers(0, 2 ** 32),
+       dim=st.integers(1, 3), r=st.integers(1, 4))
+def test_the_quotient_read_out_is_the_transposed_elimination(field, seed, dim, r):
+    # U-coordinates read at the pivots of u_basis, projected by proj, are the
+    # tail of the coordinates on E + quot that the transposed elimination finds
+    rng = random.Random(seed)
+    sp = cohomology_spaces(random_tuple(field, dim, r, rng))
+    proj, quot = quotient_basis(sp.u_basis, sp.e_basis)
+    assert quot == _greedy_quotient(sp)
+    m = len(sp.u_basis)
+    X = Matrix.from_rows(field, [[random_scalar(field, rng) for _ in range(m)]
+                                 for _ in range(3)])
+    n = (r + 1) * dim
+    V = X @ sp.u_basis if m else Matrix.zero(field, 3, n)
+    assert solve_coords(sp.u_basis, V) == X
+    ext = Matrix(field, sp.e_basis.payload + quot.payload)
+    tails = tuple(x[len(sp.e_basis):] for x in _oracle_coords(ext, V).payload)
+    assert X @ proj == Matrix(field, tails)
+    # E and a unit vector at a column that is no pivot of u_basis, which lies outside U
+    pivots = {next(c for c, x in enumerate(u) if x) for u in sp.u_basis.rows}
+    c = min(set(range(n)) - pivots)
+    outside = Matrix(field, sp.e_basis.payload + Matrix.identity(field, n).payload[c:c + 1])
+    with pytest.raises(PreconditionError, match="not inside U"):
+        quotient_basis(sp.u_basis, outside)
 
 
 @pytest.mark.parametrize("field", [Q, F7, F49, Z4], ids=str)
@@ -380,6 +415,10 @@ def test_sort_points_is_a_remarking(rng):
     after = sorted(tuple(c.payload for c in char_poly(M)) for M in S.finite_entries())
     assert before == after
     assert S.infinity_entry() == T.infinity_entry()
+    # sorted points take no braid move, and the tuple itself comes back
+    assert sort_points(S) is S
+    D = sort_points(T, descending=True)
+    assert D is not T and sort_points(D, descending=True) is D
 
 
 def test_tuple_io_round_trip(rng):
