@@ -12,11 +12,11 @@ Submodules:
 """
 
 from .scalars import FieldDescriptor, Scalar, coerce, format_scalar, parse_scalar
-from .linalg import (JordanData, Matrix, char_poly, jordan_block, jordan_data,
-                     kernel_basis, kronecker, kronecker_jordan, rank)
+from .linalg import (JordanData, Matrix, char_poly, jordan_data, kernel_basis, kronecker,
+                     kronecker_jordan, rank)
 from .tuples import (BraidWord, CohomologySpaces, MonodromyTuple, braid_act,
                      cohomology_spaces, equivalence, parabolic_rank_formula,
-                     parse_braid_word, phi_matrix, pure_braid)
+                     parse_braid_word, pure_braid)
 from .convolution import (ConvolutionInput, PairingInfo, circ_tuple,
                           irreducibility_criterion, is_convolution_sheaf,
                           kummer_tuple, mc_lambda, middle_convolution,

@@ -437,6 +437,9 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     with the order-four Kummer-type tuple, and checks rank 4r-7 plus the
     announced local data.  m = 1 runs the same pipeline through the
     dihedral group of order six.
+
+    The first output entry's Jordan data is read at its announced
+    eigenvalues, -i first: three ranks and one product, no char_poly.
     """
     if r > SL_DEMO_MAX_R:
         raise PreconditionError(f"r is above the limit SL_DEMO_MAX_R = {SL_DEMO_MAX_R}")
@@ -494,7 +497,7 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     minus_i = -zeta4
     expected_c1 = JordanData.of([(minus_i, 2)] + [(minus_i, 1)] * (2 * r - 6)
                                 + [(one, 1)] * (2 * r - 3))
-    c1_ok = jordan_data(result.entries[0]) == expected_c1
+    c1_ok = jordan_data(result.entries[0], (minus_i, one)) == expected_c1
 
     c2 = result.entries[1]
     ident = Matrix.identity(field, result.dim)

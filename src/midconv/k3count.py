@@ -209,6 +209,8 @@ def intersection_matrix_det() -> tuple[int, int, int]:
                    for x in (0, 1, -1))
     c0 = d0
     c2, rem = divmod(d1 + dm1 - 2 * d0, 2)
-    assert rem == 0
+    if rem:
+        raise VerificationFailed("the intersection determinant is not a quadratic "
+                                 "in x with integer coefficients")
     c1 = d1 - d0 - c2
     return (c0, c1, c2)

@@ -40,8 +40,9 @@ commutant_basis(As, Bs) = Hom(A, B) for a conjugator.  char_poly is
 Berkowitz alone.
 
 `eigenvalues` is the one eigenvalue search: field_roots of char_poly, with
-the diagonal entries as the first candidates.  jordan_data and the
-convolution-sheaf check both read it.  field_roots does no polynomial
+the caller's hints, then the diagonal entries, as the first candidates.
+The convolution-sheaf check reads it, and so does jordan_data when the
+ranks at its own hints do not fill the dimension.  field_roots does no polynomial
 arithmetic of its own: it tests a candidate by poly.horner, deflates a
 root by poly.divide by x - root, and takes its rational candidates from
 poly.rational_roots, the l-adic lifting.  It reads one lazy stream of
@@ -467,10 +468,11 @@ class JordanData:
     @staticmethod
     def of(blocks, ambient_dim=None) -> "JordanData":
         blocks = tuple(sorted(blocks, key=lambda b: (b[0].coords(), b[1])))
-        if ambient_dim is None:
-            ambient_dim = sum(n for _, n in blocks)
-        assert sum(n for _, n in blocks) == ambient_dim
-        return JordanData(blocks, ambient_dim)
+        used = sum(n for _, n in blocks)
+        if ambient_dim is not None and used != ambient_dim:
+            raise PreconditionError(f"Jordan blocks fill dimension {used}, "
+                                    f"not the ambient dimension {ambient_dim}")
+        return JordanData(blocks, used)
 
     def __str__(self):
         parts = []
@@ -481,25 +483,39 @@ class JordanData:
         return " + ".join(parts) if parts else "(empty)"
 
 
-def jordan_block(field: FieldDescriptor, alpha: Scalar, n: int) -> Matrix:
-    """Explicit Jordan block: alpha on the diagonal, ones above it."""
-    return Matrix.from_rows(field, [[alpha if i == j else int(j == i + 1) for j in range(n)]
-                                    for i in range(n)])
-
-
-def eigenvalues(M: Matrix):
+def eigenvalues(M: Matrix, hints=()):
     """The eigenvalues of M in its field: field_roots of char_poly(M).
 
-    The diagonal entries join the candidates, so the eigenvalues of a
-    triangular matrix are all found, even those (such as 1 + zeta_4 over
-    Q(zeta_4)) that are neither rational nor a root of unity.  Returns
-    (list of (eigenvalue, multiplicity), remaining factor).
+    The hints, then the diagonal entries, are the first candidates, so the
+    eigenvalues of a triangular matrix are all found, even those (such as
+    1 + zeta_4 over Q(zeta_4)) that are neither rational nor a root of
+    unity.  Returns (list of (eigenvalue, multiplicity), remaining factor).
     """
-    return field_roots(char_poly(M), M.field, [M[i, i] for i in range(M.nrows)])
+    return field_roots(char_poly(M), M.field, [*hints, *(M[i, i] for i in range(M.nrows))])
 
 
-def jordan_data(M: Matrix) -> JordanData:
+def _power_ranks(M: Matrix, alpha: Scalar):
+    """rank((M - alpha)^k) for k = 1, 2, ..., lazily: one product and one rank a step."""
+    N = M - Matrix.identity(M.field, M.nrows).scale(alpha)
+    P = N
+    while True:
+        yield rank(P)
+        P = P @ N
+
+
+def jordan_data(M: Matrix, hints=()) -> JordanData:
     """Jordan block multiset of an invertible matrix that splits over its field.
+
+    The distinct nonzero hints, in the caller's order, come first: one rank
+    of M - alpha each, then for each hint in turn the powers of M - alpha
+    while the rank still drops and the nullities sum to less than n.  A sum
+    of n is the whole answer, with no char_poly: generalized eigenspaces of
+    distinct alpha are independent and the nullity of (M - alpha)^k is at
+    most the dimension of alpha's, so a sum of n makes each kernel all of
+    it, and M has no other eigenvalue.  Otherwise the root search runs with
+    the hints as its first candidates; a wrong hint costs one rank.  Both
+    ways, ranks[k] - ranks[k + 1] blocks of alpha are longer than k.  A
+    hint of another field raises FieldMismatch.
 
     Raises DoesNotSplit (carrying the offending factor) when an eigenvalue
     lies outside the declared field; the caller may retry over a larger
@@ -507,28 +523,35 @@ def jordan_data(M: Matrix) -> JordanData:
     """
     if not M.is_square():
         raise PreconditionError("jordan_data needs a square matrix")
+    for h in hints:
+        _check_fields(h, M, "jordan_data hints")
     n = M.nrows
-    field = M.field
-    roots, rem = eigenvalues(M)
-    if any(not alpha for alpha, _ in roots):
-        raise PreconditionError("jordan_data needs an invertible matrix")
-    if len(rem) > 1:
-        raise DoesNotSplit(rem)
+    alphas = list(dict.fromkeys(h for h in hints if h))
+    powers = {alpha: _power_ranks(M, alpha) for alpha in alphas}
+    ranks = {alpha: [n, next(powers[alpha])] for alpha in alphas}
+    nullity = sum(n - r[-1] for r in ranks.values())
+    for alpha in alphas:
+        r = ranks[alpha]
+        while nullity < n and r[-1] < r[-2]:
+            r.append(next(powers[alpha]))
+            nullity += r[-2] - r[-1]
+    if nullity < n:
+        roots, rem = eigenvalues(M, alphas)
+        if any(not alpha for alpha, _ in roots):
+            raise PreconditionError("jordan_data needs an invertible matrix")
+        if len(rem) > 1:
+            raise DoesNotSplit(rem)
+        for alpha, mult in roots:
+            if alpha not in ranks:
+                powers[alpha] = _power_ranks(M, alpha)
+                ranks[alpha] = [n, n - 1] if mult == 1 else [n]
+            r = ranks[alpha]
+            while n - r[-1] < mult:
+                r.append(next(powers[alpha]))
     blocks = []
-    for alpha, mult in roots:
-        if mult == 1:
-            blocks.append((alpha, 1))
-            continue
-        N = M - Matrix.identity(field, n).scale(alpha)
-        ranks = [n, rank(N)]
-        P = N
-        while n - ranks[-1] < mult:
-            P = P @ N
-            ranks.append(rank(P))
-        ge = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-        for size in range(len(ge), 0, -1):
-            cnt = ge[size - 1] - (ge[size] if size < len(ge) else 0)
-            blocks.extend([(alpha, size)] * cnt)
+    for alpha, r in ranks.items():
+        longer = [a - b for a, b in zip(r, r[1:])] + [0]
+        blocks += [(alpha, k) for k in range(1, len(r)) for _ in range(longer[k - 1] - longer[k])]
     return JordanData.of(blocks, n)
 
 

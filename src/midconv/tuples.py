@@ -254,11 +254,6 @@ def phi_transport(T: MonodromyTuple, w: BraidWord,
     return images, MonodromyTuple.make(field, entries, points)
 
 
-def phi_matrix(T: MonodromyTuple, w: BraidWord) -> Matrix:
-    """The linear automorphism Phi(T, w) of V^{r+1}: its rows are the images of the e_k."""
-    return phi_transport(T, w, Matrix.identity(T.field, len(T.entries) * T.dim))[0]
-
-
 # -- cohomology spaces -----------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, ConvolutionShe
                                  mc_lambda, middle_convolution, pairing_convolve,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
-from midconv.errors import LambdaIsOne, PreconditionError
+from midconv.errors import DoesNotSplit, LambdaIsOne, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, row_space_basis, solve_coords)
@@ -406,6 +406,33 @@ def test_predict_local_jordan_on_m_fixture():
         pt = left.points[i - 1] + right.points[j - 1]
         actual = jordan_data(out.entries[out.points.index(pt)])
         assert jd == actual
+
+
+@pytest.mark.parametrize("field", [Q, F7, F11], ids=str)
+def test_the_local_predictions_are_the_jordan_data_of_the_convolution(field, rng):
+    # the paper's local Jordan data of each D_{i,j} of T * Kummer(-1), against
+    # jordan_data of the computed entry, with and without the predicted
+    # eigenvalues as hints; a prediction that stops at DoesNotSplit must come
+    # from an input entry whose characteristic polynomial does not split
+    kummer = kummer_tuple(field, -field.one())
+    shapes = [(d, r) for d in (1, 2, 3) for r in (2, 3, 4)] * 4
+    matched = refused = 0
+    for T in _corpus_like_sheaves(field, rng, shapes):
+        inp = ConvolutionInput(T, kummer)
+        try:
+            table = predict_local_jordan(inp)
+        except DoesNotSplit:
+            assert any(len(eigenvalues(A)[1]) > 1 for A in T.finite_entries())
+            refused += 1
+            continue
+        out = middle_convolution(inp)
+        left, right = inp.normalized()
+        for (i, j), jd in table.items():
+            D = out.entries[out.points.index(left.points[i - 1] + right.points[j - 1])]
+            hints = tuple(dict.fromkeys(alpha for alpha, _ in jd.blocks))
+            assert jordan_data(D) == jd == jordan_data(D, hints)
+        matched += 1
+    assert matched + refused == len(shapes) and matched >= 10
 
 
 def test_normalized_points_skip_the_braid_sorts(rng):

@@ -231,3 +231,12 @@ def test_intersection_determinant():
     assert (c0, c1, c2) == (16384, 24576, 8192)
     assert c0 == 16384                       # value at x = 0
     assert c0 - c1 + c2 == 0                 # x = -1 is the degenerate value
+
+
+def test_an_odd_second_difference_of_the_determinant_raises(monkeypatch):
+    # a 1x1 "matrix" whose determinant x (x + 1) / 2 reads 0, 1, 0 at x = 0, 1, -1:
+    # no quadratic with integer coefficients, which must raise under python -O too
+    from midconv import k3count
+    monkeypatch.setattr(k3count, "intersection_matrix", lambda x: [[x * (x + 1) // 2]])
+    with pytest.raises(VerificationFailed, match="not a quadratic"):
+        intersection_matrix_det()

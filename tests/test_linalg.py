@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midconv import linalg
 from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
-                            field_roots, find_invertible, intersect_row_spaces, jordan_block,
-                            jordan_data, kernel_basis, kronecker, kronecker_jordan, rank,
-                            row_space_basis, solve_coords)
+                            field_roots, find_invertible, intersect_row_spaces, jordan_data,
+                            kernel_basis, kronecker, kronecker_jordan, rank, row_space_basis,
+                            solve_coords)
 from midconv.scalars import FieldDescriptor
 
 from conftest import F7, PRIMORIAL_9767, Q, random_invertible, random_scalar
 
+Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
 Z12 = FieldDescriptor.cyclotomic(12)
 F49 = FieldDescriptor.finite(7, 2)
@@ -125,6 +127,104 @@ def test_jordan_conjugation_invariant(rng):
         except DoesNotSplit:
             continue
         assert jordan_data(S.inverse() @ M @ S) == jd
+
+
+def jordan_block(field, alpha, n):
+    """Explicit Jordan block: alpha on the diagonal, ones above it."""
+    return Matrix.from_rows(field, [[alpha if i == j else int(j == i + 1) for j in range(n)]
+                                    for i in range(n)])
+
+
+def jordan_matrix(field, blocks):
+    """The block-diagonal matrix of the J(alpha, n) for the (alpha, n) in blocks."""
+    d = sum(n for _, n in blocks)
+    rows, at = [], 0
+    for alpha, n in blocks:
+        rows += [[0] * at + list(row) + [0] * (d - at - n)
+                 for row in jordan_block(field, alpha, n).rows]
+        at += n
+    return Matrix.from_rows(field, rows)
+
+
+def _eigenvalue_pool(field):
+    """Nonzero eigenvalues that the unhinted root search finds over the field."""
+    if field.kind == "finite":
+        return [field.from_int(a) for a in range(1, field.p)]
+    pool = [field.from_int(2), field.from_fraction(Fraction(-1, 3))]
+    if field.kind == "cyclotomic":
+        return pool + [w for e in range(field.n) for w in (field.zeta(e), -field.zeta(e))]
+    return pool + [field.one(), -field.one()]
+
+
+def _no_char_poly(M):
+    raise AssertionError("char_poly was called")
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z3], ids=str)
+@settings(deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_hinted_jordan_data_is_the_jordan_data(field, data, seed):
+    # right, wrong, partial, repeated, zero or no hints: the answer is the
+    # blocks the matrix was built from, with or without them; when the hints
+    # hold every eigenvalue, char_poly is never called
+    pool = _eigenvalue_pool(field)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)
+                      .filter(lambda ns: sum(ns) <= 5))
+    blocks = [(data.draw(st.sampled_from(pool)), n) for n in sizes]
+    hints = data.draw(st.lists(st.sampled_from(pool + [alpha for alpha, _ in blocks]
+                                               + [field.zero()]), max_size=6))
+    S = random_invertible(field, sum(sizes), random.Random(seed))
+    M = S.inverse() @ jordan_matrix(field, blocks) @ S
+    expected = JordanData.of(blocks)
+    assert jordan_data(M) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        if {alpha for alpha, _ in blocks} <= set(hints):
+            mp.setattr(linalg, "char_poly", _no_char_poly)
+        assert jordan_data(M, hints) == expected
+
+
+@pytest.mark.parametrize("field", [Q, F7, Z3], ids=str)
+def test_complete_hints_never_compute_the_characteristic_polynomial(field, rng, monkeypatch):
+    one, minus = field.one(), -field.one()
+    blocks = [(minus, 2), (minus, 1), (one, 1), (one, 1)]
+    S = random_invertible(field, 5, rng)
+    M = S.inverse() @ jordan_matrix(field, blocks) @ S
+    monkeypatch.setattr(linalg, "char_poly", _no_char_poly)
+    assert jordan_data(M, (minus, one)) == jordan_data(M, (one, minus, one)) \
+        == JordanData.of(blocks)
+    with pytest.raises(AssertionError, match="char_poly was called"):
+        jordan_data(M, (minus,))
+
+
+def test_hints_in_the_demo_order_take_one_rank_each_and_one_more_for_a_long_block(
+        rng, monkeypatch):
+    # J(-i, 2) + 2 J(-i, 1) + 3 J(1, 1), the shape of sl_demo's first entry:
+    # with -i first, its second power fills the dimension and 1 needs none
+    i, one = Z4.zeta(), Z4.one()
+    blocks = [(-i, 2), (-i, 1), (-i, 1), (one, 1), (one, 1), (one, 1)]
+    S = random_invertible(Z4, 7, rng)
+    M = S.inverse() @ jordan_matrix(Z4, blocks) @ S
+    ranks = []
+    real_rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda P: ranks.append(P) or real_rank(P))
+    assert jordan_data(M, (-i, one)) == JordanData.of(blocks)
+    assert len(ranks) == 3
+    ranks.clear()
+    assert jordan_data(M, (one, -i)) == JordanData.of(blocks)
+    assert len(ranks) == 4            # 1 first: a second power of M - 1 that drops nothing
+
+
+def test_a_hint_of_another_field_raises():
+    with pytest.raises(FieldMismatch):
+        jordan_data(A1, (F7.one(),))
+    with pytest.raises(FieldMismatch):
+        jordan_data(A1, (Q.one(), Z4.one()))
+
+
+def test_jordan_blocks_that_miss_the_ambient_dimension_raise():
+    # a check that python -O keeps
+    with pytest.raises(PreconditionError, match="fill dimension 2, not the ambient dimension 3"):
+        JordanData.of([(Q.one(), 2)], 3)
 
 
 def test_field_roots_rational():

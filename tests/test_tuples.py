@@ -14,7 +14,7 @@ from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             cohomology_spaces, equivalence, parabolic_rank_formula,
-                            parse_braid_word, phi_matrix, phi_transport,
+                            parse_braid_word, phi_transport,
                             pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
@@ -29,6 +29,11 @@ F49 = FieldDescriptor.finite(7, 2)
 def scalar_tuple(*values, points=None):
     return MonodromyTuple.from_finite_entries(
         Q, [Matrix.from_rows(Q, [[v]]) for v in values], points)
+
+
+def phi_matrix(T, w):
+    """The linear automorphism Phi(T, w) of V^{r+1}: its rows are the images of the e_k."""
+    return phi_transport(T, w, Matrix.identity(T.field, len(T.entries) * T.dim))[0]
 
 
 def _row_times(v, M):
