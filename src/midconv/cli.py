@@ -63,15 +63,12 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _maybe_save(args, T) -> None:
-    if getattr(args, "out", None):
-        save_tuple_file(T, args.out)
-
-
 def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
-    """Save T to --out if given, then emit the report with T's save_tuple text last."""
-    _maybe_save(args, T)
+    """Write T's save_tuple text to --out if given, then emit the report with it last."""
     text = save_tuple(T)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     _emit(args, {**payload, "tuple": text}, human + [text.rstrip()])
 
 
@@ -294,7 +291,8 @@ def _cmd_demo(args):
              f"second entry is a homology of order {report.second_entry_homology_order}",
              f"finite determinants lie in <zeta_4>: {report.determinants_in_zeta4}",
              "all checks passed" if report.checks_passed else "CHECKS FAILED"]
-    _maybe_save(args, report.result)
+    if args.out:
+        save_tuple_file(report.result, args.out)
     _emit(args, payload, human)
     return 0 if report.checks_passed else 1
 

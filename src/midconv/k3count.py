@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SmallPrime, VerificationFailed
 from .linalg import Matrix
-from .poly import is_prime
+from .poly import euler_criterion, is_prime
 from .scalars import FieldDescriptor
 
 # the largest q that count_affine accepts; its cost grows about as q, and
@@ -36,8 +36,7 @@ assert 4 * MAX_Q < 1 << 8 * _SLOT_BYTES, "count_affine's slots are too narrow fo
 def legendre(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion; extended to q = p^2 by squaring."""
     if p != 2 and is_prime(p):
-        r = pow(a % p, (p - 1) // 2, p)
-        return -1 if r == p - 1 else r
+        return euler_criterion(a, p)
     root = _prime_square_root(p)
     if root not in (None, 2):
         return legendre(a, root) ** 2

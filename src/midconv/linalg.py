@@ -7,8 +7,9 @@ kernel_basis, row_space_basis, intersect_row_spaces and solve_coords take
 and return Matrices.  `_echelon` is the one Gaussian elimination:
 Matrix.inverse, Matrix.det, rank, row_space_basis and kernel_basis all
 read it.  It picks the first nonzero pivot, so every computed basis is
-deterministic.  solve_coords eliminates nothing: it reads coordinates at
-the pivot columns of a reduced echelon basis and checks them by a product.
+deterministic, and a unit pivot costs no inverse.  solve_coords
+eliminates nothing: it reads coordinates at the pivot columns of a
+reduced echelon basis and checks them by a product.
 
 A Matrix holds its field and a tuple of payload rows, the canonical payloads
 of the scalars module, so equality and hashing compare payloads.
@@ -272,11 +273,12 @@ def _echelon(ops, rows, reduced: bool = True) -> _Echelon:
     """Row echelon form of payload rows, by the field's ops table.
 
     Zero rows are dropped first.  `det` is the determinant of a square input
-    whose pivots are 0..n-1.
+    whose pivots are 0..n-1.  A pivot equal to one costs no inverse, no
+    scaling of its row and no factor of det.
     """
-    nonzero, neg, mul, axpy = ops.nonzero, ops.neg, ops.mul, ops.axpy
+    nonzero, neg, mul, axpy, one = ops.nonzero, ops.neg, ops.mul, ops.axpy, ops.one
     M = [list(r) for r in rows if any(map(nonzero, r))]
-    det = ops.one
+    det = one
     piv = []
     r0 = 0
     for c in range(len(M[0]) if M else 0):
@@ -286,10 +288,11 @@ def _echelon(ops, rows, reduced: bool = True) -> _Echelon:
         if pr != r0:
             M[r0], M[pr] = M[pr], M[r0]
             det = neg(det)
-        pivot = M[r0][c]
-        det = mul(det, pivot)
-        pv = ops.inv(pivot)
-        prow = M[r0] = [mul(x, pv) if nonzero(x) else x for x in M[r0]]
+        prow = M[r0]
+        if prow[c] != one:
+            det = mul(det, prow[c])
+            pv = ops.inv(prow[c])
+            prow = M[r0] = [mul(x, pv) if nonzero(x) else x for x in prow]
         pairs = [(j, y) for j, y in enumerate(prow) if nonzero(y)]
         for r in range(len(M)) if reduced else range(r0 + 1, len(M)):
             row = M[r]

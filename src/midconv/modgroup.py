@@ -25,7 +25,7 @@ from operator import itemgetter
 from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, eigenvalues,
                      find_invertible, jordan_data, kernel_basis, rank, solve_matrix_equations)
-from .poly import cyclotomic_polynomial, horner, is_prime
+from .poly import cyclotomic_polynomial, euler_criterion, horner, is_prime
 from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar
 from .tuples import MonodromyTuple
 
@@ -297,7 +297,7 @@ def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
         if not t:                          # r is an involution: its -1 plane decides
             W = kernel_basis(r + ident)
             t = (W @ gram @ W.transpose()).det()
-        return pow(t.coords()[0], (ell - 1) // 2, ell) == 1
+        return euler_criterion(t.coords()[0], ell) == 1
     # 0, 1 or more nontrivial classes in Z_2 x Z_2 generate 1, 2 or 4 of them
     classes = {(d.is_one(), spinor_square(r)) for d, r in zip(dets, rots)} - {(True, True)}
     return ell * (ell * ell - 1) // 2 * min(4, 2 ** len(classes))

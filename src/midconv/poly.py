@@ -51,6 +51,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def euler_criterion(a: int, p: int) -> int:
+    """The Legendre symbol (a/p), 1, -1 or 0, as a^((p-1)/2) mod p, for an odd prime p."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def _primes():
     """The primes in increasing order, by a sieve of Eratosthenes whose bound doubles."""
     lo, hi = 0, 1 << 10

@@ -38,14 +38,18 @@ is the row kernel of the elimination and the products: row[j] += a*y in
 place for each (j, y) in pairs, one call per row update.  Over F_p it is
 one loop with (row[j] + a*y) % p inlined, integer arithmetic alone, as in
 word-size prime-field linear algebra (Dumas, Giorgi and Pernet, ACM TOMS
-35, 2008); every other table runs one shared loop over its own addmul.
+35, 2008); over Q(zeta_n) it is generated with addmul (below).  Only
+F_{p^2} and phi(n) > UNROLL_MAX_PHI loop over their own addmul.  `inv`
+of Q(zeta_n) takes a rational payload, nums zero past the first, to
+((+-den, 0, ..), |a0|), without the product of the Galois conjugates.
 Payloads are canonical, so a value has one payload and zero is the table's
 zero: over Q and Q(zeta_n) `nonzero` is the bound `zero.__ne__`, one C call
 in place of a Python frame.  Over F_p it is `bool` of the int, over
 F_{p^2} `any` of the pair.
 
-The Q(zeta_n) ops add, sub, neg, mul and addmul are compiled once per field
-from straight-line source: one statement per coefficient, no loop.
+The Q(zeta_n) ops add, sub, neg, mul, addmul and axpy are compiled once per
+field from straight-line source: one statement per coefficient, no loop but
+axpy's over its pairs, which unpacks a once.
 _straight_line_cyclotomic_ops writes it from phi(n) and the integer
 reduction rows of _cyc_tables(n) alone, never from input text.  The source
 unpacks the numerators into locals, writes each product coefficient as an
@@ -81,7 +85,7 @@ from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
-from .poly import cyclotomic_polynomial, horner, is_prime
+from .poly import cyclotomic_polynomial, euler_criterion, horner, is_prime
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -182,14 +186,14 @@ class FieldDescriptor:
             return _interned(FINITE, p=p, k=1, poly=(0, 1))
         if poly is None:   # t^2 - a for the least non-residue a; t^2 + t + 1 over F_2
             poly = (1, 1, 1) if p == 2 else (-next(a for a in range(2, p)
-                                                   if pow(a, (p - 1) // 2, p) == p - 1), 0, 1)
+                                                   if euler_criterion(a, p) == -1), 0, 1)
         poly = tuple(c % p for c in poly)
         if len(poly) != 3 or poly[2] != 1:
             raise ValueError("defining polynomial must be monic of degree 2")
         if p == 2:
             reducible = any(not horner(poly, a, 2) for a in (0, 1))
-        else:       # Euler's criterion: the discriminant is a square mod p
-            reducible = pow(poly[1] ** 2 - 4 * poly[0], (p - 1) // 2, p) != p - 1
+        else:       # the discriminant is a square mod p
+            reducible = euler_criterion(poly[1] ** 2 - 4 * poly[0], p) != -1
         if reducible:
             raise ValueError("defining polynomial is reducible mod p")
         return _interned(FINITE, p=p, k=2, poly=poly)
@@ -365,10 +369,10 @@ UNROLL_MAX_PHI = 24
 
 
 def _straight_line_cyclotomic_ops(n: int):
-    """add, sub, neg, mul, addmul of Q(zeta_n), compiled from straight-line source
-    (see the module docstring).  In the source, x_i, y_i and z_i are the numerators
-    of the operands and of the addend, h_m the product's coefficient of zeta^(phi+m),
-    and o_j the result's numerators over the denominator d."""
+    """add, sub, neg, mul, addmul, axpy of Q(zeta_n), compiled from straight-line
+    source (see the module docstring).  In the source, x_i, y_i and z_i are the
+    numerators of the operands and of the addend, h_m the product's coefficient of
+    zeta^(phi+m), and o_j the result's numerators over the denominator d."""
     phi, red, _ = _cyc_tables(n)
 
     def each(fmt: str) -> list[str]:
@@ -389,15 +393,25 @@ def _straight_line_cyclotomic_ops(n: int):
                 terms.append(f"{'-' if row[j] < 0 else '+'} {f'{r}*' if r != 1 else ''}h{m}")
         return " ".join(terms)
 
-    normalize = ["if d == 1:",
-                 f"    return (({vec('o{k}')}), 1)",
-                 f"g = gcd(d, {vec('o{k}')})",
-                 "if g == 1:",
-                 f"    return (({vec('o{k}')}), d)",
-                 f"return (({vec('o{k} // g')}), d // g)"]
-    unpack = [f"{vec('x{k}')}= x", f"{vec('y{k}')}= y"]
-    product = (unpack + [f"h{m} = {coefficient(phi + m)}" for m in range(phi - 1)]
+    def normalize(store: str) -> list[str]:     # store: "return " or "row[j] = "
+        return [f"g = gcd(d, {vec('o{k}')})", "if g == 1:",
+                f"    {store}(({vec('o{k}')}), d)", "else:",
+                f"    {store}(({vec('o{k} // g')}), d // g)"]
+
+    def reduced(store: str) -> list[str]:       # d == 1 needs no gcd
+        return (["if d == 1:", f"    {store}(({vec('o{k}')}), 1)", "else:"]
+                + [f"    {line}" for line in normalize(store)])
+
+    product = ([f"h{m} = {coefficient(phi + m)}" for m in range(phi - 1)]
                + [f"o{j} = {fold(j)}" for j in range(phi)])
+    unpack = [f"{vec('x{k}')}= x", f"{vec('y{k}')}= y"]
+    plus_z = ([f"{vec('z{k}')}= z", "d = dx * dy", "if d == dz:"]
+              + each("    o{k} += z{k}")
+              + ["elif dz == 1:"]             # c + a*b = (z d + x y) / d
+              + each("    o{k} += z{k} * d")
+              + ["else:"]                     # (z d + x y dz) / (dz d)
+              + each("    o{k} = z{k} * d + o{k} * dz")
+              + ["    d *= dz"])
 
     def linear(op: str) -> list[str]:   # add, sub: equal denominators skip the cross products
         return (["(x, dx), (y, dy) = a, b"] + unpack
@@ -406,21 +420,20 @@ def _straight_line_cyclotomic_ops(n: int):
                 + each(f"    o{{k}} = x{{k}} {op} y{{k}}")
                 + ["    d = dx", "else:"]
                 + each(f"    o{{k}} = x{{k}} * dy {op} y{{k}} * dx")
-                + ["    d = dx * dy"] + normalize[2:])
+                + ["    d = dx * dy"] + normalize("return "))
 
     functions = {
         "add(a, b)": linear("+"),
         "sub(a, b)": linear("-"),
         "neg(a)": ["x, d = a", f"{vec('x{k}')}= x", f"return (({vec('-x{k}')}), d)"],
-        "mul(a, b)": ["(x, dx), (y, dy) = a, b"] + product + ["d = dx * dy"] + normalize,
-        "addmul(c, a, b)": (["(z, dz), (x, dx), (y, dy) = c, a, b"] + product
-                            + [f"{vec('z{k}')}= z", "d = dx * dy", "if d == dz:"]
-                            + each("    o{k} += z{k}")
-                            + ["elif dz == 1:"]             # c + a*b = (z d + x y) / d
-                            + each("    o{k} += z{k} * d")
-                            + ["else:"]                     # (z d + x y dz) / (dz d)
-                            + each("    o{k} = z{k} * d + o{k} * dz")
-                            + ["    d *= dz"] + normalize),
+        "mul(a, b)": (["(x, dx), (y, dy) = a, b"] + unpack + product + ["d = dx * dy"]
+                      + reduced("return ")),
+        "addmul(c, a, b)": (["(z, dz), (x, dx), (y, dy) = c, a, b"] + unpack + product + plus_z
+                            + reduced("return ")),
+        # addmul per pair, with a unpacked once
+        "axpy(row, a, pairs)": (["x, dx = a", unpack[0], "for j, (y, dy) in pairs:"]
+                                + [f"    {line}" for line in ["z, dz = row[j]", unpack[1]]
+                                   + product + plus_z + reduced("row[j] = ")]),
     }
     source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
                      for head, body in functions.items())
@@ -480,16 +493,21 @@ def _looped_cyclotomic_ops(phi: int, red):
 def _cyclotomic_ops(n: int) -> FieldOps:
     """Q(zeta_n): payloads (nums, den), see _cyc_normalize."""
     phi, red, powers = _cyc_tables(n)
-    zero = ((0,) * phi, 1)
-    one = ((1,) + (0,) * (phi - 1), 1)
+    tail = (0,) * (phi - 1)
+    zero, one = ((0,) + tail, 1), ((1,) + tail, 1)
     if phi <= UNROLL_MAX_PHI:
-        add, sub, neg, mul, addmul = _straight_line_cyclotomic_ops(n)
+        add, sub, neg, mul, addmul, axpy = _straight_line_cyclotomic_ops(n)
     else:
         add, sub, neg, mul, addmul = _looped_cyclotomic_ops(phi, red)
+        axpy = _looped_axpy(addmul)
 
     def inv(a):
-        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n."""
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n;
+        a rational a0/den is den/a0."""
         nums, den = a
+        if nums[1:] == tail:
+            a0 = nums[0]
+            return ((den if a0 > 0 else -den,) + tail, abs(a0))
         conj = one
         for k in range(2, n):
             if math.gcd(k, n) == 1:
@@ -509,8 +527,7 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         nums, den = a
         return nums if den == 1 else tuple(_fraction(c, den) if c else 0 for c in nums)
 
-    return FieldOps(zero, one, zero.__ne__, add, sub, neg, mul, addmul, _looped_axpy(addmul),
-                    inv, coords)
+    return FieldOps(zero, one, zero.__ne__, add, sub, neg, mul, addmul, axpy, inv, coords)
 
 
 class Scalar:

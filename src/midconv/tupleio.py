@@ -20,11 +20,12 @@ last matrix is the entry at infinity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError
 from .linalg import Matrix
-from .scalars import (CYCLOTOMIC, RATIONAL, FieldDescriptor, format_poly, format_scalar,
-                      parse_terms)
+from .scalars import (CYCLOTOMIC, RATIONAL, FieldDescriptor, Scalar, format_poly,
+                      format_scalar, parse_scalar, parse_terms)
 from .tuples import MonodromyTuple
 
 
@@ -79,17 +80,22 @@ def parse_field(text: str) -> FieldDescriptor:
 
 
 def save_tuple(T: MonodromyTuple) -> str:
-    lines = [f"field: {format_field(T.field)}", f"dim: {T.dim}"]
+    """The canonical text of T; each distinct entry is formatted once per call."""
+    field = T.field
+    lines = [f"field: {format_field(field)}", f"dim: {T.dim}"]
     if T.points is not None:
         lines.append("points: " + ", ".join(str(p) for p in T.points))
+    formatted = {x: format_scalar(Scalar(field, x))
+                 for x in {x for M in T.entries for row in M.payload for x in row}}
     for M in T.entries:
         lines.append("matrix:")
-        for row in M.rows:
-            lines.append(", ".join(format_scalar(x) for x in row))
+        lines.extend(", ".join(map(formatted.__getitem__, row)) for row in M.payload)
     return "\n".join(lines) + "\n"
 
 
 def load_tuple(text: str) -> MonodromyTuple:
+    """The tuple of a text in the format above; each distinct entry is parsed once per
+    call, and the first bad entry in file order raises."""
     field = None
     dim = None
     points = None
@@ -117,14 +123,18 @@ def load_tuple(text: str) -> MonodromyTuple:
         else:
             if current is None or field is None:
                 raise ParseError(f"unexpected content at line {lineno}: {raw!r}")
-            current.append(line.split(","))
+            # the scalar grammar ignores whitespace: "1" and " 1" are one distinct entry
+            current.append(line.replace(" ", "").split(","))
     if field is None or dim is None or not matrices:
         raise ParseError("tuple file needs field, dim and at least one matrix")
-    entries = []
+    entries, payload = [], {}
     for rows in matrices:
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ParseError(f"matrix is not {dim}x{dim}")
-        entries.append(Matrix.from_rows(field, rows))
+        for entry in chain.from_iterable(rows):
+            if entry not in payload:
+                payload[entry] = parse_scalar(entry, field).payload
+        entries.append(Matrix(field, tuple(tuple(map(payload.__getitem__, r)) for r in rows)))
     return MonodromyTuple.make(field, entries, points)
 
 

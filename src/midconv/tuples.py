@@ -20,7 +20,7 @@ import re
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
@@ -258,11 +258,17 @@ def phi_transport(T: MonodromyTuple, w: BraidWord,
 
 @dataclass(frozen=True)
 class CohomologySpaces:
-    """Echelonized bases of E_T <= U_T <= H_T inside V^{r+1}, as Matrices."""
+    """Echelonized bases of E_T <= U_T <= H_T inside V^{r+1}, as Matrices.  H_T, the
+    left kernel of `stacked`, is computed on first access: middle convolution reads
+    only E_T and U_T."""
 
-    h_basis: Matrix
+    stacked: Matrix
     e_basis: Matrix
     u_basis: Matrix
+
+    @cached_property
+    def h_basis(self) -> Matrix:
+        return kernel_basis(self.stacked)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -299,7 +305,7 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
     # the slot images S are independent, so U = {c S : c S stacked = 0}
     S = slot_images(entries)
     u_basis = row_space_basis(kernel_basis(S @ stacked) @ S)
-    return CohomologySpaces(kernel_basis(stacked), e_basis, u_basis)
+    return CohomologySpaces(stacked, e_basis, u_basis)
 
 
 def slot_blocks(M: Matrix, n: int) -> list[Matrix]:

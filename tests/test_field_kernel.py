@@ -2,10 +2,12 @@
 payload loops (Matrix.from_rows), det by elimination, addmul against add and mul, the
 axpy row kernel against the addmul loop, add and sub against per-coordinate fractions,
 the coordinate read-out (rebuild, order and text), the straight-line Q(zeta_n) kernel on
-both sides of its bound, the Q ops against the fractions module, the sparse payload
-loops, and char_poly against det(x 1 - M)."""
+both sides of its bound, the Q ops against the fractions module, the inverse of a
+rational payload, the sparse payload loops, the elimination at unit pivots, and char_poly
+against det(x 1 - M)."""
 
 import hashlib
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -21,7 +23,7 @@ from midconv.linalg import (Matrix, _echelon, _mul_rows, _sparse_rows, char_poly
 from midconv.modgroup import _extend_tables, group_closure
 from midconv.poly import cyclotomic_polynomial, horner
 from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
-                             _cyc_tables, _cyclotomic_ops, _looped_cyclotomic_ops,
+                             _cyc_tables, _cyclotomic_ops, _looped_axpy, _looped_cyclotomic_ops,
                              _straight_line_cyclotomic_ops, format_scalar, parse_scalar)
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
@@ -325,9 +327,10 @@ def test_the_generator_writes_reduction_coefficients_of_magnitude_two():
     phi, red, _ = _cyc_tables(105)
     assert phi == 48 and max(abs(r) for row in red for r in row) == 2
     field = FieldDescriptor.cyclotomic(105)
-    add, sub, neg, mul, addmul = _straight_line_cyclotomic_ops(105)
+    add, sub, neg, mul, addmul, axpy = _straight_line_cyclotomic_ops(105)
     loops = _looped_cyclotomic_ops(phi, red)
-    assert mul.__code__.co_filename == "<Q(zeta_105) kernel>"
+    looped_axpy = _looped_axpy(loops[4])
+    assert mul.__code__.co_filename == axpy.__code__.co_filename == "<Q(zeta_105) kernel>"
     rng = random.Random(SEED)
     for _ in range(30):
         c, a, b = (_random_cyclotomic_payload(phi, rng) for _ in range(3))
@@ -336,6 +339,16 @@ def test_the_generator_writes_reduction_coefficients_of_magnitude_two():
         for got, want in ((add(a, b), loops[0](a, b)), (sub(a, b), loops[1](a, b)),
                           (neg(a), loops[2](a))):
             assert got == want and is_canonical(field, got)
+    # the generated row kernel against the loop over the loops' addmul, on a row with a
+    # zero and a repeated column
+    for _ in range(10):
+        a = _random_cyclotomic_payload(phi, rng)
+        row = [_random_cyclotomic_payload(phi, rng) for _ in range(3)] + [field.ops.zero]
+        pairs = [(j, _random_cyclotomic_payload(phi, rng)) for j in (0, 3, 1, 0)]
+        got, want = list(row), list(row)
+        axpy(got, a, pairs)
+        looped_axpy(want, a, pairs)
+        assert got == want and all(is_canonical(field, x) for x in got)
 
 
 @pytest.mark.parametrize("n", [997, 1000])
@@ -384,6 +397,45 @@ def test_rational_ops_agree_with_fractions(args):
         assert Scalar(Q, got).coords() == (want,) and is_canonical(Q, got)
     if a:
         assert Scalar(Q, ops.inv(x)).coords() == (1 / a,) and is_canonical(Q, ops.inv(x))
+
+
+# -- the inverse of a rational payload ----------------------------------------------------
+
+def _conjugate_product_inverse(field, a):
+    """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over Q(zeta_n), Q being Q(zeta_1): the
+    Galois-conjugate product that inv runs for a payload that is not rational."""
+    n, ops = field.n or 1, field.ops
+    phi, _, powers = _cyc_tables(n)
+    nums, den = a
+    conj = ops.one
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            vec = [0] * phi
+            for j, c in enumerate(nums):
+                for i, e in enumerate(powers[j * k % n]):
+                    vec[i] += c * e
+            conj = ops.mul(conj, _cyc_normalize(tuple(vec), den))
+    (norm, *_), norm_den = ops.mul(a, conj)
+    c_nums, c_den = conj
+    return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
+
+
+# Q and Q(zeta_3), Q(zeta_12) on the straight-line kernel, Q(zeta_29) on the loops
+INV_FIELDS = [Q, FieldDescriptor.cyclotomic(3), Z12, FieldDescriptor.cyclotomic(29)]
+
+
+# at most 200 examples, under the ci profile too, which keeps that step within its budget
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(INV_FIELDS),
+       st.one_of(st.integers(-30, 30), st.integers(-2 ** 80, 2 ** 80)).filter(bool),
+       st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70)))
+def test_the_inverse_of_a_rational_payload_is_the_conjugate_product(field, num, den):
+    ops = field.ops
+    a = _cyc_normalize((num,) + (0,) * (field.degree - 1), den)
+    got = ops.inv(a)
+    assert is_canonical(field, got)
+    assert ops.mul(a, got) == ops.one
+    assert got == _conjugate_product_inverse(field, a)
 
 
 # -- the sparse payload loops -----------------------------------------------------------
@@ -496,6 +548,72 @@ def test_echelon_det_rank_and_pivots_on_the_fixtures_are_pinned():
             mats.append(Matrix.from_rows(field, rows))
     text = "\n".join(_echelon_text(M) for M in mats)
     assert hashlib.sha256(text.encode()).hexdigest() == ECHELON_PIN
+
+
+def _echelon_inverting_every_pivot(ops, rows, reduced=True):
+    """The elimination of _echelon as it was before unit pivots were skipped: every pivot
+    is inverted, its row scaled and det multiplied by it.  Returns rows, pivot columns,
+    det and the pivot values."""
+    nonzero, neg, mul, axpy = ops.nonzero, ops.neg, ops.mul, ops.axpy
+    M = [list(r) for r in rows if any(map(nonzero, r))]
+    det, piv, r0, values = ops.one, [], 0, []
+    for c in range(len(M[0]) if M else 0):
+        pr = next((r for r in range(r0, len(M)) if nonzero(M[r][c])), None)
+        if pr is None:
+            continue
+        if pr != r0:
+            M[r0], M[pr] = M[pr], M[r0]
+            det = neg(det)
+        pivot = M[r0][c]
+        values.append(pivot)
+        det = mul(det, pivot)
+        pv = ops.inv(pivot)
+        prow = M[r0] = [mul(x, pv) if nonzero(x) else x for x in M[r0]]
+        pairs = [(j, y) for j, y in enumerate(prow) if nonzero(y)]
+        for r in range(len(M)) if reduced else range(r0 + 1, len(M)):
+            row = M[r]
+            if r != r0 and nonzero(row[c]):
+                axpy(row, neg(row[c]), pairs)
+        piv.append(c)
+        r0 += 1
+        if r0 == len(M):
+            break
+    return M[:r0], piv, det, values
+
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """(field, rows): rows 1 at their leading column and 0 before it, mixed with drawn
+    rows, so that the elimination meets pivots that are one and pivots that are not."""
+    field = draw(st.sampled_from([Q, F7, F49, Z12]))
+    ops = field.ops
+    n = draw(st.integers(1, 5))
+    rows = []
+    for lead in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))):
+        tail = draw(st.lists(payloads(field), min_size=n - lead - 1, max_size=n - lead - 1))
+        rows.append([ops.zero] * lead + [ops.one] + tail)
+    rows += draw(st.lists(st.lists(payloads(field), min_size=n, max_size=n), max_size=3))
+    return field, [tuple(r) for r in draw(st.permutations(rows))]
+
+
+# at most 100 examples, under the ci profile too, which keeps that step within its budget
+@settings(deadline=None, max_examples=100)
+@given(unit_pivot_matrices())
+def test_unit_pivots_skip_the_inverse_and_change_nothing(case):
+    field, rows = case
+    inverted = []
+
+    def inv(x):
+        inverted.append(x)
+        return field.ops.inv(x)
+
+    ops = field.ops._replace(inv=inv)
+    for reduced in (True, False):
+        inverted.clear()
+        ech = _echelon(ops, rows, reduced=reduced)
+        *want, values = _echelon_inverting_every_pivot(field.ops, rows, reduced)
+        assert [ech.rows, ech.pivots, ech.det] == want
+        assert inverted == [x for x in values if x != ops.one]
 
 
 # -- char_poly against det(x 1 - M) --------------------------------------------------------

@@ -443,6 +443,56 @@ def test_tuple_io_round_trip(rng):
         assert back.points == T.points
 
 
+def _per_entry_text(T):
+    """save_tuple's text with every entry formatted on its own, as the writer once did."""
+    from midconv.scalars import format_scalar
+    from midconv.tupleio import format_field
+    lines = [f"field: {format_field(T.field)}", f"dim: {T.dim}"]
+    if T.points is not None:
+        lines.append("points: " + ", ".join(str(p) for p in T.points))
+    for M in T.entries:
+        lines.append("matrix:")
+        lines += [", ".join(format_scalar(x) for x in row) for row in M.rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_save_tuple_formats_repeated_entries_as_each_entry_alone(rng):
+    Z12 = FieldDescriptor.cyclotomic(12)
+    z3, one = Z12.zeta(3), Z12.one()
+    # a homology of order 4 and a transvection: 0, 1 and zeta^3 repeat across the tuple
+    homology = [[one, one, 0], [0, z3, 0], [0, 0, one]]
+    transvection = [[one, 0, 0], [z3, one, 0], [0, 0, one]]
+    cases = [MonodromyTuple.from_finite_entries(
+                 Z12, [Matrix.from_rows(Z12, homology), Matrix.from_rows(Z12, transvection)],
+                 [0, 1]),
+             l_star_l(), random_tuple(F7, 3, 3, rng, with_points=True),
+             random_tuple(F49, 2, 2, rng)]
+    for T in cases:
+        entries = [x for M in T.entries for row in M.payload for x in row]
+        assert len(set(entries)) < len(entries)
+        text = save_tuple(T)
+        assert text == _per_entry_text(T)
+        assert load_tuple(text) == T
+
+
+@pytest.mark.parametrize("text, error", [
+    ("field: cyclotomic 12\ndim: 2\nmatrix:\n1, 2x\n2x, z^3\nmatrix:\n1, 0\n0, 1\n",
+     "ParseError: malformed term '2x' (at position 0)"),
+    ("field: rational\ndim: 2\nmatrix:\n1, 1/0\n1/ 0, 1\nmatrix:\n1, 0\n0, 1\n",
+     "ParseError: zero denominator in '1/0' (at position 0)"),
+    ("field: finite 7 1\ndim: 2\nmatrix:\n1, 0\n0, 1\nmatrix:\n1/2, 3 z\n3 z, 1/2\n",
+     "ParseError: non-integer coefficient 1/2 in finite field (at position 0)"),
+    ("field: finite 7 1\ndim: 2\nmatrix:\n1, 2\n3 z, 1\nmatrix:\n3z, 1\n1, 3 z\n",
+     "FieldMismatch: symbol 'z' not available in F_7"),
+])
+def test_a_repeated_bad_entry_raises_as_its_first_occurrence(text, error):
+    # load_tuple parses each distinct entry once; the messages are those of the
+    # entry-by-entry parse
+    with pytest.raises(Exception) as info:
+        load_tuple(text)
+    assert f"{type(info.value).__name__}: {info.value}" == error
+
+
 @pytest.mark.parametrize("text", ["finite 7 2 t^2+x+1", "finite 5 2 t^2+1/2",
                                   "finite 13 2 t^2+1.5"])
 def test_defining_polynomial_is_read_by_the_scalar_term_grammar(text):
