@@ -17,12 +17,11 @@ from .linalg import (JordanData, Matrix, char_poly, jordan_data, kernel_basis, k
 from .tuples import (BraidWord, CohomologySpaces, MonodromyTuple, braid_act,
                      cohomology_spaces, equivalence, parabolic_rank_formula,
                      parse_braid_word, pure_braid)
-from .convolution import (ConvolutionInput, PairingInfo, circ_tuple,
-                          irreducibility_criterion, is_convolution_sheaf,
-                          kummer_tuple, mc_lambda, middle_convolution,
-                          pairing_convolve, predict_infinity_jordan,
+from .convolution import (ConvolutionInput, circ_tuple, irreducibility_criterion,
+                          is_convolution_sheaf, kummer_tuple, mc_lambda,
+                          middle_convolution, predict_infinity_jordan,
                           predict_local_jordan, rank_formula, sl_demo)
-from .modgroup import (GroupReport, absolutely_irreducible, group_closure,
+from .modgroup import (GroupReport, absolutely_irreducible, group_closure, group_report,
                        o3_recognition, primitivity_bound, reduce_mod)
 from .k3count import (CountRecord, FrobeniusData, count_affine, count_record,
                       frobenius_eigenvalues, intersection_matrix_det, legendre,

@@ -24,10 +24,8 @@ from .errors import DomainError, InputError, ParseError
 from .k3count import (count_record, frobenius_eigenvalues, intersection_matrix_det,
                       trace_frobenius)
 from .linalg import jordan_data
-from .modgroup import (GroupReport, absolutely_irreducible, group_closure,
-                       invariant_symmetric_form, o3_recognition, primitivity_bound,
-                       reduce_mod)
-from .scalars import FINITE, parse_scalar
+from .modgroup import group_report, primitivity_bound, reduce_mod
+from .scalars import parse_scalar
 from .tuples import (braid_act, cohomology_spaces, equivalence, parabolic_rank_formula,
                      parse_braid_word)
 from .tupleio import load_tuple_file, save_tuple, save_tuple_file
@@ -198,13 +196,7 @@ def _cmd_group(args):
     T = _load(args.tuple)
     if args.mod is not None:
         T = reduce_mod(T, args.mod)
-    gens = list(T.entries)
-    if T.dim == 3 and T.field.kind == FINITE and T.field.k == 1:
-        report = o3_recognition(gens, T.field.p, cap=args.cap)
-    else:
-        report = GroupReport(order=group_closure(gens, cap=args.cap),
-                             absolutely_irreducible=absolutely_irreducible(gens),
-                             invariant_gram=invariant_symmetric_form(gens))
+    report = group_report(list(T.entries), cap=args.cap)
     payload = {"order": report.order_text,
                "absolutely_irreducible": report.absolutely_irreducible,
                "recognized": report.recognized,

@@ -69,23 +69,6 @@ class ConvolutionInput:
         return len(self.sums()) == self.p * self.q
 
 
-@dataclass(frozen=True)
-class PairingInfo:
-    """Symmetry type (+1 orthogonal, -1 symplectic, 0 none) and Tate weight."""
-
-    sym: int
-    twist: int
-
-    def __post_init__(self):
-        if self.sym not in (-1, 0, 1):
-            raise PreconditionError("sym must be -1, 0 or +1")
-
-
-def pairing_convolve(p1: PairingInfo, p2: PairingInfo) -> PairingInfo:
-    """sym flips and multiplies; the pairing target weight adds and shifts."""
-    return PairingInfo(-p1.sym * p2.sym, p1.twist + p2.twist + 1)
-
-
 def _pick_basepoint(inp: ConvolutionInput) -> Fraction:
     return Fraction(inp.sums()[-1] + 1)
 

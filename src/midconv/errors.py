@@ -71,10 +71,6 @@ class NoRootInQuadratic(DomainError):
             f"cyclotomic polynomial needs an extension of degree {required_degree}")
 
 
-class NoInvariantForm(DomainError):
-    pass
-
-
 class DimensionInconsistency(DomainError):
     """Braid transport did not preserve the U/E spaces: degenerate input."""
 

@@ -28,9 +28,8 @@ from .scalars import FieldDescriptor
 MAX_Q = 11_000
 
 # count_affine packs its table into little-endian slots of _SLOT_BYTES bytes;
-# the square's coefficients are below 4q, so the slots must hold 4 MAX_Q
-_SLOT_BYTES = 2
-assert 4 * MAX_Q < 1 << 8 * _SLOT_BYTES, "count_affine's slots are too narrow for MAX_Q"
+# the square's coefficients are below 4q, so the slots hold 4 MAX_Q
+_SLOT_BYTES = ((4 * MAX_Q).bit_length() + 7) // 8
 
 
 def legendre(a: int, p: int) -> int:

@@ -1,17 +1,19 @@
 """Reduction of tuples mod ell and matrix-group analysis.
 
-A 3 x 3 group over F_ell (ell >= 7) that keeps a nondegenerate symmetric
-form is named, when it can be, by Dickson's classification of the
-subgroups of PGL_2(F_ell) = SO_3(F_ell): no invariant line and one element
-of order > 5 prove Omega_3(F_ell) <= G, and det and the spinor norm give
-the index (o3_recognition).  Every other group is measured by exact order,
-a breadth-first closure under the generators; at desk scale the relevant
-closures stay below a few tens of thousands of elements.  The closure acts
-on row ids: row i of B A is (row i of B) A, so each distinct payload row
-gets a small int id, each generator keeps a list from row id to the id of
-that row times the generator, filled level by level, and an element is the
-tuple of its n row ids.  A product is one itemgetter over such a list;
-only group_elements turns the ids back into payload rows.
+group_report is the one answer path for a generated group: its order, its
+absolute irreducibility, an invariant symmetric form and, for O_3(F_ell),
+its name.  A 3 x 3 group over F_ell (ell >= 7) that keeps a nondegenerate
+symmetric form is measured, when it can be, by Dickson's classification of
+the subgroups of PGL_2(F_ell) = SO_3(F_ell): no invariant line and one
+element of order > 5 prove Omega_3(F_ell) <= G, and det and the spinor
+norm give the index (o3_recognition).  Every other group is measured by
+exact order, a breadth-first closure under the generators; at desk scale
+the relevant closures stay below a few tens of thousands of elements.  The
+closure acts on row ids: row i of B A is (row i of B) A, so each distinct
+payload row gets a small int id, each generator keeps a list from row id to
+the id of that row times the generator, filled level by level, and an
+element is the tuple of its n row ids.  A product is one itemgetter over
+such a list; only group_elements turns the ids back into payload rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import count
 from operator import itemgetter
 
-from .errors import BadPrime, NoInvariantForm, NoRootInQuadratic, PreconditionError
+from .errors import BadPrime, NoRootInQuadratic, PreconditionError
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, eigenvalues,
                      find_invertible, jordan_data, kernel_basis, rank, solve_matrix_equations)
 from .poly import cyclotomic_polynomial, euler_criterion, horner, is_prime
@@ -306,8 +308,8 @@ def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
 def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupReport:
     """Recognize O_3(F_ell): an invariant form plus the order 2 ell (ell^2 - 1).
 
-    The generators g must lie over F_ell and keep a nondegenerate symmetric
-    form; then G <= O_3(F_ell) = SO_3(F_ell) x {+-1}, and g' = det(g) g lies
+    The generators g must lie over F_ell.  When they keep a nondegenerate
+    symmetric form, G <= O_3(F_ell) = SO_3(F_ell) x {+-1}, and g' = det(g) g lies
     in SO_3(F_ell) = PGL_2(F_ell).  By Dickson's theorem (Huppert, Endliche
     Gruppen I, II.8.27; Serre, Invent. Math. 15, 1972, section 2) a subgroup of
     PGL_2(F_ell), ell prime, lies in a Borel subgroup or a torus normalizer,
@@ -324,9 +326,8 @@ def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupRepo
     r is an involution and theta(r) is the discriminant of the form on
     ker(r + 1).
 
-    When the certificate does not conclude (ell < 7, an invariant line, no
-    decisive word, no word of order > 5), the order comes from group_closure,
-    None past the cap, and absolute irreducibility from the commutant.
+    The report comes from group_report, which takes the order from
+    group_closure when the certificate does not conclude or no form is found.
     """
     if not is_prime(ell) or ell == 2:
         raise PreconditionError("ell must be an odd prime")
@@ -334,13 +335,29 @@ def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupRepo
         raise PreconditionError(f"o3_recognition needs generators over F_{ell}")
     if any(g.nrows != 3 for g in gens):
         raise PreconditionError("o3_recognition needs 3x3 generators")
+    return group_report(gens, cap)
+
+
+def group_report(gens: list[Matrix], cap: int = 100000) -> GroupReport:
+    """Order, absolute irreducibility, invariant form and name of <gens>.
+
+    A 3 x 3 group over F_ell, ell odd, with an invariant form is first given
+    to the Dickson certificate (see o3_recognition); otherwise, or when the
+    certificate does not conclude, the order comes from group_closure, None
+    past the cap, and absolute irreducibility from the commutant.  The name
+    O3(F_ell) is given to such a group of order 2 ell (ell^2 - 1).
+    """
     _check_cap(cap)
+    if not gens:
+        raise PreconditionError("group_report needs at least one generator")
     gram = invariant_symmetric_form(gens)
-    if gram is None:
-        raise NoInvariantForm("no nondegenerate invariant symmetric form")
-    order, irreducible = _certified_order(gens, gram, ell), True
+    field, ell = gens[0].field, gens[0].field.p
+    o3 = (gram is not None and gens[0].nrows == 3 and field.kind == FINITE
+          and field.k == 1 and ell != 2)
+    order = _certified_order(gens, gram, ell) if o3 else None
+    irreducible = True
     if order is None:
         order, irreducible = group_closure(gens, cap=cap), absolutely_irreducible(gens)
-    recognized = f"O3(F_{ell})" if order == 2 * ell * (ell * ell - 1) else None
+    recognized = f"O3(F_{ell})" if o3 and order == 2 * ell * (ell * ell - 1) else None
     return GroupReport(order=order, absolutely_irreducible=irreducible,
                        invariant_gram=gram, recognized=recognized)

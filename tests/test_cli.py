@@ -48,6 +48,19 @@ def test_group_over_q_takes_the_generic_branch(capsys):
     assert doc["recognized"] is None
 
 
+@pytest.mark.parametrize("field, first, second, order", [
+    ("finite 2 1", ["0, 1, 0", "1, 0, 0", "0, 0, 1"], ["0, 1, 0", "1, 0, 0", "0, 0, 1"], "2"),
+    ("finite 5 1", ["2, 0, 0", "0, 1, 0", "0, 0, 1"], ["3, 0, 0", "0, 1, 0", "0, 0, 1"], "4"),
+], ids=["swap over F_2", "diag(2,1,1) over F_5"])
+def test_group_of_a_3x3_tuple_without_a_found_form_prints_the_closure_order(
+        capsys, tmp_path, field, first, second, order):
+    path = _write(tmp_path, "t.txt", field, 3, [first, second])
+    code, doc = _run_json(capsys, "group", "--tuple", path)
+    assert code == 0
+    assert doc == {"order": order, "absolutely_irreducible": False,
+                   "recognized": None, "invariant_gram": None}
+
+
 @pytest.mark.parametrize("cap", ["0", "-3", "x"])
 def test_group_cap_below_one_is_a_usage_error(capsys, cap):
     code, out, err = _run(capsys, "group", "--cap", cap, "--tuple", "fixture:V", "--mod", "5")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from midconv import linalg
 from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, ConvolutionSheafCheck,
-                                 PairingInfo, circ_tuple, convolved_block,
+                                 circ_tuple, convolved_block,
                                  irreducibility_criterion, is_convolution_sheaf, kummer_tuple,
-                                 mc_lambda, middle_convolution, pairing_convolve,
+                                 mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import DoesNotSplit, LambdaIsOne, PreconditionError
@@ -459,21 +459,6 @@ def test_predict_infinity_examples():
     assert all(ev == minus and ln == 1 for ev, ln in jd.blocks)
     actual = jordan_data(mc_lambda(T, minus).infinity_entry())
     assert actual == jd == JordanData.of([(minus, 1)] * 2)
-
-
-def test_pairing_convolve():
-    orth = PairingInfo(1, 0)
-    assert pairing_convolve(orth, orth) == PairingInfo(-1, 1)
-    assert pairing_convolve(PairingInfo(-1, 1), orth) == PairingInfo(1, 2)
-    assert pairing_convolve(PairingInfo(0, 2), orth).sym == 0
-
-
-def test_pairing_chain_of_section_seven():
-    rank1 = PairingInfo(1, 0)
-    ll = pairing_convolve(rank1, rank1)
-    assert (ll.sym, ll.twist) == (-1, 1)            # L*L is symplectic
-    v = pairing_convolve(ll, rank1)
-    assert (v.sym, v.twist) == (1, 2)               # V x V -> R(-2)
 
 
 def test_additivity_of_convolution_rank():

@@ -8,9 +8,9 @@ from conftest import SEED
 
 from midconv.errors import PreconditionError, SmallPrime, VerificationFailed
 from midconv.fixtures import ALPHA_TABLE, N_TABLE, T2_TABLE, T_TABLE
-from midconv.k3count import (_prime_square_root, count_affine, count_record,
-                             frobenius_eigenvalues, intersection_matrix, intersection_matrix_det,
-                             legendre, trace_frobenius)
+from midconv.k3count import (MAX_Q, _SLOT_BYTES, _prime_square_root, count_affine,
+                             count_record, frobenius_eigenvalues, intersection_matrix,
+                             intersection_matrix_det, legendre, trace_frobenius)
 from midconv.scalars import FieldDescriptor
 
 
@@ -130,6 +130,11 @@ def test_count_matches_correlation_oracle(p, e):
 def test_count_rejects_fibre_not_p_integral(q, z):
     with pytest.raises(PreconditionError):
         count_affine(q, z)
+
+
+def test_count_affine_packs_two_byte_slots():
+    # the slots hold the square's coefficients, which stay below 4 MAX_Q
+    assert _SLOT_BYTES == 2 and 4 * MAX_Q < 1 << 8 * _SLOT_BYTES
 
 
 def test_count_table():

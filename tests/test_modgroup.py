@@ -8,7 +8,7 @@ from midconv.errors import BadPrime, PreconditionError
 from midconv.fixtures import TUPLE_FIXTURES, m_tuple
 from midconv.linalg import Matrix
 from midconv.modgroup import (_certified_order, absolutely_irreducible, group_closure,
-                              group_elements, invariant_symmetric_form,
+                              group_elements, group_report, invariant_symmetric_form,
                               o3_recognition, primitivity_bound, reduce_mod)
 from midconv.scalars import FieldDescriptor, coerce
 from midconv.tuples import MonodromyTuple
@@ -426,6 +426,42 @@ def test_o3_recognition_needs_generators_over_f_ell(gens):
     # the spinor norms are Legendre symbols mod ell: V mod 13 must not pass as ell = 19
     with pytest.raises(PreconditionError, match="over F_19"):
         o3_recognition(gens(), 19)
+
+
+@pytest.mark.parametrize("ell", [2, 9])
+def test_o3_recognition_needs_an_odd_prime(ell):
+    gens = [Matrix.identity(FieldDescriptor.finite(2 if ell == 2 else 3), 3)]
+    with pytest.raises(PreconditionError, match="odd prime"):
+        o3_recognition(gens, ell)
+
+
+# the swap and diagonal groups have no form that the scan finds
+@pytest.mark.parametrize("gens, recognized", [
+    (lambda: _over(2, _SWAP, _SWAP), None),
+    (lambda: _over(5, [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     None),
+    (lambda: _over(7, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]), None),
+    (lambda: _v_mod(3), "O3(F_3)"),
+    (lambda: _v_mod(5), "O3(F_5)"),
+    (lambda: _v_mod(13), "O3(F_13)"),
+    (lambda: _over(5, [[2, 0], [0, 1]]), None),
+], ids=["swap over F_2", "diag(2,1,1) over F_5", "diag(1,1,-1) over F_7", "V mod 3",
+        "V mod 5", "V mod 13", "diag(2,1) over F_5"])
+def test_the_group_report_agrees_with_the_direct_calls(gens, recognized):
+    gens = gens()
+    report = group_report(gens)
+    assert report.order == group_closure(gens)
+    assert report.absolutely_irreducible == absolutely_irreducible(gens)
+    assert report.invariant_gram == invariant_symmetric_form(gens)
+    assert report.recognized == recognized
+    ell = gens[0].field.p
+    assert (recognized is not None) == (report.invariant_gram is not None
+                                        and report.order == 2 * ell * (ell * ell - 1))
+
+
+def test_group_report_needs_a_generator():
+    with pytest.raises(PreconditionError, match="generator"):
+        group_report([])
 
 
 def test_o3_recognition_checks_the_cap_before_the_certificate():
