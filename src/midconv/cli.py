@@ -166,13 +166,12 @@ def _cmd_braid(args):
 
 def _cmd_cohomology(args):
     T = _load(args.tuple)
-    sp = cohomology_spaces(T)
-    h, e, u = sp.dims
-    payload = {"dim_H": h, "dim_E": e, "dim_U": u,
-               "h1": sp.h1_dim, "parabolic": sp.parabolic_dim,
+    e, u = map(len, cohomology_spaces(T))
+    h = T.r * T.dim            # dim H_T = r dim V, see cohomology_spaces
+    payload = {"dim_H": h, "dim_E": e, "dim_U": u, "h1": h - e, "parabolic": u - e,
                "rank_formula": parabolic_rank_formula(T)}
     _emit(args, payload, [f"dim H_T = {h}, dim E_T = {e}, dim U_T = {u}",
-                          f"dim H^1 = {sp.h1_dim}, dim H^1_p = {sp.parabolic_dim}",
+                          f"dim H^1 = {h - e}, dim H^1_p = {u - e}",
                           f"rank formula gives {payload['rank_formula']}"])
     return 0
 

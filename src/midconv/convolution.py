@@ -111,8 +111,8 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     p, q = inp.p, inp.q
     field = inp.left.field
     C = circ_tuple(inp)
-    spaces = cohomology_spaces(C)
-    proj, quot = quotient_basis(spaces.u_basis, spaces.e_basis)
+    e_basis, u_basis = cohomology_spaces(C)
+    proj, quot = quotient_basis(u_basis, e_basis)
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
     strands = p + q
@@ -127,7 +127,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
             points.append(left_points[i - 1] + right_points[j - 1])
             image_blocks.append(images)
     try:
-        Ds = induced_quotient_matrix(spaces.u_basis, image_blocks, proj)
+        Ds = induced_quotient_matrix(u_basis, image_blocks, proj)
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
     # the bubble sort never swaps equal points, so colliding entries end up
@@ -208,14 +208,14 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     return MonodromyTuple.from_finite_entries(field, entries, T.points)
 
 
-def kummer_tuple(field: FieldDescriptor, lam: Scalar, point=0) -> MonodromyTuple:
-    """Rank-one tuple (lambda, lambda^-1) at a single finite point."""
+def kummer_tuple(field: FieldDescriptor, lam: Scalar) -> MonodromyTuple:
+    """Rank-one tuple (lambda, lambda^-1) with its finite point at 0."""
     if lam.is_one() or not lam:
         raise PreconditionError("Kummer sheaf needs lambda outside {0, 1}")
     return MonodromyTuple.make(
         field,
         [Matrix.from_rows(field, [[lam]]), Matrix.from_rows(field, [[lam.inverse()]])],
-        [Fraction(point)])
+        [0])
 
 
 # -- convolution-sheaf conditions ----------------------------------------------------

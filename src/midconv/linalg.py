@@ -175,18 +175,6 @@ class Matrix:
                                               for j, a in enumerate(r))
                                         for i, r in enumerate(self.payload)))
 
-    def pow(self, e: int) -> "Matrix":
-        if e < 0:
-            return self.inverse().pow(-e)
-        out = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-
     @cached_property
     def sparse(self) -> list[list]:
         """The _sparse_rows of the payload, the right factor's form in a product."""
@@ -414,7 +402,8 @@ def _own_candidates(coeffs, field: FieldDescriptor):
         yield from field.elements()
         return
     if field.kind == CYCLOTOMIC:
-        for e in range(field.n):
+        # the roots of unity, each once: -zeta^e is zeta^(e + n/2) for even n
+        for e in range(field.n if field.n % 2 else field.n // 2):
             yield from (field.zeta(e), -field.zeta(e))
     # a rational root is a root of each coordinate polynomial; over Q there is one
     columns = zip(*(c.coords() for c in coeffs))

@@ -288,10 +288,18 @@ def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
         row = Matrix(field, (v,))
         return all(rank(Matrix(field, row.payload + (row @ g).payload)) == 1 for g in gens)
 
+    def order_exceeds_five(w):
+        power = w                          # w^1 .. w^5 by one running product
+        for _ in range(4):
+            if power == ident:
+                return False
+            power = power @ w
+        return power != ident
+
     lines = next(filter(None, map(_eigenlines, words)), None)
     if lines is None or any(map(invariant, lines)):
         return None
-    if not any(all(w.pow(k) != ident for k in range(1, 6)) for w in words):
+    if not any(map(order_exceeds_five, words)):
         return None
 
     def spinor_square(r):

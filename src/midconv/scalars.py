@@ -14,7 +14,7 @@ to this module:
 Elsewhere a payload goes to the ops table or is compared and hashed whole.
 `coords()` is the one read-out: the coordinates in the basis 1, zeta, ..
 of Q(zeta_n), Q being Q(zeta_1), or 1, t of F_{p^k}.  The sort order,
-format_scalar, coerce, modgroup.reduce_mod and the root search all read it.
+format_scalar, modgroup.reduce_mod and the root search all read it.
 
 The Q(zeta_n) tables are cached per n: _cyc_tables reduces the powers
 zeta^e, e < n, by poly.cyclotomic_polynomial(n), and reads the reduction
@@ -64,11 +64,6 @@ _looped_cyclotomic_ops (Q(zeta_997), phi 996, would take seconds and
 gigabytes to compile).  Both give the same canonical payloads.  Over Q,
 phi = 1, the kernel is one numerator over one denominator, with one gcd
 per op, of the result (Knuth, TAOCP 2, 4.5.1).
-
-`coords()` builds a Fraction coordinate by `_fraction(n, d)`, which divides
-by gcd(n, d) and fills the two slots of a bare Fraction, past the checks of
-Fraction's constructor.  It is the only code that knows the slot layout; a
-test pins it.
 
 A Scalar is built by the two slot setters, bound once at module level, so
 construction is two C calls; `__setattr__` raises, so Scalars stay
@@ -275,17 +270,6 @@ def _cyc_normalize(nums: tuple[int, ...], den: int):
         nums = tuple(a // g for a in nums)
         den //= g
     return (nums, den)
-
-
-def _fraction(n: int, d: int) -> Fraction:
-    """n/d in lowest terms, for d > 0, past Fraction.__new__: fills the two slots of a
-    bare Fraction, as CPython's own Fraction._from_coprime_ints does.  The coordinates
-    of coords() over Q and Q(zeta_n); the one place that knows the slot layout."""
-    g = math.gcd(n, d)
-    x = object.__new__(Fraction)
-    x._numerator = n // g
-    x._denominator = d // g
-    return x
 
 
 def _looped_axpy(addmul) -> Callable:
@@ -525,7 +509,7 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         # no Fraction for a zero numerator or over den 1: save_tuple reads
         # mostly-zero entries
         nums, den = a
-        return nums if den == 1 else tuple(_fraction(c, den) if c else 0 for c in nums)
+        return nums if den == 1 else tuple(Fraction(c, den) if c else 0 for c in nums)
 
     return FieldOps(zero, one, zero.__ne__, add, sub, neg, mul, addmul, axpy, inv, coords)
 
@@ -620,17 +604,6 @@ class Scalar:
 
 # the slot setters, bound once: Scalar.__setattr__ raises, and these bypass it
 _set_field, _set_payload = Scalar.field.__set__, Scalar.payload.__set__
-
-
-def coerce(s: Scalar, target: FieldDescriptor) -> Scalar:
-    """Explicit embedding Q(zeta_m) -> Q(zeta_n), m | n, where Q is Q(zeta_1)."""
-    if s.field == target:
-        return s
-    m = s.field.n or 1                  # Q, with n = 0, is Q(zeta_1)
-    if target.kind == CYCLOTOMIC and s.field.kind != FINITE and target.n % m == 0:
-        return horner([target.from_fraction(c) for c in s.coords()],
-                      target.zeta(target.n // m))
-    raise FieldMismatch(f"no embedding {s.field} -> {target}")
 
 
 # -- text grammar -------------------------------------------------------------

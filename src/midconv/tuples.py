@@ -20,7 +20,7 @@ import re
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 
 from .errors import ParseError, PreconditionError
@@ -256,39 +256,15 @@ def phi_transport(T: MonodromyTuple, w: BraidWord,
 
 # -- cohomology spaces -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CohomologySpaces:
-    """Echelonized bases of E_T <= U_T <= H_T inside V^{r+1}, as Matrices.  H_T, the
-    left kernel of `stacked`, is computed on first access: middle convolution reads
-    only E_T and U_T."""
+def cohomology_spaces(T: MonodromyTuple) -> tuple[Matrix, Matrix]:
+    """(e_basis, u_basis): echelonized bases of E_T <= U_T inside H_T <= V^{r+1}.
 
-    stacked: Matrix
-    e_basis: Matrix
-    u_basis: Matrix
-
-    @cached_property
-    def h_basis(self) -> Matrix:
-        return kernel_basis(self.stacked)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (len(self.h_basis), len(self.e_basis), len(self.u_basis))
-
-    @property
-    def h1_dim(self) -> int:
-        return len(self.h_basis) - len(self.e_basis)
-
-    @property
-    def parabolic_dim(self) -> int:
-        return len(self.u_basis) - len(self.e_basis)
-
-
-def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
-    """H_T, E_T and U_T with H^1 = H/E and parabolic H^1_p = U/E.
-
-    H_T is cut out by v_1 (T_2...T_{r+1}) + v_2 (T_3...T_{r+1}) + ... +
-    v_{r+1} = 0, E_T is the space of coboundaries (v(T_1-1), ..., v(T_{r+1}-1)),
-    and U_T additionally confines v_i to im(T_i - 1).
+    H^1 = H/E and parabolic H^1_p = U/E.  H_T is cut out by v_1 (T_2...T_{r+1})
+    + v_2 (T_3...T_{r+1}) + ... + v_{r+1} = 0, E_T is the space of coboundaries
+    (v(T_1-1), ..., v(T_{r+1}-1)), and U_T additionally confines v_i to
+    im(T_i - 1).  No basis of H_T is built: the map (v_i) -> sum_i v_i
+    T_{i+1}...T_{r+1} is onto V, because its last block is the identity, so
+    dim H_T = (r+1) dim V - dim V = r dim V.
     """
     entries = T.entries
     r1 = len(entries)
@@ -305,7 +281,7 @@ def cohomology_spaces(T: MonodromyTuple) -> CohomologySpaces:
     # the slot images S are independent, so U = {c S : c S stacked = 0}
     S = slot_images(entries)
     u_basis = row_space_basis(kernel_basis(S @ stacked) @ S)
-    return CohomologySpaces(stacked, e_basis, u_basis)
+    return e_basis, u_basis
 
 
 def slot_blocks(M: Matrix, n: int) -> list[Matrix]:

@@ -13,6 +13,7 @@ from midconv.scalars import FieldDescriptor
 from midconv.tupleio import save_tuple_file
 
 from conftest import PRIMORIAL_9767, SEED, random_tuple
+from test_tuples import h_basis_oracle
 
 
 def _run(capsys, *argv):
@@ -492,6 +493,18 @@ def test_check_conv_finds_an_eigenvalue_from_a_linear_remainder(capsys, tmp_path
     code, out, _err = _run(capsys, "check-conv", "--tuple", path)
     assert code == 0
     assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"
+
+
+@pytest.mark.parametrize("spec, h, e, u", [
+    ("fixture:V", 9, 3, 3), ("fixture:LstarL", 6, 2, 2), ("fixture:L", 2, 1, 1),
+    ("fixture:Kummer-1", 1, 1, 1),
+])
+def test_cohomology_documents(capsys, spec, h, e, u):
+    # dim H_T is printed as r dim V; the oracle solves for H_T
+    assert len(h_basis_oracle(cli._load(spec))) == h
+    assert _run_json(capsys, "cohomology", "--tuple", spec) == (0, {
+        "dim_H": h, "dim_E": e, "dim_U": u, "h1": h - e, "parabolic": u - e,
+        "rank_formula": u - e})
 
 
 @pytest.mark.parametrize("argv", [

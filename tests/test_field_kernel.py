@@ -364,11 +364,6 @@ def test_building_a_field_above_the_unroll_bound_is_fast(n):
 
 # -- the Q kernel against the fractions module --------------------------------------------
 
-def test_fraction_slot_layout_is_the_one_the_q_kernel_fills():
-    # scalars._fraction builds the Fraction coordinates of coords() by filling these two slots
-    assert Fraction.__slots__ == ("_numerator", "_denominator")
-
-
 @st.composite
 def rational_operands(draw):
     """(c, a, b): numerators up to +-2^80, denominators up to 2^40, zero often; b shares

@@ -24,13 +24,6 @@ F49 = FieldDescriptor.finite(7, 2)
 A1 = Matrix.from_rows(Q, [[-3, -8], [2, 5]])
 
 
-@pytest.mark.parametrize("field", [Q, F7], ids=str)
-def test_negative_matrix_powers_are_powers_of_the_inverse(field, rng):
-    M = random_invertible(field, 3, rng)
-    assert M.pow(-2) == M.inverse() @ M.inverse()
-    assert M.pow(-2) @ M.pow(2) == Matrix.identity(field, 3)
-
-
 def test_kernel_of_zero_matrix():
     assert len(kernel_basis(Matrix.zero(Q, 2, 2))) == 2
 
@@ -257,6 +250,17 @@ def test_field_roots_solves_a_repeated_root_off_the_candidates():
     assert jordan_data(M) == JordanData.of([(alpha, 2)])
     # over Q the candidates are complete, so the mean of x^2 - 2 is no root
     assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_candidate_stream_holds_each_root_of_unity_once(n):
+    # the roots of unity of Q(zeta_n) are the 2n-th ones for odd n, the n-th ones
+    # for even n; the constant polynomial 1 adds no rational candidate
+    field = FieldDescriptor.cyclotomic(n)
+    order = 2 * n if n % 2 else n
+    stream = list(linalg._own_candidates([field.one()], field))
+    assert len(stream) == len(set(stream)) == order
+    assert all(x ** order == field.one() for x in stream)
 
 
 @pytest.mark.parametrize("c", [2 ** 64, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)],

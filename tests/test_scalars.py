@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from midconv.errors import DivisionByZero, FieldMismatch, ParseError
 from midconv.poly import cyclotomic_polynomial, is_prime
-from midconv.scalars import FieldDescriptor, coerce, format_scalar, parse_scalar
+from midconv.scalars import FieldDescriptor, format_scalar, parse_scalar
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -149,20 +149,6 @@ def test_field_axioms(field, data):
 def test_parse_format_round_trip(field, data):
     s = data.draw(_scalars(field))
     assert parse_scalar(format_scalar(s), field) == s
-
-
-def test_embeddings():
-    half = Q.from_fraction(Fraction(1, 2))
-    assert coerce(half, Z12) == Z12.from_fraction(Fraction(1, 2))
-    # zeta_4 -> zeta_12^3
-    assert coerce(Z4.zeta(), Z12) == Z12.zeta(3)
-    z8_in_z8 = Z8.zeta()
-    with pytest.raises(FieldMismatch):
-        coerce(z8_in_z8, Z12)     # 8 does not divide 12
-    for s in (half, z8_in_z8, F25.gen()):
-        assert coerce(s, s.field) is s
-    with pytest.raises(FieldMismatch):
-        coerce(F25.gen(), Z12)
 
 
 def test_negative_powers_are_powers_of_the_inverse():
