@@ -11,6 +11,7 @@ invariant that tells the tuples apart; the --json document has "equivalent": nul
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -21,10 +22,9 @@ from .convolution import (ConvolutionInput, irreducibility_criterion,
                           predict_infinity_jordan, predict_local_jordan,
                           rank_formula, rank_formula_applicable, sl_demo)
 from .errors import DomainError, InputError, ParseError
-from .k3count import (count_record, frobenius_eigenvalues, intersection_matrix_det,
-                      trace_frobenius)
+from .k3count import count_record, frobenius_eigenvalues, intersection_matrix_det
 from .linalg import jordan_data
-from .modgroup import group_report, primitivity_bound, reduce_mod
+from .modgroup import CLOSURE_CAP, group_report, primitivity_bound, reduce_mod
 from .scalars import parse_scalar
 from .tuples import (braid_act, cohomology_spaces, equivalence, parabolic_rank_formula,
                      parse_braid_word)
@@ -226,29 +226,23 @@ def _parse_fibre(text: str) -> Fraction:
 
 
 def _cmd_k3(args):
-    if args.k3cmd == "count":
+    if args.k3cmd in ("count", "trace"):
         z = _parse_fibre(args.z)
         rec = count_record(args.q, z)
-        default_fibre = z == 1
         payload = {"q": rec.q, "N": rec.N, "z": str(z)}
-        human = [f"N({rec.q}) = {rec.N}"]
-        if default_fibre:
-            payload["trace"] = str(rec.trace)
-            human.append(f"t_{rec.q} = {rec.trace}")
-        _emit(args, payload, human)
-    elif args.k3cmd == "trace":
-        z = _parse_fibre(args.z)
-        if z != 1:
-            rec = count_record(args.q, z)
-            _emit(args, {"q": args.q, "N": rec.N, "z": str(z),
-                         "note": "trace formula asserted only at z = 1",
-                         "trace_if_formula_held": str(rec.trace)},
-                  [f"N({args.q}) = {rec.N} at z = {z}",
-                   "trace formula asserted only at z = 1; "
-                   f"formal value {rec.trace}"])
+        if args.k3cmd == "count":
+            human = [f"N({rec.q}) = {rec.N}"]
+            if z == 1:
+                payload["trace"] = str(rec.trace)
+                human.append(f"t_{rec.q} = {rec.trace}")
+        elif z == 1:
+            payload, human = {"q": rec.q, "trace": str(rec.trace)}, [str(rec.trace)]
         else:
-            t = trace_frobenius(args.q)
-            _emit(args, {"q": args.q, "trace": str(t)}, [str(t)])
+            payload.update(note="trace formula asserted only at z = 1",
+                           trace_if_formula_held=str(rec.trace))
+            human = [f"N({rec.q}) = {rec.N} at z = {z}",
+                     f"trace formula asserted only at z = 1; formal value {rec.trace}"]
+        _emit(args, payload, human)
     elif args.k3cmd == "frob":
         data = frobenius_eigenvalues(args.p)
         payload = {"p": data.p, "u": str(data.u), "d": str(data.d),
@@ -271,12 +265,8 @@ def _cmd_k3(args):
 
 def _cmd_demo(args):
     report = sl_demo(args.m, args.r)
-    payload = {"m": report.m, "r": report.r, "field": str(report.field),
-               "rank": report.rank, "expected_rank": report.expected_rank,
-               "first_entry_jordan_ok": report.first_entry_jordan_ok,
-               "second_entry_homology_order": report.second_entry_homology_order,
-               "determinants_in_zeta4": report.determinants_in_zeta4,
-               "checks_passed": report.checks_passed}
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+               if f.name != "result"}
     human = [f"rank {report.rank} (expected {report.expected_rank}) over {report.field}",
              f"first entry Jordan data as announced: {report.first_entry_jordan_ok}",
              f"second entry is a homology of order {report.second_entry_homology_order}",
@@ -382,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("group", _cmd_group, help="closure order and invariant form")
     p.add_argument("--tuple", required=True)
     p.add_argument("--mod", type=int)
-    p.add_argument("--cap", type=_positive_int, default=100000,
-                   help="most elements the closure may list (default 100000); it bounds "
+    p.add_argument("--cap", type=_positive_int, default=CLOSURE_CAP,
+                   help=f"most elements the closure may list (default {CLOSURE_CAP}); it bounds "
                         "only that enumeration, so an order that O3 recognition "
                         "proves is printed past it")
 

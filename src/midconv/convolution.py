@@ -13,6 +13,10 @@ Conventions (frozen against the rank-2 and rank-3 reference tuples):
     the points of u*v in ascending order,
   * in the non-generic case, entries whose points collide are multiplied in
     that same order.
+
+`_check_lambda` is the one precondition on a Kummer scalar lambda (in the
+tuple's field, outside {0, 1}): mc_lambda, kummer_tuple,
+irreducibility_criterion and predict_infinity_jordan call it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError)
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                     kronecker, rank, row_space_basis)
+                     kronecker, matrix_order, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
@@ -166,6 +170,16 @@ def rank_formula_applicable(inp: ConvolutionInput) -> bool:
 
 # -- Pochhammer realization of MC_lambda -------------------------------------------
 
+def _check_lambda(lam: Scalar, field: FieldDescriptor) -> None:
+    """FieldMismatch off `field`, LambdaIsOne at 1, PreconditionError at 0."""
+    if lam.field != field:
+        raise FieldMismatch(f"lambda lives in {lam.field}, not in {field}")
+    if lam.is_one():
+        raise LambdaIsOne("lambda must not be 1")
+    if not lam:
+        raise PreconditionError("lambda must not be 0")
+
+
 def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     """Katz's MC_lambda: the Pochhammer matrices B_k acting on W = K^perp cap L^perp.
 
@@ -179,12 +193,7 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     read at its pivots, lives on the same points; it is equivalent to T *
     kummer_tuple(lambda) when they ascend, as sort_points leaves them.
     """
-    if lam.field != T.field:
-        raise FieldMismatch("lambda must live in the tuple's field")
-    if lam.is_one():
-        raise LambdaIsOne("MC_lambda needs lambda != 1")
-    if not lam:
-        raise PreconditionError("MC_lambda needs lambda != 0")
+    _check_lambda(lam, T.field)
     if not T.r:
         raise PreconditionError("MC_lambda needs a finite entry")
     field = T.field
@@ -210,8 +219,7 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
 
 def kummer_tuple(field: FieldDescriptor, lam: Scalar) -> MonodromyTuple:
     """Rank-one tuple (lambda, lambda^-1) with its finite point at 0."""
-    if lam.is_one() or not lam:
-        raise PreconditionError("Kummer sheaf needs lambda outside {0, 1}")
+    _check_lambda(lam, field)
     return MonodromyTuple.make(
         field,
         [Matrix.from_rows(field, [[lam]]), Matrix.from_rows(field, [[lam.inverse()]])],
@@ -279,8 +287,8 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
     """Sufficient criterion: "irreducible" when (p-2) n exceeds the kernel sum.
 
     Preconditions: the left tuple is an irreducible convolution sheaf whose
-    infinity entry is the identity, and every right-hand scalar differs
-    from 1.  Genericity of the summed divisor is the caller's duty (the
+    infinity entry is the identity, and every right-hand scalar lies
+    outside {0, 1}.  Genericity of the summed divisor is the caller's duty (the
     right-hand system is given by its scalars only).
     """
     field = left.field
@@ -289,10 +297,7 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
     if left.infinity_entry() != Matrix.identity(field, n):
         raise PreconditionError("criterion needs A_{p+1} = 1")
     for lam in right_scalars:
-        if lam.field != field:
-            raise FieldMismatch("right-hand scalars in the wrong field")
-        if lam.is_one() or not lam:
-            raise PreconditionError("right-hand scalars must avoid {0, 1}")
+        _check_lambda(lam, field)
     if not is_convolution_sheaf(left).ok:
         raise PreconditionError("left factor is not a convolution sheaf")
     if not absolutely_irreducible(list(left.entries)):
@@ -366,10 +371,7 @@ def predict_local_jordan(inp: ConvolutionInput) -> dict[tuple[int, int], JordanD
 
 def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
     """Jordan data at infinity of MC_lambda(T) from the infinity entry of T."""
-    if lam.field != T.field:
-        raise FieldMismatch("lambda must live in the tuple's field")
-    if lam.is_one() or not lam:
-        raise LambdaIsOne("prediction needs lambda outside {0, 1}")
+    _check_lambda(lam, T.field)
     field = T.field
     one = field.one()
     lam_inv = lam.inverse()
@@ -483,14 +485,7 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     c1_ok = jordan_data(result.entries[0], (minus_i, one)) == expected_c1
 
     c2 = result.entries[1]
-    ident = Matrix.identity(field, result.dim)
-    order = 0
-    power = c2
-    for k in range(1, 9):
-        if power == ident:
-            order = k
-            break
-        power = power @ c2
+    order = matrix_order(c2, 8) or 0
     c2_rank_one = rank(c2.minus_identity()) == 1
 
     zeta4_group = {zeta4 ** k for k in range(4)}

@@ -122,9 +122,9 @@ class CountRecord:
     trace: Fraction
 
 
-def trace_frobenius(q: int, z: Fraction = Fraction(1)) -> Fraction:
+def trace_frobenius(q: int) -> Fraction:
     """t_q = N(q) + q - q^2 - (1 + (-1/q)) q."""
-    return count_record(q, z).trace
+    return count_record(q).trace
 
 
 def count_record(q: int, z: Fraction = Fraction(1)) -> CountRecord:

@@ -50,6 +50,10 @@ poly.rational_roots, the l-adic lifting.  It reads one lazy stream of
 candidates until the remainder is constant: a polynomial that splits over
 F_q costs no pass over the field, a remainder without roots q evaluations.
 Nothing is factored, so no input is refused for its size.
+
+`powers` is the one running-power loop: jordan_data's ranks of the powers
+of M - alpha read it, and so does `matrix_order`, the order test of sl_demo
+and of the O_3 certificate.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Any, NamedTuple
 
 from .errors import DoesNotSplit, FieldMismatch, PreconditionError
@@ -452,10 +456,9 @@ def field_roots(coeffs, field: FieldDescriptor, extra=()):
 
 @dataclass(frozen=True)
 class JordanData:
-    """Multiset of Jordan blocks (eigenvalue, length) plus ambient dimension."""
+    """Multiset of Jordan blocks (eigenvalue, length); the lengths sum to the dimension."""
 
     blocks: tuple[tuple[Scalar, int], ...]
-    ambient_dim: int
 
     @staticmethod
     def of(blocks, ambient_dim=None) -> "JordanData":
@@ -464,7 +467,7 @@ class JordanData:
         if ambient_dim is not None and used != ambient_dim:
             raise PreconditionError(f"Jordan blocks fill dimension {used}, "
                                     f"not the ambient dimension {ambient_dim}")
-        return JordanData(blocks, used)
+        return JordanData(blocks)
 
     def __str__(self):
         parts = []
@@ -486,13 +489,23 @@ def eigenvalues(M: Matrix, hints=()):
     return field_roots(char_poly(M), M.field, [*hints, *(M[i, i] for i in range(M.nrows))])
 
 
+def powers(M: Matrix):
+    """M, M^2, M^3, ...: one product a step, made only when the next power is read."""
+    P = M
+    while True:
+        yield P
+        P = P @ M
+
+
+def matrix_order(M: Matrix, bound: int) -> int | None:
+    """The least k <= bound with M^k = 1, or None: at most bound - 1 products."""
+    ident = Matrix.identity(M.field, M.nrows)
+    return next((k for k, P in enumerate(islice(powers(M), bound), 1) if P == ident), None)
+
+
 def _power_ranks(M: Matrix, alpha: Scalar):
     """rank((M - alpha)^k) for k = 1, 2, ..., lazily: one product and one rank a step."""
-    N = M - Matrix.identity(M.field, M.nrows).scale(alpha)
-    P = N
-    while True:
-        yield rank(P)
-        P = P @ N
+    yield from map(rank, powers(M - Matrix.identity(M.field, M.nrows).scale(alpha)))
 
 
 def jordan_data(M: Matrix, hints=()) -> JordanData:
@@ -519,13 +532,13 @@ def jordan_data(M: Matrix, hints=()) -> JordanData:
         _check_fields(h, M, "jordan_data hints")
     n = M.nrows
     alphas = list(dict.fromkeys(h for h in hints if h))
-    powers = {alpha: _power_ranks(M, alpha) for alpha in alphas}
-    ranks = {alpha: [n, next(powers[alpha])] for alpha in alphas}
+    streams = {alpha: _power_ranks(M, alpha) for alpha in alphas}
+    ranks = {alpha: [n, next(streams[alpha])] for alpha in alphas}
     nullity = sum(n - r[-1] for r in ranks.values())
     for alpha in alphas:
         r = ranks[alpha]
         while nullity < n and r[-1] < r[-2]:
-            r.append(next(powers[alpha]))
+            r.append(next(streams[alpha]))
             nullity += r[-2] - r[-1]
     if nullity < n:
         roots, rem = eigenvalues(M, alphas)
@@ -535,11 +548,11 @@ def jordan_data(M: Matrix, hints=()) -> JordanData:
             raise DoesNotSplit(rem)
         for alpha, mult in roots:
             if alpha not in ranks:
-                powers[alpha] = _power_ranks(M, alpha)
+                streams[alpha] = _power_ranks(M, alpha)
                 ranks[alpha] = [n, n - 1] if mult == 1 else [n]
             r = ranks[alpha]
             while n - r[-1] < mult:
-                r.append(next(powers[alpha]))
+                r.append(next(streams[alpha]))
     blocks = []
     for alpha, r in ranks.items():
         longer = [a - b for a, b in zip(r, r[1:])] + [0]

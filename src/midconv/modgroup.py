@@ -26,7 +26,8 @@ from operator import itemgetter
 
 from .errors import BadPrime, NoRootInQuadratic, PreconditionError
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, eigenvalues,
-                     find_invertible, jordan_data, kernel_basis, rank, solve_matrix_equations)
+                     find_invertible, jordan_data, kernel_basis, matrix_order, rank,
+                     solve_matrix_equations)
 from .poly import cyclotomic_polynomial, euler_criterion, horner, is_prime
 from .scalars import FINITE, RATIONAL, FieldDescriptor, Scalar
 from .tuples import MonodromyTuple
@@ -164,12 +165,15 @@ def _closure_rows(gens: list[Matrix], cap: int) -> tuple[dict, list] | None:
     return seen, rows
 
 
+CLOSURE_CAP = 100_000                      # the default bound on the elements a closure lists
+
+
 def _check_cap(cap: int) -> None:
     if cap < 1:
         raise PreconditionError(f"cap must be at least 1, got {cap}")
 
 
-def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
+def group_closure(gens: list[Matrix], cap: int = CLOSURE_CAP) -> int | None:
     """Order of the generated group; None when past the cap (an int >= 1)."""
     _check_cap(cap)
     if not gens:
@@ -178,7 +182,7 @@ def group_closure(gens: list[Matrix], cap: int = 100000) -> int | None:
     return None if closure is None else len(closure[0])
 
 
-def group_elements(gens: list[Matrix], cap: int = 100000):
+def group_elements(gens: list[Matrix], cap: int = CLOSURE_CAP):
     """The closure itself (insertion order); None when past the cap (an int >= 1).
 
     The BFS keeps an element as the tuple of its row ids; this is where the
@@ -288,18 +292,10 @@ def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
         row = Matrix(field, (v,))
         return all(rank(Matrix(field, row.payload + (row @ g).payload)) == 1 for g in gens)
 
-    def order_exceeds_five(w):
-        power = w                          # w^1 .. w^5 by one running product
-        for _ in range(4):
-            if power == ident:
-                return False
-            power = power @ w
-        return power != ident
-
     lines = next(filter(None, map(_eigenlines, words)), None)
     if lines is None or any(map(invariant, lines)):
         return None
-    if not any(map(order_exceeds_five, words)):
+    if all(matrix_order(w, 5) for w in words):
         return None
 
     def spinor_square(r):
@@ -313,7 +309,7 @@ def _certified_order(gens: list[Matrix], gram: Matrix, ell: int) -> int | None:
     return ell * (ell * ell - 1) // 2 * min(4, 2 ** len(classes))
 
 
-def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupReport:
+def o3_recognition(gens: list[Matrix], ell: int, cap: int = CLOSURE_CAP) -> GroupReport:
     """Recognize O_3(F_ell): an invariant form plus the order 2 ell (ell^2 - 1).
 
     The generators g must lie over F_ell.  When they keep a nondegenerate
@@ -346,7 +342,7 @@ def o3_recognition(gens: list[Matrix], ell: int, cap: int = 100000) -> GroupRepo
     return group_report(gens, cap)
 
 
-def group_report(gens: list[Matrix], cap: int = 100000) -> GroupReport:
+def group_report(gens: list[Matrix], cap: int = CLOSURE_CAP) -> GroupReport:
     """Order, absolute irreducibility, invariant form and name of <gens>.
 
     A 3 x 3 group over F_ell, ell odd, with an invariant form is first given

@@ -82,6 +82,17 @@ def test_irred_inconclusive_exits_zero(capsys):
     assert (code, doc) == (0, {"verdict": "inconclusive"})
 
 
+def test_lambda_zero_and_one_name_the_one_precondition(capsys, tmp_path):
+    code, out, err = _run(capsys, "predict", "--infinity", "--tuple", "fixture:V",
+                          "--lambda=0")
+    assert (code, out, err) == (1, "", "PreconditionError: lambda must not be 0\n")
+    # the identity at infinity passes the criterion's first check
+    path = _write(tmp_path, "t.txt", "rational", 1, [["-1"], ["-1"], ["1"], ["1"]],
+                  ["0", "1", "2"])
+    code, out, err = _run(capsys, "irred", "--tuple", path, "--lambdas=1")
+    assert (code, out, err) == (1, "", "LambdaIsOne: lambda must not be 1\n")
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["predict", "--left", "fixture:L"], "--right"),
     (["predict", "--infinity"], "--tuple and --lambda"),

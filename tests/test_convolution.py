@@ -12,7 +12,7 @@ from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, ConvolutionShe
                                  mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
-from midconv.errors import DoesNotSplit, LambdaIsOne, PreconditionError
+from midconv.errors import DoesNotSplit, FieldMismatch, LambdaIsOne, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, row_space_basis, solve_coords)
@@ -213,6 +213,25 @@ def test_mc_lambda_errors():
     trivial = scalar_tuple(1, 1, points=[0, 1])
     with pytest.raises(PreconditionError):
         mc_lambda(trivial, Q.from_int(-1))   # K = 0 forces rank 0
+
+
+_LAMBDA_TAKERS = {
+    "mc_lambda": lambda lam: mc_lambda(quadratic_tuple(), lam),
+    "kummer_tuple": lambda lam: kummer_tuple(Q, lam),
+    "irreducibility_criterion": lambda lam: irreducibility_criterion(quadratic_tuple(), [lam]),
+    "predict_infinity_jordan": lambda lam: predict_infinity_jordan(quadratic_tuple(), lam),
+}
+
+
+@pytest.mark.parametrize("take", _LAMBDA_TAKERS.values(), ids=_LAMBDA_TAKERS)
+@pytest.mark.parametrize("lam, error, message", [
+    (Q.zero(), PreconditionError, "lambda must not be 0"),
+    (Q.one(), LambdaIsOne, "lambda must not be 1"),
+    (F7.from_int(-1), FieldMismatch, "lambda lives in F_7, not in Q"),
+], ids=["0", "1", "F_7"])
+def test_every_lambda_taker_states_the_one_precondition(take, lam, error, message):
+    with pytest.raises(error, match=message):
+        take(lam)
 
 
 def test_rank_formula_examples():

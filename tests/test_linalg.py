@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
                             field_roots, find_invertible, intersect_row_spaces, jordan_data,
-                            kernel_basis, kronecker, kronecker_jordan, rank, row_space_basis,
-                            solve_coords)
+                            kernel_basis, kronecker, kronecker_jordan, matrix_order, powers,
+                            rank, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
 from conftest import F7, PRIMORIAL_9767, Q, random_invertible, random_scalar
@@ -205,6 +206,24 @@ def test_hints_in_the_demo_order_take_one_rank_each_and_one_more_for_a_long_bloc
     ranks.clear()
     assert jordan_data(M, (one, -i)) == JordanData.of(blocks)
     assert len(ranks) == 4            # 1 first: a second power of M - 1 that drops nothing
+
+
+@pytest.mark.parametrize("field, rows, order", [
+    (Q, [[0, -1], [1, -1]], 3),                  # the companion matrix of x^2 + x + 1
+    (F7, [[3]], 6),                              # 3 generates F_7^*
+    (Z4, [[Z4.zeta(), 0], [0, -1]], 4),
+], ids=["Q", "F_7", "Q(zeta_4)"])
+def test_matrix_order_takes_one_product_per_power_it_reads(monkeypatch, field, rows, order):
+    M = Matrix.from_rows(field, rows)
+    assert list(islice(powers(M), 3)) == [M, M @ M, M @ M @ M]
+    products = []
+    real_matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda A, B: products.append(B) or real_matmul(A, B))
+    assert matrix_order(M, order) == order
+    assert len(products) == order - 1
+    products.clear()
+    assert matrix_order(M, order - 1) is None
+    assert len(products) == order - 2
 
 
 def test_a_hint_of_another_field_raises():
