@@ -2,10 +2,8 @@
 
 Every subcommand delegates to the library modules and renders either a
 human-readable report or, with --json, a machine-readable document with the
-same numbers.  Exit codes: 0 success, 1 domain error (module error name on
-stderr) or a proved negative answer, 2 usage, parse or file error, 3 the
-inconclusive answer of `equiv` (tuples.equivalence found no conjugator and no
-invariant that tells the tuples apart; the --json document has "equivalent": null).
+same numbers.  The exit codes follow the contract stated in errors.py, and
+_emit_verdict is the one map from a Verdict to 0, 1 or 3.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .convolution import (ConvolutionInput, irreducibility_criterion,
                           is_convolution_sheaf, mc_lambda, middle_convolution,
                           predict_infinity_jordan, predict_local_jordan,
                           rank_formula, rank_formula_applicable, sl_demo)
-from .errors import DomainError, InputError, ParseError
+from .errors import DomainError, InputError, ParseError, Verdict
 from .k3count import count_record, frobenius_eigenvalues, intersection_matrix_det
 from .linalg import jordan_data
 from .modgroup import CLOSURE_CAP, group_report, primitivity_bound, reduce_mod
@@ -70,6 +68,12 @@ def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
     _emit(args, {**payload, "tuple": text}, human + [text.rstrip()])
 
 
+def _emit_verdict(args, verdict: Verdict, payload: dict, witness, human: list[str]) -> int:
+    """Emit payload with the witness (as JSON) and method of verdict; return its exit code."""
+    _emit(args, {**payload, "witness": witness, "method": verdict.method}, human)
+    return {True: 0, False: 1, None: 3}[verdict.ok]
+
+
 # -- subcommand implementations -----------------------------------------------
 
 def _cmd_convolve(args):
@@ -104,22 +108,21 @@ def _cmd_rank(args):
 
 def _cmd_check_conv(args):
     res = is_convolution_sheaf(_load(args.tuple))
-    payload = {"convolution_sheaf": res.ok}
     human = ["pass" if res.ok else "fail"]
+    witness = None
     if res.witness:
         cond, i, tau = res.witness
-        payload["witness"] = {"condition": cond, "entry": i, "tau": str(tau)}
+        witness = {"condition": cond, "entry": i, "tau": str(tau)}
         human.append(f"violated ({cond}) at entry {i} with tau = {tau}")
-    _emit(args, payload, human)
-    return 0
+    return _emit_verdict(args, res, {"convolution_sheaf": res.ok}, witness, human)
 
 
 def _cmd_irred(args):
     T = _load(args.tuple)
     lams = [parse_scalar(tok.strip(), T.field) for tok in args.lambdas.split(",")]
-    verdict = irreducibility_criterion(T, lams)
-    _emit(args, {"verdict": verdict}, [verdict])
-    return 0
+    res = irreducibility_criterion(T, lams)
+    text = "irreducible" if res.ok else "inconclusive"
+    return _emit_verdict(args, res, {"verdict": text}, res.witness, [text])
 
 
 def _cmd_jordan(args):
@@ -177,12 +180,10 @@ def _cmd_cohomology(args):
 
 
 def _cmd_equiv(args):
-    verdict, witness = equivalence(_load(args.a), _load(args.b))
-    text, code = {True: ("equivalent", 0), False: (f"not equivalent: {witness}", 1),
-                  None: ("inconclusive: the invariants agree, but no conjugator was found",
-                         3)}[verdict]
-    _emit(args, {"equivalent": verdict}, [text])
-    return code
+    res = equivalence(_load(args.a), _load(args.b))
+    text = {True: "equivalent", False: f"not equivalent: {res.witness}",
+            None: "inconclusive: the invariants agree, but no conjugator was found"}[res.ok]
+    return _emit_verdict(args, res, {"equivalent": res.ok}, res.witness, [text])
 
 
 def _cmd_reduce(args):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
-                     PreconditionError)
+                     PreconditionError, Verdict)
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                      kronecker, matrix_order, rank, row_space_basis)
 from .modgroup import absolutely_irreducible
@@ -228,12 +228,6 @@ def kummer_tuple(field: FieldDescriptor, lam: Scalar) -> MonodromyTuple:
 
 # -- convolution-sheaf conditions ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvolutionSheafCheck:
-    ok: bool
-    witness: tuple[str, int, Scalar] | None = None   # (condition, index, tau)
-
-
 def _tau_candidates(T: MonodromyTuple, i: int) -> list[Scalar]:
     """tau with ker(tau T_i - 1) possibly nonzero: 1, then the inverses of the
     other nonzero eigenvalues, which field_roots returns distinct."""
@@ -242,7 +236,7 @@ def _tau_candidates(T: MonodromyTuple, i: int) -> list[Scalar]:
                     if root and root != one]
 
 
-def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
+def is_convolution_sheaf(T: MonodromyTuple) -> Verdict:
     """Check the Dettweiler-Reiter conditions (*) and (**) over the finite entries.
 
     With T_i replaced by tau T_i in the finite entries (the twisted tuple),
@@ -262,13 +256,14 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
     eigenvalues of T_i are not searched for.  No failing pair is skipped,
     so the witness is the one the full search finds.
 
-    The witness is the first failing (i, tau), with i ascending and tau = 1
-    first; at that pair (*) is tested before (**).  With r = 1 there is no
-    other entry and (*) is not tested: it would read ker(tau T_1 - 1) = 0,
-    which for a square matrix is (**), so a failure at r = 1 is reported
-    as (**).
+    The Verdict is True or False.  The witness of False is the first failing
+    (condition, i, tau), with i ascending and tau = 1 first; at that pair (*)
+    is tested before (**).  With r = 1 there is no other entry and (*) is
+    not tested: it would read ker(tau T_1 - 1) = 0, which for a square
+    matrix is (**), so a failure at r = 1 is reported as (**).
     """
     finite = T.finite_entries()
+    method = "invariants and coinvariants of the twisted tuples"
     for i, Ti in enumerate(finite):
         others = finite[:i] + finite[i + 1:]
         fixed = others and invariants_dim(others)
@@ -277,14 +272,14 @@ def is_convolution_sheaf(T: MonodromyTuple) -> ConvolutionSheafCheck:
         for tau in _tau_candidates(T, i):
             twisted = others + (Ti.scale(tau),)
             if fixed and invariants_dim(twisted):
-                return ConvolutionSheafCheck(False, ("*", i + 1, tau))
+                return Verdict(False, ("*", i + 1, tau), method)
             if coinvariants_dim(twisted):
-                return ConvolutionSheafCheck(False, ("**", i + 1, tau))
-    return ConvolutionSheafCheck(True)
+                return Verdict(False, ("**", i + 1, tau), method)
+    return Verdict(True, None, method)
 
 
-def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) -> str:
-    """Sufficient criterion: "irreducible" when (p-2) n exceeds the kernel sum.
+def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) -> Verdict:
+    """Sufficient criterion: True when the witness (p-2) n - sum dim ker(A_i - 1) > 0, else None.
 
     Preconditions: the left tuple is an irreducible convolution sheaf whose
     infinity entry is the identity, and every right-hand scalar lies
@@ -303,7 +298,7 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
     if not absolutely_irreducible(list(left.entries)):
         raise PreconditionError("left factor is not absolutely irreducible")
     margin = (p - 2) * n - sum(invariants_dim([A]) for A in left.finite_entries())
-    return "irreducible" if margin > 0 else "inconclusive"
+    return Verdict(True if margin > 0 else None, margin, "(p-2) n - sum dim ker(A_i - 1) > 0")
 
 
 # -- local Jordan predictions ---------------------------------------------------------

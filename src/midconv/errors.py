@@ -1,14 +1,26 @@
-"""Exception hierarchy shared by all midconv modules.
+"""Exception hierarchy and the answer type shared by all midconv modules.
 
-Everything that is a *domain* failure (bad prime, non-split polynomial,
-degenerate convolution input, ...) derives from DomainError so the CLI can
-map it to exit code 1.  Malformed input text (scalar grammar, braid words,
-tuple files) derives from InputError and maps to exit code 2.  Exit code 3
-is no error: it is the inconclusive answer of `equiv`, when tuples.equivalence
-finds neither a conjugator nor an invariant that tells the tuples apart.
+The exit codes of the command line, stated here once: 0 yes, or done; 1 a
+domain error or a proved no; 2 an input error (usage, parse or file); 3
+inconclusive.  A domain failure (bad prime, non-split polynomial, degenerate
+convolution input, ...) derives from DomainError; malformed input text
+(scalar grammar, braid words, tuple files) derives from InputError.  A
+decision procedure returns a Verdict, whose ok gives 0, 1 or 3.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A decision: ok is True (yes), False (proved no) or None (inconclusive).
+    witness is what ok rests on, checkable from the inputs alone, or None;
+    method names the test that decided."""
+    ok: bool | None
+    witness: object
+    method: str
 
 
 class DomainError(Exception):

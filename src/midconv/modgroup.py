@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import count
 from operator import itemgetter
 
-from .errors import BadPrime, NoRootInQuadratic, PreconditionError
+from .errors import BadPrime, NoRootInQuadratic, PreconditionError, Verdict
 from .linalg import (Matrix, _check_fields, _mul_rows, commutant_basis, eigenvalues,
                      find_invertible, jordan_data, kernel_basis, matrix_order, rank,
                      solve_matrix_equations)
@@ -205,8 +205,8 @@ def absolutely_irreducible(gens: list[Matrix]) -> bool:
     return len(commutant_basis(gens, gens)) == 1
 
 
-def invariant_symmetric_form(gens: list[Matrix]) -> Matrix | None:
-    """Nondegenerate symmetric G with g G g^T = G for all generators, if any."""
+def invariant_symmetric_form(gens: list[Matrix]) -> Verdict:
+    """True with an invertible symmetric G, g G g^T = G for all g; None: the scan found none."""
     d = gens[0].nrows
     upper = {}                             # one unknown G_ab per a <= b
     for a in range(d):
@@ -214,8 +214,9 @@ def invariant_symmetric_form(gens: list[Matrix]) -> Matrix | None:
             upper[a, b] = len(upper)
     unknowns = [[upper[min(a, b), max(a, b)] for b in range(d)] for a in range(d)]
     ident = Matrix.identity(gens[0].field, d)
-    return find_invertible(solve_matrix_equations(
+    G = find_invertible(solve_matrix_equations(
         [((g, g.transpose()), (ident, ident)) for g in gens], unknowns))
+    return Verdict(None if G is None else True, G, "scan of the solutions of g G g^T = G")
 
 
 def primitivity_bound(T: MonodromyTuple) -> tuple[Fraction, bool]:
@@ -354,7 +355,7 @@ def group_report(gens: list[Matrix], cap: int = CLOSURE_CAP) -> GroupReport:
     _check_cap(cap)
     if not gens:
         raise PreconditionError("group_report needs at least one generator")
-    gram = invariant_symmetric_form(gens)
+    gram = invariant_symmetric_form(gens).witness
     field, ell = gens[0].field, gens[0].field.p
     o3 = (gram is not None and gens[0].nrows == 3 and field.kind == FINITE
           and field.k == 1 and ell != 2)

@@ -10,8 +10,8 @@ rank each, over any sequence of matrices (a tuple's entries, one entry, or
 the entries with one of them scaled).
 
 Two tuples are compared one way: equivalence, which answers "is A ~ B up to
-simultaneous conjugacy?" with a conjugator, a distinguishing invariant, or
-no conclusion.
+simultaneous conjugacy?" with a Verdict whose witness is a conjugator, a
+distinguishing invariant, or nothing when it reaches no conclusion.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, Verdict
 from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
                      find_invertible, kernel_basis, rank, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
@@ -375,11 +375,11 @@ def induced_quotient_matrix(basis: Matrix, image_blocks, proj=None) -> list[Matr
     return [Matrix(field, tuple(next(coords) for _ in block.payload)) for block in image_blocks]
 
 
-def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matrix | str | None]:
-    """Decide A ~ B up to simultaneous conjugacy: (True, S), (False, reason) or (None, None).
+def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> Verdict:
+    """Decide A ~ B up to simultaneous conjugacy; the witness is S, a reason or None.
 
-    S is a conjugator, S^-1 A_i S = B_i for every i; reason names an
-    invariant that tells the tuples apart; (None, None) proves nothing.  The
+    S is a conjugator, S^-1 A_i S = B_i for every i (True); reason names an
+    invariant that tells the tuples apart (False); None proves nothing.  The
     checks run in this order: the field, dim and r, and the points when both
     tuples carry them; the characteristic polynomial of each entry; then
     Hom(A, B) = {X : A_i X = X B_i}, solved once, whose basis and prefix sums
@@ -395,18 +395,19 @@ def equivalence(A: MonodromyTuple, B: MonodromyTuple) -> tuple[bool | None, Matr
     unique, so the basis is the same too.  At r = 0 the one entry is solved.
     """
     if A.field != B.field or A.dim != B.dim or A.r != B.r:
-        return False, "field, dim or r differ"
+        return Verdict(False, "field, dim or r differ", "invariants")
     if A.points is not None and B.points is not None and A.points != B.points:
-        return False, "points differ"
+        return Verdict(False, "points differ", "invariants")
     for k, (MA, MB) in enumerate(zip(A.entries, B.entries), start=1):
         if char_poly(MA) != char_poly(MB):
-            return False, f"characteristic polynomials of entry {k} differ"
+            return Verdict(False, f"characteristic polynomials of entry {k} differ", "invariants")
     a, b = (list(X.finite_entries() or X.entries) for X in (A, B))
     hom = commutant_basis(a, b)
     S = find_invertible(hom)
     if S is not None:
-        return True, S
+        return Verdict(True, S, "scan of Hom(A, B)")
     dims = [len(hom)] + [len(commutant_basis(x, x)) for x in (a, b)]
     if len(set(dims)) > 1:
-        return False, "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims)
-    return None, None
+        return Verdict(False, "dim Hom(A, B), dim End(A), dim End(B) = {}, {}, {}".format(*dims),
+                       "invariants")
+    return Verdict(None, None, "scan of Hom(A, B)")

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from midconv.linalg import Matrix
+from midconv.linalg import Matrix, char_poly, commutant_basis, kernel_basis
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
@@ -59,3 +60,88 @@ def random_tuple(field, dim, r, rng, with_points=False):
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+def pytest_collection_modifyitems(items):
+    # Where libcst is installed, hypothesis imports it to print the patch of a
+    # failing example, and libcst's import warns; under -W error that warning
+    # ended the run in INTERNALERROR and hid the falsifying example.  A mark
+    # outranks the command line's -W, an ini filter does not.
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning:"
+            "libcst.metadata.type_inference_provider"))
+
+
+def _has_fixed_vector(matrices):
+    """Whether some v != 0 has v M = v for every M, the v found checked by products."""
+    field, d = matrices[0].field, matrices[0].nrows
+    joined = Matrix(field, tuple(sum((M.minus_identity().payload[k] for M in matrices), ())
+                                 for k in range(d)))
+    for row in kernel_basis(joined).payload:
+        v = Matrix(field, (row,))
+        return all(v @ M == v for M in matrices)
+    return False
+
+
+def check_witness(verdict, *inputs):
+    """Re-verify what a Verdict rests on from the inputs alone; its method names the procedure.
+
+    equivalence(A, B): a conjugator S with S^-1 A_i S = B_i, or the invariant
+    that the reason names.  is_convolution_sheaf(T): at (condition, i, tau),
+    the tuple with T_i replaced by tau T_i has a fixed vector (*) or a fixed
+    functional (**).  invariant_symmetric_form(gens): G symmetric and
+    invertible with g G g^T = G.  irreducibility_criterion(T, lams): the
+    margin (p-2) n - sum dim ker(A_i - 1), positive exactly when ok is True.
+    """
+    ok, witness, method = verdict.ok, verdict.witness, verdict.method
+    if method == "scan of Hom(A, B)":
+        A, B = inputs
+        if ok is None:
+            assert witness is None
+            return
+        assert ok is True and witness.is_invertible()
+        S_inv = witness.inverse()
+        assert all(S_inv @ M @ witness == N for M, N in zip(A.entries, B.entries))
+    elif method == "invariants":
+        A, B = inputs
+        assert ok is False
+        entry = re.fullmatch(r"characteristic polynomials of entry (\d+) differ", witness)
+        dims = re.fullmatch(r"dim Hom\(A, B\), dim End\(A\), dim End\(B\) = (.*)", witness)
+        if witness == "field, dim or r differ":
+            assert (A.field, A.dim, A.r) != (B.field, B.dim, B.r)
+        elif witness == "points differ":
+            assert None not in (A.points, B.points) and A.points != B.points
+        elif entry:
+            k = int(entry[1]) - 1
+            assert char_poly(A.entries[k]) != char_poly(B.entries[k])
+        else:
+            a, b = (list(X.finite_entries() or X.entries) for X in (A, B))
+            found = [len(commutant_basis(x, y)) for x, y in ((a, b), (a, a), (b, b))]
+            assert dims and dims[1] == ", ".join(map(str, found)) and len(set(found)) > 1
+    elif method == "invariants and coinvariants of the twisted tuples":
+        (T,) = inputs
+        if ok:
+            assert witness is None
+            return
+        condition, i, tau = witness
+        twisted = list(T.finite_entries())
+        twisted[i - 1] = twisted[i - 1].scale(tau)
+        if condition == "**":
+            twisted = [M.transpose() for M in twisted]
+        assert ok is False and _has_fixed_vector(twisted)
+    elif method == "scan of the solutions of g G g^T = G":
+        (gens,) = inputs
+        if ok is None:
+            assert witness is None
+            return
+        G = witness
+        assert ok is True and G == G.transpose() and G.is_invertible()
+        assert all(g @ G @ g.transpose() == G for g in gens)
+    elif method == "(p-2) n - sum dim ker(A_i - 1) > 0":
+        T = inputs[0]
+        margin = (T.r - 2) * T.dim - sum(len(kernel_basis(A.minus_identity()))
+                                         for A in T.finite_entries())
+        assert witness == margin and ok is (True if margin > 0 else None)
+    else:
+        raise AssertionError(f"no witness check for the method {method!r}")

@@ -1,4 +1,4 @@
-"""The command line: --json documents and exit codes (0 ok, 1 domain, 2 input)."""
+"""The command line: --json documents and exit codes (the contract stated in errors.py)."""
 
 import json
 import random
@@ -74,12 +74,50 @@ def test_group_cap_below_one_is_a_usage_error(capsys, cap):
     ("fixture:L", "fixture:LstarL", False, 1),
 ])
 def test_equiv_exit_codes(capsys, a, b, equivalent, code):
-    assert _run_json(capsys, "equiv", a, b) == (code, {"equivalent": equivalent})
+    witness = "1, 0, 0\n0, 1, 0\n0, 0, 1" if equivalent else "field, dim or r differ"
+    method = "scan of Hom(A, B)" if equivalent else "invariants"
+    assert _run_json(capsys, "equiv", a, b) == (
+        code, {"equivalent": equivalent, "witness": witness, "method": method})
 
 
-def test_irred_inconclusive_exits_zero(capsys):
-    code, doc = _run_json(capsys, "irred", "--tuple", "fixture:L", "--lambdas", "-1")
-    assert (code, doc) == (0, {"verdict": "inconclusive"})
+_SHEAF = "invariants and coinvariants of the twisted tuples"
+_MARGIN = "(p-2) n - sum dim ker(A_i - 1) > 0"
+# two reflections and two rotations of the triangle group, infinity = 1: margin 2
+_DIHEDRAL = ("rational", 2, [["0, 1", "1, 0"], ["-1, -1", "0, 1"], ["0, 1", "-1, -1"],
+                             ["0, 1", "-1, -1"], ["1, 0", "0, 1"]])
+# every Hom basis matrix and prefix sum is singular, so the scan finds no conjugator
+_DIAGONAL = ("rational", 3, [["1, 0, 0", "0, 1, 0", "0, 0, 2"],
+                             ["1, 0, 0", "0, 1, 0", "0, 0, 1/2"]])
+
+
+@pytest.mark.parametrize("argv, code, out, doc", [
+    (["check-conv", "--tuple", "fixture:V"], 0, "pass\n",
+     {"convolution_sheaf": True, "witness": None, "method": _SHEAF}),
+    (["check-conv", "--tuple", "fixture:Kummer-1"], 1,
+     "fail\nviolated (**) at entry 1 with tau = -1\n",
+     {"convolution_sheaf": False, "witness": {"condition": "**", "entry": 1, "tau": "-1"},
+      "method": _SHEAF}),
+    (["irred", "--tuple", "{dihedral}", "--lambdas=-1"], 0, "irreducible\n",
+     {"verdict": "irreducible", "witness": 2, "method": _MARGIN}),
+    (["irred", "--tuple", "fixture:L", "--lambdas=-1"], 3, "inconclusive\n",
+     {"verdict": "inconclusive", "witness": 0, "method": _MARGIN}),
+    (["equiv", "fixture:L", "fixture:L"], 0, "equivalent\n",
+     {"equivalent": True, "witness": "1", "method": "scan of Hom(A, B)"}),
+    (["equiv", "fixture:V", "fixture:LstarL"], 1,
+     "not equivalent: field, dim or r differ\n",
+     {"equivalent": False, "witness": "field, dim or r differ", "method": "invariants"}),
+    (["equiv", "{diagonal}", "{diagonal}"], 3,
+     "inconclusive: the invariants agree, but no conjugator was found\n",
+     {"equivalent": None, "witness": None, "method": "scan of Hom(A, B)"}),
+], ids=["check-conv-pass", "check-conv-fail", "irred-irreducible", "irred-inconclusive",
+        "equiv-yes", "equiv-no", "equiv-inconclusive"])
+def test_each_decision_exits_by_its_verdict(capsys, tmp_path, argv, code, out, doc):
+    # 0 yes, 1 proved no, 3 inconclusive, in text and in --json
+    paths = {"dihedral": _write(tmp_path, "dihedral.txt", *_DIHEDRAL),
+             "diagonal": _write(tmp_path, "diagonal.txt", *_DIAGONAL)}
+    argv = [arg.format(**paths) for arg in argv]
+    assert _run(capsys, *argv) == (code, out, "")
+    assert _run_json(capsys, *argv) == (code, doc)
 
 
 def test_lambda_zero_and_one_name_the_one_precondition(capsys, tmp_path):
@@ -382,7 +420,8 @@ def test_eigenvalue_search_past_its_budget_exits_1_at_once(capsys, tmp_path, cmd
     start = time.perf_counter()
     code, out, err = _run(capsys, *cmd, "--tuple", path)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (0, outs[cmd[0]], "")
+    # check-conv proves that (**) fails: exit 1
+    assert (code, out, err) == (int(cmd[0] == "check-conv"), outs[cmd[0]], "")
 
 
 def test_jordan_of_x2_minus_a_4198_digit_primorial_exits_1_at_once(capsys, tmp_path):
@@ -447,7 +486,7 @@ def test_sl_demo_with_m_up_to_the_limit_names_the_points_it_needs(capsys, m, nee
 def test_check_conv_of_the_kummer_fixture_reports_a_failure_at_r_1_as_double_star(capsys):
     # with r = 1 there is no other entry, and ker(tau T_1 - 1) != 0 is (**)
     code, out, err = _run(capsys, "check-conv", "--tuple", "fixture:Kummer-1")
-    assert (code, out, err) == (0, "fail\nviolated (**) at entry 1 with tau = -1\n", "")
+    assert (code, out, err) == (1, "fail\nviolated (**) at entry 1 with tau = -1\n", "")
 
 
 def test_k3_error_line_gives_the_size_of_a_huge_q_not_its_digits(capsys):
@@ -469,7 +508,8 @@ def test_equiv_without_a_conjugator_or_a_proof_is_inconclusive(capsys, tmp_path)
     # finds no conjugator, yet the tuple is equivalent to itself
     path = _write(tmp_path, "a.txt", "rational", 3,
                   [["1, 0, 0", "0, 1, 0", "0, 0, 2"], ["1, 0, 0", "0, 1, 0", "0, 0, 1/2"]])
-    assert _run_json(capsys, "equiv", path, path) == (3, {"equivalent": None})
+    assert _run_json(capsys, "equiv", path, path) == (
+        3, {"equivalent": None, "witness": None, "method": "scan of Hom(A, B)"})
     code, out, _err = _run(capsys, "equiv", path, path)
     assert code == 3 and out.startswith("inconclusive")
 
@@ -478,7 +518,9 @@ def test_equiv_not_equivalent_is_proved_by_commutant_dimensions(capsys, tmp_path
     # equal characteristic polynomials; dim End is 2 for A and 4 for B
     a = _write(tmp_path, "a.txt", "rational", 2, [["1, 1", "0, 1"], ["1, -1", "0, 1"]])
     b = _write(tmp_path, "b.txt", "rational", 2, [["1, 0", "0, 1"]] * 2)
-    assert _run_json(capsys, "equiv", a, b) == (1, {"equivalent": False})
+    assert _run_json(capsys, "equiv", a, b) == (1, {
+        "equivalent": False, "witness": "dim Hom(A, B), dim End(A), dim End(B) = 2, 2, 4",
+        "method": "invariants"})
     code, out, _err = _run(capsys, "equiv", a, b)
     assert code == 1
     assert out == "not equivalent: dim Hom(A, B), dim End(A), dim End(B) = 2, 2, 4\n"
@@ -491,7 +533,7 @@ def test_check_conv_sees_an_eigenvalue_off_the_roots_of_unity(capsys, tmp_path):
                   [["1, 0", "0, z+1"], ["z+1, 0", "1, 1"],
                    ["-1/2*z+1/2, 0", "1/2*z-1/2, -1/2*z+1/2"]], ["0", "1"])
     code, out, _err = _run(capsys, "check-conv", "--tuple", path)
-    assert code == 0
+    assert code == 1
     assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"
 
 
@@ -502,7 +544,7 @@ def test_check_conv_finds_an_eigenvalue_from_a_linear_remainder(capsys, tmp_path
                   [["-z+1, 2*z", "-z, 2*z+1"], ["2*z+2, -2*z-1", "z+1, -z"],
                    ["0, -1/2*z+1/2", "1/2*z-1/2, -z+1"]], ["0", "1"])
     code, out, _err = _run(capsys, "check-conv", "--tuple", path)
-    assert code == 0
+    assert code == 1
     assert out == "fail\nviolated (**) at entry 1 with tau = -1/2*z+1/2\n"
 
 

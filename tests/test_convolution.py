@@ -6,21 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, ConvolutionSheafCheck,
-                                 circ_tuple, convolved_block,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, circ_tuple, convolved_block,
                                  irreducibility_criterion, is_convolution_sheaf, kummer_tuple,
                                  mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import DoesNotSplit, FieldMismatch, LambdaIsOne, PreconditionError
-from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
+from midconv.fixtures import (TUPLE_FIXTURES, kummer_minus_one, l_star_l, m_tuple,
+                              quadratic_tuple)
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, row_space_basis, solve_coords)
+from midconv.modgroup import invariant_symmetric_form, reduce_mod
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (MonodromyTuple, coinvariants_dim, equivalence, invariants_dim,
                             sort_points)
 
-from conftest import F7, Q, SEED, random_invertible, random_tuple
+from conftest import F7, Q, SEED, check_witness, random_invertible, random_tuple
 
 Z4 = FieldDescriptor.cyclotomic(4)
 F11 = FieldDescriptor.finite(11)
@@ -62,7 +63,7 @@ def test_convolution_fixture_one():
     out = middle_convolution(l_input())
     assert out.dim == 2
     assert out.points == (Fraction(-2), Fraction(0), Fraction(2))
-    assert equivalence(out, l_star_l())[0] is True
+    assert equivalence(out, l_star_l()).ok is True
     expected = JordanData.of([(Q.one(), 2)])
     assert all(jordan_data(M) == expected for M in out.finite_entries())
 
@@ -71,7 +72,7 @@ def test_convolution_fixture_two():
     ll = middle_convolution(l_input())
     out = middle_convolution(ConvolutionInput(ll, kummer_minus_one()))
     assert out.dim == 3
-    assert equivalence(out, m_tuple())[0] is True
+    assert equivalence(out, m_tuple()).ok is True
 
 
 def test_convolution_commutativity_invariants():
@@ -91,7 +92,7 @@ def test_mc_lambda_matches_convolution_oracle():
     oracle = middle_convolution(ConvolutionInput(L, kummer_minus_one()))
     assert out.dim == 2
     assert out.points == oracle.points
-    assert equivalence(out, oracle)[0] is True
+    assert equivalence(out, oracle).ok is True
     # the L*L local structure: unipotent J(1,2) at both finite points
     expected = JordanData.of([(Q.one(), 2)])
     assert all(jordan_data(M) == expected for M in out.finite_entries())
@@ -116,7 +117,7 @@ def test_mc_lambda_is_the_convolution_with_the_kummer_sheaf(field, rng):
     kummer = kummer_tuple(field, lam)
     for T in _corpus_like_sheaves(field, rng, ((1, 3), (2, 2), (2, 4), (3, 4))):
         conv = middle_convolution(ConvolutionInput(T, kummer))
-        assert equivalence(mc_lambda(sort_points(T), lam), conv)[0] is True
+        assert equivalence(mc_lambda(sort_points(T), lam), conv).ok is True
 
 
 def test_mc_lambda_rank_bookkeeping():
@@ -127,7 +128,7 @@ def test_mc_lambda_rank_bookkeeping():
     twice = mc_lambda(once, Q.from_int(-1))
     assert once.dim == 2
     assert twice.dim == L.dim == 1
-    assert equivalence(twice, L)[0] is True
+    assert equivalence(twice, L).ok is True
 
 
 def test_mc_lambda_finite_field_regression():
@@ -332,6 +333,7 @@ def test_convolution_sheaf_check_matches_the_kernel_oracle(field):
                 expected = _sheaf_witness_oracle(T)
                 res = is_convolution_sheaf(T)
                 assert (res.ok, res.witness) == (expected is None, expected)
+                check_witness(res, T)
                 assert invariants_dim(T.entries) == _fixed_dim_oracle(T.entries)
                 assert coinvariants_dim(T.entries) == _cofixed_dim_oracle(T.entries)
                 seen.add(expected[0] if expected else "ok")
@@ -339,8 +341,8 @@ def test_convolution_sheaf_check_matches_the_kernel_oracle(field):
 
 
 def _full_tau_search(T):
-    """The sheaf check without its shortcut: every entry's eigenvalues are searched and
-    both conditions tested at every tau."""
+    """(ok, witness) of the sheaf check without its shortcut: every entry's eigenvalues
+    are searched and both conditions tested at every tau."""
     finite, one = T.finite_entries(), T.field.one()
     for i, Ti in enumerate(finite):
         others = finite[:i] + finite[i + 1:]
@@ -350,10 +352,10 @@ def _full_tau_search(T):
         for tau in taus:
             twisted = others + (Ti.scale(tau),)
             if fixed and invariants_dim(twisted):
-                return ConvolutionSheafCheck(False, ("*", i + 1, tau))
+                return False, ("*", i + 1, tau)
             if coinvariants_dim(twisted):
-                return ConvolutionSheafCheck(False, ("**", i + 1, tau))
-    return ConvolutionSheafCheck(True)
+                return False, ("**", i + 1, tau)
+    return True, None
 
 
 @st.composite
@@ -377,7 +379,23 @@ def sheaf_cases(draw):
 @example(MonodromyTuple.from_finite_entries(Q, ONE_SIDED))
 @example(MonodromyTuple.from_finite_entries(Q, [M.transpose() for M in ONE_SIDED]))
 def test_the_sheaf_check_equals_the_full_tau_search(T):
-    assert is_convolution_sheaf(T) == _full_tau_search(T)
+    res = is_convolution_sheaf(T)
+    assert (res.ok, res.witness) == _full_tau_search(T)
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_FIXTURES))
+def test_the_witnesses_on_the_fixtures_check_out(name):
+    T = TUPLE_FIXTURES[name]()
+    check_witness(is_convolution_sheaf(T), T)
+    for other in sorted(TUPLE_FIXTURES):
+        U = TUPLE_FIXTURES[other]()
+        check_witness(equivalence(T, U), T, U)
+    if T.points is not None:
+        moved = MonodromyTuple.make(T.field, T.entries, [p + 1 for p in T.points])
+        check_witness(equivalence(T, moved), T, moved)
+    for ell in (5, 7, 13):
+        gens = list(reduce_mod(T, ell).entries)
+        check_witness(invariant_symmetric_form(gens), gens)
 
 
 def dihedral_tuple():
@@ -390,11 +408,15 @@ def dihedral_tuple():
 
 def test_irreducibility_criterion_dihedral():
     T = dihedral_tuple()
-    assert irreducibility_criterion(T, [Q.from_int(-1)]) == "irreducible"
+    res = irreducibility_criterion(T, [Q.from_int(-1)])
+    assert (res.ok, res.witness) == (True, 2)
+    check_witness(res, T)
 
 
 def test_irreducibility_criterion_inconclusive():
-    assert irreducibility_criterion(quadratic_tuple(), [Q.from_int(-1)]) == "inconclusive"
+    res = irreducibility_criterion(quadratic_tuple(), [Q.from_int(-1)])
+    assert (res.ok, res.witness) == (None, 0)
+    check_witness(res, quadratic_tuple())
 
 
 def test_irreducibility_criterion_precondition():

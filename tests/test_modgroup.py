@@ -15,7 +15,7 @@ from midconv.modgroup import (_certified_order, absolutely_irreducible, group_cl
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
 
-from conftest import SEED, Q, random_invertible
+from conftest import SEED, Q, check_witness, random_invertible
 
 Z4 = FieldDescriptor.cyclotomic(4)
 
@@ -313,7 +313,7 @@ def test_gram_is_preserved_by_whole_closure():
     ell = 5
     Vb = reduce_mod(m_tuple(), ell)
     gens = list(Vb.entries)
-    G = invariant_symmetric_form(gens)
+    G = invariant_symmetric_form(gens).witness
     for g in group_elements(gens):
         assert g @ G @ g.transpose() == G
 
@@ -339,7 +339,7 @@ def _v_mod(ell):
 
 
 def _certificate(gens, ell):
-    return _certified_order(gens, invariant_symmetric_form(gens), ell)
+    return _certified_order(gens, invariant_symmetric_form(gens).witness, ell)
 
 
 @pytest.mark.parametrize("ell", [7, 11, 13, 17, 19, 23, 29, 31])
@@ -456,7 +456,9 @@ def test_the_group_report_agrees_with_the_direct_calls(gens, recognized):
     report = group_report(gens)
     assert report.order == group_closure(gens)
     assert report.absolutely_irreducible == absolutely_irreducible(gens)
-    assert report.invariant_gram == invariant_symmetric_form(gens)
+    form = invariant_symmetric_form(gens)
+    assert report.invariant_gram == form.witness
+    check_witness(form, gens)
     assert report.recognized == recognized
     ell = gens[0].field.p
     assert (recognized is not None) == (report.invariant_gram is not None

@@ -18,7 +18,7 @@ from midconv.linalg import Matrix, commutant_basis, find_invertible
 from midconv.modgroup import invariant_symmetric_form, reduce_mod
 from midconv.scalars import FieldDescriptor
 
-from conftest import F7, Q, random_invertible
+from conftest import F7, Q, check_witness, random_invertible
 
 F2 = FieldDescriptor.finite(2)
 F4 = FieldDescriptor.finite(2, 2)
@@ -59,9 +59,9 @@ def _gens(name):
 ])
 def test_invariant_gram_is_pinned(name, gram):
     gens = _gens(name)
-    G = invariant_symmetric_form(gens)
-    assert _text(G) == gram
-    assert all(g @ G @ g.transpose() == G for g in gens)
+    form = invariant_symmetric_form(gens)
+    assert _text(form.witness) == gram
+    check_witness(form, gens)
 
 
 @pytest.mark.parametrize("field, digest", [

@@ -21,7 +21,7 @@ from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
-from conftest import F7, Q, SEED, random_invertible, random_scalar, random_tuple
+from conftest import F7, Q, SEED, check_witness, random_invertible, random_scalar, random_tuple
 from test_linalg import _oracle_coords
 
 Z3 = FieldDescriptor.cyclotomic(3)
@@ -543,18 +543,18 @@ def test_slot_blocks_and_join_slots_undo_each_other(rng):
 def test_equivalence_identity_case():
     T = MonodromyTuple.from_finite_entries(Q, [Matrix.from_rows(Q, [[-3, -8], [2, 5]]),
                                                Matrix.from_rows(Q, [[1, -4], [0, 1]])])
-    verdict, S = equivalence(T, T)
-    assert verdict is True
-    assert all(S.inverse() @ M @ S == M for M in T.entries)
+    res = equivalence(T, T)
+    assert res.ok is True
+    check_witness(res, T, T)
 
 
 def test_equivalence_constructed(rng):
     V = m_tuple()
     S0 = random_invertible(Q, 3, rng)
     B = MonodromyTuple.make(Q, [S0.inverse() @ M @ S0 for M in V.entries])
-    verdict, S = equivalence(V, B)
-    assert verdict is True
-    assert all(S.inverse() @ M @ S == N for M, N in zip(V.entries, B.entries))
+    res = equivalence(V, B)
+    assert res.ok is True
+    check_witness(res, V, B)
 
 
 def test_equivalence_distinguishes_spectra():
@@ -562,7 +562,9 @@ def test_equivalence_distinguishes_spectra():
     TB = [Matrix.from_rows(Q, [[-1, 0], [0, -1]])]
     assert find_invertible(commutant_basis(TA, TB)) is None
     A, B = (MonodromyTuple.from_finite_entries(Q, T) for T in (TA, TB))
-    assert equivalence(A, B) == (False, "characteristic polynomials of entry 1 differ")
+    res = equivalence(A, B)
+    assert (res.ok, res.witness) == (False, "characteristic polynomials of entry 1 differ")
+    check_witness(res, A, B)
 
 
 def _conjugate_of_v():
@@ -599,8 +601,10 @@ def test_equivalence_solves_hom_once_and_end_only_without_a_conjugator(
 
     A, B = pair()
     monkeypatch.setattr(tuples, "commutant_basis", counted)
-    assert equivalence(A, B)[0] is verdict
+    res = equivalence(A, B)
+    assert res.ok is verdict
     assert len(calls) == solves
+    check_witness(res, A, B)
 
 
 @pytest.mark.parametrize("pair", [
@@ -640,12 +644,6 @@ def test_equivalence_verdicts_are_sound(field, seed, dim, kinds, other):
     S0 = random_invertible(field, dim, rng)
     B = MonodromyTuple.from_finite_entries(field, [S0.inverse() @ M @ S0
                                                    for M in A.finite_entries()])
-    assert equivalence(A, B)[0] is not False
+    assert equivalence(A, B).ok is not False
     for X, Y in ((A, B), (A, C), (C, A)):
-        verdict, witness = equivalence(X, Y)
-        if verdict:
-            assert all(witness.inverse() @ M @ witness == N for M, N in zip(X.entries, Y.entries))
-        elif verdict is False:
-            assert isinstance(witness, str) and witness
-        else:
-            assert witness is None
+        check_witness(equivalence(X, Y), X, Y)
