@@ -12,9 +12,10 @@ to this module:
   * finite p, 2   -- the pair (a0, a1) of integers in [0, p), for a0 + a1 t.
 
 Elsewhere a payload goes to the ops table or is compared and hashed whole.
-`coords()` is the one read-out: the coordinates in the basis 1, zeta, ..
-of Q(zeta_n), Q being Q(zeta_1), or 1, t of F_{p^k}.  The sort order,
-format_scalar, modgroup.reduce_mod and the root search all read it.
+Two read-outs see the layouts: `coords()`, the coordinates in the basis
+1, zeta, .. of Q(zeta_n), Q being Q(zeta_1), or 1, t of F_{p^k}, which the
+sort order, format_scalar, modgroup.reduce_mod and the root search read;
+and `FieldDescriptor.square_indices()`, which k3count's character tables read.
 
 The Q(zeta_n) tables are cached per n: _cyc_tables reduces the powers
 zeta^e, e < n, by poly.cyclotomic_polynomial(n), and reads the reduction
@@ -248,6 +249,19 @@ class FieldDescriptor:
             for b in range(self.p):
                 for a in range(self.p):
                     yield Scalar(self, (a, b))
+
+    def square_indices(self) -> list[int]:
+        """For each element in elements() order, the index of its square in that
+        order (finite fields only).  a + b t is at index a + p b, and over
+        F_p[t] / (t^2 + c1 t + c0) its square is (a^2 - c0 b^2) + (2ab - c1 b^2) t."""
+        if self.kind != FINITE:
+            raise FieldMismatch("cannot enumerate an infinite field")
+        p = self.p
+        if self.k == 1:
+            return [a * a % p for a in range(p)]
+        c0, c1 = self.poly[0], self.poly[1]
+        return [(a * a - c0 * b * b) % p + p * ((2 * a - c1 * b) * b % p)
+                for b in range(p) for a in range(p)]
 
     def __str__(self) -> str:
         if self.kind == RATIONAL:

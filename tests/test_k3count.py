@@ -11,6 +11,7 @@ from midconv.fixtures import ALPHA_TABLE, N_TABLE, T2_TABLE, T_TABLE
 from midconv.k3count import (MAX_Q, _SLOT_BYTES, _prime_square_root, count_affine,
                              count_record, frobenius_eigenvalues, intersection_matrix,
                              intersection_matrix_det, legendre, trace_frobenius)
+from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor
 
 
@@ -118,8 +119,9 @@ def _seeded_fibres(p):
     return zs
 
 
-@pytest.mark.parametrize("e", [1, 2])
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+# p = 37, e = 2 is the largest q of the k3-frob benchmark
+@pytest.mark.parametrize("p, e", [(p, e) for p in (5, 7, 11, 13, 17, 19, 23) for e in (1, 2)]
+                         + [(37, 2)])
 def test_count_matches_correlation_oracle(p, e):
     for z in _seeded_fibres(p):
         assert count_affine(p ** e, z) == _correlation_count(p, e, z), z
@@ -130,6 +132,15 @@ def test_count_matches_correlation_oracle(p, e):
 def test_count_rejects_fibre_not_p_integral(q, z):
     with pytest.raises(PreconditionError):
         count_affine(q, z)
+
+
+def test_the_largest_counts_under_max_q():
+    # 10,993 is the largest prime and 103^2 the largest prime square up to MAX_Q;
+    # both counts are pinned from the build of chi through Scalars and the ops table
+    assert max(q for q in range(MAX_Q - 10, MAX_Q + 1) if is_prime(q)) == 10_993
+    assert 107 ** 2 > MAX_Q
+    assert count_affine(10_993) == 120_867_365
+    assert count_affine(103 ** 2) == 112_550_981
 
 
 def test_count_affine_packs_two_byte_slots():
@@ -219,7 +230,7 @@ def test_prime_square_root_of_a_large_prime_square():
 
 
 def test_nonsquare_q_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match=r"must be p or p\^2"):
         count_affine(15)
 
 

@@ -100,6 +100,26 @@ def test_frobenius_is_field_automorphism():
         assert a ** (p * p) == a
 
 
+@pytest.mark.parametrize("field", [FieldDescriptor.finite(5), FieldDescriptor.finite(7),
+                                   F4, FieldDescriptor.finite(3, 2), F25,
+                                   FieldDescriptor.finite(7, 2),
+                                   FieldDescriptor.finite(7, 2, (3, 1, 1))],
+                         ids=lambda f: f"{f}-{''.join(map(str, f.poly))}")
+def test_square_indices_match_the_ops_table(field):
+    ops = field.ops
+    elems = [x.payload for x in field.elements()]
+    index = {x: i for i, x in enumerate(elems)}
+    assert field.square_indices() == [index[ops.mul(x, x)] for x in elems]
+
+
+@pytest.mark.parametrize("field", [Q, Z4, Z12], ids=str)
+def test_square_indices_refuse_infinite_fields(field):
+    with pytest.raises(FieldMismatch):
+        field.square_indices()
+    with pytest.raises(FieldMismatch):
+        next(field.elements())
+
+
 _frac = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
