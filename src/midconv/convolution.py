@@ -119,17 +119,13 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     proj, quot = quotient_basis(u_basis, e_basis)
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
-    strands = p + q
-    points, image_blocks = [], []
-    for j in range(q, 0, -1):
-        for i in range(1, p + 1):
-            word = _delta_word(i, j, p, strands)
-            images, transported = phi_transport(C, word, quot)
-            if transported.entries != C.entries:
-                raise DimensionInconsistency(
-                    f"the loop braid for ({i},{j}) moves the tensor tuple")
-            points.append(left_points[i - 1] + right_points[j - 1])
-            image_blocks.append(images)
+    loops = [(i, j) for j in range(q, 0, -1) for i in range(1, p + 1)]
+    moved = phi_transport(C, [_delta_word(i, j, p, p + q) for i, j in loops], quot)
+    for (i, j), (_images, transported) in zip(loops, moved):
+        if transported.entries != C.entries:
+            raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
+    points = [left_points[i - 1] + right_points[j - 1] for i, j in loops]
+    image_blocks = [images for images, _transported in moved]
     try:
         Ds = induced_quotient_matrix(u_basis, image_blocks, proj)
     except PreconditionError as exc:

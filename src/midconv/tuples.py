@@ -5,6 +5,12 @@ A monodromy tuple is (T_1, ..., T_{r+1}) with T_1 ... T_{r+1} = 1; entry i
 monodromy at infinity.  Braid words act left-to-right on the first r entries
 and conjugation is x^y = y^-1 x y throughout.
 
+Braid words are applied one way: phi_transport walks a sequence of words,
+carrying rows of V^{r+1} by the cocycle Phi and resuming each word after the
+prefix it shares with the one before; braid_act walks one word, no rows.
+A letter with a scalar partner c*1 costs one block product and a scaling,
+and rows zero in both of a letter's slots are not touched.
+
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim, one
 rank each, over any sequence of matrices (a tuple's entries, one entry, or
 the entries with one of them scaled).
@@ -21,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import ParseError, PreconditionError, Verdict
 from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
@@ -190,7 +196,7 @@ def braid_act(T: MonodromyTuple, w: BraidWord) -> MonodromyTuple:
     untouched (the action preserves the product).  It is phi_transport with
     no rows to carry, so the letters are applied by that one loop.
     """
-    return phi_transport(T, w, Matrix(T.field, ()))[1]
+    return phi_transport(T, [w], Matrix(T.field, ()))[0][1]
 
 
 def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
@@ -209,49 +215,88 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
 
-def phi_transport(T: MonodromyTuple, w: BraidWord,
-                  rows: Matrix) -> tuple[Matrix, MonodromyTuple]:
-    """(rows Phi(T, w), T^w), one braid letter at a time.
+def _times(ops, rows, M, d):
+    """An iterator over the payload rows times M: c*1 scales each nonzero entry, 1 is free."""
+    if not M.is_scalar:
+        return iter(_mul_rows(ops, rows, M.sparse, d))
+    c = M.sparse[0][0][1]
+    if c == ops.one:
+        return iter(rows)
+    mul, nonzero = ops.mul, ops.nonzero
+    return (tuple(mul(c, x) if nonzero(x) else x for x in row) for row in rows)
+
+
+def phi_transport(T: MonodromyTuple, words,
+                  rows: Matrix) -> list[tuple[Matrix, MonodromyTuple]]:
+    """One (rows Phi(T, w), T^w) per braid word w of `words`, in one walk.
 
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
     touches only the slots i and i+1 of V^{r+1}.  The payload rows of `rows`
-    are cut into r+1 slot blocks, carried letter by letter on payloads and
-    joined again into the returned Matrix; no Scalar is built.  With
-    (a, b) = (T_i, T_{i+1}) of the current tuple, beta_i sends the blocks
-    (X, Y) of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), with no inverse, and
-    beta_i^-1 sends them to ((Y - X + X b) a^-1, X), a^-1 and the factors'
-    sparse rows built once per Matrix, across words.  The entries move by
-    _act_gen, so b^-1 a b is a itself when a or b is c*1.  If every entry
-    ends as the same object in its slot, with the same points, T itself is
-    returned (its product relation is already checked); otherwise T^w is
-    built, and checked, once per word.
+    (each of width (r+1) dim, or PreconditionError) are cut into r+1 slot
+    blocks, carried letter by letter on payloads and joined again into each
+    returned Matrix; no Scalar is built.  With (a, b) = (T_i, T_{i+1}) of the
+    current tuple, beta_i sends the blocks (X, Y) of slots i, i+1 to
+    (Y, X b + Y - Y b^-1 a b), with no inverse, and beta_i^-1 sends them to
+    ((Y - X + X b) a^-1, X), a^-1 and the factors' sparse rows built once
+    per Matrix.  The entries move by _act_gen, so b^-1 a b is a itself when
+    a or b is c*1: such a letter has one block product, and a product by
+    c*1 is a scaling, or nothing when c = 1.  A row zero in both slots stays
+    zero untouched, and a row zero in one slot skips that slot's product.
+
+    The walk keeps the state (entries, points, slot blocks) after each
+    letter of the previous word, and resumes each word after the longest
+    prefix it shares with that word.  If every entry ends as the same object
+    in its slot, with the same points, T itself is returned for the word
+    (its product relation is already checked); otherwise T^w is built, and
+    checked, once per word.
     """
-    if w.r != T.r:
-        raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
     _check_fields(T, rows, "phi_transport")
     field, d, ops = T.field, T.dim, T.field.ops
-    entries = list(T.entries)
-    points = list(T.points) if T.points is not None else None
-    blocks = [[v[k * d:(k + 1) * d] for v in rows.payload] for k in range(len(entries))]
-    for i, e in w.letters:
-        a, b = entries[i - 1], entries[i]
-        _act_gen(entries, points, i, e < 0)
-        X, Y = blocks[i - 1], blocks[i]
-        if not X:
-            continue
-        Xb = _mul_rows(ops, X, b.sparse, d)
-        if e > 0:                          # entries[i] is now b^-1 a b
-            Ya = _mul_rows(ops, Y, entries[i].sparse, d)
-            blocks[i - 1], blocks[i] = Y, [tuple(map(ops.sub, map(ops.add, xb, y), ya))
-                                           for xb, y, ya in zip(Xb, Y, Ya)]
-        else:
-            Z = [tuple(map(ops.add, map(ops.sub, y, x), xb)) for x, y, xb in zip(X, Y, Xb)]
-            blocks[i - 1], blocks[i] = _mul_rows(ops, Z, a.inverse().sparse, d), X
-    images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
-    if all(M is N for M, N in zip(entries, T.entries)) and (
-            points is None or tuple(points) == T.points):
-        return images, T
-    return images, MonodromyTuple.make(field, entries, points)
+    n = len(T.entries)
+    if any(len(v) != n * d for v in rows.payload):
+        raise PreconditionError(f"rows must have (r+1) dim = {n * d} columns")
+    add, sub, zrow = ops.add, ops.sub, (ops.zero,) * d
+    states = [(T.entries, T.points, tuple([v[k * d:(k + 1) * d] for v in rows.payload]
+                                          for k in range(n)))]
+    done, out = (), []
+    for w in words:
+        if w.r != T.r:
+            raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
+        shared = next((k for k, (x, y) in enumerate(zip(done, w.letters)) if x != y),
+                      min(len(done), len(w.letters)))
+        del states[shared + 1:]
+        entries, points, blocks = states[-1]
+        entries, blocks = list(entries), list(blocks)
+        points = None if points is None else list(points)
+        for i, e in w.letters[shared:]:
+            a, b = entries[i - 1], entries[i]
+            _act_gen(entries, points, i, e < 0)
+            X, Y = blocks[i - 1], blocks[i]
+            if X:
+                # the products run on the nonzero rows xs, ys of X and Y alone
+                xs, ys = [x != zrow for x in X], [y != zrow for y in Y]
+                Xb = _times(ops, compress(X, xs), b, d)
+                if e > 0:                  # entries[i] is now b^-1 a b
+                    Ya = _times(ops, compress(Y, ys), entries[i], d)
+                    blocks[i - 1], blocks[i] = Y, [
+                        (tuple(map(sub, map(add, next(Xb), y), next(Ya))) if t else next(Xb))
+                        if s else (tuple(map(sub, y, next(Ya))) if t else zrow)
+                        for s, y, t in zip(xs, Y, ys)]
+                else:
+                    live = [s or t for s, t in zip(xs, ys)]
+                    Z = [(tuple(map(add, map(sub, y, x), next(Xb))) if t
+                          else tuple(map(sub, next(Xb), x))) if s else y
+                         for x, s, y, t in zip(X, xs, Y, ys)]
+                    Za = _times(ops, compress(Z, live), a.inverse(), d)
+                    blocks[i - 1], blocks[i] = [next(Za) if s else zrow for s in live], X
+            states.append((tuple(entries), None if points is None else tuple(points),
+                           tuple(blocks)))
+        done = w.letters
+        images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
+        unmoved = all(M is N for M, N in zip(entries, T.entries)) and (
+            points is None or tuple(points) == T.points)
+        out.append((images, T if unmoved else MonodromyTuple.make(field, entries, points)))
+    return out
 
 
 # -- cohomology spaces -----------------------------------------------------------

@@ -296,11 +296,10 @@ def test_convolution_documents(capsys, argv, doc):
 def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
     real = convolution.phi_transport
 
-    def leaky(T, w, rows):
+    def leaky(T, words, rows):
         # v + e_1 is never in U: e_1 alone breaks the equation that cuts out H
-        images, TW = real(T, w, rows)
-        e1 = Matrix.from_rows(T.field, [[int(k == 0) for k in range(images.ncols)]] * len(images))
-        return images + e1, TW
+        e1 = Matrix.from_rows(T.field, [[int(k == 0) for k in range(rows.ncols)]] * len(rows))
+        return [(images + e1, TW) for images, TW in real(T, words, rows)]
 
     monkeypatch.setattr(convolution, "phi_transport", leaky)
     code, _out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",

@@ -90,7 +90,7 @@ def test_payload_loops_reject_foreign_entries(field):
                  lambda: intersect_row_spaces(good, foreign),
                  lambda: commutant_basis([good], [foreign]),
                  lambda: group_closure([good, foreign]),
-                 lambda: phi_transport(T, BraidWord(1, ()), Matrix.identity(other, 4))):
+                 lambda: phi_transport(T, [BraidWord(1, ())], Matrix.identity(other, 4))):
         with pytest.raises(FieldMismatch):
             call()
 

@@ -36,7 +36,7 @@ def scalar_tuple(*values, points=None):
 
 def phi_matrix(T, w):
     """The linear automorphism Phi(T, w) of V^{r+1}: its rows are the images of the e_k."""
-    return phi_transport(T, w, Matrix.identity(T.field, len(T.entries) * T.dim))[0]
+    return phi_transport(T, [w], Matrix.identity(T.field, len(T.entries) * T.dim))[0][0]
 
 
 def _row_times(v, M):
@@ -246,25 +246,70 @@ def test_loop_words_of_a_kummer_convolution_give_back_the_tensor_tuple(rng):
     e_basis, u_basis = cohomology_spaces(C)
     _ext, quot = quotient_basis(u_basis, e_basis)
     assert quot
-    for j in (1, 2):
-        for i in (1, 2, 3):
-            w = _delta_word(i, j, 3, 5)
-            images, TW = phi_transport(C, w, quot)
-            assert TW is C
-            big, entries = _phi_word_oracle(C, w)
-            assert entries == C.entries
-            assert images == quot @ big
+    words = [_delta_word(i, j, 3, 5) for j in (2, 1) for i in (1, 2, 3)]
+    for w, (images, TW) in zip(words, phi_transport(C, words, quot), strict=True):
+        assert TW is C
+        big, entries = _phi_word_oracle(C, w)
+        assert entries == C.entries
+        assert images == quot @ big
+
+
+def _shared_prefix(u, v):
+    return next((k for k, (x, y) in enumerate(zip(u, v)) if x != y), min(len(u), len(v)))
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z4], ids=str)
+@pytest.mark.parametrize("right_dim", [1, 2])
+def test_the_walk_over_many_words_matches_the_oracle_word_for_word(field, right_dim, rng):
+    # right_dim 1 makes every right entry of C a c*1 (1 among them), so each
+    # letter of a loop word has a scalar partner; right_dim 2 gives general letters
+    from midconv.convolution import _delta_word
+    left = random_tuple(field, 2, 2, rng, with_points=True)
+    one = Matrix.identity(field, right_dim)
+    right = MonodromyTuple.from_finite_entries(
+        field, [one, random_invertible(field, right_dim, rng)], [20, 30])
+    C = circ_tuple(ConvolutionInput(left, right))
+    e_basis, u_basis = cohomology_spaces(C)
+    _proj, quot = quotient_basis(u_basis, e_basis)
+    # the identity rows give Phi itself, with a zero row block in every slot but one
+    rows = Matrix(field, quot.payload + Matrix.identity(field, 5 * C.dim).payload)
+    own = [_delta_word(i, j, 2, 4) for j in (2, 1) for i in (1, 2)]
+    unshared = [_delta_word(i, j, 2, 4) for i in (1, 2) for j in (1, 2)]
+    assert all(_shared_prefix(u.letters, v.letters) == 0 for u, v in zip(unshared, unshared[1:]))
+    w, empty = own[0], BraidWord(4, ())
+    head = BraidWord(4, w.letters[:3])
+    orders = [own, unshared, [w, w], [empty, w, empty], [head, w, head], [w, head, w]]
+    oracle = {}
+    for words in orders:
+        for v, (images, TW) in zip(words, phi_transport(C, words, rows), strict=True):
+            if v.letters not in oracle:
+                oracle[v.letters] = _phi_word_oracle(C, v)
+            big, entries = oracle[v.letters]
+            assert images == rows @ big
+            assert TW.entries == entries
+    if right_dim == 1:
+        assert all(TW is C for _images, TW in phi_transport(C, own, quot))
+
+
+def test_phi_transport_rejects_rows_of_the_wrong_width(rng):
+    T = random_tuple(Q, 2, 2, rng)
+    w = parse_braid_word("b1", 2)
+    for width in (4, 7):
+        with pytest.raises(PreconditionError, match="6 columns"):
+            phi_transport(T, [w], Matrix.from_rows(Q, [[1] * width]))
+    (images, _TW), = phi_transport(T, [w], Matrix.from_rows(Q, [[1] * 6]))
+    assert images.dim == (1, 6)
 
 
 def test_phi_transport_returns_a_new_checked_tuple_when_the_entries_move(rng):
     T = random_tuple(Q, 2, 3, rng, with_points=True)
     w = parse_braid_word("b1 b2^-1", 3)
-    images, TW = phi_transport(T, w, Matrix(Q, ()))
+    (images, TW), = phi_transport(T, [w], Matrix(Q, ()))
     assert TW is not T and TW.entries == _phi_word_oracle(T, w)[1]
     # the same entry objects in another order of points is not T either
     two = Matrix.from_rows(Q, [[2]])
     S = MonodromyTuple.make(Q, [two, two, Matrix.from_rows(Q, [[Fraction(1, 4)]])], [0, 1])
-    SW = phi_transport(S, BraidWord(2, ((1, 1),)), Matrix(Q, ()))[1]
+    SW = phi_transport(S, [BraidWord(2, ((1, 1),))], Matrix(Q, ()))[0][1]
     assert SW is not S and SW.entries == S.entries and SW.points == (1, 0)
 
 
@@ -281,7 +326,7 @@ def test_phi_transport_applies_phi_to_rows(rng):
     T = random_tuple(F7, 2, 3, rng)
     w = parse_braid_word("b2 b1^-1 b2", 3)
     rows = Matrix.from_rows(F7, [[random_scalar(F7, rng) for _ in range(8)] for _ in range(3)])
-    images, TW = phi_transport(T, w, rows)
+    (images, TW), = phi_transport(T, [w], rows)
     assert images == rows @ phi_matrix(T, w)
     assert TW == braid_act(T, w)
 
@@ -294,7 +339,7 @@ def test_phi_empty_word_is_identity(rng):
 def test_phi_transport_of_no_rows_still_moves_the_tuple(rng):
     T = random_tuple(F7, 2, 3, rng, with_points=True)
     w = parse_braid_word("b2 b1^-1 b2", 3)
-    assert phi_transport(T, w, Matrix(F7, ())) == (Matrix(F7, ()), braid_act(T, w))
+    assert phi_transport(T, [w], Matrix(F7, ())) == [(Matrix(F7, ()), braid_act(T, w))]
 
 
 def test_phi_transports_u_and_e(rng):
