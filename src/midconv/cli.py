@@ -26,17 +26,19 @@ from .modgroup import CLOSURE_CAP, group_report, primitivity_bound, reduce_mod
 from .scalars import parse_scalar
 from .tuples import (braid_act, cohomology_spaces, equivalence, parabolic_rank_formula,
                      parse_braid_word)
-from .tupleio import load_tuple_file, save_tuple, save_tuple_file
+from .tupleio import load_tuple_file, save_tuple
 
 
-def _load(spec: str):
+def _load(spec: str, mod: int | None = None):
+    """The tuple of a file or of fixture:NAME, reduced mod `mod` when it is given."""
     if spec.startswith("fixture:"):
-        name = spec[len("fixture:"):]
         try:
-            return fixtures.get_tuple_fixture(name)
+            T = fixtures.get_tuple_fixture(spec[len("fixture:"):])
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-    return load_tuple_file(spec)
+    else:
+        T = load_tuple_file(spec)
+    return T if mod is None else reduce_mod(T, mod)
 
 
 def _positive_int(text: str) -> int:
@@ -59,12 +61,18 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
-    """Write T's save_tuple text to --out if given, then emit the report with it last."""
+def _save(args, T) -> str:
+    """T's save_tuple text, written to --out if given: the one writer of tuple files."""
     text = save_tuple(T)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    return text
+
+
+def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
+    """Save T (see _save), then emit the report with its text last."""
+    text = _save(args, T)
     _emit(args, {**payload, "tuple": text}, human + [text.rstrip()])
 
 
@@ -149,11 +157,11 @@ def _cmd_predict(args):
         return 0
     inp = ConvolutionInput(_load(args.left), _load(args.right))
     table = predict_local_jordan(inp)
-    left_points, right_points = inp.normalized_points()
+    points = inp.loop_points()
     payload = {}
     human = []
     for (i, j), jd in sorted(table.items()):
-        pt = left_points[i - 1] + right_points[j - 1]
+        pt = points[i, j]
         payload[f"{i},{j}"] = {"point": str(pt), "jordan": str(jd)}
         human.append(f"({i},{j}) at {pt}: {jd}")
     _emit(args, payload, human)
@@ -187,15 +195,13 @@ def _cmd_equiv(args):
 
 
 def _cmd_reduce(args):
-    out = reduce_mod(_load(args.tuple), args.mod)
+    out = _load(args.tuple, args.mod)
     _emit_tuple(args, out, {"field": str(out.field)}, [])
     return 0
 
 
 def _cmd_group(args):
-    T = _load(args.tuple)
-    if args.mod is not None:
-        T = reduce_mod(T, args.mod)
+    T = _load(args.tuple, args.mod)
     report = group_report(list(T.entries), cap=args.cap)
     payload = {"order": report.order_text,
                "absolutely_irreducible": report.absolutely_irreducible,
@@ -210,10 +216,7 @@ def _cmd_group(args):
 
 
 def _cmd_primitivity(args):
-    T = _load(args.tuple)
-    if args.mod is not None:
-        T = reduce_mod(T, args.mod)
-    bound, primitive = primitivity_bound(T)
+    bound, primitive = primitivity_bound(_load(args.tuple, args.mod))
     _emit(args, {"bound": str(bound), "primitive": primitive},
           [f"bound {bound}", "primitive" if primitive else "possibly imprimitive"])
     return 0
@@ -274,7 +277,7 @@ def _cmd_demo(args):
              f"finite determinants lie in <zeta_4>: {report.determinants_in_zeta4}",
              "all checks passed" if report.checks_passed else "CHECKS FAILED"]
     if args.out:
-        save_tuple_file(report.result, args.out)
+        _save(args, report.result)
     _emit(args, payload, human)
     return 0 if report.checks_passed else 1
 

@@ -7,7 +7,8 @@ around the summed singular points, and read off the induced maps on U/E.
 Everything works over any FieldDescriptor, finite fields included.
 
 Conventions (frozen against the rank-2 and rank-3 reference tuples):
-  * the left divisor is sorted ascending, the right divisor descending,
+  * the left divisor is sorted ascending, the right divisor descending;
+    ConvolutionInput.loop_points is the one map from a loop to its point,
   * output entries are ordered so that their product, taken left to right,
     is a positive loop around infinity; with the sorted divisors this lists
     the points of u*v in ascending order,
@@ -62,9 +63,13 @@ class ConvolutionInput:
         """Left divisor ascending, right divisor descending (braid re-marking)."""
         return sort_points(self.left), sort_points(self.right, descending=True)
 
-    def normalized_points(self) -> tuple[list[Fraction], list[Fraction]]:
-        """The point lists of normalized(), without its braid sorts."""
-        return sorted(self.left.points), sorted(self.right.points, reverse=True)
+    def loop_points(self) -> dict[tuple[int, int], Fraction]:
+        """x_i + y_j, the point of the loop delta_{i,j}, keyed (i, j) in middle_convolution's
+        order (j from q down to 1, i from 1 up to p); x and y are the divisors of
+        normalized(), read without its braid sorts."""
+        xs, ys = sorted(self.left.points), sorted(self.right.points, reverse=True)
+        return {(i, j): xs[i - 1] + ys[j - 1]
+                for j in range(self.q, 0, -1) for i in range(1, self.p + 1)}
 
     def sums(self) -> list[Fraction]:
         return sorted({x + y for x in self.left.points for y in self.right.points})
@@ -111,7 +116,7 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     Raises DimensionInconsistency when the braid transport fails to preserve
     the U/E spaces of the tensor tuple (degenerate right factor).
     """
-    left_points, right_points = inp.normalized_points()
+    loop_points = inp.loop_points()
     p, q = inp.p, inp.q
     field = inp.left.field
     C = circ_tuple(inp)
@@ -119,12 +124,11 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     proj, quot = quotient_basis(u_basis, e_basis)
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
-    loops = [(i, j) for j in range(q, 0, -1) for i in range(1, p + 1)]
-    moved = phi_transport(C, [_delta_word(i, j, p, p + q) for i, j in loops], quot)
-    for (i, j), (_images, transported) in zip(loops, moved):
+    moved = phi_transport(C, [_delta_word(i, j, p, p + q) for i, j in loop_points], quot)
+    for (i, j), (_images, transported) in zip(loop_points, moved):
         if transported.entries != C.entries:
             raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
-    points = [left_points[i - 1] + right_points[j - 1] for i, j in loops]
+    points = list(loop_points.values())
     image_blocks = [images for images, _transported in moved]
     try:
         Ds = induced_quotient_matrix(u_basis, image_blocks, proj)
@@ -300,19 +304,11 @@ def irreducibility_criterion(left: MonodromyTuple, right_scalars: list[Scalar]) 
 # -- local Jordan predictions ---------------------------------------------------------
 
 def convolved_block(alpha: Scalar, length: int, beta: Scalar) -> tuple[Scalar, int] | None:
-    """J(alpha, l) meeting a non-trivial eigenvalue beta gives J(alpha beta, l')."""
-    one = alpha.field.one()
-    if alpha == one and length == 1:
-        return None
-    if alpha == one:
-        new_len = length - 1
-    elif alpha == beta.inverse():
-        new_len = length + 1
-    else:
-        new_len = length
-    if new_len == 0:
-        return None
-    return (alpha * beta, new_len)
+    """J(alpha, l), l >= 1, meeting a non-trivial eigenvalue beta gives J(alpha beta, l'),
+    l' >= 1; J(1, 1) is the one block that vanishes, and gives None."""
+    if alpha.is_one():
+        return None if length == 1 else (beta, length - 1)
+    return (alpha * beta, length + 1 if alpha == beta.inverse() else length)
 
 
 def _padded(blocks, filler: Scalar, total: int, where: str) -> JordanData:
@@ -332,7 +328,7 @@ def predict_local_jordan(inp: ConvolutionInput) -> dict[tuple[int, int], JordanD
     """Jordan data of each D_{i,j} of the convolution, without computing it.
 
     Indices refer to the normalized configuration (left divisor ascending,
-    right descending), matching middle_convolution's entry at x_i + y_j.
+    right descending), matching middle_convolution's entry at inp.loop_points()[i, j].
     """
     if not inp.is_generic():
         raise PreconditionError("local predictions need a generic divisor sum")

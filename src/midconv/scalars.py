@@ -24,10 +24,11 @@ Integer coefficients are arbitrary precision throughout.
 
 Field descriptors are interned: the constructors return one object per field,
 so a field check is an identity test (`a is b`), with `==` as the fallback
-for a descriptor built some other way.  Each descriptor carries its ops table
-(`FieldOps`: zero, one, nonzero, add, sub, neg, mul, addmul, axpy, inv and
-coords on payloads), chosen once from the field's kind, and cached zero()
-and one() elements.  There are three kinds of table: Q(zeta_n), which
+for a descriptor built some other way.  Q has one descriptor, which
+cyclotomic(1) returns too: Q(zeta_1) prints as Q, and its text has no 'z'.
+Each descriptor carries its ops table (`FieldOps`: zero, one, nonzero, add,
+sub, neg, mul, addmul, axpy, inv and coords on payloads), chosen once from the
+field's kind, and cached zero() and one() elements.  There are three kinds of table: Q(zeta_n), which
 serves Q as Q(zeta_1), F_p and F_{p^2}.  Scalar arithmetic calls the table.
 A linalg.Matrix holds payloads, not Scalars, so the loops of linalg, tuples
 and modgroup call the table directly: Scalars appear only where entries
@@ -136,9 +137,9 @@ def _interned(kind: str, n: int = 0, p: int = 0, k: int = 1,
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Tag describing one of the supported exact fields: Q (kind RATIONAL), Q(zeta_n)
-    and F_{p^k}, k = 1, 2.  Q keeps its own kind, for its name, its file-format
-    line and its reduction mod l, but its payloads and ops are those of Q(zeta_1)."""
+    """Tag describing one of the supported exact fields: Q (kind RATIONAL), Q(zeta_n),
+    n >= 2, and F_{p^k}, k = 1, 2.  Q keeps its own kind, for its name, its file-format
+    line and its reduction mod l, but its payloads, ops and zeta() are Q(zeta_1)'s."""
 
     kind: str
     n: int = 0                      # cyclotomic order
@@ -170,7 +171,7 @@ class FieldDescriptor:
     def cyclotomic(n: int) -> "FieldDescriptor":
         if n < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        return _interned(CYCLOTOMIC, n=n)
+        return _interned(CYCLOTOMIC, n=n) if n > 1 else FieldDescriptor.rational()
 
     @staticmethod
     def finite(p: int, k: int = 1, poly: tuple[int, ...] | None = None) -> "FieldDescriptor":
@@ -226,11 +227,12 @@ class FieldDescriptor:
         return Scalar(self, c if self.k == 1 else (c, 0))
 
     def zeta(self, e: int = 1) -> "Scalar":
-        """The root of unity zeta_n^e (cyclotomic fields only)."""
-        if self.kind != CYCLOTOMIC:
+        """The root of unity zeta_n^e (Q(zeta_n) only, Q being Q(zeta_1))."""
+        if self.kind == FINITE:
             raise FieldMismatch("zeta lives in cyclotomic fields")
-        _, _, powers = _cyc_tables(self.n)
-        return Scalar(self, (powers[e % self.n], 1))
+        n = self.n or 1
+        _, _, powers = _cyc_tables(n)
+        return Scalar(self, (powers[e % n], 1))
 
     def gen(self) -> "Scalar":
         """The residue of t in F_{p^2} (degree-2 finite fields only)."""

@@ -13,8 +13,9 @@ Scalar entries use the exact text grammar of the scalars module; '#' starts
 a comment line.  The defining polynomial of F_{p^2} ("finite 7 2 t^2+4")
 uses the same term grammar: scalars.parse_terms reads it and
 scalars.format_poly writes it.  A cyclotomic order above
-MAX_CYCLOTOMIC_ORDER is a ParseError.  The points line is optional; the
-last matrix is the entry at infinity.
+MAX_CYCLOTOMIC_ORDER is a ParseError, and "cyclotomic 1" is Q, which saves
+as "rational".  The points line is optional; the last matrix is the entry
+at infinity.
 """
 
 from __future__ import annotations
@@ -136,11 +137,6 @@ def load_tuple(text: str) -> MonodromyTuple:
                 payload[entry] = parse_scalar(entry, field).payload
         entries.append(Matrix(field, tuple(tuple(map(payload.__getitem__, r)) for r in rows)))
     return MonodromyTuple.make(field, entries, points)
-
-
-def save_tuple_file(T: MonodromyTuple, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_tuple(T))
 
 
 def load_tuple_file(path: str) -> MonodromyTuple:

@@ -1,5 +1,6 @@
 """The command line: --json documents and exit codes (the contract stated in errors.py)."""
 
+import hashlib
 import json
 import random
 import time
@@ -10,7 +11,7 @@ from midconv import cli, convolution
 from midconv.k3count import MAX_Q
 from midconv.linalg import Matrix
 from midconv.scalars import FieldDescriptor
-from midconv.tupleio import save_tuple_file
+from midconv.tupleio import save_tuple
 
 from conftest import PRIMORIAL_9767, SEED, random_tuple
 from test_tuples import h_basis_oracle
@@ -192,6 +193,9 @@ def test_zero_denominator_lambda_is_a_parse_error(capsys):
     (["k3", "trace", "--q", "7", "--z", "3"],
      {"q": 7, "N": 55, "z": "3", "note": "trace formula asserted only at z = 1",
       "trace_if_formula_held": "13"}),
+    # d = 0: the eigenvalue is the rational u / p, not a square root
+    (["k3", "frob", "--p", "17"],
+     {"p": 17, "u": "17", "d": "0", "s3": -1, "s_minus1": 1, "alpha": "1", "verified": True}),
 ])
 def test_k3_documents(capsys, argv, doc):
     assert _run_json(capsys, *argv) == (0, doc)
@@ -586,6 +590,67 @@ def test_python_dash_m_midconv_runs_the_command_line():
     assert json.loads(proc.stdout)["checks_passed"] is True
 
 
+def test_demo_sl_writes_the_pinned_tuple_file(capsys, tmp_path):
+    out = tmp_path / "d34.txt"
+    code, doc = _run_json(capsys, "demo", "sl", "--m", "3", "--r", "4", "--out", str(out))
+    assert code == 0
+    assert (doc["rank"], doc["second_entry_homology_order"], doc["checks_passed"]) == (9, 4, True)
+    # the digest that benchmarks/workloads.py pins for save_tuple(sl_demo(3, 4).result)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f5b6da03695d3494be4ae752d58fda416edcf3b37b2f48bc77bd028b5b88d20d")
+
+
+def test_convolve_writes_the_tuple_of_its_document(capsys, tmp_path):
+    out = tmp_path / "c.txt"
+    code, doc = _run_json(capsys, "convolve", "--left", "fixture:LstarL",
+                          "--right", "fixture:Kummer-1", "--out", str(out))
+    assert code == 0 and out.read_text() == doc["tuple"] == _LSTARL_KUMMER
+
+
+def test_a_cyclotomic_1_copy_of_l_is_l(capsys, tmp_path):
+    # Q(zeta_1) is Q: equiv proves the copy equivalent to L, and convolve reads it as L
+    code, text, _err = _run(capsys, "fixtures", "dump", "--name", "L")
+    assert code == 0 and text.startswith("field: rational\n")
+    path = tmp_path / "L1.txt"
+    path.write_text(text.replace("field: rational", "field: cyclotomic 1"))
+    assert _run_json(capsys, "equiv", "fixture:L", str(path)) == (
+        0, {"equivalent": True, "witness": "1", "method": "scan of Hom(A, B)"})
+    got = _run(capsys, "convolve", "--left", str(path), "--right", "fixture:Kummer-1")
+    assert got[0] == 0
+    assert got == _run(capsys, "convolve", "--left", "fixture:L", "--right", "fixture:Kummer-1")
+
+
+_REFUSED = {
+    "f7": ("finite 7 1", 1, [["2"], ["4"]], ["0"]),
+    "ones": ("rational", 1, [["1"], ["1"], ["1"]], ["0", "1"]),
+    "diagonal": ("rational", 2, [["2, 0", "0, 3"], ["1/2, 0", "0, 1/3"], ["1, 0", "0, 1"]],
+                 ["0", "1"]),
+    "unipotent": ("rational", 2, [["1, 1", "0, 1"], ["1, -1", "0, 1"]], ["5"]),
+    "half_t": ("finite 7 2 t^2+1", 1, [["1/2*t"], ["1"]]),
+}
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["convolve", "--left", "{f7}", "--right", "fixture:L"], 1,
+     "FieldMismatch: convolution inputs over different fields"),
+    (["irred", "--tuple", "{ones}", "--lambdas=-1"], 1,
+     "PreconditionError: left factor is not a convolution sheaf"),
+    (["irred", "--tuple", "{diagonal}", "--lambdas=-1"], 1,
+     "PreconditionError: left factor is not absolutely irreducible"),
+    (["predict", "--left", "fixture:L", "--right", "fixture:L"], 1,
+     "PreconditionError: local predictions need a generic divisor sum"),
+    (["predict", "--left", "fixture:L", "--right", "{unipotent}"], 1,
+     "PreconditionError: right-hand finite entries must be semisimple"),
+    (["jordan", "--tuple", "{half_t}"], 2, "ParseError: non-integer coefficient 1/2"),
+], ids=["convolve-across-fields", "irred-not-a-sheaf", "irred-reducible",
+        "predict-not-generic", "predict-not-semisimple", "fraction-times-t"])
+def test_each_refusal_exits_with_its_error(capsys, tmp_path, argv, code, error):
+    paths = {name: _write(tmp_path, f"{name}.txt", *spec) for name, spec in _REFUSED.items()}
+    got, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
 def test_mcl_on_a_tuple_without_points_keeps_it_without_points(capsys, tmp_path):
     path = _write(tmp_path, "t.txt", "rational", 1, [["2"], ["3"], ["1/6"]])
     code, out, err = _run(capsys, "mcl", "--tuple", path, "--lambda=-1")
@@ -604,9 +669,9 @@ def test_every_tuple_subcommand_keeps_the_exit_code_contract(capsys, tmp_path, f
     # random small tuples t (with points), n (without) and k (rank one, with points)
     rng = random.Random(SEED)
     t, n, k = (tmp_path / name for name in ("t.txt", "n.txt", "k.txt"))
-    save_tuple_file(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng, True), t)
-    save_tuple_file(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng), n)
-    save_tuple_file(random_tuple(field, 1, rng.randint(1, 2), rng, True), k)
+    t.write_text(save_tuple(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng, True)))
+    n.write_text(save_tuple(random_tuple(field, rng.randint(1, 2), rng.randint(1, 3), rng)))
+    k.write_text(save_tuple(random_tuple(field, 1, rng.randint(1, 2), rng, True)))
     t, n, k = map(str, (t, n, k))
     for argv in (["convolve", "--left", t, "--right", k], ["convolve", "--left", n, "--right", k],
                  ["mcl", "--tuple", t, "--lambda=-1"], ["mcl", "--tuple", n, "--lambda=-1"],

@@ -481,7 +481,8 @@ def test_normalized_points_skip_the_braid_sorts(rng):
         inp = ConvolutionInput(random_tuple(Q, 1, 3, rng, with_points=True),
                                random_tuple(Q, 1, 2, rng, with_points=True))
         left, right = inp.normalized()
-        assert inp.normalized_points() == (list(left.points), list(right.points))
+        assert inp.loop_points() == {(i, j): left.points[i - 1] + right.points[j - 1]
+                                     for j in range(inp.q, 0, -1) for i in range(1, inp.p + 1)}
 
 
 def test_predict_infinity_examples():

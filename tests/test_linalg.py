@@ -271,10 +271,11 @@ def test_field_roots_solves_a_repeated_root_off_the_candidates():
     assert field_roots([Q.from_int(-2), Q.zero(), Q.one()], Q)[0] == []
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_the_candidate_stream_holds_each_root_of_unity_once(n):
     # the roots of unity of Q(zeta_n) are the 2n-th ones for odd n, the n-th ones
-    # for even n; the constant polynomial 1 adds no rational candidate
+    # for even n; the constant polynomial 1 adds no rational candidate.  Q(zeta_1)
+    # is Q, whose roots of unity +-1 come from the rational root search
     field = FieldDescriptor.cyclotomic(n)
     order = 2 * n if n % 2 else n
     stream = list(linalg._own_candidates([field.one()], field))

@@ -89,6 +89,14 @@ def test_zeta_relations(n):
     assert not acc
 
 
+def test_q_has_one_descriptor():
+    # Q(zeta_1) is Q: it prints as Q, zeta_1 is 1, and Q's text has no 'z'
+    assert FieldDescriptor.cyclotomic(1) is Q
+    assert str(Q) == "Q" and Q.zeta() == Q.zeta(5) == Q.one()
+    with pytest.raises(FieldMismatch):
+        parse_scalar("z", FieldDescriptor.cyclotomic(1))
+
+
 def test_frobenius_is_field_automorphism():
     p = 5
     elems = list(F25.elements())
@@ -141,12 +149,14 @@ def _scalars(draw, field):
 
 # Q(zeta_n) inverts through its phi(n) - 1 nontrivial Galois conjugates; these
 # orders cover phi(n) = 1, prime and prime-power n, and a non-cyclic (Z/n)^*
-CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 20)
+CYCLOTOMIC_ORDERS = (2, 3, 4, 5, 7, 8, 9, 20)
 
 
 @pytest.mark.parametrize(
     "field",
-    [Q, Z12, F25, F4] + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS],
+    [Q, Z12, F25, F4] + [FieldDescriptor.cyclotomic(n) for n in CYCLOTOMIC_ORDERS]
+    # Q(zeta_1) is built through cyclotomic(1), which hands back Q itself
+    + [pytest.param(FieldDescriptor.cyclotomic(1), id="Q(zeta_1)")],
     ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

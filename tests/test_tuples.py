@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from midconv import tuples
 from midconv.convolution import ConvolutionInput, circ_tuple, sl_demo
-from midconv.errors import ParseError, PreconditionError
+from midconv.errors import FieldMismatch, ParseError, PreconditionError
 from midconv.fixtures import kummer_minus_one, l_star_l, m_tuple, quadratic_tuple
 from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_row_spaces,
                             kernel_basis, rank,
@@ -565,6 +565,24 @@ def test_cyclotomic_order_above_the_limit_is_a_parse_error():
     assert parse_field("cyclotomic 1000") is FieldDescriptor.cyclotomic(1000)
     with pytest.raises(ParseError, match="above the limit 1000"):
         load_tuple("field: cyclotomic 1001\ndim: 1\nmatrix:\n1\n")
+
+
+def test_a_cyclotomic_1_file_loads_as_q():
+    # Q(zeta_1) is Q: the file saves as "rational", and a 'z' entry is refused
+    T = l_star_l()
+    text = save_tuple(T)
+    assert text.startswith("field: rational\n")
+    loaded = load_tuple(text.replace("field: rational", "field: cyclotomic 1"))
+    assert loaded == T and str(loaded.field) == "Q" and save_tuple(loaded) == text
+    with pytest.raises(FieldMismatch, match="symbol 'z' not available in Q"):
+        load_tuple("field: cyclotomic 1\ndim: 1\nmatrix:\nz\nmatrix:\n1\n")
+
+
+@pytest.mark.parametrize("entry", [Matrix.identity(F7, 1), Matrix.identity(Q, 2)],
+                         ids=["another-field", "another-size"])
+def test_make_refuses_an_entry_of_another_field_or_size(entry):
+    with pytest.raises(PreconditionError, match="entries must be square over the declared field"):
+        MonodromyTuple.make(Q, [Matrix.identity(Q, 1), entry])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
