@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand delegates to the library modules and renders either a
-human-readable report or, with --json, a machine-readable document with the
-same numbers.  The exit codes follow the contract stated in errors.py, and
-_emit_verdict is the one map from a Verdict to 0, 1 or 3.
+argparse picks the handler of every leaf command.  A handler delegates to the
+library modules and returns its report (payload, human lines, exit code); run
+prints it once: the human lines or, with --json, the payload as a document with
+the same numbers.  run maps InputError and OSError to exit 2 and DomainError to
+exit 1, as errors.py states; _verdict_report maps a Verdict to 0, 1 or 3.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from .tupleio import load_tuple_file, save_tuple
 def _load(spec: str, mod: int | None = None):
     """The tuple of a file or of fixture:NAME, reduced mod `mod` when it is given."""
     if spec.startswith("fixture:"):
-        try:
-            T = fixtures.get_tuple_fixture(spec[len("fixture:"):])
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+        T = fixtures.get_tuple_fixture(spec[len("fixture:"):])
     else:
         T = load_tuple_file(spec)
     return T if mod is None else reduce_mod(T, mod)
@@ -52,13 +50,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload: dict, human: list[str], code: int) -> int:
+    """Print a handler's report; return its exit code."""
     if getattr(args, "json", False):
         json.dump(payload, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
     else:
         for line in human:
             print(line)
+    return code
 
 
 def _save(args, T) -> str:
@@ -70,16 +70,16 @@ def _save(args, T) -> str:
     return text
 
 
-def _emit_tuple(args, T, payload: dict, human: list[str]) -> None:
-    """Save T (see _save), then emit the report with its text last."""
+def _tuple_report(args, T, payload: dict, human: list[str]):
+    """Save T (see _save); the report of exit 0 with T's text last."""
     text = _save(args, T)
-    _emit(args, {**payload, "tuple": text}, human + [text.rstrip()])
+    return {**payload, "tuple": text}, human + [text.rstrip()], 0
 
 
-def _emit_verdict(args, verdict: Verdict, payload: dict, witness, human: list[str]) -> int:
-    """Emit payload with the witness (as JSON) and method of verdict; return its exit code."""
-    _emit(args, {**payload, "witness": witness, "method": verdict.method}, human)
-    return {True: 0, False: 1, None: 3}[verdict.ok]
+def _verdict_report(verdict: Verdict, payload: dict, witness, human: list[str]):
+    """The report of payload with the witness (as JSON) and method, exiting by the verdict."""
+    return ({**payload, "witness": witness, "method": verdict.method}, human,
+            {True: 0, False: 1, None: 3}[verdict.ok])
 
 
 # -- subcommand implementations -----------------------------------------------
@@ -88,30 +88,25 @@ def _cmd_convolve(args):
     inp = ConvolutionInput(_load(args.left), _load(args.right))
     out = middle_convolution(inp)
     points = [str(p) for p in out.points]
-    _emit_tuple(args, out, {"dim": out.dim, "points": points, "generic": inp.is_generic()},
-                [f"dim {out.dim} on points " + ", ".join(points)])
-    return 0
+    return _tuple_report(args, out,
+                         {"dim": out.dim, "points": points, "generic": inp.is_generic()},
+                         [f"dim {out.dim} on points " + ", ".join(points)])
 
 
 def _cmd_mcl(args):
     T = _load(args.tuple)
-    lam = parse_scalar(args.lam, T.field)
-    out = mc_lambda(T, lam)
+    out = mc_lambda(T, parse_scalar(args.lam, T.field))
     points = None if out.points is None else [str(p) for p in out.points]
-    _emit_tuple(args, out, {"dim": out.dim, "points": points}, [f"dim {out.dim}"])
-    return 0
+    return _tuple_report(args, out, {"dim": out.dim, "points": points}, [f"dim {out.dim}"])
 
 
 def _cmd_rank(args):
     inp = ConvolutionInput(_load(args.left), _load(args.right))
-    value = rank_formula(inp)
-    ok = rank_formula_applicable(inp)
-    payload = {"rank": value, "precondition_ok": ok}
+    value, ok = rank_formula(inp), rank_formula_applicable(inp)
     human = [f"rank {value}"]
     if not ok:
         human.append("warning: neither stalk stabilizer is trivial")
-    _emit(args, payload, human)
-    return 0
+    return {"rank": value, "precondition_ok": ok}, human, 0
 
 
 def _cmd_check_conv(args):
@@ -122,7 +117,7 @@ def _cmd_check_conv(args):
         cond, i, tau = res.witness
         witness = {"condition": cond, "entry": i, "tau": str(tau)}
         human.append(f"violated ({cond}) at entry {i} with tau = {tau}")
-    return _emit_verdict(args, res, {"convolution_sheaf": res.ok}, witness, human)
+    return _verdict_report(res, {"convolution_sheaf": res.ok}, witness, human)
 
 
 def _cmd_irred(args):
@@ -130,16 +125,14 @@ def _cmd_irred(args):
     lams = [parse_scalar(tok.strip(), T.field) for tok in args.lambdas.split(",")]
     res = irreducibility_criterion(T, lams)
     text = "irreducible" if res.ok else "inconclusive"
-    return _emit_verdict(args, res, {"verdict": text}, res.witness, [text])
+    return _verdict_report(res, {"verdict": text}, res.witness, [text])
 
 
 def _cmd_jordan(args):
     T = _load(args.tuple)
     data = [jordan_data(M) for M in T.entries]
-    payload = {"entries": [str(j) for j in data]}
-    human = [f"entry {k + 1}: {j}" for k, j in enumerate(data)]
-    _emit(args, payload, human)
-    return 0
+    return ({"entries": [str(j) for j in data]},
+            [f"entry {k + 1}: {j}" for k, j in enumerate(data)], 0)
 
 
 def _cmd_predict(args):
@@ -151,28 +144,22 @@ def _cmd_predict(args):
         raise InputError(f"{mode} needs {' and '.join(missing)}")
     if args.infinity:
         T = _load(args.tuple)
-        lam = parse_scalar(args.lam, T.field)
-        jd = predict_infinity_jordan(T, lam)
-        _emit(args, {"infinity": str(jd)}, [f"infinity: {jd}"])
-        return 0
+        jd = predict_infinity_jordan(T, parse_scalar(args.lam, T.field))
+        return {"infinity": str(jd)}, [f"infinity: {jd}"], 0
     inp = ConvolutionInput(_load(args.left), _load(args.right))
     table = predict_local_jordan(inp)
     points = inp.loop_points()
-    payload = {}
-    human = []
+    payload, human = {}, []
     for (i, j), jd in sorted(table.items()):
         pt = points[i, j]
         payload[f"{i},{j}"] = {"point": str(pt), "jordan": str(jd)}
         human.append(f"({i},{j}) at {pt}: {jd}")
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
 def _cmd_braid(args):
     T = _load(args.tuple)
-    word = parse_braid_word(args.word, T.r)
-    _emit_tuple(args, braid_act(T, word), {}, [])
-    return 0
+    return _tuple_report(args, braid_act(T, parse_braid_word(args.word, T.r)), {}, [])
 
 
 def _cmd_cohomology(args):
@@ -181,23 +168,21 @@ def _cmd_cohomology(args):
     h = T.r * T.dim            # dim H_T = r dim V, see cohomology_spaces
     payload = {"dim_H": h, "dim_E": e, "dim_U": u, "h1": h - e, "parabolic": u - e,
                "rank_formula": parabolic_rank_formula(T)}
-    _emit(args, payload, [f"dim H_T = {h}, dim E_T = {e}, dim U_T = {u}",
-                          f"dim H^1 = {h - e}, dim H^1_p = {u - e}",
-                          f"rank formula gives {payload['rank_formula']}"])
-    return 0
+    return payload, [f"dim H_T = {h}, dim E_T = {e}, dim U_T = {u}",
+                     f"dim H^1 = {h - e}, dim H^1_p = {u - e}",
+                     f"rank formula gives {payload['rank_formula']}"], 0
 
 
 def _cmd_equiv(args):
     res = equivalence(_load(args.a), _load(args.b))
     text = {True: "equivalent", False: f"not equivalent: {res.witness}",
             None: "inconclusive: the invariants agree, but no conjugator was found"}[res.ok]
-    return _emit_verdict(args, res, {"equivalent": res.ok}, res.witness, [text])
+    return _verdict_report(res, {"equivalent": res.ok}, res.witness, [text])
 
 
 def _cmd_reduce(args):
     out = _load(args.tuple, args.mod)
-    _emit_tuple(args, out, {"field": str(out.field)}, [])
-    return 0
+    return _tuple_report(args, out, {"field": str(out.field)}, [])
 
 
 def _cmd_group(args):
@@ -211,60 +196,62 @@ def _cmd_group(args):
              f"absolutely irreducible: {report.absolutely_irreducible}"]
     if report.recognized:
         human.append(f"recognized: {report.recognized}")
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
 def _cmd_primitivity(args):
     bound, primitive = primitivity_bound(_load(args.tuple, args.mod))
-    _emit(args, {"bound": str(bound), "primitive": primitive},
-          [f"bound {bound}", "primitive" if primitive else "possibly imprimitive"])
-    return 0
+    return ({"bound": str(bound), "primitive": primitive},
+            [f"bound {bound}", "primitive" if primitive else "possibly imprimitive"], 0)
 
 
-def _parse_fibre(text: str) -> Fraction:
+def _count_record(args):
+    """The fibre --z and the point count of --q on it."""
     try:
-        return Fraction(text)
+        z = Fraction(args.z)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad fibre --z {text!r}") from None
+        raise ParseError(f"bad fibre --z {args.z!r}") from None
+    return z, count_record(args.q, z)
 
 
-def _cmd_k3(args):
-    if args.k3cmd in ("count", "trace"):
-        z = _parse_fibre(args.z)
-        rec = count_record(args.q, z)
-        payload = {"q": rec.q, "N": rec.N, "z": str(z)}
-        if args.k3cmd == "count":
-            human = [f"N({rec.q}) = {rec.N}"]
-            if z == 1:
-                payload["trace"] = str(rec.trace)
-                human.append(f"t_{rec.q} = {rec.trace}")
-        elif z == 1:
-            payload, human = {"q": rec.q, "trace": str(rec.trace)}, [str(rec.trace)]
-        else:
-            payload.update(note="trace formula asserted only at z = 1",
-                           trace_if_formula_held=str(rec.trace))
-            human = [f"N({rec.q}) = {rec.N} at z = {z}",
-                     f"trace formula asserted only at z = 1; formal value {rec.trace}"]
-        _emit(args, payload, human)
-    elif args.k3cmd == "frob":
-        data = frobenius_eigenvalues(args.p)
-        payload = {"p": data.p, "u": str(data.u), "d": str(data.d),
-                   "s3": data.s3, "s_minus1": data.s_minus1,
-                   "alpha": data.eigenvalue_text, "verified": data.verified}
-        _emit(args, payload,
-              [f"alpha_{data.p} = {data.eigenvalue_text}",
-               f"eigenvalues (alpha, 1/alpha, {data.s3:+d}); verified: {data.verified}"])
-    else:  # nsdet
-        c0, c1, c2 = intersection_matrix_det()
-        payload = {"det": f"{c2}*x^2+{c1}*x+{c0}", "coeffs": [c0, c1, c2]}
-        human = [f"det = {c2}*x^2 + {c1}*x + {c0}"]
-        if args.x is not None:
-            val = c0 + c1 * args.x + c2 * args.x * args.x
-            payload["value_at_x"] = val
-            human.append(f"value at x = {args.x}: {val}")
-        _emit(args, payload, human)
-    return 0
+def _cmd_k3_count(args):
+    z, rec = _count_record(args)
+    payload = {"q": rec.q, "N": rec.N, "z": str(z)}
+    human = [f"N({rec.q}) = {rec.N}"]
+    if z == 1:
+        payload["trace"] = str(rec.trace)
+        human.append(f"t_{rec.q} = {rec.trace}")
+    return payload, human, 0
+
+
+def _cmd_k3_trace(args):
+    z, rec = _count_record(args)
+    if z == 1:
+        return {"q": rec.q, "trace": str(rec.trace)}, [str(rec.trace)], 0
+    return ({"q": rec.q, "N": rec.N, "z": str(z), "note": "trace formula asserted only at z = 1",
+             "trace_if_formula_held": str(rec.trace)},
+            [f"N({rec.q}) = {rec.N} at z = {z}",
+             f"trace formula asserted only at z = 1; formal value {rec.trace}"], 0)
+
+
+def _cmd_k3_frob(args):
+    data = frobenius_eigenvalues(args.p)
+    payload = {"p": data.p, "u": str(data.u), "d": str(data.d),
+               "s3": data.s3, "s_minus1": data.s_minus1,
+               "alpha": data.eigenvalue_text, "verified": data.verified}
+    return payload, [f"alpha_{data.p} = {data.eigenvalue_text}",
+                     f"eigenvalues (alpha, 1/alpha, {data.s3:+d}); verified: {data.verified}"], 0
+
+
+def _cmd_k3_nsdet(args):
+    c0, c1, c2 = intersection_matrix_det()
+    payload = {"det": f"{c2}*x^2+{c1}*x+{c0}", "coeffs": [c0, c1, c2]}
+    human = [f"det = {c2}*x^2 + {c1}*x + {c0}"]
+    if args.x is not None:
+        val = c0 + c1 * args.x + c2 * args.x * args.x
+        payload["value_at_x"] = val
+        human.append(f"value at x = {args.x}: {val}")
+    return payload, human, 0
 
 
 def _cmd_demo(args):
@@ -278,23 +265,19 @@ def _cmd_demo(args):
              "all checks passed" if report.checks_passed else "CHECKS FAILED"]
     if args.out:
         _save(args, report.result)
-    _emit(args, payload, human)
-    return 0 if report.checks_passed else 1
+    return payload, human, 0 if report.checks_passed else 1
 
 
-def _cmd_fixtures(args):
-    if args.fixcmd == "list":
-        names = fixtures.fixture_names()
-        _emit(args, {"fixtures": names}, names)
-        return 0
-    name = args.name
-    if name in fixtures.TABLE_FIXTURES:
-        table = fixtures.TABLE_FIXTURES[name]
-        _emit(args, {k: v for k, v in table.items()},
-              [f"{k}: {v}" for k, v in table.items()])
-        return 0
-    _emit_tuple(args, _load(f"fixture:{name}"), {}, [])
-    return 0
+def _cmd_fixtures_list(args):
+    names = fixtures.fixture_names()
+    return {"fixtures": names}, names, 0
+
+
+def _cmd_fixtures_dump(args):
+    table = fixtures.TABLE_FIXTURES.get(args.name)
+    if table is not None:
+        return dict(table), [f"{k}: {v}" for k, v in table.items()], 0
+    return _tuple_report(args, _load(f"fixture:{args.name}"), {}, [])
 
 
 # -- parser ---------------------------------------------------------------------
@@ -309,6 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     # no default: a subcommand's own --json must not reset one given before it
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
+    tupled = argparse.ArgumentParser(add_help=False)
+    tupled.add_argument("--tuple", required=True)
+    paired = argparse.ArgumentParser(add_help=False)
+    paired.add_argument("--left", required=True)
+    paired.add_argument("--right", required=True)
     ap = argparse.ArgumentParser(
         prog="midconv",
         description="Exact middle convolution of monodromy tuples, "
@@ -316,37 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(fn=fn)
+    def add(name, fn=None, *parents, where=sub, **kw):
+        """A parser of `where`; a leaf gets its handler fn, a parent of leaves none."""
+        p = where.add_parser(name, parents=[common, *parents], **kw)
+        if fn:
+            p.set_defaults(fn=fn)
         return p
 
-    p = add("convolve", _cmd_convolve, help="middle convolution of two tuples")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = add("convolve", _cmd_convolve, paired, help="middle convolution of two tuples")
     p.add_argument("--out")
 
-    p = add("mcl", _cmd_mcl, help="Katz MC_lambda via Pochhammer matrices")
-    p.add_argument("--tuple", required=True)
+    p = add("mcl", _cmd_mcl, tupled, help="Katz MC_lambda via Pochhammer matrices")
     p.add_argument("--lambda", dest="lam", required=True,
                    help=_attached("the scalar lambda", "--lambda=-1/2"))
     p.add_argument("--out")
 
-    p = add("rank", _cmd_rank, help="rank formula for a convolution")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    add("rank", _cmd_rank, paired, help="rank formula for a convolution")
 
-    p = add("check-conv", _cmd_check_conv, help="convolution-sheaf conditions")
-    p.add_argument("--tuple", required=True)
+    add("check-conv", _cmd_check_conv, tupled, help="convolution-sheaf conditions")
 
-    p = add("irred", _cmd_irred, help="irreducibility criterion")
-    p.add_argument("--tuple", required=True)
+    p = add("irred", _cmd_irred, tupled, help="irreducibility criterion")
     p.add_argument("--lambdas", required=True,
                    help=_attached("comma-separated scalars of the rank-one factor",
                                   "--lambdas=-1,2"))
 
-    p = add("jordan", _cmd_jordan, help="Jordan data of every entry")
-    p.add_argument("--tuple", required=True)
+    add("jordan", _cmd_jordan, tupled, help="Jordan data of every entry")
 
     p = add("predict", _cmd_predict, help="predicted local Jordan data")
     p.add_argument("--left")
@@ -356,78 +338,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam",
                    help=_attached("the scalar lambda", "--lambda=-1/2"))
 
-    p = add("braid", _cmd_braid, help="act by a braid word")
-    p.add_argument("--tuple", required=True)
+    p = add("braid", _cmd_braid, tupled, help="act by a braid word")
     p.add_argument("--word", required=True)
     p.add_argument("--out")
 
-    p = add("cohomology", _cmd_cohomology, help="H/E/U dimensions")
-    p.add_argument("--tuple", required=True)
+    add("cohomology", _cmd_cohomology, tupled, help="H/E/U dimensions")
 
     p = add("equiv", _cmd_equiv, help="equivalence up to simultaneous conjugacy")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("reduce", _cmd_reduce, help="reduce a tuple mod ell")
-    p.add_argument("--tuple", required=True)
+    p = add("reduce", _cmd_reduce, tupled, help="reduce a tuple mod ell")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--out")
 
-    p = add("group", _cmd_group, help="closure order and invariant form")
-    p.add_argument("--tuple", required=True)
+    p = add("group", _cmd_group, tupled, help="closure order and invariant form")
     p.add_argument("--mod", type=int)
     p.add_argument("--cap", type=_positive_int, default=CLOSURE_CAP,
                    help=f"most elements the closure may list (default {CLOSURE_CAP}); it bounds "
                         "only that enumeration, so an order that O3 recognition "
                         "proves is printed past it")
 
-    p = add("primitivity", _cmd_primitivity, help="primitivity bound")
-    p.add_argument("--tuple", required=True)
+    p = add("primitivity", _cmd_primitivity, tupled, help="primitivity bound")
     p.add_argument("--mod", type=int)
 
-    p = add("k3", _cmd_k3, help="point counts, traces, Frobenius data")
-    k3sub = p.add_subparsers(dest="k3cmd", required=True)
-    for name in ("count", "trace"):
-        sp = k3sub.add_parser(name, parents=[common])
+    k3sub = add("k3", help="point counts, traces, Frobenius data").add_subparsers(
+        dest="k3cmd", required=True)
+    for name, fn in (("count", _cmd_k3_count), ("trace", _cmd_k3_trace)):
+        sp = add(name, fn, where=k3sub)
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--z", default="1",
                         help=_attached("the fibre, a rational", "--z=-2/3"))
-        sp.set_defaults(fn=_cmd_k3)
-    sp = k3sub.add_parser("frob", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(fn=_cmd_k3)
-    sp = k3sub.add_parser("nsdet", parents=[common])
-    sp.add_argument("--x", type=int)
-    sp.set_defaults(fn=_cmd_k3)
+    add("frob", _cmd_k3_frob, where=k3sub).add_argument("--p", type=int, required=True)
+    add("nsdet", _cmd_k3_nsdet, where=k3sub).add_argument("--x", type=int)
 
-    p = add("demo", _cmd_demo, help="the SL-realization pipeline")
-    demosub = p.add_subparsers(dest="democmd", required=True)
-    sp = demosub.add_parser("sl", parents=[common])
+    demosub = add("demo", help="the SL-realization pipeline").add_subparsers(
+        dest="democmd", required=True)
+    sp = add("sl", _cmd_demo, where=demosub)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--r", type=int, default=4)
     sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_demo)
 
-    p = add("fixtures", _cmd_fixtures, help="embedded reference data")
-    fsub = p.add_subparsers(dest="fixcmd", required=True)
-    sp = fsub.add_parser("list", parents=[common])
-    sp.set_defaults(fn=_cmd_fixtures)
-    sp = fsub.add_parser("dump", parents=[common])
+    fsub = add("fixtures", help="embedded reference data").add_subparsers(
+        dest="fixcmd", required=True)
+    add("list", _cmd_fixtures_list, where=fsub)
+    sp = add("dump", _cmd_fixtures_dump, where=fsub)
     sp.add_argument("--name", required=True)
     sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_fixtures)
 
     return ap
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        return _emit(args, *args.fn(args))  # inside the try: a closed stdout exits 2
     except (InputError, DomainError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2

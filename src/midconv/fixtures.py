@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
 from .linalg import Matrix
 from .scalars import FieldDescriptor
 from .tuples import MonodromyTuple
@@ -85,5 +86,5 @@ def fixture_names() -> list[str]:
 
 def get_tuple_fixture(name: str) -> MonodromyTuple:
     if name not in TUPLE_FIXTURES:
-        raise KeyError(f"unknown tuple fixture {name!r}")
+        raise InputError(f"unknown tuple fixture {name!r}")
     return TUPLE_FIXTURES[name]()

@@ -699,3 +699,53 @@ def test_tuples_without_a_finite_entry_or_a_dimension_exit_1(capsys, tmp_path):
     for argv in (["group", "--tuple", d0], ["equiv", d0, d0], ["cohomology", "--tuple", d0]):
         code, out, err = _run(capsys, *argv)
         assert (code, out, err) == (1, "", "PreconditionError: a tuple needs dim >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [["jordan", "--tuple", "fixture:nope"],
+                                  ["fixtures", "dump", "--name", "nope"]])
+def test_an_unknown_fixture_name_is_one_unquoted_input_error(capsys, argv):
+    assert _run(capsys, *argv) == (2, "", "InputError: unknown tuple fixture 'nope'\n")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = cli.run(["fixtures", "list"])
+    monkeypatch.undo()
+    _out, err = capsys.readouterr()
+    assert code == 2 and err.startswith("BrokenPipeError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["rank", "--left", "{q111}", "--right", "{q111}"],
+     ["rank -2", "warning: neither stalk stabilizer is trivial"]),
+    (["k3", "nsdet", "--x", "2"], ["det = 8192*x^2 + 24576*x + 16384", "value at x = 2: 98304"]),
+    (["k3", "trace", "--q", "7"], ["3"]),
+    (["k3", "trace", "--q", "7", "--z", "3"],
+     ["N(7) = 55 at z = 3", "trace formula asserted only at z = 1; formal value 13"]),
+    (["k3", "count", "--q", "29"], ["N(29) = 891", "t_29 = 21"]),
+    (["k3", "frob", "--p", "17"],
+     ["alpha_17 = 1", "eigenvalues (alpha, 1/alpha, -1); verified: True"]),
+    (["group", "--tuple", "fixture:V", "--mod", "19"],
+     ["order 13680", "absolutely irreducible: True", "recognized: O3(F_19)"]),
+], ids=["rank-warning", "k3-nsdet", "k3-trace", "k3-trace-off-z-1", "k3-count", "k3-frob",
+        "group-o3"])
+def test_human_reports(capsys, tmp_path, argv, lines):
+    # the dim-1 tuple (1, 1, 1) over Q at points 0, 1: neither stalk stabilizer is trivial
+    q111 = _write(tmp_path, "q111.txt", "rational", 1, [["1"], ["1"], ["1"]], ["0", "1"])
+    assert _run(capsys, *(arg.format(q111=q111) for arg in argv)) == (
+        0, "".join(line + "\n" for line in lines), "")
+
+
+def test_convolve_prints_its_dimension_and_points_before_the_tuple(capsys):
+    code, out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",
+                          "--right", "fixture:Kummer-1")
+    assert (code, err) == (0, "")
+    assert out == "dim 3 on points -2, 0, 2\n" + _LSTARL_KUMMER
