@@ -30,8 +30,10 @@ nonzero entry of the left factor, and solve_matrix_equations once per
 nonzero entry of L and row of R.  Every term is one multiply-accumulate,
 normalized once, instead of a mul and an add; char_poly sums its terms by
 `ops.addmul(acc, a, b)` = acc + a*b.  A Matrix builds each derived form
-(sparse, is_scalar, inverse()) at most once; equality and hashing read the
-field and the payload alone.
+(sparse, is_scalar, inverse(), and `moved`, the reduced-echelon basis of
+im(M - 1)) at most once; equality and hashing read the field and the
+payload alone.  kronecker with a 1 x 1 identity factor returns the other
+factor itself, so its derived forms are shared.
 
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
@@ -183,6 +185,11 @@ class Matrix:
     def sparse(self) -> list[list]:
         """The _sparse_rows of the payload, the right factor's form in a product."""
         return _sparse_rows(self.field.ops, self.payload)
+
+    @cached_property
+    def moved(self) -> "Matrix":
+        """The row_space_basis of M - 1: a reduced-echelon basis of im(M - 1), rk(M - 1) rows."""
+        return row_space_basis(self.minus_identity())
 
     @cached_property
     def is_scalar(self) -> bool:
@@ -561,8 +568,16 @@ def jordan_data(M: Matrix, hints=()) -> JordanData:
 
 
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product on the basis e_i (x) f_j, lexicographic in (i, j)."""
+    """Kronecker product on the basis e_i (x) f_j, lexicographic in (i, j).
+
+    A 1 x 1 identity factor returns the other factor, the same object.
+    """
     _check_fields(A, B, "kronecker")
+    one = ((A.field.ops.one,),)
+    if A.payload == one:
+        return B
+    if B.payload == one:
+        return A
     mul = A.field.ops.mul
     return Matrix(A.field, tuple(tuple(mul(a, b) for a in ra for b in rb)
                                  for ra in A.payload for rb in B.payload))

@@ -11,9 +11,16 @@ prefix it shares with the one before; braid_act walks one word, no rows.
 A letter with a scalar partner c*1 costs one block product and a scaling,
 and rows zero in both of a letter's slots are not touched.
 
-Fixed spaces are measured one way: invariants_dim and coinvariants_dim, one
-rank each, over any sequence of matrices (a tuple's entries, one entry, or
-the entries with one of them scaled).
+Fixed spaces are measured one way: invariants_dim and coinvariants_dim,
+over any sequence of matrices (a tuple's entries, one entry, or the entries
+with one of them scaled).  Both first read the basis of im(M - 1) that each
+Matrix keeps (`Matrix.moved`, eliminated once per matrix): one matrix fixes
+d - rk(M - 1) vectors and as many functionals, and a matrix with
+rk(M - 1) = d leaves neither, whatever the others do.  Only otherwise is
+there one more rank: of the M - 1 side by side for the invariants, of the
+kept bases stacked for the coinvariants.  slot_images stacks the same kept
+bases, so the sheaf check, the rank formulas, the cohomology spaces and
+MC_lambda, run on one tuple, find each image im(M - 1) once.
 
 Two tuples are compared one way: equivalence, which answers "is A ~ B up to
 simultaneous conjugacy?" with a Verdict whose witness is a conjugator, a
@@ -27,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 from .errors import ParseError, PreconditionError, Verdict
 from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
@@ -311,17 +318,10 @@ def cohomology_spaces(T: MonodromyTuple) -> tuple[Matrix, Matrix]:
     T_{i+1}...T_{r+1} is onto V, because its last block is the identity, so
     dim H_T = (r+1) dim V - dim V = r dim V.
     """
-    entries = T.entries
-    r1 = len(entries)
-    d = T.dim
-    field = T.field
-    # suffix[k] = T_{k+2} ... T_{r+1} (identity for k = r)
-    suffix = [None] * r1
-    P = Matrix.identity(field, d)
-    for k in range(r1 - 1, -1, -1):
-        suffix[k] = P
-        P = entries[k] @ P
-    stacked = Matrix(field, tuple(row for P in suffix for row in P.payload))
+    entries, field = T.entries, T.field
+    # slot k holds T_{k+2} ... T_{r+1}, the last slot the identity: r - 1 products
+    suffix = [Matrix.identity(field, T.dim), *accumulate(entries[:0:-1], lambda P, M: M @ P)]
+    stacked = Matrix(field, tuple(row for P in reversed(suffix) for row in P.payload))
     e_basis = row_space_basis(join_slots([M.minus_identity() for M in entries]))
     # the slot images S are independent, so U = {c S : c S stacked = 0}
     S = slot_images(entries)
@@ -345,38 +345,60 @@ def slot_images(entries) -> Matrix:
     """Reduced-echelon basis of (+)_k im(M_k - 1) inside V^n, n = len(entries).
 
     Slot k of V^n holds im(M_k - 1).  The slots are disjoint column ranges
-    taken in order, so stacking the reduced-echelon bases of the images
-    gives a reduced echelon form of the sum.
+    taken in order, so stacking the kept reduced-echelon bases M_k.moved of
+    the images gives a reduced echelon form of the sum.
     """
     n, d, field = len(entries), entries[0].nrows, entries[0].field
     zero = (field.ops.zero,)
     return Matrix(field, tuple(zero * (k * d) + b + zero * ((n - k - 1) * d)
-                               for k, M in enumerate(entries)
-                               for b in row_space_basis(M.minus_identity()).payload))
+                               for k, M in enumerate(entries) for b in M.moved.payload))
+
+
+def _read_off(matrices) -> int | None:
+    """The fixed-space dimension that the kept bases M.moved decide, or None.
+
+    One matrix fixes d - rk(M - 1) vectors and as many functionals.  A
+    matrix with rk(M - 1) = d fixes neither, and more matrices only shrink
+    a joint fixed space and grow a sum of images, so the answer is 0.
+    """
+    d = matrices[0].nrows
+    if len(matrices) == 1:
+        return d - len(matrices[0].moved)
+    return 0 if any(len(M.moved) == d for M in matrices) else None
 
 
 def invariants_dim(matrices) -> int:
     """dim of the joint fixed space {v : v M = v for every M} of a nonempty sequence.
 
-    It is d - rank of the d x nd matrix (M_1 - 1 | ... | M_n - 1): one
-    unreduced elimination, no kernel and no intersection.
+    Read off the kept bases when _read_off decides it; otherwise d - rank of
+    the d x nd matrix (M_1 - 1 | ... | M_n - 1), one unreduced elimination.
     """
+    known = _read_off(matrices)
+    if known is not None:
+        return known
     return matrices[0].nrows - rank(join_slots([M.minus_identity() for M in matrices]))
 
 
 def coinvariants_dim(matrices) -> int:
-    """dim of V / sum_M im(M - 1) for a nonempty sequence: d - rank of the M - 1 stacked."""
+    """dim of V / sum_M im(M - 1) for a nonempty sequence.
+
+    Read off the kept bases when _read_off decides it; otherwise d - rank of
+    the kept bases M.moved stacked, rk(M - 1) rows each.
+    """
+    known = _read_off(matrices)
+    if known is not None:
+        return known
     return matrices[0].nrows - rank(Matrix(matrices[0].field, tuple(
-        row for M in matrices for row in M.minus_identity().payload)))
+        row for M in matrices for row in M.moved.payload)))
 
 
 def parabolic_rank_formula(T: MonodromyTuple) -> int:
     """Ogg-Shafarevich count: sum_i rank(T_i - 1) - 2 dim V + dim V^T + dim V_T.
 
     Always total; agrees with dim U_T - dim E_T, the version including the
-    infinity term.
+    infinity term.  The ranks are the lengths of the kept bases M.moved.
     """
-    total = sum(rank(M.minus_identity()) for M in T.entries)
+    total = sum(len(M.moved) for M in T.entries)
     return total - 2 * T.dim + invariants_dim(T.entries) + coinvariants_dim(T.entries)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from midconv.linalg import Matrix, char_poly, commutant_basis, kernel_basis
+from midconv.linalg import Matrix, char_poly, commutant_basis, kernel_basis, rank
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
@@ -55,6 +55,46 @@ def random_tuple(field, dim, r, rng, with_points=False):
     if with_points:
         points = rng.sample(range(-3 * r, 3 * r + 1), r)
     return MonodromyTuple.from_finite_entries(field, finite, points)
+
+
+# the kinds of entry_of_kind: every path of the fixed-space read-offs
+ENTRY_KINDS = ("random", "eigenvalue 1", "scalar", "identity")
+
+
+def entry_of_kind(field, d, rng, kind):
+    """A d x d invertible matrix: random, with eigenvalue 1, c*1 for a random c != 0, or 1.
+
+    "eigenvalue 1" conjugates, by a random P, an upper-triangular U with
+    U_00 = 1, a random nonzero diagonal and random 0/1 entries above it.
+    """
+    def unit():
+        c = random_scalar(field, rng)
+        return c if c else unit()
+
+    if kind == "random":
+        return random_invertible(field, d, rng)
+    if kind == "identity":
+        return Matrix.identity(field, d)
+    if kind == "scalar":
+        return Matrix.identity(field, d).scale(unit())
+    diag = [field.one()] + [unit() for _ in range(d - 1)]
+    U = Matrix.from_rows(field, [[diag[i] if i == j else rng.randint(0, 1) * (j > i)
+                                  for j in range(d)] for i in range(d)])
+    P = random_invertible(field, d, rng)
+    return P.inverse() @ U @ P
+
+
+def full_invariants_dim(matrices):
+    """d - rank of the M - 1 side by side, with no read-off from kept forms."""
+    d = matrices[0].nrows
+    return d - rank(Matrix(matrices[0].field, tuple(
+        sum((M.minus_identity().payload[k] for M in matrices), ()) for k in range(d))))
+
+
+def full_coinvariants_dim(matrices):
+    """d - rank of all d rows of each M - 1 stacked, with no read-off from kept forms."""
+    return matrices[0].nrows - rank(Matrix(matrices[0].field, tuple(
+        row for M in matrices for row in M.minus_identity().payload)))
 
 
 @pytest.fixture

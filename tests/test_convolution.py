@@ -5,23 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from midconv import linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, circ_tuple, convolved_block,
-                                 irreducibility_criterion, is_convolution_sheaf, kummer_tuple,
-                                 mc_lambda, middle_convolution,
+from midconv import convolution, linalg
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _order_up_to_8, circ_tuple,
+                                 convolved_block, irreducibility_criterion,
+                                 is_convolution_sheaf, kummer_tuple, mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
 from midconv.errors import DoesNotSplit, FieldMismatch, LambdaIsOne, PreconditionError
 from midconv.fixtures import (TUPLE_FIXTURES, kummer_minus_one, l_star_l, m_tuple,
                               quadratic_tuple)
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                            kernel_basis, row_space_basis, solve_coords)
+                            kernel_basis, matrix_order, row_space_basis, solve_coords)
 from midconv.modgroup import invariant_symmetric_form, reduce_mod
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (MonodromyTuple, coinvariants_dim, equivalence, invariants_dim,
                             sort_points)
 
-from conftest import F7, Q, SEED, check_witness, random_invertible, random_tuple
+from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, entry_of_kind,
+                      full_coinvariants_dim, full_invariants_dim, random_invertible, random_tuple)
 
 Z4 = FieldDescriptor.cyclotomic(4)
 F11 = FieldDescriptor.finite(11)
@@ -340,20 +341,20 @@ def test_convolution_sheaf_check_matches_the_kernel_oracle(field):
     assert seen == {"ok", "*", "**"}
 
 
-def _full_tau_search(T):
+def _full_tau_search(T, fixed_dim=invariants_dim, cofixed_dim=coinvariants_dim):
     """(ok, witness) of the sheaf check without its shortcut: every entry's eigenvalues
-    are searched and both conditions tested at every tau."""
+    are searched and both conditions tested at every tau, by the given dimensions."""
     finite, one = T.finite_entries(), T.field.one()
     for i, Ti in enumerate(finite):
         others = finite[:i] + finite[i + 1:]
-        fixed = others and invariants_dim(others)
+        fixed = others and fixed_dim(others)
         taus = [one] + [root.inverse() for root, _m in eigenvalues(Ti)[0]
                         if root and root != one]
         for tau in taus:
             twisted = others + (Ti.scale(tau),)
-            if fixed and invariants_dim(twisted):
+            if fixed and fixed_dim(twisted):
                 return False, ("*", i + 1, tau)
-            if coinvariants_dim(twisted):
+            if cofixed_dim(twisted):
                 return False, ("**", i + 1, tau)
     return True, None
 
@@ -381,6 +382,26 @@ def sheaf_cases(draw):
 def test_the_sheaf_check_equals_the_full_tau_search(T):
     res = is_convolution_sheaf(T)
     assert (res.ok, res.witness) == _full_tau_search(T)
+
+
+@pytest.mark.parametrize("field", [Q, F7, FieldDescriptor.finite(7, 2),
+                                   FieldDescriptor.cyclotomic(3)], ids=str)
+def test_the_sheaf_check_equals_the_full_tau_search_by_full_ranks(field):
+    """The search with every fixed-space dimension taken from all rows or columns of
+    each M - 1, on entries with eigenvalue 1, scalar entries and d = 1."""
+    rng = random.Random(SEED)
+    seen = set()
+    for r in range(1, 5):
+        for d in range(1, 4):
+            for _ in range(5):
+                kinds = [rng.choice(ENTRY_KINDS) for _ in range(r)]
+                T = MonodromyTuple.from_finite_entries(
+                    field, [entry_of_kind(field, d, rng, kind) for kind in kinds])
+                res = is_convolution_sheaf(T)
+                expected = _full_tau_search(T, full_invariants_dim, full_coinvariants_dim)
+                assert (res.ok, res.witness) == expected
+                seen.add(expected[1][0] if expected[1] else "ok")
+    assert seen == {"ok", "*", "**"}
 
 
 @pytest.mark.parametrize("name", sorted(TUPLE_FIXTURES))
@@ -609,6 +630,43 @@ def test_adjacent_colliding_points_are_merged_as_pinned():
     assert out.points == (1, 3, 5)
     assert hashlib.sha256(save_tuple(out).encode()).hexdigest() == \
         "6902b49a69657e66fe090ace8122ab87a4fe6511b30a9a6099bae0ef18433fec"
+
+
+F17 = FieldDescriptor.finite(17)
+Z12 = FieldDescriptor.cyclotomic(12)
+
+
+@pytest.mark.parametrize("M, order", [
+    (Matrix.identity(Q, 2), 1),
+    (Matrix.from_rows(Q, [[-1]]), 2),
+    (Matrix.from_rows(Q, [[0, 1], [1, 0]]), 2),
+    (Matrix.from_rows(Q, [[0, -1], [1, -1]]), 3),
+    (Matrix.from_rows(Q, [[0, -1], [1, 0]]), 4),
+    (Matrix.from_rows(Z4, [[Z4.zeta(1), 0], [0, 1]]), 4),
+    (Matrix.from_rows(F7, [[3]]), 6),
+    (Matrix.from_rows(F17, [[2]]), 8),
+    (Matrix.from_rows(F17, [[3]]), 0),                     # order 16
+    (Matrix.from_rows(Z12, [[Z12.zeta(1), 0], [0, 1]]), 0),   # order 12
+    (Matrix.from_rows(Q, [[1, 1], [0, 1]]), 0),            # infinite order
+], ids=lambda x: str(x).replace("\n", "; ") if isinstance(x, Matrix) else str(x))
+def test_the_sl_demo_order_walks_the_powers_only_off_order_4(monkeypatch, M, order):
+    assert _order_up_to_8(M) == (matrix_order(M, 8) or 0) == order
+    bounds = []
+    monkeypatch.setattr(convolution, "matrix_order",
+                        lambda M, bound: bounds.append(bound) or matrix_order(M, bound))
+    assert _order_up_to_8(M) == order
+    assert bounds == ([] if order == 4 else [8])
+
+
+def test_mc_lambda_scales_each_entry_by_lambda_twice(monkeypatch, rng):
+    T = random_tuple(Q, 2, 4, rng)
+    expected = mc_lambda(T, Q.from_int(-1))
+    scales = []
+    real_scale = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale", lambda M, c: scales.append(c) or real_scale(M, c))
+    assert mc_lambda(T, Q.from_int(-1)) == expected
+    # lambda (A_j - 1) once for each j, and lambda A_k once for each k
+    assert len(scales) == 2 * T.r
 
 
 def test_sl_demo_inverts_no_matrix_twice(monkeypatch):

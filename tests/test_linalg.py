@@ -15,7 +15,8 @@ from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_b
                             rank, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
-from conftest import F7, PRIMORIAL_9767, Q, random_invertible, random_scalar
+from conftest import (ENTRY_KINDS, F7, PRIMORIAL_9767, Q, SEED, entry_of_kind,
+                      random_invertible, random_scalar)
 
 Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -334,6 +335,49 @@ def test_kronecker_scalar_factor():
     B = Matrix.from_rows(Q, [[1, 2], [3, 4]])
     minus = Matrix.from_rows(Q, [[-1]])
     assert kronecker(minus, B) == -B
+
+
+def _kronecker_oracle(A, B):
+    """The entrywise products a*b, row (i, k) and column (j, l) for a = A_ij, b = B_kl."""
+    return Matrix.from_rows(A.field, [[a * b for a in ra for b in rb]
+                                      for ra in A.rows for rb in B.rows])
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_kronecker_with_a_1x1_identity_is_the_other_factor(field):
+    rng = random.Random(SEED)
+    one = Matrix.identity(field, 1)
+    for d in (1, 2, 3):
+        for kind in ENTRY_KINDS:
+            M = entry_of_kind(field, d, rng, kind)
+            # when both factors are the 1 x 1 identity, the right one is returned
+            assert kronecker(one, M) is M and kronecker(M, one) is (one if M == one else M)
+            assert M == _kronecker_oracle(one, M) == _kronecker_oracle(M, one)
+            assert len(M.moved) == rank(M.minus_identity())   # a kept form, then shared
+            assert kronecker(one, M).moved is M.moved
+        wide = Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(d + 1)]
+                                        for _ in range(d)])
+        assert kronecker(one, wide) is wide and kronecker(wide, one) is wide
+        c = one.scale(2)                           # 1 x 1, not the identity: the product
+        assert kronecker(c, wide) == _kronecker_oracle(c, wide) == wide.scale(2)
+        assert kronecker(wide, c) == _kronecker_oracle(wide, c)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_the_kept_image_basis_is_the_row_space_basis_of_m_minus_1(field):
+    rng = random.Random(SEED)
+    for d in (1, 2, 3):
+        for kind in ENTRY_KINDS:
+            for _ in range(3):
+                M = entry_of_kind(field, d, rng, kind)
+                basis = M.moved
+                assert basis == row_space_basis(M.minus_identity())
+                assert len(basis) == rank(M.minus_identity())
+                assert M.moved is basis                  # eliminated once
+                if kind == "identity":
+                    assert basis == Matrix(field, ())
+                if kind == "eigenvalue 1":
+                    assert len(basis) < d
 
 
 def test_kronecker_diag():

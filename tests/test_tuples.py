@@ -16,12 +16,15 @@ from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_
                             row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
-                            cohomology_spaces, equivalence, parabolic_rank_formula,
+                            cohomology_spaces, coinvariants_dim, equivalence, invariants_dim,
+                            parabolic_rank_formula,
                             parse_braid_word, phi_transport,
                             pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
-from conftest import F7, Q, SEED, check_witness, random_invertible, random_scalar, random_tuple
+from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, entry_of_kind,
+                      full_coinvariants_dim, full_invariants_dim, random_invertible,
+                      random_scalar, random_tuple)
 from test_linalg import _oracle_coords
 
 Z3 = FieldDescriptor.cyclotomic(3)
@@ -449,6 +452,37 @@ def test_circ_tuple_of_second_convolution_has_parabolic_dim_3():
     inp = ConvolutionInput(l_star_l(), kummer_minus_one())
     e_basis, u_basis = cohomology_spaces(circ_tuple(inp))
     assert len(u_basis) - len(e_basis) == 3
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_fixed_space_dims_equal_the_full_join_and_stack(field):
+    """Every read-off (one matrix, a matrix with rk(M - 1) = d, the stacked kept
+    bases) against the ranks of all d rows or columns of each M - 1."""
+    rng = random.Random(SEED)
+    seen = set()
+    for d in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                ms = [entry_of_kind(field, d, rng, rng.choice(ENTRY_KINDS)) for _ in range(n)]
+                dims = (invariants_dim(ms), coinvariants_dim(ms))
+                assert dims == (full_invariants_dim(ms), full_coinvariants_dim(ms))
+                path = ("one" if n == 1 else
+                        "full" if any(rank(M.minus_identity()) == d for M in ms) else "ranks")
+                seen.add((path, dims != (0, 0)))
+    assert seen == {("one", True), ("one", False), ("full", False),
+                    ("ranks", True), ("ranks", False)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_cohomology_spaces_forms_only_the_products_it_reads(monkeypatch, rng, r):
+    T = random_tuple(Q, 2, r, rng)
+    expected = cohomology_spaces(T)
+    products = []
+    real_matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda A, B: products.append(B) or real_matmul(A, B))
+    assert cohomology_spaces(T) == expected
+    # T_{k+2} ... T_{r+1} for k = 0 .. r - 2, then S times the stack and the kernel times S
+    assert len(products) == (r - 1) + 2
 
 
 def test_parabolic_rank_formula_examples():
