@@ -380,8 +380,9 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 
 # -- the SL-realization demo ----------------------------------------------------------
 
-# the largest r that sl_demo accepts: its cost grows faster than r^3, and (3,12) and
-# (7,10) take about 4 s each on a 2-vCPU host under CPython 3.11
+# the largest r that sl_demo accepts: its cost grows faster than r^3, and on a 2-vCPU
+# host under CPython 3.11 (3,12) takes 0.6 s, (7,10) 0.9 s, (15,12) 2.7 s and (11,12),
+# over Q(zeta_44), about 4 s
 SL_DEMO_MAX_R = 12
 # phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
 # sl_demo refuses it before it lists the units mod m

@@ -40,32 +40,39 @@ is the row kernel of the elimination and the products: row[j] += a*y in
 place for each (j, y) in pairs, one call per row update.  Over F_p it is
 one loop with (row[j] + a*y) % p inlined, integer arithmetic alone, as in
 word-size prime-field linear algebra (Dumas, Giorgi and Pernet, ACM TOMS
-35, 2008); over Q(zeta_n) it is generated with addmul (below).  Only
-F_{p^2} and phi(n) > UNROLL_MAX_PHI loop over their own addmul.  `inv`
-of Q(zeta_n) takes a rational payload, nums zero past the first, to
-((+-den, 0, ..), |a0|), without the product of the Galois conjugates.
+35, 2008); over Q(zeta_n) it is generated (below).  Only F_{p^2} and
+phi(n) > UNROLL_MAX_PHI loop over their own addmul.  `inv` of Q(zeta_n)
+takes a rational payload, nums zero past the first, to ((+-den, 0, ..),
+|a0|), and reads the inverse of a unit +-zeta^e from a table of the 2n of
+them, both without the product of the Galois conjugates.
 Payloads are canonical, so a value has one payload and zero is the table's
 zero: over Q and Q(zeta_n) `nonzero` is the bound `zero.__ne__`, one C call
 in place of a Python frame.  Over F_p it is `bool` of the int, over
 F_{p^2} `any` of the pair.
 
 The Q(zeta_n) ops add, sub, neg, mul, addmul and axpy are compiled once per
-field from straight-line source: one statement per coefficient, no loop but
-axpy's over its pairs, which unpacks a once.
+field from straight-line source, with no loop but axpy's over its pairs.
 _straight_line_cyclotomic_ops writes it from phi(n) and the integer
 reduction rows of _cyc_tables(n) alone, never from input text.  The source
-unpacks the numerators into locals, writes each product coefficient as an
-explicit sum, folds the coefficients of zeta^phi .. zeta^(2 phi - 2) in by
-the fixed rows, and normalizes once with gcd(d, o0, ..), skipped when
-d == 1; add and sub skip the cross products when the denominators agree.
-It is compiled under the filename "<Q(zeta_n) kernel>", so profiles and
-tracebacks name the field.  The source grows as phi^2, and the straight
-lines multiply the zero coefficients that loops skip, so the kernel is
-built only for phi(n) <= UNROLL_MAX_PHI; larger fields keep the loops of
-_looped_cyclotomic_ops (Q(zeta_997), phi 996, would take seconds and
-gigabytes to compile).  Both give the same canonical payloads.  Over Q,
-phi = 1, the kernel is one numerator over one denominator, with one gcd
-per op, of the result (Knuth, TAOCP 2, 4.5.1).
+unpacks the numerators into locals.  A product of a and y has one
+`if y_k:` block per coordinate of y, so a zero coordinate of y costs one
+test and a rational y costs phi products.  mul and addmul add a_i y_k into
+the unfolded product and then fold its coefficients of zeta^phi ..
+zeta^(2 phi - 2) in once, by the fixed rows.  axpy builds a's table once
+per call: column k holds the coordinates of a zeta^k, k < phi, the last
+column shifted up with its top coordinate folded in by the row of
+zeta^phi.  Each pair then adds column k times y_k, with no fold.  Each
+result is normalized once with gcd(d, o0, ..), skipped when d == 1; add
+and sub skip the cross products when the denominators agree.  The kernel
+is compiled under the filename "<Q(zeta_n) kernel>", so profiles and
+tracebacks name the field.  The source and its compile time grow as
+phi^2, and the straight lines still multiply the zero coordinates of a,
+so the kernel is built only for phi(n) <= UNROLL_MAX_PHI; larger fields
+keep the loops of _looped_cyclotomic_ops (Q(zeta_997), phi 996, would
+take seconds and gigabytes to compile).  Both give the same canonical
+payloads.  Over Q, phi = 1, the kernel is one numerator over one
+denominator, one product with no test, and one gcd per op, of the result
+(Knuth, TAOCP 2, 4.5.1).
 
 A Scalar is built by the two slot setters, bound once at module level, so
 construction is two C calls; `__setattr__` raises, so Scalars stay
@@ -360,11 +367,14 @@ def _quadratic_field_ops(p: int, c0: int, c1: int) -> FieldOps:
                     tuple)
 
 
-# the largest phi(n) whose ops are compiled from straight-line source.  On addmul
-# with 1 to phi/2 nonzero numerators per operand, as in sl_demo, the straight lines
-# were 1.3-3x faster than the loops up to phi = 16, about even at phi = 20 to 32
-# (0.8-1.4x), and slower from phi = 36 on (0.3-0.8x at phi = 40 and 52).  The bound
-# covers every field sl_demo builds (phi <= 20) and keeps compiling near 10 ms.
+# the largest phi(n) whose ops are compiled from straight-line source.  On axpy with
+# 1 to phi/2 nonzero numerators per operand, as in sl_demo, on a 2-vCPU host under
+# CPython 3.11, the straight lines were 1.8-2.5x faster than the loops at phi = 16,
+# 1.2-2.1x at phi = 20 and 1.1-1.7x at phi = 24, from calls of one pair to calls of
+# sixteen.  At phi = 28 and 36 they were 1.3-1.7x faster from four pairs on but
+# 0.8-0.9x on one pair, whose call builds a's whole table for one product, while
+# compiling, which grows as phi^2, took 14 ms at phi = 24 and 25-35 ms at 28 and 36.
+# The bound covers every field sl_demo builds (phi <= 20).
 UNROLL_MAX_PHI = 24
 
 
@@ -372,7 +382,8 @@ def _straight_line_cyclotomic_ops(n: int):
     """add, sub, neg, mul, addmul, axpy of Q(zeta_n), compiled from straight-line
     source (see the module docstring).  In the source, x_i, y_i and z_i are the
     numerators of the operands and of the addend, h_m the product's coefficient of
-    zeta^(phi+m), and o_j the result's numerators over the denominator d."""
+    zeta^(phi+m), t_jk coordinate j of a zeta^k in axpy's table, and o_j the result's
+    numerators over the denominator d."""
     phi, red, _ = _cyc_tables(n)
 
     def each(fmt: str) -> list[str]:
@@ -381,17 +392,8 @@ def _straight_line_cyclotomic_ops(n: int):
     def vec(fmt: str) -> str:           # "x0, x1, ": a valid target and tuple body
         return "".join(f"{term}, " for term in each(fmt))
 
-    def coefficient(e: int) -> str:     # of zeta^e in the product, 0 <= e <= 2 phi - 2
-        low, high = max(0, e - phi + 1), min(e, phi - 1)
-        return " + ".join(f"x{i}*y{e - i}" for i in range(low, high + 1))
-
-    def fold(j: int) -> str:
-        terms = [coefficient(j)]
-        for m, row in enumerate(red):
-            if row[j]:
-                r = abs(row[j])
-                terms.append(f"{'-' if row[j] < 0 else '+'} {f'{r}*' if r != 1 else ''}h{m}")
-        return " ".join(terms)
+    def signed(c: int, name: str) -> str:   # "+ name", "- 2*name"
+        return f"{'-' if c < 0 else '+'} {f'{abs(c)}*' if abs(c) != 1 else ''}{name}"
 
     def normalize(store: str) -> list[str]:     # store: "return " or "row[j] = "
         return [f"g = gcd(d, {vec('o{k}')})", "if g == 1:",
@@ -402,8 +404,40 @@ def _straight_line_cyclotomic_ops(n: int):
         return (["if d == 1:", f"    {store}(({vec('o{k}')}), 1)", "else:"]
                 + [f"    {line}" for line in normalize(store)])
 
-    product = ([f"h{m} = {coefficient(phi + m)}" for m in range(phi - 1)]
-               + [f"o{j} = {fold(j)}" for j in range(phi)])
+    def blocks(sums: list[str], terms) -> list[str]:
+        """The sums set to 0, then one `if yk:` block per coordinate of y, which adds
+        factor*yk into the sum for each (sum, factor) in terms(k)."""
+        lines = [f"{' = '.join(sums)} = 0"]
+        for k in range(phi):
+            lines += [f"if y{k}:"] + [f"    {o} += {f}*y{k}" for o, f in terms(k)]
+        return lines
+
+    # mul, addmul: the unfolded product, o_e the coefficient of zeta^e and h_m that of
+    # zeta^(phi+m), then one fold of each h_m by the reduction row of zeta^(phi+m)
+    sums = each("o{k}") + each("h{k}")[:-1]
+    product = blocks(sums, lambda k: [(sums[i + k], f"x{i}") for i in range(phi)])
+    for j in range(phi):
+        terms = [signed(row[j], f"h{m}") for m, row in enumerate(red) if row[j]]
+        if terms:
+            product.append(f"o{j} = o{j} {' '.join(terms)}")
+
+    # axpy: the table t_jk, coordinate j of a*zeta^k.  Column k shifts column k - 1 up by
+    # one and folds its top coordinate in by the reduction row of zeta^phi, whose
+    # constant coordinate is -1 (Phi_n(0) = 1 for n >= 2); a coordinate that only moves
+    # up keeps its name
+    table, build = [each("x{k}")], []
+    for k in range(1, phi):
+        prev, col = table[-1], []
+        for j, c in enumerate(red[0]):
+            if c:
+                fold = signed(c, prev[-1])
+                build.append(f"t{j}_{k} = {f'{prev[j - 1]} {fold}' if j else fold}")
+            col.append(f"t{j}_{k}" if c else prev[j - 1])
+        table.append(col)
+    table_product = blocks(each("o{k}"), lambda k: zip(each("o{k}"), table[k]))
+    if phi == 1:    # Q: one product, and the y of axpy's pairs are nonzero
+        product = table_product = ["o0 = x0*y0"]
+
     unpack = [f"{vec('x{k}')}= x", f"{vec('y{k}')}= y"]
     plus_z = ([f"{vec('z{k}')}= z", "d = dx * dy", "if d == dz:"]
               + each("    o{k} += z{k}")
@@ -430,10 +464,10 @@ def _straight_line_cyclotomic_ops(n: int):
                       + reduced("return ")),
         "addmul(c, a, b)": (["(z, dz), (x, dx), (y, dy) = c, a, b"] + unpack + product + plus_z
                             + reduced("return ")),
-        # addmul per pair, with a unpacked once
-        "axpy(row, a, pairs)": (["x, dx = a", unpack[0], "for j, (y, dy) in pairs:"]
+        # addmul per pair on a's table, built once per call, so no pair folds
+        "axpy(row, a, pairs)": (["x, dx = a", unpack[0]] + build + ["for j, (y, dy) in pairs:"]
                                 + [f"    {line}" for line in ["z, dz = row[j]", unpack[1]]
-                                   + product + plus_z + reduced("row[j] = ")]),
+                                   + table_product + plus_z + reduced("row[j] = ")]),
     }
     source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
                      for head, body in functions.items())
@@ -501,13 +535,20 @@ def _cyclotomic_ops(n: int) -> FieldOps:
         add, sub, neg, mul, addmul = _looped_cyclotomic_ops(phi, red)
         axpy = _looped_axpy(addmul)
 
+    # +-zeta^e -> +-zeta^-e; Q's units +-1 are rational, so its table is empty
+    units = {(tuple(s * c for c in powers[e]), 1): (tuple(s * c for c in powers[-e % n]), 1)
+             for e in range(n) for s in (1, -1)} if phi > 1 else {}
+
     def inv(a):
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a), sigma_k: zeta -> zeta^k, k prime to n;
-        a rational a0/den is den/a0."""
+        a rational a0/den is den/a0, and +-zeta^e is +-zeta^-e."""
         nums, den = a
         if nums[1:] == tail:
             a0 = nums[0]
             return ((den if a0 > 0 else -den,) + tail, abs(a0))
+        unit = units.get(a)
+        if unit is not None:
+            return unit
         conj = one
         for k in range(2, n):
             if math.gcd(k, n) == 1:

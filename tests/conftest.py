@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from midconv.linalg import Matrix, char_poly, commutant_basis, kernel_basis, rank
 from midconv.poly import is_prime
-from midconv.scalars import FieldDescriptor
+from midconv.scalars import FieldDescriptor, _cyc_normalize, _cyc_tables
 from midconv.tuples import MonodromyTuple
 
 SEED = 20260810
@@ -95,6 +95,26 @@ def full_coinvariants_dim(matrices):
     """d - rank of all d rows of each M - 1 stacked, with no read-off from kept forms."""
     return matrices[0].nrows - rank(Matrix(matrices[0].field, tuple(
         row for M in matrices for row in M.minus_identity().payload)))
+
+
+def conjugate_product_inverse(field, a):
+    """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over Q(zeta_n), Q being Q(zeta_1): the
+    Galois-conjugate product that inv runs for a payload that is neither rational nor a
+    unit +-zeta^e."""
+    n, ops = field.n or 1, field.ops
+    phi, _, powers = _cyc_tables(n)
+    nums, den = a
+    conj = ops.one
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            vec = [0] * phi
+            for j, c in enumerate(nums):
+                for i, e in enumerate(powers[j * k % n]):
+                    vec[i] += c * e
+            conj = ops.mul(conj, _cyc_normalize(tuple(vec), den))
+    (norm, *_), norm_den = ops.mul(a, conj)
+    c_nums, c_den = conj
+    return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
 
 
 @pytest.fixture

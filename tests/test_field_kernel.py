@@ -7,7 +7,6 @@ rational payload, the sparse payload loops, the elimination at unit pivots, and 
 against det(x 1 - M)."""
 
 import hashlib
-import math
 import pickle
 import random
 from fractions import Fraction
@@ -27,7 +26,8 @@ from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_norma
                              _straight_line_cyclotomic_ops, format_scalar, parse_scalar)
 from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
 
-from conftest import F7, Q, SEED, random_invertible, random_scalar
+from conftest import (F7, Q, SEED, conjugate_product_inverse, random_invertible,
+                      random_scalar)
 
 Z12 = FieldDescriptor.cyclotomic(12)
 F25 = FieldDescriptor.finite(5, 2)
@@ -396,25 +396,6 @@ def test_rational_ops_agree_with_fractions(args):
 
 # -- the inverse of a rational payload ----------------------------------------------------
 
-def _conjugate_product_inverse(field, a):
-    """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over Q(zeta_n), Q being Q(zeta_1): the
-    Galois-conjugate product that inv runs for a payload that is not rational."""
-    n, ops = field.n or 1, field.ops
-    phi, _, powers = _cyc_tables(n)
-    nums, den = a
-    conj = ops.one
-    for k in range(2, n):
-        if math.gcd(k, n) == 1:
-            vec = [0] * phi
-            for j, c in enumerate(nums):
-                for i, e in enumerate(powers[j * k % n]):
-                    vec[i] += c * e
-            conj = ops.mul(conj, _cyc_normalize(tuple(vec), den))
-    (norm, *_), norm_den = ops.mul(a, conj)
-    c_nums, c_den = conj
-    return _cyc_normalize(tuple(x * norm_den for x in c_nums), c_den * norm)
-
-
 # Q and Q(zeta_3), Q(zeta_12) on the straight-line kernel, Q(zeta_29) on the loops
 INV_FIELDS = [Q, FieldDescriptor.cyclotomic(3), Z12, FieldDescriptor.cyclotomic(29)]
 
@@ -430,7 +411,7 @@ def test_the_inverse_of_a_rational_payload_is_the_conjugate_product(field, num, 
     got = ops.inv(a)
     assert is_canonical(field, got)
     assert ops.mul(a, got) == ops.one
-    assert got == _conjugate_product_inverse(field, a)
+    assert got == conjugate_product_inverse(field, a)
 
 
 # -- the sparse payload loops -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,10 @@ from hypothesis import strategies as st
 
 from midconv.errors import DivisionByZero, FieldMismatch, ParseError
 from midconv.poly import cyclotomic_polynomial, is_prime
-from midconv.scalars import FieldDescriptor, format_scalar, parse_scalar
+from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, _cyc_normalize, _cyc_tables,
+                             _looped_axpy, _looped_cyclotomic_ops, format_scalar, parse_scalar)
+
+from conftest import SEED, conjugate_product_inverse
 
 Q = FieldDescriptor.rational()
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -247,3 +252,71 @@ def test_a_quadratic_field_over_a_large_prime_is_built_at_once():
     with pytest.raises(ValueError, match="reducible"):
         FieldDescriptor.finite(10 ** 9 + 7, 2, (5, 0, 1))
     assert time.perf_counter() - start < 1.0
+
+
+# -- the sparse products of the straight-line Q(zeta_n) kernel ---------------------------
+
+def _totient(n: int) -> int:
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+# every field of the straight-line kernel but Q: phi(n) >= sqrt(n / 2) bounds n
+STRAIGHT_LINE_ORDERS = [n for n in range(3, 2 * UNROLL_MAX_PHI ** 2 + 1)
+                        if 2 <= _totient(n) <= UNROLL_MAX_PHI]
+
+
+def _sparse_operands(field, rng) -> list:
+    """Payloads whose zero coordinates the kernel skips: zero, rationals over den 1 and
+    den != 1, +-c zeta^e, the units +-zeta^e and 1 + zeta + .. + zeta^(k-1) for k prime to
+    n, two-term, dense, and coordinates above 2^64."""
+    n, phi = field.n, field.degree
+    _, _, powers = _cyc_tables(n)
+
+    def combination(terms, den=1):      # sum of c zeta^e over the (c, e) in terms, over den
+        nums = [0] * phi
+        for c, e in terms:
+            for i, p in enumerate(powers[e % n]):
+                nums[i] += c * p
+        return _cyc_normalize(tuple(nums), den)
+
+    coefficient, e = lambda: rng.choice((-7, -2, 3, 5)), rng.randrange(n)
+    k = rng.choice([k for k in range(2, n) if math.gcd(k, n) == 1])
+    big = rng.randint(2 ** 64, 2 ** 90)
+    return [field.ops.zero,
+            combination([(coefficient(), 0)]),
+            combination([(coefficient(), 0)], rng.choice((2, 6, 2 ** 70 + 1))),
+            combination([(coefficient(), e)], rng.choice((1, 5))),
+            combination([(1, e)]), combination([(-1, rng.randrange(n))]),
+            combination([(1, i) for i in range(k)]),        # (zeta^k - 1) / (zeta - 1)
+            combination([(coefficient(), rng.randrange(n)), (coefficient(), rng.randrange(n))]),
+            _cyc_normalize(tuple(rng.randint(-9, 9) for _ in range(phi)), rng.randint(1, 30)),
+            combination([(-big, rng.randrange(n)), (coefficient(), e)], 3),
+            _cyc_normalize(tuple(rng.randint(-big, big) for _ in range(phi)), 2 ** 65 + 3)]
+
+
+@pytest.mark.parametrize("n", STRAIGHT_LINE_ORDERS)
+def test_the_straight_line_products_equal_the_loops_on_sparse_operands(n):
+    # the loops build canonical payloads, so equal results are canonical too
+    field = FieldDescriptor.cyclotomic(n)
+    ops, (phi, red, powers) = field.ops, _cyc_tables(n)
+    assert ops.axpy.__code__.co_filename == f"<Q(zeta_{n}) kernel>"
+    _, _, neg, mul, addmul = _looped_cyclotomic_ops(phi, red)
+    looped_axpy = _looped_axpy(addmul)
+    rng = random.Random(SEED + n)
+    xs = _sparse_operands(field, rng)
+    for a in xs:
+        for b in xs:
+            c = rng.choice(xs)
+            assert ops.mul(a, b) == mul(a, b)
+            assert ops.addmul(c, a, b) == addmul(c, a, b)
+        # the row kernel, on pairs that repeat a column
+        row = rng.sample(xs, 4)
+        pairs = [(j, rng.choice(xs)) for j in (0, 2, 0, 3, 2, 0)]
+        got, want = list(row), list(row)
+        assert ops.axpy(got, a, pairs) is None
+        looped_axpy(want, a, pairs)
+        assert got == want
+    # the inverses of the units +-zeta^e, read from a table
+    for e in range(n):
+        for u in ((powers[e], 1), neg((powers[e], 1))):
+            assert ops.inv(u) == conjugate_product_inverse(field, u)
