@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError, Verdict)
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                     kronecker, matrix_order, rank, row_space_basis)
+                     kronecker, matrix_order, row_space_basis)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
@@ -381,8 +381,8 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 # -- the SL-realization demo ----------------------------------------------------------
 
 # the largest r that sl_demo accepts: its cost grows faster than r^3, and on a 2-vCPU
-# host under CPython 3.11 (3,12) takes 0.6 s, (7,10) 0.9 s, (15,12) 2.7 s and (11,12),
-# over Q(zeta_44), about 4 s
+# host under CPython 3.11 (3,12) takes 0.6 s, (7,10) 0.8 s, (15,12) 2.8 s and (11,12),
+# over Q(zeta_44), 3.7 to 4.5 s
 SL_DEMO_MAX_R = 12
 # phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
 # sl_demo refuses it before it lists the units mod m
@@ -400,6 +400,19 @@ def _order_up_to_8(M: Matrix) -> int:
     if square != ident and square @ square == ident:
         return 4
     return matrix_order(M, 8) or 0
+
+
+def _homology_order(M: Matrix) -> int:
+    """_order_up_to_8(M), read off the trace when rk(M - 1) = 1 and tr M != d.
+
+    M = 1 + N with N of rank one has N^2 = tr(N) N, so with lambda = tr(M)
+    - (d - 1) = 1 + tr(N) != 1, M^k - 1 = ((lambda^k - 1) / (lambda - 1)) N:
+    the order is that of lambda.  Any other M walks its powers.
+    """
+    lam = M.trace() - M.field.from_int(M.nrows - 1)
+    if len(M.moved) != 1 or lam.is_one():
+        return _order_up_to_8(M)
+    return next((k for k in range(1, 9) if (lam ** k).is_one()), 0)
 
 
 @dataclass
@@ -427,7 +440,8 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
 
     The first output entry's Jordan data is read at its announced
     eigenvalues, -i first: three ranks and one product, no char_poly.  The
-    second entry's announced order 4 costs two squarings.
+    second entry is announced as a homology of order 4: rk(c2 - 1) = 1 is
+    read off its kept basis of im(c2 - 1), and its order off its trace.
     """
     if r > SL_DEMO_MAX_R:
         raise PreconditionError(f"r is above the limit SL_DEMO_MAX_R = {SL_DEMO_MAX_R}")
@@ -488,8 +502,8 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     c1_ok = jordan_data(result.entries[0], (minus_i, one)) == expected_c1
 
     c2 = result.entries[1]
-    order = _order_up_to_8(c2)
-    c2_rank_one = rank(c2.minus_identity()) == 1
+    c2_rank_one = len(c2.moved) == 1
+    order = _homology_order(c2)
 
     zeta4_group = {zeta4 ** k for k in range(4)}
     dets_ok = all(A.det() in zeta4_group for A in result.finite_entries())

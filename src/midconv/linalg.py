@@ -3,13 +3,21 @@
 Matrices act on row vectors from the right: the image of v under M is v*M.
 Consequently kernel_basis returns the *left* kernel {v : v M = 0} and the
 image of M is its row space.  A list of vectors is a Matrix, its rows:
-kernel_basis, row_space_basis, intersect_row_spaces and solve_coords take
-and return Matrices.  `_echelon` is the one Gaussian elimination:
-Matrix.inverse, Matrix.det, rank, row_space_basis and kernel_basis all
-read it.  It picks the first nonzero pivot, so every computed basis is
-deterministic, and a unit pivot costs no inverse.  solve_coords
-eliminates nothing: it reads coordinates at the pivot columns of a
-reduced echelon basis and checks them by a product.
+kernel_basis, reduced_kernel_basis, row_space_basis, intersect_row_spaces
+and solve_coords take and return Matrices.  `_echelon` is the one Gaussian
+elimination: Matrix.inverse, Matrix.det, rank, row_space_basis,
+kernel_basis and _annihilator all read it.  It picks the first nonzero
+pivot, so every computed basis is deterministic, and a unit pivot costs no
+inverse.  solve_coords eliminates nothing: it reads coordinates at the
+pivot columns of a reduced echelon basis and checks them by a product.
+
+A left kernel is read off one elimination of the transpose in two ways.
+kernel_basis eliminates M^T as it is; its basis order is what
+find_invertible scans, so the witnesses that equiv and group print rest on
+it.  reduced_kernel_basis eliminates M^T with reversed columns
+(_annihilator, which tuples.quotient_basis also reads) and gets the reduced
+echelon basis at once; the U of tuples.cohomology_spaces and
+intersect_row_spaces, hence the W of MC_lambda, need no second elimination.
 
 A Matrix holds its field and a tuple of payload rows, the canonical payloads
 of the scalars module, so equality and hashing compare payloads.
@@ -317,7 +325,13 @@ def row_space_basis(M: Matrix) -> Matrix:
 
 
 def kernel_basis(M: Matrix) -> Matrix:
-    """Exact basis of the left kernel {v : v M = 0}."""
+    """Exact basis of the left kernel {v : v M = 0}, one vector per free column of M^T.
+
+    Not reduced: solve_matrix_equations hands this basis, in this order, to
+    find_invertible, whose witnesses equiv and group print (pinned in the
+    tests and in the o3-group benchmark digest).  reduced_kernel_basis is the
+    reduced form of the same space.
+    """
     m, ops = M.nrows, M.field.ops
     ech = _echelon(ops, zip(*M.payload))
     pivots = set(ech.pivots)
@@ -331,6 +345,39 @@ def kernel_basis(M: Matrix) -> Matrix:
             v[pc] = ops.neg(row[fc])
         basis.append(tuple(v))
     return Matrix(M.field, tuple(basis))
+
+
+def _annihilator(ops, vectors, m: int) -> tuple[tuple, ...]:
+    """Reduced-echelon basis of {v in K^m : v . w = 0 for each w in vectors}, payload rows.
+
+    One elimination of the vectors with their columns reversed: each pivot
+    there marks the row w_j of the reduced span whose last nonzero entry is
+    a 1 at column j, and every other column f is free.  The vector of f is
+    e_f - sum_j w_j[f] e_j, 1 at f and nonzero elsewhere only at pivot
+    columns j > f, so the vectors, taken by f ascending, are reduced.
+    """
+    one, nonzero, neg = ops.one, ops.nonzero, ops.neg
+    ech = _echelon(ops, [w[::-1] for w in vectors])
+    ends = {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}
+    basis = []
+    for f in range(m):
+        if f not in ends:
+            v = [ops.zero] * m
+            v[f] = one
+            for j, w in ends.items():
+                if nonzero(w[f]):
+                    v[j] = neg(w[f])
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reduced_kernel_basis(M: Matrix) -> Matrix:
+    """Reduced-echelon basis of the left kernel {v : v M = 0}: the _annihilator of M's columns.
+
+    Times a reduced matrix with independent rows it stays reduced (the
+    argument is in tuples.cohomology_spaces), with no further elimination.
+    """
+    return Matrix(M.field, _annihilator(M.field.ops, zip(*M.payload), M.nrows))
 
 
 def solve_coords(basis: Matrix, vectors: Matrix) -> Matrix | None:
@@ -357,10 +404,19 @@ def solve_coords(basis: Matrix, vectors: Matrix) -> Matrix | None:
 
 
 def intersect_row_spaces(B1: Matrix, B2: Matrix) -> Matrix:
-    """Basis of the intersection of two row spaces."""
+    """Reduced-echelon basis of the intersection of two row spaces.
+
+    B1 is reduced first, a scan when it already is.  The vectors c B1 = -d B2
+    have as c the first len(B1) coordinates of the reduced kernel of
+    [B1; B2].  A kernel row leading inside them is still reduced there; the
+    others are 0 there, from dependencies among the rows of B2, and are
+    dropped.  So the c are reduced and independent, and c B1 is reduced.
+    """
     _check_fields(B1, B2, "intersect_row_spaces")
-    coefs = kernel_basis(Matrix(B1.field, B1.payload + B2.payload))
-    return row_space_basis(Matrix(B1.field, tuple(c[:len(B1)] for c in coefs.payload)) @ B1)
+    B1 = row_space_basis(B1)
+    n1, nonzero = len(B1), B1.field.ops.nonzero
+    coefs = reduced_kernel_basis(Matrix(B1.field, B1.payload + B2.payload)).payload
+    return Matrix(B1.field, tuple(c[:n1] for c in coefs if any(map(nonzero, c[:n1])))) @ B1
 
 
 # -- characteristic polynomial and Jordan data ---------------------------------

@@ -8,8 +8,8 @@ and conjugation is x^y = y^-1 x y throughout.
 Braid words are applied one way: phi_transport walks a sequence of words,
 carrying rows of V^{r+1} by the cocycle Phi and resuming each word after the
 prefix it shares with the one before; braid_act walks one word, no rows.
-A letter with a scalar partner c*1 costs one block product and a scaling,
-and rows zero in both of a letter's slots are not touched.
+A letter is one multiply-accumulate per row over the kept sparse rows of
+its entries, and rows zero in both of its slots are not touched.
 
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim,
 over any sequence of matrices (a tuple's entries, one entry, or the entries
@@ -34,11 +34,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 
 from .errors import ParseError, PreconditionError, Verdict
-from .linalg import (Matrix, _check_fields, _echelon, _mul_rows, char_poly, commutant_basis,
-                     find_invertible, kernel_basis, rank, row_space_basis, solve_coords)
+from .linalg import (Matrix, _annihilator, _check_fields, char_poly, commutant_basis,
+                     find_invertible, rank, reduced_kernel_basis, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -222,17 +222,6 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
 
-def _times(ops, rows, M, d):
-    """An iterator over the payload rows times M: c*1 scales each nonzero entry, 1 is free."""
-    if not M.is_scalar:
-        return iter(_mul_rows(ops, rows, M.sparse, d))
-    c = M.sparse[0][0][1]
-    if c == ops.one:
-        return iter(rows)
-    mul, nonzero = ops.mul, ops.nonzero
-    return (tuple(mul(c, x) if nonzero(x) else x for x in row) for row in rows)
-
-
 def phi_transport(T: MonodromyTuple, words,
                   rows: Matrix) -> list[tuple[Matrix, MonodromyTuple]]:
     """One (rows Phi(T, w), T^w) per braid word w of `words`, in one walk.
@@ -244,11 +233,13 @@ def phi_transport(T: MonodromyTuple, words,
     returned Matrix; no Scalar is built.  With (a, b) = (T_i, T_{i+1}) of the
     current tuple, beta_i sends the blocks (X, Y) of slots i, i+1 to
     (Y, X b + Y - Y b^-1 a b), with no inverse, and beta_i^-1 sends them to
-    ((Y - X + X b) a^-1, X), a^-1 and the factors' sparse rows built once
-    per Matrix.  The entries move by _act_gen, so b^-1 a b is a itself when
-    a or b is c*1: such a letter has one block product, and a product by
-    c*1 is a scaling, or nothing when c = 1.  A row zero in both slots stays
-    zero untouched, and a row zero in one slot skips that slot's product.
+    ((Y + X (b - 1)) a^-1, X), a^-1 built once per Matrix.  The entries move
+    by _act_gen, so b^-1 a b is a itself when a or b is c*1.  A letter is one
+    multiply-accumulate per row: the new row starts as the row y of Y and
+    takes, for each nonzero x_k and y_k, one axpy by row k of the kept
+    sparse rows of b and b^-1 a b (of a c*1 one pair each); for beta_i^-1
+    that sum is multiplied by the sparse rows of a^-1.  A row zero in both
+    slots stays zero untouched.
 
     The walk keeps the state (entries, points, slot blocks) after each
     letter of the previous word, and resumes each word after the longest
@@ -262,7 +253,8 @@ def phi_transport(T: MonodromyTuple, words,
     n = len(T.entries)
     if any(len(v) != n * d for v in rows.payload):
         raise PreconditionError(f"rows must have (r+1) dim = {n * d} columns")
-    add, sub, zrow = ops.add, ops.sub, (ops.zero,) * d
+    zero, nonzero, neg, sub, axpy = ops.zero, ops.nonzero, ops.neg, ops.sub, ops.axpy
+    zrow = (zero,) * d
     states = [(T.entries, T.points, tuple([v[k * d:(k + 1) * d] for v in rows.payload]
                                           for k in range(n)))]
     done, out = (), []
@@ -280,22 +272,31 @@ def phi_transport(T: MonodromyTuple, words,
             _act_gen(entries, points, i, e < 0)
             X, Y = blocks[i - 1], blocks[i]
             if X:
-                # the products run on the nonzero rows xs, ys of X and Y alone
-                xs, ys = [x != zrow for x in X], [y != zrow for y in Y]
-                Xb = _times(ops, compress(X, xs), b, d)
-                if e > 0:                  # entries[i] is now b^-1 a b
-                    Ya = _times(ops, compress(Y, ys), entries[i], d)
-                    blocks[i - 1], blocks[i] = Y, [
-                        (tuple(map(sub, map(add, next(Xb), y), next(Ya))) if t else next(Xb))
-                        if s else (tuple(map(sub, y, next(Ya))) if t else zrow)
-                        for s, y, t in zip(xs, Y, ys)]
-                else:
-                    live = [s or t for s, t in zip(xs, ys)]
-                    Z = [(tuple(map(add, map(sub, y, x), next(Xb))) if t
-                          else tuple(map(sub, next(Xb), x))) if s else y
-                         for x, s, y, t in zip(X, xs, Y, ys)]
-                    Za = _times(ops, compress(Z, live), a.inverse(), d)
-                    blocks[i - 1], blocks[i] = [next(Za) if s else zrow for s in live], X
+                B, new = b.sparse, []
+                C = entries[i].sparse if e > 0 else a.inverse().sparse
+                for x, y in zip(X, Y):
+                    if x == zrow and y == zrow:
+                        new.append(zrow)
+                        continue
+                    acc = list(y)
+                    if e > 0:                  # X b + Y - Y C, C = b^-1 a b
+                        for k, xk in enumerate(x):
+                            if nonzero(xk):
+                                axpy(acc, xk, B[k])
+                        for k, yk in enumerate(y):
+                            if nonzero(yk):
+                                axpy(acc, neg(yk), C[k])
+                    else:                      # (Y - X + X b) C, C = a^-1
+                        for k, xk in enumerate(x):
+                            if nonzero(xk):
+                                acc[k] = sub(acc[k], xk)
+                                axpy(acc, xk, B[k])
+                        z, acc = acc, [zero] * d
+                        for k, zk in enumerate(z):
+                            if nonzero(zk):
+                                axpy(acc, zk, C[k])
+                    new.append(tuple(acc))
+                blocks[i - 1], blocks[i] = (Y, new) if e > 0 else (new, X)
             states.append((tuple(entries), None if points is None else tuple(points),
                            tuple(blocks)))
         done = w.letters
@@ -317,15 +318,20 @@ def cohomology_spaces(T: MonodromyTuple) -> tuple[Matrix, Matrix]:
     im(T_i - 1).  No basis of H_T is built: the map (v_i) -> sum_i v_i
     T_{i+1}...T_{r+1} is onto V, because its last block is the identity, so
     dim H_T = (r+1) dim V - dim V = r dim V.
+
+    The slot images S are reduced with independent rows, so U = {c S : c S
+    stacked = 0} is K S for the reduced kernel K of S stacked, and K S is
+    reduced as it stands: row i of K is 0 before its leading 1 at column
+    f_i, where every other row of K is 0, so row i of K S is 0 before the
+    pivot column of row f_i of S, 1 there, and every other row is 0 there.
     """
     entries, field = T.entries, T.field
     # slot k holds T_{k+2} ... T_{r+1}, the last slot the identity: r - 1 products
     suffix = [Matrix.identity(field, T.dim), *accumulate(entries[:0:-1], lambda P, M: M @ P)]
     stacked = Matrix(field, tuple(row for P in reversed(suffix) for row in P.payload))
     e_basis = row_space_basis(join_slots([M.minus_identity() for M in entries]))
-    # the slot images S are independent, so U = {c S : c S stacked = 0}
     S = slot_images(entries)
-    u_basis = row_space_basis(kernel_basis(S @ stacked) @ S)
+    u_basis = reduced_kernel_basis(S @ stacked) @ S
     return e_basis, u_basis
 
 
@@ -410,19 +416,18 @@ def quotient_basis(u_basis: Matrix, e_basis: Matrix) -> tuple[Matrix, Matrix]:
     quot holds each u of the reduced echelon u_basis outside span(E, earlier
     u).  u_j is left out exactly when a row of span(C), C the U-coordinates
     of E (PreconditionError if E is not in U), ends at j: a pivot of C's
-    elimination with reversed columns.  That row is u_j plus rows of quot, so
-    proj (U- to quot-coordinates modulo E) holds its negation there, else 1_j.
+    elimination with reversed columns.  That row is u_j plus rows of quot,
+    so modulo E, u_j is minus the rest of it.  The reduced annihilator of C,
+    read off that elimination, has one row per kept u_f, leading with 1 at
+    f; proj (U- to quot-coordinates modulo E) is its transpose.
     """
     field, ops, m = u_basis.field, u_basis.field.ops, len(u_basis)
     C = solve_coords(u_basis, e_basis)
     if C is None:
         raise PreconditionError("E is not inside U")
-    ech = _echelon(ops, [c[::-1] for c in C.payload])
-    skipped = {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}
-    kept = [j for j in range(m) if j not in skipped]
-    proj = tuple(tuple(ops.neg(skipped[j][c]) if j in skipped else
-                       (ops.one if c == j else ops.zero) for c in kept) for j in range(m))
-    return Matrix(field, proj), Matrix(field, tuple(u_basis.payload[j] for j in kept))
+    K = _annihilator(ops, C.payload, m)
+    proj = tuple(zip(*K)) or ((),) * m
+    return Matrix(field, proj), Matrix(field, tuple(u_basis.payload[v.index(ops.one)] for v in K))
 
 
 def induced_quotient_matrix(basis: Matrix, image_blocks, proj=None) -> list[Matrix]:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import convolution, linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _order_up_to_8, circ_tuple,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _homology_order, _order_up_to_8,
+                                 circ_tuple,
                                  convolved_block, irreducibility_criterion,
                                  is_convolution_sheaf, kummer_tuple, mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
@@ -656,6 +657,37 @@ def test_the_sl_demo_order_walks_the_powers_only_off_order_4(monkeypatch, M, ord
                         lambda M, bound: bounds.append(bound) or matrix_order(M, bound))
     assert _order_up_to_8(M) == order
     assert bounds == ([] if order == 4 else [8])
+
+
+def _homologies(field, rng):
+    """(lambda, M): M = P^-1 diag(lambda, 1, 1) P for every lambda != 0 of a small
+    field, or the first roots of unity and 2 over Q(zeta_n), and the transvection
+    P^-1 (1 + E_01) P with lambda = 1."""
+    if field.kind == "finite":
+        lams = [x for x in field.elements() if x]
+    else:
+        lams = [field.zeta(e) for e in range(field.n or 1)] + [field.from_int(2)]
+    P = random_invertible(field, 3, rng)
+    for lam in lams:
+        yield lam, P.inverse() @ Matrix.from_rows(field, [[lam, 0, 0], [0, 1, 0], [0, 0, 1]]) @ P
+    yield field.one(), P.inverse() @ Matrix.from_rows(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]) @ P
+
+
+@pytest.mark.parametrize("field", [Q] + [FieldDescriptor.cyclotomic(n) for n in range(3, 10)]
+                         + [FieldDescriptor.finite(p) for p in (2, 3, 5, 7, 17, 29)], ids=str)
+def test_the_homology_order_is_read_off_the_trace(monkeypatch, field, rng):
+    # orders 1 to 8 of lambda, orders above 8, infinite order, and transvections
+    # (of order p over F_p, infinite over Q(zeta_n)); only lambda = 1 walks the powers
+    walked = []
+    monkeypatch.setattr(convolution, "_order_up_to_8",
+                        lambda M: walked.append(M) or _order_up_to_8(M))
+    for lam, M in _homologies(field, rng):
+        walked.clear()
+        assert _homology_order(M) == (matrix_order(M, 8) or 0), lam
+        assert len(walked) == (lam == field.one()), lam
+    # a matrix with rk(M - 1) = 2 walks its powers: here -1, of order 2
+    M = Matrix.from_rows(field, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert _homology_order(M) == (matrix_order(M, 8) or 0)
 
 
 def test_mc_lambda_scales_each_entry_by_lambda_twice(monkeypatch, rng):

@@ -12,7 +12,7 @@ from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
                             field_roots, find_invertible, intersect_row_spaces, jordan_data,
                             kernel_basis, kronecker, kronecker_jordan, matrix_order, powers,
-                            rank, row_space_basis, solve_coords)
+                            rank, reduced_kernel_basis, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
 from conftest import (ENTRY_KINDS, F7, PRIMORIAL_9767, Q, SEED, entry_of_kind,
@@ -567,3 +567,61 @@ def test_find_invertible_falls_back_to_prefix_sums():
     assert not any(S.is_invertible() for S in basis)
     assert find_invertible(basis) == Matrix.identity(Q, 2)
     assert find_invertible(basis[:1]) is None
+
+
+def _random_matrix(field, m, n, rng, rank_at_most=None):
+    """An m x n matrix with random entries, a third of them 0; of rank <= rank_at_most if given."""
+    if rank_at_most is not None:
+        return (_random_matrix(field, m, rank_at_most, rng)
+                @ _random_matrix(field, rank_at_most, n, rng))
+    return Matrix.from_rows(field, [[random_scalar(field, rng) if rng.random() < 2 / 3
+                                     else field.zero() for _ in range(n)] for _ in range(m)])
+
+
+def _kernel_shapes(field, rng):
+    """(label, M): no rows, no columns, zero, full row rank, nrows >> ncols, and random ranks."""
+    yield "no rows", Matrix(field, ())
+    yield "no columns", Matrix(field, ((),) * 3)
+    yield "zero", Matrix.zero(field, 4, 3)
+    yield "full row rank", random_invertible(field, 3, rng)
+    yield "full row rank, wide", Matrix(field, random_invertible(field, 3, rng).payload[:2])
+    yield "nrows >> ncols", _random_matrix(field, 9, 2, rng)
+    for k in range(1, 4):
+        yield f"rank <= {k}", _random_matrix(field, 5, 4, rng, rank_at_most=k)
+        yield f"random 6 x {k}", _random_matrix(field, 6, k, rng)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_the_reduced_kernel_is_the_reduced_form_of_kernel_basis(field, rng):
+    for label, M in _kernel_shapes(field, rng):
+        K = reduced_kernel_basis(M)
+        assert K == row_space_basis(kernel_basis(M)), label
+        assert len(K) == M.nrows - rank(M), label
+        if K and M.ncols:
+            assert K @ M == Matrix.zero(field, len(K), M.ncols), label
+
+
+def _intersection_oracle(B1, B2):
+    """Two eliminations: the kernel of [B1; B2], then the row space of its B1-part times B1."""
+    coefs = kernel_basis(Matrix(B1.field, B1.payload + B2.payload))
+    return row_space_basis(Matrix(B1.field, tuple(c[:len(B1)] for c in coefs.payload)) @ B1)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_intersect_row_spaces_equals_the_two_elimination_oracle(field, rng):
+    n = 4
+    for _ in range(6):
+        B1 = _random_matrix(field, rng.randint(1, 4), n, rng, rank_at_most=rng.randint(1, 3))
+        B2 = _random_matrix(field, rng.randint(1, 4), n, rng)
+        # B2 repeats its first row and holds a combination of its rows, so it is dependent
+        B2 = Matrix(field, B2.payload + B2.payload[:1]
+                    + (B2 + B2).payload[:1] + (B1 + B1).payload[:1])
+        reduced = row_space_basis(B1)
+        cases = [(B1, B2), (B2, B1), (reduced, B2), (B1, reduced), (B2, B2),
+                 (Matrix(field, ()), B2), (B1, Matrix(field, ())), (B1, Matrix.zero(field, 2, n))]
+        for X, Y in cases:
+            meet = intersect_row_spaces(X, Y)
+            assert meet == _intersection_oracle(X, Y)
+            assert meet == row_space_basis(meet)
+            for Z in (X, Y):
+                assert solve_coords(row_space_basis(Z), meet) is not None

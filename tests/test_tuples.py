@@ -334,6 +334,44 @@ def test_phi_transport_applies_phi_to_rows(rng):
     assert TW == braid_act(T, w)
 
 
+def _letter_oracle(entries, blocks, i, e):
+    """One letter on the entries and the slot blocks (Matrices), by Matrix products alone:
+    beta_i sends (X, Y) to (Y, X b + Y - Y b^-1 a b), beta_i^-1 to ((Y - X + X b) a^-1, X)."""
+    a, b = entries[i - 1], entries[i]
+    X, Y = blocks[i - 1], blocks[i]
+    if e > 0:
+        c = b.inverse() @ a @ b
+        entries[i - 1], entries[i] = b, c
+        blocks[i - 1], blocks[i] = Y, X @ b + Y - Y @ c
+    else:
+        entries[i - 1], entries[i] = a @ b @ a.inverse(), a
+        blocks[i - 1], blocks[i] = (Y - X + X @ b) @ a.inverse(), X
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_phi_transport_equals_the_letter_by_letter_product_oracle(field, rng):
+    # every pair of entry kinds in slots 1 and 2; three random rows, then the first
+    # of them zero in slot 1, in slot 2, in both, and everywhere; one letter of
+    # each sign, then a word of six letters over both generators
+    d, r = 2, 3
+    for kinds in ((ka, kb) for ka in ENTRY_KINDS for kb in ENTRY_KINDS):
+        finite = [entry_of_kind(field, d, rng, kind)
+                  for kind in kinds + (rng.choice(ENTRY_KINDS),)]
+        T = MonodromyTuple.from_finite_entries(field, finite)
+        full = [[random_scalar(field, rng) for _ in range((r + 1) * d)] for _ in range(3)]
+        zeroed = [[field.zero() if k // d in slots else x for k, x in enumerate(full[0])]
+                  for slots in ({0}, {1}, {0, 1}, {0, 1, 2, 3})]
+        rows = Matrix.from_rows(field, full + zeroed)
+        letters = tuple((rng.randint(1, r - 1), rng.choice((1, -1))) for _ in range(6))
+        for w in (BraidWord(r, ((1, 1),)), BraidWord(r, ((1, -1),)), BraidWord(r, letters)):
+            entries, blocks = list(T.entries), tuples.slot_blocks(rows, r + 1)
+            for i, e in w.letters:
+                _letter_oracle(entries, blocks, i, e)
+            (images, TW), = phi_transport(T, [w], rows)
+            assert images == tuples.join_slots(blocks), (kinds, w)
+            assert TW.entries == tuple(entries), (kinds, w)
+
+
 def test_phi_empty_word_is_identity(rng):
     T = random_tuple(Q, 2, 3, rng)
     assert phi_matrix(T, BraidWord(3, ())) == Matrix.identity(Q, 4 * 2)
