@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError, Verdict)
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                     kronecker, matrix_order, row_space_basis)
+                     kronecker, matrix_order)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
@@ -202,8 +202,7 @@ def mc_lambda(T: MonodromyTuple, lam: Scalar) -> MonodromyTuple:
     lam_A1 = [M.scale(lam) for M in A1]
     R = [join_slots(lam_A1[:k] + [A[k].scale(lam).minus_identity()] + A1[k + 1:])
          for k in range(len(A))]
-    l_basis = row_space_basis(Matrix(field, tuple(row for Rk in R for row in Rk.payload)))
-    W = intersect_row_spaces(slot_images(A), l_basis)
+    W = intersect_row_spaces(slot_images(A), Matrix(field, sum((Rk.payload for Rk in R), ())))
     if not W:
         raise PreconditionError("MC_lambda output has rank 0")
 
@@ -389,21 +388,8 @@ SL_DEMO_MAX_R = 12
 SL_DEMO_MAX_M = 2 * (SL_DEMO_MAX_R - 2) ** 2
 
 
-def _order_up_to_8(M: Matrix) -> int:
-    """matrix_order(M, 8), 0 for None; the announced order 4 by two squarings.
-
-    M^4 = 1 with M^2 != 1 is order 4; only when that test fails are the
-    powers of M walked.
-    """
-    ident = Matrix.identity(M.field, M.nrows)
-    square = M @ M
-    if square != ident and square @ square == ident:
-        return 4
-    return matrix_order(M, 8) or 0
-
-
 def _homology_order(M: Matrix) -> int:
-    """_order_up_to_8(M), read off the trace when rk(M - 1) = 1 and tr M != d.
+    """matrix_order(M, 8), 0 for None, read off the trace when rk(M - 1) = 1 and tr M != d.
 
     M = 1 + N with N of rank one has N^2 = tr(N) N, so with lambda = tr(M)
     - (d - 1) = 1 + tr(N) != 1, M^k - 1 = ((lambda^k - 1) / (lambda - 1)) N:
@@ -411,7 +397,7 @@ def _homology_order(M: Matrix) -> int:
     """
     lam = M.trace() - M.field.from_int(M.nrows - 1)
     if len(M.moved) != 1 or lam.is_one():
-        return _order_up_to_8(M)
+        return matrix_order(M, 8) or 0
     return next((k for k in range(1, 9) if (lam ** k).is_one()), 0)
 
 

@@ -11,12 +11,13 @@ pivot, so every computed basis is deterministic, and a unit pivot costs no
 inverse.  solve_coords eliminates nothing: it reads coordinates at the
 pivot columns of a reduced echelon basis and checks them by a product.
 
-A left kernel is read off one elimination of the transpose in two ways.
-kernel_basis eliminates M^T as it is; its basis order is what
-find_invertible scans, so the witnesses that equiv and group print rest on
-it.  reduced_kernel_basis eliminates M^T with reversed columns
-(_annihilator, which tuples.quotient_basis also reads) and gets the reduced
-echelon basis at once; the U of tuples.cohomology_spaces and
+A left kernel is read off one elimination of M^T by one loop, _free_rows:
+e_f minus the pivot rows' entries at f, for each free column f.  The two
+callers differ in the column order they eliminate in.  kernel_basis keeps
+M^T's own order, because find_invertible scans its basis in that order and
+the witnesses that equiv and group print rest on it.  _annihilator (hence
+reduced_kernel_basis and tuples.quotient_basis) reverses the columns, which
+makes the basis reduced at once; the U of tuples.cohomology_spaces and
 intersect_row_spaces, hence the W of MC_lambda, need no second elimination.
 
 A Matrix holds its field and a tuple of payload rows, the canonical payloads
@@ -324,6 +325,26 @@ def row_space_basis(M: Matrix) -> Matrix:
     return Matrix(M.field, tuple(map(tuple, _echelon(M.field.ops, M.payload).rows)))
 
 
+def _free_rows(ops, pivot_rows: dict, m: int) -> tuple[tuple, ...]:
+    """e_f - sum_p row_p[f] e_p for each column f < m that is no pivot, f ascending.
+
+    pivot_rows maps each pivot column p to its reduced pivot row, so the
+    vectors are the left kernel read off that elimination; only the nonzero
+    terms are written.
+    """
+    zero, one, nonzero, neg = ops.zero, ops.one, ops.nonzero, ops.neg
+    basis = []
+    for f in range(m):
+        if f not in pivot_rows:
+            v = [zero] * m
+            v[f] = one
+            for p, row in pivot_rows.items():
+                if nonzero(row[f]):
+                    v[p] = neg(row[f])
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
 def kernel_basis(M: Matrix) -> Matrix:
     """Exact basis of the left kernel {v : v M = 0}, one vector per free column of M^T.
 
@@ -332,43 +353,22 @@ def kernel_basis(M: Matrix) -> Matrix:
     tests and in the o3-group benchmark digest).  reduced_kernel_basis is the
     reduced form of the same space.
     """
-    m, ops = M.nrows, M.field.ops
+    ops = M.field.ops
     ech = _echelon(ops, zip(*M.payload))
-    pivots = set(ech.pivots)
-    basis = []
-    for fc in range(m):
-        if fc in pivots:
-            continue
-        v = [ops.zero] * m
-        v[fc] = ops.one
-        for row, pc in zip(ech.rows, ech.pivots):
-            v[pc] = ops.neg(row[fc])
-        basis.append(tuple(v))
-    return Matrix(M.field, tuple(basis))
+    return Matrix(M.field, _free_rows(ops, dict(zip(ech.pivots, ech.rows)), M.nrows))
 
 
 def _annihilator(ops, vectors, m: int) -> tuple[tuple, ...]:
     """Reduced-echelon basis of {v in K^m : v . w = 0 for each w in vectors}, payload rows.
 
-    One elimination of the vectors with their columns reversed: each pivot
-    there marks the row w_j of the reduced span whose last nonzero entry is
-    a 1 at column j, and every other column f is free.  The vector of f is
-    e_f - sum_j w_j[f] e_j, 1 at f and nonzero elsewhere only at pivot
-    columns j > f, so the vectors, taken by f ascending, are reduced.
+    The _free_rows of one elimination of the vectors with their columns
+    reversed: each pivot there marks the row w_j of the reduced span whose
+    last nonzero entry is a 1 at column j.  The vector of a free column f is
+    1 at f and nonzero elsewhere only at pivot columns j > f, so the
+    vectors, taken by f ascending, are reduced.
     """
-    one, nonzero, neg = ops.one, ops.nonzero, ops.neg
     ech = _echelon(ops, [w[::-1] for w in vectors])
-    ends = {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}
-    basis = []
-    for f in range(m):
-        if f not in ends:
-            v = [ops.zero] * m
-            v[f] = one
-            for j, w in ends.items():
-                if nonzero(w[f]):
-                    v[j] = neg(w[f])
-            basis.append(tuple(v))
-    return tuple(basis)
+    return _free_rows(ops, {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}, m)
 
 
 def reduced_kernel_basis(M: Matrix) -> Matrix:
@@ -406,11 +406,13 @@ def solve_coords(basis: Matrix, vectors: Matrix) -> Matrix | None:
 def intersect_row_spaces(B1: Matrix, B2: Matrix) -> Matrix:
     """Reduced-echelon basis of the intersection of two row spaces.
 
-    B1 is reduced first, a scan when it already is.  The vectors c B1 = -d B2
-    have as c the first len(B1) coordinates of the reduced kernel of
-    [B1; B2].  A kernel row leading inside them is still reduced there; the
-    others are 0 there, from dependencies among the rows of B2, and are
-    dropped.  So the c are reduced and independent, and c B1 is reduced.
+    B1 is reduced first, a scan when it already is; B2 may be any spanning
+    rows, dependent ones included, and mc_lambda hands it the block rows of
+    the R_k unreduced.  The vectors c B1 = -d B2 have as c the first len(B1)
+    coordinates of the reduced kernel of [B1; B2].  A kernel row leading
+    inside them is still reduced there; the others are 0 there, from
+    dependencies among the rows of B2, and are dropped.  So the c are
+    reduced and independent, and c B1 is reduced.
     """
     _check_fields(B1, B2, "intersect_row_spaces")
     B1 = row_space_basis(B1)

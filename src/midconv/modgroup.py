@@ -237,8 +237,7 @@ def primitivity_bound(T: MonodromyTuple) -> tuple[Fraction, bool]:
     if not absolutely_irreducible(entries):
         raise PreconditionError("entries must generate an absolutely irreducible group")
     jordans = [jordan_data(M) for M in entries]
-    # rank(M - 1) is n minus the number of Jordan blocks with eigenvalue 1
-    ranks = [n - sum(ev.is_one() for ev, _ln in jd.blocks) for jd in jordans]
+    ranks = [len(M.moved) for M in entries]
     m_total = sum(ranks)
     x = 0
     for jd in jordans:

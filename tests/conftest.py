@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from midconv.linalg import Matrix, char_poly, commutant_basis, kernel_basis, rank
+from midconv.linalg import Matrix, _echelon, char_poly, commutant_basis, kernel_basis, rank
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor, _cyc_normalize, _cyc_tables
 from midconv.tuples import MonodromyTuple
@@ -95,6 +95,42 @@ def full_coinvariants_dim(matrices):
     """d - rank of all d rows of each M - 1 stacked, with no read-off from kept forms."""
     return matrices[0].nrows - rank(Matrix(matrices[0].field, tuple(
         row for M in matrices for row in M.minus_identity().payload)))
+
+
+def kernel_basis_oracle(M):
+    """kernel_basis with a free-column loop of its own: for each free column fc of
+    the elimination of M^T, e_fc minus row[fc] at every pivot column, zero or not."""
+    m, ops = M.nrows, M.field.ops
+    ech = _echelon(ops, zip(*M.payload))
+    pivots = set(ech.pivots)
+    basis = []
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = [ops.zero] * m
+        v[fc] = ops.one
+        for row, pc in zip(ech.rows, ech.pivots):
+            v[pc] = ops.neg(row[fc])
+        basis.append(tuple(v))
+    return Matrix(M.field, tuple(basis))
+
+
+def reduced_kernel_basis_oracle(M):
+    """reduced_kernel_basis with a free-column loop of its own, over the elimination
+    of M^T with reversed columns: the pivot rows keyed by the column they end at."""
+    ops, m = M.field.ops, M.nrows
+    ech = _echelon(ops, [w[::-1] for w in zip(*M.payload)])
+    ends = {m - 1 - p: row[::-1] for p, row in zip(ech.pivots, ech.rows)}
+    basis = []
+    for f in range(m):
+        if f not in ends:
+            v = [ops.zero] * m
+            v[f] = ops.one
+            for j, w in ends.items():
+                if ops.nonzero(w[f]):
+                    v[j] = ops.neg(w[f])
+            basis.append(tuple(v))
+    return Matrix(M.field, tuple(basis))
 
 
 def conjugate_product_inverse(field, a):

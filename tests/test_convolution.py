@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import convolution, linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _homology_order, _order_up_to_8,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _homology_order,
                                  circ_tuple,
                                  convolved_block, irreducibility_criterion,
                                  is_convolution_sheaf, kummer_tuple, mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
-from midconv.errors import DoesNotSplit, FieldMismatch, LambdaIsOne, PreconditionError
+from midconv.errors import DoesNotSplit, DomainError, FieldMismatch, LambdaIsOne, PreconditionError
 from midconv.fixtures import (TUPLE_FIXTURES, kummer_minus_one, l_star_l, m_tuple,
                               quadratic_tuple)
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
@@ -23,9 +23,13 @@ from midconv.tuples import (MonodromyTuple, coinvariants_dim, equivalence, invar
                             sort_points)
 
 from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, entry_of_kind,
-                      full_coinvariants_dim, full_invariants_dim, random_invertible, random_tuple)
+                      full_coinvariants_dim, full_invariants_dim, random_invertible, random_scalar,
+                      random_tuple)
 
+Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
+F5 = FieldDescriptor.finite(5)
+F9 = FieldDescriptor.finite(3, 2)
 F11 = FieldDescriptor.finite(11)
 
 
@@ -207,6 +211,34 @@ def test_mc_lambda_matches_dense_pochhammer_oracle(field, rng):
             assert mc_lambda(T, lam) == expected
             compared += 1
     assert compared >= 8
+
+
+def _mc_lambda_outcome(T, lam):
+    """mc_lambda(T, lam), or the type of the DomainError it raises."""
+    try:
+        return mc_lambda(T, lam)
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [Q, F5, F9, Z3, Z4], ids=str)
+def test_mc_lambda_is_unchanged_by_reducing_l_perp_first(monkeypatch, field, rng):
+    # mc_lambda hands the block rows of the R_k to intersect_row_spaces unreduced;
+    # their row_space_basis in their place moves no output and no error
+    draws = []
+    for _ in range(60):
+        d, r = rng.randint(1, 3), rng.randint(1, 4)
+        entries = [entry_of_kind(field, d, rng, rng.choice(ENTRY_KINDS)) for _ in range(r)]
+        T = MonodromyTuple.from_finite_entries(field, entries, rng.sample(range(-9, 10), r))
+        lam = random_scalar(field, rng)
+        while not lam or lam.is_one():
+            lam = random_scalar(field, rng)
+        draws.append((T, lam, _mc_lambda_outcome(T, lam)))
+    monkeypatch.setattr(convolution, "intersect_row_spaces",
+                        lambda B1, B2: intersect_row_spaces(B1, row_space_basis(B2)))
+    for T, lam, outcome in draws:
+        assert _mc_lambda_outcome(T, lam) == outcome, (T, lam)
+    assert {isinstance(outcome, MonodromyTuple) for _T, _lam, outcome in draws} == {True, False}
 
 
 def test_mc_lambda_errors():
@@ -650,13 +682,9 @@ Z12 = FieldDescriptor.cyclotomic(12)
     (Matrix.from_rows(Z12, [[Z12.zeta(1), 0], [0, 1]]), 0),   # order 12
     (Matrix.from_rows(Q, [[1, 1], [0, 1]]), 0),            # infinite order
 ], ids=lambda x: str(x).replace("\n", "; ") if isinstance(x, Matrix) else str(x))
-def test_the_sl_demo_order_walks_the_powers_only_off_order_4(monkeypatch, M, order):
-    assert _order_up_to_8(M) == (matrix_order(M, 8) or 0) == order
-    bounds = []
-    monkeypatch.setattr(convolution, "matrix_order",
-                        lambda M, bound: bounds.append(bound) or matrix_order(M, bound))
-    assert _order_up_to_8(M) == order
-    assert bounds == ([] if order == 4 else [8])
+def test_the_sl_demo_order_walks_the_powers_only_off_order_4(M, order):
+    # orders 1 to 8, above 8 and infinite, each read off the trace or by the walk
+    assert _homology_order(M) == (matrix_order(M, 8) or 0) == order
 
 
 def _homologies(field, rng):
@@ -679,8 +707,8 @@ def test_the_homology_order_is_read_off_the_trace(monkeypatch, field, rng):
     # orders 1 to 8 of lambda, orders above 8, infinite order, and transvections
     # (of order p over F_p, infinite over Q(zeta_n)); only lambda = 1 walks the powers
     walked = []
-    monkeypatch.setattr(convolution, "_order_up_to_8",
-                        lambda M: walked.append(M) or _order_up_to_8(M))
+    monkeypatch.setattr(convolution, "matrix_order",
+                        lambda M, bound: walked.append(M) or matrix_order(M, bound))
     for lam, M in _homologies(field, rng):
         walked.clear()
         assert _homology_order(M) == (matrix_order(M, 8) or 0), lam

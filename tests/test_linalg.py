@@ -16,12 +16,15 @@ from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_b
 from midconv.scalars import FieldDescriptor
 
 from conftest import (ENTRY_KINDS, F7, PRIMORIAL_9767, Q, SEED, entry_of_kind,
-                      random_invertible, random_scalar)
+                      kernel_basis_oracle, random_invertible, random_scalar,
+                      reduced_kernel_basis_oracle)
 
 Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
 Z12 = FieldDescriptor.cyclotomic(12)
 F49 = FieldDescriptor.finite(7, 2)
+F2 = FieldDescriptor.finite(2)
+F9 = FieldDescriptor.finite(3, 2)
 
 A1 = Matrix.from_rows(Q, [[-3, -8], [2, 5]])
 
@@ -599,6 +602,23 @@ def test_the_reduced_kernel_is_the_reduced_form_of_kernel_basis(field, rng):
         assert len(K) == M.nrows - rank(M), label
         if K and M.ncols:
             assert K @ M == Matrix.zero(field, len(K), M.ncols), label
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7, F9, Z3, Z12], ids=str)
+def test_both_kernel_read_outs_equal_their_own_free_column_loops(field, rng):
+    # every shape of _kernel_shapes, then 200 seeded draws of up to 6 x 6 of rank 0,
+    # full rank or between, with zero rows slipped in
+    drawn = list(_kernel_shapes(field, rng))
+    for i in range(200):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        k = rng.choice([0, min(m, n), rng.randint(0, min(m, n))])
+        rows = list(_random_matrix(field, m, n, rng, rank_at_most=k).payload)
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), (field.ops.zero,) * n)
+        drawn.append((f"draw {i}: rank <= {k}", Matrix(field, tuple(rows))))
+    for label, M in drawn:
+        assert kernel_basis(M) == kernel_basis_oracle(M), label
+        assert reduced_kernel_basis(M) == reduced_kernel_basis_oracle(M), label
 
 
 def _intersection_oracle(B1, B2):
