@@ -25,16 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError, Verdict)
 from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                     kronecker, matrix_order)
+                     kronecker, matrix_order, solve_coords)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
-from .tuples import (BraidWord, MonodromyTuple, _braid_sort, cohomology_spaces,
-                     coinvariants_dim, induced_quotient_matrix, invariants_dim, join_slots,
-                     phi_transport, pure_braid, quotient_basis, slot_blocks, slot_images,
+from .tuples import (MonodromyTuple, _braid_sort, _carry_back, _carry_letter, _walk_words,
+                     cohomology_spaces, coinvariants_dim, induced_quotient_matrix,
+                     invariants_dim, join_slots, quotient_basis, slot_blocks, slot_images,
                      sort_points)
 
 
@@ -101,13 +102,80 @@ def circ_tuple(inp: ConvolutionInput) -> MonodromyTuple:
     return MonodromyTuple.make(field, entries, points)
 
 
-def _delta_word(i: int, j: int, p: int, strands: int) -> BraidWord:
-    """Braid word of the loop delta_{i,j}: beta_{i,p+1} conjugated for j >= 2."""
-    w = pure_braid(i, p + 1, strands)
-    if j == 1:
-        return w
-    conj = BraidWord(strands, tuple((k, 1) for k in range(p + 1, p + j)))
-    return w.conjugate_by(conj)
+def _loop_prefix(i: int, j: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The letters of g, where the braid word of the loop delta_{i,j} is g beta_i^2 g^-1.
+
+    That word is beta_{i,p+1} = (beta_i^2)^(beta_{i+1}^-1 ... beta_p^-1),
+    conjugated by beta_{p+1} ... beta_{p+j-1} for j >= 2, so g is
+    beta_{p+j-1}^-1 ... beta_{p+1}^-1 beta_p ... beta_{i+1}.
+    """
+    return (tuple((k, -1) for k in range(p + j - 1, p, -1))
+            + tuple((k, 1) for k in range(p, i, -1)))
+
+
+def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matrix,
+                   quot: Matrix) -> list[Matrix]:
+    """The matrix on U/E of each loop (i, j) of `loops`, in quotient coordinates.
+
+    The loops act on U/E by the braid cocycle Phi (Dettweiler-Wewers, Israel
+    J. Math. 156, 2006), and the word of the loop (i, j) is g beta_i^2 g^-1
+    (_loop_prefix).  Let (a, b) be the entries of C^g in the slots i, i+1.
+    beta_i^2 moves C^g, and so the loop moves C, exactly when ab != ba,
+    which raises DimensionInconsistency.  Otherwise the letters of g^-1 undo
+    those of g, and Phi(C, w) = G S G^-1 with G = Phi(C, g) and S =
+    Phi(C^g, beta_i^2).  S - 1 is zero outside the slots i, i+1 and sends
+    their blocks (X, Y) there to (dX, -dX b), where dX = X (b - 1) - Y (a -
+    1) lies in im(a - 1) cap im(b - 1) for a row of U (X, Y lie in the
+    images of a - 1, b - 1, which commute with both).  On the reduced basis
+    K of that intersection (a.moved when b = c*1, c != 1), dX = c K, so a
+    row v of U goes to v + c R G^-1, R the rows [m, -m b] of the m in K.
+
+    So the quotient rows walk along the prefixes g alone (_walk_words); one
+    beta_i leaves X + dX in slot i+1, and a loop with dX = 0 is the
+    identity.  solve_coords reads c at the pivots of K and checks dX = c K
+    by a product (DimensionInconsistency if not); a K that spans V is the
+    identity, and c is dX.  Only the rows R are carried back along g^-1
+    (_carry_back), and one induced_quotient_matrix call reads their
+    coordinates for every loop (DimensionInconsistency if one leaves U;
+    the images v + c R G^-1 then lie in U too).  A quotient row is a row of
+    the reduced u_basis, so its coordinates times proj are a unit row, and
+    the loop's matrix is 1 + c (coordinates of R G^-1) proj.
+    """
+    field, d, ops = C.field, C.dim, C.field.ops
+    add, sub, nonzero, one = ops.add, ops.sub, ops.nonzero, ops.one
+    zrow = (ops.zero,) * d
+    ident = Matrix.identity(field, len(quot))
+    prefixes = [_loop_prefix(i, j, p) for i, j in loops]
+    Ds, coefs, carried = [ident] * len(prefixes), [], []
+    walk = _walk_words(C.entries, None, quot.payload, prefixes)
+    for n, ((i, j), g, states) in enumerate(zip(loops, prefixes, walk)):
+        entries, _points, rows = states[-1]
+        a, b = entries[i - 1], entries[i]
+        if not (a.is_scalar or b.is_scalar) and a @ b != b @ a:
+            raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
+        pair = [rows[i - 1], rows[i]]
+        _carry_letter(pair, 1, 1, (a, b), (b, a))
+        delta = [tuple(map(sub, z, x)) for z, x in zip(pair[1], rows[i - 1])]
+        if not any(map(nonzero, chain.from_iterable(delta))):
+            continue
+        K = a.moved if len(b.moved) == d else intersect_row_spaces(a.moved, b.moved)
+        c = Matrix(field, tuple(delta))
+        if len(K) < d:
+            c = solve_coords(K, c)
+            if c is None:
+                raise DimensionInconsistency("quotient space is not preserved")
+        R = [(zrow,) * len(K)] * len(entries)
+        R[i - 1], R[i] = K.payload, (-(K @ b)).payload
+        carried.append(_carry_back(g, states, R))
+        coefs.append((n, c))
+    try:
+        images = induced_quotient_matrix(u_basis, carried, proj)
+    except PreconditionError as exc:
+        raise DimensionInconsistency(str(exc)) from exc
+    for (n, c), P in zip(coefs, images):
+        Ds[n] = Matrix(field, tuple(v[:k] + (add(v[k], one),) + v[k + 1:]
+                                    for k, v in enumerate((c @ P).payload)))
+    return Ds
 
 
 def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
@@ -117,23 +185,14 @@ def middle_convolution(inp: ConvolutionInput) -> MonodromyTuple:
     the U/E spaces of the tensor tuple (degenerate right factor).
     """
     loop_points = inp.loop_points()
-    p, q = inp.p, inp.q
     field = inp.left.field
     C = circ_tuple(inp)
     e_basis, u_basis = cohomology_spaces(C)
     proj, quot = quotient_basis(u_basis, e_basis)
     if not quot:
         raise PreconditionError("middle convolution has rank 0")
-    moved = phi_transport(C, [_delta_word(i, j, p, p + q) for i, j in loop_points], quot)
-    for (i, j), (_images, transported) in zip(loop_points, moved):
-        if transported.entries != C.entries:
-            raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
+    Ds = _loop_matrices(C, list(loop_points), inp.p, u_basis, proj, quot)
     points = list(loop_points.values())
-    image_blocks = [images for images, _transported in moved]
-    try:
-        Ds = induced_quotient_matrix(u_basis, image_blocks, proj)
-    except PreconditionError as exc:
-        raise DimensionInconsistency(str(exc)) from exc
     # the bubble sort never swaps equal points, so colliding entries end up
     # adjacent in loop order; a Hurwitz move past a run of them conjugates
     # their product as it conjugates each one, so merging after sorting is
@@ -380,8 +439,8 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 # -- the SL-realization demo ----------------------------------------------------------
 
 # the largest r that sl_demo accepts: its cost grows faster than r^3, and on a 2-vCPU
-# host under CPython 3.11 (3,12) takes 0.6 s, (7,10) 0.8 s, (15,12) 2.8 s and (11,12),
-# over Q(zeta_44), 3.7 to 4.5 s
+# host under CPython 3.11 sl_demo takes 0.3 s at (3,12), 0.5 to 0.6 s at (7,10), 1.6 s
+# at (15,12) and 2.2 to 2.5 s at (11,12), over Q(zeta_44)
 SL_DEMO_MAX_R = 12
 # phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
 # sl_demo refuses it before it lists the units mod m

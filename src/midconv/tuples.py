@@ -5,11 +5,14 @@ A monodromy tuple is (T_1, ..., T_{r+1}) with T_1 ... T_{r+1} = 1; entry i
 monodromy at infinity.  Braid words act left-to-right on the first r entries
 and conjugation is x^y = y^-1 x y throughout.
 
-Braid words are applied one way: phi_transport walks a sequence of words,
+Braid words are applied one way: _walk_words walks a sequence of words,
 carrying rows of V^{r+1} by the cocycle Phi and resuming each word after the
-prefix it shares with the one before; braid_act walks one word, no rows.
-A letter is one multiply-accumulate per row over the kept sparse rows of
-its entries, and rows zero in both of its slots are not touched.
+prefix it shares with the one before.  phi_transport reads it; braid_act is
+phi_transport of one word and no rows; the convolution's loop read-out walks
+the prefixes of its loop words and carries rows back along their inverses
+by _carry_back.  Every letter is _carry_letter, one multiply-accumulate per
+row over the kept sparse rows of its entries, and rows zero in both of its
+slots are not touched.
 
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim,
 over any sequence of matrices (a tuple's entries, one entry, or the entries
@@ -229,82 +232,122 @@ def phi_transport(T: MonodromyTuple, words,
     Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
     touches only the slots i and i+1 of V^{r+1}.  The payload rows of `rows`
     (each of width (r+1) dim, or PreconditionError) are cut into r+1 slot
-    blocks, carried letter by letter on payloads and joined again into each
-    returned Matrix; no Scalar is built.  With (a, b) = (T_i, T_{i+1}) of the
-    current tuple, beta_i sends the blocks (X, Y) of slots i, i+1 to
-    (Y, X b + Y - Y b^-1 a b), with no inverse, and beta_i^-1 sends them to
-    ((Y + X (b - 1)) a^-1, X), a^-1 built once per Matrix.  The entries move
-    by _act_gen, so b^-1 a b is a itself when a or b is c*1.  A letter is one
-    multiply-accumulate per row: the new row starts as the row y of Y and
-    takes, for each nonzero x_k and y_k, one axpy by row k of the kept
-    sparse rows of b and b^-1 a b (of a c*1 one pair each); for beta_i^-1
-    that sum is multiplied by the sparse rows of a^-1.  A row zero in both
-    slots stays zero untouched.
-
-    The walk keeps the state (entries, points, slot blocks) after each
-    letter of the previous word, and resumes each word after the longest
-    prefix it shares with that word.  If every entry ends as the same object
-    in its slot, with the same points, T itself is returned for the word
-    (its product relation is already checked); otherwise T^w is built, and
-    checked, once per word.
+    blocks, carried letter by letter by _carry_letter and joined again into
+    each returned Matrix; no Scalar is built.  The walk, _walk_words, keeps
+    the state after each letter of the previous word and resumes each word
+    after the longest prefix it shares with that word.  If every entry ends
+    as the same object in its slot, with the same points, T itself is
+    returned for the word (its product relation is already checked);
+    otherwise T^w is built, and checked, once per word.
     """
     _check_fields(T, rows, "phi_transport")
-    field, d, ops = T.field, T.dim, T.field.ops
-    n = len(T.entries)
+    field, d, n = T.field, T.dim, len(T.entries)
     if any(len(v) != n * d for v in rows.payload):
         raise PreconditionError(f"rows must have (r+1) dim = {n * d} columns")
-    zero, nonzero, neg, sub, axpy = ops.zero, ops.nonzero, ops.neg, ops.sub, ops.axpy
-    zrow = (zero,) * d
-    states = [(T.entries, T.points, tuple([v[k * d:(k + 1) * d] for v in rows.payload]
-                                          for k in range(n)))]
-    done, out = (), []
+    words = list(words)
     for w in words:
         if w.r != T.r:
             raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
-        shared = next((k for k, (x, y) in enumerate(zip(done, w.letters)) if x != y),
-                      min(len(done), len(w.letters)))
-        del states[shared + 1:]
+    out = []
+    for states in _walk_words(T.entries, T.points, rows.payload, [w.letters for w in words]):
         entries, points, blocks = states[-1]
-        entries, blocks = list(entries), list(blocks)
-        points = None if points is None else list(points)
-        for i, e in w.letters[shared:]:
-            a, b = entries[i - 1], entries[i]
-            _act_gen(entries, points, i, e < 0)
-            X, Y = blocks[i - 1], blocks[i]
-            if X:
-                B, new = b.sparse, []
-                C = entries[i].sparse if e > 0 else a.inverse().sparse
-                for x, y in zip(X, Y):
-                    if x == zrow and y == zrow:
-                        new.append(zrow)
-                        continue
-                    acc = list(y)
-                    if e > 0:                  # X b + Y - Y C, C = b^-1 a b
-                        for k, xk in enumerate(x):
-                            if nonzero(xk):
-                                axpy(acc, xk, B[k])
-                        for k, yk in enumerate(y):
-                            if nonzero(yk):
-                                axpy(acc, neg(yk), C[k])
-                    else:                      # (Y - X + X b) C, C = a^-1
-                        for k, xk in enumerate(x):
-                            if nonzero(xk):
-                                acc[k] = sub(acc[k], xk)
-                                axpy(acc, xk, B[k])
-                        z, acc = acc, [zero] * d
-                        for k, zk in enumerate(z):
-                            if nonzero(zk):
-                                axpy(acc, zk, C[k])
-                    new.append(tuple(acc))
-                blocks[i - 1], blocks[i] = (Y, new) if e > 0 else (new, X)
-            states.append((tuple(entries), None if points is None else tuple(points),
-                           tuple(blocks)))
-        done = w.letters
         images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
-        unmoved = all(M is N for M, N in zip(entries, T.entries)) and (
-            points is None or tuple(points) == T.points)
+        unmoved = all(M is N for M, N in zip(entries, T.entries)) and points == T.points
         out.append((images, T if unmoved else MonodromyTuple.make(field, entries, points)))
     return out
+
+
+def _walk_words(entries, points, rows, words):
+    """After each letter sequence of `words`, yield the states of its walk.
+
+    `rows` are payload rows of V^{r+1}, cut into one slot block per entry.
+    A state is (entries, points, slot blocks), all tuples; the yielded list
+    holds the start state and the state after each letter of the word, and
+    is cut back to the shared prefix when the next word is read.  Each word
+    resumes after the longest prefix it shares with the one before.  The
+    entries move by _act_gen, so b^-1 a b is a itself when a or b is c*1.
+    """
+    d = entries[0].nrows
+    states = [(tuple(entries), points,
+               tuple(tuple(v[k * d:(k + 1) * d] for v in rows) for k in range(len(entries))))]
+    done = ()
+    for letters in words:
+        shared = next((k for k, (x, y) in enumerate(zip(done, letters)) if x != y),
+                      min(len(done), len(letters)))
+        del states[shared + 1:]
+        before, points, blocks = states[-1]
+        entries, blocks = list(before), list(blocks)
+        points = None if points is None else list(points)
+        for i, e in letters[shared:]:
+            _act_gen(entries, points, i, e < 0)
+            after = tuple(entries)
+            _carry_letter(blocks, i, e, before, after)
+            states.append((after, None if points is None else tuple(points), tuple(blocks)))
+            before = after
+        done = letters
+        yield states
+
+
+def _carry_back(letters, states, blocks) -> Matrix:
+    """The rows of V^{r+1} that the slot blocks, given at the last state, become
+    when carried back along the inverse of the walked word `letters`.
+
+    states are the states of _walk_words for that word.  Undoing letter t
+    from state t leads to the entries of state t - 1, so the letters read the
+    entries the walk kept and move none.
+    """
+    blocks = list(blocks)
+    for t in range(len(letters), 0, -1):
+        i, e = letters[t - 1]
+        _carry_letter(blocks, i, -e, states[t][0], states[t - 1][0])
+    return Matrix(states[0][0][0].field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
+
+
+def _carry_letter(blocks, i, e, before, after) -> None:
+    """Carry the slot blocks of some rows across beta_i^e, in place.
+
+    `before` and `after` are the entries on either side of the letter.
+    With (a, b) = (T_i, T_{i+1}) before it, beta_i sends the blocks (X, Y)
+    of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), b^-1 a b read off `after`,
+    with no inverse, and beta_i^-1 sends them to ((Y + X (b - 1)) a^-1, X),
+    a^-1 built once per Matrix.  A row is one multiply-accumulate: the new
+    row starts as the row y of Y and takes, for each nonzero x_k and y_k,
+    one axpy by row k of the kept sparse rows of b and b^-1 a b (of a c*1
+    one pair each); for beta_i^-1 that sum is multiplied by the sparse rows
+    of a^-1.  A row zero in both slots stays zero untouched.
+    """
+    X, Y = blocks[i - 1], blocks[i]
+    if not X:
+        return
+    b, d = before[i], len(X[0])
+    ops = b.field.ops
+    zero, nonzero, neg, sub, axpy = ops.zero, ops.nonzero, ops.neg, ops.sub, ops.axpy
+    zrow = (zero,) * d
+    B, new = b.sparse, []
+    C = after[i].sparse if e > 0 else before[i - 1].inverse().sparse
+    for x, y in zip(X, Y):
+        if x == zrow and y == zrow:
+            new.append(zrow)
+            continue
+        acc = list(y)
+        if e > 0:                  # X b + Y - Y C, C = b^-1 a b
+            for k, xk in enumerate(x):
+                if nonzero(xk):
+                    axpy(acc, xk, B[k])
+            for k, yk in enumerate(y):
+                if nonzero(yk):
+                    axpy(acc, neg(yk), C[k])
+        else:                      # (Y - X + X b) C, C = a^-1
+            for k, xk in enumerate(x):
+                if nonzero(xk):
+                    acc[k] = sub(acc[k], xk)
+                    axpy(acc, xk, B[k])
+            z, acc = acc, [zero] * d
+            for k, zk in enumerate(z):
+                if nonzero(zk):
+                    axpy(acc, zk, C[k])
+        new.append(tuple(acc))
+    blocks[i - 1], blocks[i] = (Y, new) if e > 0 else (new, X)
 
 
 # -- cohomology spaces -----------------------------------------------------------

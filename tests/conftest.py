@@ -9,7 +9,7 @@ from hypothesis import settings
 from midconv.linalg import Matrix, _echelon, char_poly, commutant_basis, kernel_basis, rank
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor, _cyc_normalize, _cyc_tables
-from midconv.tuples import MonodromyTuple
+from midconv.tuples import BraidWord, MonodromyTuple, pure_braid
 
 SEED = 20260810
 
@@ -55,6 +55,15 @@ def random_tuple(field, dim, r, rng, with_points=False):
     if with_points:
         points = rng.sample(range(-3 * r, 3 * r + 1), r)
     return MonodromyTuple.from_finite_entries(field, finite, points)
+
+
+def delta_word(i, j, p, strands):
+    """The braid word of the loop delta_{i,j} in full: beta_{i,p+1}, conjugated by
+    beta_{p+1} ... beta_{p+j-1} for j >= 2."""
+    w = pure_braid(i, p + 1, strands)
+    if j == 1:
+        return w
+    return w.conjugate_by(BraidWord(strands, tuple((k, 1) for k in range(p + 1, p + j))))
 
 
 # the kinds of entry_of_kind: every path of the fixed-space read-offs

@@ -298,14 +298,15 @@ def test_convolution_documents(capsys, argv, doc):
 
 
 def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
-    real = convolution.phi_transport
+    real = convolution._carry_back
 
-    def leaky(T, words, rows):
+    def leaky(letters, states, blocks):
         # v + e_1 is never in U: e_1 alone breaks the equation that cuts out H
-        e1 = Matrix.from_rows(T.field, [[int(k == 0) for k in range(rows.ncols)]] * len(rows))
-        return [(images + e1, TW) for images, TW in real(T, words, rows)]
+        rows = real(letters, states, blocks)
+        e1 = Matrix.from_rows(rows.field, [[int(k == 0) for k in range(rows.ncols)]] * len(rows))
+        return rows + e1
 
-    monkeypatch.setattr(convolution, "phi_transport", leaky)
+    monkeypatch.setattr(convolution, "_carry_back", leaky)
     code, _out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",
                            "--right", "fixture:Kummer-1")
     assert code == 1

@@ -12,17 +12,19 @@ from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _homology_orde
                                  is_convolution_sheaf, kummer_tuple, mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
                                  rank_formula, rank_formula_applicable, sl_demo)
-from midconv.errors import DoesNotSplit, DomainError, FieldMismatch, LambdaIsOne, PreconditionError
+from midconv.errors import (DimensionInconsistency, DoesNotSplit, DomainError, FieldMismatch,
+                            LambdaIsOne, PreconditionError)
 from midconv.fixtures import (TUPLE_FIXTURES, kummer_minus_one, l_star_l, m_tuple,
                               quadratic_tuple)
 from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
                             kernel_basis, matrix_order, row_space_basis, solve_coords)
 from midconv.modgroup import invariant_symmetric_form, reduce_mod
 from midconv.scalars import FieldDescriptor
-from midconv.tuples import (MonodromyTuple, coinvariants_dim, equivalence, invariants_dim,
-                            sort_points)
+from midconv.tuples import (BraidWord, MonodromyTuple, cohomology_spaces, coinvariants_dim,
+                            equivalence, induced_quotient_matrix, invariants_dim, phi_transport,
+                            quotient_basis, sort_points)
 
-from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, entry_of_kind,
+from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, delta_word, entry_of_kind,
                       full_coinvariants_dim, full_invariants_dim, random_invertible, random_scalar,
                       random_tuple)
 
@@ -31,6 +33,7 @@ Z4 = FieldDescriptor.cyclotomic(4)
 F5 = FieldDescriptor.finite(5)
 F9 = FieldDescriptor.finite(3, 2)
 F11 = FieldDescriptor.finite(11)
+F49 = FieldDescriptor.finite(7, 2)
 
 
 def scalar_tuple(*values, points=None):
@@ -90,6 +93,106 @@ def test_convolution_commutativity_invariants():
     ja = sorted((p, str(jordan_data(M))) for p, M in zip(a.points, a.finite_entries()))
     jb = sorted((p, str(jordan_data(M))) for p, M in zip(b.points, b.finite_entries()))
     assert ja == jb
+
+
+def _full_word_loop_matrices(C, loops, p, u_basis, proj, quot):
+    """The loop matrices by the whole loop words: every quotient row carried along
+    delta_{i,j} by phi_transport, then read by one induced_quotient_matrix call."""
+    moved = phi_transport(C, [delta_word(i, j, p, C.r) for i, j in loops], quot)
+    for (i, j), (_images, TW) in zip(loops, moved):
+        if TW.entries != C.entries:
+            raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
+    try:
+        return induced_quotient_matrix(u_basis, [images for images, _TW in moved], proj)
+    except PreconditionError as exc:
+        raise DimensionInconsistency(str(exc)) from exc
+
+
+def _loop_outcomes(C, p, q):
+    """(read-out, full-word oracle) on C, p + q = C.r: the reprs of the loop matrices'
+    payloads, or the DimensionInconsistency message; None when U/E is 0."""
+    e_basis, u_basis = cohomology_spaces(C)
+    proj, quot = quotient_basis(u_basis, e_basis)
+    if not quot:
+        return None
+    loops = [(i, j) for j in range(q, 0, -1) for i in range(1, p + 1)]
+    outcomes = []
+    for read_out in (convolution._loop_matrices, _full_word_loop_matrices):
+        try:
+            outcomes.append(repr([D.payload for D in read_out(C, loops, p, u_basis, proj, quot)]))
+        except DimensionInconsistency as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from([Q, F7, F49, Z3]), seed=st.integers(0, 2 ** 32),
+       n1=st.integers(1, 2), p=st.integers(1, 3), n2=st.integers(1, 2), q=st.integers(1, 2),
+       identity_entry=st.booleans(), collide=st.booleans())
+@example(field=Q, seed=0, n1=2, p=2, n2=2, q=2, identity_entry=True, collide=True)
+@example(field=F49, seed=1, n1=2, p=3, n2=1, q=2, identity_entry=True, collide=False)
+@example(field=Z3, seed=2, n1=1, p=3, n2=2, q=2, identity_entry=False, collide=True)
+def test_the_loop_read_out_equals_the_full_loop_words(field, seed, n1, p, n2, q,
+                                                      identity_entry, collide):
+    # the read-out carries the quotient rows along g and only the correction rows
+    # back along g^-1; the oracle carries every row along g beta_i^2 g^-1.  A right
+    # factor of dim 2 gives general letters, an identity entry b = 1 (dX = 0),
+    # and points 0, 1, ... on both sides give colliding sums x_i + y_j
+    rng = random.Random(seed)
+    left = MonodromyTuple.from_finite_entries(
+        field, [random_invertible(field, n1, rng) for _ in range(p)], range(p))
+    right = [random_invertible(field, n2, rng) for _ in range(q)]
+    if identity_entry:
+        right[rng.randrange(q)] = Matrix.identity(field, n2)
+    right = MonodromyTuple.from_finite_entries(
+        field, right, range(q) if collide else range(10, 10 * q + 1, 10))
+    inp = ConvolutionInput(left, right)
+    assert inp.is_generic() == (not collide or p == 1 or q == 1)
+    for i, j in inp.loop_points():
+        g = BraidWord(p + q, convolution._loop_prefix(i, j, p))
+        assert g * BraidWord(p + q, ((i, 1), (i, 1))) * g.inverse() == delta_word(i, j, p, p + q)
+    outcomes = _loop_outcomes(circ_tuple(inp), p, q)
+    assert outcomes is None or outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_a_non_commuting_core_pair_moves_the_tensor_tuple(field, rng):
+    # in a tensor tuple every core pair commutes; in a random tuple the first
+    # loop's core pair (T_1, T_3) does not, and both read-outs refuse it
+    outcomes = None
+    while outcomes is None:
+        C = random_tuple(field, 2, 3, rng)
+        outcomes = _loop_outcomes(C, 2, 1)
+    assert outcomes == ["the loop braid for (1,1) moves the tensor tuple"] * 2
+
+
+def test_quotient_rows_that_leave_u_fail_the_dx_check(monkeypatch):
+    # e_1 added to the walked rows moves dX out of span K = im(A_1 - 1), a line
+    # in V = Q^2: solve_coords' product check refuses it before any row is
+    # carried back
+    real_walk, real_solve = convolution._walk_words, convolution.solve_coords
+    refused = []
+
+    def leaky(entries, points, rows, words):
+        add, one = entries[0].field.ops.add, entries[0].field.ops.one
+        for states in real_walk(entries, points, rows, words):
+            E, P, blocks = states[-1]
+            slot = tuple((add(v[0], one),) + v[1:] for v in blocks[0])
+            states[-1] = (E, P, (slot,) + blocks[1:])
+            yield states
+
+    def spy(K, V):
+        coords = real_solve(K, V)
+        refused.append(coords is None)
+        return coords
+
+    monkeypatch.setattr(convolution, "_walk_words", leaky)
+    monkeypatch.setattr(convolution, "solve_coords", spy)
+    inp = ConvolutionInput(l_star_l(), kummer_minus_one())
+    assert len(l_star_l().entries[0].moved) == 1 < l_star_l().dim
+    with pytest.raises(DimensionInconsistency, match="quotient space is not preserved"):
+        middle_convolution(inp)
+    assert refused == [True]
 
 
 def test_mc_lambda_matches_convolution_oracle():

@@ -19,6 +19,8 @@ UNREAD_ALLOWED = {
     "kronecker_jordan": "the paper's prediction of the Jordan data of a Kronecker product, "
                         "the law that the tests check against jordan_data",
     "group_elements": "the closure oracle: its element count pins group_closure's order",
+    "pure_braid": "the paper's pure braid beta_{i,j}: the tests build the full loop words "
+                  "of the convolution's loop read-out oracle from it",
 }
 
 

@@ -425,7 +425,8 @@ def test_rank_nullity(rng):
         assert rank(M) + len(kernel_basis(M)) == M.nrows
 
 
-def _random_matrix(field, m, n, rng):
+def _dense_random_matrix(field, m, n, rng):
+    """An m x n matrix with every entry drawn by random_scalar."""
     return Matrix.from_rows(field, [[random_scalar(field, rng) for _ in range(n)]
                                     for _ in range(m)])
 
@@ -433,7 +434,7 @@ def _random_matrix(field, m, n, rng):
 @pytest.mark.parametrize("field", [Q, F7, Z12], ids=str)
 def test_rank_is_the_row_space_dimension(field, rng):
     for k in range(5):
-        M = _random_matrix(field, 4, k, rng) @ _random_matrix(field, k, 5, rng) \
+        M = _dense_random_matrix(field, 4, k, rng) @ _dense_random_matrix(field, k, 5, rng) \
             if k else Matrix.zero(field, 4, 5)
         assert rank(M) == len(row_space_basis(M)) <= k
 
@@ -449,8 +450,8 @@ def test_inverse_and_singular_matrix(field, rng):
 
 @pytest.mark.parametrize("field", [Q, F7, Z4], ids=str)
 def test_solve_coords_solves_many_vectors_at_once(field, rng):
-    basis = row_space_basis(_random_matrix(field, 3, 5, rng))
-    coeffs = _random_matrix(field, 4, len(basis), rng)
+    basis = row_space_basis(_dense_random_matrix(field, 3, 5, rng))
+    coeffs = _dense_random_matrix(field, 4, len(basis), rng)
     vectors = coeffs @ basis
     assert solve_coords(basis, vectors) == coeffs
     empty = Matrix(field, ())
@@ -489,17 +490,17 @@ def _oracle_coords(basis, vectors):
 def test_solve_coords_agrees_with_the_transposed_elimination(field, seed, m, extra, echelon):
     rng = random.Random(seed)
     n = m + extra
-    drawn = _random_matrix(field, m, n, rng)
+    drawn = _dense_random_matrix(field, m, n, rng)
     while rank(drawn) < m:
-        drawn = _random_matrix(field, m, n, rng)
+        drawn = _dense_random_matrix(field, m, n, rng)
     basis = row_space_basis(drawn)
-    combos = _random_matrix(field, 3, m, rng) @ basis
+    combos = _dense_random_matrix(field, 3, m, rng) @ basis
     if not echelon and drawn != basis:
         # a basis that is not in reduced echelon form is refused
         with pytest.raises(PreconditionError, match="reduced echelon form"):
             solve_coords(drawn, combos)
     assert solve_coords(basis, combos) == _oracle_coords(basis, combos)
-    for v in _random_matrix(field, 3, n, rng).payload:
+    for v in _dense_random_matrix(field, 3, n, rng).payload:
         v = Matrix(field, (v,))
         assert solve_coords(basis, v) == _oracle_coords(basis, v)
     # a unit vector outside the span exists when m < n

@@ -22,7 +22,7 @@ from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             pure_braid, quotient_basis, slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
-from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, entry_of_kind,
+from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, delta_word, entry_of_kind,
                       full_coinvariants_dim, full_invariants_dim, random_invertible,
                       random_scalar, random_tuple)
 from test_linalg import _oracle_coords
@@ -243,13 +243,12 @@ def test_phi_generators_match_block_oracle(field, rng):
 def test_loop_words_of_a_kummer_convolution_give_back_the_tensor_tuple(rng):
     # the right tuple has rank one, so each of its entries in C is c*1 and
     # every letter of a loop word delta_{i,j} acts on a commuting pair
-    from midconv.convolution import _delta_word
     left = random_tuple(Q, 2, 3, rng, with_points=True)
     C = circ_tuple(ConvolutionInput(left, scalar_tuple(-1, 2, points=[20, 30])))
     e_basis, u_basis = cohomology_spaces(C)
     _ext, quot = quotient_basis(u_basis, e_basis)
     assert quot
-    words = [_delta_word(i, j, 3, 5) for j in (2, 1) for i in (1, 2, 3)]
+    words = [delta_word(i, j, 3, 5) for j in (2, 1) for i in (1, 2, 3)]
     for w, (images, TW) in zip(words, phi_transport(C, words, quot), strict=True):
         assert TW is C
         big, entries = _phi_word_oracle(C, w)
@@ -266,7 +265,6 @@ def _shared_prefix(u, v):
 def test_the_walk_over_many_words_matches_the_oracle_word_for_word(field, right_dim, rng):
     # right_dim 1 makes every right entry of C a c*1 (1 among them), so each
     # letter of a loop word has a scalar partner; right_dim 2 gives general letters
-    from midconv.convolution import _delta_word
     left = random_tuple(field, 2, 2, rng, with_points=True)
     one = Matrix.identity(field, right_dim)
     right = MonodromyTuple.from_finite_entries(
@@ -276,8 +274,8 @@ def test_the_walk_over_many_words_matches_the_oracle_word_for_word(field, right_
     _proj, quot = quotient_basis(u_basis, e_basis)
     # the identity rows give Phi itself, with a zero row block in every slot but one
     rows = Matrix(field, quot.payload + Matrix.identity(field, 5 * C.dim).payload)
-    own = [_delta_word(i, j, 2, 4) for j in (2, 1) for i in (1, 2)]
-    unshared = [_delta_word(i, j, 2, 4) for i in (1, 2) for j in (1, 2)]
+    own = [delta_word(i, j, 2, 4) for j in (2, 1) for i in (1, 2)]
+    unshared = [delta_word(i, j, 2, 4) for i in (1, 2) for j in (1, 2)]
     assert all(_shared_prefix(u.letters, v.letters) == 0 for u, v in zip(unshared, unshared[1:]))
     w, empty = own[0], BraidWord(4, ())
     head = BraidWord(4, w.letters[:3])
@@ -370,6 +368,47 @@ def test_phi_transport_equals_the_letter_by_letter_product_oracle(field, rng):
             (images, TW), = phi_transport(T, [w], rows)
             assert images == tuples.join_slots(blocks), (kinds, w)
             assert TW.entries == tuple(entries), (kinds, w)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_rows_carried_along_a_word_and_back_come_back_exactly(field, rng):
+    # the loop read-out carries its correction rows back along g^-1 on the
+    # entries the walk along g kept; rows of every zero pattern, entries of
+    # every kind, words of both generators and both signs, the empty one too
+    d, r = 2, 3
+    for kinds in ((ka, kb) for ka in ENTRY_KINDS for kb in ENTRY_KINDS):
+        finite = [entry_of_kind(field, d, rng, kind)
+                  for kind in kinds + (rng.choice(ENTRY_KINDS),)]
+        T = MonodromyTuple.from_finite_entries(field, finite)
+        full = [[random_scalar(field, rng) for _ in range((r + 1) * d)] for _ in range(3)]
+        zeroed = [[field.zero() if k // d in slots else x for k, x in enumerate(full[0])]
+                  for slots in ({0}, {1}, {0, 1}, {0, 1, 2, 3})]
+        rows = Matrix.from_rows(field, full + zeroed)
+        letters = tuple((rng.randint(1, r - 1), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 6)))
+        states = next(tuples._walk_words(T.entries, None, rows.payload, [letters]))
+        assert tuples._carry_back(letters, states, states[-1][2]) == rows, (kinds, letters)
+
+
+@pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
+def test_beta_i_squared_on_a_commuting_pair_adds_delta_x(field, rng):
+    # (a, b) = (T_2, T_3) commute: beta_2^2 fixes the tuple and sends the slot
+    # blocks (X, Y) to (X + dX, Y - dX b), dX = X (b - 1) - Y (a - 1)
+    d, r, i = 2, 3, 2
+    for _ in range(3):
+        a = random_invertible(field, d, rng)
+        c = entry_of_kind(field, d, rng, "scalar")
+        for b in (a @ a, a.inverse(), c, a @ c, Matrix.identity(field, d)):
+            T = MonodromyTuple.from_finite_entries(field, [random_invertible(field, d, rng), a, b])
+            rows = Matrix.from_rows(field, [[random_scalar(field, rng) for _ in range((r + 1) * d)]
+                                            for _ in range(3)])
+            (images, TW), = phi_transport(T, [BraidWord(r, ((i, 1), (i, 1)))], rows)
+            assert TW.entries == T.entries
+            blocks = tuples.slot_blocks(rows, r + 1)
+            X, Y = blocks[i - 1], blocks[i]
+            dX = X @ b.minus_identity() - Y @ a.minus_identity()
+            blocks[i - 1], blocks[i] = X + dX, Y - dX @ b
+            assert images == tuples.join_slots(blocks)
 
 
 def test_phi_empty_word_is_identity(rng):
