@@ -12,10 +12,9 @@ Submodules:
 """
 
 from .scalars import FieldDescriptor, Scalar, format_scalar, parse_scalar
-from .linalg import (JordanData, Matrix, char_poly, jordan_data, kernel_basis, kronecker,
-                     kronecker_jordan, rank)
+from .linalg import JordanData, Matrix, char_poly, jordan_data, kernel_basis, kronecker, rank
 from .tuples import (BraidWord, MonodromyTuple, braid_act, cohomology_spaces, equivalence,
-                     parabolic_rank_formula, parse_braid_word, pure_braid)
+                     parabolic_rank_formula, parse_braid_word)
 from .convolution import (ConvolutionInput, circ_tuple, irreducibility_criterion,
                           is_convolution_sheaf, kummer_tuple, mc_lambda,
                           middle_convolution, predict_infinity_jordan,

@@ -147,9 +147,9 @@ def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matr
     ident = Matrix.identity(field, len(quot))
     prefixes = [_loop_prefix(i, j, p) for i, j in loops]
     Ds, coefs, carried = [ident] * len(prefixes), [], []
-    walk = _walk_words(C.entries, None, quot.payload, prefixes)
+    walk = _walk_words(C.entries, quot.payload, prefixes)
     for n, ((i, j), g, states) in enumerate(zip(loops, prefixes, walk)):
-        entries, _points, rows = states[-1]
+        entries, rows = states[-1]
         a, b = entries[i - 1], entries[i]
         if not (a.is_scalar or b.is_scalar) and a @ b != b @ a:
             raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")

@@ -641,20 +641,6 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
                                  for ra in A.payload for rb in B.payload))
 
 
-def kronecker_jordan(alpha: Scalar, n1: int, beta: Scalar, n2: int) -> JordanData:
-    """Jordan type of J(alpha,n1) (x) J(beta,n2) in characteristic zero."""
-    if n1 > n2:
-        raise PreconditionError("kronecker_jordan needs n1 <= n2")
-    if not alpha or not beta:
-        raise PreconditionError("kronecker_jordan needs nonzero eigenvalues")
-    if alpha.field != beta.field:
-        raise FieldMismatch("eigenvalues in different fields")
-    if alpha.field.characteristic != 0:
-        raise PreconditionError("kronecker_jordan is a characteristic-zero statement")
-    prod = alpha * beta
-    return JordanData.of([(prod, n1 + n2 - 1 - 2 * i) for i in range(n1)], n1 * n2)
-
-
 def solve_matrix_equations(pairs, unknowns) -> list[Matrix]:
     """Basis of {X : L X R = L' X R' for each ((L, R), (L', R')) in pairs}.
 

@@ -13,7 +13,7 @@ closure acts on row ids: row i of B A is (row i of B) A, so each distinct
 payload row gets a small int id, each generator keeps a list from row id to
 the id of that row times the generator, filled level by level, and an
 element is the tuple of its n row ids.  A product is one itemgetter over
-such a list; only group_elements turns the ids back into payload rows.
+such a list; only the tests' closure oracle turns the ids back into rows.
 """
 
 from __future__ import annotations
@@ -180,24 +180,6 @@ def group_closure(gens: list[Matrix], cap: int = CLOSURE_CAP) -> int | None:
         return 1
     closure = _closure_rows(gens, cap)
     return None if closure is None else len(closure[0])
-
-
-def group_elements(gens: list[Matrix], cap: int = CLOSURE_CAP):
-    """The closure itself (insertion order); None when past the cap (an int >= 1).
-
-    The BFS keeps an element as the tuple of its row ids; this is where the
-    ids turn back into payload rows, each element a Matrix of them.  Needs at
-    least one generator: without one there is no dimension to build the
-    identity in.
-    """
-    _check_cap(cap)
-    if not gens:
-        raise PreconditionError("group_elements needs at least one generator")
-    closure = _closure_rows(gens, cap)
-    if closure is None:
-        return None
-    seen, rows = closure
-    return [Matrix(gens[0].field, tuple(map(rows.__getitem__, key))) for key in seen]
 
 
 def absolutely_irreducible(gens: list[Matrix]) -> bool:

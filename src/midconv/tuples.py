@@ -5,14 +5,15 @@ A monodromy tuple is (T_1, ..., T_{r+1}) with T_1 ... T_{r+1} = 1; entry i
 monodromy at infinity.  Braid words act left-to-right on the first r entries
 and conjugation is x^y = y^-1 x y throughout.
 
-Braid words are applied one way: _walk_words walks a sequence of words,
-carrying rows of V^{r+1} by the cocycle Phi and resuming each word after the
-prefix it shares with the one before.  phi_transport reads it; braid_act is
-phi_transport of one word and no rows; the convolution's loop read-out walks
-the prefixes of its loop words and carries rows back along their inverses
-by _carry_back.  Every letter is _carry_letter, one multiply-accumulate per
-row over the kept sparse rows of its entries, and rows zero in both of its
-slots are not touched.
+Entries move one way: each letter is one Hurwitz move, _act_gen, on lists
+of entries and points; braid_act and the braid sort of points loop it.
+Rows of V^{r+1} are carried by the cocycle Phi one way: _walk_words walks a
+sequence of words, moving the entries and carrying the rows, and resumes
+each word after the prefix it shares with the one before.  The
+convolution's loop read-out walks the prefixes of its loop words and
+carries rows back along their inverses by _carry_back.  Every letter is
+_carry_letter, one multiply-accumulate per row over the kept sparse rows of
+its entries, and rows zero in both of its slots are not touched.
 
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim,
 over any sequence of matrices (a tuple's entries, one entry, or the entries
@@ -40,8 +41,8 @@ from functools import reduce
 from itertools import accumulate, chain
 
 from .errors import ParseError, PreconditionError, Verdict
-from .linalg import (Matrix, _annihilator, _check_fields, char_poly, commutant_basis,
-                     find_invertible, rank, reduced_kernel_basis, row_space_basis, solve_coords)
+from .linalg import (Matrix, _annihilator, char_poly, commutant_basis, find_invertible, rank,
+                     reduced_kernel_basis, row_space_basis, solve_coords)
 from .scalars import FieldDescriptor
 
 
@@ -67,10 +68,6 @@ class BraidWord:
             raise PreconditionError("braid words on different strand counts")
         return BraidWord(self.r, self.letters + other.letters)
 
-    def conjugate_by(self, w: "BraidWord") -> "BraidWord":
-        """x^w = w^-1 x w."""
-        return w.inverse() * self * w
-
     def __str__(self):
         return " ".join(f"b{i}" if e == 1 else f"b{i}^-1" for i, e in self.letters)
 
@@ -90,15 +87,6 @@ def parse_braid_word(text: str, r: int) -> BraidWord:
         return BraidWord(r, tuple((int(i), e) for i, e in letters))
     except (PreconditionError, ValueError) as exc:  # out of range, or too long for int()
         raise ParseError(str(exc)) from exc
-
-
-def pure_braid(i: int, j: int, r: int) -> BraidWord:
-    """The pure braid beta_{i,j} = (beta_i^2)^(beta_{i+1}^-1 ... beta_{j-1}^-1)."""
-    if not 1 <= i < j <= r:
-        raise PreconditionError("pure_braid needs 1 <= i < j <= r")
-    core = BraidWord(r, ((i, 1), (i, 1)))
-    conj = BraidWord(r, tuple((k, -1) for k in range(i + 1, j)))
-    return core.conjugate_by(conj)
 
 
 @dataclass(frozen=True)
@@ -203,10 +191,21 @@ def braid_act(T: MonodromyTuple, w: BraidWord) -> MonodromyTuple:
 
     beta_i sends (..., g_i, g_{i+1}, ...) to (..., g_{i+1}, g_{i+1}^-1 g_i
     g_{i+1}, ...); points travel with their loops, the infinity entry is
-    untouched (the action preserves the product).  It is phi_transport with
-    no rows to carry, so the letters are applied by that one loop.
+    untouched (the action preserves the product).  Each letter is _act_gen.
+    If every entry ends as the same object in its slot, with the same
+    points, T itself is returned (its product relation is already checked);
+    otherwise T^w is built, and checked, once.
     """
-    return phi_transport(T, [w], Matrix(T.field, ()))[0][1]
+    if w.r != T.r:
+        raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
+    entries = list(T.entries)
+    points = None if T.points is None else list(T.points)
+    for i, e in w.letters:
+        _act_gen(entries, points, i, e < 0)
+    if all(M is N for M, N in zip(entries, T.entries)) and (
+            points is None or tuple(points) == T.points):
+        return T
+    return MonodromyTuple.make(T.field, entries, points)
 
 
 def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
@@ -225,64 +224,31 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
 
 # -- the cocycle automorphisms Phi ----------------------------------------------
 
-def phi_transport(T: MonodromyTuple, words,
-                  rows: Matrix) -> list[tuple[Matrix, MonodromyTuple]]:
-    """One (rows Phi(T, w), T^w) per braid word w of `words`, in one walk.
-
-    Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b'), and a letter
-    touches only the slots i and i+1 of V^{r+1}.  The payload rows of `rows`
-    (each of width (r+1) dim, or PreconditionError) are cut into r+1 slot
-    blocks, carried letter by letter by _carry_letter and joined again into
-    each returned Matrix; no Scalar is built.  The walk, _walk_words, keeps
-    the state after each letter of the previous word and resumes each word
-    after the longest prefix it shares with that word.  If every entry ends
-    as the same object in its slot, with the same points, T itself is
-    returned for the word (its product relation is already checked);
-    otherwise T^w is built, and checked, once per word.
-    """
-    _check_fields(T, rows, "phi_transport")
-    field, d, n = T.field, T.dim, len(T.entries)
-    if any(len(v) != n * d for v in rows.payload):
-        raise PreconditionError(f"rows must have (r+1) dim = {n * d} columns")
-    words = list(words)
-    for w in words:
-        if w.r != T.r:
-            raise PreconditionError(f"braid word has r={w.r}, tuple has r={T.r}")
-    out = []
-    for states in _walk_words(T.entries, T.points, rows.payload, [w.letters for w in words]):
-        entries, points, blocks = states[-1]
-        images = Matrix(field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
-        unmoved = all(M is N for M, N in zip(entries, T.entries)) and points == T.points
-        out.append((images, T if unmoved else MonodromyTuple.make(field, entries, points)))
-    return out
-
-
-def _walk_words(entries, points, rows, words):
+def _walk_words(entries, rows, words):
     """After each letter sequence of `words`, yield the states of its walk.
 
     `rows` are payload rows of V^{r+1}, cut into one slot block per entry.
-    A state is (entries, points, slot blocks), all tuples; the yielded list
-    holds the start state and the state after each letter of the word, and
-    is cut back to the shared prefix when the next word is read.  Each word
-    resumes after the longest prefix it shares with the one before.  The
-    entries move by _act_gen, so b^-1 a b is a itself when a or b is c*1.
+    A state is (entries, slot blocks), both tuples; the yielded list holds
+    the start state and the state after each letter of the word, and is cut
+    back to the shared prefix when the next word is read.  Each word resumes
+    after the longest prefix it shares with the one before.  The entries
+    move by _act_gen, so b^-1 a b is a itself when a or b is c*1.
     """
     d = entries[0].nrows
-    states = [(tuple(entries), points,
+    states = [(tuple(entries),
                tuple(tuple(v[k * d:(k + 1) * d] for v in rows) for k in range(len(entries))))]
     done = ()
     for letters in words:
         shared = next((k for k, (x, y) in enumerate(zip(done, letters)) if x != y),
                       min(len(done), len(letters)))
         del states[shared + 1:]
-        before, points, blocks = states[-1]
+        before, blocks = states[-1]
         entries, blocks = list(before), list(blocks)
-        points = None if points is None else list(points)
         for i, e in letters[shared:]:
-            _act_gen(entries, points, i, e < 0)
+            _act_gen(entries, None, i, e < 0)
             after = tuple(entries)
             _carry_letter(blocks, i, e, before, after)
-            states.append((after, None if points is None else tuple(points), tuple(blocks)))
+            states.append((after, tuple(blocks)))
             before = after
         done = letters
         yield states

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from midconv.linalg import Matrix, _echelon, char_poly, commutant_basis, kernel_basis, rank
+from midconv.errors import PreconditionError
+from midconv.linalg import (Matrix, _check_fields, _echelon, char_poly, commutant_basis,
+                            kernel_basis, rank)
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor, _cyc_normalize, _cyc_tables
-from midconv.tuples import BraidWord, MonodromyTuple, pure_braid
+from midconv.tuples import BraidWord, MonodromyTuple, _walk_words
 
 SEED = 20260810
 
@@ -57,13 +59,51 @@ def random_tuple(field, dim, r, rng, with_points=False):
     return MonodromyTuple.from_finite_entries(field, finite, points)
 
 
+def pure_braid(i, j, r):
+    """The pure braid beta_{i,j} = (beta_i^2)^(beta_{i+1}^-1 ... beta_{j-1}^-1), where
+    x^w = w^-1 x w."""
+    conj = BraidWord(r, tuple((k, -1) for k in range(i + 1, j)))
+    return conj.inverse() * BraidWord(r, ((i, 1), (i, 1))) * conj
+
+
 def delta_word(i, j, p, strands):
     """The braid word of the loop delta_{i,j} in full: beta_{i,p+1}, conjugated by
     beta_{p+1} ... beta_{p+j-1} for j >= 2."""
     w = pure_braid(i, p + 1, strands)
-    if j == 1:
-        return w
-    return w.conjugate_by(BraidWord(strands, tuple((k, 1) for k in range(p + 1, p + j))))
+    conj = BraidWord(strands, tuple((k, 1) for k in range(p + 1, p + j)))
+    return conj.inverse() * w * conj
+
+
+def phi_transport(T, words, rows):
+    """One (rows Phi(T, w), T^w) per braid word w of `words`, in one walk: the oracle of
+    the cocycle Phi that the loop read-out and braid_act are checked against.
+
+    Phi composes by Phi(T, b b') = Phi(T, b) Phi(T^b, b').  The payload rows of
+    `rows` (each of width (r+1) dim, or PreconditionError) are carried along
+    each word, of r = T.r strands, by _walk_words.  T^w is built from the
+    walk's last entries and from points swapped here, letter by letter; it is
+    T itself when every entry ends as the same object in its slot, with the
+    same points.
+    """
+    _check_fields(T, rows, "phi_transport")
+    n = len(T.entries)
+    if any(len(v) != n * T.dim for v in rows.payload):
+        raise PreconditionError(f"rows must have (r+1) dim = {n * T.dim} columns")
+    out = []
+    for w, states in zip(words, _walk_words(T.entries, rows.payload, [w.letters for w in words])):
+        entries, blocks = states[-1]
+        images = Matrix(T.field, tuple(sum(parts, ()) for parts in zip(*blocks)))
+        points = None
+        if T.points is not None:
+            points = list(T.points)
+            for i, _e in w.letters:
+                points[i - 1], points[i] = points[i], points[i - 1]
+        if all(M is N for M, N in zip(entries, T.entries)) and (
+                points is None or tuple(points) == T.points):
+            out.append((images, T))
+        else:
+            out.append((images, MonodromyTuple.make(T.field, entries, points)))
+    return out
 
 
 # the kinds of entry_of_kind: every path of the fixed-space read-offs

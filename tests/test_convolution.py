@@ -21,12 +21,12 @@ from midconv.linalg import (JordanData, Matrix, eigenvalues, intersect_row_space
 from midconv.modgroup import invariant_symmetric_form, reduce_mod
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, cohomology_spaces, coinvariants_dim,
-                            equivalence, induced_quotient_matrix, invariants_dim, phi_transport,
-                            quotient_basis, sort_points)
+                            equivalence, induced_quotient_matrix, invariants_dim, quotient_basis,
+                            sort_points)
 
 from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, delta_word, entry_of_kind,
-                      full_coinvariants_dim, full_invariants_dim, random_invertible, random_scalar,
-                      random_tuple)
+                      full_coinvariants_dim, full_invariants_dim, phi_transport, random_invertible,
+                      random_scalar, random_tuple)
 
 Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -173,12 +173,12 @@ def test_quotient_rows_that_leave_u_fail_the_dx_check(monkeypatch):
     real_walk, real_solve = convolution._walk_words, convolution.solve_coords
     refused = []
 
-    def leaky(entries, points, rows, words):
+    def leaky(entries, rows, words):
         add, one = entries[0].field.ops.add, entries[0].field.ops.one
-        for states in real_walk(entries, points, rows, words):
-            E, P, blocks = states[-1]
+        for states in real_walk(entries, rows, words):
+            E, blocks = states[-1]
             slot = tuple((add(v[0], one),) + v[1:] for v in blocks[0])
-            states[-1] = (E, P, (slot,) + blocks[1:])
+            states[-1] = (E, (slot,) + blocks[1:])
             yield states
 
     def spy(K, V):

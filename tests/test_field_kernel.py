@@ -24,9 +24,9 @@ from midconv.poly import cyclotomic_polynomial, horner
 from midconv.scalars import (UNROLL_MAX_PHI, FieldDescriptor, Scalar, _cyc_normalize,
                              _cyc_tables, _cyclotomic_ops, _looped_axpy, _looped_cyclotomic_ops,
                              _straight_line_cyclotomic_ops, format_scalar, parse_scalar)
-from midconv.tuples import BraidWord, MonodromyTuple, phi_transport
+from midconv.tuples import BraidWord, MonodromyTuple
 
-from conftest import (F7, Q, SEED, conjugate_product_inverse, random_invertible,
+from conftest import (F7, Q, SEED, conjugate_product_inverse, phi_transport, random_invertible,
                       random_scalar)
 
 Z12 = FieldDescriptor.cyclotomic(12)

@@ -15,13 +15,7 @@ SRC = ROOT / "src" / "midconv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # public names that no module and no benchmark reads, each kept for its tests
-UNREAD_ALLOWED = {
-    "kronecker_jordan": "the paper's prediction of the Jordan data of a Kronecker product, "
-                        "the law that the tests check against jordan_data",
-    "group_elements": "the closure oracle: its element count pins group_closure's order",
-    "pure_braid": "the paper's pure braid beta_{i,j}: the tests build the full loop words "
-                  "of the convolution's loop read-out oracle from it",
-}
+UNREAD_ALLOWED = {}
 
 
 def _imported_names(tree):
@@ -77,14 +71,20 @@ def _reads(tree):
 
 def _unread_public_names(modules, elsewhere):
     """(module, name) of each public top-level def or class in `modules` (file name to
-    tree) that no module reads outside its own definition and that is not in `elsewhere`."""
+    tree), and (module, "Class.name") of each public method or property of a top-level
+    class, that no module reads outside its own definition and that is not in `elsewhere`."""
     total = sum(map(_reads, modules.values()), Counter())
+    defs = (ast.FunctionDef, ast.ClassDef)
     for module, tree in modules.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in elsewhere
-                    and total[node.name] == _reads(node)[node.name]):
-                yield module, node.name
+            members = [(node, node.name)] if isinstance(node, defs) else []
+            if isinstance(node, ast.ClassDef):
+                members += [(m, f"{node.name}.{m.name}") for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            for member, shown in members:
+                if (not member.name.startswith("_") and member.name not in elsewhere
+                        and total[member.name] == _reads(member)[member.name]):
+                    yield module, shown
 
 
 def test_every_public_name_is_read_by_a_pipeline():
@@ -101,9 +101,12 @@ def test_the_scan_sees_an_unread_public_name():
     a = ast.parse("def recursive(n):\n    return recursive(n - 1)\n\n"
                   "def shown():\n    return 1\n\n"
                   "def helper():\n    return f'{shown()}'\n\n"
-                  "class Kept:\n    pass\n\n"
+                  "class Kept:\n    def read(self):\n        return 1\n\n"
+                  "    def unread(self):\n        return self.unread()\n\n"
+                  "    @property\n    def benched_too(self):\n        pass\n\n"
+                  "    def _private(self):\n        pass\n\n"
                   "def benched():\n    pass\n\n"
                   "def _private():\n    pass\n")
-    b = ast.parse("from . import a\n\ndef run(k: a.Kept):\n    return a.helper()\n")
-    assert sorted(_unread_public_names({"a.py": a, "b.py": b}, {"benched"})) == [
-        ("a.py", "recursive"), ("b.py", "run")]
+    b = ast.parse("from . import a\n\ndef run(k: a.Kept):\n    return a.helper(), k.read()\n")
+    assert sorted(_unread_public_names({"a.py": a, "b.py": b}, {"benched", "benched_too"})) == [
+        ("a.py", "Kept.unread"), ("a.py", "recursive"), ("b.py", "run")]

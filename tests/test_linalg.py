@@ -11,8 +11,8 @@ from midconv.errors import DoesNotSplit, FieldMismatch, PreconditionError
 from midconv.fixtures import m_tuple
 from midconv.linalg import (JordanData, Matrix, _echelon, char_poly, commutant_basis,
                             field_roots, find_invertible, intersect_row_spaces, jordan_data,
-                            kernel_basis, kronecker, kronecker_jordan, matrix_order, powers,
-                            rank, reduced_kernel_basis, row_space_basis, solve_coords)
+                            kernel_basis, kronecker, matrix_order, powers, rank,
+                            reduced_kernel_basis, row_space_basis, solve_coords)
 from midconv.scalars import FieldDescriptor
 
 from conftest import (ENTRY_KINDS, F7, PRIMORIAL_9767, Q, SEED, entry_of_kind,
@@ -396,6 +396,13 @@ def test_kronecker_trace_det(rng):
     K = kronecker(A, B)
     assert K.trace() == A.trace() * B.trace()
     assert K.det() == A.det() ** 3 * B.det() ** 2
+
+
+def kronecker_jordan(alpha, n1, beta, n2):
+    """The paper's Jordan type of J(alpha, n1) (x) J(beta, n2) for nonzero alpha, beta
+    and n1 <= n2 in characteristic zero: blocks of sizes n1 + n2 - 1 - 2k, k < n1, at
+    alpha beta."""
+    return JordanData.of([(alpha * beta, n1 + n2 - 1 - 2 * k) for k in range(n1)], n1 * n2)
 
 
 def test_kronecker_jordan_examples():

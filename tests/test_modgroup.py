@@ -9,15 +9,30 @@ from midconv import modgroup
 from midconv.errors import BadPrime, PreconditionError
 from midconv.fixtures import TUPLE_FIXTURES, m_tuple
 from midconv.linalg import Matrix
-from midconv.modgroup import (_certified_order, absolutely_irreducible, group_closure,
-                              group_elements, group_report, invariant_symmetric_form,
-                              o3_recognition, primitivity_bound, reduce_mod)
+from midconv.modgroup import (CLOSURE_CAP, _certified_order, _check_cap, _closure_rows,
+                              absolutely_irreducible, group_closure, group_report,
+                              invariant_symmetric_form, o3_recognition, primitivity_bound,
+                              reduce_mod)
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import MonodromyTuple
 
 from conftest import SEED, Q, check_witness, random_invertible
 
 Z4 = FieldDescriptor.cyclotomic(4)
+
+
+def group_elements(gens, cap=CLOSURE_CAP):
+    """The closure oracle: the elements of group_closure's BFS in insertion order, each
+    a Matrix of the payload rows its row ids name; None when past the cap (an int >= 1).
+    Needs at least one generator, to know the dimension of the identity."""
+    _check_cap(cap)
+    if not gens:
+        raise PreconditionError("group_elements needs at least one generator")
+    closure = _closure_rows(gens, cap)
+    if closure is None:
+        return None
+    seen, rows = closure
+    return [Matrix(gens[0].field, tuple(map(rows.__getitem__, key))) for key in seen]
 
 
 def test_reduce_mod_integer_matrices():

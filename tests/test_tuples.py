@@ -17,14 +17,13 @@ from midconv.linalg import (Matrix, commutant_basis, find_invertible, intersect_
 from midconv.scalars import FieldDescriptor
 from midconv.tuples import (BraidWord, MonodromyTuple, braid_act,
                             cohomology_spaces, coinvariants_dim, equivalence, invariants_dim,
-                            parabolic_rank_formula,
-                            parse_braid_word, phi_transport,
-                            pure_braid, quotient_basis, slot_images, sort_points)
+                            parabolic_rank_formula, parse_braid_word, quotient_basis,
+                            slot_images, sort_points)
 from midconv.tupleio import load_tuple, save_tuple
 
 from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, delta_word, entry_of_kind,
-                      full_coinvariants_dim, full_invariants_dim, random_invertible,
-                      random_scalar, random_tuple)
+                      full_coinvariants_dim, full_invariants_dim, phi_transport, pure_braid,
+                      random_invertible, random_scalar, random_tuple)
 from test_linalg import _oracle_coords
 
 Z3 = FieldDescriptor.cyclotomic(3)
@@ -84,6 +83,23 @@ def test_braid_act_formula(rng):
     assert out.entries[1] == b.inverse() @ a @ b
     assert out.entries[2] == c
     assert out.entries[3] == T.entries[3]
+    # every pair of entry kinds in slots 1, 2, with points: braid_act is the T^w of
+    # the Phi oracle, and T itself for the empty word and, when slot 1 or 2 holds a
+    # c*1 (so each b1^+-1 swaps it), for an even word in b1 alone; an odd word of
+    # five letters moves the points, so it never gives T back
+    for field in (Q, F7, F49, Z3):
+        for ka, kb in ((ka, kb) for ka in ENTRY_KINDS for kb in ENTRY_KINDS):
+            finite = [entry_of_kind(field, 2, rng, kind)
+                      for kind in (ka, kb, rng.choice(ENTRY_KINDS))]
+            T = MonodromyTuple.from_finite_entries(field, finite, rng.sample(range(9), 3))
+            swaps = {ka, kb} & {"scalar", "identity"}
+            odd = BraidWord(3, tuple((rng.randint(1, 2), rng.choice((1, -1))) for _ in range(5)))
+            even = BraidWord(3, tuple((1, rng.choice((1, -1))) for _ in range(4)))
+            words = [BraidWord(3, ()), odd, even]
+            for w, (_images, TW) in zip(words, phi_transport(T, words, Matrix(field, ()))):
+                out = braid_act(T, w)
+                assert out == TW, (field, ka, kb, w)
+                assert (out is T) == (w is words[0] or (w is even and bool(swaps))), (ka, kb, w)
 
 
 def test_braid_act_moves_points_and_checks_r(rng):
@@ -134,7 +150,7 @@ def test_pure_braid_alternate_form(rng):
     for (i, j) in [(1, 3), (1, 4), (2, 4)]:
         alt_core = BraidWord(r, ((j - 1, 1), (j - 1, 1)))
         alt_conj = BraidWord(r, tuple((k, 1) for k in range(j - 2, i - 1, -1)))
-        alt = alt_core.conjugate_by(alt_conj)
+        alt = alt_conj.inverse() * alt_core * alt_conj
         for _ in range(3):
             T = random_tuple(Q, 2, r, rng)
             assert braid_act(T, pure_braid(i, j, r)).entries == braid_act(T, alt).entries
@@ -386,8 +402,8 @@ def test_rows_carried_along_a_word_and_back_come_back_exactly(field, rng):
         rows = Matrix.from_rows(field, full + zeroed)
         letters = tuple((rng.randint(1, r - 1), rng.choice((1, -1)))
                         for _ in range(rng.randint(0, 6)))
-        states = next(tuples._walk_words(T.entries, None, rows.payload, [letters]))
-        assert tuples._carry_back(letters, states, states[-1][2]) == rows, (kinds, letters)
+        states = next(tuples._walk_words(T.entries, rows.payload, [letters]))
+        assert tuples._carry_back(letters, states, states[-1][1]) == rows, (kinds, letters)
 
 
 @pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
