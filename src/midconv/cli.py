@@ -61,9 +61,8 @@ def _emit(args, payload: dict, human: list[str], code: int) -> int:
     return code
 
 
-def _save(args, T) -> str:
-    """T's save_tuple text, written to --out if given: the one writer of tuple files."""
-    text = save_tuple(T)
+def _write_out(args, text: str) -> str:
+    """text, written to --out if given: the one writer of output files."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -71,8 +70,8 @@ def _save(args, T) -> str:
 
 
 def _tuple_report(args, T, payload: dict, human: list[str]):
-    """Save T (see _save); the report of exit 0 with T's text last."""
-    text = _save(args, T)
+    """Write T's save_tuple text (see _write_out); the report of exit 0 with it last."""
+    text = _write_out(args, save_tuple(T))
     return {**payload, "tuple": text}, human + [text.rstrip()], 0
 
 
@@ -264,7 +263,7 @@ def _cmd_demo(args):
              f"finite determinants lie in <zeta_4>: {report.determinants_in_zeta4}",
              "all checks passed" if report.checks_passed else "CHECKS FAILED"]
     if args.out:
-        _save(args, report.result)
+        _write_out(args, save_tuple(report.result))
     return payload, human, 0 if report.checks_passed else 1
 
 
@@ -276,7 +275,9 @@ def _cmd_fixtures_list(args):
 def _cmd_fixtures_dump(args):
     table = fixtures.TABLE_FIXTURES.get(args.name)
     if table is not None:
-        return dict(table), [f"{k}: {v}" for k, v in table.items()], 0
+        lines = [f"{k}: {v}" for k, v in table.items()]
+        _write_out(args, "".join(f"{line}\n" for line in lines))
+        return dict(table), lines, 0
     return _tuple_report(args, _load(f"fixture:{args.name}"), {}, [])
 
 

@@ -2,8 +2,12 @@
 
 The pipeline follows the braid-cocycle description: form the tensor
 ("circ") tuple of the two inputs, compute the parabolic spaces U/E of that
-tuple, transport them along the pure-braid words attached to the loops
-around the summed singular points, and read off the induced maps on U/E.
+tuple, and read off the maps that the loops around the summed singular
+points induce on U/E.  Each loop acts by the braid cocycle Phi along its
+pure-braid word, and _loop_matrices reads that action off a closed form
+in the entries and slot blocks of the tensor tuple: no code here walks
+rows of V^{r+1} letter by letter.  The letter-by-letter Phi is the tests'
+oracle, phi_transport in tests/conftest.py.
 Everything works over any FieldDescriptor, finite fields included.
 
 Conventions (frozen against the rank-2 and rank-3 reference tuples):
@@ -33,10 +37,9 @@ from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jord
                      kronecker, matrix_order, solve_coords)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
-from .tuples import (MonodromyTuple, _braid_sort, _carry_back, _carry_letter, _walk_words,
-                     cohomology_spaces, coinvariants_dim, induced_quotient_matrix,
-                     invariants_dim, join_slots, quotient_basis, slot_blocks, slot_images,
-                     sort_points)
+from .tuples import (MonodromyTuple, _braid_sort, cohomology_spaces, coinvariants_dim,
+                     induced_quotient_matrix, invariants_dim, join_slots, quotient_basis,
+                     slot_blocks, slot_images, sort_points)
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,12 @@ def circ_tuple(inp: ConvolutionInput) -> MonodromyTuple:
     """The tensor tuple (A_i (x) 1, 1 (x) B_j, A_{p+1} (x) B_{q+1}).
 
     Points are (x_1, ..., x_p, y0-y_1, ..., y0-y_q) for a base fibre y0
-    chosen past every point of u*v.
+    chosen past every point of u*v; an input with no finite entry leaves no
+    such point, and raises PreconditionError.
     """
+    for side, T in (("left", inp.left), ("right", inp.right)):
+        if not T.r:
+            raise PreconditionError(f"the {side} convolution input has no finite entry")
     left, right = inp.normalized()
     n1, n2 = left.dim, right.dim
     field = left.field
@@ -102,79 +109,85 @@ def circ_tuple(inp: ConvolutionInput) -> MonodromyTuple:
     return MonodromyTuple.make(field, entries, points)
 
 
-def _loop_prefix(i: int, j: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The letters of g, where the braid word of the loop delta_{i,j} is g beta_i^2 g^-1.
-
-    That word is beta_{i,p+1} = (beta_i^2)^(beta_{i+1}^-1 ... beta_p^-1),
-    conjugated by beta_{p+1} ... beta_{p+j-1} for j >= 2, so g is
-    beta_{p+j-1}^-1 ... beta_{p+1}^-1 beta_p ... beta_{i+1}.
-    """
-    return (tuple((k, -1) for k in range(p + j - 1, p, -1))
-            + tuple((k, 1) for k in range(p, i, -1)))
-
-
 def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matrix,
                    quot: Matrix) -> list[Matrix]:
     """The matrix on U/E of each loop (i, j) of `loops`, in quotient coordinates.
 
     The loops act on U/E by the braid cocycle Phi (Dettweiler-Wewers, Israel
-    J. Math. 156, 2006), and the word of the loop (i, j) is g beta_i^2 g^-1
-    (_loop_prefix).  Let (a, b) be the entries of C^g in the slots i, i+1.
-    beta_i^2 moves C^g, and so the loop moves C, exactly when ab != ba,
-    which raises DimensionInconsistency.  Otherwise the letters of g^-1 undo
-    those of g, and Phi(C, w) = G S G^-1 with G = Phi(C, g) and S =
-    Phi(C^g, beta_i^2).  S - 1 is zero outside the slots i, i+1 and sends
-    their blocks (X, Y) there to (dX, -dX b), where dX = X (b - 1) - Y (a -
-    1) lies in im(a - 1) cap im(b - 1) for a row of U (X, Y lie in the
-    images of a - 1, b - 1, which commute with both).  On the reduced basis
-    K of that intersection (a.moved when b = c*1, c != 1), dX = c K, so a
-    row v of U goes to v + c R G^-1, R the rows [m, -m b] of the m in K.
+    J. Math. 156, 2006).  The word of the loop (i, j) is g beta_i^2 g^-1,
+    g = beta_{p+j-1}^-1 ... beta_{p+1}^-1 beta_p ... beta_{i+1}, and
+    Phi(C, w) = G S G^-1 with G = Phi(C, g) and S = Phi(C^g, beta_i^2).  On
+    the slot blocks (X, Y) of slots k, k+1, whose entries are (a, b),
+    beta_k gives (Y, X b + Y - Y b^-1 a b) and beta_k^-1 gives
+    ((Y + X (b - 1)) a^-1, X).  Write Z_k for slot k of the quotient rows,
+    R_l = C_{p+l}, P_0 = 1, P_l = P_{l-1} R_l, S_1 = 0 and S_{l+1} = S_l R_l
+    + Z_{p+l}.  The right letters of g bring b = P_{j-1} R_j P_{j-1}^-1
+    (R_j itself when P_{j-1} or R_j is c*1) to slot p+1, with the block
+    Y = (S_{j+1} - S_j) P_{j-1}^-1.  Every left entry A_k (x) 1 commutes
+    with b, so each left letter is a plain swap: b and Y move down to slot
+    i+1, and slot i keeps a = C_i and X = Z_i.
 
-    So the quotient rows walk along the prefixes g alone (_walk_words); one
-    beta_i leaves X + dX in slot i+1, and a loop with dX = 0 is the
-    identity.  solve_coords reads c at the pivots of K and checks dX = c K
-    by a product (DimensionInconsistency if not); a K that spans V is the
-    identity, and c is dX.  Only the rows R are carried back along g^-1
-    (_carry_back), and one induced_quotient_matrix call reads their
-    coordinates for every loop (DimensionInconsistency if one leaves U;
-    the images v + c R G^-1 then lie in U too).  A quotient row is a row of
-    the reduced u_basis, so its coordinates times proj are a unit row, and
-    the loop's matrix is 1 + c (coordinates of R G^-1) proj.
+    beta_i^2 moves C^g, and so the loop moves C, exactly when ab != ba,
+    which raises DimensionInconsistency.  Otherwise S - 1 is zero outside
+    the slots i, i+1 and sends (X, Y) there to (dX, -dX b), where dX = X (b
+    - 1) - Y (a - 1) lies in im(a - 1) cap im(b - 1) for a row of U (X, Y
+    lie in the images of a - 1, b - 1, which commute with both).  On the
+    reduced basis K of that intersection (a.moved when im(b - 1) = V),
+    dX = c K: solve_coords reads c at the pivots of K and checks it by a
+    product (DimensionInconsistency if not); a K that spans V is the
+    identity, and c is dX.  A loop with dX = 0 is the identity.
+
+    G^-1 carries a row [m, -m b] of slots i, i+1 back.  Undoing the left
+    letters leaves m (1 - C_k) in each slot i < k <= p and brings -m b to
+    slot p+1; undoing the right letters multiplies it by R_1 ... R_{j-1}
+    on its way to slot p+j, where it is -m P_j.  One
+    induced_quotient_matrix call reads the coordinates of these rows R G^-1
+    for every loop (DimensionInconsistency if one leaves U; the images
+    v + c R G^-1 then lie in U too).  A quotient row is a row of the
+    reduced u_basis, so its coordinates times proj are a unit row, and the
+    loop's matrix is 1 + c (coordinates of R G^-1) proj.
     """
     field, d, ops = C.field, C.dim, C.field.ops
-    add, sub, nonzero, one = ops.add, ops.sub, ops.nonzero, ops.one
-    zrow = (ops.zero,) * d
-    ident = Matrix.identity(field, len(quot))
-    prefixes = [_loop_prefix(i, j, p) for i, j in loops]
-    Ds, coefs, carried = [ident] * len(prefixes), [], []
-    walk = _walk_words(C.entries, quot.payload, prefixes)
-    for n, ((i, j), g, states) in enumerate(zip(loops, prefixes, walk)):
-        entries, rows = states[-1]
-        a, b = entries[i - 1], entries[i]
+    add, nonzero, one = ops.add, ops.nonzero, ops.one
+    n_slots, zero, O = len(C.entries), ops.zero, Matrix.zero(field, d, d)
+    Z = slot_blocks(quot, n_slots)
+    left = [-A.minus_identity() for A in C.entries[:p]]            # 1 - C_k
+    right, P, S = {}, None, None
+    for j, R in enumerate(C.entries[p:-1], start=1):
+        if P is None:                  # P_0 = 1 and S_1 = 0
+            b, Y, P, S = R, Z[p], R, Z[p]
+        else:
+            S_next = S @ R + Z[p + j - 1]
+            b = R if P.is_scalar or R.is_scalar else P @ R @ P.inverse()
+            Y = (S_next - S) @ P.inverse()
+            P, S = P @ R, S_next
+        # m W holds m (1 - C_k) in each slot k <= p and -m P_j in slot p + j
+        W = join_slots(left + [O] * (j - 1) + [-P] + [O] * (n_slots - p - j))
+        right[j] = b, b.minus_identity(), Y, W
+    Ds, coefs, carried = [Matrix.identity(field, len(quot))] * len(loops), [], []
+    for n, (i, j) in enumerate(loops):
+        (b, b1, Y, W), a = right[j], C.entries[i - 1]
         if not (a.is_scalar or b.is_scalar) and a @ b != b @ a:
             raise DimensionInconsistency(f"the loop braid for ({i},{j}) moves the tensor tuple")
-        pair = [rows[i - 1], rows[i]]
-        _carry_letter(pair, 1, 1, (a, b), (b, a))
-        delta = [tuple(map(sub, z, x)) for z, x in zip(pair[1], rows[i - 1])]
-        if not any(map(nonzero, chain.from_iterable(delta))):
+        c = Z[i - 1] @ b1 + Y @ left[i - 1]
+        if not any(map(nonzero, chain.from_iterable(c.payload))):
             continue
         K = a.moved if len(b.moved) == d else intersect_row_spaces(a.moved, b.moved)
-        c = Matrix(field, tuple(delta))
         if len(K) < d:
             c = solve_coords(K, c)
             if c is None:
                 raise DimensionInconsistency("quotient space is not preserved")
-        R = [(zrow,) * len(K)] * len(entries)
-        R[i - 1], R[i] = K.payload, (-(K @ b)).payload
-        carried.append(_carry_back(g, states, R))
+        head = (zero,) * ((i - 1) * d)             # slots before i are 0, slot i is m
+        carried.append(Matrix(field, tuple(head + m + v[i * d:]
+                                           for m, v in zip(K.payload, (K @ W).payload))))
         coefs.append((n, c))
     try:
         images = induced_quotient_matrix(u_basis, carried, proj)
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
-    for (n, c), P in zip(coefs, images):
+    for (n, c), coords in zip(coefs, images):
         Ds[n] = Matrix(field, tuple(v[:k] + (add(v[k], one),) + v[k + 1:]
-                                    for k, v in enumerate((c @ P).payload)))
+                                    for k, v in enumerate((c @ coords).payload)))
     return Ds
 
 

@@ -1,4 +1,4 @@
-"""Monodromy tuples, braid actions, cocycle automorphisms, parabolic cohomology.
+"""Monodromy tuples, braid actions, parabolic cohomology.
 
 A monodromy tuple is (T_1, ..., T_{r+1}) with T_1 ... T_{r+1} = 1; entry i
 (i <= r) is the monodromy around the i-th finite point, the last entry the
@@ -7,13 +7,10 @@ and conjugation is x^y = y^-1 x y throughout.
 
 Entries move one way: each letter is one Hurwitz move, _act_gen, on lists
 of entries and points; braid_act and the braid sort of points loop it.
-Rows of V^{r+1} are carried by the cocycle Phi one way: _walk_words walks a
-sequence of words, moving the entries and carrying the rows, and resumes
-each word after the prefix it shares with the one before.  The
-convolution's loop read-out walks the prefixes of its loop words and
-carries rows back along their inverses by _carry_back.  Every letter is
-_carry_letter, one multiply-accumulate per row over the kept sparse rows of
-its entries, and rows zero in both of its slots are not touched.
+No code in this package walks rows of V^{r+1} along a braid word: the
+convolution reads each loop's action on U/E off a closed form
+(convolution._loop_matrices), and the letter-by-letter cocycle Phi is the
+tests' oracle, phi_transport in tests/conftest.py.
 
 Fixed spaces are measured one way: invariants_dim and coinvariants_dim,
 over any sequence of matrices (a tuple's entries, one entry, or the entries
@@ -220,100 +217,6 @@ def sort_points(T: MonodromyTuple, descending: bool = False) -> MonodromyTuple:
     entries, points = list(T.entries), list(T.points)
     _braid_sort(entries, points, descending)
     return T if tuple(points) == T.points else MonodromyTuple.make(T.field, entries, points)
-
-
-# -- the cocycle automorphisms Phi ----------------------------------------------
-
-def _walk_words(entries, rows, words):
-    """After each letter sequence of `words`, yield the states of its walk.
-
-    `rows` are payload rows of V^{r+1}, cut into one slot block per entry.
-    A state is (entries, slot blocks), both tuples; the yielded list holds
-    the start state and the state after each letter of the word, and is cut
-    back to the shared prefix when the next word is read.  Each word resumes
-    after the longest prefix it shares with the one before.  The entries
-    move by _act_gen, so b^-1 a b is a itself when a or b is c*1.
-    """
-    d = entries[0].nrows
-    states = [(tuple(entries),
-               tuple(tuple(v[k * d:(k + 1) * d] for v in rows) for k in range(len(entries))))]
-    done = ()
-    for letters in words:
-        shared = next((k for k, (x, y) in enumerate(zip(done, letters)) if x != y),
-                      min(len(done), len(letters)))
-        del states[shared + 1:]
-        before, blocks = states[-1]
-        entries, blocks = list(before), list(blocks)
-        for i, e in letters[shared:]:
-            _act_gen(entries, None, i, e < 0)
-            after = tuple(entries)
-            _carry_letter(blocks, i, e, before, after)
-            states.append((after, tuple(blocks)))
-            before = after
-        done = letters
-        yield states
-
-
-def _carry_back(letters, states, blocks) -> Matrix:
-    """The rows of V^{r+1} that the slot blocks, given at the last state, become
-    when carried back along the inverse of the walked word `letters`.
-
-    states are the states of _walk_words for that word.  Undoing letter t
-    from state t leads to the entries of state t - 1, so the letters read the
-    entries the walk kept and move none.
-    """
-    blocks = list(blocks)
-    for t in range(len(letters), 0, -1):
-        i, e = letters[t - 1]
-        _carry_letter(blocks, i, -e, states[t][0], states[t - 1][0])
-    return Matrix(states[0][0][0].field, tuple(tuple(chain(*parts)) for parts in zip(*blocks)))
-
-
-def _carry_letter(blocks, i, e, before, after) -> None:
-    """Carry the slot blocks of some rows across beta_i^e, in place.
-
-    `before` and `after` are the entries on either side of the letter.
-    With (a, b) = (T_i, T_{i+1}) before it, beta_i sends the blocks (X, Y)
-    of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), b^-1 a b read off `after`,
-    with no inverse, and beta_i^-1 sends them to ((Y + X (b - 1)) a^-1, X),
-    a^-1 built once per Matrix.  A row is one multiply-accumulate: the new
-    row starts as the row y of Y and takes, for each nonzero x_k and y_k,
-    one axpy by row k of the kept sparse rows of b and b^-1 a b (of a c*1
-    one pair each); for beta_i^-1 that sum is multiplied by the sparse rows
-    of a^-1.  A row zero in both slots stays zero untouched.
-    """
-    X, Y = blocks[i - 1], blocks[i]
-    if not X:
-        return
-    b, d = before[i], len(X[0])
-    ops = b.field.ops
-    zero, nonzero, neg, sub, axpy = ops.zero, ops.nonzero, ops.neg, ops.sub, ops.axpy
-    zrow = (zero,) * d
-    B, new = b.sparse, []
-    C = after[i].sparse if e > 0 else before[i - 1].inverse().sparse
-    for x, y in zip(X, Y):
-        if x == zrow and y == zrow:
-            new.append(zrow)
-            continue
-        acc = list(y)
-        if e > 0:                  # X b + Y - Y C, C = b^-1 a b
-            for k, xk in enumerate(x):
-                if nonzero(xk):
-                    axpy(acc, xk, B[k])
-            for k, yk in enumerate(y):
-                if nonzero(yk):
-                    axpy(acc, neg(yk), C[k])
-        else:                      # (Y - X + X b) C, C = a^-1
-            for k, xk in enumerate(x):
-                if nonzero(xk):
-                    acc[k] = sub(acc[k], xk)
-                    axpy(acc, xk, B[k])
-            z, acc = acc, [zero] * d
-            for k, zk in enumerate(z):
-                if nonzero(zk):
-                    axpy(acc, zk, C[k])
-        new.append(tuple(acc))
-    blocks[i - 1], blocks[i] = (Y, new) if e > 0 else (new, X)
 
 
 # -- cohomology spaces -----------------------------------------------------------

@@ -11,7 +11,7 @@ from midconv.linalg import (Matrix, _check_fields, _echelon, char_poly, commutan
                             kernel_basis, rank)
 from midconv.poly import is_prime
 from midconv.scalars import FieldDescriptor, _cyc_normalize, _cyc_tables
-from midconv.tuples import BraidWord, MonodromyTuple, _walk_words
+from midconv.tuples import BraidWord, MonodromyTuple, _act_gen
 
 SEED = 20260810
 
@@ -72,6 +72,92 @@ def delta_word(i, j, p, strands):
     w = pure_braid(i, p + 1, strands)
     conj = BraidWord(strands, tuple((k, 1) for k in range(p + 1, p + j)))
     return conj.inverse() * w * conj
+
+
+def loop_prefix(i, j, p):
+    """The letters of g, where delta_word(i, j, p, r) is g beta_i^2 g^-1: the prefix
+    beta_{p+j-1}^-1 ... beta_{p+1}^-1 beta_p ... beta_{i+1} on which the loop read-out's
+    closed form rests."""
+    return (tuple((k, -1) for k in range(p + j - 1, p, -1))
+            + tuple((k, 1) for k in range(p, i, -1)))
+
+
+def _walk_words(entries, rows, words):
+    """After each letter sequence of `words`, yield the states of its walk: the braid
+    walk of phi_transport, letter by letter, which no code in src shares.
+
+    `rows` are payload rows of V^{r+1}, cut into one slot block per entry.
+    A state is (entries, slot blocks), both tuples; the yielded list holds
+    the start state and the state after each letter of the word, and is cut
+    back to the shared prefix when the next word is read.  Each word resumes
+    after the longest prefix it shares with the one before.  The entries
+    move by _act_gen, so b^-1 a b is a itself when a or b is c*1.
+    """
+    d = entries[0].nrows
+    states = [(tuple(entries),
+               tuple(tuple(v[k * d:(k + 1) * d] for v in rows) for k in range(len(entries))))]
+    done = ()
+    for letters in words:
+        shared = next((k for k, (x, y) in enumerate(zip(done, letters)) if x != y),
+                      min(len(done), len(letters)))
+        del states[shared + 1:]
+        before, blocks = states[-1]
+        entries, blocks = list(before), list(blocks)
+        for i, e in letters[shared:]:
+            _act_gen(entries, None, i, e < 0)
+            after = tuple(entries)
+            _carry_letter(blocks, i, e, before, after)
+            states.append((after, tuple(blocks)))
+            before = after
+        done = letters
+        yield states
+
+
+def _carry_letter(blocks, i, e, before, after) -> None:
+    """Carry the slot blocks of some rows across beta_i^e, in place.
+
+    `before` and `after` are the entries on either side of the letter.
+    With (a, b) = (T_i, T_{i+1}) before it, beta_i sends the blocks (X, Y)
+    of slots i, i+1 to (Y, X b + Y - Y b^-1 a b), b^-1 a b read off `after`,
+    with no inverse, and beta_i^-1 sends them to ((Y + X (b - 1)) a^-1, X),
+    a^-1 built once per Matrix.  A row is one multiply-accumulate: the new
+    row starts as the row y of Y and takes, for each nonzero x_k and y_k,
+    one axpy by row k of the kept sparse rows of b and b^-1 a b (of a c*1
+    one pair each); for beta_i^-1 that sum is multiplied by the sparse rows
+    of a^-1.  A row zero in both slots stays zero untouched.
+    """
+    X, Y = blocks[i - 1], blocks[i]
+    if not X:
+        return
+    b, d = before[i], len(X[0])
+    ops = b.field.ops
+    zero, nonzero, neg, sub, axpy = ops.zero, ops.nonzero, ops.neg, ops.sub, ops.axpy
+    zrow = (zero,) * d
+    B, new = b.sparse, []
+    C = after[i].sparse if e > 0 else before[i - 1].inverse().sparse
+    for x, y in zip(X, Y):
+        if x == zrow and y == zrow:
+            new.append(zrow)
+            continue
+        acc = list(y)
+        if e > 0:                  # X b + Y - Y C, C = b^-1 a b
+            for k, xk in enumerate(x):
+                if nonzero(xk):
+                    axpy(acc, xk, B[k])
+            for k, yk in enumerate(y):
+                if nonzero(yk):
+                    axpy(acc, neg(yk), C[k])
+        else:                      # (Y - X + X b) C, C = a^-1
+            for k, xk in enumerate(x):
+                if nonzero(xk):
+                    acc[k] = sub(acc[k], xk)
+                    axpy(acc, xk, B[k])
+            z, acc = acc, [zero] * d
+            for k, zk in enumerate(z):
+                if nonzero(zk):
+                    axpy(acc, zk, C[k])
+        new.append(tuple(acc))
+    blocks[i - 1], blocks[i] = (Y, new) if e > 0 else (new, X)
 
 
 def phi_transport(T, words, rows):

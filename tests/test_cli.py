@@ -223,6 +223,19 @@ def test_fixture_dump_in_text_mode_prints_the_tuple_file(capsys):
         0, "field: rational\ndim: 1\npoints: -1, 1\nmatrix:\n-1\nmatrix:\n-1\nmatrix:\n1\n", "")
 
 
+@pytest.mark.parametrize("name", ["nq-table", "tp-table", "L", "V"])
+def test_fixture_dump_writes_out_what_it_prints(capsys, tmp_path, name):
+    # the --out file holds the text mode's output, a table's lines or a tuple's file,
+    # also when --json prints the document instead
+    path = tmp_path / "dump.txt"
+    code, text, err = _run(capsys, "fixtures", "dump", "--name", name)
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, "--json", "fixtures", "dump", "--name", name,
+                          "--out", str(path))
+    assert (code, err) == (0, "") and out.startswith("{")
+    assert path.read_text() == text
+
+
 @pytest.mark.parametrize("z", ["abc", "1/0"])
 def test_k3_malformed_fibre_is_a_parse_error(capsys, z):
     code, _out, err = _run(capsys, "k3", "count", "--q", "5", "--z", z)
@@ -273,6 +286,9 @@ _V_L = ("field: rational\ndim: 6\npoints: -3, -1, 1, 3\n"
         "0, 0, 0, 1, 0, 0\n0, 0, 0, 0, 1, 0\n0, 0, -4, -4, -4, 3\n"
         "matrix:\n-1, -4, -8, 0, 0, 0\n2, 7, 12, 0, 0, 0\n-2, -6, -9, 0, 0, 0\n"
         "-2, -8, -16, -1, -4, 4\n4, 14, 24, 2, 7, -6\n8, 24, 36, 4, 12, -9\n")
+_KUMMER_V = ("field: rational\ndim: 2\npoints: -2, 0, 2\n"
+             "matrix:\n-3, 4\n-4, 5\nmatrix:\n1, 2\n0, 1\n"
+             "matrix:\n1, 0\n-4, 1\nmatrix:\n-3, 2\n-8, 5\n")
 _MCL_V = ("field: rational\ndim: 2\npoints: -2, 0, 2\n"
           "matrix:\n1, -4\n0, 1\nmatrix:\n1, 0\n2, 1\n"
           "matrix:\n-3, -4\n4, 5\nmatrix:\n-3, -8\n2, 5\n")
@@ -288,6 +304,8 @@ _MCL_LSTARL = ("field: rational\ndim: 3\npoints: -2, 0, 2\n"
      {"dim": 3, "points": ["-2", "0", "2"], "generic": True, "tuple": _LSTARL_KUMMER}),
     (["convolve", "--left", "fixture:V", "--right", "fixture:L"],
      {"dim": 6, "points": ["-3", "-1", "1", "3"], "generic": False, "tuple": _V_L}),
+    (["convolve", "--left", "fixture:Kummer-1", "--right", "fixture:V"],
+     {"dim": 2, "points": ["-2", "0", "2"], "generic": True, "tuple": _KUMMER_V}),
     (["mcl", "--tuple", "fixture:V", "--lambda", "-1"],
      {"dim": 2, "points": ["-2", "0", "2"], "tuple": _MCL_V}),
     (["mcl", "--tuple", "fixture:LstarL", "--lambda", "2"],
@@ -298,15 +316,15 @@ def test_convolution_documents(capsys, argv, doc):
 
 
 def test_transport_leaving_u_is_a_dimension_inconsistency(capsys, monkeypatch):
-    real = convolution._carry_back
+    real = convolution.induced_quotient_matrix
 
-    def leaky(letters, states, blocks):
+    def leaky(basis, blocks, proj=None):
         # v + e_1 is never in U: e_1 alone breaks the equation that cuts out H
-        rows = real(letters, states, blocks)
-        e1 = Matrix.from_rows(rows.field, [[int(k == 0) for k in range(rows.ncols)]] * len(rows))
-        return rows + e1
+        e1 = [[int(k == 0) for k in range(basis.ncols)]]
+        return real(basis, [rows + Matrix.from_rows(rows.field, e1 * len(rows))
+                            for rows in blocks], proj)
 
-    monkeypatch.setattr(convolution, "_carry_back", leaky)
+    monkeypatch.setattr(convolution, "induced_quotient_matrix", leaky)
     code, _out, err = _run(capsys, "convolve", "--left", "fixture:LstarL",
                            "--right", "fixture:Kummer-1")
     assert code == 1
@@ -323,6 +341,17 @@ def _write(tmp_path, name, field, dim, matrices, points=None):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_convolving_an_input_without_a_finite_entry_is_a_precondition_error(capsys, tmp_path,
+                                                                             side):
+    # an empty points line leaves no summed point to place the base fibre past
+    empty = _write(tmp_path, "empty.txt", "rational", 1, [["1"]], points=[])
+    other = {"left": "--right", "right": "--left"}[side]
+    code, out, err = _run(capsys, "convolve", f"--{side}", empty, other, "fixture:L")
+    assert (code, out) == (1, "")
+    assert err == f"PreconditionError: the {side} convolution input has no finite entry\n"
 
 
 def test_predict_local_outside_the_hypotheses_is_a_precondition_error(capsys, tmp_path):

@@ -25,8 +25,8 @@ from midconv.tuples import (BraidWord, MonodromyTuple, cohomology_spaces, coinva
                             sort_points)
 
 from conftest import (ENTRY_KINDS, F7, Q, SEED, check_witness, delta_word, entry_of_kind,
-                      full_coinvariants_dim, full_invariants_dim, phi_transport, random_invertible,
-                      random_scalar, random_tuple)
+                      full_coinvariants_dim, full_invariants_dim, loop_prefix, phi_transport,
+                      random_invertible, random_scalar, random_tuple)
 
 Z3 = FieldDescriptor.cyclotomic(3)
 Z4 = FieldDescriptor.cyclotomic(4)
@@ -134,8 +134,8 @@ def _loop_outcomes(C, p, q):
 @example(field=Z3, seed=2, n1=1, p=3, n2=2, q=2, identity_entry=False, collide=True)
 def test_the_loop_read_out_equals_the_full_loop_words(field, seed, n1, p, n2, q,
                                                       identity_entry, collide):
-    # the read-out carries the quotient rows along g and only the correction rows
-    # back along g^-1; the oracle carries every row along g beta_i^2 g^-1.  A right
+    # the read-out reads each loop off its closed form in the prefix g; the oracle
+    # carries every row along g beta_i^2 g^-1, letter by letter.  A right
     # factor of dim 2 gives general letters, an identity entry b = 1 (dX = 0),
     # and points 0, 1, ... on both sides give colliding sums x_i + y_j
     rng = random.Random(seed)
@@ -149,7 +149,7 @@ def test_the_loop_read_out_equals_the_full_loop_words(field, seed, n1, p, n2, q,
     inp = ConvolutionInput(left, right)
     assert inp.is_generic() == (not collide or p == 1 or q == 1)
     for i, j in inp.loop_points():
-        g = BraidWord(p + q, convolution._loop_prefix(i, j, p))
+        g = BraidWord(p + q, loop_prefix(i, j, p))
         assert g * BraidWord(p + q, ((i, 1), (i, 1))) * g.inverse() == delta_word(i, j, p, p + q)
     outcomes = _loop_outcomes(circ_tuple(inp), p, q)
     assert outcomes is None or outcomes[0] == outcomes[1]
@@ -167,26 +167,23 @@ def test_a_non_commuting_core_pair_moves_the_tensor_tuple(field, rng):
 
 
 def test_quotient_rows_that_leave_u_fail_the_dx_check(monkeypatch):
-    # e_1 added to the walked rows moves dX out of span K = im(A_1 - 1), a line
-    # in V = Q^2: solve_coords' product check refuses it before any row is
-    # carried back
-    real_walk, real_solve = convolution._walk_words, convolution.solve_coords
+    # e_1 added to the quotient rows moves dX of the loop (1, 1), whose X is their
+    # slot 1, out of span K = im(A_1 - 1), a line in V = Q^2: solve_coords' product
+    # check refuses it before any row is carried back
+    real_quotient, real_solve = convolution.quotient_basis, convolution.solve_coords
     refused = []
 
-    def leaky(entries, rows, words):
-        add, one = entries[0].field.ops.add, entries[0].field.ops.one
-        for states in real_walk(entries, rows, words):
-            E, blocks = states[-1]
-            slot = tuple((add(v[0], one),) + v[1:] for v in blocks[0])
-            states[-1] = (E, (slot,) + blocks[1:])
-            yield states
+    def leaky(u_basis, e_basis):
+        proj, quot = real_quotient(u_basis, e_basis)
+        add, one = quot.field.ops.add, quot.field.ops.one
+        return proj, Matrix(quot.field, tuple((add(v[0], one),) + v[1:] for v in quot.payload))
 
     def spy(K, V):
         coords = real_solve(K, V)
         refused.append(coords is None)
         return coords
 
-    monkeypatch.setattr(convolution, "_walk_words", leaky)
+    monkeypatch.setattr(convolution, "quotient_basis", leaky)
     monkeypatch.setattr(convolution, "solve_coords", spy)
     inp = ConvolutionInput(l_star_l(), kummer_minus_one())
     assert len(l_star_l().entries[0].moved) == 1 < l_star_l().dim
@@ -785,8 +782,9 @@ Z12 = FieldDescriptor.cyclotomic(12)
     (Matrix.from_rows(Z12, [[Z12.zeta(1), 0], [0, 1]]), 0),   # order 12
     (Matrix.from_rows(Q, [[1, 1], [0, 1]]), 0),            # infinite order
 ], ids=lambda x: str(x).replace("\n", "; ") if isinstance(x, Matrix) else str(x))
-def test_the_sl_demo_order_walks_the_powers_only_off_order_4(M, order):
-    # orders 1 to 8, above 8 and infinite, each read off the trace or by the walk
+def test_the_homology_order_is_the_matrix_order_up_to_8(M, order):
+    # orders 1 to 8, above 8 (read as 0) and infinite (0), each read off the trace
+    # or by matrix_order's walk over the powers
     assert _homology_order(M) == (matrix_order(M, 8) or 0) == order
 
 
@@ -842,6 +840,9 @@ def test_sl_demo_inverts_no_matrix_twice(monkeypatch):
 
     monkeypatch.setattr(linalg.Matrix, "inverse", recording)
     assert sl_demo(3, 4).checks_passed
+    # the demo's right factors have rank one; the loop read-out of L * (L*L) asks for
+    # P_{j-1}^-1 twice, for b and for Y, whenever P_{j-1} is not c*1
+    assert middle_convolution(ConvolutionInput(quadratic_tuple(), l_star_l())).dim == 4
     first = {}
     for M, inv in calls:
         assert first.setdefault(id(M), inv) is inv, "a second elimination of one matrix"

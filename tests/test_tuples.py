@@ -388,9 +388,9 @@ def test_phi_transport_equals_the_letter_by_letter_product_oracle(field, rng):
 
 @pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
 def test_rows_carried_along_a_word_and_back_come_back_exactly(field, rng):
-    # the loop read-out carries its correction rows back along g^-1 on the
-    # entries the walk along g kept; rows of every zero pattern, entries of
-    # every kind, words of both generators and both signs, the empty one too
+    # the cocycle law Phi(T, w) Phi(T^w, w^-1) = 1 on the oracle's walk; rows of
+    # every zero pattern, entries of every kind, words of both generators and
+    # both signs, the empty one too
     d, r = 2, 3
     for kinds in ((ka, kb) for ka in ENTRY_KINDS for kb in ENTRY_KINDS):
         finite = [entry_of_kind(field, d, rng, kind)
@@ -400,10 +400,11 @@ def test_rows_carried_along_a_word_and_back_come_back_exactly(field, rng):
         zeroed = [[field.zero() if k // d in slots else x for k, x in enumerate(full[0])]
                   for slots in ({0}, {1}, {0, 1}, {0, 1, 2, 3})]
         rows = Matrix.from_rows(field, full + zeroed)
-        letters = tuple((rng.randint(1, r - 1), rng.choice((1, -1)))
-                        for _ in range(rng.randint(0, 6)))
-        states = next(tuples._walk_words(T.entries, rows.payload, [letters]))
-        assert tuples._carry_back(letters, states, states[-1][1]) == rows, (kinds, letters)
+        w = BraidWord(r, tuple((rng.randint(1, r - 1), rng.choice((1, -1)))
+                               for _ in range(rng.randint(0, 6))))
+        (images, TW), = phi_transport(T, [w], rows)
+        (back, TB), = phi_transport(TW, [w.inverse()], images)
+        assert back == rows and TB.entries == T.entries, (kinds, w)
 
 
 @pytest.mark.parametrize("field", [Q, F7, F49, Z3], ids=str)
