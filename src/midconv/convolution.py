@@ -33,8 +33,8 @@ from itertools import chain
 
 from .errors import (DimensionInconsistency, FieldMismatch, LambdaIsOne,
                      PreconditionError, Verdict)
-from .linalg import (JordanData, Matrix, eigenvalues, intersect_row_spaces, jordan_data,
-                     kronecker, matrix_order, solve_coords)
+from .linalg import (JordanData, Matrix, _one_plus, eigenvalues, intersect_row_spaces,
+                     jordan_data, kronecker, matrix_order, solve_coords)
 from .modgroup import absolutely_irreducible
 from .scalars import FieldDescriptor, Scalar
 from .tuples import (MonodromyTuple, _braid_sort, cohomology_spaces, coinvariants_dim,
@@ -44,7 +44,11 @@ from .tuples import (MonodromyTuple, _braid_sort, cohomology_spaces, coinvariant
 
 @dataclass(frozen=True)
 class ConvolutionInput:
-    """A pair of pointed tuples over the same field."""
+    """A pair of pointed tuples over the same field, each with a finite entry.
+
+    An input with no finite entry leaves no point of u*v, so nothing to
+    convolve, rank or predict: it raises PreconditionError.
+    """
 
     left: MonodromyTuple
     right: MonodromyTuple
@@ -54,6 +58,9 @@ class ConvolutionInput:
             raise FieldMismatch("convolution inputs over different fields")
         if self.left.points is None or self.right.points is None:
             raise PreconditionError("convolution inputs need point lists")
+        for side, T in (("left", self.left), ("right", self.right)):
+            if not T.r:
+                raise PreconditionError(f"the {side} convolution input has no finite entry")
 
     @property
     def p(self) -> int:
@@ -90,12 +97,8 @@ def circ_tuple(inp: ConvolutionInput) -> MonodromyTuple:
     """The tensor tuple (A_i (x) 1, 1 (x) B_j, A_{p+1} (x) B_{q+1}).
 
     Points are (x_1, ..., x_p, y0-y_1, ..., y0-y_q) for a base fibre y0
-    chosen past every point of u*v; an input with no finite entry leaves no
-    such point, and raises PreconditionError.
+    chosen past every point of u*v.
     """
-    for side, T in (("left", inp.left), ("right", inp.right)):
-        if not T.r:
-            raise PreconditionError(f"the {side} convolution input has no finite entry")
     left, right = inp.normalized()
     n1, n2 = left.dim, right.dim
     field = left.field
@@ -135,7 +138,7 @@ def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matr
     reduced basis K of that intersection (a.moved when im(b - 1) = V),
     dX = c K: solve_coords reads c at the pivots of K and checks it by a
     product (DimensionInconsistency if not); a K that spans V is the
-    identity, and c is dX.  A loop with dX = 0 is the identity.
+    identity, and c is dX.
 
     G^-1 carries a row [m, -m b] of slots i, i+1 back.  Undoing the left
     letters leaves m (1 - C_k) in each slot i < k <= p and brings -m b to
@@ -145,11 +148,15 @@ def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matr
     for every loop (DimensionInconsistency if one leaves U; the images
     v + c R G^-1 then lie in U too).  A quotient row is a row of the
     reduced u_basis, so its coordinates times proj are a unit row, and the
-    loop's matrix is 1 + c (coordinates of R G^-1) proj.
+    loop's matrix is D = 1 + c P with P the rows (coordinates of R G^-1) proj.
+    linalg._one_plus builds it and keeps (c, P): c has k = dim K columns, so
+    det, the Jordan ranks, im(D - 1), the order and the products of
+    from_finite_entries read k x k matrices (see linalg).  A loop with dX = 0
+    is the identity, without a form.
     """
     field, d, ops = C.field, C.dim, C.field.ops
-    add, nonzero, one = ops.add, ops.nonzero, ops.one
-    n_slots, zero, O = len(C.entries), ops.zero, Matrix.zero(field, d, d)
+    nonzero, zero = ops.nonzero, ops.zero
+    n_slots, O = len(C.entries), Matrix.zero(field, d, d)
     Z = slot_blocks(quot, n_slots)
     left = [-A.minus_identity() for A in C.entries[:p]]            # 1 - C_k
     right, P, S = {}, None, None
@@ -186,8 +193,7 @@ def _loop_matrices(C: MonodromyTuple, loops, p: int, u_basis: Matrix, proj: Matr
     except PreconditionError as exc:
         raise DimensionInconsistency(str(exc)) from exc
     for (n, c), coords in zip(coefs, images):
-        Ds[n] = Matrix(field, tuple(v[:k] + (add(v[k], one),) + v[k + 1:]
-                                    for k, v in enumerate((c @ coords).payload)))
+        Ds[n] = _one_plus(c, coords)
     return Ds
 
 
@@ -452,25 +458,12 @@ def predict_infinity_jordan(T: MonodromyTuple, lam: Scalar) -> JordanData:
 # -- the SL-realization demo ----------------------------------------------------------
 
 # the largest r that sl_demo accepts: its cost grows faster than r^3, and on a 2-vCPU
-# host under CPython 3.11 sl_demo takes 0.3 s at (3,12), 0.5 to 0.6 s at (7,10), 1.6 s
-# at (15,12) and 2.2 to 2.5 s at (11,12), over Q(zeta_44)
+# host under CPython 3.11 sl_demo takes 0.3 s at (3,12), 0.4 s at (7,10), 0.9 to 1.05 s
+# at (15,12) and 1.3 to 1.65 s at (11,12), over Q(zeta_44)
 SL_DEMO_MAX_R = 12
 # phi(m) >= sqrt(m / 2), so an m above this needs r >= 2 + phi(m) > SL_DEMO_MAX_R;
 # sl_demo refuses it before it lists the units mod m
 SL_DEMO_MAX_M = 2 * (SL_DEMO_MAX_R - 2) ** 2
-
-
-def _homology_order(M: Matrix) -> int:
-    """matrix_order(M, 8), 0 for None, read off the trace when rk(M - 1) = 1 and tr M != d.
-
-    M = 1 + N with N of rank one has N^2 = tr(N) N, so with lambda = tr(M)
-    - (d - 1) = 1 + tr(N) != 1, M^k - 1 = ((lambda^k - 1) / (lambda - 1)) N:
-    the order is that of lambda.  Any other M walks its powers.
-    """
-    lam = M.trace() - M.field.from_int(M.nrows - 1)
-    if len(M.moved) != 1 or lam.is_one():
-        return matrix_order(M, 8) or 0
-    return next((k for k in range(1, 9) if (lam ** k).is_one()), 0)
 
 
 @dataclass
@@ -496,10 +489,13 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
     announced local data.  m = 1 runs the same pipeline through the
     dihedral group of order six.
 
-    The first output entry's Jordan data is read at its announced
-    eigenvalues, -i first: three ranks and one product, no char_poly.  The
-    second entry is announced as a homology of order 4: rk(c2 - 1) = 1 is
-    read off its kept basis of im(c2 - 1), and its order off its trace.
+    The summed points are distinct and already ascending, so no entry is
+    merged or moved: each is a loop matrix 1 + c P that keeps its form, and
+    the checks read k x k matrices, k = rk(D - 1).  The first entry's Jordan
+    data is read at its announced eigenvalues, -i first: three ranks and one
+    product, no char_poly.  The second entry is announced as a homology of
+    order 4: rk(c2 - 1) = 1 is the length of its kept basis of im(c2 - 1),
+    and matrix_order walks its 1 x 1 core 1 + P c, which is tr(c2) - (N - 1).
     """
     if r > SL_DEMO_MAX_R:
         raise PreconditionError(f"r is above the limit SL_DEMO_MAX_R = {SL_DEMO_MAX_R}")
@@ -561,7 +557,7 @@ def sl_demo(m: int, r: int) -> SlDemoReport:
 
     c2 = result.entries[1]
     c2_rank_one = len(c2.moved) == 1
-    order = _homology_order(c2)
+    order = matrix_order(c2, 8) or 0
 
     zeta4_group = {zeta4 ** k for k in range(4)}
     dets_ok = all(A.det() in zeta4_group for A in result.finite_entries())

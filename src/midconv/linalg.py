@@ -44,6 +44,25 @@ im(M - 1)) at most once; equality and hashing read the field and the
 payload alone.  kronecker with a 1 x 1 identity factor returns the other
 factor itself, so its derived forms are shared.
 
+A loop matrix of the convolution is D = 1 + c P, with c of n rows and k
+columns, P of k rows and n columns, and k >= rk(D - 1) small.  The private
+constructor _one_plus builds its payload and keeps (c, P) as its form, and
+the k x k core F = 1 + P c is built at most once; no other Matrix has a
+form, and equality ignores it.  Five readers use it, each equal to its
+dense result:
+  * det(D) = det(F), Sylvester's determinant identity;
+  * the ranks of (D - alpha)^j at alpha != 1 are n - k + rk((F - alpha)^j):
+    c P and P c have the same Jordan blocks at each nonzero eigenvalue
+    (Flanders, "Elementary divisors of AB and BA", Proc. AMS 2, 1951);
+  * when c has full column rank and P full row rank (checked once per
+    matrix), (D - 1)^j = c (P c)^(j-1) P has the rank of (P c)^(j-1),
+    im(D - 1) is the row space of P (`moved`), and, with P c invertible
+    too, D^m = 1 exactly when F^m = 1 (matrix_order);
+  * a product X D is X + Y P with Y^T = c^T X^T (_mul_one_plus) when that
+    touches fewer pairs: a row of X costs at most 2 n k pairs and the n
+    entries it carries over, against one pair per nonzero entry of D.
+Any other case reads the payload.
+
 `solve_matrix_equations` is the one solver for linear equations in an
 unknown matrix (L X R = L' X R' per pair, unknowns numbered by the caller).
 It returns the solutions as matrices; `find_invertible` scans such a list,
@@ -64,7 +83,7 @@ Nothing is factored, so no input is refused for its size.
 
 `powers` is the one running-power loop: jordan_data's ranks of the powers
 of M - alpha read it, and so does `matrix_order`, the order test of sl_demo
-and of the O_3 certificate.
+and of the O_3 certificate; a formed matrix hands them its core.
 """
 
 from __future__ import annotations
@@ -173,8 +192,12 @@ class Matrix:
         _check_fields(self, other, "matrix product")
         if self and self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        return Matrix(self.field, tuple(_mul_rows(self.field.ops, self.payload,
-                                                  other.sparse, other.ncols)))
+        ops, form, n = self.field.ops, other._form, other.ncols
+        # a row of X costs _mul_one_plus at most 2 n k pairs and the n entries it
+        # carries over, and costs _mul_rows one pair per nonzero entry of `other`
+        if form is not None and (2 * len(form[1]) + 1) * n < sum(map(len, other.sparse)):
+            return Matrix(self.field, tuple(_mul_one_plus(ops, self.payload, *form)))
+        return Matrix(self.field, tuple(_mul_rows(ops, self.payload, other.sparse, n)))
 
     def scale(self, c) -> "Matrix":
         """c M for a Scalar (or int, Fraction, text) c of the field."""
@@ -197,8 +220,28 @@ class Matrix:
 
     @cached_property
     def moved(self) -> "Matrix":
-        """The row_space_basis of M - 1: a reduced-echelon basis of im(M - 1), rk(M - 1) rows."""
+        """The row_space_basis of M - 1: a reduced-echelon basis of im(M - 1), rk(M - 1) rows.
+
+        With a form of full rank, im(M - 1) = im(c P) is the row space of P.
+        """
+        if self._form is not None and self._form_full:
+            return row_space_basis(self._form[1])
         return row_space_basis(self.minus_identity())
+
+    # (c, P) with M = 1 + c P, c of k columns and P of k rows; only _one_plus sets it
+    _form = None
+
+    @cached_property
+    def _core(self) -> "Matrix":
+        """1_k + P c, without a form of its own, for the form (c, P)."""
+        c, P = self._form
+        return Matrix(self.field, _one_plus(P, c).payload)
+
+    @cached_property
+    def _form_full(self) -> bool:
+        """Whether c has full column rank and P full row rank: then rk(M - 1) = k."""
+        c, P = self._form
+        return rank(c) == len(P) == rank(P)
 
     @cached_property
     def is_scalar(self) -> bool:
@@ -228,9 +271,12 @@ class Matrix:
         return self.is_square() and rank(self) == self.nrows
 
     def det(self) -> Scalar:
-        """(-1)^swaps times the pivot product of an unreduced echelon form."""
+        """(-1)^swaps times the pivot product of an unreduced echelon form, of the
+        k x k core 1 + P c when M keeps the form 1 + c P."""
         if not self.is_square():
             raise PreconditionError("determinant of a non-square matrix")
+        if self._form is not None:
+            return self._core.det()              # det(1 + c P) = det(1 + P c)
         ech = _echelon(self.field.ops, self.payload, reduced=False)
         if len(ech.pivots) < self.nrows:
             return self.field.zero()
@@ -267,6 +313,21 @@ def _mul_rows(ops, A, SB, ncols: int) -> list[tuple]:
         for a, brow in zip(row, SB):
             if brow and nonzero(a):
                 axpy(acc, a, brow)
+        out.append(tuple(acc))
+    return out
+
+
+def _mul_one_plus(ops, A, c: Matrix, P: Matrix) -> list[tuple]:
+    """Payload rows of A (1 + c P) = A + Y P with Y^T = c^T A^T: one axpy per
+    nonzero entry of c and of Y, each row of Y adding into a copy of its row of A."""
+    nonzero, axpy, SP = ops.nonzero, ops.axpy, P.sparse
+    YT = _mul_rows(ops, zip(*c.payload), _sparse_rows(ops, zip(*A)), len(A))
+    out = []
+    for row, y in zip(A, zip(*YT) if YT else [()] * len(A)):     # k = 0: Y has no column
+        acc = list(row)
+        for a, prow in zip(y, SP):
+            if prow and nonzero(a):
+                axpy(acc, a, prow)
         out.append(tuple(acc))
     return out
 
@@ -563,14 +624,33 @@ def powers(M: Matrix):
 
 
 def matrix_order(M: Matrix, bound: int) -> int | None:
-    """The least k <= bound with M^k = 1, or None: at most bound - 1 products."""
+    """The least k <= bound with M^k = 1, or None: at most bound - 1 products.
+
+    M = 1 + c P with a form of full rank and P c invertible walks its core:
+    M^n - 1 = c ((1 + P c)^n - 1) (P c)^-1 P is 0 exactly when (1 + P c)^n = 1.
+    """
+    if M._form is not None and M._form_full and M._core.minus_identity().is_invertible():
+        return matrix_order(M._core, bound)
     ident = Matrix.identity(M.field, M.nrows)
     return next((k for k, P in enumerate(islice(powers(M), bound), 1) if P == ident), None)
 
 
 def _power_ranks(M: Matrix, alpha: Scalar):
-    """rank((M - alpha)^k) for k = 1, 2, ..., lazily: one product and one rank a step."""
-    yield from map(rank, powers(M - Matrix.identity(M.field, M.nrows).scale(alpha)))
+    """rank((M - alpha)^j) for j = 1, 2, ..., lazily: one product and one rank a step.
+
+    M = 1 + c P with its form reads the k x k core F = 1 + P c.  At alpha != 1
+    the rank is n - k + rk((F - alpha)^j): cP and Pc have the same Jordan
+    blocks at every nonzero eigenvalue (Flanders).  At alpha = 1, with the
+    form of full rank, (c P)^j = c (P c)^(j-1) P has the rank of (P c)^(j-1).
+    """
+    form, n = M._form, M.nrows
+    if form is not None and not alpha.is_one():
+        yield from (n - len(form[1]) + r for r in _power_ranks(M._core, alpha))
+    elif form is not None and M._form_full:
+        yield len(form[1])
+        yield from map(rank, powers(M._core.minus_identity()))
+    else:
+        yield from map(rank, powers(M - Matrix.identity(M.field, n).scale(alpha)))
 
 
 def jordan_data(M: Matrix, hints=()) -> JordanData:
@@ -623,6 +703,17 @@ def jordan_data(M: Matrix, hints=()) -> JordanData:
         longer = [a - b for a, b in zip(r, r[1:])] + [0]
         blocks += [(alpha, k) for k in range(1, len(r)) for _ in range(longer[k - 1] - longer[k])]
     return JordanData.of(blocks, n)
+
+
+def _one_plus(c: Matrix, P: Matrix) -> Matrix:
+    """1 + c P for c of n rows and k columns and P of k rows and n columns, k >= 0,
+    keeping (c, P) as its form."""
+    field, n = c.field, len(c)
+    add, one = field.ops.add, field.ops.one
+    M = Matrix(field, tuple(v[:i] + (add(v[i], one),) + v[i + 1:]
+                            for i, v in enumerate(_mul_rows(field.ops, c.payload, P.sparse, n))))
+    object.__setattr__(M, "_form", (c, P))
+    return M
 
 
 def kronecker(A: Matrix, B: Matrix) -> Matrix:

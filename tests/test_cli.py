@@ -354,6 +354,18 @@ def test_convolving_an_input_without_a_finite_entry_is_a_precondition_error(caps
     assert err == f"PreconditionError: the {side} convolution input has no finite entry\n"
 
 
+@pytest.mark.parametrize("command", ["convolve", "rank", "predict"])
+def test_every_convolution_command_refuses_an_input_without_a_finite_entry(capsys, tmp_path,
+                                                                          command):
+    # ConvolutionInput refuses it, so rank no longer prints "rank 0" and predict no
+    # longer prints an empty table: all three exit 1 with one stderr line
+    empty = _write(tmp_path, "empty.txt", "rational", 1, [["1"]], points=[])
+    for side, other in (("left", "--right"), ("right", "--left")):
+        code, out, err = _run(capsys, command, f"--{side}", empty, other, "fixture:L")
+        assert (code, out) == (1, "")
+        assert err == f"PreconditionError: the {side} convolution input has no finite entry\n"
+
+
 def test_predict_local_outside_the_hypotheses_is_a_precondition_error(capsys, tmp_path):
     # rank prints -1 for this pair, and the predicted blocks outgrow it
     left = _write(tmp_path, "pl.txt", "rational", 2, [["1, 0", "1, 1"], ["1, 0", "-1, 1"]],

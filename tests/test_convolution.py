@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import convolution, linalg
-from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, _homology_order,
-                                 circ_tuple,
+from midconv.convolution import (SL_DEMO_MAX_R, ConvolutionInput, circ_tuple,
                                  convolved_block, irreducibility_criterion,
                                  is_convolution_sheaf, kummer_tuple, mc_lambda, middle_convolution,
                                  predict_infinity_jordan, predict_local_jordan,
@@ -769,6 +768,13 @@ F17 = FieldDescriptor.finite(17)
 Z12 = FieldDescriptor.cyclotomic(12)
 
 
+def formed(M):
+    """M as 1 + c P with its form kept: P the kept basis of im(M - 1), c the
+    coordinates of the rows of M - 1 on it, so the form has full rank."""
+    P = M.moved
+    return linalg._one_plus(solve_coords(P, M.minus_identity()), P)
+
+
 @pytest.mark.parametrize("M, order", [
     (Matrix.identity(Q, 2), 1),
     (Matrix.from_rows(Q, [[-1]]), 2),
@@ -783,9 +789,12 @@ Z12 = FieldDescriptor.cyclotomic(12)
     (Matrix.from_rows(Q, [[1, 1], [0, 1]]), 0),            # infinite order
 ], ids=lambda x: str(x).replace("\n", "; ") if isinstance(x, Matrix) else str(x))
 def test_the_homology_order_is_the_matrix_order_up_to_8(M, order):
-    # orders 1 to 8, above 8 (read as 0) and infinite (0), each read off the trace
-    # or by matrix_order's walk over the powers
-    assert _homology_order(M) == (matrix_order(M, 8) or 0) == order
+    # sl_demo reads the order of its formed second entry as matrix_order up to 8: the
+    # formed matrix agrees with the dense walk of M for orders 1 to 8, above 8 (read
+    # as 0) and infinite (0), with k = 0 (the identity) and a nilpotent P c included
+    F = formed(M)
+    assert F == M and F._form is not None and M._form is None
+    assert (matrix_order(F, 8) or 0) == (matrix_order(M, 8) or 0) == order
 
 
 def _homologies(field, rng):
@@ -805,18 +814,31 @@ def _homologies(field, rng):
 @pytest.mark.parametrize("field", [Q] + [FieldDescriptor.cyclotomic(n) for n in range(3, 10)]
                          + [FieldDescriptor.finite(p) for p in (2, 3, 5, 7, 17, 29)], ids=str)
 def test_the_homology_order_is_read_off_the_trace(monkeypatch, field, rng):
-    # orders 1 to 8 of lambda, orders above 8, infinite order, and transvections
-    # (of order p over F_p, infinite over Q(zeta_n)); only lambda = 1 walks the powers
+    # a formed homology of rank one has the 1 x 1 core 1 + P c = tr M - (d - 1) =
+    # lambda, and matrix_order walks it alone; the transvection (lambda = 1, P c = 0)
+    # walks M itself, and the identity (k = 0) its 0 x 0 core.  Orders 1 to 8 of
+    # lambda, above 8 and infinite, each equal to the dense walk of M
     walked = []
-    monkeypatch.setattr(convolution, "matrix_order",
-                        lambda M, bound: walked.append(M) or matrix_order(M, bound))
+    monkeypatch.setattr(linalg, "powers",
+                        lambda M, walk=linalg.powers: walked.append(M.nrows) or walk(M))
+    one = field.one()
     for lam, M in _homologies(field, rng):
+        dense = matrix_order(M, 8)
+        F = formed(M)
         walked.clear()
-        assert _homology_order(M) == (matrix_order(M, 8) or 0), lam
-        assert len(walked) == (lam == field.one()), lam
-    # a matrix with rk(M - 1) = 2 walks its powers: here -1, of order 2
+        assert matrix_order(F, 8) == dense, lam
+        if M == Matrix.identity(field, 3):
+            assert walked == [0]
+        else:
+            assert F._core == Matrix(field, (((M.trace() - field.from_int(2)).payload,),)) \
+                == Matrix(field, ((lam.payload,),))
+            assert walked == ([3] if lam == one else [1]), lam
+    # rk(M - 1) = 2 (over F_2, M = 1): the 2 x 2 core -1, of order 2
     M = Matrix.from_rows(field, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    assert _homology_order(M) == (matrix_order(M, 8) or 0)
+    dense = matrix_order(M, 8)
+    walked.clear()
+    assert matrix_order(formed(M), 8) == dense
+    assert walked == [len(M.moved)]
 
 
 def test_mc_lambda_scales_each_entry_by_lambda_twice(monkeypatch, rng):
@@ -847,3 +869,18 @@ def test_sl_demo_inverts_no_matrix_twice(monkeypatch):
     for M, inv in calls:
         assert first.setdefault(id(M), inv) is inv, "a second elimination of one matrix"
     assert len(calls) > len(first)          # some matrix was asked twice
+
+
+def test_every_sl_demo_entry_keeps_its_form_and_its_readers_agree_with_a_formless_copy():
+    # each finite entry is a loop matrix 1 + c P that keeps its form, of full rank,
+    # so det, the Jordan ranks at -i and 1 and im(D - 1) read the k x k factors; a
+    # formless copy reads the N x N payload and must agree
+    result = sl_demo(3, 4).result
+    field = result.field
+    hints = (-field.zeta(field.n // 4), field.one())
+    for D in result.finite_entries():
+        dense = Matrix(field, D.payload)
+        assert D._form is not None and D._form_full and dense._form is None
+        assert D.det() == dense.det()
+        assert jordan_data(D, hints) == jordan_data(dense, hints)
+        assert D.moved == dense.moved

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midconv import linalg
@@ -587,6 +587,66 @@ def _random_matrix(field, m, n, rng, rank_at_most=None):
                 @ _random_matrix(field, rank_at_most, n, rng))
     return Matrix.from_rows(field, [[random_scalar(field, rng) if rng.random() < 2 / 3
                                      else field.zero() for _ in range(n)] for _ in range(m)])
+
+
+FORM_KINDS = ("random", "c of lower column rank", "nilpotent P c")
+
+
+def _form_factors(field, rng, n, k, kind):
+    """(c, P), n x k and k x n, conjugated by a random invertible G: random, with
+    c's last column 0, or with P c strictly upper triangular (c the first k unit rows
+    before G, so P c is the first k columns of P)."""
+    zero = field.ops.zero
+    c, P = _random_matrix(field, n, k, rng), _random_matrix(field, k, n, rng)
+    if kind == FORM_KINDS[1] and k:
+        c = Matrix(field, tuple(row[:-1] + (zero,) for row in c.payload))
+    elif kind == FORM_KINDS[2] and k <= n:
+        c = Matrix(field, Matrix.identity(field, k).payload + ((zero,) * k,) * (n - k))
+        P = Matrix(field, tuple(tuple(x if j > i or j >= k else zero for j, x in enumerate(row))
+                                for i, row in enumerate(P.payload)))
+    G = random_invertible(field, n, rng)
+    return G.inverse() @ c, P @ G
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the DomainError it raises."""
+    try:
+        return f(*args)
+    except (PreconditionError, DoesNotSplit) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([Q, F7, F49, Z3]), seed=st.integers(0, 2 ** 32),
+       n=st.integers(1, 4), k=st.integers(0, 5), kind=st.sampled_from(FORM_KINDS))
+@example(field=Q, seed=0, n=3, k=0, kind=FORM_KINDS[0])
+@example(field=F7, seed=1, n=3, k=3, kind=FORM_KINDS[0])
+@example(field=F49, seed=2, n=4, k=2, kind=FORM_KINDS[1])
+@example(field=Z3, seed=3, n=4, k=2, kind=FORM_KINDS[2])
+def test_every_reader_of_a_form_equals_it_on_the_formless_matrix(field, seed, n, k, kind):
+    # det, both branches of the power ranks, im(D - 1), the product and the order,
+    # on D = 1 + c P with its form and on the same payload without it: k = 0, k = n,
+    # k > n, c without full column rank and a nilpotent P c are all drawn
+    rng = random.Random(seed)
+    c, P = _form_factors(field, rng, n, k, kind)
+    D = linalg._one_plus(c, P)
+    dense = Matrix(field, D.payload)
+    assert dense == (Matrix.identity(field, n) + c @ P if k else Matrix.identity(field, n))
+    assert D._form == (c, P) and dense._form is None
+    assert D.det() == dense.det()
+    assert D.moved == dense.moved
+    one = field.one()
+    alphas = [one, -one, random_scalar(field, rng) or one]
+    alphas += [root for root, _ in field_roots(char_poly(D._core), field)[0]]
+    for alpha in alphas:
+        assert list(islice(linalg._power_ranks(D, alpha), n + 1)) \
+            == list(islice(linalg._power_ranks(dense, alpha), n + 1)), alpha
+    assert _outcome(jordan_data, D, alphas) == _outcome(jordan_data, dense, alphas)
+    assert matrix_order(D, 6) == matrix_order(dense, 6)
+    for X in (_random_matrix(field, n, n, rng), _random_matrix(field, 2, n, rng),
+              Matrix(field, ())):
+        assert X @ D == X @ dense \
+            == Matrix(field, tuple(linalg._mul_one_plus(field.ops, X.payload, c, P)))
 
 
 def _kernel_shapes(field, rng):
